@@ -1,12 +1,12 @@
 # Developer entry points. `make verify` is the tier-1 gate from ROADMAP.md.
 
-.PHONY: verify lint test test-baselines bench-smoke trace-smoke daemon-smoke docs doc-tests clean
+.PHONY: verify lint test test-baselines bench-smoke trace-smoke daemon-smoke docs doc-tests loc clean
 
 # Tier-1: release build + the root package's quiet test run, plus the
-# trace round-trip smoke, a warning-free lint/format gate, and the doc
-# gates (rustdoc warnings — including broken intra-doc links — fail the
-# build, and every worked example must execute).
-verify: trace-smoke lint docs doc-tests
+# trace and daemon round-trip smokes, a warning-free lint/format gate,
+# and the doc gates (rustdoc warnings — including broken intra-doc
+# links — fail the build, and every worked example must execute).
+verify: trace-smoke daemon-smoke lint docs doc-tests
 	cargo build --release
 	cargo test -q
 	BASRPT_SHARDS=2 cargo test --release --test shard_differential
@@ -64,6 +64,14 @@ docs:
 # Every rustdoc worked example across the workspace, compiled and run.
 doc-tests:
 	cargo test --workspace --doc -q
+
+# Non-test code lines per crate: non-blank, non-`//` lines of every `.rs`
+# file under the crate's src/, up to the file's first `#[cfg(test)]`.
+loc:
+	@total=0; for dir in crates/*/src; do \
+		n=$$(find $$dir -name '*.rs' | xargs -n1 awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*$$/ && !/^[[:space:]]*\/\//{n++} END{print n+0}' | awk '{s+=$$1} END{print s}'); \
+		printf '%6d  %s\n' $$n $$(dirname $$dir); total=$$((total + n)); \
+	done; printf '%6d  total\n' $$total
 
 clean:
 	cargo clean

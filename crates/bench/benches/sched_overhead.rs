@@ -341,14 +341,6 @@ fn bench_event_loop(c: &mut Criterion) {
                 .expect("valid simulation")
         })
     });
-    group.bench_function("engine_rebuild_paper_fabric", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            reference::simulate_full_rebuild(&topo, &mut sched, generator, config)
-                .expect("valid simulation")
-        })
-    });
     group.finish();
 }
 

@@ -67,9 +67,10 @@
 
 use crate::calendar::CompletionCalendar;
 use crate::engine::ScheduledEntry;
+use crate::repflow::plane_of;
 use crate::topology::Topology;
 use basrpt_core::{ViewAdjust, VoqView};
-use dcn_types::{FlowId, Rate, SimTime, Voq};
+use dcn_types::{FlowId, PlaneId, Rate, SimTime, Voq};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -324,7 +325,7 @@ impl DeltaAllocator {
                 if self.by_voq.get(&entry.voq) == Some(&id) {
                     self.by_voq.remove(&entry.voq);
                 }
-                let owed = entry.target_at(now, self.rate) - entry.settled;
+                let owed = entry.target_at(now) - entry.settled;
                 if owed > 0 {
                     debug_assert!(
                         entry.settled + owed < entry.epoch_remaining,
@@ -354,7 +355,7 @@ impl DeltaAllocator {
         let Some(entry) = self.entries.get_mut(&id) else {
             return;
         };
-        let target = entry.target_at(t, self.rate);
+        let target = entry.target_at(t);
         let amount = target - entry.settled;
         if amount == 0 {
             return;
@@ -557,7 +558,7 @@ impl ViewAdjust for LiveViews<'_> {
             return; // no flow of this VOQ is transmitting
         };
         let entry = &self.alloc.entries[&flow];
-        let target = entry.target_at(self.now, self.alloc.rate);
+        let target = entry.target_at(self.now);
         let owed = target - entry.settled;
         if owed == 0 {
             return;
@@ -578,53 +579,99 @@ impl ViewAdjust for LiveViews<'_> {
     }
 }
 
-/// Persistent scratch state for the oversubscribed-core admission filter:
-/// per-rack uplink/downlink budget accumulators and the filtered output,
-/// reused across events so the hot path never allocates. Semantically
-/// identical to filtering a schedule (in priority order) down to the flows
-/// the core layer can carry: intra-rack flows always pass; inter-rack
-/// flows consume `edge_rate` of their source rack's uplink and destination
-/// rack's downlink budgets and are skipped once a budget is exhausted.
-#[derive(Debug, Default)]
+/// The core-capacity admission filter, with persistent scratch state
+/// reused across events so the hot path never allocates.
+///
+/// Filters a schedule (in priority order) down to the flows the core layer
+/// can carry: intra-rack flows always pass; an inter-rack flow rides one
+/// core plane — [`plane_of`] its id, the deterministic stand-in for ECMP's
+/// five-tuple hash — and consumes `edge_rate` of its source rack's uplink
+/// and destination rack's downlink budget *on that plane* (each plane
+/// carries `uplink / planes`), and is skipped once either is exhausted.
+/// The aggregate filter is the one-plane case: every flow rides plane 0
+/// with the whole uplink budget. Rejected inter-rack flows are kept in
+/// priority order, and the residual budgets stay charged until the next
+/// [`filter`](CoreBudgets::filter), so replicas can ride what is left
+/// through [`admit`](CoreBudgets::admit).
+#[derive(Debug)]
 pub(crate) struct CoreBudgets {
+    edge: f64,
+    /// Budget of one plane: `rack_uplink_capacity / planes`.
+    plane_cap: f64,
+    planes: u32,
+    /// `rack * planes + plane` → bytes/second charged this decision.
     up_used: Vec<f64>,
     down_used: Vec<f64>,
     out: Vec<(FlowId, Voq)>,
+    /// The inter-rack flows the last [`filter`](CoreBudgets::filter)
+    /// rejected, in priority order.
+    pub(crate) rejected: Vec<(FlowId, Voq)>,
 }
 
 impl CoreBudgets {
-    /// Filters `selected` under `topo`'s per-rack capacity, returning the
+    /// The filter of `topo`'s per-rack capacity split over `planes`
+    /// independent core planes (1 for the aggregate filter).
+    pub(crate) fn new<T: Topology + ?Sized>(topo: &T, planes: u32) -> Self {
+        let cells = topo.num_racks() as usize * planes as usize;
+        CoreBudgets {
+            edge: topo.edge_rate().bytes_per_sec(),
+            plane_cap: topo.rack_uplink_capacity().bytes_per_sec() / f64::from(planes),
+            planes,
+            up_used: vec![0.0; cells],
+            down_used: vec![0.0; cells],
+            out: Vec::new(),
+            rejected: Vec::new(),
+        }
+    }
+
+    /// Filters `selected` under the per-plane rack budgets, returning the
     /// admitted sub-sequence in the original priority order.
     pub(crate) fn filter<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
         selected: impl Iterator<Item = (FlowId, Voq)>,
     ) -> &[(FlowId, Voq)] {
-        let edge = topo.edge_rate().bytes_per_sec();
-        let uplink = topo.rack_uplink_capacity().bytes_per_sec();
-        self.up_used.clear();
-        self.up_used.resize(topo.num_racks() as usize, 0.0);
-        self.down_used.clear();
-        self.down_used.resize(topo.num_racks() as usize, 0.0);
+        self.up_used.fill(0.0);
+        self.down_used.fill(0.0);
         self.out.clear();
+        self.rejected.clear();
         for (id, voq) in selected {
-            if topo.is_intra_rack(voq) {
+            if topo.is_intra_rack(voq) || {
+                let plane = match self.planes {
+                    1 => PlaneId::new(0),
+                    planes => plane_of(id, planes),
+                };
+                self.admit(topo, voq, plane)
+            } {
                 self.out.push((id, voq));
-                continue;
-            }
-            let src_rack = topo.rack_of(voq.src()).as_usize();
-            let dst_rack = topo.rack_of(voq.dst()).as_usize();
-            // Tolerance absorbs f64 accumulation when the budget divides
-            // evenly — identical to the reference filter.
-            if self.up_used[src_rack] + edge <= uplink * (1.0 + 1e-9)
-                && self.down_used[dst_rack] + edge <= uplink * (1.0 + 1e-9)
-            {
-                self.up_used[src_rack] += edge;
-                self.down_used[dst_rack] += edge;
-                self.out.push((id, voq));
+            } else {
+                self.rejected.push((id, voq));
             }
         }
         &self.out
+    }
+
+    /// Admits one inter-rack flow on `voq` onto `plane` if both its rack
+    /// budgets there have room, charging them on success.
+    pub(crate) fn admit<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        voq: Voq,
+        plane: PlaneId,
+    ) -> bool {
+        let planes = self.planes as usize;
+        let up = topo.rack_of(voq.src()).as_usize() * planes + plane.as_usize();
+        let down = topo.rack_of(voq.dst()).as_usize() * planes + plane.as_usize();
+        // Tolerance absorbs f64 accumulation when the budget divides evenly.
+        if self.up_used[up] + self.edge <= self.plane_cap * (1.0 + 1e-9)
+            && self.down_used[down] + self.edge <= self.plane_cap * (1.0 + 1e-9)
+        {
+            self.up_used[up] += self.edge;
+            self.down_used[down] += self.edge;
+            true
+        } else {
+            false
+        }
     }
 }
 
@@ -1004,7 +1051,7 @@ mod tests {
         let selected: Vec<(FlowId, Voq)> = (0..8)
             .map(|i| (f(i), voq(i as u32, 8 + i as u32)))
             .collect();
-        let mut budgets = CoreBudgets::default();
+        let mut budgets = CoreBudgets::new(&topo, 1);
         let got = budgets.filter(&topo, selected.iter().copied()).to_vec();
         assert_eq!(got.len(), 4, "one 40 Gbps uplink carries 4 edge flows");
         assert_eq!(&got[..], &selected[..4], "priority order preserved");

@@ -1,8 +1,9 @@
-//! The event-driven flow-level simulation engine.
+//! Run configuration and results, the per-flow drain account, and the
+//! eager reference event loop every fabric engine is pinned against.
 
-use crate::calendar::CompletionCalendar;
+use crate::online::Crossbar;
 use crate::topology::Topology;
-use basrpt_core::{FlowState, FlowTable, Scheduler};
+use basrpt_core::{FlowState, FlowTable, Schedule, Scheduler};
 use dcn_metrics::{
     FctRecorder, SizeBucketRecorder, StabilityReport, ThroughputMeter, TimeSeries, TrendConfig,
 };
@@ -274,56 +275,34 @@ pub(crate) struct FlowMeta {
     pub(crate) arrival: SimTime,
 }
 
-/// Filters a schedule (in priority order) down to the flows the core layer
-/// can carry: intra-rack flows always pass; inter-rack flows consume
-/// `edge_rate` of their source rack's uplink and destination rack's
-/// downlink budgets and are skipped once a budget is exhausted.
-fn enforce_core_capacity<T: Topology + ?Sized>(
-    topo: &T,
-    selected: impl Iterator<Item = (FlowId, Voq)>,
-) -> Vec<(FlowId, Voq)> {
-    let edge = topo.edge_rate().bytes_per_sec();
-    let uplink = topo.rack_uplink_capacity().bytes_per_sec();
-    let mut up_used = vec![0.0f64; topo.num_racks() as usize];
-    let mut down_used = vec![0.0f64; topo.num_racks() as usize];
-    let mut out = Vec::new();
-    for (id, voq) in selected {
-        if topo.is_intra_rack(voq) {
-            out.push((id, voq));
-            continue;
-        }
-        let src_rack = topo.rack_of(voq.src()).as_usize();
-        let dst_rack = topo.rack_of(voq.dst()).as_usize();
-        // Tolerance absorbs f64 accumulation when the budget divides evenly.
-        if up_used[src_rack] + edge <= uplink * (1.0 + 1e-9)
-            && down_used[dst_rack] + edge <= uplink * (1.0 + 1e-9)
-        {
-            up_used[src_rack] += edge;
-            down_used[dst_rack] += edge;
-            out.push((id, voq));
-        }
-    }
-    out
+/// Whether a run enforces per-rack core capacity: always on
+/// oversubscribed fabrics, on request ([`SimConfig::enforce_core_capacity`])
+/// on full-bisection ones. The one place every engine derives it from.
+pub(crate) fn enforces_core<T: Topology + ?Sized>(topo: &T, config: &SimConfig) -> bool {
+    config.enforce_core_capacity || !topo.is_full_bisection()
 }
 
-/// Drain-accounting state of one scheduled flow.
+/// Drain-accounting state of one transmitting flow.
 ///
-/// A scheduled flow drains at the edge line rate from the instant it was
-/// admitted into the scheduled set — its **epoch** — until it completes or
-/// is descheduled. All byte arithmetic is anchored at the epoch: at any
-/// event instant `t`, the cumulative bytes owed are derived **once** from
-/// the total elapsed time `t - epoch` via [`Rate::bytes_in`] (one floor),
-/// and the per-event drain is the integer difference against what has
-/// already been settled. Increments therefore sum exactly — no per-event
-/// rounding can accumulate — and the completion instant is the analytic
-/// `epoch + epoch_remaining / rate`, at which the entry force-settles its
-/// exact remaining bytes (no 1-byte residue wakeups).
+/// A transmitting flow drains at its allocated `rate` (the edge line rate
+/// for a crossbar matching, a max-min fair share otherwise) from the
+/// instant that rate was assigned — its **epoch** — until it completes, is
+/// descheduled, or is re-rated. All byte arithmetic is anchored at the
+/// epoch: at any event instant `t`, the cumulative bytes owed are derived
+/// **once** from the total elapsed time `t - epoch` via [`Rate::bytes_in`]
+/// (one floor), and the per-event drain is the integer difference against
+/// what has already been settled. Increments therefore sum exactly — no
+/// per-event rounding can accumulate — and the completion instant is the
+/// analytic `epoch + epoch_remaining / rate`, at which the entry
+/// force-settles its exact remaining bytes (no 1-byte residue wakeups).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScheduledEntry {
     pub(crate) flow: FlowId,
     pub(crate) voq: Voq,
-    /// When this entry's accounting epoch started (admission into the
-    /// current scheduled set; survives reschedules that keep the flow).
+    /// The rate the flow drains at during this epoch.
+    pub(crate) rate: Rate,
+    /// When this entry's accounting epoch started (admission at `rate`;
+    /// survives reschedules that keep the flow at the same rate).
     pub(crate) epoch: SimTime,
     /// Remaining bytes at `epoch`.
     pub(crate) epoch_remaining: u64,
@@ -338,6 +317,7 @@ impl ScheduledEntry {
         ScheduledEntry {
             flow,
             voq,
+            rate,
             epoch: now,
             epoch_remaining: remaining,
             settled: 0,
@@ -350,53 +330,40 @@ impl ScheduledEntry {
     /// forced to exactly `epoch_remaining` at (or past) the analytic
     /// completion instant — [`crate::settle_drain_target`], the one
     /// settlement formula every engine shares.
-    pub(crate) fn target_at(&self, t: SimTime, rate: Rate) -> u64 {
-        crate::settle::drain_target(self.epoch, self.completes_at, self.epoch_remaining, rate, t)
+    pub(crate) fn target_at(&self, t: SimTime) -> u64 {
+        crate::settle::drain_target(
+            self.epoch,
+            self.completes_at,
+            self.epoch_remaining,
+            self.rate,
+            t,
+        )
+    }
+
+    /// Whether the flow keeps this epoch when re-allocated at `rate`:
+    /// only an unchanged rate (to the bit) preserves the completion
+    /// instant.
+    pub(crate) fn keeps_rate(&self, rate: Rate) -> bool {
+        self.rate.bytes_per_sec().to_bits() == rate.bytes_per_sec().to_bits()
     }
 }
 
-/// How the event loop finds the earliest completion among scheduled flows.
-///
-/// Two implementations: the production [`CompletionCalendar`] (indexed,
-/// `O(log n)` amortized) and the retained linear rescan (the seed engine's
-/// strategy, kept as the differential-testing reference — see
-/// [`crate::reference`]). Both read the same exact `completes_at` instants
-/// from the entries, so the choice cannot change a single bit of output.
-pub(crate) trait CompletionLookup {
-    /// The scheduled set was replaced.
-    fn on_reschedule(&mut self, entries: &[ScheduledEntry]);
-    /// The earliest completion instant, or [`SimTime::INFINITY`].
-    fn next_completion(&mut self, entries: &[ScheduledEntry]) -> SimTime;
-}
-
-/// Production lookup: the indexed completion calendar.
-#[derive(Debug, Default)]
-pub(crate) struct CalendarLookup(CompletionCalendar);
-
-impl CompletionLookup for CalendarLookup {
-    fn on_reschedule(&mut self, entries: &[ScheduledEntry]) {
-        self.0
-            .set_schedule(entries.iter().map(|e| (e.flow, e.completes_at)));
-    }
-    fn next_completion(&mut self, _entries: &[ScheduledEntry]) -> SimTime {
-        self.0.next_completion()
-    }
-}
-
-/// Reference lookup: the seed engine's `O(n)` rescan of every scheduled
-/// flow on every wakeup.
-#[derive(Debug, Default)]
-pub(crate) struct ScanLookup;
-
-impl CompletionLookup for ScanLookup {
-    fn on_reschedule(&mut self, _entries: &[ScheduledEntry]) {}
-    fn next_completion(&mut self, entries: &[ScheduledEntry]) -> SimTime {
-        entries
-            .iter()
-            .map(|e| e.completes_at)
-            .min()
-            .unwrap_or(SimTime::INFINITY)
-    }
+/// Computes one crossbar decision, reporting it (with its wall-clock
+/// latency when an observer asks for it) as a [`DecisionEvent`].
+pub(crate) fn timed_decision<O: Probe + ?Sized>(
+    obs: &mut O,
+    now: SimTime,
+    decide: impl FnOnce() -> Schedule,
+) -> Schedule {
+    let started = obs.wants_decision_timing().then(Instant::now);
+    let schedule = decide();
+    let latency = started.map(|s| s.elapsed());
+    obs.on_decision(&DecisionEvent {
+        time: now.as_secs(),
+        schedule: &schedule,
+        latency,
+    });
+    schedule
 }
 
 /// Runs one flow-level simulation.
@@ -424,20 +391,14 @@ pub fn simulate<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     run_with_probe(topo, scheduler, generator, config, NoProbe)
 }
 
-/// The probe-instrumented batch driver behind [`simulate`] and the
-/// [`FabricSim`](crate::FabricSim) builder: a thin wrapper over the
-/// step-able [`OnlineFabric`](crate::OnlineFabric) engine (which keeps a
-/// persistent [`DeltaAllocator`] across events and pays calendar work only
-/// for the flows whose allocation actually changed).
-///
-/// For each arrival the wrapper steps the online engine through every
-/// event instant *strictly before* the arrival, then offers it — so
-/// same-instant completions, samples and decisions coalesce with the
-/// arrival exactly as in the monolithic loop this replaced, and the
-/// in-flight buffer never holds more than one instant's arrivals. The
-/// differential suites (`tests/delta_differential.rs`,
-/// `tests/online_differential.rs`) pin the outputs bit-identical to the
-/// reference engines.
+/// The probe-instrumented batch entry point behind [`simulate`], the
+/// [`FabricSim`](crate::FabricSim) builder and the sharded engine: the
+/// shared event core under the crossbar allocation policy (a persistent
+/// [`DeltaAllocator`](crate::DeltaAllocator) that pays calendar work only
+/// for the flows whose allocation actually changed), driven by
+/// [`run_batch`](crate::online::run_batch). The differential suites
+/// (`tests/delta_differential.rs`, `tests/online_differential.rs`) pin the
+/// outputs bit-identical to the eager reference loop.
 pub(crate) fn run_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
     topo: &T,
     scheduler: &mut S,
@@ -445,95 +406,51 @@ pub(crate) fn run_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Pro
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    let mut online = crate::online::OnlineFabric::with_probe(topo, scheduler, config, probe)
-        .high_watermark(usize::MAX)
-        .collect_completions(false);
-    for arrival in generator {
-        online.step_before(arrival.time)?;
-        if online.is_finished() {
-            // The horizon passed while stepping: the remaining arrivals
-            // can never be admitted (the monolithic loop broke here too).
-            break;
-        }
-        match online.offer(arrival) {
-            Ok(_) => {}
-            Err(crate::online::OfferError::Rejected(e)) => return Err(e),
-            Err(e) => unreachable!("unbounded buffer on an unfinished engine: {e}"),
-        }
-    }
-    online.finish()
+    crate::online::run_batch(topo, generator, config, probe, |enforce_core| {
+        Crossbar::new(topo, scheduler, enforce_core, 1)
+    })
+    .map(|(run, _)| run)
 }
 
-/// The reference event loop with the linear completion rescan (see
-/// [`crate::reference`]).
-pub(crate) fn run_scan_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    run_loop(topo, scheduler, generator, config, probe, ScanLookup)
-}
-
-/// The reference event loop that rebuilds the full allocation state — the
-/// carry-over map, the scheduled-entry vector, and the calendar's live map
-/// — on every reschedule (the PR 3–5 production engine, kept as the
-/// full-recompute baseline; see [`crate::reference`]).
-pub(crate) fn run_rebuild_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    run_loop(
-        topo,
-        scheduler,
-        generator,
-        config,
-        probe,
-        CalendarLookup::default(),
-    )
-}
-
-/// The event loop, generic over the completion-lookup strategy.
+/// The eager reference event loop — the single oracle the shared event
+/// core is differentially pinned against (see [`crate::reference`]).
+///
+/// `allocate` is the allocation: given the decision instant, the
+/// (eagerly settled, hence exact) flow table and the observers, it emits
+/// the transmitting flows as `(flow, voq, rate)` in emission order — the
+/// order drains and completions are reported in. A flow re-allocated at
+/// the same rate (to the bit) keeps its drain epoch; every other flow
+/// opens a fresh epoch at its current remaining size; a zero rate
+/// transmits nothing. Next-completion lookup is a linear rescan and every
+/// account settles on every event — `O(n)` per event by design, the
+/// simplest loop that computes the same bits.
 ///
 /// The engine always composes an internal [`BacklogSampler`] (which fills
 /// `FabricRun`'s time-series fields) with the caller's `probe` via
-/// [`Fanout`]; with [`NoProbe`] the whole observer layer monomorphizes
-/// down to the unobserved loop.
-///
-/// Event ordering within one instant: completions (drains settle first),
-/// then arrivals, then the sample, then the scheduling decision — so a
-/// sample taken at an instant with coincident arrivals sees them (a run
-/// whose workload starts at `t = 0` no longer records a spurious all-zero
-/// first point).
-fn run_loop<T, S, P, L>(
+/// [`Fanout`]. Event ordering within one instant: completions (drains
+/// settle first), then arrivals, then the sample, then the allocation —
+/// so a sample taken at an instant with coincident arrivals sees them.
+pub(crate) fn run_reference<T, P, A>(
     topo: &T,
-    scheduler: &mut S,
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
     probe: P,
-    mut lookup: L,
+    mut allocate: A,
 ) -> Result<FabricRun, FabricError>
 where
     T: Topology + ?Sized,
-    S: Scheduler + ?Sized,
     P: Probe,
-    L: CompletionLookup,
+    A: FnMut(SimTime, &FlowTable, &mut dyn Probe, &mut Vec<(FlowId, Voq, Rate)>),
 {
     let mut generator = generator.into_iter();
-    let edge_rate = topo.edge_rate();
-    let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-
     let mut table = FlowTable::new();
     let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
-    // The scheduled set, in schedule-priority order, with per-entry drain
-    // epochs (see `ScheduledEntry`).
+    // The transmitting set in emission order, with per-entry drain epochs
+    // (see `ScheduledEntry`).
     let mut entries: Vec<ScheduledEntry> = Vec::new();
-    // Scratch map reused across reschedules to carry accounting state of
-    // flows that stay scheduled.
+    // Scratch reused across allocations: the emitted allocation, and the
+    // previous accounts keyed by flow so unchanged-rate flows keep them.
+    let mut allocation: Vec<(FlowId, Voq, Rate)> = Vec::new();
     let mut carry: HashMap<FlowId, ScheduledEntry> = HashMap::new();
 
     let mut fct = FctRecorder::new();
@@ -554,20 +471,23 @@ where
     loop {
         // --- determine the next event instant ---
         let t_arrival = next_arrival.as_ref().map_or(SimTime::INFINITY, |a| a.time);
-        let t_completion = lookup.next_completion(&entries);
+        let t_completion = entries
+            .iter()
+            .map(|e| e.completes_at)
+            .min()
+            .unwrap_or(SimTime::INFINITY);
         let t = t_arrival
             .min(t_completion)
             .min(next_sample)
             .min(config.horizon);
 
-        // --- advance: settle every scheduled flow's account at t ---
-        let elapsed = t - clock;
+        // --- advance: settle every transmitting flow's account at t ---
         let mut completed_any = false;
-        if elapsed > SimTime::ZERO {
+        if t > clock {
             let mut i = 0;
             while i < entries.len() {
                 let entry = &mut entries[i];
-                let target = entry.target_at(t, edge_rate);
+                let target = entry.target_at(t);
                 let amount = target - entry.settled;
                 if amount == 0 {
                     i += 1;
@@ -584,7 +504,7 @@ where
                     voq,
                     amount: outcome.drained,
                 });
-                if let Some(done) = outcome.completed {
+                if outcome.completed.is_some() {
                     let info = meta.remove(&id).expect("active flow has metadata");
                     let flow_fct = t - info.arrival + config.base_latency;
                     fct.record(info.class, info.size, flow_fct);
@@ -598,9 +518,8 @@ where
                     });
                     completions_count += 1;
                     completed_any = true;
-                    debug_assert_eq!(voq, done.voq());
-                    // Preserve priority order for the rest of this pass; the
-                    // pending reschedule rebuilds the vector anyway.
+                    // Preserve emission order for the rest of this pass; the
+                    // pending reallocation rebuilds the vector anyway.
                     entries.remove(i);
                 } else {
                     i += 1;
@@ -615,11 +534,7 @@ where
 
         // --- arrivals landing at (or before) the current instant ---
         let mut arrived_any = false;
-        while let Some(arrival) = next_arrival.as_ref() {
-            if arrival.time > clock {
-                break;
-            }
-            let arrival = *next_arrival.as_ref().expect("checked above");
+        while let Some(arrival) = next_arrival.take_if(|a| a.time <= clock) {
             validate_arrival(topo, &arrival, last_arrival_time)?;
             last_arrival_time = arrival.time;
             table
@@ -660,38 +575,24 @@ where
             next_sample += config.sample_every;
         }
 
-        // --- reschedule on arrival or completion (the paper's update rule) ---
+        // --- reallocate on arrival or completion (the paper's update rule) ---
         if arrived_any || completed_any {
-            let started = fan.wants_decision_timing().then(Instant::now);
-            let schedule = scheduler.schedule(&table);
-            let latency = started.map(|s| s.elapsed());
-            fan.on_decision(&DecisionEvent {
-                time: clock.as_secs(),
-                schedule: &schedule,
-                latency,
-            });
+            allocation.clear();
+            allocate(clock, &table, &mut fan, &mut allocation);
             carry.clear();
             carry.extend(entries.drain(..).map(|e| (e.flow, e)));
-            let mut admit = |id: FlowId, voq: Voq| {
-                // A flow that stays scheduled keeps its drain epoch (its
-                // completion instant is unchanged); a newly selected flow
-                // opens a fresh epoch at the current remaining size.
-                entries.push(carry.remove(&id).unwrap_or_else(|| {
-                    let remaining = table.get(id).expect("scheduled flow is active").remaining();
-                    ScheduledEntry::new(id, voq, clock, remaining, edge_rate)
-                }));
-            };
-            if enforce_core {
-                for (id, voq) in enforce_core_capacity(topo, schedule.iter()) {
-                    admit(id, voq);
-                }
-            } else {
-                for (id, voq) in schedule.iter() {
-                    admit(id, voq);
+            for &(id, voq, rate) in &allocation {
+                match carry.remove(&id) {
+                    Some(entry) if entry.keeps_rate(rate) => entries.push(entry),
+                    _ if rate.is_zero() => {}
+                    _ => {
+                        let remaining =
+                            table.get(id).expect("allocated flow is active").remaining();
+                        entries.push(ScheduledEntry::new(id, voq, clock, remaining, rate));
+                    }
                 }
             }
             reschedules += 1;
-            lookup.on_reschedule(&entries);
         }
     }
     drop(fan);

@@ -40,35 +40,34 @@
 //!
 //! # The event loop
 //!
-//! [`simulate_fair_share`] mirrors the matching engine's loop — same event
-//! ordering within an instant (completions, arrivals, sample,
+//! [`simulate_fair_share`] runs on the matching engine's event core, with
+//! the fair-share allocation policy in place of the crossbar one — same
+//! event ordering within an instant (completions, arrivals, sample,
 //! reallocation), same epoch-based drain accounting, same analytic
 //! completion instants — but every active flow holds a per-flow *rate*
 //! rather than being on/off at line rate. Reallocation happens on every
-//! arrival and completion; in the spirit of the [`crate::DeltaAllocator`]
-//! delta path, only flows whose rate actually changed re-open their drain
-//! epoch and pay a [`CompletionCalendar`] edit — a flow whose fair share
-//! is unaffected keeps its epoch, so its completion instant (and every
-//! output bit) is invariant to unrelated churn.
+//! arrival and completion; only flows whose rate actually changed re-open
+//! their drain epoch and pay a [`CompletionCalendar`] edit — a flow whose
+//! fair share is unaffected keeps its epoch, so its completion instant
+//! (and every output bit) is invariant to unrelated churn.
 //!
-//! The production loop also settles byte accounts **lazily** (see
-//! [`crate::settle`]): per event only the flows actually *due* drain into
-//! the table, and an unchanged-rate flow's account is left untouched
-//! until a sample instant, the horizon, or its own rate change observes
-//! it. Because each account settles through the same exact
-//! `drain_target` conversion no matter when it is read, lazy and eager
-//! runs are bit-identical — the naive reference stays eager and
-//! `tests/fairshare_differential.rs` pins exactly that.
+//! The core also settles byte accounts **lazily** (see [`crate::settle`]):
+//! per event only the flows actually *due* drain into the table, and an
+//! unchanged-rate flow's account is left untouched until a sample
+//! instant, the horizon, or its own rate change observes it. Because each
+//! account settles through the same exact `drain_target` conversion no
+//! matter when it is read, lazy and eager runs are bit-identical — the
+//! naive reference stays eager and `tests/fairshare_differential.rs` pins
+//! exactly that.
 
 use crate::calendar::CompletionCalendar;
-use crate::engine::{validate_arrival, FabricError, FabricRun, FlowMeta, SimConfig};
+use crate::delta::SettledDrain;
+use crate::engine::{FabricError, FabricRun, ScheduledEntry, SimConfig};
+use crate::online::{run_batch, AllocationPolicy};
 use crate::topology::Topology;
-use basrpt_core::{FlowState, FlowTable};
-use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
-use dcn_probe::{
-    ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
-};
-use dcn_types::{Bytes, FlowId, Rate, SimTime, Voq};
+use basrpt_core::FlowTable;
+use dcn_probe::{NoProbe, Probe};
+use dcn_types::{FlowId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use std::collections::HashMap;
 
@@ -366,84 +365,134 @@ pub(crate) fn waterfill_naive(
     }
 }
 
-/// Drain-accounting state of one transmitting flow, at its allocated
-/// fair-share rate — the per-rate analogue of the matching engine's
-/// `ScheduledEntry`, with the same epoch anchoring: cumulative bytes are
-/// derived once from `t - epoch`, and the completion instant is the
-/// analytic `epoch + remaining / rate`.
-#[derive(Debug, Clone, Copy)]
-struct FairEntry {
-    flow: FlowId,
-    voq: Voq,
-    rate: Rate,
-    epoch: SimTime,
-    epoch_remaining: u64,
-    settled: u64,
-    completes_at: SimTime,
+/// The max-min fair-share allocation policy of the shared event core:
+/// every active flow transmits at its [`FairShareAllocator`] rate,
+/// recomputed on every arrival and completion. A flow whose rate is
+/// unchanged to the bit keeps its drain epoch and calendar entry; only
+/// re-rated flows settle their old epoch and open a new one.
+#[derive(Debug)]
+pub(crate) struct FairShare {
+    alloc: FairShareAllocator,
+    /// Transmitting flows in ascending id order (the emission order).
+    entries: Vec<ScheduledEntry>,
+    calendar: CompletionCalendar,
+    /// Scratch reused across reallocations: the previous accounts keyed
+    /// by flow, the id-sorted active flows, and their rates.
+    carry: HashMap<FlowId, ScheduledEntry>,
+    flows: Vec<(FlowId, Voq)>,
+    rates: Vec<f64>,
 }
 
-impl FairEntry {
-    fn new(flow: FlowId, voq: Voq, now: SimTime, remaining: u64, rate: Rate) -> Self {
-        FairEntry {
-            flow,
-            voq,
-            rate,
-            epoch: now,
-            epoch_remaining: remaining,
-            settled: 0,
-            completes_at: crate::settle::completion_instant(now, remaining, rate),
+impl FairShare {
+    pub(crate) fn new<T: Topology + ?Sized>(topo: &T, enforce_core: bool) -> Self {
+        FairShare {
+            alloc: FairShareAllocator::new(ConstraintSpec::new(topo, enforce_core)),
+            entries: Vec::new(),
+            calendar: CompletionCalendar::new(),
+            carry: HashMap::new(),
+            flows: Vec::new(),
+            rates: Vec::new(),
         }
     }
-
-    fn target_at(&self, t: SimTime) -> u64 {
-        crate::settle::drain_target(
-            self.epoch,
-            self.completes_at,
-            self.epoch_remaining,
-            self.rate,
-            t,
-        )
-    }
 }
 
-/// How the fair-share loop finds the earliest completion: the production
-/// path keeps a [`CompletionCalendar`] edited per changed flow (the
-/// delta-style integration); the reference path rescans the entries.
-/// Both read the same `completes_at` instants, so the choice cannot
-/// change a bit of output.
-trait FairLookup {
-    fn update(&mut self, flow: FlowId, at: SimTime);
-    fn remove(&mut self, flow: FlowId);
-    fn next_completion(&mut self, entries: &[FairEntry]) -> SimTime;
-}
-
-#[derive(Debug, Default)]
-struct CalendarFairLookup(CompletionCalendar);
-
-impl FairLookup for CalendarFairLookup {
-    fn update(&mut self, flow: FlowId, at: SimTime) {
-        self.0.update(flow, at);
+impl AllocationPolicy for FairShare {
+    fn supports_lazy_views(&self) -> bool {
+        true
     }
-    fn remove(&mut self, flow: FlowId) {
-        self.0.remove(flow);
-    }
-    fn next_completion(&mut self, _entries: &[FairEntry]) -> SimTime {
-        self.0.next_completion()
-    }
-}
 
-#[derive(Debug, Default)]
-struct ScanFairLookup;
+    fn next_completion(&mut self) -> SimTime {
+        self.calendar.next_completion()
+    }
 
-impl FairLookup for ScanFairLookup {
-    fn update(&mut self, _flow: FlowId, _at: SimTime) {}
-    fn remove(&mut self, _flow: FlowId) {}
-    fn next_completion(&mut self, entries: &[FairEntry]) -> SimTime {
-        entries
-            .iter()
-            .map(|e| e.completes_at)
-            .min()
-            .unwrap_or(SimTime::INFINITY)
+    fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool {
+        // Lazy settlement touches only the flows *due* at t (one linear
+        // scan of cheap compares), deferring the others until a sample
+        // instant, the horizon, or their own rate change observes them.
+        let mut completed_any = false;
+        let calendar = &mut self.calendar;
+        self.entries.retain_mut(|e| {
+            let target = if observe_all || t >= e.completes_at {
+                e.target_at(t)
+            } else {
+                e.settled
+            };
+            if target == e.settled {
+                return true;
+            }
+            let completed = target == e.epoch_remaining;
+            out.push(SettledDrain {
+                flow: e.flow,
+                voq: e.voq,
+                amount: target - e.settled,
+                completed,
+            });
+            e.settled = target;
+            if completed {
+                calendar.remove(e.flow);
+                completed_any = true;
+            }
+            !completed
+        });
+        completed_any
+    }
+
+    fn reschedule<T: Topology + ?Sized, O: Probe>(
+        &mut self,
+        _topo: &T,
+        now: SimTime,
+        table: &FlowTable,
+        _lazy: bool,
+        _obs: &mut O,
+        out: &mut Vec<SettledDrain>,
+    ) {
+        self.flows.clear();
+        self.flows.extend(table.iter().map(|f| (f.id(), f.voq())));
+        self.flows.sort_unstable_by_key(|&(id, _)| id);
+        self.alloc.allocate(&self.flows, &mut self.rates);
+        self.carry.clear();
+        self.carry
+            .extend(self.entries.drain(..).map(|e| (e.flow, e)));
+        for (&(id, voq), &rate) in self.flows.iter().zip(&self.rates) {
+            let rate = Rate::from_bytes_per_sec(rate);
+            let remaining = match self.carry.remove(&id) {
+                // An unchanged rate keeps its drain epoch: the completion
+                // instant is bit-invariant to unrelated churn, and the
+                // calendar is not touched.
+                Some(old) if old.keeps_rate(rate) => {
+                    self.entries.push(old);
+                    continue;
+                }
+                // A rate change (or starvation) re-opens the epoch over
+                // the live remaining bytes, so any unsettled residue
+                // drains first — under eager settlement the event already
+                // settled it and this owes nothing.
+                Some(old) => {
+                    let target = old.target_at(now);
+                    debug_assert!(target < old.epoch_remaining, "due flows settled first");
+                    if target > old.settled {
+                        out.push(SettledDrain {
+                            flow: id,
+                            voq,
+                            amount: target - old.settled,
+                            completed: false,
+                        });
+                    }
+                    old.epoch_remaining - target
+                }
+                None => table.get(id).expect("allocated flow is active").remaining(),
+            };
+            if rate.is_zero() {
+                // Pathological rounding: the flow starves for one epoch
+                // and re-enters at the next event.
+                self.calendar.remove(id);
+            } else {
+                let entry = ScheduledEntry::new(id, voq, now, remaining, rate);
+                self.calendar.update(id, entry.completes_at);
+                self.entries.push(entry);
+            }
+        }
+        debug_assert!(self.carry.is_empty(), "every active flow was reallocated");
     }
 }
 
@@ -488,8 +537,8 @@ pub fn simulate_fair_share<T: Topology + ?Sized>(
 
 /// Probe-instrumented variant of [`simulate_fair_share`].
 ///
-/// The fair-share loop emits arrival, drain, completion and sample events;
-/// it has no crossbar schedule, so no decision events are emitted.
+/// The fair-share engine emits arrival, drain, completion and sample
+/// events; it has no crossbar schedule, so no decision events are emitted.
 ///
 /// # Errors
 ///
@@ -501,301 +550,17 @@ pub fn simulate_fair_share_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-    let mut alloc = FairShareAllocator::new(ConstraintSpec::new(topo, enforce_core));
-    run_fair_loop(
-        topo,
-        generator,
-        config,
-        probe,
-        CalendarFairLookup::default(),
-        |flows, rates| alloc.allocate(flows, rates),
-        true,
-    )
-}
-
-/// The naive-reference fair-share loop (see [`crate::reference`]): the
-/// `O(n²)` water-filler plus the linear completion rescan. Bit-identical
-/// to [`simulate_fair_share`] by the arithmetic contract.
-pub(crate) fn run_fair_share_naive<T: Topology + ?Sized, P: Probe>(
-    topo: &T,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-    let spec = ConstraintSpec::new(topo, enforce_core);
-    run_fair_loop(
-        topo,
-        generator,
-        config,
-        probe,
-        ScanFairLookup,
-        |flows, rates| waterfill_naive(&spec, flows, rates),
-        false,
-    )
-}
-
-/// The fair-share event loop, generic over the allocator implementation
-/// and the completion-lookup strategy — the two axes the differential
-/// suite varies. Mirrors the matching engine's event ordering within an
-/// instant: completions settle first, then arrivals, then the sample,
-/// then the reallocation.
-///
-/// `lazy_capable` opts the loop into lazy exact settlement (see
-/// [`crate::settle`]): the production calendar path passes `true`, the
-/// naive reference `false` so it stays the eagerly settled yardstick.
-/// The mode is still forced eager when the probe wants per-flow drain
-/// fidelity or `BASRPT_SETTLE=eager` is set, and lazy/eager runs are
-/// bit-identical either way — only *when* accounts settle moves.
-#[allow(clippy::too_many_arguments)]
-fn run_fair_loop<T, P, L, A>(
-    topo: &T,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-    mut lookup: L,
-    mut allocate: A,
-    lazy_capable: bool,
-) -> Result<FabricRun, FabricError>
-where
-    T: Topology + ?Sized,
-    P: Probe,
-    L: FairLookup,
-    A: FnMut(&[(FlowId, Voq)], &mut Vec<f64>),
-{
-    let mode = crate::settle::SettleMode::choose(probe.wants_flow_fidelity(), lazy_capable);
-    let mut generator = generator.into_iter();
-
-    let mut table = FlowTable::new();
-    let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
-    // Transmitting flows in ascending id order, with per-entry rates.
-    let mut entries: Vec<FairEntry> = Vec::new();
-    let mut carry: HashMap<FlowId, FairEntry> = HashMap::new();
-    let mut flows_sorted: Vec<(FlowId, Voq)> = Vec::new();
-    let mut rates: Vec<f64> = Vec::new();
-
-    let mut fct = FctRecorder::new();
-    let mut fct_by_size = SizeBucketRecorder::pfabric_buckets();
-    let mut throughput = ThroughputMeter::new();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
-    let mut fan = Fanout::new(&mut sampler, probe);
-    let mut arrivals_count = 0usize;
-    let mut completions_count = 0usize;
-    let mut arrived_bytes = Bytes::ZERO;
-    let mut reschedules = 0u64;
-
-    let mut clock = SimTime::ZERO;
-    let mut next_sample = SimTime::ZERO;
-    let mut next_arrival = generator.next();
-    let mut last_arrival_time = SimTime::ZERO;
-
-    loop {
-        let t_arrival = next_arrival.as_ref().map_or(SimTime::INFINITY, |a| a.time);
-        let t_completion = lookup.next_completion(&entries);
-        let t = t_arrival
-            .min(t_completion)
-            .min(next_sample)
-            .min(config.horizon);
-
-        // --- advance: settle transmitting flows' accounts at t ---
-        // Eager mode settles every account at every event; lazy mode
-        // settles only the flows *due* at t (one linear scan of cheap
-        // compares, no table or meter work for the rest), deferring the
-        // others until a sample instant, the horizon, or their own rate
-        // change observes them.
-        let observe_all = !mode.is_lazy() || next_sample <= t || t >= config.horizon;
-        let elapsed = t - clock;
-        let mut completed_any = false;
-        if elapsed > SimTime::ZERO {
-            let mut i = 0;
-            while i < entries.len() {
-                let entry = &mut entries[i];
-                if !observe_all && t < entry.completes_at {
-                    i += 1;
-                    continue;
-                }
-                let target = entry.target_at(t);
-                let amount = target - entry.settled;
-                if amount == 0 {
-                    i += 1;
-                    continue;
-                }
-                entry.settled = target;
-                let (id, voq) = (entry.flow, entry.voq);
-                let outcome = table.drain(id, amount).expect("allocated flow is active");
-                debug_assert_eq!(outcome.drained, amount, "exact drain cannot be short");
-                throughput.deliver(Bytes::new(outcome.drained));
-                fan.on_drain(&DrainEvent {
-                    time: t.as_secs(),
-                    flow: id,
-                    voq,
-                    amount: outcome.drained,
-                });
-                if outcome.completed.is_some() {
-                    let info = meta.remove(&id).expect("active flow has metadata");
-                    let flow_fct = t - info.arrival + config.base_latency;
-                    fct.record(info.class, info.size, flow_fct);
-                    fct_by_size.record(info.size, flow_fct);
-                    fan.on_completion(&CompletionEvent {
-                        time: t.as_secs(),
-                        flow: id,
-                        voq,
-                        size: info.size.as_u64(),
-                        fct: flow_fct.as_secs(),
-                    });
-                    completions_count += 1;
-                    completed_any = true;
-                    lookup.remove(id);
-                    entries.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        clock = t;
-
-        if clock >= config.horizon {
-            break;
-        }
-
-        // --- arrivals landing at (or before) the current instant ---
-        let mut arrived_any = false;
-        while let Some(arrival) = next_arrival.as_ref() {
-            if arrival.time > clock {
-                break;
-            }
-            let arrival = *next_arrival.as_ref().expect("checked above");
-            validate_arrival(topo, &arrival, last_arrival_time)?;
-            last_arrival_time = arrival.time;
-            table
-                .insert(FlowState::new(
-                    arrival.id,
-                    arrival.voq,
-                    arrival.size.as_u64(),
-                ))
-                .map_err(|e| FabricError::BadArrival(e.to_string()))?;
-            meta.insert(
-                arrival.id,
-                FlowMeta {
-                    class: arrival.class,
-                    size: arrival.size,
-                    arrival: arrival.time,
-                },
-            );
-            arrivals_count += 1;
-            arrived_bytes += arrival.size;
-            arrived_any = true;
-            fan.on_arrival(&ArrivalEvent {
-                time: arrival.time.as_secs(),
-                flow: arrival.id,
-                voq: arrival.voq,
-                size: arrival.size.as_u64(),
-            });
-            next_arrival = generator.next();
-        }
-
-        // --- sampling (after same-instant arrivals) ---
-        if next_sample <= clock {
-            fan.on_sample(&SampleEvent {
-                time: clock.as_secs(),
-                table: &table,
-                delivered: throughput.delivered().as_f64(),
-            });
-            next_sample += config.sample_every;
-        }
-
-        // --- reallocate on arrival or completion ---
-        if arrived_any || completed_any {
-            flows_sorted.clear();
-            flows_sorted.extend(table.iter().map(|f| (f.id(), f.voq())));
-            flows_sorted.sort_unstable_by_key(|&(id, _)| id);
-            allocate(&flows_sorted, &mut rates);
-            carry.clear();
-            carry.extend(entries.drain(..).map(|e| (e.flow, e)));
-            for (i, &(id, voq)) in flows_sorted.iter().enumerate() {
-                let rate = Rate::from_bytes_per_sec(rates[i]);
-                match carry.remove(&id) {
-                    // An unchanged rate keeps its drain epoch: the
-                    // completion instant is bit-invariant to unrelated
-                    // churn, and the calendar is not touched.
-                    Some(old)
-                        if old.rate.bytes_per_sec().to_bits() == rate.bytes_per_sec().to_bits() =>
-                    {
-                        entries.push(old);
-                    }
-                    had_entry => {
-                        if let Some(old) = had_entry {
-                            // A rate change (or starvation) re-opens the
-                            // epoch over the *current* remaining bytes, so
-                            // any unsettled residue must drain first — in
-                            // eager mode the advance phase already settled
-                            // it and this owes nothing.
-                            let target = old.target_at(clock);
-                            let amount = target - old.settled;
-                            if amount > 0 {
-                                debug_assert!(
-                                    target < old.epoch_remaining,
-                                    "due completions settle in the advance phase"
-                                );
-                                let outcome =
-                                    table.drain(id, amount).expect("allocated flow is active");
-                                debug_assert_eq!(outcome.drained, amount);
-                                throughput.deliver(Bytes::new(outcome.drained));
-                                fan.on_drain(&DrainEvent {
-                                    time: clock.as_secs(),
-                                    flow: id,
-                                    voq,
-                                    amount: outcome.drained,
-                                });
-                            }
-                            if rate.is_zero() {
-                                lookup.remove(id);
-                            }
-                        }
-                        if !rate.is_zero() {
-                            // A zero rate is pathological rounding: the
-                            // flow starves for one epoch and re-enters at
-                            // the next event.
-                            let remaining =
-                                table.get(id).expect("allocated flow is active").remaining();
-                            let entry = FairEntry::new(id, voq, clock, remaining, rate);
-                            lookup.update(id, entry.completes_at);
-                            entries.push(entry);
-                        }
-                    }
-                }
-            }
-            debug_assert!(carry.is_empty(), "every active flow was reallocated");
-            reschedules += 1;
-        }
-    }
-    drop(fan);
-    let series = sampler.into_series();
-
-    Ok(FabricRun {
-        fct,
-        fct_by_size,
-        throughput,
-        total_backlog: series.total_backlog,
-        monitored_port_backlog: series.monitored_port_backlog,
-        max_port_backlog: series.max_port_backlog,
-        cumulative_delivered: series.cumulative_delivered,
-        arrivals: arrivals_count,
-        completions: completions_count,
-        arrived_bytes,
-        leftover_bytes: Bytes::new(table.total_backlog()),
-        leftover_flows: table.len(),
-        reschedules,
-        horizon: config.horizon,
+    run_batch(topo, generator, config, probe, |enforce_core| {
+        FairShare::new(topo, enforce_core)
     })
+    .map(|(run, _)| run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FatTree, KAryFatTree};
-    use dcn_types::{FlowClass, HostId};
+    use dcn_types::{Bytes, FlowClass, HostId};
 
     fn arrival(id: u64, t: f64, src: u32, dst: u32, size: u64) -> FlowArrival {
         FlowArrival {
@@ -980,7 +745,7 @@ mod tests {
         ];
         let cfg = config(0.01);
         let fast = simulate_fair_share(&topo, arrivals.clone(), cfg).unwrap();
-        let naive = run_fair_share_naive(&topo, arrivals, cfg, NoProbe).unwrap();
+        let naive = crate::reference::simulate_fair_share_naive(&topo, arrivals, cfg).unwrap();
         assert_eq!(fast.completions, naive.completions);
         assert_eq!(fast.arrived_bytes, naive.arrived_bytes);
         assert_eq!(fast.leftover_bytes, naive.leftover_bytes);
@@ -992,37 +757,6 @@ mod tests {
         );
         assert_eq!(a.mean_secs.to_bits(), b.mean_secs.to_bits());
         assert_eq!(a.max_secs.to_bits(), b.max_secs.to_bits());
-    }
-
-    #[test]
-    fn lazy_and_eager_fair_loops_agree_bitwise() {
-        // A probe with the default `wants_flow_fidelity` forces eager
-        // settlement; `NoProbe` leaves the production loop lazy. Both
-        // must produce bit-identical runs.
-        struct EagerProbe;
-        impl Probe for EagerProbe {}
-
-        let topo = FatTree::scaled(3, 4, 1).unwrap();
-        let arrivals = vec![
-            arrival(0, 0.0, 0, 4, 2_000_000),
-            arrival(1, 0.0001, 0, 5, 40_000),
-            arrival(2, 0.0002, 4, 8, 1_000_000),
-            arrival(3, 0.0003, 8, 0, 7_777),
-            arrival(4, 0.0004, 1, 0, 250_000),
-            arrival(5, 0.0005, 2, 4, 555_555),
-        ];
-        let cfg = config(0.01);
-        let lazy = simulate_fair_share(&topo, arrivals.clone(), cfg).unwrap();
-        let eager = simulate_fair_share_probed(&topo, arrivals, cfg, EagerProbe).unwrap();
-        assert_eq!(lazy.completions, eager.completions);
-        assert_eq!(lazy.reschedules, eager.reschedules);
-        assert_eq!(lazy.arrived_bytes, eager.arrived_bytes);
-        assert_eq!(lazy.leftover_bytes, eager.leftover_bytes);
-        assert_eq!(lazy.throughput.delivered(), eager.throughput.delivered());
-        assert_eq!(lazy.total_backlog, eager.total_backlog);
-        assert_eq!(lazy.max_port_backlog, eager.max_port_backlog);
-        assert_eq!(lazy.cumulative_delivered, eager.cumulative_delivered);
-        assert_eq!(lazy.fct.overall_summary(), eager.fct.overall_summary());
     }
 
     #[test]

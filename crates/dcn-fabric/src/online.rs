@@ -9,9 +9,14 @@
 //! [`step_until`](OnlineFabric::step_until) the simulated clock forward,
 //! [`drain_completions`](OnlineFabric::drain_completions) as flows finish,
 //! and [`finish`](OnlineFabric::finish) to obtain the exact
-//! [`FabricRun`] the batch driver would have produced. The batch driver is
-//! itself a thin wrapper over this type, so the two cannot drift — and
+//! [`FabricRun`] a batch run would have produced. The batch entry points
+//! run the very same event core, so the two cannot drift — and
 //! `tests/online_differential.rs` pins them bit-identical anyway.
+//!
+//! That core is the only product event loop of the crate: every engine —
+//! crossbar matching, ECMP, RepFlow, max-min fair share — is the core
+//! under one [`AllocationPolicy`], and `OnlineFabric` is the core under
+//! the crossbar policy.
 //!
 //! A run can also be **suspended and resumed**: [`snapshot`] captures the
 //! full engine state — active flows, drain accounts of the scheduled set,
@@ -26,8 +31,8 @@
 //!
 //! # Event semantics
 //!
-//! The online engine processes events at exactly the instants and in
-//! exactly the order of the monolithic loop it was extracted from: at each
+//! The engine processes events at exactly the instants and in exactly the
+//! order of the eager reference loop ([`crate::reference`]): at each
 //! event instant, completions settle first, then arrivals at (or before)
 //! the instant are admitted, then a due sample is taken, and a scheduling
 //! decision runs if any flow arrived or completed. Arrivals offered at or
@@ -69,7 +74,8 @@
 
 use crate::delta::{CoreBudgets, DeltaAllocator, DeltaStats, SettledDrain};
 use crate::engine::{
-    validate_arrival, FabricError, FabricRun, FlowMeta, ScheduledEntry, SimConfig,
+    enforces_core, timed_decision, validate_arrival, FabricError, FabricRun, FlowMeta,
+    ScheduledEntry, SimConfig,
 };
 use crate::settle::SettleMode;
 use crate::shard::CompletionRecord;
@@ -77,8 +83,7 @@ use crate::topology::Topology;
 use basrpt_core::{FlowState, FlowTable, Scheduler};
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
 use dcn_probe::{
-    ArrivalEvent, BacklogSampler, CompletionEvent, DecisionEvent, DrainEvent, NoProbe, Probe,
-    SampleEvent,
+    ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
 };
 use dcn_types::{Bytes, SimTime};
 use dcn_workload::FlowArrival;
@@ -86,7 +91,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Default bound on the in-flight arrival buffer: past this many offered
 /// but not-yet-admitted arrivals, [`OnlineFabric::offer`] reports
@@ -217,23 +221,157 @@ impl FabricSnapshot {
     }
 }
 
-/// The step-able online fabric engine — one simulation run as a resumable
-/// state machine (see the module docs in `online.rs` for the protocol and an
-/// example).
+/// What differs between the fabric engines — everything else is the one
+/// event step of [`Core`].
 ///
-/// Obtained from [`OnlineFabric::new`] / [`with_probe`], from the
-/// [`FabricSim`](crate::FabricSim) builder via
-/// [`online`](crate::FabricSimSched::online), or from a
-/// [`FabricSnapshot`] via [`restore`](OnlineFabric::restore).
-///
-/// [`with_probe`]: OnlineFabric::with_probe
+/// A policy owns the transmitting set: it chooses which flows transmit at
+/// which rates, binds them to epoch-anchored drain accounts, and knows
+/// when the next one completes. The core owns the flow table, clocks,
+/// recorders, observers and the event ordering within an instant, and
+/// decides *when* accounts must settle ([`SettleMode`]). Three policies
+/// exist: [`Crossbar`] (a scheduler's matching through the delta
+/// allocator and the core-capacity filter — also ECMP when the filter is
+/// per plane), the max-min fair-share policy, and the RepFlow replica
+/// race layered over a per-plane crossbar. Dispatch is static: each
+/// engine monomorphizes its own event step, so the hooks a policy leaves
+/// at their defaults compile to nothing.
+pub(crate) trait AllocationPolicy {
+    /// Whether the policy can decide from a lazily settled table.
+    fn supports_lazy_views(&self) -> bool;
+
+    /// The earliest completion instant among transmitting flows.
+    fn next_completion(&mut self) -> SimTime;
+
+    /// Settles accounts at `t` into `out`, in emission order: every
+    /// account when `observe_all`, otherwise only the flows due to
+    /// complete. Completing flows leave the transmitting set. Returns
+    /// whether any flow completed.
+    fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool;
+
+    /// Recomputes the allocation at `now` from `table` (stale by the
+    /// unsettled accounts when `lazy`), reporting any decision to `obs`
+    /// and the unsettled progress of flows whose epoch closes (evicted or
+    /// re-rated, never completing) to `out`.
+    fn reschedule<T: Topology + ?Sized, O: Probe>(
+        &mut self,
+        topo: &T,
+        now: SimTime,
+        table: &FlowTable,
+        lazy: bool,
+        obs: &mut O,
+        out: &mut Vec<SettledDrain>,
+    );
+
+    /// A flow was admitted into the table.
+    fn on_arrival<T: Topology + ?Sized>(&mut self, _topo: &T, _arrival: &FlowArrival) {}
+
+    /// The event instant `t` is about to be processed (before settlement).
+    fn before_settle(&mut self, _t: SimTime) {}
+
+    /// One settled drain was applied to the table.
+    fn on_drain(&mut self, _drain: &SettledDrain) {}
+
+    /// The FCT to record for a flow completing at `t` whose own
+    /// transmission scored FCT `base`.
+    fn completion_fct(
+        &mut self,
+        _t: SimTime,
+        _drain: &SettledDrain,
+        _info: &FlowMeta,
+        base: SimTime,
+    ) -> SimTime {
+        base
+    }
+}
+
+/// The crossbar allocation policy: a scheduler's matching, filtered by
+/// core capacity, bound to drain accounts by a persistent
+/// [`DeltaAllocator`] so only the flows whose allocation changed pay
+/// hash or calendar work.
 #[derive(Debug)]
-pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe = NoProbe> {
-    topo: &'t T,
+pub(crate) struct Crossbar<'s, S: ?Sized> {
     scheduler: &'s mut S,
+    alloc: DeltaAllocator,
+    /// The core-capacity filter, present when core capacity is enforced
+    /// (one plane for the aggregate filter, the fabric's planes for ECMP).
+    pub(crate) budgets: Option<CoreBudgets>,
+}
+
+impl<'s, S: Scheduler + ?Sized> Crossbar<'s, S> {
+    pub(crate) fn new<T: Topology + ?Sized>(
+        topo: &T,
+        scheduler: &'s mut S,
+        enforce_core: bool,
+        planes: u32,
+    ) -> Self {
+        Crossbar {
+            scheduler,
+            alloc: DeltaAllocator::new(topo.edge_rate()),
+            budgets: enforce_core.then(|| CoreBudgets::new(topo, planes)),
+        }
+    }
+}
+
+impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
+    fn supports_lazy_views(&self) -> bool {
+        self.scheduler.supports_lazy_views()
+    }
+
+    fn next_completion(&mut self) -> SimTime {
+        self.alloc.next_completion()
+    }
+
+    fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool {
+        if observe_all {
+            self.alloc.settle(t, |d| out.push(d))
+        } else {
+            self.alloc.settle_due(t, |d| out.push(d))
+        }
+    }
+
+    fn reschedule<T: Topology + ?Sized, O: Probe>(
+        &mut self,
+        topo: &T,
+        now: SimTime,
+        table: &FlowTable,
+        lazy: bool,
+        obs: &mut O,
+        out: &mut Vec<SettledDrain>,
+    ) {
+        // Lazy mode decides from settlement-adjusted VOQ views — the exact
+        // views an eagerly settled table would serve — so the stale table
+        // never leaks into a decision.
+        let schedule = timed_decision(obs, now, || {
+            if lazy {
+                self.scheduler
+                    .schedule_adjusted(table, &self.alloc.live_views(now))
+            } else {
+                self.scheduler.schedule(table)
+            }
+        });
+        let selected = match self.budgets.as_mut() {
+            Some(budgets) => budgets.filter(topo, schedule.iter()).to_vec(),
+            None => schedule.into_pairs(),
+        };
+        // Entrants' remaining bytes are exact in the stale table too: a
+        // flow entering the scheduled set was not transmitting, so it has
+        // no unsettled drains. Evicted flows settle their unsettled
+        // progress on the way out.
+        let remaining = |id| table.get(id).expect("scheduled flow is active").remaining();
+        self.alloc.apply(now, selected, remaining, |d| out.push(d));
+    }
+}
+
+/// The shared event core: one fabric run's state and its event step,
+/// generic over the [`AllocationPolicy`]. [`OnlineFabric`] is this core
+/// under the [`Crossbar`] policy; the baseline engines drive it through
+/// [`run_batch`].
+#[derive(Debug)]
+pub(crate) struct Core<'t, T: Topology + ?Sized, A, P> {
+    topo: &'t T,
+    policy: A,
     probe: P,
     config: SimConfig,
-    enforce_core: bool,
     /// When scheduled accounts convert into table drains. Chosen once at
     /// construction ([`SettleMode::choose`]) and not serialized — restore
     /// re-derives it from the restored probe and scheduler, which is
@@ -242,10 +380,8 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
     mode: SettleMode,
     table: FlowTable,
     meta: HashMap<dcn_types::FlowId, FlowMeta>,
-    alloc: DeltaAllocator,
-    budgets: CoreBudgets,
     /// Reusable scratch for settled drains, so the hot per-event path
-    /// never allocates (the allocator cannot call back into `self` while
+    /// never allocates (the policy cannot call back into the core while
     /// it is mutably borrowed, so drains are staged here first).
     drain_buf: Vec<SettledDrain>,
     fct: FctRecorder,
@@ -266,6 +402,310 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
     collect_completions: bool,
     completed: Vec<CompletionRecord>,
     finished: bool,
+}
+
+impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> {
+    /// An idle core at `t = 0`; `policy` receives whether core capacity is
+    /// enforced.
+    fn new(topo: &'t T, config: SimConfig, probe: P, policy: impl FnOnce(bool) -> A) -> Self {
+        let policy = policy(enforces_core(topo, &config));
+        let mode = SettleMode::choose(probe.wants_flow_fidelity(), policy.supports_lazy_views());
+        Core {
+            topo,
+            policy,
+            probe,
+            config,
+            mode,
+            table: FlowTable::new(),
+            meta: HashMap::new(),
+            drain_buf: Vec::new(),
+            fct: FctRecorder::new(),
+            fct_by_size: SizeBucketRecorder::pfabric_buckets(),
+            throughput: ThroughputMeter::new(),
+            sampler: BacklogSampler::new(config.monitored_port),
+            arrivals: 0,
+            completions: 0,
+            arrived_bytes: Bytes::ZERO,
+            reschedules: 0,
+            clock: SimTime::ZERO,
+            next_sample: SimTime::ZERO,
+            last_arrival_time: SimTime::ZERO,
+            pending: VecDeque::new(),
+            high_watermark: DEFAULT_HIGH_WATERMARK,
+            collect_completions: true,
+            completed: Vec::new(),
+            finished: false,
+        }
+    }
+
+    fn offer(&mut self, arrival: FlowArrival) -> Result<Accepted, OfferError> {
+        if self.finished {
+            return Err(OfferError::Finished);
+        }
+        if arrival.time >= self.config.horizon {
+            // The batch loop stops at the horizon before admitting (or
+            // even validating) such an arrival; mirror it exactly.
+            return Ok(Accepted::IgnoredAfterHorizon);
+        }
+        if self.pending.len() >= self.high_watermark {
+            return Err(OfferError::Backpressure {
+                in_flight: self.pending.len(),
+                high_watermark: self.high_watermark,
+            });
+        }
+        validate_arrival(self.topo, &arrival, self.last_arrival_time)
+            .map_err(OfferError::Rejected)?;
+        if arrival.time < self.clock {
+            return Err(OfferError::Rejected(FabricError::BadArrival(format!(
+                "flow {} arrives at {} but the engine already stepped to {}",
+                arrival.id, arrival.time, self.clock
+            ))));
+        }
+        self.last_arrival_time = arrival.time;
+        self.pending.push_back(arrival);
+        Ok(Accepted::Queued {
+            in_flight: self.pending.len(),
+        })
+    }
+
+    /// Processes event instants while `keep_going` accepts the next one:
+    /// the earliest of the first buffered arrival, the next completion,
+    /// the next sample point, and the horizon (always finite).
+    fn step_while(
+        &mut self,
+        mut keep_going: impl FnMut(SimTime) -> bool,
+    ) -> Result<u64, FabricError> {
+        let mut steps = 0;
+        while !self.finished {
+            let t = self
+                .pending
+                .front()
+                .map_or(SimTime::INFINITY, |a| a.time)
+                .min(self.policy.next_completion())
+                .min(self.next_sample)
+                .min(self.config.horizon);
+            if !keep_going(t) {
+                break;
+            }
+            self.advance_to(t)?;
+            steps += 1;
+        }
+        Ok(steps)
+    }
+
+    fn step_until(&mut self, limit: SimTime) -> Result<u64, FabricError> {
+        self.step_while(|t| t <= limit)
+    }
+
+    fn step_before(&mut self, limit: SimTime) -> Result<u64, FabricError> {
+        self.step_while(|t| t < limit)
+    }
+
+    /// Applies one settled drain to the flow table, meters, recorders,
+    /// and observers — the one body every settlement site (per-event,
+    /// observation-point, and eviction) routes through.
+    fn apply_drain(&mut self, t: SimTime, drain: SettledDrain) {
+        let outcome = self
+            .table
+            .drain(drain.flow, drain.amount)
+            .expect("scheduled flow is active");
+        debug_assert_eq!(outcome.drained, drain.amount, "exact drain cannot be short");
+        debug_assert_eq!(outcome.completed.is_some(), drain.completed);
+        self.throughput.deliver(Bytes::new(outcome.drained));
+        self.policy.on_drain(&drain);
+        let mut fan = Fanout::new(&mut self.sampler, &mut self.probe);
+        fan.on_drain(&DrainEvent {
+            time: t.as_secs(),
+            flow: drain.flow,
+            voq: drain.voq,
+            amount: outcome.drained,
+        });
+        if drain.completed {
+            let info = self
+                .meta
+                .remove(&drain.flow)
+                .expect("active flow has metadata");
+            let base_fct = t - info.arrival + self.config.base_latency;
+            let flow_fct = self.policy.completion_fct(t, &drain, &info, base_fct);
+            self.fct.record(info.class, info.size, flow_fct);
+            self.fct_by_size.record(info.size, flow_fct);
+            fan.on_completion(&CompletionEvent {
+                time: t.as_secs(),
+                flow: drain.flow,
+                voq: drain.voq,
+                size: info.size.as_u64(),
+                fct: flow_fct.as_secs(),
+            });
+            if self.collect_completions {
+                self.completed.push(CompletionRecord {
+                    flow: drain.flow,
+                    time: t,
+                    voq: drain.voq,
+                    class: info.class,
+                    size: info.size,
+                    fct: flow_fct,
+                });
+            }
+            self.completions += 1;
+        }
+    }
+
+    /// Runs one event instant `t`: settle completions, admit due
+    /// arrivals, sample, reallocate.
+    fn advance_to(&mut self, t: SimTime) -> Result<(), FabricError> {
+        self.policy.before_settle(t);
+        let mut drains = std::mem::take(&mut self.drain_buf);
+        let mut completed_any = false;
+        if t > self.clock {
+            // Eager mode settles every account on every event. Lazy mode
+            // settles only the due completions — unless this instant is an
+            // observation point (a sample fires here, or the horizon is
+            // reached and the final table state is about to be read), where
+            // every account must be exact at once.
+            let observe_all =
+                !self.mode.is_lazy() || self.next_sample <= t || t >= self.config.horizon;
+            completed_any = self.policy.settle(t, observe_all, &mut drains);
+            for drain in drains.drain(..) {
+                self.apply_drain(t, drain);
+            }
+        }
+        self.clock = t;
+
+        if self.clock >= self.config.horizon {
+            self.finished = true;
+            self.drain_buf = drains;
+            return Ok(());
+        }
+
+        // Arrivals landing at (or before) the current instant.
+        let mut arrived_any = false;
+        let clock = self.clock;
+        while let Some(arrival) = self.pending.pop_front_if(|a| a.time <= clock) {
+            self.table
+                .insert(FlowState::new(
+                    arrival.id,
+                    arrival.voq,
+                    arrival.size.as_u64(),
+                ))
+                .map_err(|e| FabricError::BadArrival(e.to_string()))?;
+            self.meta.insert(
+                arrival.id,
+                FlowMeta {
+                    class: arrival.class,
+                    size: arrival.size,
+                    arrival: arrival.time,
+                },
+            );
+            self.policy.on_arrival(self.topo, &arrival);
+            self.arrivals += 1;
+            self.arrived_bytes += arrival.size;
+            arrived_any = true;
+            Fanout::new(&mut self.sampler, &mut self.probe).on_arrival(&ArrivalEvent {
+                time: arrival.time.as_secs(),
+                flow: arrival.id,
+                voq: arrival.voq,
+                size: arrival.size.as_u64(),
+            });
+        }
+
+        // Sampling (after same-instant arrivals, so a t = 0 sample records
+        // the admitted backlog, not a spurious zero).
+        if self.next_sample <= self.clock {
+            Fanout::new(&mut self.sampler, &mut self.probe).on_sample(&SampleEvent {
+                time: self.clock.as_secs(),
+                table: &self.table,
+                delivered: self.throughput.delivered().as_f64(),
+            });
+            self.next_sample += self.config.sample_every;
+        }
+
+        // Reallocate on arrival or completion (the paper's update rule).
+        if arrived_any || completed_any {
+            let mut fan = Fanout::new(&mut self.sampler, &mut self.probe);
+            let lazy = self.mode.is_lazy();
+            self.policy
+                .reschedule(self.topo, t, &self.table, lazy, &mut fan, &mut drains);
+            for drain in drains.drain(..) {
+                debug_assert!(!drain.completed, "evictions never complete a flow");
+                self.apply_drain(t, drain);
+            }
+            self.reschedules += 1;
+        }
+        self.drain_buf = drains;
+        Ok(())
+    }
+
+    /// Runs to the horizon and returns the run measurements and the
+    /// policy's final state.
+    fn finish(mut self) -> Result<(FabricRun, A), FabricError> {
+        self.step_until(self.config.horizon)?;
+        debug_assert!(self.finished, "the horizon event marks the engine finished");
+        let series = self.sampler.into_series();
+        let run = FabricRun {
+            fct: self.fct,
+            fct_by_size: self.fct_by_size,
+            throughput: self.throughput,
+            total_backlog: series.total_backlog,
+            monitored_port_backlog: series.monitored_port_backlog,
+            max_port_backlog: series.max_port_backlog,
+            cumulative_delivered: series.cumulative_delivered,
+            arrivals: self.arrivals,
+            completions: self.completions,
+            arrived_bytes: self.arrived_bytes,
+            leftover_bytes: Bytes::new(self.table.total_backlog()),
+            leftover_flows: self.table.len(),
+            reschedules: self.reschedules,
+            horizon: self.config.horizon,
+        };
+        Ok((run, self.policy))
+    }
+}
+
+/// The batch loop of every engine: the core under the policy `policy`
+/// builds, fed arrival by arrival. For each arrival the loop steps
+/// through every event instant *strictly before* the arrival, then offers
+/// it — so same-instant completions, samples and decisions coalesce with
+/// the arrival into one event, and the in-flight buffer never holds more
+/// than one instant's arrivals.
+pub(crate) fn run_batch<T: Topology + ?Sized, A: AllocationPolicy, P: Probe>(
+    topo: &T,
+    generator: impl IntoIterator<Item = FlowArrival>,
+    config: SimConfig,
+    probe: P,
+    policy: impl FnOnce(bool) -> A,
+) -> Result<(FabricRun, A), FabricError> {
+    let mut core = Core::new(topo, config, probe, policy);
+    core.high_watermark = usize::MAX;
+    core.collect_completions = false;
+    for arrival in generator {
+        core.step_before(arrival.time)?;
+        if core.finished {
+            // The horizon passed while stepping: the remaining arrivals
+            // can never be admitted.
+            break;
+        }
+        match core.offer(arrival) {
+            Ok(_) => {}
+            Err(OfferError::Rejected(e)) => return Err(e),
+            Err(e) => unreachable!("unbounded buffer on an unfinished engine: {e}"),
+        }
+    }
+    core.finish()
+}
+
+/// The step-able online fabric engine — one simulation run as a resumable
+/// state machine (see the module docs in `online.rs` for the protocol and an
+/// example).
+///
+/// Obtained from [`OnlineFabric::new`] / [`with_probe`], from the
+/// [`FabricSim`](crate::FabricSim) builder via
+/// [`online`](crate::FabricSimSched::online), or from a
+/// [`FabricSnapshot`] via [`restore`](OnlineFabric::restore).
+///
+/// [`with_probe`]: OnlineFabric::with_probe
+#[derive(Debug)]
+pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe = NoProbe> {
+    core: Core<'t, T, Crossbar<'s, S>, P>,
 }
 
 impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized> OnlineFabric<'t, 's, T, S, NoProbe> {
@@ -295,37 +735,10 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized> OnlineFabric<'t, 's, T
 impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric<'t, 's, T, S, P> {
     /// Creates an idle engine at `t = 0` whose event stream feeds `probe`.
     pub fn with_probe(topo: &'t T, scheduler: &'s mut S, config: SimConfig, probe: P) -> Self {
-        let edge_rate = topo.edge_rate();
-        let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-        let mode = SettleMode::choose(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
         OnlineFabric {
-            topo,
-            scheduler,
-            probe,
-            config,
-            enforce_core,
-            mode,
-            table: FlowTable::new(),
-            meta: HashMap::new(),
-            alloc: DeltaAllocator::new(edge_rate),
-            budgets: CoreBudgets::default(),
-            drain_buf: Vec::new(),
-            fct: FctRecorder::new(),
-            fct_by_size: SizeBucketRecorder::pfabric_buckets(),
-            throughput: ThroughputMeter::new(),
-            sampler: BacklogSampler::new(config.monitored_port),
-            arrivals: 0,
-            completions: 0,
-            arrived_bytes: Bytes::ZERO,
-            reschedules: 0,
-            clock: SimTime::ZERO,
-            next_sample: SimTime::ZERO,
-            last_arrival_time: SimTime::ZERO,
-            pending: VecDeque::new(),
-            high_watermark: DEFAULT_HIGH_WATERMARK,
-            collect_completions: true,
-            completed: Vec::new(),
-            finished: false,
+            core: Core::new(topo, config, probe, |enforce_core| {
+                Crossbar::new(topo, scheduler, enforce_core, 1)
+            }),
         }
     }
 
@@ -352,8 +765,6 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         snapshot: FabricSnapshot,
     ) -> Result<Self, FabricError> {
         let bad = |msg: String| FabricError::BadConfig(format!("bad snapshot: {msg}"));
-        let edge_rate = topo.edge_rate();
-        let enforce_core = snapshot.config.enforce_core_capacity || !topo.is_full_bisection();
 
         let mut table = FlowTable::new();
         for flow in &snapshot.flows {
@@ -416,44 +827,41 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                 )));
             }
         }
-        let alloc = DeltaAllocator::restore(edge_rate, snapshot.entries, snapshot.alloc_stats);
-        let mode = SettleMode::choose(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
-
-        Ok(OnlineFabric {
-            topo,
-            scheduler,
-            probe,
-            config: snapshot.config,
-            enforce_core,
-            mode,
-            table,
-            meta,
+        let alloc =
+            DeltaAllocator::restore(topo.edge_rate(), snapshot.entries, snapshot.alloc_stats);
+        let core = Core::new(topo, snapshot.config, probe, |enforce_core| Crossbar {
             alloc,
-            budgets: CoreBudgets::default(),
-            drain_buf: Vec::new(),
-            fct: snapshot.fct,
-            fct_by_size: snapshot.fct_by_size,
-            throughput: snapshot.throughput,
-            sampler: snapshot.sampler,
-            arrivals: snapshot.arrivals,
-            completions: snapshot.completions,
-            arrived_bytes: snapshot.arrived_bytes,
-            reschedules: snapshot.reschedules,
-            clock: snapshot.clock,
-            next_sample: snapshot.next_sample,
-            last_arrival_time: snapshot.last_arrival_time,
-            pending: snapshot.pending.into(),
-            high_watermark: snapshot.high_watermark,
-            collect_completions: snapshot.collect_completions,
-            completed: snapshot.completed,
-            finished: snapshot.finished,
+            ..Crossbar::new(topo, scheduler, enforce_core, 1)
+        });
+        Ok(OnlineFabric {
+            core: Core {
+                table,
+                meta,
+                fct: snapshot.fct,
+                fct_by_size: snapshot.fct_by_size,
+                throughput: snapshot.throughput,
+                sampler: snapshot.sampler,
+                arrivals: snapshot.arrivals,
+                completions: snapshot.completions,
+                arrived_bytes: snapshot.arrived_bytes,
+                reschedules: snapshot.reschedules,
+                clock: snapshot.clock,
+                next_sample: snapshot.next_sample,
+                last_arrival_time: snapshot.last_arrival_time,
+                pending: snapshot.pending.into(),
+                high_watermark: snapshot.high_watermark,
+                collect_completions: snapshot.collect_completions,
+                completed: snapshot.completed,
+                finished: snapshot.finished,
+                ..core
+            },
         })
     }
 
     /// Replaces the in-flight buffer bound (builder style; default
     /// [`DEFAULT_HIGH_WATERMARK`]). `usize::MAX` disables backpressure.
     pub fn high_watermark(mut self, limit: usize) -> Self {
-        self.high_watermark = limit;
+        self.core.high_watermark = limit;
         self
     }
 
@@ -463,26 +871,26 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// [`FabricRun`] can switch this off so an undrained engine never
     /// accumulates an unbounded completion log — the batch wrapper does.
     pub fn collect_completions(mut self, collect: bool) -> Self {
-        self.collect_completions = collect;
+        self.core.collect_completions = collect;
         self
     }
 
     /// Pins this engine to eager settlement (builder style): every
-    /// scheduled account settles on every event, as the reference engines
-    /// do, regardless of the probe and scheduler. The output is
+    /// scheduled account settles on every event, as the reference engine
+    /// does, regardless of the probe and scheduler. The output is
     /// bit-identical to the lazy path — this is the programmatic twin of
     /// the `BASRPT_SETTLE=eager` debugging knob, used by the differential
     /// suites and benches to compare both paths in one process. Only the
     /// eager direction can be forced; laziness is never forced onto a
     /// scheduler or probe that needs ground-truth tables.
     pub fn force_eager_settle(mut self) -> Self {
-        self.mode = SettleMode::Eager;
+        self.core.mode = SettleMode::Eager;
         self
     }
 
     /// The settlement mode this engine runs under.
     pub fn settle_mode(&self) -> SettleMode {
-        self.mode
+        self.core.mode
     }
 
     /// Offers one arrival to the engine.
@@ -498,61 +906,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// [`OfferError::Rejected`] when the arrival itself is invalid, and
     /// [`OfferError::Finished`] once the horizon has been reached.
     pub fn offer(&mut self, arrival: FlowArrival) -> Result<Accepted, OfferError> {
-        if self.finished {
-            return Err(OfferError::Finished);
-        }
-        if arrival.time >= self.config.horizon {
-            // The batch loop stops at the horizon before admitting (or
-            // even validating) such an arrival; mirror it exactly.
-            return Ok(Accepted::IgnoredAfterHorizon);
-        }
-        if self.pending.len() >= self.high_watermark {
-            return Err(OfferError::Backpressure {
-                in_flight: self.pending.len(),
-                high_watermark: self.high_watermark,
-            });
-        }
-        validate_arrival(self.topo, &arrival, self.last_arrival_time)
-            .map_err(OfferError::Rejected)?;
-        if arrival.time < self.clock {
-            return Err(OfferError::Rejected(FabricError::BadArrival(format!(
-                "flow {} arrives at {} but the engine already stepped to {}",
-                arrival.id, arrival.time, self.clock
-            ))));
-        }
-        self.last_arrival_time = arrival.time;
-        self.pending.push_back(arrival);
-        Ok(Accepted::Queued {
-            in_flight: self.pending.len(),
-        })
-    }
-
-    /// The instant of the next internal event: the earliest of the first
-    /// buffered arrival, the next scheduled completion, the next sample
-    /// point, and the horizon. Always finite (at most the horizon).
-    fn next_event_time(&mut self) -> SimTime {
-        self.pending
-            .front()
-            .map_or(SimTime::INFINITY, |a| a.time)
-            .min(self.alloc.next_completion())
-            .min(self.next_sample)
-            .min(self.config.horizon)
-    }
-
-    fn step_while(
-        &mut self,
-        mut keep_going: impl FnMut(SimTime) -> bool,
-    ) -> Result<u64, FabricError> {
-        let mut steps = 0;
-        while !self.finished {
-            let t = self.next_event_time();
-            if !keep_going(t) {
-                break;
-            }
-            self.advance_to(t)?;
-            steps += 1;
-        }
-        Ok(steps)
+        self.core.offer(arrival)
     }
 
     /// Processes every internal event at instants `<= limit`, returning
@@ -566,207 +920,26 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// collides with an active flow (the only admission failure left after
     /// [`offer`](OnlineFabric::offer) validation).
     pub fn step_until(&mut self, limit: SimTime) -> Result<u64, FabricError> {
-        self.step_while(|t| t <= limit)
+        self.core.step_until(limit)
     }
 
     /// Processes every internal event at instants strictly before
     /// `limit` — the batch wrapper's primitive: stepping strictly before
     /// the next arrival's instant leaves same-instant completions and
-    /// samples to coalesce with that arrival into a single event, exactly
-    /// as the monolithic loop ordered them.
+    /// samples to coalesce with that arrival into a single event.
     ///
     /// # Errors
     ///
     /// As [`step_until`](OnlineFabric::step_until).
     pub fn step_before(&mut self, limit: SimTime) -> Result<u64, FabricError> {
-        self.step_while(|t| t < limit)
-    }
-
-    /// Applies one settled drain to the flow table, meters, recorders,
-    /// and observers — the one body every settlement site (per-event,
-    /// observation-point, and eviction) routes through.
-    fn apply_drain(&mut self, t: SimTime, drain: SettledDrain) {
-        let outcome = self
-            .table
-            .drain(drain.flow, drain.amount)
-            .expect("scheduled flow is active");
-        debug_assert_eq!(outcome.drained, drain.amount, "exact drain cannot be short");
-        self.throughput.deliver(Bytes::new(outcome.drained));
-        let ev = DrainEvent {
-            time: t.as_secs(),
-            flow: drain.flow,
-            voq: drain.voq,
-            amount: outcome.drained,
-        };
-        self.sampler.on_drain(&ev);
-        self.probe.on_drain(&ev);
-        if let Some(done) = outcome.completed {
-            let info = self
-                .meta
-                .remove(&drain.flow)
-                .expect("active flow has metadata");
-            let flow_fct = t - info.arrival + self.config.base_latency;
-            self.fct.record(info.class, info.size, flow_fct);
-            self.fct_by_size.record(info.size, flow_fct);
-            let ev = CompletionEvent {
-                time: t.as_secs(),
-                flow: drain.flow,
-                voq: drain.voq,
-                size: info.size.as_u64(),
-                fct: flow_fct.as_secs(),
-            };
-            self.sampler.on_completion(&ev);
-            self.probe.on_completion(&ev);
-            if self.collect_completions {
-                self.completed.push(CompletionRecord {
-                    flow: drain.flow,
-                    time: t,
-                    voq: drain.voq,
-                    class: info.class,
-                    size: info.size,
-                    fct: flow_fct,
-                });
-            }
-            self.completions += 1;
-            debug_assert_eq!(drain.voq, done.voq());
-            debug_assert!(drain.completed);
-        }
-    }
-
-    /// Runs one event instant `t`: settle completions, admit due
-    /// arrivals, sample, reschedule — the batch loop body, verbatim.
-    fn advance_to(&mut self, t: SimTime) -> Result<(), FabricError> {
-        let elapsed = t - self.clock;
-        let mut completed_any = false;
-        if elapsed > SimTime::ZERO {
-            // Eager mode settles every account on every event. Lazy mode
-            // settles only the due completions — unless this instant is an
-            // observation point (a sample fires here, or the horizon is
-            // reached and the final table state is about to be read), where
-            // every account must be exact at once.
-            let observe_all =
-                !self.mode.is_lazy() || self.next_sample <= t || t >= self.config.horizon;
-            let mut drains = std::mem::take(&mut self.drain_buf);
-            drains.clear();
-            completed_any = if observe_all {
-                self.alloc.settle(t, |d| drains.push(d))
-            } else {
-                self.alloc.settle_due(t, |d| drains.push(d))
-            };
-            for drain in drains.drain(..) {
-                self.apply_drain(t, drain);
-            }
-            self.drain_buf = drains;
-        }
-        self.clock = t;
-
-        if self.clock >= self.config.horizon {
-            self.finished = true;
-            return Ok(());
-        }
-
-        // Arrivals landing at (or before) the current instant.
-        let mut arrived_any = false;
-        while let Some(arrival) = self.pending.front() {
-            if arrival.time > self.clock {
-                break;
-            }
-            let arrival = self.pending.pop_front().expect("checked above");
-            self.table
-                .insert(FlowState::new(
-                    arrival.id,
-                    arrival.voq,
-                    arrival.size.as_u64(),
-                ))
-                .map_err(|e| FabricError::BadArrival(e.to_string()))?;
-            self.meta.insert(
-                arrival.id,
-                FlowMeta {
-                    class: arrival.class,
-                    size: arrival.size,
-                    arrival: arrival.time,
-                },
-            );
-            self.arrivals += 1;
-            self.arrived_bytes += arrival.size;
-            arrived_any = true;
-            let ev = ArrivalEvent {
-                time: arrival.time.as_secs(),
-                flow: arrival.id,
-                voq: arrival.voq,
-                size: arrival.size.as_u64(),
-            };
-            self.sampler.on_arrival(&ev);
-            self.probe.on_arrival(&ev);
-        }
-
-        // Sampling (after same-instant arrivals, so a t = 0 sample records
-        // the admitted backlog, not a spurious zero).
-        if self.next_sample <= self.clock {
-            let ev = SampleEvent {
-                time: self.clock.as_secs(),
-                table: &self.table,
-                delivered: self.throughput.delivered().as_f64(),
-            };
-            self.sampler.on_sample(&ev);
-            self.probe.on_sample(&ev);
-            self.next_sample += self.config.sample_every;
-        }
-
-        // Reschedule on arrival or completion (the paper's update rule).
-        if arrived_any || completed_any {
-            let wants_timing =
-                self.sampler.wants_decision_timing() || self.probe.wants_decision_timing();
-            let started = wants_timing.then(Instant::now);
-            // Lazy mode decides from settlement-adjusted VOQ views — the
-            // exact views an eagerly settled table would serve — so the
-            // stale table never leaks into a decision.
-            let schedule = if self.mode.is_lazy() {
-                self.scheduler
-                    .schedule_adjusted(&self.table, &self.alloc.live_views(self.clock))
-            } else {
-                self.scheduler.schedule(&self.table)
-            };
-            let latency = started.map(|s| s.elapsed());
-            let ev = DecisionEvent {
-                time: self.clock.as_secs(),
-                schedule: &schedule,
-                latency,
-            };
-            self.sampler.on_decision(&ev);
-            self.probe.on_decision(&ev);
-            let selected = if self.enforce_core {
-                self.budgets.filter(self.topo, schedule.iter()).to_vec()
-            } else {
-                schedule.into_pairs()
-            };
-            // Entrants' remaining bytes are exact in the stale table too:
-            // a flow entering the scheduled set was not transmitting, so
-            // it has no unsettled drains. Evicted flows settle their
-            // unsettled progress on the way out (staged, then applied —
-            // the allocator is mutably borrowed during `apply`).
-            let table = &self.table;
-            let remaining = |id| table.get(id).expect("scheduled flow is active").remaining();
-            let mut evicted = std::mem::take(&mut self.drain_buf);
-            evicted.clear();
-            self.alloc
-                .apply(self.clock, selected, remaining, |d| evicted.push(d));
-            let t = self.clock;
-            for drain in evicted.drain(..) {
-                debug_assert!(!drain.completed, "evictions never complete a flow");
-                self.apply_drain(t, drain);
-            }
-            self.drain_buf = evicted;
-            self.reschedules += 1;
-        }
-        Ok(())
+        self.core.step_before(limit)
     }
 
     /// Takes the completions recorded since the last call (or since
     /// construction), in completion order. Empty when
     /// [`collect_completions`](OnlineFabric::collect_completions) is off.
     pub fn drain_completions(&mut self) -> Vec<CompletionRecord> {
-        std::mem::take(&mut self.completed)
+        std::mem::take(&mut self.core.completed)
     }
 
     /// Runs the engine to its horizon and returns the run measurements —
@@ -776,26 +949,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// # Errors
     ///
     /// As [`step_until`](OnlineFabric::step_until).
-    pub fn finish(mut self) -> Result<FabricRun, FabricError> {
-        self.step_until(self.config.horizon)?;
-        debug_assert!(self.finished, "the horizon event marks the engine finished");
-        let series = self.sampler.into_series();
-        Ok(FabricRun {
-            fct: self.fct,
-            fct_by_size: self.fct_by_size,
-            throughput: self.throughput,
-            total_backlog: series.total_backlog,
-            monitored_port_backlog: series.monitored_port_backlog,
-            max_port_backlog: series.max_port_backlog,
-            cumulative_delivered: series.cumulative_delivered,
-            arrivals: self.arrivals,
-            completions: self.completions,
-            arrived_bytes: self.arrived_bytes,
-            leftover_bytes: Bytes::new(self.table.total_backlog()),
-            leftover_flows: self.table.len(),
-            reschedules: self.reschedules,
-            horizon: self.config.horizon,
-        })
+    pub fn finish(self) -> Result<FabricRun, FabricError> {
+        self.core.finish().map(|(run, _)| run)
     }
 
     /// Captures the full engine state as a [`FabricSnapshot`]. The engine
@@ -803,12 +958,13 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// same topology and an equivalently-stated scheduler) to an engine
     /// that continues bit-for-bit.
     pub fn snapshot(&self) -> FabricSnapshot {
-        let mut flows: Vec<FlowState> = self.table.iter().copied().collect();
+        let core = &self.core;
+        let mut flows: Vec<FlowState> = core.table.iter().copied().collect();
         flows.sort_by_key(|f| f.id());
         let metas = flows
             .iter()
             .map(|f| {
-                let info = self.meta.get(&f.id()).expect("active flow has metadata");
+                let info = core.meta.get(&f.id()).expect("active flow has metadata");
                 MetaRecord {
                     flow: f.id(),
                     class: info.class,
@@ -818,33 +974,33 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             })
             .collect();
         FabricSnapshot {
-            config: self.config,
+            config: core.config,
             flows,
             metas,
-            entries: self.alloc.snapshot_entries(),
-            alloc_stats: self.alloc.stats(),
-            pending: self.pending.iter().copied().collect(),
-            fct: self.fct.clone(),
-            fct_by_size: self.fct_by_size.clone(),
-            throughput: self.throughput,
-            sampler: self.sampler.clone(),
-            clock: self.clock,
-            next_sample: self.next_sample,
-            last_arrival_time: self.last_arrival_time,
-            arrivals: self.arrivals,
-            completions: self.completions,
-            arrived_bytes: self.arrived_bytes,
-            reschedules: self.reschedules,
-            finished: self.finished,
-            high_watermark: self.high_watermark,
-            collect_completions: self.collect_completions,
-            completed: self.completed.clone(),
+            entries: core.policy.alloc.snapshot_entries(),
+            alloc_stats: core.policy.alloc.stats(),
+            pending: core.pending.iter().copied().collect(),
+            fct: core.fct.clone(),
+            fct_by_size: core.fct_by_size.clone(),
+            throughput: core.throughput,
+            sampler: core.sampler.clone(),
+            clock: core.clock,
+            next_sample: core.next_sample,
+            last_arrival_time: core.last_arrival_time,
+            arrivals: core.arrivals,
+            completions: core.completions,
+            arrived_bytes: core.arrived_bytes,
+            reschedules: core.reschedules,
+            finished: core.finished,
+            high_watermark: core.high_watermark,
+            collect_completions: core.collect_completions,
+            completed: core.completed.clone(),
         }
     }
 
     /// The current simulated instant (the last processed event's time).
     pub fn clock(&self) -> SimTime {
-        self.clock
+        self.core.clock
     }
 
     /// Whether the horizon has been reached; once `true`, only
@@ -852,36 +1008,39 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// [`snapshot`](OnlineFabric::snapshot) and
     /// [`finish`](OnlineFabric::finish) remain useful.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.finished
     }
 
     /// Arrivals offered but not yet admitted into the flow table.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.core.pending.len()
     }
 
     /// Number of currently active (admitted, not completed) flows.
     pub fn active_flows(&self) -> usize {
-        self.table.len()
+        self.core.table.len()
     }
 
     /// The run configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Cumulative delta-rescheduling statistics so far.
     pub fn delta_stats(&self) -> DeltaStats {
-        self.alloc.stats()
+        self.core.policy.alloc.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FatTree;
-    use basrpt_core::Srpt;
+    use crate::fairshare::FairShare;
+    use crate::repflow::Replicated;
+    use crate::{FatTree, KAryFatTree};
+    use basrpt_core::{RepFlow, Srpt};
     use dcn_types::{FlowClass, FlowId, HostId, Voq};
+    use dcn_workload::TrafficSpec;
 
     fn arrival(id: u64, t: f64, src: u32, dst: u32, size: u64) -> FlowArrival {
         FlowArrival {
@@ -1042,8 +1201,64 @@ mod tests {
         );
     }
 
+    /// Runs `workload` on the core under the policy `policy` builds,
+    /// eagerly settled when `eager`.
+    fn drive<T: Topology, A: AllocationPolicy>(
+        topo: &T,
+        workload: &[FlowArrival],
+        eager: bool,
+        policy: impl FnOnce(bool) -> A,
+    ) -> (SettleMode, FabricRun, A) {
+        let mut core = Core::new(topo, config(0.01), NoProbe, policy);
+        if eager {
+            core.mode = SettleMode::Eager;
+        }
+        for a in workload {
+            core.offer(*a).unwrap();
+        }
+        let mode = core.mode;
+        let (run, policy) = core.finish().unwrap();
+        (mode, run, policy)
+    }
+
+    fn assert_same_run(lazy: &FabricRun, eager: &FabricRun, label: &str) {
+        assert_eq!(lazy.arrivals, eager.arrivals, "{label}");
+        assert_eq!(lazy.completions, eager.completions, "{label}");
+        assert_eq!(lazy.reschedules, eager.reschedules, "{label}");
+        assert_eq!(lazy.arrived_bytes, eager.arrived_bytes, "{label}");
+        assert_eq!(
+            lazy.throughput.delivered(),
+            eager.throughput.delivered(),
+            "{label}"
+        );
+        assert_eq!(lazy.leftover_bytes, eager.leftover_bytes, "{label}");
+        assert_eq!(lazy.leftover_flows, eager.leftover_flows, "{label}");
+        assert_eq!(lazy.total_backlog, eager.total_backlog, "{label}");
+        assert_eq!(
+            lazy.monitored_port_backlog, eager.monitored_port_backlog,
+            "{label}"
+        );
+        assert_eq!(lazy.max_port_backlog, eager.max_port_backlog, "{label}");
+        assert_eq!(
+            lazy.cumulative_delivered, eager.cumulative_delivered,
+            "{label}"
+        );
+        assert_eq!(
+            lazy.fct.overall_summary(),
+            eager.fct.overall_summary(),
+            "{label}"
+        );
+        assert!(lazy.completions > 0, "{label}: non-trivial run");
+    }
+
+    /// Lazy settlement is unobservable under every allocation policy:
+    /// crossbar (via `force_eager_settle`), max-min fair share, ECMP and
+    /// RepFlow each produce the bit-identical run — and, for RepFlow, the
+    /// identical completion log and replica accounting — lazily and
+    /// eagerly settled.
     #[test]
     fn lazy_and_eager_settlement_agree_bitwise() {
+        let lazy_expected = !crate::settle::forced_eager();
         let topo = small_topo();
         // Contention on egress 1 forces SRPT preemptions (evictions with
         // unsettled bytes), completions exercise due-settlement, and the
@@ -1056,7 +1271,6 @@ mod tests {
             arrival(4, 0.0007, 6, 7, 1_250_000),
             arrival(5, 0.0012, 2, 3, 50_000),
         ];
-
         let run = |force_eager: bool| {
             let mut sched = Srpt::new();
             let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
@@ -1068,30 +1282,64 @@ mod tests {
             }
             (online.settle_mode(), online.finish().unwrap())
         };
-
         let (lazy_mode, lazy) = run(false);
         let (eager_mode, eager) = run(true);
         assert_eq!(eager_mode, SettleMode::Eager);
-        if !crate::settle::forced_eager() {
-            assert_eq!(lazy_mode, SettleMode::Lazy, "SRPT + NoProbe runs lazy");
-        }
+        assert_eq!(
+            lazy_mode.is_lazy(),
+            lazy_expected,
+            "SRPT + NoProbe runs lazy"
+        );
+        assert_same_run(&lazy, &eager, "crossbar");
 
-        assert_eq!(lazy.arrivals, eager.arrivals);
-        assert_eq!(lazy.completions, eager.completions);
-        assert_eq!(lazy.reschedules, eager.reschedules);
-        assert_eq!(lazy.throughput.delivered(), eager.throughput.delivered());
-        assert_eq!(lazy.leftover_bytes, eager.leftover_bytes);
-        assert_eq!(lazy.leftover_flows, eager.leftover_flows);
-        assert_eq!(lazy.total_backlog.values(), eager.total_backlog.values());
+        // Fair share re-rates flows on every arrival and completion, so
+        // unsettled residues drain at rate changes too.
+        let (lazy_mode, lazy, _) = drive(&topo, &workload, false, |e| FairShare::new(&topo, e));
+        let (_, eager, _) = drive(&topo, &workload, true, |e| FairShare::new(&topo, e));
+        assert_eq!(lazy_mode.is_lazy(), lazy_expected);
+        assert_same_run(&lazy, &eager, "fair share");
+
+        // ECMP and RepFlow on the 2-plane, 2:1 fabric, where plane
+        // collisions reject flows and replicas win races.
+        let kary = KAryFatTree::builder(4)
+            .hosts_per_edge(4)
+            .oversubscription(2.0)
+            .build()
+            .unwrap();
+        let traffic: Vec<FlowArrival> = TrafficSpec::scaled(kary.num_racks(), 4, 0.8)
+            .unwrap()
+            .generator(3)
+            .unwrap()
+            .take_while(|a| a.time < SimTime::from_secs(0.01))
+            .collect();
+        let ecmp = |eager| {
+            let mut sched = Srpt::new();
+            let (mode, run, _) = drive(&kary, &traffic, eager, |e| {
+                Crossbar::new(&kary, &mut sched, e, kary.core_planes())
+            });
+            (mode, run)
+        };
+        let ((lazy_mode, lazy), (_, eager)) = (ecmp(false), ecmp(true));
+        assert_eq!(lazy_mode.is_lazy(), lazy_expected);
+        assert_same_run(&lazy, &eager, "ecmp");
+
+        let repflow = |eager| {
+            let mut discipline = RepFlow::default();
+            let cfg = config(0.01);
+            let (mode, run, policy) = drive(&kary, &traffic, eager, |e| {
+                Replicated::new(&kary, &mut discipline, &cfg, e)
+            });
+            (mode, policy.into_run(run, cfg.horizon))
+        };
+        let ((lazy_mode, lazy), (_, eager)) = (repflow(false), repflow(true));
+        assert_eq!(lazy_mode.is_lazy(), lazy_expected);
+        assert_same_run(&lazy.run, &eager.run, "repflow");
         assert_eq!(
-            lazy.cumulative_delivered.values(),
-            eager.cumulative_delivered.values()
+            lazy.completions, eager.completions,
+            "repflow completion log"
         );
-        assert_eq!(
-            lazy.max_port_backlog.values(),
-            eager.max_port_backlog.values()
-        );
-        assert_eq!(lazy.fct.overall_summary(), eager.fct.overall_summary());
+        assert_eq!(lazy.stats, eager.stats, "repflow stats");
+        assert!(lazy.stats.replica_wins > 0, "non-trivial races");
     }
 
     #[test]

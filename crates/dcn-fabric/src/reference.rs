@@ -1,43 +1,49 @@
-//! The reference event loops, kept for differential testing.
+//! The eager reference engine, kept as the single differential oracle.
 //!
-//! The production engine ([`crate::simulate`]) is the **delta-rate**
-//! engine: it keeps a persistent [`DeltaAllocator`](crate::DeltaAllocator)
-//! across events and pays calendar work only for the flows whose rate
-//! allocation actually changed. This module retains the two earlier
-//! engines it replaced:
+//! Every product engine — crossbar matching ([`crate::simulate`], the
+//! [`OnlineFabric`](crate::OnlineFabric) it wraps), ECMP, RepFlow and max-min
+//! fair share — runs on one shared event core that keeps persistent
+//! allocation state, pays calendar work only for the flows whose rate
+//! changed, and settles byte accounts lazily. This module runs the same
+//! model through the simplest loop that computes the same bits: a linear
+//! rescan of every transmitting flow for the next completion, every
+//! account settled on every event, and the allocation rebuilt from a
+//! carry-over map on every decision — `O(n)` per event by design.
 //!
-//! * [`simulate_scan`] — the seed engine's strategy: a linear rescan of
-//!   every scheduled flow on every wakeup, `O(n)` per event;
-//! * [`simulate_full_rebuild`] — the PR 3–5 production engine: the indexed
-//!   [`CompletionCalendar`](crate::CompletionCalendar) for next-event
-//!   lookup, but with the full allocation state (carry-over map, entry
-//!   vector, calendar live map) rebuilt on every reschedule, also `O(n)`
-//!   per event with a higher constant.
+//! Two allocations drive it:
 //!
-//! All three paths share the exact epoch-based drain accounting and the
-//! same event ordering within an instant, so their outputs must be
-//! **bit-identical**: any divergence is an engine bug, not a modelling
-//! difference. `tests/calendar_differential.rs` pins full-rebuild against
-//! scan, and `tests/delta_differential.rs` pins the delta engine against
-//! both, across seeds × disciplines — the same technique PR 1 used to pin
-//! the incremental scheduler against the from-scratch one.
+//! * [`simulate_scan`] — a scheduler's crossbar matching under the
+//!   aggregate core-capacity filter, the oracle for [`crate::simulate`];
+//! * [`simulate_fair_share_naive`] — the deliberately naive `O(n²)`
+//!   water-filler, the oracle for
+//!   [`simulate_fair_share`](crate::simulate_fair_share).
+//!
+//! Both paths share the exact epoch-based drain accounting and the event
+//! ordering within an instant with the product core, so their outputs
+//! must be **bit-identical**: any divergence is an engine bug, not a
+//! modelling difference. `tests/calendar_differential.rs`,
+//! `tests/delta_differential.rs` and `tests/fairshare_differential.rs`
+//! pin exactly that across seeds × disciplines × topologies.
 //!
 //! Per-event costs are measured in the `event_loop` and `delta_reschedule`
 //! bench groups of `sched_overhead` and modelled in `PERFMODEL.md`; these
 //! paths are for tests and benches — production callers should use
 //! [`crate::simulate`] or the [`FabricSim`](crate::FabricSim) builder.
 
-use crate::engine::{run_rebuild_with_probe, run_scan_with_probe};
+use crate::delta::CoreBudgets;
+use crate::engine::{enforces_core, run_reference, timed_decision};
+use crate::fairshare::{waterfill_naive, ConstraintSpec};
 use crate::{FabricError, FabricRun, SimConfig, Topology};
 use basrpt_core::Scheduler;
 use dcn_probe::{NoProbe, Probe};
+use dcn_types::Rate;
 use dcn_workload::FlowArrival;
 
-/// Runs one simulation with the linear-rescan completion lookup.
+/// Runs one simulation on the eager reference loop.
 ///
 /// Identical semantics to [`crate::simulate`] — same inputs, same exact
-/// accounting, bit-identical outputs — differing only in how the next
-/// completion instant is found.
+/// accounting, bit-identical outputs — differing only in how much work
+/// each event does.
 ///
 /// # Errors
 ///
@@ -49,7 +55,7 @@ pub fn simulate_scan<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    run_scan_with_probe(topo, scheduler, generator, config, NoProbe)
+    simulate_scan_probed(topo, scheduler, generator, config, NoProbe)
 }
 
 /// Probe-instrumented variant of [`simulate_scan`], for differential tests
@@ -66,49 +72,24 @@ pub fn simulate_scan_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_scan_with_probe(topo, scheduler, generator, config, probe)
-}
-
-/// Runs one simulation with the full-recompute calendar engine: indexed
-/// next-completion lookup, but the allocation state is rebuilt from
-/// scratch on every reschedule.
-///
-/// Identical semantics to [`crate::simulate`] — same inputs, same exact
-/// accounting, bit-identical outputs — differing only in how much state
-/// survives between events.
-///
-/// # Errors
-///
-/// Returns [`FabricError::BadArrival`] under the same conditions as
-/// [`crate::simulate`].
-pub fn simulate_full_rebuild<T: Topology + ?Sized, S: Scheduler + ?Sized>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-) -> Result<FabricRun, FabricError> {
-    run_rebuild_with_probe(topo, scheduler, generator, config, NoProbe)
-}
-
-/// Probe-instrumented variant of [`simulate_full_rebuild`], for
-/// differential tests that compare full event streams.
-///
-/// # Errors
-///
-/// Returns [`FabricError::BadArrival`] under the same conditions as
-/// [`crate::simulate`].
-pub fn simulate_full_rebuild_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    run_rebuild_with_probe(topo, scheduler, generator, config, probe)
+    let edge = topo.edge_rate();
+    let mut budgets = enforces_core(topo, &config).then(|| CoreBudgets::new(topo, 1));
+    run_reference(topo, generator, config, probe, |now, table, obs, out| {
+        let schedule = timed_decision(obs, now, || scheduler.schedule(table));
+        match budgets.as_mut() {
+            Some(budgets) => out.extend(
+                budgets
+                    .filter(topo, schedule.iter())
+                    .iter()
+                    .map(|&(id, voq)| (id, voq, edge)),
+            ),
+            None => out.extend(schedule.iter().map(|(id, voq)| (id, voq, edge))),
+        }
+    })
 }
 
 /// Runs one max-min fair-share simulation with the **naive** `O(n²)`
-/// reference water-filler and the linear completion rescan — the
+/// reference water-filler on the eager reference loop — the
 /// differential-testing reference for
 /// [`simulate_fair_share`](crate::simulate_fair_share), which
 /// `tests/fairshare_differential.rs` pins bit-identical across seeds ×
@@ -125,7 +106,7 @@ pub fn simulate_fair_share_naive<T: Topology + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    crate::fairshare::run_fair_share_naive(topo, generator, config, NoProbe)
+    simulate_fair_share_naive_probed(topo, generator, config, NoProbe)
 }
 
 /// Probe-instrumented variant of [`simulate_fair_share_naive`], for
@@ -141,5 +122,17 @@ pub fn simulate_fair_share_naive_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    crate::fairshare::run_fair_share_naive(topo, generator, config, probe)
+    let spec = ConstraintSpec::new(topo, enforces_core(topo, &config));
+    let mut rates = Vec::new();
+    run_reference(topo, generator, config, probe, |_, table, _, out| {
+        let mut flows: Vec<_> = table.iter().map(|f| (f.id(), f.voq())).collect();
+        flows.sort_unstable_by_key(|&(id, _)| id);
+        waterfill_naive(&spec, &flows, &mut rates);
+        out.extend(
+            flows
+                .iter()
+                .zip(&rates)
+                .map(|(&(id, voq), &rate)| (id, voq, Rate::from_bytes_per_sec(rate))),
+        );
+    })
 }

@@ -30,21 +30,15 @@
 //! after losing — the engine cancels lazily, a conservative model of
 //! RepFlow's transport-level cutoff) are tallied to the last byte.
 
-use crate::engine::{
-    validate_arrival, CalendarLookup, CompletionLookup, FabricError, FabricRun, FlowMeta,
-    ScheduledEntry, SimConfig,
-};
+use crate::delta::SettledDrain;
+use crate::engine::{FabricError, FabricRun, FlowMeta, ScheduledEntry, SimConfig};
+use crate::online::{run_batch, AllocationPolicy, Crossbar};
 use crate::topology::Topology;
-use basrpt_core::{FlowState, FlowTable, RepFlow, Scheduler};
-use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
-use dcn_probe::{
-    ArrivalEvent, BacklogSampler, CompletionEvent, DecisionEvent, DrainEvent, Fanout, NoProbe,
-    Probe, SampleEvent,
-};
+use basrpt_core::{FlowTable, RepFlow, Scheduler};
+use dcn_probe::{NoProbe, Probe};
 use dcn_types::{Bytes, FlowId, PlaneId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// The plane an inter-rack flow is hashed onto: FNV-1a over the flow id,
 /// modulo the plane count — the deterministic stand-in for ECMP's
@@ -74,110 +68,32 @@ pub fn plane_of(flow: FlowId, planes: u32) -> PlaneId {
     PlaneId::new((h % u64::from(planes)) as u32)
 }
 
-/// Per-(rack, plane) uplink/downlink budgets for one scheduling decision.
-struct PlaneBudgets {
-    edge: f64,
-    /// Budget of one plane: `rack_uplink_capacity / planes`.
-    plane_cap: f64,
-    planes: usize,
-    up_used: Vec<f64>,
-    down_used: Vec<f64>,
-}
-
-impl PlaneBudgets {
-    fn new<T: Topology + ?Sized>(topo: &T) -> Self {
-        let planes = topo.core_planes().max(1) as usize;
-        let racks = topo.num_racks() as usize;
-        PlaneBudgets {
-            edge: topo.edge_rate().bytes_per_sec(),
-            plane_cap: topo.rack_uplink_capacity().bytes_per_sec() / planes as f64,
-            planes,
-            up_used: vec![0.0; racks * planes],
-            down_used: vec![0.0; racks * planes],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.up_used.fill(0.0);
-        self.down_used.fill(0.0);
-    }
-
-    /// Admits one flow onto `plane` if both its rack budgets have room
-    /// (same tolerance as the aggregate core filter); charges them on
-    /// success.
-    fn admit(&mut self, src_rack: usize, dst_rack: usize, plane: PlaneId) -> bool {
-        let up = src_rack * self.planes + plane.as_usize();
-        let down = dst_rack * self.planes + plane.as_usize();
-        // Tolerance absorbs f64 accumulation when the budget divides evenly.
-        if self.up_used[up] + self.edge <= self.plane_cap * (1.0 + 1e-9)
-            && self.down_used[down] + self.edge <= self.plane_cap * (1.0 + 1e-9)
-        {
-            self.up_used[up] += self.edge;
-            self.down_used[down] += self.edge;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// One copy of a replicated flow on an alternate plane, with the same
-/// epoch-anchored drain arithmetic as a `ScheduledEntry`.
+/// One copy of a replicated flow on an alternate plane.
 #[derive(Debug, Clone, Copy)]
 struct ReplicaCopy {
     plane: PlaneId,
     /// Bytes this copy has transmitted (settled across all its epochs).
     sent: u64,
-    active: bool,
-    epoch: SimTime,
-    epoch_start_sent: u64,
-    completes_at: SimTime,
+    /// The open transmission epoch while the copy is selected — the same
+    /// epoch-anchored drain arithmetic as a primary's account, over the
+    /// bytes the copy has yet to send.
+    live: Option<ScheduledEntry>,
 }
 
 impl ReplicaCopy {
-    fn idle(plane: PlaneId) -> Self {
-        ReplicaCopy {
-            plane,
-            sent: 0,
-            active: false,
-            epoch: SimTime::ZERO,
-            epoch_start_sent: 0,
-            completes_at: SimTime::INFINITY,
-        }
-    }
-
     /// (Re)opens a transmission epoch at `now`; keeps the current epoch if
     /// the copy is already transmitting (its completion instant must not
     /// drift across reschedules that keep it selected).
-    fn select(&mut self, now: SimTime, size: u64, rate: Rate) {
-        if self.active {
-            return;
+    fn select(&mut self, flow: FlowId, voq: Voq, now: SimTime, size: u64, rate: Rate) {
+        if self.live.is_none() {
+            self.live = Some(ScheduledEntry::new(flow, voq, now, size - self.sent, rate));
         }
-        self.active = true;
-        self.epoch = now;
-        self.epoch_start_sent = self.sent;
-        self.completes_at = now + rate.transfer_time(Bytes::new(size - self.sent));
     }
 
     /// Settles the copy's account at instant `t` and closes its epoch.
-    fn deselect(&mut self, t: SimTime, size: u64, rate: Rate) {
-        if !self.active {
-            return;
-        }
-        self.sent = self.epoch_start_sent + self.target_at(t, size, rate);
-        self.active = false;
-        self.completes_at = SimTime::INFINITY;
-    }
-
-    /// Bytes owed since the epoch by instant `t` — the `ScheduledEntry`
-    /// arithmetic: one conversion of the elapsed time, forced exact at the
-    /// analytic completion instant.
-    fn target_at(&self, t: SimTime, size: u64, rate: Rate) -> u64 {
-        let epoch_remaining = size - self.epoch_start_sent;
-        if t >= self.completes_at {
-            epoch_remaining
-        } else {
-            rate.bytes_in(t - self.epoch).as_u64().min(epoch_remaining)
+    fn deselect(&mut self, t: SimTime) {
+        if let Some(epoch) = self.live.take() {
+            self.sent += epoch.target_at(t);
         }
     }
 }
@@ -186,7 +102,7 @@ impl ReplicaCopy {
 #[derive(Debug)]
 struct RaceState {
     size: u64,
-    primary_plane: PlaneId,
+    /// One copy per alternate plane, in ascending plane order.
     copies: Vec<ReplicaCopy>,
     /// `Some((plane, instant))` once a replica finished first.
     replica_won: Option<(PlaneId, SimTime)>,
@@ -300,7 +216,11 @@ pub fn simulate_ecmp_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_repflow_loop(topo, scheduler, None, generator, config, probe).map(|r| r.run)
+    let planes = topo.core_planes().max(1);
+    run_batch(topo, generator, config, probe, |enforce_core| {
+        Crossbar::new(topo, scheduler, enforce_core, planes)
+    })
+    .map(|(run, _)| run)
 }
 
 /// Runs one RepFlow simulation: single-path ECMP routing plus replication
@@ -359,393 +279,257 @@ pub fn simulate_repflow_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<RepFlowRun, FabricError> {
-    let threshold = discipline.threshold();
-    run_repflow_loop(topo, discipline, Some(threshold), generator, config, probe)
+    let (run, policy) = run_batch(topo, generator, config, probe, |enforce_core| {
+        Replicated::new(topo, discipline, &config, enforce_core)
+    })?;
+    Ok(policy.into_run(run, config.horizon))
 }
 
-/// The plane-aware event loop behind [`simulate_ecmp`] and
-/// [`simulate_repflow`]: the matching engine's loop (same event ordering,
-/// same epoch accounting) with the per-plane core filter, plus — when
-/// `replicate` carries a threshold — the replica layer described in the
-/// module docs. Replicas never influence base admissions, so the
-/// `replicate: None` and `replicate: Some(_)` base trajectories are
-/// bit-identical.
-#[allow(clippy::too_many_lines)]
-fn run_repflow_loop<T, S, P>(
-    topo: &T,
-    scheduler: &mut S,
-    replicate: Option<u64>,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<RepFlowRun, FabricError>
-where
-    T: Topology + ?Sized,
-    S: Scheduler + ?Sized,
-    P: Probe,
-{
-    let mut generator = generator.into_iter();
-    let edge_rate = topo.edge_rate();
-    let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-    let planes = topo.core_planes().max(1);
-    let mut budgets = PlaneBudgets::new(topo);
-    let mut lookup = CalendarLookup::default();
+/// The RepFlow allocation policy: the per-plane (ECMP) crossbar policy
+/// plus the replica race layered on through the core's hooks — races open
+/// at arrival, replica wins resolve before each event settles, replicas
+/// ride the plane budget left after every base admission, and a completing
+/// primary records the first copy's FCT. Replicas never influence base
+/// admissions, so the base trajectory is bit-identical to ECMP's.
+#[derive(Debug)]
+pub(crate) struct Replicated<'s> {
+    base: Crossbar<'s, RepFlow>,
+    /// Flows strictly shorter than this race replicas (0 when the fabric
+    /// has no alternate plane or no enforced core, so nothing does).
+    threshold: u64,
+    planes: u32,
+    edge_rate: Rate,
+    base_latency: SimTime,
+    /// Open and replica-won races, keyed by flow.
+    races: HashMap<FlowId, RaceState>,
+    stats: RepFlowStats,
+    log: Vec<RepFlowCompletion>,
+    /// Scratch reused across events: replica wins due at this event, and
+    /// the replica plane each flow rides after a reschedule.
+    wins: Vec<(SimTime, FlowId)>,
+    selected: HashMap<FlowId, (PlaneId, Voq)>,
+}
 
-    let mut table = FlowTable::new();
-    let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
-    let mut entries: Vec<ScheduledEntry> = Vec::new();
-    let mut carry: HashMap<FlowId, ScheduledEntry> = HashMap::new();
+impl AllocationPolicy for Replicated<'_> {
+    fn supports_lazy_views(&self) -> bool {
+        self.base.supports_lazy_views()
+    }
 
-    // Replication races, keyed by flow. Empty for ECMP runs.
-    let mut races: HashMap<FlowId, RaceState> = HashMap::new();
-    let mut stats = RepFlowStats::default();
-    let mut completions_log: Vec<RepFlowCompletion> = Vec::new();
+    fn next_completion(&mut self) -> SimTime {
+        self.base.next_completion()
+    }
 
-    let mut fct = FctRecorder::new();
-    let mut fct_by_size = SizeBucketRecorder::pfabric_buckets();
-    let mut throughput = ThroughputMeter::new();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
-    let mut fan = Fanout::new(&mut sampler, probe);
-    let mut arrivals_count = 0usize;
-    let mut completions_count = 0usize;
-    let mut arrived_bytes = Bytes::ZERO;
-    let mut reschedules = 0u64;
+    fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool {
+        self.base.settle(t, observe_all, out)
+    }
 
-    let mut clock = SimTime::ZERO;
-    let mut next_sample = SimTime::ZERO;
-    let mut next_arrival = generator.next();
-    let mut last_arrival_time = SimTime::ZERO;
+    fn on_arrival<T: Topology + ?Sized>(&mut self, topo: &T, arrival: &FlowArrival) {
+        if arrival.size.as_u64() >= self.threshold || topo.is_intra_rack(arrival.voq) {
+            return;
+        }
+        let primary = plane_of(arrival.id, self.planes);
+        let copies = (0..self.planes)
+            .map(PlaneId::new)
+            .filter(|&p| p != primary)
+            .map(|plane| ReplicaCopy {
+                plane,
+                sent: 0,
+                live: None,
+            })
+            .collect();
+        let race = RaceState {
+            size: arrival.size.as_u64(),
+            copies,
+            replica_won: None,
+            closed: false,
+        };
+        self.races.insert(arrival.id, race);
+        self.stats.replicated_flows += 1;
+    }
 
-    loop {
-        let t_arrival = next_arrival.as_ref().map_or(SimTime::INFINITY, |a| a.time);
-        let t_completion = lookup.next_completion(&entries);
-        let t = t_arrival
-            .min(t_completion)
-            .min(next_sample)
-            .min(config.horizon);
-
-        // --- resolve replica wins up to t (their completion instants are
-        //     analytic, so they are processed lazily at the next event;
-        //     the win cannot change the base trajectory) ---
-        let mut wins: Vec<(SimTime, FlowId)> = Vec::new();
-        for (&id, race) in races.iter() {
-            if race.closed {
-                continue;
-            }
-            if let Some(w) = race
+    /// Resolves replica wins up to `t`: their completion instants are
+    /// analytic, so they are processed lazily at the next event — the win
+    /// cannot change the base trajectory.
+    fn before_settle(&mut self, t: SimTime) {
+        self.wins.clear();
+        for (&id, race) in &self.races {
+            let first = race
                 .copies
                 .iter()
-                .filter(|c| c.active)
-                .map(|c| c.completes_at)
-                .min()
-            {
-                if w <= t {
-                    wins.push((w, id));
-                }
+                .filter_map(|c| c.live)
+                .map(|e| e.completes_at);
+            if let Some(w) = first.min().filter(|&w| !race.closed && w <= t) {
+                self.wins.push((w, id));
             }
         }
-        wins.sort_unstable_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()).then(a.1.cmp(&b.1)));
-        for (w, id) in wins {
-            let race = races.get_mut(&id).expect("race exists");
-            let size = race.size;
+        self.wins
+            .sort_unstable_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()).then(a.1.cmp(&b.1)));
+        for &(w, id) in &self.wins {
+            let race = self.races.get_mut(&id).expect("race exists");
             // Lowest plane wins ties (copies are in ascending plane order).
             let winner = race
                 .copies
                 .iter()
-                .filter(|c| c.active && c.completes_at <= w)
-                .map(|c| c.plane)
-                .next()
-                .expect("a copy completed");
+                .find(|c| c.live.is_some_and(|e| e.completes_at <= w))
+                .expect("a copy completed")
+                .plane;
             for copy in &mut race.copies {
                 // Freeze the race at the win instant: siblings keep only
                 // the bytes they moved before w.
-                copy.deselect(w, size, edge_rate);
+                copy.deselect(w);
             }
             race.replica_won = Some((winner, w));
             race.closed = true;
-            stats.replica_wins += 1;
+            self.stats.replica_wins += 1;
         }
+    }
 
-        // --- advance: settle every scheduled flow's account at t ---
-        let elapsed = t - clock;
-        let mut completed_any = false;
-        if elapsed > SimTime::ZERO {
-            let mut i = 0;
-            while i < entries.len() {
-                let entry = &mut entries[i];
-                let target = entry.target_at(t, edge_rate);
-                let amount = target - entry.settled;
-                if amount == 0 {
-                    i += 1;
-                    continue;
-                }
-                entry.settled = target;
-                let (id, voq) = (entry.flow, entry.voq);
-                let outcome = table.drain(id, amount).expect("scheduled flow is active");
-                debug_assert_eq!(outcome.drained, amount, "exact drain cannot be short");
-                throughput.deliver(Bytes::new(outcome.drained));
-                // Everything the primary moves after losing its race is
-                // cancelled work (the primary is never scheduled while a
-                // replica transmits, so these drains all postdate the win).
-                if races.get(&id).is_some_and(|r| r.replica_won.is_some()) {
-                    stats.cancelled_primary_bytes += Bytes::new(outcome.drained);
-                }
-                fan.on_drain(&DrainEvent {
-                    time: t.as_secs(),
-                    flow: id,
-                    voq,
-                    amount: outcome.drained,
-                });
-                if outcome.completed.is_some() {
-                    let info = meta.remove(&id).expect("active flow has metadata");
-                    let base_fct = t - info.arrival + config.base_latency;
-                    // First copy to finish sets the recorded FCT.
-                    let (flow_fct, replicated, winner) = match races.remove(&id) {
-                        Some(mut race) => {
-                            let outcome = if let Some((plane, w)) = race.replica_won {
-                                (w - info.arrival + config.base_latency, true, Some(plane))
-                            } else {
-                                // The primary finished first: the race is
-                                // over and the copies' bytes are cancelled.
-                                for copy in &mut race.copies {
-                                    copy.deselect(t, race.size, edge_rate);
-                                }
-                                race.closed = true;
-                                (base_fct, true, None)
-                            };
-                            retire_race(&race, &mut stats);
-                            outcome
-                        }
-                        None => (base_fct, false, None),
-                    };
-                    fct.record(info.class, info.size, flow_fct);
-                    fct_by_size.record(info.size, flow_fct);
-                    completions_log.push(RepFlowCompletion {
-                        flow: id,
-                        voq,
-                        size: info.size,
-                        replicated,
-                        fct: flow_fct,
-                        base_fct,
-                        winner,
-                    });
-                    fan.on_completion(&CompletionEvent {
-                        time: t.as_secs(),
-                        flow: id,
-                        voq,
-                        size: info.size.as_u64(),
-                        fct: flow_fct.as_secs(),
-                    });
-                    completions_count += 1;
-                    completed_any = true;
-                    entries.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+    fn on_drain(&mut self, drain: &SettledDrain) {
+        // Everything the primary moves after losing its race is cancelled
+        // work (the primary is never scheduled while a replica transmits,
+        // so these drains all postdate the win).
+        if self
+            .races
+            .get(&drain.flow)
+            .is_some_and(|r| r.replica_won.is_some())
+        {
+            self.stats.cancelled_primary_bytes += Bytes::new(drain.amount);
         }
-        clock = t;
+    }
 
-        if clock >= config.horizon {
-            break;
-        }
-
-        // --- arrivals landing at (or before) the current instant ---
-        let mut arrived_any = false;
-        while let Some(arrival) = next_arrival.as_ref() {
-            if arrival.time > clock {
-                break;
-            }
-            let arrival = *next_arrival.as_ref().expect("checked above");
-            validate_arrival(topo, &arrival, last_arrival_time)?;
-            last_arrival_time = arrival.time;
-            table
-                .insert(FlowState::new(
-                    arrival.id,
-                    arrival.voq,
-                    arrival.size.as_u64(),
-                ))
-                .map_err(|e| FabricError::BadArrival(e.to_string()))?;
-            meta.insert(
-                arrival.id,
-                FlowMeta {
-                    class: arrival.class,
-                    size: arrival.size,
-                    arrival: arrival.time,
-                },
-            );
-            // Open a replication race for short inter-rack flows when the
-            // fabric has alternate planes and an enforced core.
-            if let Some(threshold) = replicate {
-                if enforce_core
-                    && planes >= 2
-                    && arrival.size.as_u64() < threshold
-                    && !topo.is_intra_rack(arrival.voq)
-                {
-                    let primary = plane_of(arrival.id, planes);
-                    let copies = (0..planes)
-                        .map(PlaneId::new)
-                        .filter(|&p| p != primary)
-                        .map(ReplicaCopy::idle)
-                        .collect();
-                    races.insert(
-                        arrival.id,
-                        RaceState {
-                            size: arrival.size.as_u64(),
-                            primary_plane: primary,
-                            copies,
-                            replica_won: None,
-                            closed: false,
-                        },
-                    );
-                    stats.replicated_flows += 1;
-                }
-            }
-            arrivals_count += 1;
-            arrived_bytes += arrival.size;
-            arrived_any = true;
-            fan.on_arrival(&ArrivalEvent {
-                time: arrival.time.as_secs(),
-                flow: arrival.id,
-                voq: arrival.voq,
-                size: arrival.size.as_u64(),
-            });
-            next_arrival = generator.next();
-        }
-
-        // --- sampling (after same-instant arrivals) ---
-        if next_sample <= clock {
-            fan.on_sample(&SampleEvent {
-                time: clock.as_secs(),
-                table: &table,
-                delivered: throughput.delivered().as_f64(),
-            });
-            next_sample += config.sample_every;
-        }
-
-        // --- reschedule on arrival or completion ---
-        if arrived_any || completed_any {
-            let started = fan.wants_decision_timing().then(Instant::now);
-            let schedule = scheduler.schedule(&table);
-            let latency = started.map(|s| s.elapsed());
-            fan.on_decision(&DecisionEvent {
-                time: clock.as_secs(),
-                schedule: &schedule,
-                latency,
-            });
-            carry.clear();
-            carry.extend(entries.drain(..).map(|e| (e.flow, e)));
-            let admit = |id: FlowId,
-                         voq: Voq,
-                         entries: &mut Vec<ScheduledEntry>,
-                         table: &FlowTable,
-                         carry: &mut HashMap<FlowId, ScheduledEntry>| {
-                entries.push(carry.remove(&id).unwrap_or_else(|| {
-                    let remaining = table.get(id).expect("scheduled flow is active").remaining();
-                    ScheduledEntry::new(id, voq, clock, remaining, edge_rate)
-                }));
-            };
-            // Pass 1 — base admissions on each flow's own plane, in
-            // schedule priority order (identical for ECMP and RepFlow).
-            let mut rejected: Vec<(FlowId, Voq)> = Vec::new();
-            if enforce_core {
-                budgets.reset();
-                for (id, voq) in schedule.iter() {
-                    if topo.is_intra_rack(voq) {
-                        admit(id, voq, &mut entries, &table, &mut carry);
-                        continue;
+    fn completion_fct(
+        &mut self,
+        t: SimTime,
+        drain: &SettledDrain,
+        info: &FlowMeta,
+        base: SimTime,
+    ) -> SimTime {
+        // First copy to finish sets the recorded FCT.
+        let (fct, replicated, winner) = match self.races.remove(&drain.flow) {
+            Some(mut race) => {
+                let outcome = match race.replica_won {
+                    Some((plane, w)) => (w - info.arrival + self.base_latency, true, Some(plane)),
+                    None => {
+                        // The primary finished first: the race is over
+                        // and the copies' bytes are cancelled.
+                        race.copies.iter_mut().for_each(|c| c.deselect(t));
+                        race.closed = true;
+                        (base, true, None)
                     }
-                    let src_rack = topo.rack_of(voq.src()).as_usize();
-                    let dst_rack = topo.rack_of(voq.dst()).as_usize();
-                    if budgets.admit(src_rack, dst_rack, plane_of(id, planes)) {
-                        admit(id, voq, &mut entries, &table, &mut carry);
-                    } else {
-                        rejected.push((id, voq));
-                    }
-                }
-            } else {
-                for (id, voq) in schedule.iter() {
-                    admit(id, voq, &mut entries, &table, &mut carry);
-                }
+                };
+                retire_race(&race, &mut self.stats);
+                outcome
             }
-            // Pass 2 — replicas: a matched-but-rejected short flow may
-            // ride the residual budget of an alternate plane (its NICs
-            // are idle — the matching reserved them and the plane filter
-            // declined). Priority order again, so replica-replica
-            // contention is deterministic.
-            let mut selected: HashMap<FlowId, PlaneId> = HashMap::new();
+            None => (base, false, None),
+        };
+        self.log.push(RepFlowCompletion {
+            flow: drain.flow,
+            voq: drain.voq,
+            size: info.size,
+            replicated,
+            fct,
+            base_fct: base,
+            winner,
+        });
+        fct
+    }
+
+    fn reschedule<T: Topology + ?Sized, O: Probe>(
+        &mut self,
+        topo: &T,
+        now: SimTime,
+        table: &FlowTable,
+        lazy: bool,
+        obs: &mut O,
+        out: &mut Vec<SettledDrain>,
+    ) {
+        // Pass 1 — base admissions on each flow's own plane, in schedule
+        // priority order (identical for ECMP and RepFlow).
+        self.base.reschedule(topo, now, table, lazy, obs, out);
+        // Pass 2 — replicas: a matched-but-rejected short flow may ride
+        // the residual budget of an alternate plane (its NICs are idle —
+        // the matching reserved them and the plane filter declined).
+        // Priority order again, so replica-replica contention is
+        // deterministic.
+        self.selected.clear();
+        if let Some(budgets) = self.base.budgets.as_mut() {
+            let rejected = std::mem::take(&mut budgets.rejected);
             for &(id, voq) in &rejected {
-                let Some(race) = races.get(&id) else { continue };
-                if race.closed {
+                let Some(race) = self.races.get(&id).filter(|r| !r.closed) else {
                     continue;
-                }
-                let src_rack = topo.rack_of(voq.src()).as_usize();
-                let dst_rack = topo.rack_of(voq.dst()).as_usize();
-                for copy in &race.copies {
-                    if budgets.admit(src_rack, dst_rack, copy.plane) {
-                        selected.insert(id, copy.plane);
-                        break;
-                    }
+                };
+                if let Some(copy) = race
+                    .copies
+                    .iter()
+                    .find(|c| budgets.admit(topo, voq, c.plane))
+                {
+                    self.selected.insert(id, (copy.plane, voq));
                 }
             }
-            // Apply the replica selection: open epochs for the selected
-            // copies, settle-and-close everyone else's.
-            for (&id, race) in races.iter_mut() {
-                if race.closed {
-                    continue;
-                }
-                let want = selected.get(&id).copied();
-                let size = race.size;
-                for copy in &mut race.copies {
-                    if want == Some(copy.plane) {
-                        copy.select(clock, size, edge_rate);
-                    } else {
-                        copy.deselect(clock, size, edge_rate);
+            budgets.rejected = rejected;
+        }
+        // Apply the replica selection: open epochs for the selected
+        // copies, settle-and-close everyone else's.
+        for (&id, race) in self.races.iter_mut().filter(|(_, r)| !r.closed) {
+            let want = self.selected.get(&id).copied();
+            for copy in &mut race.copies {
+                match want {
+                    Some((plane, voq)) if plane == copy.plane => {
+                        copy.select(id, voq, now, race.size, self.edge_rate);
                     }
+                    _ => copy.deselect(now),
                 }
             }
-            reschedules += 1;
-            lookup.on_reschedule(&entries);
         }
     }
-    drop(fan);
-    let series = sampler.into_series();
+}
 
-    // Races still on the books at the horizon: settle every copy and
-    // tally its bytes as racing (open races) or won/lost (a replica won
-    // but the primary never finished draining).
-    for (_, mut race) in races.drain() {
-        let size = race.size;
-        for copy in &mut race.copies {
-            copy.deselect(config.horizon, size, edge_rate);
+impl<'s> Replicated<'s> {
+    pub(crate) fn new<T: Topology + ?Sized>(
+        topo: &T,
+        discipline: &'s mut RepFlow,
+        config: &SimConfig,
+        enforce_core: bool,
+    ) -> Self {
+        let planes = topo.core_planes().max(1);
+        Replicated {
+            threshold: if enforce_core && planes >= 2 {
+                discipline.threshold()
+            } else {
+                0
+            },
+            base: Crossbar::new(topo, discipline, enforce_core, planes),
+            planes,
+            edge_rate: topo.edge_rate(),
+            base_latency: config.base_latency,
+            races: HashMap::new(),
+            stats: RepFlowStats::default(),
+            log: Vec::new(),
+            wins: Vec::new(),
+            selected: HashMap::new(),
         }
-        retire_race(&race, &mut stats);
     }
 
-    let run = FabricRun {
-        fct,
-        fct_by_size,
-        throughput,
-        total_backlog: series.total_backlog,
-        monitored_port_backlog: series.monitored_port_backlog,
-        max_port_backlog: series.max_port_backlog,
-        cumulative_delivered: series.cumulative_delivered,
-        arrivals: arrivals_count,
-        completions: completions_count,
-        arrived_bytes,
-        leftover_bytes: Bytes::new(table.total_backlog()),
-        leftover_flows: table.len(),
-        reschedules,
-        horizon: config.horizon,
-    };
-    Ok(RepFlowRun {
-        run,
-        completions: completions_log,
-        stats,
-    })
+    /// Settles every race still on the books at the horizon — tallying
+    /// its copies' bytes as racing (open races) or won/lost (a replica
+    /// won but the primary never finished draining) — and assembles the
+    /// run.
+    pub(crate) fn into_run(mut self, run: FabricRun, horizon: SimTime) -> RepFlowRun {
+        for race in self.races.values_mut() {
+            race.copies.iter_mut().for_each(|c| c.deselect(horizon));
+            retire_race(race, &mut self.stats);
+        }
+        RepFlowRun {
+            run,
+            completions: self.log,
+            stats: self.stats,
+        }
+    }
 }
 
 /// Tallies the exact byte account of one finished (or horizon-cut) race.
+/// The primary's own bytes live in the base run's throughput; only its
+/// post-win drains are tallied (see `cancelled_primary_bytes`).
 fn retire_race(race: &RaceState, stats: &mut RepFlowStats) {
     for copy in &race.copies {
         stats.replica_bytes += Bytes::new(copy.sent);
@@ -758,10 +542,6 @@ fn retire_race(race: &RaceState, stats: &mut RepFlowStats) {
             _ => stats.racing_replica_bytes += Bytes::new(copy.sent),
         }
     }
-    // The primary plane is part of the race but its bytes live in the
-    // base run's throughput; only its post-win drains are tallied (see
-    // `cancelled_primary_bytes`), so nothing to do here for it.
-    let _ = race.primary_plane;
 }
 
 #[cfg(test)]

@@ -14,20 +14,25 @@
 //!   nothing replicates and the whole run collapses, bit for bit, onto
 //!   single-path ECMP — which itself collapses onto the aggregate-filter
 //!   engine `simulate`.
+//!
+//! Both properties compare engines with each other, so a golden case also
+//! pins the multi-plane ECMP and RepFlow trajectories to fixed
+//! fingerprints.
 
 mod support;
 
 use basrpt::core::{RepFlow, Srpt};
 use basrpt::fabric::{
-    simulate, simulate_ecmp, simulate_ecmp_probed, simulate_repflow, FatTree, KAryFatTree,
-    SimConfig, Topology,
+    simulate, simulate_ecmp, simulate_ecmp_probed, simulate_repflow, FabricRun, FatTree,
+    KAryFatTree, SimConfig, Topology,
 };
 use basrpt::probe::{CompletionEvent, Probe};
 use basrpt::types::{Bytes, FlowClass, FlowId, HostId, SimTime, Voq};
-use basrpt::workload::FlowArrival;
+use basrpt::workload::{FlowArrival, TrafficSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use support::conservation::{assert_bit_identical, assert_repflow_accounting};
+use support::fingerprint::{fingerprint, fnv, FNV_OFFSET};
 
 /// Captures every completed flow's FCT, for per-flow comparisons.
 #[derive(Default)]
@@ -205,5 +210,118 @@ proptest! {
             .expect("valid simulation");
         assert_bit_identical(&rep.run, &ecmp, "threshold 0 vs ecmp");
         prop_assert_eq!(rep.stats.replicated_flows, 0usize);
+    }
+}
+
+/// Completion-only FNV probe that leaves the engine free to settle
+/// lazily: it asks for neither decision timing nor per-flow drain
+/// fidelity, so the run takes the production settlement path.
+struct CompletionFnv(u64);
+
+impl Probe for CompletionFnv {
+    fn wants_decision_timing(&self) -> bool {
+        false
+    }
+    fn wants_flow_fidelity(&self) -> bool {
+        false
+    }
+    fn on_completion(&mut self, e: &CompletionEvent) {
+        fnv(&mut self.0, e.time.to_bits());
+        fnv(&mut self.0, e.flow.raw());
+        fnv(&mut self.0, e.fct.to_bits());
+    }
+}
+
+/// Folds a run's counters, byte totals, FCT summary bits and sampled
+/// series into `h`.
+fn hash_run(h: &mut u64, run: &FabricRun) {
+    for word in [
+        run.arrivals as u64,
+        run.completions as u64,
+        run.reschedules,
+        run.arrived_bytes.as_u64(),
+        run.throughput.delivered().as_u64(),
+        run.leftover_bytes.as_u64(),
+        run.leftover_flows as u64,
+    ] {
+        fnv(h, word);
+    }
+    let s = run.fct.overall_summary().expect("flows complete");
+    for x in [s.mean_secs, s.p50_secs, s.p99_secs, s.max_secs] {
+        fnv(h, x.to_bits());
+    }
+    fnv(h, fingerprint(run));
+}
+
+/// Multi-plane trajectories pinned to fixed values. The dominance and
+/// degeneracy properties above compare engines against each other; this
+/// case pins the ECMP and RepFlow runs themselves on the 2-plane, 2:1
+/// fabric, so a change to the shared event core that moved both engines
+/// alike would still be caught. Per seed it fingerprints the ECMP run's
+/// per-flow FCT bits (completion stream) and run observables, and the
+/// RepFlow run's full completion log (`fct`, `base_fct`, `winner`), its
+/// exact `RepFlowStats`, and its run observables.
+#[test]
+fn multi_plane_trajectories_match_golden_fingerprints() {
+    const GOLDEN: [(u64, u64, u64); 2] = [
+        (3, 12677645771346241806, 17549723979505385650),
+        (8, 11484212030218003057, 18272611347972428883),
+    ];
+    let topo = two_plane_topo();
+    let cfg = SimConfig::builder()
+        .horizon(SimTime::from_millis(20.0))
+        .build();
+    for (seed, want_ecmp, want_rep) in GOLDEN {
+        let arrivals: Vec<FlowArrival> =
+            TrafficSpec::scaled(topo.num_racks(), topo.hosts_per_rack(), 0.8)
+                .expect("valid scaled spec")
+                .generator(seed)
+                .expect("generator")
+                .take_while(|a| a.time < cfg.horizon)
+                .collect();
+
+        let mut probe = CompletionFnv(FNV_OFFSET);
+        let ecmp = simulate_ecmp_probed(&topo, &mut Srpt::new(), arrivals.clone(), cfg, &mut probe)
+            .expect("valid simulation");
+        let mut ecmp_hash = probe.0;
+        hash_run(&mut ecmp_hash, &ecmp);
+
+        let rep = simulate_repflow(&topo, &mut RepFlow::default(), arrivals, cfg)
+            .expect("valid simulation");
+        assert!(rep.stats.replica_wins > 0, "seed {seed}: races must be won");
+        let mut rep_hash = FNV_OFFSET;
+        for c in &rep.completions {
+            for word in [
+                c.flow.raw(),
+                u64::from(c.voq.src().index()),
+                u64::from(c.voq.dst().index()),
+                c.size.as_u64(),
+                u64::from(c.replicated),
+                c.fct.as_secs().to_bits(),
+                c.base_fct.as_secs().to_bits(),
+                c.winner.map_or(u64::MAX, |p| u64::from(p.index())),
+            ] {
+                fnv(&mut rep_hash, word);
+            }
+        }
+        let st = rep.stats;
+        for word in [
+            st.replicated_flows as u64,
+            st.replica_wins as u64,
+            st.replica_bytes.as_u64(),
+            st.winning_replica_bytes.as_u64(),
+            st.losing_replica_bytes.as_u64(),
+            st.racing_replica_bytes.as_u64(),
+            st.cancelled_primary_bytes.as_u64(),
+        ] {
+            fnv(&mut rep_hash, word);
+        }
+        hash_run(&mut rep_hash, &rep.run);
+
+        assert_eq!(
+            (ecmp_hash, rep_hash),
+            (want_ecmp, want_rep),
+            "seed {seed}: (ecmp, repflow) fingerprints moved"
+        );
     }
 }

@@ -5,12 +5,14 @@
 # Tier-1: release build + the root package's quiet test run, plus the
 # trace and daemon round-trip smokes, a warning-free lint/format gate,
 # and the doc gates (rustdoc warnings — including broken intra-doc
-# links — fail the build, and every worked example must execute).
+# links — fail the build, and every worked example must execute). Ends by
+# printing the tracked non-test line count (`make loc`).
 verify: trace-smoke daemon-smoke lint docs doc-tests
 	cargo build --release
 	cargo test -q
 	BASRPT_SHARDS=2 cargo test --release --test shard_differential
 	$(MAKE) test-baselines
+	$(MAKE) loc
 
 # Zero-warning clippy across every target, and formatting is canonical.
 lint:

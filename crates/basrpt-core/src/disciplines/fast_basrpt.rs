@@ -1,8 +1,7 @@
 //! Fast BASRPT (the paper's Algorithm 1).
 
 use crate::{
-    schedule_champions, schedule_champions_adjusted, Candidate, FlowTable, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The practical backlog-aware SRPT approximation (§IV-C, Algorithm 1).
@@ -87,12 +86,7 @@ impl Scheduler for FastBasrpt {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        let w = self.weight();
-        schedule_champions(table, |view| Candidate {
-            key: w * view.shortest_remaining as f64 - view.backlog as f64,
-            flow: view.shortest_flow,
-            voq: view.voq,
-        })
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, _table: &FlowTable, _schedule: &Schedule) -> u64 {

@@ -1,8 +1,7 @@
 //! FIFO: arrival-order baseline.
 
 use crate::{
-    schedule_champions, schedule_champions_adjusted, Candidate, FlowTable, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
 };
 
 /// First-in-first-out scheduling: flows are admitted to the matching in
@@ -43,12 +42,7 @@ impl Scheduler for Fifo {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        schedule_champions(table, |view| Candidate {
-            // Ids stay far below 2^53, so the f64 key is exact.
-            key: view.oldest_flow.raw() as f64,
-            flow: view.oldest_flow,
-            voq: view.voq,
-        })
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, _table: &FlowTable, _schedule: &Schedule) -> u64 {
@@ -65,6 +59,7 @@ impl Scheduler for Fifo {
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         schedule_champions_adjusted(table, adjust, |view| Candidate {
+            // Ids stay far below 2^53, so the f64 key is exact.
             key: view.oldest_flow.raw() as f64,
             flow: view.oldest_flow,
             voq: view.voq,

@@ -1,8 +1,7 @@
 //! MaxWeight: the classical throughput-optimal baseline.
 
 use crate::{
-    schedule_champions, schedule_champions_adjusted, Candidate, FlowTable, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
 };
 
 /// Greedy MaxWeight scheduling: VOQs are served in decreasing order of
@@ -45,11 +44,7 @@ impl Scheduler for MaxWeight {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        schedule_champions(table, |view| Candidate {
-            key: -(view.backlog as f64),
-            flow: view.shortest_flow,
-            voq: view.voq,
-        })
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {

@@ -1,8 +1,7 @@
 //! RepFlow: SRPT ranking plus short-flow replication metadata.
 
 use crate::{
-    schedule_champions, schedule_champions_adjusted, Candidate, FlowTable, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The RepFlow baseline (Xu & Li, INFOCOM'14): flows shorter than a
@@ -66,13 +65,7 @@ impl Scheduler for RepFlow {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        // Identical ranking to SRPT: replication happens on the fabric
-        // side, the crossbar matching is untouched.
-        schedule_champions(table, |v| Candidate {
-            key: v.shortest_remaining as f64,
-            flow: v.shortest_flow,
-            voq: v.voq,
-        })
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, _table: &FlowTable, _schedule: &Schedule) -> u64 {
@@ -88,6 +81,8 @@ impl Scheduler for RepFlow {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
+        // Identical ranking to SRPT: replication happens on the fabric
+        // side, the crossbar matching is untouched.
         schedule_champions_adjusted(table, adjust, |v| Candidate {
             key: v.shortest_remaining as f64,
             flow: v.shortest_flow,

@@ -1,8 +1,7 @@
 //! Shortest Remaining Processing Time (greedy maximal SRPT).
 
 use crate::{
-    schedule_champions, schedule_champions_adjusted, Candidate, FlowTable, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The SRPT discipline used by PDQ, pFabric and PASE (§II-A): repeatedly
@@ -44,11 +43,7 @@ impl Scheduler for Srpt {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        schedule_champions(table, |v| Candidate {
-            key: v.shortest_remaining as f64,
-            flow: v.shortest_flow,
-            voq: v.voq,
-        })
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, _table: &FlowTable, _schedule: &Schedule) -> u64 {

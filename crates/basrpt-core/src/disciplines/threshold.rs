@@ -1,6 +1,6 @@
 //! The threshold backlog-aware strategy compared against SRPT in Fig. 2.
 
-use crate::{FlowTable, Schedule, Scheduler, ViewAdjust};
+use crate::{FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust};
 use dcn_types::{FlowId, Voq};
 
 /// The simple backlog-aware strategy of the paper's motivation section
@@ -44,23 +44,6 @@ impl ThresholdBacklogSrpt {
     pub fn threshold(&self) -> u64 {
         self.threshold
     }
-
-    /// The tiered greedy admission shared by the plain and adjusted
-    /// decision paths. `candidates` holds `(urgent?, remaining, id, voq)`
-    /// tuples; the sort puts the urgent tier first, then SRPT order
-    /// within each tier, flow id as the final tie-break.
-    fn admit(mut candidates: Vec<(bool, u64, FlowId, Voq)>) -> Schedule {
-        candidates.sort_unstable();
-        let mut schedule = Schedule::new();
-        for (_, _, flow, voq) in candidates {
-            if schedule.admits(voq) {
-                schedule
-                    .add(flow, voq)
-                    .expect("admits() checked both ports");
-            }
-        }
-        schedule
-    }
 }
 
 impl Scheduler for ThresholdBacklogSrpt {
@@ -69,18 +52,7 @@ impl Scheduler for ThresholdBacklogSrpt {
     }
 
     fn schedule(&mut self, table: &FlowTable) -> Schedule {
-        let candidates: Vec<(bool, u64, FlowId, Voq)> = table
-            .voqs()
-            .map(|view| {
-                (
-                    view.backlog <= self.threshold,
-                    view.shortest_remaining,
-                    view.shortest_flow,
-                    view.voq,
-                )
-            })
-            .collect();
-        Self::admit(candidates)
+        self.schedule_adjusted(table, &NoAdjust)
     }
 
     fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
@@ -93,7 +65,10 @@ impl Scheduler for ThresholdBacklogSrpt {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        let candidates: Vec<(bool, u64, FlowId, Voq)> = table
+        // `(within threshold?, remaining, id, voq)`: `false` sorts first,
+        // so the over-threshold tier leads, SRPT order within each tier,
+        // flow id as the final tie-break.
+        let mut candidates: Vec<(bool, u64, FlowId, Voq)> = table
             .voqs()
             .map(|mut view| {
                 adjust.adjust(&mut view);
@@ -105,7 +80,16 @@ impl Scheduler for ThresholdBacklogSrpt {
                 )
             })
             .collect();
-        Self::admit(candidates)
+        candidates.sort_unstable();
+        let mut schedule = Schedule::new();
+        for (_, _, flow, voq) in candidates {
+            if schedule.admits(voq) {
+                schedule
+                    .add(flow, voq)
+                    .expect("admits() checked both ports");
+            }
+        }
+        schedule
     }
 }
 

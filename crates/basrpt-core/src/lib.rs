@@ -28,13 +28,14 @@
 //! | [`Fifo`] | baseline | arrival order |
 //! | [`RoundRobin`] | fair-share baseline | least recently served VOQ |
 //!
-//! # Incremental scheduling
+//! # Decision paths
 //!
-//! The stateless disciplines above also implement [`VoqDiscipline`] and can
-//! be wrapped in an [`IncrementalScheduler`], which keeps the ranked
-//! candidate set alive across decisions and re-keys only the VOQs each
-//! table event touched — same schedules, bit for bit, at a fraction of the
-//! per-event cost (see the [`incremental`] module).
+//! Every key-driven discipline decides through one greedy pass over the
+//! per-VOQ champions ([`schedule_champions_adjusted`]), `O(Q log Q)` in
+//! the number of non-empty VOQs. Its single oracle is the full-scan
+//! [`reference::schedule_scan`], which rebuilds every champion from the
+//! flows and ranks them with its own [`reference::VoqDiscipline`] keys;
+//! the differential suites pin the two bit-identical.
 //!
 //! # Example
 //!
@@ -60,7 +61,6 @@
 
 mod disciplines;
 mod flow;
-pub mod incremental;
 pub mod reference;
 mod schedule;
 mod scheduler;
@@ -72,12 +72,9 @@ pub use disciplines::{
     Srpt, ThresholdBacklogSrpt, REPFLOW_DEFAULT_THRESHOLD,
 };
 pub use flow::FlowState;
-pub use incremental::{check_equivalence, F64Key, IncrementalScheduler, VoqDiscipline};
 pub use schedule::{Schedule, ScheduleError};
 pub use scheduler::{
-    check_maximal, greedy_by_key, schedule_champions, schedule_champions_adjusted, Candidate,
-    CountingScheduler, MakeScheduler, NoAdjust, Scheduler, ViewAdjust,
+    check_maximal, greedy_by_key, schedule_champions_adjusted, Candidate, CountingScheduler,
+    MakeScheduler, NoAdjust, Scheduler, ViewAdjust,
 };
-pub use table::{
-    ChangeLogRead, CursorId, DrainOutcome, FlowTable, FlowTableError, TableCursor, VoqView,
-};
+pub use table::{DrainOutcome, FlowTable, FlowTableError, VoqView};

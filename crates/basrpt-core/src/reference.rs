@@ -9,18 +9,186 @@
 //! module provides the literal all-flows variants so tests can verify
 //! that equivalence (and benches can measure the saved work).
 //!
-//! [`schedule_scan`] is the generic member of the family: a full `O(F)`
-//! scan that recomputes every per-VOQ champion from scratch and then
-//! ranks them through the same [`VoqDiscipline`] keys the incremental
-//! paths use. It never touches the champion index or the change log, so
-//! the differential suites pin the indexed schedulers bit-identical to
+//! [`schedule_scan`] is the generic member of the family and the single
+//! decision oracle: a full `O(F)` scan that recomputes every per-VOQ
+//! champion from scratch and then ranks them through [`VoqDiscipline`] —
+//! the oracle's own key arithmetic, kept apart from the one-pass
+//! disciplines' candidate closures. It never touches the champion index,
+//! so the differential suites pin the indexed schedulers bit-identical to
 //! it — same winners, same [`crate::greedy_by_key`]-style tie-breaks.
 
-use crate::incremental::VoqDiscipline;
 use crate::table::VoqView;
 use crate::{FlowTable, Schedule, Scheduler};
 use dcn_types::{FlowId, Voq};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// A total-ordered wrapper for `f64` scheduling keys.
+///
+/// Orders by [`f64::total_cmp`], matching the comparator
+/// [`greedy_by_key`](crate::greedy_by_key) uses on raw candidate keys, so
+/// the scan oracle and the one-pass path rank identically — including for
+/// values that compare equal only under IEEE semantics. Keys are expected
+/// to be finite (the one-pass path debug-asserts this).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct F64Key(f64);
+
+impl F64Key {
+    /// Wraps a key value.
+    pub fn new(key: f64) -> Self {
+        F64Key(key)
+    }
+
+    /// The wrapped value.
+    pub fn get(self) -> f64 {
+        self.0
+    }
+}
+
+impl Eq for F64Key {}
+
+impl PartialOrd for F64Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for F64Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// A scheduling discipline expressed as a pure ranking of VOQ summaries.
+///
+/// `rank` maps the current state of one non-empty VOQ to `(key, head
+/// flow)`: the key orders VOQs (smaller = higher priority, ties broken by
+/// the head flow's id) and the head flow is the one transmitted if the VOQ
+/// wins its ports. The ranking must depend only on the given view, so
+/// [`schedule_scan`] can rank summaries it rebuilt itself.
+///
+/// This is the oracle's own statement of each discipline's key, written
+/// independently of the one-pass `schedule_adjusted` closures it is
+/// differentially pinned against. Implemented by the stateless one-pass
+/// disciplines; stateful ones
+/// (e.g. [`RoundRobin`](crate::RoundRobin), whose priority depends on
+/// service history, or [`ExactBasrpt`](crate::ExactBasrpt), whose
+/// objective couples VOQs) cannot be expressed this way.
+pub trait VoqDiscipline {
+    /// The ordered ranking key. For disciplines whose one-pass twin ranks
+    /// `f64` candidate keys this should be [`F64Key`] (built from the
+    /// *same* arithmetic) so both paths order identically.
+    type Key: Ord + Clone + fmt::Debug;
+
+    /// Short human-readable name, used in experiment output.
+    fn name(&self) -> &str;
+
+    /// Ranks one non-empty VOQ: the admission key and the flow that
+    /// transmits if this VOQ is selected.
+    fn rank(&self, view: &VoqView) -> (Self::Key, FlowId);
+
+    /// Slot-validity bound for a schedule just computed from `table` —
+    /// the contract of [`Scheduler::schedule_validity`], forwarded
+    /// verbatim by [`ScanScheduler`] so wrapping a discipline does not
+    /// change how long its schedules may be replayed. The default of
+    /// `1` is always sound; overrides mirror the one-pass twins (see
+    /// [`crate::validity`]).
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        let _ = (table, schedule);
+        1
+    }
+}
+
+impl VoqDiscipline for crate::Srpt {
+    type Key = F64Key;
+
+    fn name(&self) -> &str {
+        "SRPT"
+    }
+
+    fn rank(&self, view: &VoqView) -> (F64Key, FlowId) {
+        (
+            F64Key::new(view.shortest_remaining as f64),
+            view.shortest_flow,
+        )
+    }
+
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        Scheduler::schedule_validity(self, table, schedule)
+    }
+}
+
+impl VoqDiscipline for crate::FastBasrpt {
+    type Key = F64Key;
+
+    fn name(&self) -> &str {
+        "fast BASRPT"
+    }
+
+    fn rank(&self, view: &VoqView) -> (F64Key, FlowId) {
+        let key = self.weight() * view.shortest_remaining as f64 - view.backlog as f64;
+        (F64Key::new(key), view.shortest_flow)
+    }
+
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        Scheduler::schedule_validity(self, table, schedule)
+    }
+}
+
+impl VoqDiscipline for crate::MaxWeight {
+    type Key = F64Key;
+
+    fn name(&self) -> &str {
+        "MaxWeight"
+    }
+
+    fn rank(&self, view: &VoqView) -> (F64Key, FlowId) {
+        (F64Key::new(-(view.backlog as f64)), view.shortest_flow)
+    }
+
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        Scheduler::schedule_validity(self, table, schedule)
+    }
+}
+
+impl VoqDiscipline for crate::Fifo {
+    type Key = F64Key;
+
+    fn name(&self) -> &str {
+        "FIFO"
+    }
+
+    fn rank(&self, view: &VoqView) -> (F64Key, FlowId) {
+        (F64Key::new(view.oldest_flow.raw() as f64), view.oldest_flow)
+    }
+
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        Scheduler::schedule_validity(self, table, schedule)
+    }
+}
+
+impl VoqDiscipline for crate::ThresholdBacklogSrpt {
+    /// `(backlog ≤ threshold, shortest remaining)` — the exact prefix of
+    /// the tuple the one-pass implementation sorts, kept as integers so no
+    /// precision is lost for large backlogs.
+    type Key = (bool, u64);
+
+    fn name(&self) -> &str {
+        "threshold backlog-aware SRPT"
+    }
+
+    fn rank(&self, view: &VoqView) -> ((bool, u64), FlowId) {
+        (
+            (view.backlog <= self.threshold(), view.shortest_remaining),
+            view.shortest_flow,
+        )
+    }
+
+    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
+        Scheduler::schedule_validity(self, table, schedule)
+    }
+}
 
 /// The paper's Algorithm 1 verbatim: sort all active flows by
 /// `(V/N)·remaining − voq_backlog` (ties: smaller remaining, then smaller
@@ -84,10 +252,9 @@ fn ranked_all_flows(table: &FlowTable, key: impl Fn(f64, f64) -> f64) -> Schedul
 /// Rebuilds every per-VOQ summary ([`VoqView`]) by scanning all `F`
 /// active flows, ranks the summaries with `discipline`, and admits
 /// greedily in `(key, head flow)` order — exactly the ordering contract
-/// of [`crate::greedy_by_key`] and of [`crate::IncrementalScheduler`]'s
-/// sorted candidate set, including the `FlowId` tie-break. Costs
+/// of [`crate::greedy_by_key`], including the `FlowId` tie-break. Costs
 /// `O(F + Q log Q)` per call and reads nothing but the flow iterator, so
-/// it is immune to champion-index or change-log bugs by construction.
+/// it is immune to champion-index bugs by construction.
 pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Schedule {
     struct Scratch {
         backlog: u64,
@@ -140,7 +307,7 @@ pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Sch
 /// [`Scheduler`] adapter around [`schedule_scan`], so differential suites
 /// can drive a full-scan twin through the same simulator plumbing as the
 /// indexed scheduler under test. Validity bounds are forwarded to the
-/// discipline, matching [`crate::IncrementalScheduler`].
+/// discipline's [`VoqDiscipline::schedule_validity`].
 ///
 /// # Example
 ///
@@ -232,6 +399,13 @@ mod tests {
     }
 
     #[test]
+    fn f64_key_orders_by_total_cmp() {
+        assert!(F64Key::new(-1.0) < F64Key::new(0.0));
+        assert!(F64Key::new(-0.0) < F64Key::new(0.0)); // total_cmp semantics
+        assert_eq!(F64Key::new(2.5).get(), 2.5);
+    }
+
+    #[test]
     fn empty_table() {
         let t = FlowTable::new();
         assert!(srpt_all_flows(&t).is_empty());
@@ -273,6 +447,21 @@ mod tests {
         insert(&mut t, 6, 2, 0, 3); // id reuse
         t.remove(FlowId::new(4)).unwrap();
         assert_scan_matches_indexed(&t);
+    }
+
+    #[test]
+    fn threshold_key_is_exact_for_huge_backlogs() {
+        // Backlogs around 2^53, where f64 rounding would merge distinct
+        // values; the oracle's `(bool, u64)` key keeps them distinct, as
+        // does the one-pass tuple sort.
+        let big = 1u64 << 53;
+        let mut t = FlowTable::new();
+        insert(&mut t, 1, 0, 2, big);
+        insert(&mut t, 2, 1, 2, big + 1);
+        let thr = ThresholdBacklogSrpt::new(10);
+        let scanned = schedule_scan(&thr, &t);
+        assert_eq!(scanned, ThresholdBacklogSrpt::new(10).schedule(&t));
+        assert!(scanned.contains(FlowId::new(1)), "smaller remaining wins");
     }
 
     #[test]

@@ -26,8 +26,10 @@ pub trait ViewAdjust {
     fn adjust(&self, view: &mut VoqView);
 }
 
-/// The identity adjustment: views pass through unmodified. Useful for
-/// exercising an adjusted code path against its eager twin in tests.
+/// The identity adjustment: views pass through unmodified. A view-based
+/// discipline's [`Scheduler::schedule`] is its
+/// [`schedule_adjusted`](Scheduler::schedule_adjusted) under `NoAdjust`, so
+/// each discipline states its candidate key once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoAdjust;
 
@@ -82,8 +84,7 @@ pub trait Scheduler {
     /// The default is `false` — always sound, since the engine then falls
     /// back to eager settlement before every decision. Stateful or
     /// per-flow-reading disciplines (round-robin's rotation, exact
-    /// BASRPT's enumeration, the incremental wrapper's change-log replay)
-    /// must keep it.
+    /// BASRPT's enumeration) must keep it.
     fn supports_lazy_views(&self) -> bool {
         false
     }
@@ -128,7 +129,7 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 /// Parallel drivers — the sharded fabric engine (`dcn-fabric`), multi-seed
 /// sweeps — need one scheduler instance *per partition*, built to the same
 /// parameters, because disciplines carry internal state (round-robin
-/// pointers, incremental indices) that must not be shared across
+/// pointers and rotation counters) that must not be shared across
 /// partitions. A `MakeScheduler` is that recipe: `make()` returns a fresh,
 /// identically configured instance, and the `Sync` bound lets worker
 /// threads call it concurrently.
@@ -258,8 +259,9 @@ pub struct Candidate {
 ///   fully and the initial order of the candidate slice is irrelevant
 ///   (`sort_unstable` is safe).
 ///
-/// [`IncrementalScheduler`](crate::IncrementalScheduler) reproduces this
-/// exact order from its `(key, flow id, voq)` B-tree, and the
+/// The full-scan oracle
+/// ([`reference::schedule_scan`](crate::reference::schedule_scan))
+/// reproduces this exact order from its own `(key, flow id)` sort, and the
 /// fast-forward schedule cache (`dcn_switch::fastforward`) relies on the
 /// same determinism: replaying an identical candidate ranking must yield
 /// a bit-identical schedule. Tests in `crates/basrpt-core/tests/
@@ -298,26 +300,16 @@ pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
 }
 
 /// Ranks one candidate per non-empty VOQ — read in `O(1)` apiece off the
-/// table's champion index — and runs [`greedy_by_key`]: the shared skeleton
-/// of the key-driven one-pass disciplines (SRPT, fast BASRPT, MaxWeight,
-/// FIFO). The whole decision costs `O(Q log Q)` in the number of non-empty
-/// VOQs (≤ P² for P ports), independent of the flow count; the `O(F log F)`
-/// all-flows formulation survives as
+/// table's champion index, then corrected by `adjust` — and runs
+/// [`greedy_by_key`]: the shared skeleton of the key-driven one-pass
+/// disciplines (SRPT, fast BASRPT, MaxWeight, FIFO, RepFlow). Their
+/// [`Scheduler::schedule`] is this call with [`NoAdjust`]; lazily settling
+/// engines pass their pending-drain correction through
+/// [`Scheduler::schedule_adjusted`]. The whole decision costs `O(Q log Q)`
+/// in the number of non-empty VOQs (≤ P² for P ports), independent of the
+/// flow count; the `O(F + Q log Q)` full scan survives as
 /// [`reference::schedule_scan`](crate::reference::schedule_scan) for
 /// differential testing.
-pub fn schedule_champions<F>(table: &FlowTable, to_candidate: F) -> Schedule
-where
-    F: FnMut(&VoqView) -> Candidate,
-{
-    let mut to_candidate = to_candidate;
-    let mut candidates: Vec<Candidate> = table.voqs().map(|v| to_candidate(&v)).collect();
-    greedy_by_key(&mut candidates)
-}
-
-/// [`schedule_champions`] with a [`ViewAdjust`] correction applied to
-/// every view before ranking — the skeleton behind the view-based
-/// disciplines' [`Scheduler::schedule_adjusted`] overrides. With
-/// [`NoAdjust`] this is exactly `schedule_champions`.
 pub fn schedule_champions_adjusted<F>(
     table: &FlowTable,
     adjust: &dyn ViewAdjust,
@@ -401,27 +393,6 @@ mod tests {
         let s = greedy_by_key(&mut c);
         assert!(s.contains(FlowId::new(2)));
         assert!(!s.contains(FlowId::new(9)));
-    }
-
-    #[test]
-    fn no_adjust_matches_the_plain_champions_path() {
-        let mut t = FlowTable::new();
-        for (id, src, dst, size) in [(1u64, 0, 1, 5u64), (2, 0, 2, 1), (3, 3, 1, 7)] {
-            t.insert(FlowState::new(
-                FlowId::new(id),
-                Voq::new(HostId::new(src), HostId::new(dst)),
-                size,
-            ))
-            .unwrap();
-        }
-        let key = |v: &VoqView| Candidate {
-            key: v.shortest_remaining as f64,
-            flow: v.shortest_flow,
-            voq: v.voq,
-        };
-        let plain = schedule_champions(&t, key);
-        let adjusted = schedule_champions_adjusted(&t, &NoAdjust, key);
-        assert_eq!(plain, adjusted);
     }
 
     #[test]

@@ -14,19 +14,10 @@
 
 use crate::FlowState;
 use dcn_types::{FlowId, HostId, Voq};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of process-unique table identities (see [`FlowTable::table_id`]).
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_table_id() -> u64 {
-    NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Error returned by [`FlowTable`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,180 +74,6 @@ pub struct VoqView {
     pub oldest_flow: FlowId,
     /// Number of flows waiting in the VOQ.
     pub len: usize,
-}
-
-/// A consumer-side snapshot of a [`FlowTable`]'s change-log position.
-///
-/// Wraps the raw `(table identity, log position)` pair of the change-log
-/// API so consumers that cache table-derived state — e.g. the
-/// fast-forward engine's cached schedule in `dcn-switch` — can ask "has
-/// anything mutated since I last looked?" in `O(1)` and re-sync after
-/// applying their own predicted mutations.
-///
-/// An anonymous cursor tolerates compaction by rebuilding; a consumer that
-/// wants its unconsumed suffix preserved across compactions should also
-/// register via [`FlowTable::register_cursor`].
-///
-/// # Example
-///
-/// ```
-/// use basrpt_core::{FlowState, FlowTable, TableCursor};
-/// use dcn_types::{FlowId, HostId, Voq};
-///
-/// let mut table = FlowTable::new();
-/// let mut cursor = TableCursor::new(&table);
-/// assert!(!cursor.has_changed(&table));
-///
-/// table.insert(FlowState::new(
-///     FlowId::new(1),
-///     Voq::new(HostId::new(0), HostId::new(1)),
-///     5,
-/// ))?;
-/// assert!(cursor.has_changed(&table));
-/// cursor.resync(&table);
-/// assert!(!cursor.has_changed(&table));
-/// # Ok::<(), basrpt_core::FlowTableError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableCursor {
-    table_id: u64,
-    pos: u64,
-}
-
-impl TableCursor {
-    /// A cursor synced to `table`'s current state.
-    pub fn new(table: &FlowTable) -> Self {
-        TableCursor {
-            table_id: table.table_id(),
-            pos: table.change_log_end(),
-        }
-    }
-
-    /// Whether `table` has mutated since this cursor was last synced.
-    /// Conservatively `true` when the cursor belongs to a different table
-    /// instance or the log was compacted past it.
-    pub fn has_changed(&self, table: &FlowTable) -> bool {
-        self.table_id != table.table_id() || !matches!(table.changes_since(self.pos), Some([]))
-    }
-
-    /// The VOQs mutated since the last sync, oldest first (repeats
-    /// possible), or `None` when the history is unavailable — a different
-    /// table instance or a compacted log — and the consumer must rebuild
-    /// from scratch.
-    pub fn changes<'a>(&self, table: &'a FlowTable) -> Option<&'a [Voq]> {
-        if self.table_id != table.table_id() {
-            return None;
-        }
-        table.changes_since(self.pos)
-    }
-
-    /// Re-syncs the cursor to `table`'s current state.
-    pub fn resync(&mut self, table: &FlowTable) {
-        *self = TableCursor::new(table);
-    }
-}
-
-/// The outcome of reading the change log from a position
-/// ([`FlowTable::read_changes`]).
-///
-/// The loss-reporting sibling of [`FlowTable::changes_since`]: where that
-/// API collapses every unreachable position into `None`, this one reports
-/// **how much** history is gone, so a streaming consumer can distinguish
-/// "nothing new" from "I lost `skipped` changes and must rebuild".
-///
-/// For a *registered* consumer ([`FlowTable::register_cursor`]) reading
-/// from its own acknowledged position, `Lagged` has exactly one cause:
-/// stalled-cursor eviction — the consumer fell more than
-/// `STALLED_CURSOR_FACTOR` soft capacities behind and compaction dropped
-/// its pinned suffix (ordinary compaction never passes a registered
-/// consumer's acknowledgement). Unregistered consumers can also see
-/// `Lagged` after routine compaction; either way `skipped` counts the
-/// dropped entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeLogRead<'a> {
-    /// The log still reaches back to the requested position: the VOQs
-    /// mutated at or after it, oldest first (possibly empty — fully
-    /// synced).
-    Changes(&'a [Voq]),
-    /// The log was compacted past the requested position; `skipped`
-    /// changes between the position and the surviving log are lost and the
-    /// consumer must rebuild from [`FlowTable::voqs`].
-    Lagged {
-        /// Number of change-log entries dropped between the requested
-        /// position and the oldest retained entry.
-        skipped: u64,
-    },
-}
-
-impl<'a> ChangeLogRead<'a> {
-    /// The retained suffix, or `None` if the history was lost
-    /// (the [`ChangeLogRead::Lagged`] case).
-    pub fn changes(self) -> Option<&'a [Voq]> {
-        match self {
-            ChangeLogRead::Changes(c) => Some(c),
-            ChangeLogRead::Lagged { .. } => None,
-        }
-    }
-}
-
-/// Handle identifying one registered change-log consumer of one table
-/// instance (see [`FlowTable::register_cursor`]). Using a handle against a
-/// different table instance — including a clone of the issuing table — is a
-/// no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CursorId {
-    table_id: u64,
-    slot: u32,
-    generation: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CursorSlot {
-    /// Bumped on every reuse of the slot so a released [`CursorId`] can
-    /// never act on a later registration that recycled its slot.
-    generation: u32,
-    /// Lowest log position this consumer still needs, `None` once released.
-    ack: Option<u64>,
-}
-
-#[derive(Debug, Default)]
-struct CursorRegistry {
-    slots: Vec<CursorSlot>,
-}
-
-impl CursorRegistry {
-    fn register(&mut self, pos: u64) -> (u32, u32) {
-        if let Some(i) = self.slots.iter().position(|s| s.ack.is_none()) {
-            let slot = &mut self.slots[i];
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.ack = Some(pos);
-            (i as u32, slot.generation)
-        } else {
-            self.slots.push(CursorSlot {
-                generation: 0,
-                ack: Some(pos),
-            });
-            ((self.slots.len() - 1) as u32, 0)
-        }
-    }
-
-    fn slot_mut(&mut self, slot: u32, generation: u32) -> Option<&mut CursorSlot> {
-        self.slots
-            .get_mut(slot as usize)
-            .filter(|s| s.generation == generation && s.ack.is_some())
-    }
-
-    fn min_ack(&self) -> Option<u64> {
-        self.slots.iter().filter_map(|s| s.ack).min()
-    }
-
-    fn force_ack_all(&mut self, pos: u64) {
-        for s in &mut self.slots {
-            if let Some(ack) = &mut s.ack {
-                *ack = (*ack).max(pos);
-            }
-        }
-    }
 }
 
 /// One active flow in the slab arena.
@@ -328,6 +145,10 @@ impl VoqSlot {
 /// drains (the SRPT/BASRPT steady state: the shortest flow only gets
 /// shorter) cost `O(1)` with no heap traffic at all.
 ///
+/// Every successful mutation also advances a counter,
+/// [`FlowTable::version`], so a consumer caching table-derived state can
+/// ask "has anything changed since I last looked?" in `O(1)`.
+///
 /// # Example
 ///
 /// ```
@@ -345,7 +166,7 @@ impl VoqSlot {
 /// assert_eq!(table.voq_backlog(voq), 5);
 /// # Ok::<(), basrpt_core::FlowTableError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     /// Slab arena of active flows; freed slots are recycled via `free`.
     flows: Vec<Option<FlowEntry>>,
@@ -362,66 +183,8 @@ pub struct FlowTable {
     nonempty: BTreeMap<Voq, u32>,
     ingress: BTreeMap<HostId, u64>,
     total_backlog: u64,
-    /// Process-unique identity; fresh for every constructed or cloned table
-    /// so change-log consumers never confuse two tables' logs.
-    table_id: u64,
-    /// VOQs touched by mutations since position `log_base`, oldest first;
-    /// see [`FlowTable::changes_since`].
-    change_log: Vec<Voq>,
-    /// Absolute change-log position of `change_log[0]`. Advances when the
-    /// log is compacted, invalidating older cursors.
-    log_base: u64,
-    /// Registered change-log consumers ([`FlowTable::register_cursor`]).
-    /// Interior mutability: registration and acknowledgement are consumer
-    /// bookkeeping, reachable from the `&FlowTable` that schedulers hold.
-    cursors: RefCell<CursorRegistry>,
-}
-
-/// A registered cursor that stops acknowledging pins log history; past this
-/// multiple of the soft capacity the whole log is dropped anyway and every
-/// lagging consumer rebuilds, bounding memory at the price of one rebuild.
-const STALLED_CURSOR_FACTOR: usize = 32;
-
-impl Default for FlowTable {
-    fn default() -> Self {
-        FlowTable {
-            flows: Vec::new(),
-            free: Vec::new(),
-            flow_slots: HashMap::new(),
-            voq_slots: Vec::new(),
-            voq_lookup: HashMap::new(),
-            nonempty: BTreeMap::new(),
-            ingress: BTreeMap::new(),
-            total_backlog: 0,
-            table_id: fresh_table_id(),
-            change_log: Vec::new(),
-            log_base: 0,
-            cursors: RefCell::new(CursorRegistry::default()),
-        }
-    }
-}
-
-impl Clone for FlowTable {
-    /// Clones the flow contents. The clone gets a **fresh identity**, an
-    /// empty change log and no registered cursors: incremental consumers
-    /// synced to the original will fully rebuild against the clone instead
-    /// of mis-applying its log, and their [`CursorId`]s do not transfer.
-    fn clone(&self) -> Self {
-        FlowTable {
-            flows: self.flows.clone(),
-            free: self.free.clone(),
-            flow_slots: self.flow_slots.clone(),
-            voq_slots: self.voq_slots.clone(),
-            voq_lookup: self.voq_lookup.clone(),
-            nonempty: self.nonempty.clone(),
-            ingress: self.ingress.clone(),
-            total_backlog: self.total_backlog,
-            table_id: fresh_table_id(),
-            change_log: Vec::new(),
-            log_base: 0,
-            cursors: RefCell::new(CursorRegistry::default()),
-        }
-    }
+    /// Successful mutations so far; see [`FlowTable::version`].
+    version: u64,
 }
 
 impl FlowTable {
@@ -505,8 +268,7 @@ impl FlowTable {
     }
 
     /// The summary of one VOQ, or `None` if the VOQ is currently empty.
-    /// `O(1)` — the single-VOQ counterpart of [`FlowTable::voqs`] used by
-    /// incremental schedulers to refresh only the queues that changed.
+    /// `O(1)` — the single-VOQ counterpart of [`FlowTable::voqs`].
     pub fn voq_view(&self, voq: Voq) -> Option<VoqView> {
         let &vs = self.voq_lookup.get(&voq)?;
         if self.voq_slots[vs as usize].len == 0 {
@@ -528,178 +290,32 @@ impl FlowTable {
         }
     }
 
-    /// The process-unique identity of this table instance. Every
-    /// construction — including [`Clone::clone`] — yields a new identity, so
-    /// a consumer holding a `(table_id, change-log position)` cursor can
-    /// detect that it is looking at a different table and resynchronize
-    /// from scratch.
-    pub fn table_id(&self) -> u64 {
-        self.table_id
-    }
-
-    /// The absolute change-log position one past the most recent change.
-    /// Monotonically non-decreasing over the table's lifetime; a consumer
-    /// that has applied every change up to this position is fully synced.
-    pub fn change_log_end(&self) -> u64 {
-        self.log_base + self.change_log.len() as u64
-    }
-
-    /// The VOQs mutated at or after absolute log position `pos`, oldest
-    /// first, or `None` if the log no longer reaches back that far (it is
-    /// periodically compacted) — the consumer must then rebuild from
-    /// [`FlowTable::voqs`]. A VOQ may appear more than once; reprocessing
-    /// is idempotent for consumers that re-read the VOQ's current state.
-    pub fn changes_since(&self, pos: u64) -> Option<&[Voq]> {
-        if pos < self.log_base {
-            return None;
-        }
-        let idx = usize::try_from(pos - self.log_base).ok()?;
-        self.change_log.get(idx..)
-    }
-
-    /// Reads the change log from absolute position `pos`, reporting loss
-    /// explicitly: [`ChangeLogRead::Changes`] with the retained suffix when
-    /// the log still reaches back that far, [`ChangeLogRead::Lagged`] with
-    /// the number of dropped entries when compaction passed the position.
-    ///
-    /// This is how a *registered* consumer ([`FlowTable::register_cursor`])
-    /// detects stalled-cursor eviction: ordinary compaction never drops an
-    /// entry a registered consumer has not acknowledged, so reading from
-    /// its own acknowledged position can only come back `Lagged` after the
-    /// hard-cap eviction force-advanced it — the suffix is gone and the
-    /// consumer must rebuild, knowing exactly how many changes it missed.
-    /// ([`FlowTable::changes_since`] collapses both cases into `None`.)
-    ///
-    /// Positions past the current end (which cannot arise from a position
-    /// this table handed out) read as an empty suffix.
-    pub fn read_changes(&self, pos: u64) -> ChangeLogRead<'_> {
-        if pos < self.log_base {
-            return ChangeLogRead::Lagged {
-                skipped: self.log_base - pos,
-            };
-        }
-        let idx = usize::try_from(pos - self.log_base).unwrap_or(self.change_log.len());
-        debug_assert!(
-            idx <= self.change_log.len(),
-            "read_changes position {pos} is past the log end {}",
-            self.change_log_end()
-        );
-        ChangeLogRead::Changes(self.change_log.get(idx..).unwrap_or(&[]))
-    }
-
-    /// Registers a long-lived change-log consumer, pinning history so
-    /// compaction only drops log entries every registered consumer has
-    /// acknowledged via [`FlowTable::ack_changes`]. Taken by `&self`
-    /// (interior mutability) because consumers typically hold only the
-    /// shared reference the scheduling APIs pass around.
-    ///
-    /// A consumer that registers but stops acknowledging does not pin
-    /// memory forever: past a hard cap the whole log is dropped and every
-    /// lagging consumer rebuilds, exactly as if it had never registered.
+    /// The number of successful mutations ([`insert`](FlowTable::insert),
+    /// [`drain`](FlowTable::drain), [`remove`](FlowTable::remove)) applied
+    /// so far. Reads and calls that return `Err` leave it unchanged, so a
+    /// consumer that remembers the value can tell in `O(1)` whether the
+    /// table mutated since — the fast-forward engine in `dcn-switch` uses
+    /// it to notice arrivals and completions behind its cached schedule.
+    /// A clone carries the same count as its original.
     ///
     /// # Example
     ///
     /// ```
-    /// use basrpt_core::{FlowState, FlowTable, TableCursor};
+    /// use basrpt_core::{FlowState, FlowTable};
     /// use dcn_types::{FlowId, HostId, Voq};
     ///
     /// let mut table = FlowTable::new();
-    /// let mut cursor = TableCursor::new(&table);
-    /// let reg = table.register_cursor();
-    /// for id in 0..2_000 {
-    ///     let voq = Voq::new(HostId::new(0), HostId::new(1));
-    ///     table.insert(FlowState::new(FlowId::new(id), voq, 1))?;
-    /// }
-    /// // Far more mutations than the soft log capacity, yet the registered
-    /// // consumer's suffix survived compaction:
-    /// assert!(cursor.changes(&table).is_some());
-    /// cursor.resync(&table);
-    /// table.ack_changes(reg, table.change_log_end());
+    /// let seen = table.version();
+    /// table.insert(FlowState::new(
+    ///     FlowId::new(1),
+    ///     Voq::new(HostId::new(0), HostId::new(1)),
+    ///     5,
+    /// ))?;
+    /// assert_ne!(table.version(), seen);
     /// # Ok::<(), basrpt_core::FlowTableError>(())
     /// ```
-    pub fn register_cursor(&self) -> CursorId {
-        let pos = self.change_log_end();
-        let (slot, generation) = self.cursors.borrow_mut().register(pos);
-        CursorId {
-            table_id: self.table_id,
-            slot,
-            generation,
-        }
-    }
-
-    /// Acknowledges that the registered consumer has consumed the log up to
-    /// absolute position `pos`, releasing that prefix for compaction.
-    /// Acknowledgements are monotone (an older `pos` is ignored) and
-    /// clamped to the current log end; a handle from another table instance
-    /// or an already-released registration is a no-op.
-    pub fn ack_changes(&self, cursor: CursorId, pos: u64) {
-        if cursor.table_id != self.table_id {
-            return;
-        }
-        let pos = pos.min(self.change_log_end());
-        if let Some(slot) = self
-            .cursors
-            .borrow_mut()
-            .slot_mut(cursor.slot, cursor.generation)
-        {
-            let ack = slot.ack.as_mut().expect("slot_mut filters released slots");
-            *ack = (*ack).max(pos);
-        }
-    }
-
-    /// Releases a registration so it no longer pins log history. The handle
-    /// is dead afterwards; a handle from another table instance is a no-op.
-    pub fn release_cursor(&self, cursor: CursorId) {
-        if cursor.table_id != self.table_id {
-            return;
-        }
-        if let Some(slot) = self
-            .cursors
-            .borrow_mut()
-            .slot_mut(cursor.slot, cursor.generation)
-        {
-            slot.ack = None;
-        }
-    }
-
-    /// Appends `voq` to the change log, compacting once it outgrows a small
-    /// multiple of the live VOQ count. With no registered cursors the whole
-    /// log is dropped (anonymous [`TableCursor`]s conservatively rebuild);
-    /// with registered cursors only the prefix every consumer has
-    /// acknowledged is dropped, up to a hard cap that evicts stalled
-    /// consumers. Repeats are *not* collapsed: a consumer may already have
-    /// consumed up to the previous entry, so suppressing a duplicate would
-    /// lose the change for it.
-    fn record_change(&mut self, voq: Voq) {
-        self.change_log.push(voq);
-        let cap = usize::max(1024, 8 * self.nonempty.len());
-        if self.change_log.len() <= cap {
-            return;
-        }
-        let end = self.log_base + self.change_log.len() as u64;
-        let registry = self.cursors.get_mut();
-        match registry.min_ack() {
-            None => {
-                self.log_base = end;
-                self.change_log.clear();
-            }
-            Some(min_ack) => {
-                let keep_from = usize::try_from(min_ack.saturating_sub(self.log_base))
-                    .unwrap_or(self.change_log.len())
-                    .min(self.change_log.len());
-                if keep_from > 0 {
-                    self.change_log.drain(..keep_from);
-                    self.log_base += keep_from as u64;
-                }
-                if self.change_log.len() > STALLED_CURSOR_FACTOR * cap {
-                    self.log_base = end;
-                    self.change_log.clear();
-                    // The lagging consumers' history is gone; bump them so a
-                    // dead registration cannot re-pin the next cycle.
-                    registry.force_ack_all(end);
-                }
-            }
-        }
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Soft bound on a runner heap before stale entries are pruned.
@@ -870,7 +486,7 @@ impl FlowTable {
 
         *self.ingress.entry(voq.src()).or_insert(0) += flow.remaining();
         self.total_backlog += flow.remaining();
-        self.record_change(voq);
+        self.version += 1;
         Ok(())
     }
 
@@ -948,7 +564,7 @@ impl FlowTable {
             .get_mut(&voq.src())
             .expect("flow present but ingress index missing") -= drained;
         self.total_backlog -= drained;
-        self.record_change(voq);
+        self.version += 1;
         Ok(DrainOutcome {
             drained,
             completed: None,
@@ -985,7 +601,7 @@ impl FlowTable {
             self.ingress.remove(&voq.src());
         }
         self.total_backlog -= departing_backlog;
-        self.record_change(voq);
+        self.version += 1;
     }
 
     /// Checks every structural invariant, returning a description of the
@@ -1270,247 +886,51 @@ mod tests {
     }
 
     #[test]
-    fn change_log_records_every_mutation() {
+    fn version_advances_on_every_successful_mutation_only() {
         let mut t = FlowTable::new();
-        let start = t.change_log_end();
+        let mut seen = t.version();
+        let mut advanced = |t: &FlowTable| {
+            let moved = t.version() != seen;
+            seen = t.version();
+            moved
+        };
         t.insert(flow(1, 0, 1, 5)).unwrap();
+        assert!(advanced(&t), "insert");
         t.insert(flow(2, 0, 1, 3)).unwrap();
+        assert!(advanced(&t), "second insert");
         t.drain(FlowId::new(1), 2).unwrap();
+        assert!(advanced(&t), "partial drain");
+        assert!(t.drain(FlowId::new(1), 3).unwrap().completed.is_some());
+        assert!(advanced(&t), "completing drain");
         t.remove(FlowId::new(2)).unwrap();
-        let changes = t.changes_since(start).unwrap();
-        assert_eq!(changes, [voq(0, 1); 4]);
-        assert_eq!(t.change_log_end(), start + 4);
-        // A fully caught-up consumer sees an empty suffix.
-        assert_eq!(t.changes_since(t.change_log_end()), Some(&[][..]));
-        // Positions beyond the end never existed.
-        assert_eq!(t.changes_since(t.change_log_end() + 1), None);
-    }
+        assert!(advanced(&t), "remove");
 
-    #[test]
-    fn change_log_compaction_invalidates_old_cursors() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 5_000)).unwrap();
-        let start = t.change_log_end();
-        for _ in 0..2_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        assert!(
-            t.changes_since(start).is_none(),
-            "log should have compacted"
-        );
-        assert!(t.change_log_end() >= start + 2_000);
+        // Reads never move it.
+        t.insert(flow(3, 2, 0, 4)).unwrap();
+        assert!(advanced(&t), "insert after emptying");
+        let _ = (t.len(), t.total_backlog(), t.get(FlowId::new(3)));
+        let _ = (t.voqs().count(), t.voq_view(voq(2, 0)), t.iter().count());
+        let _ = (t.voq_backlog(voq(2, 0)), t.ingress_backlog(HostId::new(2)));
         t.check_invariants().unwrap();
+        assert!(!advanced(&t), "reads");
+
+        // Neither do calls that fail.
+        assert!(t.insert(flow(3, 0, 1, 1)).is_err());
+        assert!(t.drain(FlowId::new(9), 1).is_err());
+        assert!(t.remove(FlowId::new(9)).is_err());
+        assert!(!advanced(&t), "failed calls");
     }
 
     #[test]
-    fn read_changes_reports_lag_with_skip_count() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 5_000)).unwrap();
-        let start = t.change_log_end();
-        // Fresh suffix: same view as changes_since, but typed.
-        t.drain(FlowId::new(1), 1).unwrap();
-        assert_eq!(
-            t.read_changes(start),
-            ChangeLogRead::Changes(&[voq(0, 1)][..])
-        );
-        assert_eq!(t.read_changes(start).changes(), t.changes_since(start));
-        // Compact the log past `start`: the read reports exactly how many
-        // entries were dropped, where changes_since only says `None`.
-        for _ in 0..2_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        assert!(t.changes_since(start).is_none());
-        match t.read_changes(start) {
-            ChangeLogRead::Lagged { skipped } => {
-                assert!(skipped > 0);
-                let oldest = oldest_available(&t);
-                assert_eq!(skipped, oldest - start, "skip count is exact");
-            }
-            ChangeLogRead::Changes(_) => panic!("compacted position must read as Lagged"),
-        }
-        // A caught-up reader sees an empty (non-lagged) suffix.
-        assert_eq!(
-            t.read_changes(t.change_log_end()),
-            ChangeLogRead::Changes(&[][..])
-        );
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn evicted_registered_cursor_reads_as_lagged() {
-        // Regression for the stalled-cursor eviction path: `record_change`
-        // used to `force_ack_all`, silently bumping a live-but-slow
-        // registered consumer past its unconsumed suffix — the consumer
-        // could not tell forced loss from ordinary staleness. Reading from
-        // the consumer's own acknowledged position must now come back
-        // `Lagged { skipped }`: for a registered consumer that is only
-        // possible after eviction, and `skipped` counts the lost entries.
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 200_000)).unwrap();
-        let reg = t.register_cursor();
-        let acked = t.change_log_end();
-        // While compaction honors the registration, the consumer's position
-        // always reads as `Changes` — never `Lagged` — no matter how far
-        // the log grows past the soft capacity.
-        for _ in 0..1_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-            assert!(
-                matches!(t.read_changes(acked), ChangeLogRead::Changes(_)),
-                "a registered, non-stalled consumer must never lag"
-            );
-        }
-        // Stall far past the hard cap: the pinned suffix is dropped.
-        for _ in 0..100_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        match t.read_changes(acked) {
-            ChangeLogRead::Lagged { skipped } => {
-                assert_eq!(
-                    skipped,
-                    oldest_available(&t) - acked,
-                    "every unconsumed entry is accounted as skipped"
-                );
-                assert!(skipped >= 100_000 - (STALLED_CURSOR_FACTOR as u64 + 1) * 1024 - 1);
-            }
-            ChangeLogRead::Changes(_) => {
-                panic!("evicted registration must read as Lagged, not a silent empty suffix")
-            }
-        }
-        // The registration handle survives eviction; after rebuilding and
-        // re-acknowledging, reads are `Changes` again.
-        t.ack_changes(reg, t.change_log_end());
-        let pos = t.change_log_end();
-        t.drain(FlowId::new(1), 1).unwrap();
-        assert_eq!(
-            t.read_changes(pos),
-            ChangeLogRead::Changes(&[voq(0, 1)][..])
-        );
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn registered_cursor_survives_compaction_with_acks() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 100_000)).unwrap();
-        let reg = t.register_cursor();
-        let mut pos = t.change_log_end();
-        for step in 0..10_000u64 {
-            t.drain(FlowId::new(1), 1).unwrap();
-            if step % 256 == 0 {
-                // Consume and acknowledge the suffix: it must still be there.
-                let changes = t.changes_since(pos).expect("acked suffix was compacted");
-                pos += changes.len() as u64;
-                t.ack_changes(reg, pos);
-            }
-        }
-        assert!(t.changes_since(pos).is_some());
-        // The retained log is bounded by the unconsumed suffix plus slack,
-        // not by the 10k mutations performed.
-        let oldest = oldest_available(&t);
-        assert!(
-            t.change_log_end() - oldest <= t.change_log_end() - pos + 1024 + 1,
-            "log retained more than the unconsumed suffix"
-        );
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn stalled_registered_cursor_is_evicted() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 200_000)).unwrap();
-        let reg = t.register_cursor();
-        let start = t.change_log_end();
-        for _ in 0..100_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        assert!(
-            t.changes_since(start).is_none(),
-            "stalled cursor should have been evicted"
-        );
-        let retained = t.change_log_end() - oldest_available(&t);
-        assert!(
-            retained <= (STALLED_CURSOR_FACTOR as u64 + 1) * 1024 + 1,
-            "log grew unbounded despite stalled cursor ({retained} entries)"
-        );
-        // The handle still works for future acknowledgements.
-        t.ack_changes(reg, t.change_log_end());
-        t.drain(FlowId::new(1), 1).unwrap();
-        assert!(t.changes_since(t.change_log_end() - 1).is_some());
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn released_cursor_stops_pinning_and_handle_dies() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 100_000)).unwrap();
-        let reg = t.register_cursor();
-        let start = t.change_log_end();
-        t.release_cursor(reg);
-        for _ in 0..2_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        assert!(
-            t.changes_since(start).is_none(),
-            "released cursor must not pin the log"
-        );
-        // A dead handle (and one recycled into a new registration) is inert.
-        let reg2 = t.register_cursor();
-        t.ack_changes(reg, u64::MAX);
-        t.release_cursor(reg);
-        let pos = t.change_log_end();
-        t.drain(FlowId::new(1), 1).unwrap();
-        assert!(t.changes_since(pos).is_some());
-        t.release_cursor(reg2);
-    }
-
-    #[test]
-    fn cursor_handles_do_not_transfer_to_clones() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 10_000)).unwrap();
-        let reg = t.register_cursor();
-        let mut copy = t.clone();
-        // Acks and releases against the clone are no-ops…
-        copy.ack_changes(reg, u64::MAX);
-        copy.release_cursor(reg);
-        let start = copy.change_log_end();
-        for _ in 0..2_000 {
-            copy.drain(FlowId::new(1), 1).unwrap();
-        }
-        // …and the clone compacts as if unregistered.
-        assert!(copy.changes_since(start).is_none());
-        // The original registration still pins the original's log.
-        let orig_start = t.change_log_end();
-        for _ in 0..2_000 {
-            t.drain(FlowId::new(1), 1).unwrap();
-        }
-        assert!(t.changes_since(orig_start).is_some());
-        t.release_cursor(reg);
-    }
-
-    /// Smallest absolute position the log still reaches back to.
-    fn oldest_available(t: &FlowTable) -> u64 {
-        let mut lo = 0u64;
-        let mut hi = t.change_log_end();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if t.changes_since(mid).is_some() {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    }
-
-    #[test]
-    fn clone_gets_fresh_identity_and_empty_log() {
+    fn clone_copies_contents_and_version() {
         let mut t = FlowTable::new();
         t.insert(flow(1, 0, 1, 5)).unwrap();
         let copy = t.clone();
-        assert_ne!(t.table_id(), copy.table_id());
-        assert_eq!(copy.changes_since(0), Some(&[][..]));
+        assert_eq!(copy.version(), t.version());
         assert_eq!(copy.total_backlog(), 5);
         copy.check_invariants().unwrap();
+        t.drain(FlowId::new(1), 1).unwrap();
+        assert_ne!(copy.version(), t.version(), "clones mutate independently");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! [`greedy_by_key`](crate::greedy_by_key) admits candidates in ascending
 //! `(key, flow id)` order — whether those candidates come from the
 //! champion index (one per non-empty VOQ, see
-//! [`schedule_champions`](crate::schedule_champions)), from
-//! [`IncrementalScheduler`](crate::IncrementalScheduler)'s sorted set, or
-//! from the all-flows reference scan: the bounds below depend only on the
-//! admission order, not on how the candidate list was produced. Fix a
+//! [`schedule_champions_adjusted`](crate::schedule_champions_adjusted))
+//! or from the full-scan oracle
+//! ([`reference::schedule_scan`](crate::reference::schedule_scan)): the
+//! bounds below depend only on the admission order, not on how the
+//! candidate list was produced. Fix a
 //! computed matching `M`. Suppose that over one slot (with no arrivals
 //! and no completions)
 //!

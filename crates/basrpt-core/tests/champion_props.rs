@@ -10,10 +10,10 @@
 //! smallest id, and across VOQs `greedy_by_key` admits in ascending
 //! `(key, flow id)` order.
 
-use basrpt_core::reference::{schedule_scan, ScanScheduler};
+use basrpt_core::reference::{schedule_scan, ScanScheduler, VoqDiscipline};
 use basrpt_core::{
-    check_maximal, FastBasrpt, Fifo, FlowState, FlowTable, IncrementalScheduler, MaxWeight,
-    Scheduler, Srpt, ThresholdBacklogSrpt, VoqDiscipline,
+    check_maximal, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, Scheduler, Srpt,
+    ThresholdBacklogSrpt,
 };
 use dcn_types::{FlowId, HostId, Voq};
 use proptest::prelude::*;
@@ -135,36 +135,25 @@ fn assert_champions_match_scan(table: &FlowTable) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Asserts a discipline's three candidate paths — champion index, sorted
-/// incremental set, and full scan — produce the identical schedule.
-fn assert_three_paths_agree<D>(
-    direct: &mut dyn Scheduler,
-    incremental: &mut IncrementalScheduler<D>,
-    discipline: &D,
-    table: &FlowTable,
-) -> Result<(), TestCaseError>
+/// Asserts a discipline's two decision paths — the champion-index
+/// one-pass and the full scan — produce the identical, maximal schedule.
+fn assert_paths_agree<D>(discipline: D, table: &FlowTable) -> Result<(), TestCaseError>
 where
-    D: VoqDiscipline,
+    D: VoqDiscipline + Scheduler,
 {
+    let scanned = schedule_scan(&discipline, table);
+    let mut direct = discipline;
     let indexed = direct.schedule(table);
-    let scanned = schedule_scan(discipline, table);
-    let inc = incremental.schedule(table);
     prop_assert_eq!(
         &indexed,
         &scanned,
         "{}: champion index vs full scan",
-        direct.name()
-    );
-    prop_assert_eq!(
-        &inc,
-        &scanned,
-        "{}: incremental vs full scan",
-        direct.name()
+        Scheduler::name(&direct)
     );
     prop_assert!(
         check_maximal(table, &indexed).is_ok(),
         "{}: schedule not maximal",
-        direct.name()
+        Scheduler::name(&direct)
     );
     Ok(())
 }
@@ -190,50 +179,22 @@ proptest! {
         }
     }
 
-    /// Schedules agree across all three candidate paths for every
-    /// key-driven discipline, with incremental schedulers kept alive
-    /// across the whole script so they exercise their change-log apply
-    /// path rather than rebuilding.
+    /// Schedules agree across both decision paths for every key-driven
+    /// discipline at points along the script.
     #[test]
     fn schedules_agree_across_paths_under_random_scripts(
         ops in prop::collection::vec(arb_op(8, 12), 1..80),
     ) {
         let mut table = FlowTable::new();
-        let mut inc_srpt = IncrementalScheduler::new(Srpt::new());
-        let mut inc_fifo = IncrementalScheduler::new(Fifo::new());
-        let mut inc_mw = IncrementalScheduler::new(MaxWeight::new());
-        let mut inc_fb2 = IncrementalScheduler::new(FastBasrpt::new(16.0, 8));
-        let mut inc_fb05 = IncrementalScheduler::new(FastBasrpt::new(4.0, 8));
-        let mut inc_thr = IncrementalScheduler::new(ThresholdBacklogSrpt::new(15));
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut table, op);
             if i % 7 == 0 || i + 1 == ops.len() {
-                assert_three_paths_agree(&mut Srpt::new(), &mut inc_srpt, &Srpt::new(), &table)?;
-                assert_three_paths_agree(&mut Fifo::new(), &mut inc_fifo, &Fifo::new(), &table)?;
-                assert_three_paths_agree(
-                    &mut MaxWeight::new(),
-                    &mut inc_mw,
-                    &MaxWeight::new(),
-                    &table,
-                )?;
-                assert_three_paths_agree(
-                    &mut FastBasrpt::new(16.0, 8),
-                    &mut inc_fb2,
-                    &FastBasrpt::new(16.0, 8),
-                    &table,
-                )?;
-                assert_three_paths_agree(
-                    &mut FastBasrpt::new(4.0, 8),
-                    &mut inc_fb05,
-                    &FastBasrpt::new(4.0, 8),
-                    &table,
-                )?;
-                assert_three_paths_agree(
-                    &mut ThresholdBacklogSrpt::new(15),
-                    &mut inc_thr,
-                    &ThresholdBacklogSrpt::new(15),
-                    &table,
-                )?;
+                assert_paths_agree(Srpt::new(), &table)?;
+                assert_paths_agree(Fifo::new(), &table)?;
+                assert_paths_agree(MaxWeight::new(), &table)?;
+                assert_paths_agree(FastBasrpt::new(16.0, 8), &table)?;
+                assert_paths_agree(FastBasrpt::new(4.0, 8), &table)?;
+                assert_paths_agree(ThresholdBacklogSrpt::new(15), &table)?;
             }
         }
     }

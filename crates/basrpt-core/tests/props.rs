@@ -1,8 +1,9 @@
 //! Property-based tests for the scheduling core.
 
+use basrpt_core::reference::schedule_scan;
 use basrpt_core::{
-    check_equivalence, check_maximal, ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable,
-    IncrementalScheduler, MaxWeight, RoundRobin, Scheduler, Srpt, ThresholdBacklogSrpt,
+    check_maximal, ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, RoundRobin,
+    Scheduler, Srpt, ThresholdBacklogSrpt,
 };
 use dcn_types::{FlowId, HostId, Voq};
 use proptest::prelude::*;
@@ -168,13 +169,12 @@ proptest! {
         prop_assert_eq!(lit_fb, opt_fb);
     }
 
-    /// Incremental schedulers stay **bit-identical** to their one-pass
-    /// twins across random arrival/drain/removal traces, for every
-    /// discipline that implements `VoqDiscipline`. The incremental state is
-    /// carried across the whole trace (that is the point), while one-pass
-    /// schedulers are stateless.
+    /// One-pass schedulers stay **bit-identical** to the full-scan oracle,
+    /// and maximal, across random arrival/drain/removal traces, for every
+    /// discipline the oracle ranks. The table's champion index is carried
+    /// across the whole trace, so its repairs are exercised too.
     #[test]
-    fn incremental_matches_one_pass_on_traces(
+    fn one_pass_matches_scan_on_traces(
         flows in prop::collection::vec(arb_flow(6), 0..16),
         ops in prop::collection::vec((0usize..4, arb_flow(6), 1u64..600), 0..50),
     ) {
@@ -182,24 +182,21 @@ proptest! {
         let mut live: Vec<u64> = (0..flows.len() as u64).collect();
         let mut next_id = flows.len() as u64;
 
-        let mut inc_srpt = IncrementalScheduler::new(Srpt::new());
-        let mut inc_fb = IncrementalScheduler::new(FastBasrpt::new(2500.0, 6));
-        let mut inc_mw = IncrementalScheduler::new(MaxWeight::new());
-        let mut inc_fifo = IncrementalScheduler::new(Fifo::new());
-        let mut inc_thr = IncrementalScheduler::new(ThresholdBacklogSrpt::new(100));
-
+        macro_rules! check_one {
+            ($discipline:expr) => {
+                let one_pass = $discipline.schedule(&table);
+                let scanned = schedule_scan(&$discipline, &table);
+                prop_assert_eq!(&one_pass, &scanned, "{}", Scheduler::name(&$discipline));
+                check_maximal(&table, &one_pass).map_err(TestCaseError::fail)?;
+            };
+        }
         macro_rules! check_all {
             () => {
-                check_equivalence(&mut inc_srpt, &mut Srpt::new(), &table)
-                    .map_err(TestCaseError::fail)?;
-                check_equivalence(&mut inc_fb, &mut FastBasrpt::new(2500.0, 6), &table)
-                    .map_err(TestCaseError::fail)?;
-                check_equivalence(&mut inc_mw, &mut MaxWeight::new(), &table)
-                    .map_err(TestCaseError::fail)?;
-                check_equivalence(&mut inc_fifo, &mut Fifo::new(), &table)
-                    .map_err(TestCaseError::fail)?;
-                check_equivalence(&mut inc_thr, &mut ThresholdBacklogSrpt::new(100), &table)
-                    .map_err(TestCaseError::fail)?;
+                check_one!(Srpt::new());
+                check_one!(FastBasrpt::new(2500.0, 6));
+                check_one!(MaxWeight::new());
+                check_one!(Fifo::new());
+                check_one!(ThresholdBacklogSrpt::new(100));
             };
         }
 

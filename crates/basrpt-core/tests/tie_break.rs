@@ -1,15 +1,13 @@
 //! Pins the ordering contract of [`greedy_by_key`] documented on the
 //! function: candidates are admitted in ascending `(key, flow id)` order,
-//! independent of the order they are presented in, and the incremental
-//! engine reproduces the exact same admissions. The fast-forward engine's
+//! independent of the order they are presented in, and the full-scan
+//! oracle reproduces the exact same admissions. The fast-forward engine's
 //! schedule cache (`dcn-switch`) relies on this determinism — a cached
 //! schedule is only bit-comparable to a recomputed one if equal keys
 //! always break the same way.
 
-use basrpt_core::{
-    check_maximal, greedy_by_key, Candidate, FlowState, FlowTable, IncrementalScheduler, Scheduler,
-    Srpt,
-};
+use basrpt_core::reference::schedule_scan;
+use basrpt_core::{check_maximal, greedy_by_key, Candidate, FlowState, FlowTable, Scheduler, Srpt};
 use dcn_types::{FlowId, HostId, Voq};
 
 fn cand(key: f64, id: u64, src: u32, dst: u32) -> Candidate {
@@ -64,12 +62,12 @@ fn total_cmp_orders_signed_zeros() {
     );
 }
 
-/// On a real table with many equal-remaining flows, the incremental engine
+/// On a real table with many equal-remaining flows, the full-scan oracle
 /// must reproduce the direct engine's admissions exactly — including every
-/// tie-break — because the fast-forward cache treats them as
+/// tie-break — because the differential suites treat them as
 /// interchangeable.
 #[test]
-fn incremental_reproduces_direct_tie_breaks() {
+fn scan_reproduces_direct_tie_breaks() {
     let mut table = FlowTable::new();
     // 12 flows, all remaining = 9 (every SRPT key ties), spread over a
     // 6-port switch with heavy port contention; ids deliberately inserted
@@ -98,9 +96,9 @@ fn incremental_reproduces_direct_tie_breaks() {
             .unwrap();
     }
     let direct = Srpt::new().schedule(&table);
-    let incremental = IncrementalScheduler::new(Srpt::new()).schedule(&table);
+    let scanned = schedule_scan(&Srpt::new(), &table);
     assert_eq!(
-        direct, incremental,
+        direct, scanned,
         "identical admissions, order included, on an all-ties table"
     );
     check_maximal(&table, &direct).expect("maximal matching");

@@ -6,14 +6,11 @@
 //! exactly this cost: the exact scheduler is exponential, the greedy pass
 //! is `O(N^2 log N^2)` worst case and `O(Q log Q)` per decision here.
 //!
-//! The `per_event_decision` group measures the realistic steady-state
-//! loop — one table event (a one-unit drain, cycling over the flows)
-//! followed by one scheduling decision — comparing each one-pass
-//! discipline against its `IncrementalScheduler` wrapping across fabric
-//! sizes `N ∈ {16, 48, 144, 288}` with 40 flows per server. The
-//! incremental path re-keys only the event's VOQ instead of re-sorting
-//! all of them, turning the `O(Q log Q)` sort into an `O(log Q)` patch
-//! plus an `O(Q)` pre-sorted walk.
+//! The `per_event_decision` group measures a steady-state loop — one
+//! table event (a one-unit drain, cycling over the flows) followed by one
+//! one-pass scheduling decision — across fabric sizes
+//! `N ∈ {16, 48, 144, 288}` with 40 flows per server, so the `O(Q log Q)`
+//! decision is priced as the VOQ count grows.
 //!
 //! The `fastforward_switch` group measures the orthogonal lever: instead
 //! of making each decision cheaper, the macro-slot fast-forward engine
@@ -31,8 +28,7 @@
 //! instead of an `O(n)` sweep of every scheduled flow.
 
 use basrpt_core::{
-    ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, IncrementalScheduler, MaxWeight,
-    Scheduler, Srpt, VoqView,
+    ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, Scheduler, Srpt, VoqView,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcn_types::{FlowId, HostId, Voq};
@@ -141,37 +137,9 @@ fn bench_per_event(c: &mut Criterion) {
         }
         {
             let mut table = table_with(n, flows, 42);
-            let mut sched = IncrementalScheduler::new(FastBasrpt::new(2500.0, n as usize));
-            sched.schedule(&table); // pay the initial build outside the loop
-            let mut cursor = 0usize;
-            group.bench_with_input(
-                BenchmarkId::new("fast_basrpt_incremental", n),
-                &flows,
-                |b, &f| {
-                    b.iter(|| {
-                        one_event(&mut table, &mut cursor, f);
-                        sched.schedule(std::hint::black_box(&table))
-                    })
-                },
-            );
-        }
-        {
-            let mut table = table_with(n, flows, 42);
             let mut sched = Srpt::new();
             let mut cursor = 0usize;
             group.bench_with_input(BenchmarkId::new("srpt_one_pass", n), &flows, |b, &f| {
-                b.iter(|| {
-                    one_event(&mut table, &mut cursor, f);
-                    sched.schedule(std::hint::black_box(&table))
-                })
-            });
-        }
-        {
-            let mut table = table_with(n, flows, 42);
-            let mut sched = IncrementalScheduler::new(Srpt::new());
-            sched.schedule(&table);
-            let mut cursor = 0usize;
-            group.bench_with_input(BenchmarkId::new("srpt_incremental", n), &flows, |b, &f| {
                 b.iter(|| {
                     one_event(&mut table, &mut cursor, f);
                     sched.schedule(std::hint::black_box(&table))
@@ -648,13 +616,10 @@ fn bench_fastforward(c: &mut Criterion) {
 /// * `scan` — `reference::schedule_scan`: recompute all per-VOQ
 ///   champions from the `F` flows, `O(F + Q log Q)` per decision;
 /// * `one_pass` — the production `FastBasrpt`: read champions from the
-///   table's index and sort them, `O(Q log Q)` per decision;
-/// * `indexed` — `IncrementalScheduler` on top: re-key only the event's
-///   VOQ, `O(log Q)` patch plus the pre-sorted walk.
+///   table's index and sort them, `O(Q log Q)` per decision.
 ///
 /// The `scan`/`one_pass` gap is the champion index's win and must be
-/// ≥ 5× from `F = 10_000` up (the indexed rows are then strictly
-/// faster still); `results/bench.json` records all three series.
+/// ≥ 5× from `F = 10_000` up; `results/bench.json` records both series.
 fn bench_champion_index(c: &mut Criterion) {
     use basrpt_core::reference::schedule_scan;
 
@@ -681,18 +646,6 @@ fn bench_champion_index(c: &mut Criterion) {
             let mut sched = FastBasrpt::new(2500.0, 144);
             let mut cursor = 0usize;
             group.bench_with_input(BenchmarkId::new("one_pass", flows), &flows, |b, &f| {
-                b.iter(|| {
-                    one_event(&mut table, &mut cursor, f);
-                    sched.schedule(std::hint::black_box(&table))
-                })
-            });
-        }
-        {
-            let mut table = table_with(144, flows, 42);
-            let mut sched = IncrementalScheduler::new(FastBasrpt::new(2500.0, 144));
-            sched.schedule(&table); // pay the initial build outside the loop
-            let mut cursor = 0usize;
-            group.bench_with_input(BenchmarkId::new("indexed", flows), &flows, |b, &f| {
                 b.iter(|| {
                     one_event(&mut table, &mut cursor, f);
                     sched.schedule(std::hint::black_box(&table))

@@ -49,17 +49,16 @@
 //! an eagerly settled table would have served (same champion, same
 //! tie-breaks). Disciplines opt in via
 //! [`Scheduler::supports_lazy_views`](basrpt_core::Scheduler::supports_lazy_views);
-//! everything else (and every run under a per-flow-fidelity probe, or
-//! with `BASRPT_SETTLE=eager`) takes the eager path, which settles every
-//! account on every event exactly like the reference engines.
+//! everything else (and every run under a per-flow-fidelity probe, or an
+//! engine pinned with `OnlineFabric::force_eager_settle`) takes the eager
+//! path, which settles every account on every event exactly like the
+//! reference engines.
 //!
-//! The change-log cursors and champion index of `basrpt-core` (PR 5) play
-//! the same role one layer down: they make the *decision* incremental,
-//! while this module makes the *binding and accounting* of the decision
-//! incremental. Run an
-//! [`IncrementalScheduler`](basrpt_core::IncrementalScheduler) inside the
-//! delta engine and every layer of the per-event path is `O(affected)`;
-//! `PERFMODEL.md` has the full cost model.
+//! The decision itself stays one greedy pass over the per-VOQ champions,
+//! `O(Q log Q)` per event: the lens moves the key of *every* transmitting
+//! VOQ between two decisions, so a key index kept across events would
+//! have to re-sort a large share of its entries anyway. `PERFMODEL.md`
+//! has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suites (`tests/delta_differential.rs`,

@@ -65,7 +65,7 @@ pub use repflow::{
 };
 pub use settle::{
     completion_instant as settle_completion_instant, drain_target as settle_drain_target,
-    forced_eager as settle_forced_eager, SettleMode,
+    SettleMode,
 };
 pub use shard::{
     shards_from_env, simulate_fair_share_sharded, simulate_sharded, CompletionRecord, ShardPlan,

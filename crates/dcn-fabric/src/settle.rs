@@ -25,7 +25,6 @@
 //! makes the event loop O(Δ) per event.
 
 use dcn_types::{Bytes, Rate, SimTime};
-use std::sync::OnceLock;
 
 /// When the fabric engines convert scheduled transmission time into
 /// settled table bytes.
@@ -45,9 +44,9 @@ pub enum SettleMode {
 impl SettleMode {
     /// Picks the settlement mode for a run: lazy exactly when nothing
     /// observes per-flow progress between samples — the attached probe
-    /// does not request flow fidelity, the scheduler can decide from
-    /// settlement-adjusted VOQ views, and the `BASRPT_SETTLE=eager`
-    /// escape hatch is unset.
+    /// does not request flow fidelity and the scheduler can decide from
+    /// settlement-adjusted VOQ views. The eager oracle run of a lazy-capable
+    /// configuration is pinned with `OnlineFabric::force_eager_settle`.
     ///
     /// ```
     /// use dcn_fabric::SettleMode;
@@ -56,12 +55,11 @@ impl SettleMode {
     /// assert_eq!(SettleMode::choose(true, true), SettleMode::Eager);
     /// // A scheduler that must read ground-truth tables forces eager.
     /// assert_eq!(SettleMode::choose(false, false), SettleMode::Eager);
-    /// // Otherwise the engine runs lazy (unless BASRPT_SETTLE=eager).
-    /// let m = SettleMode::choose(false, true);
-    /// assert!(m == SettleMode::Lazy || dcn_fabric::settle_forced_eager());
+    /// // Otherwise the engine runs lazy.
+    /// assert_eq!(SettleMode::choose(false, true), SettleMode::Lazy);
     /// ```
     pub fn choose(wants_flow_fidelity: bool, supports_lazy_views: bool) -> SettleMode {
-        if wants_flow_fidelity || !supports_lazy_views || forced_eager() {
+        if wants_flow_fidelity || !supports_lazy_views {
             SettleMode::Eager
         } else {
             SettleMode::Lazy
@@ -72,19 +70,6 @@ impl SettleMode {
     pub fn is_lazy(self) -> bool {
         matches!(self, SettleMode::Lazy)
     }
-}
-
-/// Whether `BASRPT_SETTLE=eager` is set in the environment, read once
-/// per process. The knob exists for debugging: it pins every engine to
-/// the reference eager path so a suspect lazy run can be re-executed
-/// with full per-event settlement and compared bit for bit.
-pub fn forced_eager() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("BASRPT_SETTLE")
-            .map(|v| v.eq_ignore_ascii_case("eager"))
-            .unwrap_or(false)
-    })
 }
 
 /// The analytic completion instant of `remaining` bytes draining at
@@ -142,10 +127,8 @@ mod tests {
         assert_eq!(SettleMode::choose(true, true), SettleMode::Eager);
         assert_eq!(SettleMode::choose(true, false), SettleMode::Eager);
         assert_eq!(SettleMode::choose(false, false), SettleMode::Eager);
-        if !forced_eager() {
-            assert_eq!(SettleMode::choose(false, true), SettleMode::Lazy);
-            assert!(SettleMode::choose(false, true).is_lazy());
-        }
+        assert_eq!(SettleMode::choose(false, true), SettleMode::Lazy);
+        assert!(SettleMode::choose(false, true).is_lazy());
         assert!(!SettleMode::Eager.is_lazy());
     }
 

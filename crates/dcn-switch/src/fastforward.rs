@@ -28,11 +28,12 @@
 //!   force `k = 1` so every slot is polled, exactly like the reference);
 //! * the next sampling instant (`config.sample_every`) is reached, so no
 //!   [`SampleEvent`] is ever skipped or displaced;
-//! * the table changed behind the engine's back, detected through a
-//!   [`TableCursor`] over the [`FlowTable`](basrpt_core::FlowTable)
-//!   change log. After a quiescent window (only the schedule's own
-//!   drains) the cursor is resynced; any arrival or completion leaves it
-//!   stale and forces a recompute at the next window.
+//! * the table changed behind the engine's back, detected by comparing
+//!   [`FlowTable::version`](basrpt_core::FlowTable::version) with the
+//!   value remembered at the last sync. After a quiescent window (only
+//!   the schedule's own drains) the remembered version is refreshed; any
+//!   arrival or completion leaves it stale and forces a recompute at the
+//!   next window.
 //!
 //! # Bit identity
 //!
@@ -50,7 +51,7 @@
 
 use crate::arrivals::{ArrivalLookahead, SlotArrivals};
 use crate::switch::{run_probed, RunConfig, SlottedSwitch, SwitchRun, SwitchSampler};
-use basrpt_core::{Schedule, Scheduler, TableCursor};
+use basrpt_core::{Schedule, Scheduler};
 use dcn_probe::{
     ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
 };
@@ -158,12 +159,7 @@ where
 
     let mut cached: Option<Schedule> = None;
     let mut validity_left = 0u64;
-    let mut cursor = TableCursor::new(switch.table());
-    // Register with the change log so compaction preserves exactly the
-    // suffix this cursor has not absorbed yet; long quiescent windows
-    // would otherwise outgrow the log's soft cap and force the scheduler
-    // (and any incremental index it keeps) to rebuild from scratch.
-    let cursor_reg = switch.table().register_cursor();
+    let mut synced_version = switch.table().version();
 
     let mut t = 0u64;
     while t < config.slots {
@@ -179,7 +175,8 @@ where
         // Recompute when the cache is empty, its validity bound ran out,
         // or the table mutated in a way the bound did not account for
         // (arrivals, completions — anything but resynced own drains).
-        let stale = cached.is_none() || validity_left == 0 || cursor.has_changed(switch.table());
+        let stale =
+            cached.is_none() || validity_left == 0 || switch.table().version() != synced_version;
         if stale {
             let started = fan.wants_decision_timing().then(Instant::now);
             let schedule = scheduler.schedule(switch.table());
@@ -192,10 +189,7 @@ where
             validity_left = scheduler
                 .schedule_validity(switch.table(), &schedule)
                 .max(1);
-            cursor.resync(switch.table());
-            switch
-                .table()
-                .ack_changes(cursor_reg, switch.table().change_log_end());
+            synced_version = switch.table().version();
             cached = Some(schedule);
         }
         let schedule = cached
@@ -309,12 +303,9 @@ where
         completions.extend(outcome.completions);
         validity_left -= k;
         if quiescent {
-            // Only the schedule's own drains hit the change log: absorb
+            // Only the schedule's own drains mutated the table: absorb
             // them, the validity bound already accounts for their effect.
-            cursor.resync(switch.table());
-            switch
-                .table()
-                .ack_changes(cursor_reg, switch.table().change_log_end());
+            synced_version = switch.table().version();
         }
         t += k;
     }

@@ -193,8 +193,8 @@ impl SlottedSwitch {
     }
 
     /// Executes `k` consecutive slots under one fixed schedule in a single
-    /// table operation per flow (one `drain(id, k)` — hence one change-log
-    /// entry — instead of `k`). Used by the fast-forward engine, which
+    /// table operation per flow (one `drain(id, k)` — hence one table
+    /// mutation — instead of `k`). Used by the fast-forward engine, which
     /// guarantees that `k` never exceeds the remaining size of any
     /// scheduled flow, so a completion can only happen in the *last* slot
     /// of the window; the recorded completion slot reflects that.

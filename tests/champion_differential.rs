@@ -3,8 +3,8 @@
 //!
 //! The `FlowTable` maintains a per-VOQ champion index (shortest / oldest
 //! flow plus backlog aggregates, repaired incrementally on every insert,
-//! drain, and removal); `schedule_champions`, the key-driven disciplines,
-//! and `IncrementalScheduler` all read their candidates from it.
+//! drain, and removal); `schedule_champions_adjusted` and the key-driven
+//! disciplines read their candidates from it.
 //! `basrpt_core::reference::ScanScheduler` instead recomputes every
 //! champion with an `O(F)` scan per decision and shares none of the
 //! index's state. Running both through the same simulators must produce
@@ -16,9 +16,7 @@
 //! suite quantifies over both engines and both substrates.
 
 use basrpt::core::reference::ScanScheduler;
-use basrpt::core::{
-    FastBasrpt, Fifo, IncrementalScheduler, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt,
-};
+use basrpt::core::{FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{FabricSim, FatTree, SimConfig};
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
@@ -147,9 +145,8 @@ fn assert_runs_identical(indexed: &SwitchRun, scan: &SwitchRun, label: &str) {
 }
 
 /// `(name, indexed scheduler, full-scan twin)` for every key-driven
-/// discipline, both fast-BASRPT validity classes (integer weight →
-/// unbounded windows, fractional weight → one-slot windows), and the
-/// incremental scheduler over two inner disciplines. `RoundRobin` and
+/// discipline and both fast-BASRPT validity classes (integer weight →
+/// unbounded windows, fractional weight → one-slot windows). `RoundRobin` and
 /// `ExactBasrpt` are excluded by design: neither ranks VOQ champions, so
 /// no scan twin exists for them.
 type SchedulerPair = (&'static str, Box<dyn Scheduler>, Box<dyn Scheduler>);
@@ -185,16 +182,6 @@ fn pairs() -> Vec<SchedulerPair> {
             "fast_basrpt_w05",
             Box::new(FastBasrpt::new(4.0, 8)),
             Box::new(ScanScheduler::new(FastBasrpt::new(4.0, 8))),
-        ),
-        (
-            "incremental_srpt",
-            Box::new(IncrementalScheduler::new(Srpt::new())),
-            Box::new(ScanScheduler::new(Srpt::new())),
-        ),
-        (
-            "incremental_fast_basrpt_w2",
-            Box::new(IncrementalScheduler::new(FastBasrpt::new(16.0, 8))),
-            Box::new(ScanScheduler::new(FastBasrpt::new(16.0, 8))),
         ),
     ]
 }
@@ -273,8 +260,8 @@ fn indexed_matches_scan_on_a_contended_script() {
 
 /// Bernoulli arrivals: sustained random load where ids are recycled
 /// through completions and champions churn every slot, on the
-/// fast-forward engine (whose cursor interplay with the change log is the
-/// more delicate path).
+/// fast-forward engine (whose schedule cache and table-version check are
+/// the more delicate path).
 #[test]
 fn indexed_matches_scan_under_bernoulli_load() {
     for seed in [1u64, 7] {

@@ -13,8 +13,8 @@
 //! uses for the fabric's completion calendar.
 
 use basrpt::core::{
-    CountingScheduler, FastBasrpt, Fifo, IncrementalScheduler, MaxWeight, RoundRobin, Scheduler,
-    Srpt, ThresholdBacklogSrpt,
+    CountingScheduler, FastBasrpt, Fifo, MaxWeight, RoundRobin, Scheduler, Srpt,
+    ThresholdBacklogSrpt,
 };
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
@@ -154,7 +154,7 @@ fn assert_runs_identical(reference: &SwitchRun, fast: &SwitchRun, label: &str) {
 /// validity class: unbounded windows (SRPT, FIFO, integer-weight fast
 /// BASRPT), analytically bounded windows (MaxWeight, threshold), and the
 /// always-recompute fallback (fractional-weight fast BASRPT, the stateful
-/// RoundRobin), plus the incremental engine forwarding its inner bound.
+/// RoundRobin).
 fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
     vec![
         ("srpt", Box::new(Srpt::new())),
@@ -166,10 +166,6 @@ fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
         // V/N = 0.5: fractional weight, degrades to one-slot validity.
         ("fast_basrpt_w05", Box::new(FastBasrpt::new(4.0, 8))),
         ("round_robin", Box::new(RoundRobin::new())),
-        (
-            "incremental_srpt",
-            Box::new(IncrementalScheduler::new(Srpt::new())),
-        ),
     ]
 }
 

@@ -163,7 +163,7 @@ impl<S: Scheduler, F: Fn() -> S + Sync> MakeScheduler for F {
 /// A transparent [`Scheduler`] wrapper counting `schedule()` invocations.
 ///
 /// Used to measure how many decisions a driver actually computes — e.g.
-/// the fast-forward engine's invocation-reduction acceptance test and the
+/// the switch driver's invocation-reduction acceptance test and the
 /// `sched_overhead` bench group compare the count against the slot count.
 ///
 /// # Example
@@ -262,7 +262,7 @@ pub struct Candidate {
 /// The full-scan oracle
 /// ([`reference::schedule_scan`](crate::reference::schedule_scan))
 /// reproduces this exact order from its own `(key, flow id)` sort, and the
-/// fast-forward schedule cache (`dcn_switch::fastforward`) relies on the
+/// switch driver's schedule cache (`dcn_switch::run_probed`) relies on the
 /// same determinism: replaying an identical candidate ranking must yield
 /// a bit-identical schedule. Tests in `crates/basrpt-core/tests/
 /// tie_break.rs` pin the contract.

@@ -294,7 +294,7 @@ impl FlowTable {
     /// [`drain`](FlowTable::drain), [`remove`](FlowTable::remove)) applied
     /// so far. Reads and calls that return `Err` leave it unchanged, so a
     /// consumer that remembers the value can tell in `O(1)` whether the
-    /// table mutated since — the fast-forward engine in `dcn-switch` uses
+    /// table mutated since — the slotted switch's driver in `dcn-switch` uses
     /// it to notice arrivals and completions behind its cached schedule.
     /// A clone carries the same count as its original.
     ///

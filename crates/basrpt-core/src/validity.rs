@@ -3,8 +3,8 @@
 //!
 //! The slotted switch drains exactly one unit from every scheduled flow
 //! per slot, and between two state-changing events (an arrival or a flow
-//! completion) those drains are the *only* table mutations. A fast-forward
-//! driver (see `dcn_switch::fastforward`) can therefore reuse a cached
+//! completion) those drains are the *only* table mutations. A windowed
+//! driver (see `dcn_switch::run_probed`) can therefore reuse a cached
 //! schedule for `k` slots at a time — provided the greedy admission order
 //! cannot flip within the window. This module derives sound per-discipline
 //! bounds from one argument:

@@ -1,7 +1,7 @@
 //! Pins the ordering contract of [`greedy_by_key`] documented on the
 //! function: candidates are admitted in ascending `(key, flow id)` order,
 //! independent of the order they are presented in, and the full-scan
-//! oracle reproduces the exact same admissions. The fast-forward engine's
+//! oracle reproduces the exact same admissions. The switch driver's
 //! schedule cache (`dcn-switch`) relies on this determinism — a cached
 //! schedule is only bit-comparable to a recomputed one if equal keys
 //! always break the same way.

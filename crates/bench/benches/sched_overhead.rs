@@ -13,9 +13,10 @@
 //! decision is priced as the VOQ count grows.
 //!
 //! The `fastforward_switch` group measures the orthogonal lever: instead
-//! of making each decision cheaper, the macro-slot fast-forward engine
+//! of making each decision cheaper, the switch driver `dcn_switch::run`
 //! makes *fewer* decisions, re-invoking the scheduler only when a cached
-//! schedule can no longer be proven valid (see ARCHITECTURE.md).
+//! schedule can no longer be proven valid, against the slot-by-slot
+//! oracle `dcn_switch::reference::run` (see ARCHITECTURE.md).
 //!
 //! The `delta_reschedule` group prices the third lever — making the
 //! *binding* of each decision cheaper: the delta-rate fabric engine pays
@@ -150,13 +151,15 @@ fn bench_per_event(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end engine runs under each probe flavour. `builder_noprobe`
-/// must match `simulate_bare` — `NoProbe` is a ZST whose no-op callbacks
-/// monomorphize away, so attaching it costs nothing. The counter and
-/// JSONL rows price the real observers (the JSONL probe writes to
-/// `io::sink`, so its row is pure formatting cost).
+/// End-to-end engine runs under each probe flavour, attached through
+/// `simulate_probed` (the `builder_*` row names are kept so the recorded
+/// series stay comparable). `builder_noprobe` must match `simulate_bare` —
+/// `NoProbe` is a ZST whose no-op callbacks monomorphize away, so
+/// attaching it costs nothing. The counter and JSONL rows price the real
+/// observers (the JSONL probe writes to `io::sink`, so its row is pure
+/// formatting cost).
 fn bench_probe_overhead(c: &mut Criterion) {
-    use dcn_fabric::{simulate, FabricSim, FatTree, SimConfig};
+    use dcn_fabric::{simulate, simulate_probed, FatTree, SimConfig};
     use dcn_probe::{EventCounterProbe, JsonlProbe, NoProbe};
     use dcn_types::SimTime;
     use dcn_workload::TrafficSpec;
@@ -184,12 +187,7 @@ fn bench_probe_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut sched = Srpt::new();
             let generator = spec.generator(42).expect("valid spec");
-            FabricSim::new(&topo)
-                .config(config)
-                .scheduler(&mut sched)
-                .workload(generator)
-                .probe(NoProbe)
-                .run()
+            simulate_probed(&topo, &mut sched, generator, config, NoProbe)
                 .expect("valid simulation")
         })
     });
@@ -197,26 +195,28 @@ fn bench_probe_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut sched = Srpt::new();
             let generator = spec.generator(42).expect("valid spec");
-            FabricSim::new(&topo)
-                .config(config)
-                .scheduler(&mut sched)
-                .workload(generator)
-                .probe(EventCounterProbe::new())
-                .run()
-                .expect("valid simulation")
+            simulate_probed(
+                &topo,
+                &mut sched,
+                generator,
+                config,
+                EventCounterProbe::new(),
+            )
+            .expect("valid simulation")
         })
     });
     group.bench_function("builder_jsonl_sink", |b| {
         b.iter(|| {
             let mut sched = Srpt::new();
             let generator = spec.generator(42).expect("valid spec");
-            FabricSim::new(&topo)
-                .config(config)
-                .scheduler(&mut sched)
-                .workload(generator)
-                .probe(JsonlProbe::new(std::io::sink()))
-                .run()
-                .expect("valid simulation")
+            simulate_probed(
+                &topo,
+                &mut sched,
+                generator,
+                config,
+                JsonlProbe::new(std::io::sink()),
+            )
+            .expect("valid simulation")
         })
     });
     group.finish();
@@ -493,19 +493,26 @@ fn bench_settle_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// Macro-slot fast-forward vs the slot-by-slot reference on the 16-port
-/// slotted switch (default scale, 200 k slots). The workload is the
-/// slotted analogue of Fig. 2's regime: a two-class mix of long
-/// background elephants and short queries, *scripted* so the engine has
-/// arrival lookahead (Bernoulli arrivals admit none — any slot may bring
-/// a flow — which caps every window at one slot). Before timing, the
-/// scheduler-invocation comparison is printed per discipline: the
-/// fast-forward engine must invoke `schedule()` ≥ 5× less often while
-/// producing a bit-identical run, which the differential suite
-/// (`tests/fastforward_differential.rs`) enforces and this group records.
+/// The switch driver `run` (macro-slot windows) vs the slot-by-slot
+/// oracle `reference::run` on the 16-port slotted switch (default scale,
+/// 200 k slots). The workload is the slotted analogue of Fig. 2's regime:
+/// a two-class mix of long background elephants and short queries,
+/// *scripted* so the driver has arrival lookahead. Before timing, the
+/// scheduler-invocation comparison is printed per discipline: `run` must
+/// invoke `schedule()` ≥ 5× less often while producing a bit-identical
+/// run, which the differential suite (`tests/fastforward_differential.rs`)
+/// enforces and this group records (`slot_by_slot` is the oracle,
+/// `fast_forward` the driver).
+///
+/// The `*_bernoulli` pair prices the opposite case at the `theorem1`
+/// configuration (8 ports, load 0.8, mean flow 5 packets): Bernoulli
+/// arrivals admit no lookahead — any slot may bring a flow — which caps
+/// every window at one slot, where the driver must cost no more than the
+/// oracle.
 fn bench_fastforward(c: &mut Criterion) {
     use basrpt_core::{CountingScheduler, ThresholdBacklogSrpt};
-    use dcn_switch::{run_with_engine, Engine, RunConfig, ScriptedArrivals};
+    use dcn_switch::arrivals::BernoulliFlowArrivals;
+    use dcn_switch::{reference, run, RunConfig, ScriptedArrivals};
 
     const PORTS: u32 = 16;
     const SLOTS: u64 = 200_000;
@@ -537,6 +544,10 @@ fn bench_fastforward(c: &mut Criterion) {
         ScriptedArrivals::new(script)
     }
 
+    fn theorem1_arrivals() -> BernoulliFlowArrivals {
+        BernoulliFlowArrivals::uniform(8, 0.8, 5, 77).expect("admissible load")
+    }
+
     type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
     let disciplines: Vec<(&str, MakeScheduler)> = vec![
         ("srpt", Box::new(|| Box::new(Srpt::new()))),
@@ -547,16 +558,14 @@ fn bench_fastforward(c: &mut Criterion) {
     ];
     for (name, make) in &disciplines {
         let mut slow = CountingScheduler::new(make());
-        let slow_run = run_with_engine(
-            Engine::SlotBySlot,
+        let slow_run = reference::run(
             PORTS,
             &mut slow,
             &mut fig2_style_script(1),
             RunConfig::new(SLOTS),
         );
         let mut fast = CountingScheduler::new(make());
-        let fast_run = run_with_engine(
-            Engine::FastForward,
+        let fast_run = run(
             PORTS,
             &mut fast,
             &mut fig2_style_script(1),
@@ -582,11 +591,9 @@ fn bench_fastforward(c: &mut Criterion) {
         .sample_size(20);
     group.bench_function("slot_by_slot", |b| {
         b.iter(|| {
-            let mut sched = Srpt::new();
-            run_with_engine(
-                Engine::SlotBySlot,
+            reference::run(
                 PORTS,
-                &mut sched,
+                &mut Srpt::new(),
                 &mut fig2_style_script(1),
                 RunConfig::new(SLOTS),
             )
@@ -594,12 +601,30 @@ fn bench_fastforward(c: &mut Criterion) {
     });
     group.bench_function("fast_forward", |b| {
         b.iter(|| {
-            let mut sched = Srpt::new();
-            run_with_engine(
-                Engine::FastForward,
+            run(
                 PORTS,
-                &mut sched,
+                &mut Srpt::new(),
                 &mut fig2_style_script(1),
+                RunConfig::new(SLOTS),
+            )
+        })
+    });
+    group.bench_function("slot_by_slot_bernoulli", |b| {
+        b.iter(|| {
+            reference::run(
+                8,
+                &mut Srpt::new(),
+                &mut theorem1_arrivals(),
+                RunConfig::new(SLOTS),
+            )
+        })
+    });
+    group.bench_function("fast_forward_bernoulli", |b| {
+        b.iter(|| {
+            run(
+                8,
+                &mut Srpt::new(),
+                &mut theorem1_arrivals(),
                 RunConfig::new(SLOTS),
             )
         })

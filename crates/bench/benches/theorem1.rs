@@ -18,7 +18,7 @@ use basrpt_core::{FastBasrpt, Srpt};
 use dcn_metrics::TextTable;
 use dcn_switch::arrivals::BernoulliFlowArrivals;
 use dcn_switch::lyapunov::TheoremBounds;
-use dcn_switch::{run_with_engine, Engine, RunConfig};
+use dcn_switch::{run, RunConfig};
 
 const PORTS: u32 = 8;
 const RHO: f64 = 0.8;
@@ -27,14 +27,10 @@ const MEAN_SIZE: u64 = 5;
 fn main() {
     let scale = Scale::from_env();
     let slots = scale.switch_slots();
-    // Both engines produce bit-identical runs; Bernoulli arrivals offer no
-    // lookahead, so the fast-forward engine only helps here when a served
-    // flow's remaining size exceeds one slot.
-    let engine = Engine::from_env();
+    // Bernoulli arrivals offer no lookahead, so every macro-slot window
+    // of the driver is one slot long.
     println!("== Theorem 1: drift-plus-penalty bounds on the slotted switch ==");
-    println!(
-        "{PORTS} ports, uniform load {RHO}, mean flow {MEAN_SIZE} pkts, {slots} slots, {engine:?} engine\n"
-    );
+    println!("{PORTS} ports, uniform load {RHO}, mean flow {MEAN_SIZE} pkts, {slots} slots\n");
 
     let arrivals = || BernoulliFlowArrivals::uniform(PORTS, RHO, MEAN_SIZE, 77).unwrap();
     let b = arrivals().second_moment_bound();
@@ -42,8 +38,7 @@ fn main() {
 
     // SRPT reference: the proxy for the delay-optimal penalty y*.
     let mut srpt_arr = arrivals();
-    let srpt = run_with_engine(
-        engine,
+    let srpt = run(
         PORTS,
         &mut Srpt::new(),
         &mut srpt_arr,
@@ -67,7 +62,7 @@ fn main() {
     for v in [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0] {
         let mut arr = arrivals();
         let mut sched = FastBasrpt::new(v, PORTS as usize);
-        let r = run_with_engine(engine, PORTS, &mut sched, &mut arr, RunConfig::new(slots));
+        let r = run(PORTS, &mut sched, &mut arr, RunConfig::new(slots));
         table.add_row(vec![
             format!("{v}"),
             format!("{:.2}", r.avg_penalty),

@@ -1,7 +1,7 @@
 //! Experiment execution helpers shared by the bench targets.
 
 use basrpt_core::{FastBasrpt, Scheduler};
-use dcn_fabric::{simulate, FabricRun, FabricSim, FatTree, SimConfig};
+use dcn_fabric::{simulate, simulate_probed, FabricRun, FatTree, SimConfig};
 use dcn_probe::Probe;
 use dcn_types::SimTime;
 use dcn_workload::TrafficSpec;
@@ -102,13 +102,7 @@ pub fn run_fabric_probed<P: Probe>(
     probe: P,
 ) -> FabricRun {
     let generator = spec.generator(seed).expect("valid spec");
-    FabricSim::new(topo)
-        .config(config)
-        .scheduler(scheduler)
-        .workload(generator)
-        .probe(probe)
-        .run()
-        .expect("valid simulation")
+    simulate_probed(topo, scheduler, generator, config, probe).expect("valid simulation")
 }
 
 /// Formats a millisecond quantity with three significant decimals.

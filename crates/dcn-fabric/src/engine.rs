@@ -89,37 +89,6 @@ impl SimConfig {
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
     }
-
-    /// Replaces the FCT latency floor (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency` is infinite.
-    pub fn with_base_latency(mut self, latency: SimTime) -> Self {
-        assert!(!latency.is_infinite(), "latency floor must be finite");
-        self.base_latency = latency;
-        self
-    }
-
-    /// Replaces the monitored port (builder style).
-    pub fn with_monitored_port(mut self, port: HostId) -> Self {
-        self.monitored_port = port;
-        self
-    }
-
-    /// Replaces the sampling period (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero or infinite.
-    pub fn with_sample_every(mut self, period: SimTime) -> Self {
-        assert!(
-            period > SimTime::ZERO && !period.is_infinite(),
-            "sample period must be positive and finite"
-        );
-        self.sample_every = period;
-        self
-    }
 }
 
 /// Builder for [`SimConfig`], obtained from [`SimConfig::builder`].
@@ -373,9 +342,7 @@ pub(crate) fn timed_decision<O: Probe + ?Sized>(
 /// `scheduler` on every arrival and completion, and drain at the edge line
 /// rate while selected. Returns all run measurements.
 ///
-/// This is a thin wrapper over the [`FabricSim`](crate::FabricSim) builder
-/// with no observer attached ([`NoProbe`]); to watch the event stream,
-/// attach a probe via [`FabricSim::probe`](crate::FabricSim).
+/// This is [`simulate_probed`] with no observer attached ([`NoProbe`]).
 ///
 /// # Errors
 ///
@@ -388,18 +355,52 @@ pub fn simulate<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    run_with_probe(topo, scheduler, generator, config, NoProbe)
+    simulate_probed(topo, scheduler, generator, config, NoProbe)
 }
 
-/// The probe-instrumented batch entry point behind [`simulate`], the
-/// [`FabricSim`](crate::FabricSim) builder and the sharded engine: the
-/// shared event core under the crossbar allocation policy (a persistent
-/// [`DeltaAllocator`](crate::DeltaAllocator) that pays calendar work only
-/// for the flows whose allocation actually changed), driven by
-/// [`run_batch`](crate::online::run_batch). The differential suites
+/// Like [`simulate`], but additionally streams every event of the run to
+/// `probe`: arrivals, drains, completions, scheduling decisions (with wall
+/// latency if the probe asks for it) and samples. Pass `&mut probe` to
+/// keep ownership and read the observations afterwards; pass several
+/// observers by nesting them in a [`Fanout`].
+///
+/// The run is the shared event core under the crossbar allocation policy
+/// (a persistent [`DeltaAllocator`](crate::DeltaAllocator) that pays
+/// calendar work only for the flows whose allocation actually changed),
+/// driven through the same offer/step machine as
+/// [`OnlineFabric`](crate::OnlineFabric); the sharded engine runs each
+/// bin through it. The differential suites
 /// (`tests/delta_differential.rs`, `tests/online_differential.rs`) pin the
 /// outputs bit-identical to the eager reference loop.
-pub(crate) fn run_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
+///
+/// # Errors
+///
+/// Returns [`FabricError::BadArrival`] under the same conditions as
+/// [`simulate`].
+///
+/// # Example
+///
+/// ```
+/// use basrpt_core::Srpt;
+/// use dcn_fabric::{simulate_probed, FatTree, SimConfig};
+/// use dcn_probe::EventCounterProbe;
+/// use dcn_types::SimTime;
+/// use dcn_workload::TrafficSpec;
+///
+/// let topo = FatTree::scaled(2, 4, 1)?;
+/// let spec = TrafficSpec::scaled(2, 4, 0.5)?;
+/// let mut counter = EventCounterProbe::new();
+/// let run = simulate_probed(
+///     &topo,
+///     &mut Srpt::new(),
+///     spec.generator(7)?,
+///     SimConfig::builder().horizon(SimTime::from_secs(0.05)).build(),
+///     &mut counter,
+/// )?;
+/// assert_eq!(counter.completions() as usize, run.completions);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn simulate_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
     topo: &T,
     scheduler: &mut S,
     generator: impl IntoIterator<Item = FlowArrival>,
@@ -683,7 +684,10 @@ mod tests {
             .build();
         assert_eq!(long.sample_every, SimTime::from_millis(10.0));
         // The explicit override still wins in both directions.
-        let fine = short.with_sample_every(SimTime::from_micros(0.1));
+        let fine = SimConfig::builder()
+            .horizon(SimTime::from_micros(100.0))
+            .sample_every(SimTime::from_micros(0.1))
+            .build();
         assert_eq!(fine.sample_every, SimTime::from_micros(0.1));
     }
 
@@ -725,7 +729,7 @@ mod tests {
         let topo = small_topo();
         let size = Bytes::new(7_777);
         let mut counter = dcn_probe::EventCounterProbe::new();
-        let run = run_with_probe(
+        let run = simulate_probed(
             &topo,
             &mut Srpt::new(),
             vec![arrival(0, 0.0, 0, 1, size.as_u64())],
@@ -865,9 +869,9 @@ mod tests {
         let topo = small_topo();
         let config = SimConfig::builder()
             .horizon(SimTime::from_secs(0.01))
-            .build()
-            .with_sample_every(SimTime::from_millis(1.0))
-            .with_monitored_port(HostId::new(0));
+            .sample_every(SimTime::from_millis(1.0))
+            .monitored_port(HostId::new(0))
+            .build();
         let run = simulate(
             &topo,
             &mut Srpt::new(),
@@ -985,7 +989,10 @@ mod tests {
         let base = SimConfig::builder()
             .horizon(SimTime::from_secs(0.01))
             .build();
-        let shifted = base.with_base_latency(SimTime::from_micros(100.0));
+        let shifted = SimConfig::builder()
+            .horizon(SimTime::from_secs(0.01))
+            .base_latency(SimTime::from_micros(100.0))
+            .build();
         let flows = || vec![arrival(0, 0.0, 0, 1, 1_250_000)];
         let a = simulate(&topo, &mut Srpt::new(), flows(), base).unwrap();
         let b = simulate(&topo, &mut Srpt::new(), flows(), shifted).unwrap();
@@ -1009,5 +1016,39 @@ mod tests {
         .unwrap();
         // The flow needs exactly the whole horizon; everything delivered.
         assert!((run.average_throughput().gbps() - 10.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn default_config_is_one_second_horizon() {
+        assert_eq!(
+            SimConfig::builder().build().horizon,
+            SimTime::from_secs(1.0)
+        );
+    }
+
+    #[test]
+    fn probe_observes_the_run() {
+        let topo = small_topo();
+        let mut counter = dcn_probe::EventCounterProbe::new();
+        let run = simulate_probed(
+            &topo,
+            &mut Srpt::new(),
+            vec![
+                arrival(0, 0.0, 0, 1, 1_250_000),
+                arrival(1, 0.001, 2, 3, 20_000),
+            ],
+            SimConfig::builder()
+                .horizon(SimTime::from_secs(0.01))
+                .build(),
+            &mut counter,
+        )
+        .unwrap();
+        assert_eq!(counter.arrivals() as usize, run.arrivals);
+        assert_eq!(counter.completions() as usize, run.completions);
+        assert_eq!(counter.decisions(), run.reschedules);
+        assert_eq!(counter.samples() as usize, run.total_backlog.len());
+        assert_eq!(counter.drained_units(), run.throughput.delivered().as_u64());
+        // The default wants_decision_timing() == true fills latencies.
+        assert_eq!(counter.decision_latency().count(), counter.decisions());
     }
 }

@@ -502,8 +502,7 @@ impl AllocationPolicy for FairShare {
 /// Accepts the same inputs as [`crate::simulate`] minus the scheduler —
 /// fair sharing *is* the discipline — and produces the same [`FabricRun`]
 /// measurements with the same exact accounting, so runs are directly
-/// comparable. Also reachable through the builder:
-/// [`FabricSim::fair_share`](crate::FabricSim::fair_share).
+/// comparable.
 ///
 /// # Errors
 ///

@@ -16,6 +16,16 @@
 //! hosts — the "one big switch" abstraction — while the optional
 //! oversubscribed mode additionally enforces per-rack uplink capacity.
 //!
+//! Every discipline has one front door in two spellings, without and with
+//! an observer: [`simulate`] / [`simulate_probed`] for a crossbar
+//! scheduler, [`simulate_fair_share`] / [`simulate_fair_share_probed`]
+//! for max-min fair sharing, and [`simulate_ecmp`] / [`simulate_repflow`]
+//! (and their `_probed` forms) for the multi-plane baselines. All of them
+//! run on one event core; [`OnlineFabric`] exposes the crossbar run as a
+//! step-able engine, [`simulate_sharded`] splits it into independent
+//! bins, and [`reference`](mod@reference) holds the eager oracle they are
+//! pinned to.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod builder;
 mod calendar;
 mod delta;
 mod engine;
@@ -51,10 +60,9 @@ mod settle;
 mod shard;
 mod topology;
 
-pub use builder::{FabricSim, FabricSimReady, FabricSimSched, FairShareSim, FairShareSimReady};
 pub use calendar::CompletionCalendar;
 pub use delta::{DeltaAllocator, DeltaOutcome, DeltaStats, LiveViews, SettledDrain};
-pub use engine::{simulate, FabricError, FabricRun, SimConfig, SimConfigBuilder};
+pub use engine::{simulate, simulate_probed, FabricError, FabricRun, SimConfig, SimConfigBuilder};
 pub use fairshare::{
     simulate_fair_share, simulate_fair_share_probed, ConstraintSpec, FairShareAllocator,
 };
@@ -68,7 +76,6 @@ pub use settle::{
     SettleMode,
 };
 pub use shard::{
-    shards_from_env, simulate_fair_share_sharded, simulate_sharded, CompletionRecord, ShardPlan,
-    ShardedRun,
+    simulate_fair_share_sharded, simulate_sharded, CompletionRecord, ShardPlan, ShardedRun,
 };
 pub use topology::{FatTree, KAryFatTree, KAryFatTreeBuilder, Topology, TopologyError};

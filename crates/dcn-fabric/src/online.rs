@@ -697,9 +697,7 @@ pub(crate) fn run_batch<T: Topology + ?Sized, A: AllocationPolicy, P: Probe>(
 /// state machine (see the module docs in `online.rs` for the protocol and an
 /// example).
 ///
-/// Obtained from [`OnlineFabric::new`] / [`with_probe`], from the
-/// [`FabricSim`](crate::FabricSim) builder via
-/// [`online`](crate::FabricSimSched::online), or from a
+/// Obtained from [`OnlineFabric::new`] / [`with_probe`], or from a
 /// [`FabricSnapshot`] via [`restore`](OnlineFabric::restore).
 ///
 /// [`with_probe`]: OnlineFabric::with_probe

@@ -28,7 +28,7 @@
 //! Per-event costs are measured in the `event_loop` and `delta_reschedule`
 //! bench groups of `sched_overhead` and modelled in `PERFMODEL.md`; these
 //! paths are for tests and benches — production callers should use
-//! [`crate::simulate`] or the [`FabricSim`](crate::FabricSim) builder.
+//! [`crate::simulate`] or [`crate::simulate_probed`].
 
 use crate::delta::CoreBudgets;
 use crate::engine::{enforces_core, run_reference, timed_decision};

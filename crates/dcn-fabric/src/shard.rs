@@ -34,7 +34,7 @@
 //! `O((P/S)² log (P/S))` against the global `O(P² log P)`, which is where
 //! the sharded speedup comes from; see `PERFMODEL.md`).
 
-use crate::engine::{run_with_probe, FabricError, FabricRun, SimConfig};
+use crate::engine::{simulate_probed, FabricError, FabricRun, SimConfig};
 use crate::topology::Topology;
 use basrpt_core::MakeScheduler;
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter, TimeSeries};
@@ -42,17 +42,6 @@ use dcn_probe::{CompletionEvent, Probe};
 use dcn_types::{Bytes, FlowClass, FlowId, RackId, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use std::collections::HashMap;
-
-/// Number of shards requested via the `BASRPT_SHARDS` environment
-/// variable (default 1, i.e. the unsharded single-bin path — which still
-/// goes through the deterministic merge).
-pub fn shards_from_env() -> usize {
-    std::env::var("BASRPT_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
 
 /// One completed flow in the merged, time-sorted completion log.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,7 +269,7 @@ where
 {
     run_partitioned(topo, arrivals, config, shards, |bin_arrivals| {
         let mut probe = CompletionLogProbe::default();
-        let run = run_with_probe(topo, &mut factory.make(), bin_arrivals, config, &mut probe)?;
+        let run = simulate_probed(topo, &mut factory.make(), bin_arrivals, config, &mut probe)?;
         Ok((run, probe))
     })
 }
@@ -603,11 +592,5 @@ mod tests {
         assert_eq!(sharded.shards_used, 1, "no components, one empty bin");
         assert_eq!(sharded.run.total_backlog, global.total_backlog);
         assert_eq!(sharded.run.arrivals, 0);
-    }
-
-    #[test]
-    fn shards_env_parses() {
-        // Not set → 1 (the test binary never sets it).
-        assert_eq!(shards_from_env(), 1);
     }
 }

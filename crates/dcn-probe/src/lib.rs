@@ -151,7 +151,7 @@ pub struct SampleEvent<'a> {
 ///
 /// Every callback has a no-op default, so a probe implements only the
 /// events it cares about. Probes are attached to
-/// `dcn_fabric::FabricSim::probe` or `dcn_switch::run_probed`; the engines
+/// `dcn_fabric::simulate_probed` or `dcn_switch::run_probed`; the engines
 /// invoke the callbacks synchronously from the event loop, so
 /// implementations should be cheap (buffer, don't block).
 pub trait Probe {
@@ -169,21 +169,22 @@ pub trait Probe {
     /// Whether this probe needs the slotted substrate's **per-slot** event
     /// stream even where the engine could batch.
     ///
-    /// The fast-forward engine in `dcn-switch` advances many slots in one
-    /// step when the cached schedule provably cannot change. If every
-    /// attached probe returns `false` here, such a window is reported as
-    /// one [`DecisionEvent`] per actual `schedule()` call plus one
-    /// [`DrainEvent`] per scheduled flow with `amount` equal to the units
-    /// drained over the whole window, stamped at the window's first slot.
-    /// If any probe returns `true`, the engine expands every window into
-    /// the exact per-slot stream of the slot-by-slot reference: one
-    /// decision per slot (`latency: None` for replayed cached schedules)
-    /// and one unit drain per scheduled flow per slot, in reference order.
+    /// The slotted switch's driver (`dcn_switch::run_probed`) advances
+    /// many slots in one step when the cached schedule provably cannot
+    /// change. If every attached probe returns `false` here, such a window
+    /// is reported as one [`DecisionEvent`] per actual `schedule()` call
+    /// plus one [`DrainEvent`] per scheduled flow with `amount` equal to
+    /// the units drained over the whole window, stamped at the window's
+    /// first slot. If any probe returns `true`, the driver expands every
+    /// window into the exact per-slot stream of the slot-by-slot oracle
+    /// (`dcn_switch::reference::run_probed`): one decision per slot
+    /// (`latency: None` for replayed cached schedules) and one unit drain
+    /// per scheduled flow per slot, in the oracle's order.
     /// Arrival, completion and sample events are identical either way.
     ///
-    /// The default is `true` so custom probes observe the reference
+    /// The default is `true` so custom probes observe the oracle's
     /// stream without extra wiring; aggregate-only probes (and
-    /// [`NoProbe`]) override it to `false` to keep fast-forward runs fast.
+    /// [`NoProbe`]) override it to `false` to keep windowed runs fast.
     fn wants_slot_fidelity(&self) -> bool {
         true
     }
@@ -202,7 +203,7 @@ pub trait Probe {
     /// here, the engine settles eagerly on every event, reproducing the
     /// reference engines' exact drain stream.
     ///
-    /// The default is `true` so custom probes observe the reference
+    /// The default is `true` so custom probes observe the oracle's
     /// stream without extra wiring; aggregate-only probes (and
     /// [`NoProbe`]) override it to `false` to keep lazy runs fast.
     fn wants_flow_fidelity(&self) -> bool {

@@ -17,8 +17,8 @@ pub trait SlotArrivals {
     /// What the process can promise about its arrivals at or after `from`
     /// without advancing its own state.
     ///
-    /// Fast-forward drivers (see `dcn_switch::fastforward`) use the
-    /// promise to skip polls they know return nothing; the default is
+    /// The driver ([`run_probed`](crate::run_probed)) uses the promise
+    /// to skip polls it knows return nothing; the default is
     /// [`ArrivalLookahead::Unknown`], which forces a poll every slot and
     /// is always correct. Implementations may assume `from` is at least
     /// every previously polled slot (drivers advance monotonically).

@@ -13,7 +13,6 @@
 //! three flows in the same 6 slots (Fig. 1c).
 
 use crate::arrivals::ScriptedArrivals;
-use crate::fastforward::{run_with_engine, Engine};
 use crate::{RunConfig, SwitchRun};
 use basrpt_core::Scheduler;
 use dcn_types::{HostId, Voq};
@@ -53,16 +52,13 @@ pub fn arrivals() -> ScriptedArrivals {
 
 /// Runs the Fig.-1 scenario under the given scheduler and returns the run
 /// (6 usable slots after `f1`/`f2` become eligible).
-///
-/// Honours `BASRPT_ENGINE=fastforward` like the bench harness does; both
-/// engines produce the identical run.
 pub fn run_fig1<S: Scheduler + ?Sized>(scheduler: &mut S) -> SwitchRun {
     let mut arr = arrivals();
     let config = RunConfig {
         slots: HORIZON_SLOTS + 1,
         sample_every: 1,
     };
-    run_with_engine(Engine::from_env(), 4, scheduler, &mut arr, config)
+    crate::run(4, scheduler, &mut arr, config)
 }
 
 /// Packets left stranded by the scheduler after the 6-slot horizon.

@@ -10,7 +10,10 @@
 //! X_ij(t+1) = X_ij(t) + A_ij(t) − R_ij(t) + L_ij(t)
 //! ```
 //!
-//! with arrivals `A_ij(t)` applied at the end of each slot. This model is
+//! with arrivals `A_ij(t)` applied at the end of each slot. [`run`] is the
+//! simulation driver: it caches each schedule for as long as it provably
+//! stays valid and advances whole macro-slot windows, bit-identical to
+//! the slot-by-slot oracle [`reference::run`]. This model is
 //! where the paper's theory lives, so the crate also provides
 //! [`lyapunov`] instrumentation (the quadratic Lyapunov function, one-slot
 //! drift samples, and the Theorem-1 bounds) and the exact Fig.-1
@@ -34,15 +37,12 @@
 #![deny(missing_docs)]
 
 pub mod arrivals;
-pub mod fastforward;
 pub mod fig1;
 pub mod lyapunov;
+pub mod reference;
 mod switch;
 
 pub use arrivals::{ArrivalLookahead, ScriptedArrivals};
-pub use fastforward::{
-    run_fastforward, run_fastforward_probed, run_probed_with_engine, run_with_engine, Engine,
-};
 pub use switch::{
     run, run_probed, CompletedFlow, RunConfig, SlotOutcome, SlottedSwitch, SwitchRun,
 };

@@ -36,12 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .build();
     let mut sched = Srpt::new();
     let mut probe = JsonlProbe::new(BufWriter::new(File::create(&trace_path)?));
-    let run = FabricSim::new(&topo)
-        .config(config)
-        .scheduler(&mut sched)
-        .workload(spec.generator(42)?)
-        .probe(&mut probe)
-        .run()?;
+    let run = simulate_probed(&topo, &mut sched, spec.generator(42)?, config, &mut probe)?;
     let lines_written = probe.lines_written();
     probe.finish()?; // flush and surface any latched I/O error
 

@@ -106,12 +106,16 @@ pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slo
 ///
 /// let topo = FatTree::scaled(2, 4, 1)?;
 /// let spec = TrafficSpec::scaled(2, 4, 0.5)?;
-/// let run = FabricSim::new(&topo)
-///     .config(SimConfig::builder().horizon(SimTime::from_secs(0.05)).build())
-///     .scheduler(&mut Srpt::new())
-///     .workload(spec.generator(7)?)
-///     .run()?;
+/// let mut counter = EventCounterProbe::new();
+/// let run = simulate_probed(
+///     &topo,
+///     &mut Srpt::new(),
+///     spec.generator(7)?,
+///     SimConfig::builder().horizon(SimTime::from_secs(0.05)).build(),
+///     &mut counter,
+/// )?;
 /// assert!(run.completions > 0);
+/// assert_eq!(counter.completions() as usize, run.completions);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub mod prelude {
@@ -120,10 +124,10 @@ pub mod prelude {
         Schedule, Scheduler, Srpt, ThresholdBacklogSrpt,
     };
     pub use dcn_fabric::{
-        shards_from_env, simulate, simulate_ecmp, simulate_fair_share, simulate_fair_share_sharded,
-        simulate_repflow, simulate_sharded, FabricRun, FabricSim, FabricSnapshot, FatTree,
-        KAryFatTree, KAryFatTreeBuilder, OnlineFabric, RepFlowRun, RepFlowStats, ShardedRun,
-        SimConfig, Topology, TopologyError,
+        simulate, simulate_ecmp, simulate_fair_share, simulate_fair_share_sharded, simulate_probed,
+        simulate_repflow, simulate_sharded, FabricRun, FabricSnapshot, FatTree, KAryFatTree,
+        KAryFatTreeBuilder, OnlineFabric, RepFlowRun, RepFlowStats, ShardedRun, SimConfig,
+        Topology, TopologyError,
     };
     pub use dcn_metrics::{StabilityReport, TimeSeries, TrendConfig};
     pub use dcn_probe::{

@@ -10,7 +10,7 @@
 //! incremental scheduler and PR 2 for the probe redesign.
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{reference, simulate, FabricRun, FabricSim, FatTree, SimConfig};
+use basrpt::fabric::{reference, simulate, simulate_probed, FabricRun, FatTree, SimConfig};
 use basrpt::metrics::TimeSeries;
 use basrpt::probe::EventCounterProbe;
 use basrpt::types::{FlowClass, SimTime};
@@ -139,13 +139,14 @@ fn calendar_and_reference_emit_identical_event_streams() {
         .horizon(SimTime::from_secs(0.05))
         .build();
     let mut cal_counter = EventCounterProbe::new();
-    let cal = FabricSim::new(&topo)
-        .config(config)
-        .scheduler(&mut Srpt::new())
-        .workload(spec.generator(7).unwrap())
-        .probe(&mut cal_counter)
-        .run()
-        .unwrap();
+    let cal = simulate_probed(
+        &topo,
+        &mut Srpt::new(),
+        spec.generator(7).unwrap(),
+        config,
+        &mut cal_counter,
+    )
+    .unwrap();
     let mut scan_counter = EventCounterProbe::new();
     let scan = reference::simulate_scan_probed(
         &topo,

@@ -12,15 +12,15 @@
 //! the penalty/backlog accumulators, and (through a probe that hashes the
 //! full event stream) every per-slot decision and drain, tie-breaks
 //! included. The technique is the same as `tests/fastforward_differential.rs`;
-//! here the variable is the candidate source, not the engine, and the
-//! suite quantifies over both engines and both substrates.
+//! here the variable is the candidate source, not the driver, and the
+//! suite quantifies over both switch drivers and both substrates.
 
 use basrpt::core::reference::ScanScheduler;
 use basrpt::core::{FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
-use basrpt::fabric::{FabricSim, FatTree, SimConfig};
+use basrpt::fabric::{simulate_probed, FatTree, SimConfig};
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
-use basrpt::switch::{run_probed_with_engine, Engine, RunConfig, ScriptedArrivals, SwitchRun};
+use basrpt::switch::{reference, run_probed, RunConfig, ScriptedArrivals, SwitchRun};
 use basrpt::types::{HostId, SimTime, Voq};
 use basrpt::workload::TrafficSpec;
 
@@ -186,32 +186,42 @@ fn pairs() -> Vec<SchedulerPair> {
     ]
 }
 
-fn compare_on_engine(
+/// The two switch drivers: the slot-by-slot oracle and the product's
+/// macro-slot windows.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Reference,
+    Run,
+}
+
+impl Driver {
+    fn run(
+        self,
+        scheduler: &mut dyn Scheduler,
+        script: Vec<(u64, Voq, u64)>,
+        config: RunConfig,
+        probe: &mut StreamRecorder,
+    ) -> SwitchRun {
+        let mut arrivals = ScriptedArrivals::new(script);
+        match self {
+            Driver::Reference => reference::run_probed(8, scheduler, &mut arrivals, config, probe),
+            Driver::Run => run_probed(8, scheduler, &mut arrivals, config, probe),
+        }
+    }
+}
+
+fn compare_on_driver(
     label: &str,
-    engine: Engine,
+    driver: Driver,
     indexed: &mut dyn Scheduler,
     scan: &mut dyn Scheduler,
     script: Vec<(u64, Voq, u64)>,
     config: RunConfig,
 ) {
     let mut idx_rec = StreamRecorder::new();
-    let idx_run = run_probed_with_engine(
-        engine,
-        8,
-        indexed,
-        &mut ScriptedArrivals::new(script.clone()),
-        config,
-        &mut idx_rec,
-    );
+    let idx_run = driver.run(indexed, script.clone(), config, &mut idx_rec);
     let mut scan_rec = StreamRecorder::new();
-    let scan_run = run_probed_with_engine(
-        engine,
-        8,
-        scan,
-        &mut ScriptedArrivals::new(script),
-        config,
-        &mut scan_rec,
-    );
+    let scan_run = driver.run(scan, script, config, &mut scan_rec);
     assert_runs_identical(&idx_run, &scan_run, label);
     assert_eq!(idx_rec.events, scan_rec.events, "{label}: event counts");
     assert_eq!(idx_rec.h, scan_rec.h, "{label}: event stream hash");
@@ -219,7 +229,7 @@ fn compare_on_engine(
 
 /// A fixed workload with bursts, same-VOQ pileups (champion displacement),
 /// port contention, and late stragglers — under every discipline pair,
-/// both engines, and two sampling periods.
+/// both drivers, and two sampling periods.
 #[test]
 fn indexed_matches_scan_on_a_contended_script() {
     let script = vec![
@@ -243,11 +253,11 @@ fn indexed_matches_scan_on_a_contended_script() {
             sample_every: 97,
         },
     ] {
-        for engine in [Engine::SlotBySlot, Engine::FastForward] {
+        for driver in [Driver::Reference, Driver::Run] {
             for (name, mut indexed, mut scan) in pairs() {
-                compare_on_engine(
-                    &format!("{name}/{engine:?}/sample_every={}", config.sample_every),
-                    engine,
+                compare_on_driver(
+                    &format!("{name}/{driver:?}/sample_every={}", config.sample_every),
+                    driver,
                     indexed.as_mut(),
                     scan.as_mut(),
                     script.clone(),
@@ -259,16 +269,15 @@ fn indexed_matches_scan_on_a_contended_script() {
 }
 
 /// Bernoulli arrivals: sustained random load where ids are recycled
-/// through completions and champions churn every slot, on the
-/// fast-forward engine (whose schedule cache and table-version check are
-/// the more delicate path).
+/// through completions and champions churn every slot, on the product
+/// driver (whose schedule cache and table-version check are the more
+/// delicate path).
 #[test]
 fn indexed_matches_scan_under_bernoulli_load() {
     for seed in [1u64, 7] {
         for (name, mut indexed, mut scan) in pairs() {
             let mut idx_rec = StreamRecorder::new();
-            let idx_run = run_probed_with_engine(
-                Engine::FastForward,
+            let idx_run = run_probed(
                 8,
                 indexed.as_mut(),
                 &mut BernoulliFlowArrivals::uniform(8, 0.6, 10, seed).unwrap(),
@@ -276,8 +285,7 @@ fn indexed_matches_scan_under_bernoulli_load() {
                 &mut idx_rec,
             );
             let mut scan_rec = StreamRecorder::new();
-            let scan_run = run_probed_with_engine(
-                Engine::FastForward,
+            let scan_run = run_probed(
                 8,
                 scan.as_mut(),
                 &mut BernoulliFlowArrivals::uniform(8, 0.6, 10, seed).unwrap(),
@@ -306,21 +314,23 @@ fn fabric_substrate_pins_indexed_to_scan() {
         .build();
     for (name, mut indexed, mut scan) in pairs() {
         let mut idx_rec = StreamRecorder::new();
-        let idx_run = FabricSim::new(&topo)
-            .config(config)
-            .scheduler(indexed.as_mut())
-            .workload(spec.generator(11).unwrap())
-            .probe(&mut idx_rec)
-            .run()
-            .unwrap();
+        let idx_run = simulate_probed(
+            &topo,
+            indexed.as_mut(),
+            spec.generator(11).unwrap(),
+            config,
+            &mut idx_rec,
+        )
+        .unwrap();
         let mut scan_rec = StreamRecorder::new();
-        let scan_run = FabricSim::new(&topo)
-            .config(config)
-            .scheduler(scan.as_mut())
-            .workload(spec.generator(11).unwrap())
-            .probe(&mut scan_rec)
-            .run()
-            .unwrap();
+        let scan_run = simulate_probed(
+            &topo,
+            scan.as_mut(),
+            spec.generator(11).unwrap(),
+            config,
+            &mut scan_rec,
+        )
+        .unwrap();
         assert_eq!(idx_run.arrivals, scan_run.arrivals, "{name}: arrivals");
         assert_eq!(
             idx_run.completions, scan_run.completions,
@@ -345,9 +355,9 @@ fn fabric_substrate_pins_indexed_to_scan() {
 }
 
 mod random_workloads {
-    //! Property tests: the indexed scheduler on the fast-forward engine
-    //! vs the scan twin on the slot-by-slot reference — one comparison
-    //! covering both the candidate source and the engine at once, on
+    //! Property tests: the indexed scheduler on the product driver vs the
+    //! scan twin on the slot-by-slot oracle — one comparison covering
+    //! both the candidate source and the driver at once, on
     //! random scripts with same-slot pileups and boundary-straddling
     //! sizes.
 
@@ -379,8 +389,7 @@ mod random_workloads {
             };
             for (name, mut indexed, mut scan) in pairs() {
                 let mut idx_rec = StreamRecorder::new();
-                let idx_run = run_probed_with_engine(
-                    Engine::FastForward,
+                let idx_run = run_probed(
                     8,
                     indexed.as_mut(),
                     &mut ScriptedArrivals::new(script.clone()),
@@ -388,8 +397,7 @@ mod random_workloads {
                     &mut idx_rec,
                 );
                 let mut scan_rec = StreamRecorder::new();
-                let scan_run = run_probed_with_engine(
-                    Engine::SlotBySlot,
+                let scan_run = reference::run_probed(
                     8,
                     scan.as_mut(),
                     &mut ScriptedArrivals::new(script.clone()),

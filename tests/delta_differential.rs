@@ -16,7 +16,7 @@
 mod support;
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{reference, simulate, FabricSim, FatTree, SimConfig};
+use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig};
 use basrpt::probe::EventCounterProbe;
 use basrpt::types::SimTime;
 use basrpt::workload::TrafficSpec;
@@ -98,13 +98,14 @@ fn delta_and_references_emit_identical_event_streams() {
     let spec = TrafficSpec::scaled(2, 4, 0.9).unwrap();
     let cfg = config(0.05, false);
     let mut delta_counter = EventCounterProbe::new();
-    let delta = FabricSim::new(&topo)
-        .config(cfg)
-        .scheduler(&mut Srpt::new())
-        .workload(spec.generator(7).unwrap())
-        .probe(&mut delta_counter)
-        .run()
-        .unwrap();
+    let delta = simulate_probed(
+        &topo,
+        &mut Srpt::new(),
+        spec.generator(7).unwrap(),
+        cfg,
+        &mut delta_counter,
+    )
+    .unwrap();
     let mut scan_counter = EventCounterProbe::new();
     let scan = reference::simulate_scan_probed(
         &topo,

@@ -21,13 +21,14 @@
 mod support;
 
 use basrpt::fabric::{
-    reference, shards_from_env, simulate_fair_share, simulate_fair_share_probed,
-    simulate_fair_share_sharded, FatTree, KAryFatTree, SimConfig, Topology,
+    reference, simulate_fair_share, simulate_fair_share_probed, simulate_fair_share_sharded,
+    FatTree, KAryFatTree, SimConfig, Topology,
 };
 use basrpt::types::SimTime;
 use basrpt::workload::{FlowArrival, TrafficSpec};
 use support::conservation::{assert_bit_identical, assert_conserved, assert_observables_identical};
 use support::fingerprint::FnvProbe;
+use support::shards::shards_from_env;
 
 /// The two topologies the matrix quantifies over: NIC-only constraints on
 /// the full-bisection paper fabric, and binding rack up/downlink budgets

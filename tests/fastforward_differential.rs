@@ -1,16 +1,17 @@
-//! Differential tests pinning the macro-slot fast-forward engine to the
-//! slot-by-slot reference loop of the slotted switch.
+//! Differential tests pinning the switch driver to its slot-by-slot
+//! oracle.
 //!
-//! `dcn_switch::run_fastforward_probed` replays a cached schedule across
-//! provably-valid windows; `dcn_switch::run_probed` recomputes it every
-//! slot. Every observable must match **bit for bit**: the completion
-//! records, the sampled series, the `avg_penalty` / `avg_total_backlog`
-//! accumulators, and — through a slot-fidelity probe that hashes the full
-//! event stream in order — every per-slot decision and drain. The only
-//! tolerated difference is the wall-clock `latency` of replayed decisions
-//! (`None`, since nothing was computed), which the hash therefore skips.
-//! This is the same pin-the-refactor technique `tests/calendar_differential.rs`
-//! uses for the fabric's completion calendar.
+//! `dcn_switch::run_probed` replays a cached schedule across
+//! provably-valid macro-slot windows; `dcn_switch::reference::run_probed`
+//! recomputes it every slot. Every observable must match **bit for bit**:
+//! the completion records, the sampled series, the `avg_penalty` /
+//! `avg_total_backlog` accumulators, and — through a slot-fidelity probe
+//! that hashes the full event stream in order — every per-slot decision
+//! and drain. The only tolerated difference is the wall-clock `latency`
+//! of replayed decisions (`None`, since nothing was computed), which the
+//! hash therefore skips. This is the same pin-the-refactor technique
+//! `tests/calendar_differential.rs` uses for the fabric's completion
+//! calendar.
 
 use basrpt::core::{
     CountingScheduler, FastBasrpt, Fifo, MaxWeight, RoundRobin, Scheduler, Srpt,
@@ -18,10 +19,7 @@ use basrpt::core::{
 };
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
-use basrpt::switch::{
-    run_fastforward_probed, run_probed, run_probed_with_engine, Engine, RunConfig,
-    ScriptedArrivals, SwitchRun,
-};
+use basrpt::switch::{reference, run_probed, RunConfig, ScriptedArrivals, SwitchRun};
 use basrpt::types::{HostId, Voq};
 
 fn voq(src: u32, dst: u32) -> Voq {
@@ -36,8 +34,8 @@ fn fnv(h: &mut u64, bits: u64) {
 }
 
 /// Hashes the complete event stream in arrival order. Declares slot
-/// fidelity (the default), so the fast-forward engine must expand every
-/// window into the exact per-slot stream of the reference. Decision
+/// fidelity (the default), so the driver must expand every window into
+/// the exact per-slot stream of the oracle. Decision
 /// latencies are deliberately left out of the hash: replayed decisions
 /// carry `None` by design.
 struct StreamRecorder {
@@ -177,7 +175,7 @@ fn compare_scripted(
     config: RunConfig,
 ) {
     let mut ref_rec = StreamRecorder::new();
-    let reference = run_probed(
+    let reference = reference::run_probed(
         8,
         reference_scheduler,
         &mut ScriptedArrivals::new(script.clone()),
@@ -185,7 +183,7 @@ fn compare_scripted(
         &mut ref_rec,
     );
     let mut fast_rec = StreamRecorder::new();
-    let fast = run_fastforward_probed(
+    let fast = run_probed(
         8,
         scheduler,
         &mut ScriptedArrivals::new(script),
@@ -245,13 +243,13 @@ fn all_disciplines_match_on_a_contended_script() {
 }
 
 /// Bernoulli arrivals cannot be looked ahead (`ArrivalLookahead::Unknown`),
-/// so the engine must poll every slot — yet still skip recomputes while
+/// so the driver must poll every slot — yet still skip recomputes while
 /// the cached schedule stays provably valid.
 #[test]
 fn bernoulli_arrivals_match_across_seeds() {
     for seed in [1u64, 2, 3] {
         let mut ref_rec = StreamRecorder::new();
-        let reference = run_probed(
+        let reference = reference::run_probed(
             4,
             &mut Srpt::new(),
             &mut BernoulliFlowArrivals::uniform(4, 0.6, 12, seed).unwrap(),
@@ -259,7 +257,7 @@ fn bernoulli_arrivals_match_across_seeds() {
             &mut ref_rec,
         );
         let mut fast_rec = StreamRecorder::new();
-        let fast = run_fastforward_probed(
+        let fast = run_probed(
             4,
             &mut Srpt::new(),
             &mut BernoulliFlowArrivals::uniform(4, 0.6, 12, seed).unwrap(),
@@ -275,32 +273,8 @@ fn bernoulli_arrivals_match_across_seeds() {
     }
 }
 
-/// `Engine::from_env`-style dispatch: the `run_probed_with_engine` entry
-/// point routes to the right loop and both produce the same run.
-#[test]
-fn engine_dispatch_is_equivalent() {
-    let script = vec![(0u64, voq(0, 1), 25u64), (40, voq(1, 2), 10)];
-    let by_slot = run_probed_with_engine(
-        Engine::SlotBySlot,
-        4,
-        &mut Srpt::new(),
-        &mut ScriptedArrivals::new(script.clone()),
-        RunConfig::new(100),
-        basrpt::probe::NoProbe,
-    );
-    let fast = run_probed_with_engine(
-        Engine::FastForward,
-        4,
-        &mut Srpt::new(),
-        &mut ScriptedArrivals::new(script),
-        RunConfig::new(100),
-        basrpt::probe::NoProbe,
-    );
-    assert_runs_identical(&by_slot, &fast, "engine dispatch");
-}
-
 /// The acceptance workload: a default-scale (200 k slots, 16 ports)
-/// elephant-flow script. Fast-forward must agree bit for bit while
+/// elephant-flow script. The driver must agree bit for bit while
 /// invoking the scheduler at least 5× less often than the slot-by-slot
 /// reference (it actually does orders of magnitude better: SRPT windows
 /// only expire at arrivals, completions, and sampling instants).
@@ -319,7 +293,7 @@ fn elephant_workload_cuts_scheduler_invocations_by_5x() {
     let config = RunConfig::new(200_000);
 
     let mut reference_sched = CountingScheduler::new(Srpt::new());
-    let reference = run_probed(
+    let reference = reference::run_probed(
         16,
         &mut reference_sched,
         &mut ScriptedArrivals::new(script.clone()),
@@ -327,7 +301,7 @@ fn elephant_workload_cuts_scheduler_invocations_by_5x() {
         basrpt::probe::NoProbe,
     );
     let mut fast_sched = CountingScheduler::new(Srpt::new());
-    let fast = run_fastforward_probed(
+    let fast = run_probed(
         16,
         &mut fast_sched,
         &mut ScriptedArrivals::new(script),
@@ -342,7 +316,7 @@ fn elephant_workload_cuts_scheduler_invocations_by_5x() {
     assert_eq!(reference_sched.calls(), 200_000);
     assert!(
         fast_sched.calls() * 5 <= reference_sched.calls(),
-        "fast-forward made {} scheduler calls vs {} — less than a 5x cut",
+        "the driver made {} scheduler calls vs {} — less than a 5x cut",
         fast_sched.calls(),
         reference_sched.calls()
     );
@@ -386,7 +360,7 @@ mod random_workloads {
                     .map(|(_, s)| s)
                     .expect("same discipline list");
                 let mut ref_rec = StreamRecorder::new();
-                let reference = run_probed(
+                let reference = reference::run_probed(
                     8,
                     reference_sched.as_mut(),
                     &mut ScriptedArrivals::new(script.clone()),
@@ -394,7 +368,7 @@ mod random_workloads {
                     &mut ref_rec,
                 );
                 let mut fast_rec = StreamRecorder::new();
-                let fast = run_fastforward_probed(
+                let fast = run_probed(
                     8,
                     sched.as_mut(),
                     &mut ScriptedArrivals::new(script.clone()),

@@ -12,7 +12,7 @@
 //! 3. attaching probes must not perturb the simulation itself.
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{simulate, FabricRun, FabricSim, FatTree, SimConfig};
+use basrpt::fabric::{simulate, simulate_probed, FabricRun, FatTree, SimConfig};
 use basrpt::metrics::TimeSeries;
 use basrpt::probe::{BacklogSampler, DriftProbe, EventCounterProbe, Fanout};
 use basrpt::types::{FlowClass, SimTime};
@@ -138,13 +138,14 @@ fn external_sampler_probe_reproduces_run_series() {
         .horizon(SimTime::from_secs(0.05))
         .build();
     let mut sampler = BacklogSampler::new(config.monitored_port);
-    let run = FabricSim::new(&topo)
-        .config(config)
-        .scheduler(&mut Srpt::new())
-        .workload(spec.generator(42).unwrap())
-        .probe(&mut sampler)
-        .run()
-        .unwrap();
+    let run = simulate_probed(
+        &topo,
+        &mut Srpt::new(),
+        spec.generator(42).unwrap(),
+        config,
+        &mut sampler,
+    )
+    .unwrap();
     let series = sampler.into_series();
     assert_eq!(series.total_backlog, run.total_backlog);
     assert_eq!(series.monitored_port_backlog, run.monitored_port_backlog);
@@ -168,13 +169,14 @@ fn probes_do_not_perturb_the_simulation() {
     let bare = simulate(&topo, &mut Srpt::new(), spec.generator(42).unwrap(), config).unwrap();
     let mut counter = EventCounterProbe::new();
     let mut drift = DriftProbe::new();
-    let observed = FabricSim::new(&topo)
-        .config(config)
-        .scheduler(&mut Srpt::new())
-        .workload(spec.generator(42).unwrap())
-        .probe(Fanout::new(&mut counter, &mut drift))
-        .run()
-        .unwrap();
+    let observed = simulate_probed(
+        &topo,
+        &mut Srpt::new(),
+        spec.generator(42).unwrap(),
+        config,
+        Fanout::new(&mut counter, &mut drift),
+    )
+    .unwrap();
     assert_eq!(fingerprint(&bare), fingerprint(&observed));
     assert_eq!(bare.completions, observed.completions);
     assert_eq!(bare.reschedules, observed.reschedules);

@@ -19,20 +19,21 @@
 //! * the ISSUE acceptance cell: a 1152-host `KAryFatTree` (k = 16, 9
 //!   hosts per edge, 3:1 oversubscribed) completes and is bit-identical
 //!   across shard counts, honouring `BASRPT_SHARDS` via
-//!   [`shards_from_env`].
+//!   `support::shards::shards_from_env`.
 //!
 //! `FabricRun::reschedules` is deliberately *not* compared between
 //! different shard counts: it is the sum of per-bin decision counts, and
 //! how many flows share one matching depends on the partition (see the
 //! `dcn_fabric` shard module docs).
 
+mod support;
+
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{
-    shards_from_env, simulate, simulate_sharded, FabricRun, KAryFatTree, SimConfig, Topology,
-};
+use basrpt::fabric::{simulate, simulate_sharded, FabricRun, KAryFatTree, SimConfig, Topology};
 use basrpt::metrics::TimeSeries;
 use basrpt::types::{FlowClass, SimTime};
 use basrpt::workload::{QueryScope, TrafficSpec};
+use support::shards::{parse_shards, shards_from_env};
 
 fn fnv(h: &mut u64, bits: u64) {
     for b in bits.to_le_bytes() {
@@ -238,4 +239,15 @@ fn kary_1152_host_run_is_shard_count_invariant() {
             }
         }
     }
+}
+
+#[test]
+fn shards_env_parses() {
+    // Unset, empty, non-numeric and zero all read as the single-bin path.
+    for value in [None, Some(""), Some("four"), Some("0"), Some("-2")] {
+        assert_eq!(parse_shards(value), 1, "{value:?}");
+    }
+    assert_eq!(parse_shards(Some("4")), 4);
+    assert_eq!(parse_shards(Some(" 2\n")), 2);
+    assert!(shards_from_env() >= 1);
 }

@@ -22,8 +22,8 @@ use super::conservation::{
 use super::oracles::assert_work_conserving;
 use basrpt::core::{RepFlow, Scheduler};
 use basrpt::fabric::{
-    simulate, simulate_fair_share, simulate_fair_share_probed, simulate_repflow,
-    simulate_repflow_probed, FabricRun, FabricSim, FatTree, KAryFatTree, SimConfig, Topology,
+    simulate, simulate_fair_share, simulate_fair_share_probed, simulate_probed, simulate_repflow,
+    simulate_repflow_probed, FabricRun, FatTree, KAryFatTree, SimConfig, Topology,
 };
 use basrpt::types::SimTime;
 use basrpt::workload::{FlowArrival, TrafficSpec};
@@ -79,13 +79,7 @@ impl<F: Fn(usize) -> Box<dyn Scheduler>> DisciplineUnderTest for ScheduledDiscip
         probe: &mut ConservationProbe,
     ) -> FabricRun {
         let mut sched = (self.make)(topo.num_hosts() as usize);
-        FabricSim::new(topo)
-            .config(config)
-            .scheduler(sched.as_mut())
-            .workload(arrivals)
-            .probe(probe)
-            .run()
-            .expect("valid simulation")
+        simulate_probed(topo, sched.as_mut(), arrivals, config, probe).expect("valid simulation")
     }
 }
 

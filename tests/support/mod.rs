@@ -27,3 +27,4 @@ pub mod battery;
 pub mod conservation;
 pub mod fingerprint;
 pub mod oracles;
+pub mod shards;

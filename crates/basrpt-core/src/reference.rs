@@ -253,8 +253,9 @@ fn ranked_all_flows(table: &FlowTable, key: impl Fn(f64, f64) -> f64) -> Schedul
 /// active flows, ranks the summaries with `discipline`, and admits
 /// greedily in `(key, head flow)` order — exactly the ordering contract
 /// of [`crate::greedy_by_key`], including the `FlowId` tie-break. Costs
-/// `O(F + Q log Q)` per call and reads nothing but the flow iterator, so
-/// it is immune to champion-index bugs by construction.
+/// `O(F + Q log Q)` per call and reads nothing but the flow iterator —
+/// plus each VOQ's slot, which labels a view but never ranks it — so it
+/// is immune to champion-index bugs by construction.
 pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Schedule {
     struct Scratch {
         backlog: u64,
@@ -285,6 +286,9 @@ pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Sch
                 shortest_flow: s.shortest.1,
                 oldest_flow: s.oldest,
                 len: s.len,
+                slot: table
+                    .voq_slot(*voq)
+                    .expect("a VOQ holding a flow has a table slot") as u32,
             };
             let (key, head) = discipline.rank(&view);
             (key, head, *voq)

@@ -74,6 +74,20 @@ pub struct VoqView {
     pub oldest_flow: FlowId,
     /// Number of flows waiting in the VOQ.
     pub len: usize,
+    /// The VOQ's dense slot in its table; see [`VoqView::slot`].
+    pub(crate) slot: u32,
+}
+
+impl VoqView {
+    /// The VOQ's dense slot in the [`FlowTable`] that served this view:
+    /// assigned when the VOQ first holds a flow and stable for the
+    /// table's lifetime, across empty/non-empty transitions. Consumers
+    /// keeping per-VOQ state beside the table (the fabric's delta
+    /// allocator) index it by this slot instead of hashing the [`Voq`];
+    /// [`FlowTable::voq_slot`] resolves a VOQ to the same number.
+    pub fn slot(&self) -> usize {
+        self.slot as usize
+    }
 }
 
 /// One active flow in the slab arena.
@@ -287,7 +301,15 @@ impl FlowTable {
             shortest_flow: slot.shortest_flow,
             oldest_flow: slot.oldest_flow,
             len: slot.len as usize,
+            slot: vs,
         }
+    }
+
+    /// The dense slot of `voq` ([`VoqView::slot`]), or `None` if `voq` has
+    /// never held a flow in this table. A hash lookup — for the paths that
+    /// start from a [`Voq`] rather than a view.
+    pub fn voq_slot(&self, voq: Voq) -> Option<usize> {
+        self.voq_lookup.get(&voq).map(|&vs| vs as usize)
     }
 
     /// The number of successful mutations ([`insert`](FlowTable::insert),

@@ -398,7 +398,10 @@ fn bench_delta_reschedule(c: &mut Criterion) {
                     )
                 })
                 .collect();
-            alloc.apply(SimTime::ZERO, base.clone(), |_| 1 << 40, |_| {});
+            // Flow `i < n` sits in VOQ slot `i`; the two alternating
+            // last-position ids share slot `n - 1`.
+            let admit = |id: FlowId| (1 << 40, (id.raw() as usize).min(n - 1));
+            alloc.apply(SimTime::ZERO, base.clone(), admit, |_| {});
             let mut swapped = base.clone();
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
@@ -407,7 +410,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
                     // apply sees one entrant, one leaver, n-1 stays.
                     tick += 1;
                     swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
-                    alloc.apply(SimTime::ZERO, swapped.clone(), |_| 1 << 40, |_| {});
+                    alloc.apply(SimTime::ZERO, swapped.clone(), admit, |_| {});
                     alloc.next_completion()
                 })
             });
@@ -423,9 +426,10 @@ fn bench_delta_reschedule(c: &mut Criterion) {
 /// * `due_check` — [`DeltaAllocator::settle_due`] at an instant with no
 ///   completion due: one validated heap peek, `O(1)`. This is what every
 ///   arrival event pays instead of the old full-set sweep;
-/// * `view_adjust` — one [`VoqView`] corrected through the
-///   [`DeltaAllocator::live_views`] lens: two hash probes and integer
-///   arithmetic, `O(1)` per VOQ regardless of how many flows are live.
+/// * `view_adjust` — one [`VoqView`] of a real [`FlowTable`] corrected
+///   through the [`DeltaAllocator::live_views`] lens: one read indexed by
+///   the view's VOQ slot plus integer arithmetic, `O(1)` per VOQ
+///   regardless of how many flows are live.
 ///
 /// The `O(Δ)` reschedule itself is covered by `delta_reschedule`; these
 /// rows isolate the *observation* costs that the lazy discipline added.
@@ -449,12 +453,25 @@ fn bench_settle_cost(c: &mut Criterion) {
                 )
             })
             .collect();
+        // Every scheduled flow waits in the table beside a longer sibling
+        // in its VOQ, so adjusted views carry two flows. ~1 TiB per flow
+        // at 10 Gbps: nothing completes within the probed window, so every
+        // settlement check is the no-op fast path.
+        let mut table = FlowTable::new();
+        for (k, &(id, voq)) in sel.iter().enumerate() {
+            table.insert(FlowState::new(id, voq, 1 << 40)).unwrap();
+            let sibling = FlowId::new((n + k) as u64);
+            table.insert(FlowState::new(sibling, voq, 1 << 41)).unwrap();
+        }
+        let admit = |id| {
+            let flow = table.get(id).unwrap();
+            (flow.remaining(), table.voq_slot(flow.voq()).unwrap())
+        };
+        let views: Vec<VoqView> = table.voqs().collect();
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            // ~1 TiB per flow at 10 Gbps: nothing completes within the
-            // probed window, so every check is the no-op fast path.
-            alloc.apply(SimTime::ZERO, sel.clone(), |_| 1 << 40, |_| {});
+            alloc.apply(SimTime::ZERO, sel.clone(), admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("due_check", n), &n, |b, _| {
                 b.iter(|| {
@@ -468,20 +485,12 @@ fn bench_settle_cost(c: &mut Criterion) {
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            alloc.apply(SimTime::ZERO, sel.clone(), |_| 1 << 40, |_| {});
+            alloc.apply(SimTime::ZERO, sel.clone(), admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("view_adjust", n), &n, |b, &n| {
                 b.iter(|| {
                     tick += 1;
-                    let i = (tick % n as u64) as u32;
-                    let mut view = VoqView {
-                        voq: Voq::new(HostId::new(2 * i), HostId::new(2 * i + 1)),
-                        backlog: 1 << 41,
-                        shortest_remaining: 1 << 40,
-                        shortest_flow: FlowId::new(i as u64),
-                        oldest_flow: FlowId::new(i as u64),
-                        len: 2,
-                    };
+                    let mut view = views[(tick % n as u64) as usize];
                     alloc
                         .live_views(SimTime::from_micros((1 + tick % 997) as f64))
                         .adjust(&mut view);

@@ -45,8 +45,9 @@
 //! Schedulers that decide from per-VOQ views cannot read the (stale)
 //! table directly in lazy mode; [`DeltaAllocator::live_views`] lends them
 //! a [`ViewAdjust`] lens that subtracts each VOQ's unsettled bytes on the
-//! fly — `O(1)` per VOQ, two hash lookups — reproducing exactly the views
-//! an eagerly settled table would have served (same champion, same
+//! fly — one indexed read per VOQ, by the table's dense VOQ slot
+//! ([`VoqView::slot`]), no hashing — reproducing exactly the views an
+//! eagerly settled table would have served (same champion, same
 //! tie-breaks). Disciplines opt in via
 //! [`Scheduler::supports_lazy_views`](basrpt_core::Scheduler::supports_lazy_views);
 //! everything else (and every run under a per-flow-fidelity probe, or an
@@ -70,7 +71,6 @@ use crate::repflow::plane_of;
 use crate::topology::Topology;
 use basrpt_core::{ViewAdjust, VoqView};
 use dcn_types::{FlowId, PlaneId, Rate, SimTime, Voq};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// The allocation delta of one [`DeltaAllocator::apply`] call: how many
@@ -150,10 +150,12 @@ pub struct SettledDrain {
 /// let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
 ///
 /// // Two flows admitted at t = 0: 1.25 MB completes after exactly 1 ms.
+/// // An entrant reports its remaining bytes and its VOQ's table slot
+/// // (`FlowTable::voq_slot`); here flow 1's VOQ is slot 0, flow 2's slot 1.
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
 ///     vec![(FlowId::new(1), voq(0, 1)), (FlowId::new(2), voq(2, 3))],
-///     |id| if id == FlowId::new(1) { 1_250_000 } else { 5_000_000 },
+///     |id| if id == FlowId::new(1) { (1_250_000, 0) } else { (5_000_000, 1) },
 ///     |_| unreachable!("nothing scheduled before, so nothing is evicted"),
 /// );
 /// assert_eq!((delta.entered, delta.left, delta.kept), (2, 0, 0));
@@ -183,16 +185,20 @@ pub struct SettledDrain {
 pub struct DeltaAllocator {
     rate: Rate,
     calendar: CompletionCalendar,
-    /// Byte accounts of the live scheduled flows.
-    entries: HashMap<FlowId, ScheduledEntry>,
-    /// `VOQ → scheduled flow` — the [`live_views`](DeltaAllocator::live_views)
-    /// lens resolves each VOQ's unsettled bytes through this (a matching
-    /// schedules at most one flow per VOQ).
-    by_voq: HashMap<Voq, FlowId>,
+    /// Byte accounts of the live scheduled flows, indexed by their VOQ's
+    /// table slot ([`VoqView::slot`]): a crossbar matching schedules at
+    /// most one flow per VOQ, so the
+    /// [`live_views`](DeltaAllocator::live_views) lens resolves each VOQ's
+    /// unsettled bytes with one indexed read.
+    by_slot: Vec<Option<ScheduledEntry>>,
+    /// `flow → VOQ slot` of the live scheduled flows — read only on the
+    /// `O(Δ)` paths that start from a flow id (the diff window, due
+    /// completions) and on observation settlement.
+    slots: HashMap<FlowId, usize>,
     /// The previous selection in priority order — what `apply` diffs the
     /// next selection against, and the order every settlement path emits
     /// drains in. May contain *tombstones*: pairs whose flow completed
-    /// (and left `entries`) after this selection was applied.
+    /// (and left `slots`) after this selection was applied.
     sel: Vec<(FlowId, Voq)>,
     stats: DeltaStats,
 }
@@ -204,8 +210,8 @@ impl DeltaAllocator {
         DeltaAllocator {
             rate,
             calendar: CompletionCalendar::new(),
-            entries: HashMap::new(),
-            by_voq: HashMap::new(),
+            by_slot: Vec::new(),
+            slots: HashMap::new(),
             sel: Vec::new(),
             stats: DeltaStats::default(),
         }
@@ -213,12 +219,12 @@ impl DeltaAllocator {
 
     /// Number of currently scheduled flows.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether no flow is currently scheduled.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Cumulative delta statistics since construction.
@@ -235,15 +241,19 @@ impl DeltaAllocator {
     /// Rebinds the allocator to a new schedule, computed at instant `now`,
     /// and returns the allocation delta.
     ///
-    /// `selected` is the matching in priority order; each flow must appear
-    /// at most once (a [`basrpt_core::Schedule`] guarantees this). Flows
-    /// already scheduled keep their drain epoch and calendar entry
-    /// untouched; flows entering open a fresh epoch at `now` over
-    /// `remaining(flow)` bytes (read lazily, only for entrants); flows of
-    /// the previous schedule not re-selected are settled to `now` — any
-    /// bytes they transmitted since their last observation are reported
-    /// through `on_evict`, never completing one (a due completion must be
-    /// settled before rescheduling) — and evicted.
+    /// `selected` is the matching in priority order; each flow and each
+    /// VOQ must appear at most once (a [`basrpt_core::Schedule`]
+    /// guarantees both). Flows already scheduled keep their drain epoch
+    /// and calendar entry untouched; flows entering open a fresh epoch at
+    /// `now` over the remaining bytes `admit(flow)` reports, bound to the
+    /// VOQ slot it reports ([`basrpt_core::FlowTable::voq_slot`]; read
+    /// lazily, only for entrants); flows of the previous schedule not
+    /// re-selected are settled to `now` — any bytes they transmitted since
+    /// their last observation are reported through `on_evict`, never
+    /// completing one (a due completion must be settled before
+    /// rescheduling) — and evicted. Leavers are evicted before entrants
+    /// bind, so an entrant preempting a leaver on the same VOQ takes over
+    /// its slot only after the leaver's bytes are accounted.
     ///
     /// Cost: the matched prefix and suffix of the previous selection pay
     /// one pair comparison each (no hashing, no copies); only the changed
@@ -254,7 +264,7 @@ impl DeltaAllocator {
         &mut self,
         now: SimTime,
         selected: Vec<(FlowId, Voq)>,
-        mut remaining: impl FnMut(FlowId) -> u64,
+        mut admit: impl FnMut(FlowId) -> (u64, usize),
         mut on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
         let old = std::mem::replace(&mut self.sel, selected);
@@ -265,7 +275,10 @@ impl DeltaAllocator {
         // and a completed flow cannot reappear in a fresh schedule (it
         // left the flow table), so matched pairs are always live kept
         // flows — tombstones and every entrant/leaver/mover land in the
-        // middle window by construction.
+        // middle window by construction. A windowed flow that is still
+        // scheduled must also sit in the old window (it cannot occupy a
+        // matched position of the old selection without duplicating a
+        // pair), so the two windows are self-contained.
         let limit = n_old.min(n_new);
         let mut lo = 0;
         while lo < limit && old[lo] == self.sel[lo] {
@@ -281,32 +294,12 @@ impl DeltaAllocator {
             ..DeltaOutcome::default()
         };
 
-        // New-side window: classify entrants vs flows that merely moved
-        // position. A windowed flow that is still scheduled must also sit
-        // in the old window (it cannot occupy a matched position of the
-        // old selection without duplicating a pair), so the two windows
-        // are self-contained.
-        for &(id, voq) in &self.sel[lo..n_new - hi] {
-            match self.entries.entry(id) {
-                Entry::Occupied(slot) => {
-                    debug_assert_eq!(slot.get().voq, voq, "a flow's VOQ is fixed");
-                    out.kept += 1;
-                }
-                Entry::Vacant(slot) => {
-                    let entry = ScheduledEntry::new(id, voq, now, remaining(id), self.rate);
-                    self.calendar.update(id, entry.completes_at);
-                    self.by_voq.insert(voq, id);
-                    slot.insert(entry);
-                    out.entered += 1;
-                }
-            }
-        }
-
-        // Old-side window: anything not re-selected has left (or is a
-        // completion tombstone, already absent from `entries`). Leavers
-        // settle to `now` first so the bytes they moved while scheduled
-        // are never lost — in eager mode every account was settled this
-        // instant already, so the owed amount is zero and no drain fires.
+        // Old-side window first: anything not re-selected has left (or is
+        // a completion tombstone, already absent from `slots`). Leavers
+        // settle to `now` so the bytes they moved while scheduled are
+        // never lost — in eager mode every account was settled this
+        // instant already, so the owed amount is zero and no drain fires —
+        // and free their VOQ slot for an entrant below.
         if lo + hi < n_old {
             let reselected: HashSet<FlowId> =
                 self.sel[lo..n_new - hi].iter().map(|&(id, _)| id).collect();
@@ -314,16 +307,13 @@ impl DeltaAllocator {
                 if reselected.contains(&id) {
                     continue;
                 }
-                let Some(entry) = self.entries.remove(&id) else {
+                let Some(slot) = self.slots.remove(&id) else {
                     continue; // completion tombstone, swept for free
                 };
+                let entry = self.by_slot[slot]
+                    .take()
+                    .expect("a scheduled flow's VOQ slot holds its entry");
                 self.calendar.remove(id);
-                // An entrant may have re-bound this VOQ already (same
-                // src-dst preemption); only unbind if the slot is still
-                // ours.
-                if self.by_voq.get(&entry.voq) == Some(&id) {
-                    self.by_voq.remove(&entry.voq);
-                }
                 let owed = entry.target_at(now) - entry.settled;
                 if owed > 0 {
                     debug_assert!(
@@ -341,6 +331,21 @@ impl DeltaAllocator {
             }
         }
 
+        // New-side window: entrants open an epoch in their VOQ's slot;
+        // flows already bound merely moved position.
+        for i in lo..n_new - hi {
+            let (id, voq) = self.sel[i];
+            if self.slots.contains_key(&id) {
+                out.kept += 1;
+                continue;
+            }
+            let (remaining, slot) = admit(id);
+            let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
+            self.calendar.update(id, entry.completes_at);
+            self.bind(slot, entry);
+            out.entered += 1;
+        }
+
         self.stats.reschedules += 1;
         self.stats.entered += out.entered;
         self.stats.left += out.left;
@@ -348,12 +353,28 @@ impl DeltaAllocator {
         out
     }
 
+    /// Binds a live entry to its (free) VOQ slot.
+    fn bind(&mut self, slot: usize, entry: ScheduledEntry) {
+        if slot >= self.by_slot.len() {
+            self.by_slot.resize(slot + 1, None);
+        }
+        debug_assert!(
+            self.by_slot[slot].is_none(),
+            "a matching schedules at most one flow per VOQ"
+        );
+        self.slots.insert(entry.flow, slot);
+        self.by_slot[slot] = Some(entry);
+    }
+
     /// Settles the byte account of one live flow at instant `t`,
     /// evicting it first if the settlement completes it.
     fn settle_one(&mut self, id: FlowId, t: SimTime, on_drain: &mut impl FnMut(SettledDrain)) {
-        let Some(entry) = self.entries.get_mut(&id) else {
+        let Some(&slot) = self.slots.get(&id) else {
             return;
         };
+        let entry = self.by_slot[slot]
+            .as_mut()
+            .expect("a scheduled flow's VOQ slot holds its entry");
         let target = entry.target_at(t);
         let amount = target - entry.settled;
         if amount == 0 {
@@ -363,9 +384,9 @@ impl DeltaAllocator {
         let completed = entry.settled == entry.epoch_remaining;
         let voq = entry.voq;
         if completed {
-            self.entries.remove(&id);
+            self.by_slot[slot] = None;
+            self.slots.remove(&id);
             self.calendar.remove(id);
-            self.by_voq.remove(&voq);
         }
         on_drain(SettledDrain {
             flow: id,
@@ -423,7 +444,7 @@ impl DeltaAllocator {
     /// and snapshots, where per-flow exactness is demanded all at once.
     pub fn settle(&mut self, t: SimTime, mut on_drain: impl FnMut(SettledDrain)) -> bool {
         let mut completed_any = false;
-        // `settle_one` mutates `entries` but never `sel`, so the walk
+        // `settle_one` mutates the entries but never `sel`, so the walk
         // over a clone-free snapshot of the priority order is sound; the
         // explicit index keeps the borrow checker out of the closure.
         for i in 0..self.sel.len() {
@@ -441,7 +462,9 @@ impl DeltaAllocator {
     /// scheduled flow's unsettled drain from the backlog and re-derives
     /// the champion under the table's exact `(remaining, id)` tie-break,
     /// so a scheduler deciding from adjusted views sees precisely the
-    /// views an eagerly settled table would serve. `O(1)` per VOQ.
+    /// views an eagerly settled table would serve. One indexed read per
+    /// VOQ, by [`VoqView::slot`]: the views must come from the table whose
+    /// slots [`apply`](DeltaAllocator::apply) was given.
     pub fn live_views(&self, now: SimTime) -> LiveViews<'_> {
         LiveViews { alloc: self, now }
     }
@@ -453,82 +476,78 @@ impl DeltaAllocator {
     pub(crate) fn snapshot_entries(&self) -> Vec<ScheduledEntry> {
         self.sel
             .iter()
-            .filter_map(|(id, _)| self.entries.get(id))
-            .copied()
+            .filter_map(|(id, _)| self.by_slot[*self.slots.get(id)?])
             .collect()
     }
 
     /// Rebuilds an allocator from snapshotted live entries (in priority
-    /// order) and cumulative stats. The selection, index, and calendar are
+    /// order), each with its VOQ's slot in the restored table, and
+    /// cumulative stats. The selection, index, and calendar are
     /// reconstructed from the entries' exact accounts, so a restored
     /// allocator settles, completes, and reschedules bit-for-bit like the
-    /// one that was snapshotted.
+    /// one that was snapshotted. The caller checks that flows and slots
+    /// are each unique.
     pub(crate) fn restore(
         rate: Rate,
-        entries: impl IntoIterator<Item = ScheduledEntry>,
+        entries: impl IntoIterator<Item = (ScheduledEntry, usize)>,
         stats: DeltaStats,
     ) -> Self {
         let mut alloc = DeltaAllocator::new(rate);
         alloc.stats = stats;
-        for entry in entries {
+        for (entry, slot) in entries {
             alloc.calendar.update(entry.flow, entry.completes_at);
-            let replaced = alloc.entries.insert(entry.flow, entry);
-            debug_assert!(
-                replaced.is_none(),
-                "snapshot entries must be unique per flow"
-            );
-            alloc.by_voq.insert(entry.voq, entry.flow);
             alloc.sel.push((entry.flow, entry.voq));
+            alloc.bind(slot, entry);
         }
         alloc
     }
 
-    /// Consistency check: the calendar's live set, the VOQ index, and the
-    /// selection all mirror the entry map exactly (same flows, same
-    /// instants, priority order covering every live flow once). Linear;
-    /// intended for tests.
+    /// Consistency check: the calendar's live set, the slot index, and
+    /// the selection all mirror the slot-indexed entries exactly (same
+    /// flows, same instants, priority order covering every live flow
+    /// once). Linear; intended for tests.
     pub fn check_consistent(&mut self) -> Result<(), String> {
-        if self.calendar.len() != self.entries.len() {
+        let bound = self.by_slot.iter().flatten().count();
+        if bound != self.slots.len() {
+            return Err(format!(
+                "{bound} bound VOQ slots but {} indexed flows",
+                self.slots.len()
+            ));
+        }
+        if self.calendar.len() != self.slots.len() {
             return Err(format!(
                 "{} calendar entries but {} live flows",
                 self.calendar.len(),
-                self.entries.len()
-            ));
-        }
-        if self.by_voq.len() != self.entries.len() {
-            return Err(format!(
-                "{} VOQ index entries but {} live flows",
-                self.by_voq.len(),
-                self.entries.len()
+                self.slots.len()
             ));
         }
         let mut seen = HashSet::new();
         let mut want = SimTime::INFINITY;
         for &(id, voq) in &self.sel {
-            let Some(entry) = self.entries.get(&id) else {
+            let Some(&slot) = self.slots.get(&id) else {
                 continue; // completion tombstone
             };
             if !seen.insert(id) {
                 return Err(format!("flow {id} appears twice in the selection"));
             }
+            let Some(entry) = self.by_slot[slot].as_ref().filter(|e| e.flow == id) else {
+                return Err(format!("VOQ slot {slot} does not hold flow {id}"));
+            };
             if entry.voq != voq {
                 return Err(format!(
                     "flow {id} selected on {voq:?}, bound to a different VOQ"
                 ));
-            }
-            if self.by_voq.get(&voq) != Some(&id) {
-                return Err(format!("VOQ index does not map {voq:?} to flow {id}"));
             }
             if entry.settled > entry.epoch_remaining {
                 return Err(format!("flow {id} settled beyond its epoch"));
             }
             want = want.min(entry.completes_at);
         }
-        if seen.len() != self.entries.len() {
+        if seen.len() != self.slots.len() {
             return Err(format!(
                 "selection covers {} live flows but {} are live",
                 seen.len(),
-                self.entries.len()
+                self.slots.len()
             ));
         }
         if self.calendar.next_completion() != want {
@@ -553,10 +572,11 @@ pub struct LiveViews<'a> {
 
 impl ViewAdjust for LiveViews<'_> {
     fn adjust(&self, view: &mut VoqView) {
-        let Some(&flow) = self.alloc.by_voq.get(&view.voq) else {
+        let Some(Some(entry)) = self.alloc.by_slot.get(view.slot()) else {
             return; // no flow of this VOQ is transmitting
         };
-        let entry = &self.alloc.entries[&flow];
+        debug_assert_eq!(entry.voq, view.voq, "the view comes from the bound table");
+        let flow = entry.flow;
         let target = entry.target_at(self.now);
         let owed = target - entry.settled;
         if owed == 0 {
@@ -696,10 +716,30 @@ mod tests {
         panic!("unexpected eviction drain: {d:?}");
     }
 
+    /// A VOQ's slot in tests that run without a flow table: unique per
+    /// host pair, as a table's slots are.
+    fn slot(q: Voq) -> usize {
+        q.src().as_usize() * 16 + q.dst().as_usize()
+    }
+
+    /// [`DeltaAllocator::apply`] with each entrant's VOQ slot taken from
+    /// [`slot`] and its remaining bytes from `size`.
+    fn apply(
+        alloc: &mut DeltaAllocator,
+        now: SimTime,
+        selected: Vec<(FlowId, Voq)>,
+        size: impl Fn(FlowId) -> u64,
+        on_evict: impl FnMut(SettledDrain),
+    ) -> DeltaOutcome {
+        let voqs: HashMap<FlowId, Voq> = selected.iter().copied().collect();
+        alloc.apply(now, selected, |id| (size(id), slot(voqs[&id])), on_evict)
+    }
+
     #[test]
     fn entrants_open_epochs_and_leavers_are_evicted() {
         let mut alloc = DeltaAllocator::new(gbps10());
-        let d = alloc.apply(
+        let d = apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(1), voq(0, 1)), (f(2), voq(2, 3))],
             |_| 1_250_000,
@@ -711,7 +751,8 @@ mod tests {
         // Flow 2 is preempted by flow 3; flow 1 stays. The leaver settles
         // its 10 µs of line-rate bytes (12 500) on the way out.
         let mut evicted = Vec::new();
-        let d = alloc.apply(
+        let d = apply(
+            &mut alloc,
             SimTime::from_micros(10.0),
             vec![(f(1), voq(0, 1)), (f(3), voq(2, 4))],
             |id| {
@@ -741,10 +782,22 @@ mod tests {
     fn stays_cost_no_calendar_work() {
         let mut alloc = DeltaAllocator::new(gbps10());
         let sched = vec![(f(1), voq(0, 1)), (f(2), voq(2, 3))];
-        alloc.apply(SimTime::ZERO, sched.clone(), |_| 10_000_000, no_evict);
+        apply(
+            &mut alloc,
+            SimTime::ZERO,
+            sched.clone(),
+            |_| 10_000_000,
+            no_evict,
+        );
         let stats_before = alloc.stats();
         for _ in 0..50 {
-            let d = alloc.apply(SimTime::ZERO, sched.clone(), |_| unreachable!(), no_evict);
+            let d = apply(
+                &mut alloc,
+                SimTime::ZERO,
+                sched.clone(),
+                |_| unreachable!(),
+                no_evict,
+            );
             assert_eq!((d.entered, d.left, d.kept), (0, 0, 2));
         }
         let stats = alloc.stats();
@@ -758,7 +811,8 @@ mod tests {
     fn settle_reports_exact_drains_in_priority_order() {
         let mut alloc = DeltaAllocator::new(gbps10());
         // 1250 bytes = 1 µs at 10 Gbps; flow 2 is 10× longer.
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(2), voq(2, 3)), (f(1), voq(0, 1))],
             |id| if id == f(1) { 1_250 } else { 12_500 },
@@ -785,7 +839,8 @@ mod tests {
     #[test]
     fn settle_due_touches_only_the_completing_flow() {
         let mut alloc = DeltaAllocator::new(gbps10());
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(2), voq(2, 3)), (f(1), voq(0, 1))],
             |id| if id == f(1) { 1_250 } else { 12_500 },
@@ -830,7 +885,8 @@ mod tests {
         // Three identical sizes complete at the same instant; priority
         // order (the order applied) must be preserved in the callbacks,
         // not the calendar's id-order pops.
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(3), voq(4, 5)), (f(1), voq(0, 1)), (f(2), voq(2, 3))],
             |_| 1_250,
@@ -849,7 +905,8 @@ mod tests {
     #[test]
     fn returning_flow_opens_a_fresh_epoch() {
         let mut alloc = DeltaAllocator::new(gbps10());
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(1), voq(0, 1))],
             |_| 12_500_000,
@@ -858,7 +915,8 @@ mod tests {
         alloc.settle(SimTime::from_millis(1.0), |_| {});
         // Preempted at 1 ms with 9 ms of bytes left (already settled, so
         // the eviction owes nothing)…
-        let d = alloc.apply(
+        let d = apply(
+            &mut alloc,
             SimTime::from_millis(1.0),
             vec![(f(2), voq(0, 2))],
             |_| 2_500_000,
@@ -869,7 +927,8 @@ mod tests {
         // epoch over the *current* remaining bytes. Flow 2 ran unsettled
         // for 1 ms, so its eviction owes exactly that drain.
         let mut evicted = Vec::new();
-        let d = alloc.apply(
+        let d = apply(
+            &mut alloc,
             SimTime::from_millis(2.0),
             vec![(f(1), voq(0, 1))],
             |id| {
@@ -889,28 +948,46 @@ mod tests {
 
     #[test]
     fn same_voq_preemption_keeps_the_voq_index_bound() {
-        let mut alloc = DeltaAllocator::new(gbps10());
+        use basrpt_core::{FlowState, FlowTable};
+
         // Two flows between the same host pair: the shorter preempts the
-        // longer on the SAME VOQ. The entrant binds the VOQ slot in the
-        // new-side window before the leaver's cleanup runs, so the
-        // cleanup must not unbind it.
-        alloc.apply(
-            SimTime::ZERO,
-            vec![(f(1), voq(0, 1))],
-            |_| 1_250_000,
-            no_evict,
-        );
+        // longer on the SAME VOQ, so both bind the same VOQ slot. `apply`
+        // evicts the leaver (settling what it owes) before the entrant
+        // binds the slot, so the entrant's account replaces the leaver's
+        // only once the leaver's bytes are accounted.
+        let mut table = FlowTable::new();
+        let q = voq(0, 1);
+        table.insert(FlowState::new(f(1), q, 1_250_000)).unwrap();
+        table.insert(FlowState::new(f(2), q, 1_250)).unwrap();
+        let mut alloc = DeltaAllocator::new(gbps10());
+        let admit = |id| {
+            (
+                table.get(id).unwrap().remaining(),
+                table.voq_slot(q).unwrap(),
+            )
+        };
+        alloc.apply(SimTime::ZERO, vec![(f(1), q)], admit, no_evict);
         let mut evicted = Vec::new();
-        alloc.apply(
-            SimTime::from_micros(1.0),
-            vec![(f(2), voq(0, 1))],
-            |_| 1_250,
-            |d| evicted.push(d),
-        );
+        alloc.apply(SimTime::from_micros(1.0), vec![(f(2), q)], admit, |d| {
+            evicted.push(d)
+        });
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].flow, f(1));
         assert_eq!(evicted[0].amount, 1_250);
         alloc.check_consistent().unwrap();
+        table.drain(f(1), evicted[0].amount).unwrap();
+
+        // Right after the preemption the VOQ's view lens reads the
+        // entrant's account: half a microsecond in, flow 2 owes 625 bytes
+        // (the leaver's would be 1 875 and no longer exists).
+        let mut view = table.voq_view(q).unwrap();
+        alloc
+            .live_views(SimTime::from_micros(1.5))
+            .adjust(&mut view);
+        assert_eq!(view.backlog, 1_248_750 + 1_250 - 625);
+        assert_eq!(view.shortest_flow, f(2));
+        assert_eq!(view.shortest_remaining, 625);
+
         // The entrant is still reachable through the VOQ index: its
         // completion settles normally.
         let mut done = Vec::new();
@@ -925,13 +1002,20 @@ mod tests {
     #[test]
     fn empty_apply_evicts_everything() {
         let mut alloc = DeltaAllocator::new(gbps10());
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(1), voq(0, 1)), (f(2), voq(2, 3))],
             |_| 1_000,
             no_evict,
         );
-        let d = alloc.apply(SimTime::ZERO, vec![], |_| unreachable!(), no_evict);
+        let d = apply(
+            &mut alloc,
+            SimTime::ZERO,
+            vec![],
+            |_| unreachable!(),
+            no_evict,
+        );
         assert_eq!((d.entered, d.left, d.kept), (0, 2, 0));
         assert!(alloc.is_empty());
         assert_eq!(alloc.next_completion(), SimTime::INFINITY);
@@ -944,14 +1028,16 @@ mod tests {
         // Flow 1 completes first; the tail of the selection shifts by one
         // position but matches suffix-wise, so the re-apply without flow 1
         // is all kept flows, no entrants, no leavers.
-        alloc.apply(
+        apply(
+            &mut alloc,
             SimTime::ZERO,
             vec![(f(1), voq(0, 1)), (f(2), voq(2, 3)), (f(3), voq(4, 5))],
             |id| if id == f(1) { 1_250 } else { 12_500 },
             no_evict,
         );
         assert!(alloc.settle_due(SimTime::from_micros(1.0), |d| assert_eq!(d.flow, f(1))));
-        let d = alloc.apply(
+        let d = apply(
+            &mut alloc,
             SimTime::from_micros(1.0),
             vec![(f(2), voq(2, 3)), (f(3), voq(4, 5))],
             |_| unreachable!("both flows stay scheduled"),
@@ -971,7 +1057,8 @@ mod tests {
         table.insert(FlowState::new(f(1), q, 12_500)).unwrap();
         table.insert(FlowState::new(f(2), q, 5_000)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        alloc.apply(SimTime::ZERO, vec![(f(1), q)], |_| 12_500, no_evict);
+        let admit = |_| (12_500, table.voq_slot(q).unwrap());
+        alloc.apply(SimTime::ZERO, vec![(f(1), q)], admit, no_evict);
 
         let view_at = |table: &FlowTable, alloc: &DeltaAllocator, t: SimTime| {
             let mut view = table.voqs().next().unwrap();
@@ -1020,7 +1107,8 @@ mod tests {
         table.insert(FlowState::new(f(5), q, 5_000)).unwrap();
         table.insert(FlowState::new(f(2), q, 3_750)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        alloc.apply(SimTime::ZERO, vec![(f(5), q)], |_| 5_000, no_evict);
+        let admit = |_| (5_000, table.voq_slot(q).unwrap());
+        alloc.apply(SimTime::ZERO, vec![(f(5), q)], admit, no_evict);
 
         let mut view = table.voqs().next().unwrap();
         assert_eq!(view.shortest_flow, f(2));

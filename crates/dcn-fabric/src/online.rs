@@ -357,8 +357,14 @@ impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
         // flow entering the scheduled set was not transmitting, so it has
         // no unsettled drains. Evicted flows settle their unsettled
         // progress on the way out.
-        let remaining = |id| table.get(id).expect("scheduled flow is active").remaining();
-        self.alloc.apply(now, selected, remaining, |d| out.push(d));
+        let admit = |id| {
+            let flow = table.get(id).expect("scheduled flow is active");
+            let slot = table
+                .voq_slot(flow.voq())
+                .expect("an active flow's VOQ has a slot");
+            (flow.remaining(), slot)
+        };
+        self.alloc.apply(now, selected, admit, |d| out.push(d));
     }
 }
 
@@ -754,8 +760,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     ///
     /// Returns [`FabricError::BadConfig`] when the snapshot is internally
     /// inconsistent (duplicate flows, drain accounts that disagree with
-    /// the flow table, dangling metadata) or references hosts outside
-    /// `topo`.
+    /// the flow table — in bytes or in VOQ — two accounts on one VOQ,
+    /// dangling metadata) or references hosts outside `topo`.
     pub fn restore_with_probe(
         topo: &'t T,
         scheduler: &'s mut S,
@@ -801,13 +807,31 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             }
         }
 
-        let mut seen = HashSet::with_capacity(snapshot.entries.len());
-        for e in &snapshot.entries {
+        let mut bound = HashSet::with_capacity(snapshot.entries.len());
+        let mut entries = Vec::with_capacity(snapshot.entries.len());
+        for &e in &snapshot.entries {
             let flow = table
                 .get(e.flow)
                 .ok_or_else(|| bad(format!("scheduled entry for unknown flow {}", e.flow)))?;
-            if !seen.insert(e.flow) {
-                return Err(bad(format!("flow {} scheduled twice", e.flow)));
+            if e.voq != flow.voq() {
+                return Err(bad(format!(
+                    "flow {} scheduled on {:?} but queued on {:?}",
+                    e.flow,
+                    e.voq,
+                    flow.voq()
+                )));
+            }
+            // The allocator binds each entry to its VOQ's table slot, and
+            // a crossbar matching schedules at most one flow per VOQ (so a
+            // flow listed twice is caught here too).
+            let slot = table
+                .voq_slot(flow.voq())
+                .ok_or_else(|| bad(format!("flow {} has no VOQ slot", e.flow)))?;
+            if !bound.insert(slot) {
+                return Err(bad(format!(
+                    "{:?} scheduled twice (again by flow {})",
+                    e.voq, e.flow
+                )));
             }
             if e.settled >= e.epoch_remaining {
                 return Err(bad(format!(
@@ -824,9 +848,9 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                     e.epoch_remaining - e.settled
                 )));
             }
+            entries.push((e, slot));
         }
-        let alloc =
-            DeltaAllocator::restore(topo.edge_rate(), snapshot.entries, snapshot.alloc_stats);
+        let alloc = DeltaAllocator::restore(topo.edge_rate(), entries, snapshot.alloc_stats);
         let core = Core::new(topo, snapshot.config, probe, |enforce_core| Crossbar {
             alloc,
             ..Crossbar::new(topo, scheduler, enforce_core, 1)
@@ -1341,9 +1365,19 @@ mod tests {
         let mut sched = Srpt::new();
         let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
         online.offer(arrival(0, 0.0, 0, 1, 1_250_000)).unwrap();
+        // A longer flow waits behind flow 0 on the same VOQ, and another
+        // on a second VOQ, so both VOQs hold table slots.
+        online.offer(arrival(1, 0.0, 0, 1, 2_500_000)).unwrap();
+        online.offer(arrival(2, 0.0, 2, 3, 2_500_000)).unwrap();
         online.step_until(SimTime::from_secs(0.0001)).unwrap();
         let snap = online.snapshot();
         drop(online);
+        assert_eq!(snap.entries[0].flow, FlowId::new(0));
+        let restore = |snap: FabricSnapshot| {
+            let mut sched = Srpt::new();
+            OnlineFabric::restore(&topo, &mut sched, snap).map(drop)
+        };
+        restore(snap.clone()).expect("the untouched snapshot restores");
 
         // A smaller topology no longer contains the snapshot's hosts.
         let tiny = FatTree::scaled(1, 1, 1).unwrap();
@@ -1352,10 +1386,34 @@ mod tests {
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
 
         // Corrupting the drain account must be caught.
-        let mut broken = snap;
+        let mut broken = snap.clone();
         broken.entries[0].settled += 1;
-        let mut sched3 = Srpt::new();
-        let err = OnlineFabric::restore(&topo, &mut sched3, broken).unwrap_err();
+        let err = restore(broken).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // An entry on a VOQ other than its flow's would bind the view
+        // lens to the wrong VOQ.
+        let mut broken = snap.clone();
+        broken.entries[0].voq = Voq::new(HostId::new(2), HostId::new(3));
+        let err = restore(broken).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // A flow scheduled twice is caught as well.
+        let mut broken = snap.clone();
+        broken.entries.push(broken.entries[0]);
+        let err = restore(broken).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // Two flows scheduled on one VOQ are not a crossbar matching.
+        let mut broken = snap;
+        let waiting = ScheduledEntry {
+            flow: FlowId::new(1),
+            epoch_remaining: 2_500_000,
+            settled: 0,
+            ..broken.entries[0]
+        };
+        broken.entries.push(waiting);
+        let err = restore(broken).unwrap_err();
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
     }
 }

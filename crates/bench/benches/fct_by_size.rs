@@ -8,6 +8,7 @@
 
 use basrpt_bench::{paper_equivalent_fast_basrpt, run_fabric, Scale};
 use basrpt_core::{Scheduler, Srpt};
+use dcn_fabric::Topology;
 use dcn_metrics::TextTable;
 
 fn main() {

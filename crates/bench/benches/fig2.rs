@@ -13,7 +13,9 @@
 
 use basrpt_bench::{run_fabric, run_seeds, seeds_from_env, Scale, SeedStats};
 use basrpt_core::{RepFlow, Scheduler, Srpt, ThresholdBacklogSrpt};
-use dcn_fabric::{simulate, simulate_fair_share, simulate_repflow, FabricRun, FatTree, SimConfig};
+use dcn_fabric::{
+    simulate, simulate_fair_share, simulate_repflow, FabricRun, FatTree, SimConfig, Topology,
+};
 use dcn_metrics::{StabilityVerdict, TextTable, TrendConfig};
 use dcn_types::SimTime;
 use dcn_workload::{StarvationScript, TrafficSpec};

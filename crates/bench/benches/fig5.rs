@@ -11,6 +11,7 @@ use basrpt_bench::{
     paper_equivalent_fast_basrpt, run_fabric, run_seeds, seeds_from_env, Scale, SeedStats,
 };
 use basrpt_core::{Scheduler, Srpt};
+use dcn_fabric::Topology;
 use dcn_metrics::{StabilityVerdict, TextTable, TimeSeries, TrendConfig};
 
 /// The seed the recorded single-run numbers were produced with.

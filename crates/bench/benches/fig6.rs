@@ -7,7 +7,7 @@
 
 use basrpt_bench::{paper_equivalent_fast_basrpt, run_fabric_with, Scale, FCT_BASE_LATENCY_US};
 use basrpt_core::{Scheduler, Srpt};
-use dcn_fabric::SimConfig;
+use dcn_fabric::{SimConfig, Topology};
 use dcn_metrics::TextTable;
 use dcn_types::{FlowClass, SimTime};
 

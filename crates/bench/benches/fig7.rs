@@ -6,6 +6,7 @@
 //! small stability/throughput cost.
 
 use basrpt_bench::{paper_equivalent_fast_basrpt, run_fabric, Scale};
+use dcn_fabric::Topology;
 use dcn_metrics::{TextTable, TimeSeries, TrendConfig};
 
 fn print_series(label: &str, series: &TimeSeries) {

@@ -7,6 +7,7 @@
 //! slightly falls.
 
 use basrpt_bench::{paper_equivalent_fast_basrpt, run_fabric, Scale};
+use dcn_fabric::Topology;
 use dcn_metrics::TextTable;
 use dcn_types::FlowClass;
 

@@ -11,7 +11,7 @@
 
 use basrpt_bench::paper_equivalent_fast_basrpt;
 use basrpt_core::{Scheduler, Srpt};
-use dcn_fabric::{simulate, FatTree, SimConfig};
+use dcn_fabric::{simulate, FatTree, SimConfig, Topology};
 use dcn_metrics::{TextTable, TrendConfig};
 use dcn_types::SimTime;
 use dcn_workload::TrafficSpec;

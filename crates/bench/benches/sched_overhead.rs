@@ -32,7 +32,8 @@ use basrpt_core::{
     ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, Scheduler, Srpt, VoqView,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use dcn_types::{FlowId, HostId, Voq};
+use dcn_fabric::CompletionCalendar;
+use dcn_types::{FlowId, HostId, SimTime, Voq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -161,7 +162,6 @@ fn bench_per_event(c: &mut Criterion) {
 fn bench_probe_overhead(c: &mut Criterion) {
     use dcn_fabric::{simulate, simulate_probed, FatTree, SimConfig};
     use dcn_probe::{EventCounterProbe, JsonlProbe, NoProbe};
-    use dcn_types::SimTime;
     use dcn_workload::TrafficSpec;
 
     let mut group = c.benchmark_group("probe_overhead");
@@ -224,17 +224,14 @@ fn bench_probe_overhead(c: &mut Criterion) {
 
 /// Next-event lookup cost inside the fabric event loop: the seed engine
 /// rescanned every scheduled flow on every wakeup (`next_completion_scan`,
-/// `O(n)`), while the indexed `CompletionCalendar` answers from a
-/// validated heap top (`next_completion_calendar`, `O(1)` between schedule
-/// changes, `O(log n)` amortized across them). The
-/// `calendar_reschedule_unchanged` row prices the engine's common case of
-/// re-submitting a mostly identical schedule — the diff pushes nothing, so
-/// the cost is iteration only, with zero heap churn. The `engine_*` rows
-/// measure the end-to-end gap on the paper's 144-host fabric, where the
-/// scheduled set is large enough for the lookup to matter.
+/// `O(n)`), while the `CompletionCalendar` answers from a heap top
+/// validated against the owner's slot-indexed accounts
+/// (`next_completion_calendar`, `O(1)` between schedule changes, `O(log n)`
+/// amortized across them). The `engine_*` rows measure the end-to-end gap
+/// on the paper's 144-host fabric, where the scheduled set is large enough
+/// for the lookup to matter.
 fn bench_event_loop(c: &mut Criterion) {
-    use dcn_fabric::{reference, simulate, CompletionCalendar, FatTree, SimConfig};
-    use dcn_types::SimTime;
+    use dcn_fabric::{reference, simulate, FatTree, SimConfig};
     use dcn_workload::TrafficSpec;
 
     let mut group = c.benchmark_group("event_loop");
@@ -267,25 +264,13 @@ fn bench_event_loop(c: &mut Criterion) {
             },
         );
 
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule(pairs.iter().copied());
+        // Flow `i`'s account sits in slot `i`; the calendar validates its
+        // top against that slot's instant.
+        let (mut cal, live) = calendar_of(&pairs);
         group.bench_with_input(
             BenchmarkId::new("next_completion_calendar", n),
             &(),
-            |b, _| b.iter(|| cal.next_completion()),
-        );
-
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule(pairs.iter().copied());
-        group.bench_with_input(
-            BenchmarkId::new("calendar_reschedule_unchanged", n),
-            &pairs,
-            |b, p| {
-                b.iter(|| {
-                    cal.set_schedule(p.iter().copied());
-                    cal.next_completion()
-                })
-            },
+            |b, _| b.iter(|| cal.next_completion(|at, _, slot| live[slot] == at)),
         );
     }
 
@@ -312,16 +297,23 @@ fn bench_event_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-event rebinding cost under the delta discipline vs the full
-/// recompute it replaced, as the scheduled set grows 64 → 4096:
+/// A calendar holding one item per `(flow, instant)` pair, flow `i` in
+/// slot `i`, and the slot-indexed live instants it validates against.
+fn calendar_of(pairs: &[(FlowId, SimTime)]) -> (CompletionCalendar, Vec<SimTime>) {
+    let mut cal = CompletionCalendar::new();
+    for (slot, &(flow, at)) in pairs.iter().enumerate() {
+        cal.push(at, flow, slot);
+    }
+    (cal, pairs.iter().map(|&(_, at)| at).collect())
+}
+
+/// Per-event rebinding cost under the delta discipline, as the scheduled
+/// set grows 64 → 4096:
 ///
 /// * `targeted_churn` — the delta engine's calendar work for a one-flow
-///   allocation change: one [`CompletionCalendar::update`] plus the
-///   validated peek, `O(log n)` — near-flat in `n`;
-/// * `full_set_schedule` — the same one-flow change bound through
-///   `set_schedule`, which rebuilds the live map even though nothing else
-///   moved: `O(n)` hashing and allocation per event (the PR 3–5 engine's
-///   per-event floor);
+///   allocation change: one account moves to a new instant, one
+///   [`CompletionCalendar::push`]
+///   plus the validated peek, `O(log n)` — near-flat in `n`;
 /// * `allocator_swap_one` — the whole `DeltaAllocator::apply` for a
 ///   schedule differing in one flow: a prefix/suffix positional diff
 ///   (one `Copy`-pair compare per kept flow, no hashing, no stamping)
@@ -333,8 +325,8 @@ fn bench_event_loop(c: &mut Criterion) {
 /// the *backlog*, and its flatness is what unlocks million-flow runs —
 /// `PERFMODEL.md` has the full decomposition.
 fn bench_delta_reschedule(c: &mut Criterion) {
-    use dcn_fabric::{CompletionCalendar, DeltaAllocator};
-    use dcn_types::{Rate, SimTime};
+    use dcn_fabric::DeltaAllocator;
+    use dcn_types::Rate;
 
     let mut group = c.benchmark_group("delta_reschedule");
     group
@@ -354,8 +346,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
             .collect();
 
         {
-            let mut cal = CompletionCalendar::new();
-            cal.set_schedule(pairs.iter().copied());
+            let (mut cal, mut live) = calendar_of(&pairs);
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("targeted_churn", n), &n, |b, &n| {
                 b.iter(|| {
@@ -363,25 +354,11 @@ fn bench_delta_reschedule(c: &mut Criterion) {
                     // touched. Rotate the victim and the instant so the
                     // heap sees genuine churn, not a cached no-op.
                     tick += 1;
-                    let victim = FlowId::new(tick % n as u64);
-                    cal.update(victim, SimTime::from_micros((1 + tick % 999_983) as f64));
-                    cal.next_completion()
-                })
-            });
-        }
-
-        {
-            let mut cal = CompletionCalendar::new();
-            cal.set_schedule(pairs.iter().copied());
-            let mut moved = pairs.clone();
-            let mut tick = 0u64;
-            group.bench_with_input(BenchmarkId::new("full_set_schedule", n), &n, |b, &n| {
-                b.iter(|| {
-                    tick += 1;
                     let victim = (tick % n as u64) as usize;
-                    moved[victim].1 = SimTime::from_micros((1 + tick % 999_983) as f64);
-                    cal.set_schedule(moved.iter().copied());
-                    cal.next_completion()
+                    let at = SimTime::from_micros((1 + tick % 999_983) as f64);
+                    live[victim] = at;
+                    cal.push(at, FlowId::new(victim as u64), victim);
+                    cal.next_completion(|at, _, slot| live[slot] == at)
                 })
             });
         }
@@ -436,7 +413,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
 fn bench_settle_cost(c: &mut Criterion) {
     use basrpt_core::ViewAdjust;
     use dcn_fabric::DeltaAllocator;
-    use dcn_types::{Rate, SimTime};
+    use dcn_types::Rate;
 
     let mut group = c.benchmark_group("settle_cost");
     group

@@ -18,7 +18,7 @@ use basrpt_bench::{
 };
 use basrpt_core::{RepFlow, Srpt};
 use dcn_fabric::{
-    simulate_ecmp, simulate_fair_share, simulate_repflow, FabricRun, FatTree, SimConfig,
+    simulate_ecmp, simulate_fair_share, simulate_repflow, FabricRun, FatTree, SimConfig, Topology,
 };
 use dcn_metrics::TextTable;
 use dcn_types::{FlowClass, SimTime};

@@ -12,9 +12,12 @@
 //! * `delta_reschedule` — the `O(Δ log n)` rebind primitives;
 //! * `settle_cost` — the lazy-settlement observation primitives.
 //!
-//! Rows present only in the fresh file (new benches) or only in the
-//! baseline (renamed benches) are reported but do not fail the gate, so
-//! adding a row does not require a two-step baseline dance. Medians come
+//! Rows present only in the fresh file (new benches) are reported but do
+//! not fail the gate, so adding a row does not require a two-step
+//! baseline dance. Rows present only in the baseline **fail** it: a gated
+//! measurement that stops running (a renamed, dropped or unrun bench, or
+//! a whole group missing from the fresh file) must be deleted from the
+//! committed baseline in the same change, never silently. Medians come
 //! from `BASRPT_SCALE=quick` runs in CI; the 1.5× threshold leaves
 //! headroom for machine noise while catching an accidental return to the
 //! `O(n)`-per-event regime, which shows up as integer multiples.
@@ -55,12 +58,13 @@ fn main() -> ExitCode {
 
     let mut regressions = Vec::new();
     let mut compared = 0usize;
+    let no_rows = Vec::new();
     for &group in GATED_GROUPS {
         let base_rows = baseline.get(group);
-        let Some(fresh_rows) = fresh.get(group) else {
+        let fresh_rows = fresh.get(group).unwrap_or_else(|| {
             println!("perf_gate: group {group:?} missing from fresh results (not run?)");
-            continue;
-        };
+            &no_rows
+        });
         for (key, row) in fresh_rows {
             let Some(fresh_med) = median_ns(row) else {
                 continue;
@@ -86,7 +90,8 @@ fn main() -> ExitCode {
         if let Some(rows) = base_rows {
             for (key, _) in rows {
                 if !fresh_rows.iter().any(|(k, _)| k == key) {
-                    println!("{group}/{key}: only in baseline (renamed or dropped)");
+                    println!("{group}/{key}: only in baseline (renamed or dropped) MISSING");
+                    regressions.push(format!("{group}/{key}: no fresh median"));
                 }
             }
         }
@@ -97,7 +102,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "perf_gate: {} median(s) regressed beyond {MAX_RATIO}x:",
+            "perf_gate: {} median(s) regressed beyond {MAX_RATIO}x or stopped running:",
             regressions.len()
         );
         for r in &regressions {

@@ -121,6 +121,7 @@ impl fmt::Display for Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_fabric::Topology;
 
     #[test]
     fn paper_scale_matches_paper() {

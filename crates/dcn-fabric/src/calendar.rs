@@ -1,32 +1,27 @@
-//! The indexed completion calendar: a lazily invalidated binary min-heap
-//! over the scheduled flows' completion instants.
+//! The completion calendar: a lazily invalidated binary min-heap over the
+//! scheduled flows' completion instants.
 //!
 //! The event loop needs "when does the next scheduled flow complete?" on
 //! every wakeup. The seed engine answered that with a linear rescan of all
 //! scheduled flows (a division per flow per wakeup — `O(n)` even when the
 //! wakeup is just a sample point). The calendar answers it from a binary
-//! heap keyed by `(completion instant, flow id)`:
+//! heap of `(completion instant, flow, slot)` items.
 //!
-//! * [`set_schedule`](CompletionCalendar::set_schedule) diffs the new
-//!   scheduled set against the current one and pushes heap entries only
-//!   for flows whose completion instant actually changed — a flow that
-//!   stays scheduled across a reschedule keeps its entry untouched;
-//! * [`update`](CompletionCalendar::update) and
-//!   [`remove`](CompletionCalendar::remove) are the *targeted* edits the
-//!   delta engine (see [`crate::DeltaAllocator`]) uses instead: they touch
-//!   one flow in `O(log n)` and leave every other entry alone, so a
-//!   reschedule that changes `Δ` flows costs `O(Δ log n)` — not the
-//!   `O(n)` live-map rebuild `set_schedule` pays even when nothing
-//!   changed;
-//! * superseded and descheduled entries are **not** removed from the heap;
-//!   they are invalidated lazily:
-//!   [`next_completion`](CompletionCalendar::next_completion) pops stale
-//!   tops (entries whose `(flow, instant)` no longer matches the live map)
-//!   until a live entry — or an empty heap — remains.
+//! The calendar stores no live set of its own. Each transmitting flow's
+//! drain account (`ScheduledEntry`, owned by the [`crate::DeltaAllocator`])
+//! is the only place its completion instant lives; the `slot` of an item
+//! names where the owner keeps that account. The owner pushes one item
+//! whenever an account opens a new epoch and never deletes one: a closed,
+//! moved or completed account simply stops matching its old items.
+//! [`next_completion`](CompletionCalendar::next_completion) and
+//! [`pop_due`](CompletionCalendar::pop_due) take the owner's check — "is
+//! this slot still bound to this flow, completing at this instant?" — and
+//! pop stale tops until a live item, or an empty heap, remains.
 //!
-//! Every heap entry is pushed once and popped at most once, so the
-//! amortized cost per schedule change is `O(log n)` and a wakeup between
-//! schedule changes costs `O(1)` (a peek at an already-validated top).
+//! Every item is pushed once and popped at most once, so the amortized
+//! cost per schedule change is `O(log n)` and a wakeup between schedule
+//! changes costs `O(1)` (a peek at an already-validated top). A flow that
+//! stays scheduled across a reschedule keeps its item untouched.
 //!
 //! The calendar stores instants, not flow state: exact drain accounting
 //! (which instant a flow completes at) is the engine's job — see
@@ -39,9 +34,13 @@
 
 use dcn_types::{FlowId, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// An indexed calendar of flow-completion instants with lazy invalidation.
+/// A calendar of flow-completion instants, lazily invalidated against the
+/// owner's drain accounts.
+///
+/// `is_live(at, flow, slot)` is the owner's answer to "does `slot` still
+/// hold `flow`'s account, completing at `at`?"; every query takes it.
 ///
 /// # Example
 ///
@@ -49,24 +48,27 @@ use std::collections::{BinaryHeap, HashMap};
 /// use dcn_fabric::CompletionCalendar;
 /// use dcn_types::{FlowId, SimTime};
 ///
+/// // The owner's accounts: the flow and instant bound in each slot.
+/// let mut accounts = vec![
+///     Some((FlowId::new(1), SimTime::from_millis(3.0))),
+///     Some((FlowId::new(2), SimTime::from_millis(1.0))),
+/// ];
 /// let mut cal = CompletionCalendar::new();
-/// cal.set_schedule([
-///     (FlowId::new(1), SimTime::from_millis(3.0)),
-///     (FlowId::new(2), SimTime::from_millis(1.0)),
-/// ]);
-/// assert_eq!(cal.next_completion(), SimTime::from_millis(1.0));
+/// cal.push(SimTime::from_millis(3.0), FlowId::new(1), 0);
+/// cal.push(SimTime::from_millis(1.0), FlowId::new(2), 1);
+/// let next = cal.next_completion(|at, flow, slot| accounts[slot] == Some((flow, at)));
+/// assert_eq!(next, SimTime::from_millis(1.0));
 ///
-/// // Flow 2 leaves the schedule; flow 1 keeps its instant.
-/// cal.set_schedule([(FlowId::new(1), SimTime::from_millis(3.0))]);
-/// assert_eq!(cal.next_completion(), SimTime::from_millis(3.0));
+/// // Flow 2 leaves its slot: its item goes stale and is skipped.
+/// accounts[1] = None;
+/// let next = cal.next_completion(|at, flow, slot| accounts[slot] == Some((flow, at)));
+/// assert_eq!(next, SimTime::from_millis(3.0));
+/// assert_eq!(cal.heap_len(), 1, "the stale top was popped");
 /// ```
 #[derive(Debug, Default)]
 pub struct CompletionCalendar {
-    /// Min-heap of `(instant, flow)` entries, possibly stale.
-    heap: BinaryHeap<Reverse<(SimTime, FlowId)>>,
-    /// The live completion instant per scheduled flow; the heap entry for
-    /// a flow is valid iff it matches this map exactly.
-    live: HashMap<FlowId, SimTime>,
+    /// Min-heap of `(instant, flow, slot)` items, possibly stale.
+    heap: BinaryHeap<Reverse<(SimTime, FlowId, usize)>>,
 }
 
 impl CompletionCalendar {
@@ -75,86 +77,25 @@ impl CompletionCalendar {
         CompletionCalendar::default()
     }
 
-    /// Number of currently scheduled flows.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no flow is currently scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Number of heap entries, including stale ones awaiting lazy removal
-    /// (diagnostics; always ≥ [`len`](CompletionCalendar::len)).
+    /// Number of heap items, including stale ones awaiting lazy removal
+    /// (diagnostics).
     pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Replaces the scheduled set with `schedule` (`(flow, completion
-    /// instant)` pairs). Flows absent from `schedule` are descheduled;
-    /// flows whose instant is unchanged keep their existing heap entry;
-    /// new or changed pairs push one heap entry each. If a flow appears
-    /// more than once, the last pair wins.
-    pub fn set_schedule<I>(&mut self, schedule: I)
-    where
-        I: IntoIterator<Item = (FlowId, SimTime)>,
-    {
-        let mut next: HashMap<FlowId, SimTime> = HashMap::with_capacity(self.live.len());
-        for (flow, at) in schedule {
-            if self.live.get(&flow) != Some(&at) {
-                self.heap.push(Reverse((at, flow)));
-            }
-            // Within one call, a repeated flow overwrites its earlier pair;
-            // the earlier heap entry goes stale like any superseded one.
-            next.insert(flow, at);
-        }
-        self.live = next;
-    }
-
-    /// Schedules `flow` to complete at `at`, or moves its completion
-    /// instant if it is already scheduled — the targeted single-flow edit
-    /// of the delta path. Re-asserting the current instant is free (no
-    /// heap growth); a changed or new instant pushes exactly one heap
-    /// entry, `O(log n)`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dcn_fabric::CompletionCalendar;
-    /// use dcn_types::{FlowId, SimTime};
-    ///
-    /// let mut cal = CompletionCalendar::new();
-    /// cal.update(FlowId::new(1), SimTime::from_millis(3.0));
-    /// cal.update(FlowId::new(2), SimTime::from_millis(1.0));
-    /// assert_eq!(cal.next_completion(), SimTime::from_millis(1.0));
-    ///
-    /// // Flow 2 completes and leaves; flow 1 is untouched.
-    /// cal.remove(FlowId::new(2));
-    /// assert_eq!(cal.next_completion(), SimTime::from_millis(3.0));
-    /// ```
-    pub fn update(&mut self, flow: FlowId, at: SimTime) {
-        if self.live.get(&flow) != Some(&at) {
-            self.heap.push(Reverse((at, flow)));
-            self.live.insert(flow, at);
-        }
-    }
-
-    /// Deschedules `flow` (a completion or a preemption): its heap entry
-    /// goes stale and is skipped lazily by
-    /// [`next_completion`](CompletionCalendar::next_completion). Removing
-    /// a flow that is not scheduled is a no-op. `O(1)` now, `O(log n)`
-    /// amortized for the eventual stale pop.
-    pub fn remove(&mut self, flow: FlowId) {
-        self.live.remove(&flow);
+    /// Records that the account in `slot` now holds `flow`, completing at
+    /// `at` — one push, `O(log n)`. Call it once per opened epoch; an
+    /// unchanged account needs no push.
+    pub fn push(&mut self, at: SimTime, flow: FlowId, slot: usize) {
+        self.heap.push(Reverse((at, flow, slot)));
     }
 
     /// The earliest live completion instant, or [`SimTime::INFINITY`] when
-    /// nothing is scheduled. Amortized `O(1)`: stale heap tops are popped
-    /// here, each at most once over the calendar's lifetime.
-    pub fn next_completion(&mut self) -> SimTime {
-        while let Some(&Reverse((at, flow))) = self.heap.peek() {
-            if self.live.get(&flow) == Some(&at) {
+    /// no item is live. Amortized `O(1)`: stale heap tops are popped here,
+    /// each at most once over the calendar's lifetime.
+    pub fn next_completion(&mut self, is_live: impl Fn(SimTime, FlowId, usize) -> bool) -> SimTime {
+        while let Some(&Reverse((at, flow, slot))) = self.heap.peek() {
+            if is_live(at, flow, slot) {
                 return at;
             }
             self.heap.pop();
@@ -162,13 +103,15 @@ impl CompletionCalendar {
         SimTime::INFINITY
     }
 
-    /// Pops and deschedules the earliest live flow whose completion
-    /// instant is at or before `now`, or returns `None` if the earliest
-    /// live instant is still in the future (or nothing is scheduled).
-    /// This is the lazy engine's due-settlement primitive: at a
-    /// completion wakeup it pops exactly the flows owed a completion —
-    /// usually one — without touching any other entry. Amortized
-    /// `O(log n)` per popped flow.
+    /// Pops the earliest live item whose instant is at or before `now`,
+    /// returning its flow and slot, or `None` if the earliest live instant
+    /// is still in the future (or no item is live). This is the lazy
+    /// engine's due-settlement primitive: at a completion wakeup it pops
+    /// exactly the flows owed a completion — usually one — without
+    /// touching any other item. Identical copies of the popped item (an
+    /// account that closed and reopened onto the same instant) are popped
+    /// with it, so each due account is returned once. Amortized `O(log n)`
+    /// per popped flow.
     ///
     /// Ties on the instant pop in ascending flow-id order; callers that
     /// need a different tie order (the engine settles ties in schedule
@@ -181,31 +124,35 @@ impl CompletionCalendar {
     /// use dcn_types::{FlowId, SimTime};
     ///
     /// let mut cal = CompletionCalendar::new();
-    /// cal.update(FlowId::new(1), SimTime::from_millis(3.0));
-    /// cal.update(FlowId::new(2), SimTime::from_millis(1.0));
-    /// assert_eq!(cal.pop_due(SimTime::from_millis(2.0)), Some(FlowId::new(2)));
-    /// assert_eq!(cal.pop_due(SimTime::from_millis(2.0)), None);
-    /// assert_eq!(cal.next_completion(), SimTime::from_millis(3.0));
+    /// cal.push(SimTime::from_millis(3.0), FlowId::new(1), 0);
+    /// cal.push(SimTime::from_millis(1.0), FlowId::new(2), 1);
+    /// let live = |_, _, _| true;
+    /// let now = SimTime::from_millis(2.0);
+    /// assert_eq!(cal.pop_due(now, live), Some((FlowId::new(2), 1)));
+    /// assert_eq!(cal.pop_due(now, live), None);
+    /// assert_eq!(cal.next_completion(live), SimTime::from_millis(3.0));
     /// ```
-    pub fn pop_due(&mut self, now: SimTime) -> Option<FlowId> {
-        while let Some(&Reverse((at, flow))) = self.heap.peek() {
-            if self.live.get(&flow) == Some(&at) {
-                if at > now {
-                    return None;
-                }
-                self.heap.pop();
-                self.live.remove(&flow);
-                return Some(flow);
-            }
+    pub fn pop_due(
+        &mut self,
+        now: SimTime,
+        is_live: impl Fn(SimTime, FlowId, usize) -> bool,
+    ) -> Option<(FlowId, usize)> {
+        let at = self.next_completion(&is_live);
+        if at > now {
+            return None;
+        }
+        let Reverse(item) = self.heap.pop()?;
+        while self.heap.peek() == Some(&Reverse(item)) {
             self.heap.pop();
         }
-        None
+        Some((item.1, item.2))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn f(id: u64) -> FlowId {
         FlowId::new(id)
@@ -215,184 +162,99 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    /// An owner model: the live instant per slot (each flow in its own
+    /// slot, slot = flow id), pushed on every change like the allocator.
+    #[derive(Default)]
+    struct Owner {
+        cal: CompletionCalendar,
+        live: BTreeMap<usize, SimTime>,
+    }
+
+    impl Owner {
+        fn set(&mut self, id: u64, at: SimTime) {
+            if self.live.insert(id as usize, at) != Some(at) {
+                self.cal.push(at, f(id), id as usize);
+            }
+        }
+
+        fn next(&mut self) -> SimTime {
+            let live = &self.live;
+            self.cal.next_completion(|at, flow, slot| {
+                flow.raw() as usize == slot && live.get(&slot) == Some(&at)
+            })
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<FlowId> {
+            let live = &self.live;
+            let (flow, slot) = self.cal.pop_due(now, |at, flow, slot| {
+                flow.raw() as usize == slot && live.get(&slot) == Some(&at)
+            })?;
+            self.live.remove(&slot);
+            Some(flow)
+        }
+    }
+
     #[test]
     fn empty_calendar_never_completes() {
-        let mut cal = CompletionCalendar::new();
-        assert!(cal.is_empty());
-        assert_eq!(cal.next_completion(), SimTime::INFINITY);
+        let mut owner = Owner::default();
+        assert_eq!(owner.next(), SimTime::INFINITY);
+        assert_eq!(owner.pop_due(ms(100.0)), None);
     }
 
     #[test]
-    fn reports_minimum_instant() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(5.0)), (f(2), ms(2.0)), (f(3), ms(9.0))]);
-        assert_eq!(cal.len(), 3);
-        assert_eq!(cal.next_completion(), ms(2.0));
+    fn reports_minimum_instant_and_drops_stale_items_lazily() {
+        let mut owner = Owner::default();
+        owner.set(1, ms(5.0));
+        owner.set(2, ms(2.0));
+        owner.set(3, ms(9.0));
+        assert_eq!(owner.next(), ms(2.0));
         // Peeking is idempotent.
-        assert_eq!(cal.next_completion(), ms(2.0));
-    }
-
-    #[test]
-    fn descheduled_flows_are_lazily_dropped() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(1.0)), (f(2), ms(2.0))]);
-        assert_eq!(cal.next_completion(), ms(1.0));
-        cal.set_schedule([(f(2), ms(2.0))]);
-        // Flow 1's entry is stale but still on the heap until looked past.
-        assert_eq!(cal.heap_len(), 2);
-        assert_eq!(cal.next_completion(), ms(2.0));
-        assert_eq!(cal.heap_len(), 1);
-    }
-
-    #[test]
-    fn rescheduling_updates_instants() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(4.0))]);
-        assert_eq!(cal.next_completion(), ms(4.0));
-        // The flow pauses and resumes later: a new, later instant.
-        cal.set_schedule([(f(1), ms(7.0))]);
-        assert_eq!(cal.next_completion(), ms(7.0));
-        // An earlier instant also takes effect immediately.
-        cal.set_schedule([(f(1), ms(3.0))]);
-        assert_eq!(cal.next_completion(), ms(3.0));
-    }
-
-    #[test]
-    fn unchanged_flows_do_not_grow_the_heap() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(4.0)), (f(2), ms(6.0))]);
-        let before = cal.heap_len();
-        for _ in 0..100 {
-            cal.set_schedule([(f(1), ms(4.0)), (f(2), ms(6.0))]);
-        }
-        assert_eq!(cal.heap_len(), before, "identical reschedules must be free");
-    }
-
-    #[test]
-    fn ties_are_deterministic_and_both_reported() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(2), ms(1.0)), (f(1), ms(1.0))]);
-        assert_eq!(cal.next_completion(), ms(1.0));
-        // Both complete: the engine drains every flow with an instant <= t,
-        // so the calendar only needs the minimum, not the full tie set.
-        cal.set_schedule(std::iter::empty());
-        assert_eq!(cal.next_completion(), SimTime::INFINITY);
-    }
-
-    #[test]
-    fn duplicate_flow_in_one_schedule_takes_the_last_pair() {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(1.0)), (f(1), ms(5.0))]);
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.next_completion(), ms(5.0));
-    }
-
-    #[test]
-    fn targeted_update_and_remove_track_the_live_set() {
-        let mut cal = CompletionCalendar::new();
-        cal.update(f(1), ms(5.0));
-        cal.update(f(2), ms(2.0));
-        assert_eq!(cal.len(), 2);
-        assert_eq!(cal.next_completion(), ms(2.0));
-        // Moving a flow's instant supersedes the old entry lazily.
-        cal.update(f(2), ms(9.0));
-        assert_eq!(cal.next_completion(), ms(5.0));
-        cal.remove(f(1));
-        assert_eq!(cal.next_completion(), ms(9.0));
-        cal.remove(f(2));
-        assert!(cal.is_empty());
-        assert_eq!(cal.next_completion(), SimTime::INFINITY);
-    }
-
-    #[test]
-    fn targeted_noop_update_is_free() {
-        let mut cal = CompletionCalendar::new();
-        cal.update(f(1), ms(4.0));
-        let before = cal.heap_len();
-        for _ in 0..100 {
-            cal.update(f(1), ms(4.0));
-        }
-        assert_eq!(cal.heap_len(), before, "re-asserted instants push nothing");
-    }
-
-    #[test]
-    fn remove_of_unknown_flow_is_a_noop() {
-        let mut cal = CompletionCalendar::new();
-        cal.update(f(1), ms(1.0));
-        cal.remove(f(99));
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.next_completion(), ms(1.0));
-    }
-
-    #[test]
-    fn targeted_edits_and_bulk_reschedules_compose() {
-        // A set_schedule after targeted edits (and vice versa) keeps the
-        // live map exact — the two APIs share one invalidation discipline.
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule([(f(1), ms(5.0)), (f(2), ms(2.0))]);
-        cal.update(f(3), ms(1.0));
-        assert_eq!(cal.next_completion(), ms(1.0));
-        cal.remove(f(3));
-        cal.set_schedule([(f(1), ms(5.0))]);
-        assert_eq!(cal.next_completion(), ms(5.0));
-        cal.update(f(1), ms(6.0));
-        assert_eq!(cal.next_completion(), ms(6.0));
-        assert_eq!(cal.len(), 1);
+        assert_eq!(owner.next(), ms(2.0));
+        // Flow 2 leaves: its item is stale until looked past.
+        owner.live.remove(&2);
+        assert_eq!(owner.cal.heap_len(), 3);
+        assert_eq!(owner.next(), ms(5.0));
+        assert_eq!(owner.cal.heap_len(), 2);
+        // A moved instant supersedes the old item, earlier or later.
+        owner.set(1, ms(7.0));
+        assert_eq!(owner.next(), ms(7.0));
+        owner.set(1, ms(3.0));
+        assert_eq!(owner.next(), ms(3.0));
     }
 
     #[test]
     fn pop_due_drains_exactly_the_due_set() {
-        let mut cal = CompletionCalendar::new();
-        cal.update(f(1), ms(5.0));
-        cal.update(f(2), ms(2.0));
-        cal.update(f(3), ms(2.0));
+        let mut owner = Owner::default();
+        owner.set(1, ms(5.0));
+        owner.set(2, ms(2.0));
+        owner.set(3, ms(2.0));
         // Nothing due before the earliest instant.
-        assert_eq!(cal.pop_due(ms(1.0)), None);
-        assert_eq!(cal.len(), 3);
-        // Ties pop in ascending flow-id order and leave the live set exact.
-        assert_eq!(cal.pop_due(ms(2.0)), Some(f(2)));
-        assert_eq!(cal.pop_due(ms(2.0)), Some(f(3)));
-        assert_eq!(cal.pop_due(ms(2.0)), None);
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.next_completion(), ms(5.0));
-        // Stale entries (a superseded instant) are skipped, not returned.
-        cal.update(f(1), ms(9.0));
-        assert_eq!(cal.pop_due(ms(5.0)), None);
-        assert_eq!(cal.pop_due(ms(9.0)), Some(f(1)));
-        assert!(cal.is_empty());
-        assert_eq!(cal.pop_due(ms(100.0)), None);
+        assert_eq!(owner.pop_due(ms(1.0)), None);
+        // Ties pop in ascending flow-id order.
+        assert_eq!(owner.pop_due(ms(2.0)), Some(f(2)));
+        assert_eq!(owner.pop_due(ms(2.0)), Some(f(3)));
+        assert_eq!(owner.pop_due(ms(2.0)), None);
+        assert_eq!(owner.next(), ms(5.0));
+        // Stale items (a superseded instant) are skipped, not returned.
+        owner.set(1, ms(9.0));
+        assert_eq!(owner.pop_due(ms(5.0)), None);
+        assert_eq!(owner.pop_due(ms(9.0)), Some(f(1)));
+        assert_eq!(owner.pop_due(ms(100.0)), None);
+        assert_eq!(owner.cal.heap_len(), 0);
     }
 
     #[test]
-    fn interleaved_churn_stays_consistent() {
-        // A randomized-ish torture loop: compare against a naive model.
+    fn identical_items_pop_once() {
+        // An account that closes and reopens onto the same instant leaves
+        // a stale item equal to the live one: both validate, one pop.
         let mut cal = CompletionCalendar::new();
-        let mut model: Vec<(u64, f64)> = Vec::new();
-        let mut x = 0x9E3779B97F4A7C15u64;
-        for step in 0..500 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let n = (x >> 60) as usize; // 0..16 flows
-            model.clear();
-            for _ in 0..n {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let id = (x >> 13) % 8;
-                let at = ((x >> 29) % 1000) as f64 / 10.0 + step as f64;
-                // Last pair wins in the model too.
-                model.retain(|&(m, _)| m != id);
-                model.push((id, at));
-            }
-            cal.set_schedule(model.iter().map(|&(id, at)| (f(id), ms(at))));
-            let want = model
-                .iter()
-                .map(|&(_, at)| ms(at))
-                .min()
-                .unwrap_or(SimTime::INFINITY);
-            assert_eq!(cal.next_completion(), want, "step {step}");
-            assert_eq!(cal.len(), model.len());
-        }
+        cal.push(ms(1.0), f(4), 0);
+        cal.push(ms(1.0), f(4), 0);
+        cal.push(ms(1.0), f(5), 1);
+        let live = |_, _, _| true;
+        assert_eq!(cal.pop_due(ms(1.0), live), Some((f(4), 0)));
+        assert_eq!(cal.pop_due(ms(1.0), live), Some((f(5), 1)));
+        assert_eq!(cal.pop_due(ms(1.0), live), None);
+        assert_eq!(cal.heap_len(), 0);
     }
 }

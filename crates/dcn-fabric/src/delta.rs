@@ -87,10 +87,10 @@ pub struct DeltaOutcome {
     /// one calendar push each).
     pub entered: u64,
     /// Flows of the previous schedule that lost their ports (settled to
-    /// the reschedule instant and evicted, one calendar eviction each).
+    /// the reschedule instant and evicted; their calendar items go stale).
     pub left: u64,
     /// Flows that stayed scheduled: epoch, byte account, and calendar
-    /// entry all untouched (pair-compare only for the matched ends).
+    /// item all untouched (pair-compare only for the matched ends).
     pub kept: u64,
 }
 
@@ -235,7 +235,13 @@ impl DeltaAllocator {
     /// The earliest completion instant among scheduled flows, or
     /// [`SimTime::INFINITY`] when none is scheduled. Amortized `O(1)`.
     pub fn next_completion(&mut self) -> SimTime {
-        self.calendar.next_completion()
+        self.calendar.next_completion(bound_at(&self.by_slot))
+    }
+
+    /// Number of completion-calendar items, stale ones included
+    /// (diagnostics: a reschedule that opens no epoch pushes none).
+    pub fn calendar_len(&self) -> usize {
+        self.calendar.heap_len()
     }
 
     /// Rebinds the allocator to a new schedule, computed at instant `now`,
@@ -244,7 +250,7 @@ impl DeltaAllocator {
     /// `selected` is the matching in priority order; each flow and each
     /// VOQ must appear at most once (a [`basrpt_core::Schedule`]
     /// guarantees both). Flows already scheduled keep their drain epoch
-    /// and calendar entry untouched; flows entering open a fresh epoch at
+    /// and calendar item untouched; flows entering open a fresh epoch at
     /// `now` over the remaining bytes `admit(flow)` reports, bound to the
     /// VOQ slot it reports ([`basrpt_core::FlowTable::voq_slot`]; read
     /// lazily, only for entrants); flows of the previous schedule not
@@ -258,7 +264,7 @@ impl DeltaAllocator {
     /// Cost: the matched prefix and suffix of the previous selection pay
     /// one pair comparison each (no hashing, no copies); only the changed
     /// middle window pays `O(Δ)` hash probes and `O(Δ log n)` calendar
-    /// edits. In the steady state of one arrival or completion per event,
+    /// pushes. In the steady state of one arrival or completion per event,
     /// that window is a handful of pairs regardless of schedule size.
     pub fn apply(
         &mut self,
@@ -313,7 +319,6 @@ impl DeltaAllocator {
                 let entry = self.by_slot[slot]
                     .take()
                     .expect("a scheduled flow's VOQ slot holds its entry");
-                self.calendar.remove(id);
                 let owed = entry.target_at(now) - entry.settled;
                 if owed > 0 {
                     debug_assert!(
@@ -340,9 +345,10 @@ impl DeltaAllocator {
                 continue;
             }
             let (remaining, slot) = admit(id);
-            let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
-            self.calendar.update(id, entry.completes_at);
-            self.bind(slot, entry);
+            self.bind(
+                slot,
+                ScheduledEntry::new(id, voq, now, remaining, self.rate),
+            );
             out.entered += 1;
         }
 
@@ -353,7 +359,8 @@ impl DeltaAllocator {
         out
     }
 
-    /// Binds a live entry to its (free) VOQ slot.
+    /// Binds a live entry to its (free) VOQ slot and enters its
+    /// completion instant in the calendar.
     fn bind(&mut self, slot: usize, entry: ScheduledEntry) {
         if slot >= self.by_slot.len() {
             self.by_slot.resize(slot + 1, None);
@@ -362,16 +369,14 @@ impl DeltaAllocator {
             self.by_slot[slot].is_none(),
             "a matching schedules at most one flow per VOQ"
         );
+        self.calendar.push(entry.completes_at, entry.flow, slot);
         self.slots.insert(entry.flow, slot);
         self.by_slot[slot] = Some(entry);
     }
 
-    /// Settles the byte account of one live flow at instant `t`,
+    /// Settles the byte account bound in VOQ slot `slot` at instant `t`,
     /// evicting it first if the settlement completes it.
-    fn settle_one(&mut self, id: FlowId, t: SimTime, on_drain: &mut impl FnMut(SettledDrain)) {
-        let Some(&slot) = self.slots.get(&id) else {
-            return;
-        };
+    fn settle_slot(&mut self, slot: usize, t: SimTime, on_drain: &mut impl FnMut(SettledDrain)) {
         let entry = self.by_slot[slot]
             .as_mut()
             .expect("a scheduled flow's VOQ slot holds its entry");
@@ -382,11 +387,10 @@ impl DeltaAllocator {
         }
         entry.settled = target;
         let completed = entry.settled == entry.epoch_remaining;
-        let voq = entry.voq;
+        let (id, voq) = (entry.flow, entry.voq);
         if completed {
             self.by_slot[slot] = None;
             self.slots.remove(&id);
-            self.calendar.remove(id);
         }
         on_drain(SettledDrain {
             flow: id,
@@ -405,28 +409,29 @@ impl DeltaAllocator {
     /// would. Every other scheduled flow's account is untouched. Returns
     /// whether any flow completed.
     pub fn settle_due(&mut self, t: SimTime, mut on_drain: impl FnMut(SettledDrain)) -> bool {
-        let Some(first) = self.calendar.pop_due(t) else {
+        let Some(first) = self.calendar.pop_due(t, bound_at(&self.by_slot)) else {
             return false;
         };
-        match self.calendar.pop_due(t) {
+        match self.calendar.pop_due(t, bound_at(&self.by_slot)) {
             None => {
                 // The common case: one completion, zero touches elsewhere.
-                self.settle_one(first, t, &mut on_drain);
+                self.settle_slot(first.1, t, &mut on_drain);
             }
             Some(second) => {
-                let mut due: HashSet<FlowId> = HashSet::from([first, second]);
-                while let Some(next) = self.calendar.pop_due(t) {
-                    due.insert(next);
+                // The calendar returns each due account once, so the tie
+                // set is a short list of distinct `(flow, slot)` pairs.
+                let mut due = vec![first, second];
+                while let Some(next) = self.calendar.pop_due(t, bound_at(&self.by_slot)) {
+                    due.push(next);
                 }
-                let ordered: Vec<FlowId> = self
+                let ordered: Vec<usize> = self
                     .sel
                     .iter()
-                    .map(|&(id, _)| id)
-                    .filter(|id| due.contains(id))
+                    .filter_map(|&(id, _)| due.iter().find(|d| d.0 == id).map(|d| d.1))
                     .collect();
                 debug_assert_eq!(ordered.len(), due.len());
-                for id in ordered {
-                    self.settle_one(id, t, &mut on_drain);
+                for slot in ordered {
+                    self.settle_slot(slot, t, &mut on_drain);
                 }
             }
         }
@@ -444,12 +449,14 @@ impl DeltaAllocator {
     /// and snapshots, where per-flow exactness is demanded all at once.
     pub fn settle(&mut self, t: SimTime, mut on_drain: impl FnMut(SettledDrain)) -> bool {
         let mut completed_any = false;
-        // `settle_one` mutates the entries but never `sel`, so the walk
+        // `settle_slot` mutates the entries but never `sel`, so the walk
         // over a clone-free snapshot of the priority order is sound; the
         // explicit index keeps the borrow checker out of the closure.
         for i in 0..self.sel.len() {
-            let id = self.sel[i].0;
-            self.settle_one(id, t, &mut |d| {
+            let Some(&slot) = self.slots.get(&self.sel[i].0) else {
+                continue; // completion tombstone
+            };
+            self.settle_slot(slot, t, &mut |d| {
                 completed_any |= d.completed;
                 on_drain(d);
             });
@@ -495,29 +502,21 @@ impl DeltaAllocator {
         let mut alloc = DeltaAllocator::new(rate);
         alloc.stats = stats;
         for (entry, slot) in entries {
-            alloc.calendar.update(entry.flow, entry.completes_at);
             alloc.sel.push((entry.flow, entry.voq));
             alloc.bind(slot, entry);
         }
         alloc
     }
 
-    /// Consistency check: the calendar's live set, the slot index, and
-    /// the selection all mirror the slot-indexed entries exactly (same
-    /// flows, same instants, priority order covering every live flow
-    /// once). Linear; intended for tests.
+    /// Consistency check: the slot index and the selection mirror the
+    /// slot-indexed entries exactly (same flows, priority order covering
+    /// every live flow once), and the calendar answers their earliest
+    /// instant. Linear; intended for tests.
     pub fn check_consistent(&mut self) -> Result<(), String> {
         let bound = self.by_slot.iter().flatten().count();
         if bound != self.slots.len() {
             return Err(format!(
                 "{bound} bound VOQ slots but {} indexed flows",
-                self.slots.len()
-            ));
-        }
-        if self.calendar.len() != self.slots.len() {
-            return Err(format!(
-                "{} calendar entries but {} live flows",
-                self.calendar.len(),
                 self.slots.len()
             ));
         }
@@ -550,13 +549,25 @@ impl DeltaAllocator {
                 self.slots.len()
             ));
         }
-        if self.calendar.next_completion() != want {
+        let got = self.next_completion();
+        if got != want {
             return Err(format!(
-                "calendar answers {:?}, live minimum is {want:?}",
-                self.calendar.next_completion()
+                "calendar answers {got:?}, live minimum is {want:?}"
             ));
         }
         Ok(())
+    }
+}
+
+/// The calendar's liveness check against the slot-indexed accounts: an
+/// item is live iff its slot still holds its flow's account, completing
+/// at its instant.
+fn bound_at(by_slot: &[Option<ScheduledEntry>]) -> impl Fn(SimTime, FlowId, usize) -> bool + '_ {
+    move |at, flow, slot| {
+        by_slot
+            .get(slot)
+            .and_then(Option::as_ref)
+            .is_some_and(|e| e.flow == flow && e.completes_at == at)
     }
 }
 
@@ -944,6 +955,51 @@ mod tests {
         assert!(!evicted[0].completed);
         assert_eq!(alloc.next_completion(), SimTime::from_millis(11.0));
         alloc.check_consistent().unwrap();
+    }
+
+    #[test]
+    fn readmission_onto_a_stale_instant_completes_once() {
+        let mut alloc = DeltaAllocator::new(gbps10());
+        let sched = vec![(f(1), voq(0, 1))];
+        // Admitted, evicted and re-admitted at the same instant over the
+        // same bytes: the new epoch's calendar item equals the stale one.
+        apply(
+            &mut alloc,
+            SimTime::ZERO,
+            sched.clone(),
+            |_| 1_250,
+            no_evict,
+        );
+        let d = apply(
+            &mut alloc,
+            SimTime::ZERO,
+            vec![],
+            |_| unreachable!(),
+            no_evict,
+        );
+        assert_eq!(d.left, 1);
+        let d = apply(&mut alloc, SimTime::ZERO, sched, |_| 1_250, no_evict);
+        assert_eq!(d.entered, 1);
+        assert_eq!(alloc.calendar_len(), 2, "the stale twin is still queued");
+        alloc.check_consistent().unwrap();
+
+        let mut drains = Vec::new();
+        assert!(alloc.settle_due(SimTime::from_micros(1.0), |d| drains.push(d)));
+        assert_eq!(
+            drains,
+            vec![SettledDrain {
+                flow: f(1),
+                voq: voq(0, 1),
+                amount: 1_250,
+                completed: true,
+            }],
+            "settled and completed exactly once"
+        );
+        assert!(alloc.is_empty());
+        assert!(!alloc.settle_due(SimTime::from_micros(2.0), |d| drains.push(d)));
+        assert_eq!(drains.len(), 1);
+        assert_eq!(alloc.next_completion(), SimTime::INFINITY);
+        assert_eq!(alloc.calendar_len(), 0);
     }
 
     #[test]

@@ -236,11 +236,11 @@ impl FabricRun {
 }
 
 /// Engine-side metadata of one active flow (what the [`FlowTable`] does
-/// not carry but completions must report).
-#[derive(Debug, Clone, Copy)]
+/// not carry but completions must report; the size is the drained
+/// [`FlowState`]'s).
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub(crate) struct FlowMeta {
     pub(crate) class: FlowClass,
-    pub(crate) size: Bytes,
     pub(crate) arrival: SimTime,
 }
 
@@ -505,16 +505,17 @@ where
                     voq,
                     amount: outcome.drained,
                 });
-                if outcome.completed.is_some() {
+                if let Some(done) = outcome.completed {
                     let info = meta.remove(&id).expect("active flow has metadata");
+                    let size = Bytes::new(done.size());
                     let flow_fct = t - info.arrival + config.base_latency;
-                    fct.record(info.class, info.size, flow_fct);
-                    fct_by_size.record(info.size, flow_fct);
+                    fct.record(info.class, size, flow_fct);
+                    fct_by_size.record(size, flow_fct);
                     fan.on_completion(&CompletionEvent {
                         time: t.as_secs(),
                         flow: id,
                         voq,
-                        size: info.size.as_u64(),
+                        size: done.size(),
                         fct: flow_fct.as_secs(),
                     });
                     completions_count += 1;
@@ -549,7 +550,6 @@ where
                 arrival.id,
                 FlowMeta {
                     class: arrival.class,
-                    size: arrival.size,
                     arrival: arrival.time,
                 },
             );

@@ -47,9 +47,18 @@
 //! completion instants — but every active flow holds a per-flow *rate*
 //! rather than being on/off at line rate. Reallocation happens on every
 //! arrival and completion; only flows whose rate actually changed re-open
-//! their drain epoch and pay a [`CompletionCalendar`] edit — a flow whose
-//! fair share is unaffected keeps its epoch, so its completion instant
-//! (and every output bit) is invariant to unrelated churn.
+//! their drain epoch — a flow whose fair share is unaffected keeps its
+//! epoch, so its completion instant (and every output bit) is invariant
+//! to unrelated churn.
+//!
+//! Each transmitting flow's drain account is the only record of its
+//! completion instant. The policy keeps the accounts in one id-ordered
+//! list, rebuilt on every reallocation by a merge walk against the
+//! id-sorted allocation, and keeps the earliest instant as a cached
+//! minimum: every event already scans every account (lazy settlement
+//! checks each one for being due) and every reallocation rebuilds them
+//! all, so both passes refresh the minimum for free. There is no
+//! completion heap and no per-flow map.
 //!
 //! The core also settles byte accounts **lazily** (see [`crate::settle`]):
 //! per event only the flows actually *due* drain into the table, and an
@@ -60,7 +69,6 @@
 //! naive reference stays eager and `tests/fairshare_differential.rs` pins
 //! exactly that.
 
-use crate::calendar::CompletionCalendar;
 use crate::delta::SettledDrain;
 use crate::engine::{FabricError, FabricRun, ScheduledEntry, SimConfig};
 use crate::online::{run_batch, AllocationPolicy};
@@ -69,7 +77,6 @@ use basrpt_core::FlowTable;
 use dcn_probe::{NoProbe, Probe};
 use dcn_types::{FlowId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
-use std::collections::HashMap;
 
 /// The capacity-constraint system of one topology, shared by the
 /// production and reference water-fillers so both see the identical
@@ -163,7 +170,7 @@ impl ConstraintSpec {
 /// # Example
 ///
 /// ```
-/// use dcn_fabric::{ConstraintSpec, FairShareAllocator, FatTree};
+/// use dcn_fabric::{ConstraintSpec, FairShareAllocator, FatTree, Topology};
 /// use dcn_types::{FlowId, HostId, Voq};
 ///
 /// let topo = FatTree::scaled(2, 4, 1)?;
@@ -368,17 +375,19 @@ pub(crate) fn waterfill_naive(
 /// The max-min fair-share allocation policy of the shared event core:
 /// every active flow transmits at its [`FairShareAllocator`] rate,
 /// recomputed on every arrival and completion. A flow whose rate is
-/// unchanged to the bit keeps its drain epoch and calendar entry; only
-/// re-rated flows settle their old epoch and open a new one.
+/// unchanged to the bit keeps its drain epoch; only re-rated flows settle
+/// their old epoch and open a new one.
 #[derive(Debug)]
 pub(crate) struct FairShare {
     alloc: FairShareAllocator,
     /// Transmitting flows in ascending id order (the emission order).
     entries: Vec<ScheduledEntry>,
-    calendar: CompletionCalendar,
-    /// Scratch reused across reallocations: the previous accounts keyed
-    /// by flow, the id-sorted active flows, and their rates.
-    carry: HashMap<FlowId, ScheduledEntry>,
+    /// The earliest `completes_at` over `entries`, refreshed by the two
+    /// passes that rewrite them (`settle` and `reschedule`).
+    next: SimTime,
+    /// Scratch reused across reallocations: the previous entries, the
+    /// id-sorted active flows, and their rates.
+    prev: Vec<ScheduledEntry>,
     flows: Vec<(FlowId, Voq)>,
     rates: Vec<f64>,
 }
@@ -388,8 +397,8 @@ impl FairShare {
         FairShare {
             alloc: FairShareAllocator::new(ConstraintSpec::new(topo, enforce_core)),
             entries: Vec::new(),
-            calendar: CompletionCalendar::new(),
-            carry: HashMap::new(),
+            next: SimTime::INFINITY,
+            prev: Vec::new(),
             flows: Vec::new(),
             rates: Vec::new(),
         }
@@ -402,38 +411,40 @@ impl AllocationPolicy for FairShare {
     }
 
     fn next_completion(&mut self) -> SimTime {
-        self.calendar.next_completion()
+        self.next
     }
 
     fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool {
         // Lazy settlement touches only the flows *due* at t (one linear
         // scan of cheap compares), deferring the others until a sample
         // instant, the horizon, or their own rate change observes them.
+        // The same scan refreshes the earliest completion instant.
         let mut completed_any = false;
-        let calendar = &mut self.calendar;
+        let mut next = SimTime::INFINITY;
         self.entries.retain_mut(|e| {
             let target = if observe_all || t >= e.completes_at {
                 e.target_at(t)
             } else {
                 e.settled
             };
-            if target == e.settled {
-                return true;
+            if target > e.settled {
+                let completed = target == e.epoch_remaining;
+                out.push(SettledDrain {
+                    flow: e.flow,
+                    voq: e.voq,
+                    amount: target - e.settled,
+                    completed,
+                });
+                e.settled = target;
+                if completed {
+                    completed_any = true;
+                    return false;
+                }
             }
-            let completed = target == e.epoch_remaining;
-            out.push(SettledDrain {
-                flow: e.flow,
-                voq: e.voq,
-                amount: target - e.settled,
-                completed,
-            });
-            e.settled = target;
-            if completed {
-                calendar.remove(e.flow);
-                completed_any = true;
-            }
-            !completed
+            next = next.min(e.completes_at);
+            true
         });
+        self.next = next;
         completed_any
     }
 
@@ -450,16 +461,19 @@ impl AllocationPolicy for FairShare {
         self.flows.extend(table.iter().map(|f| (f.id(), f.voq())));
         self.flows.sort_unstable_by_key(|&(id, _)| id);
         self.alloc.allocate(&self.flows, &mut self.rates);
-        self.carry.clear();
-        self.carry
-            .extend(self.entries.drain(..).map(|e| (e.flow, e)));
+        // The previous entries are an id-ordered subsequence of the active
+        // flows (a flow leaves the table only by completing, which drops
+        // its entry), so one cursor walks them alongside the allocation.
+        std::mem::swap(&mut self.entries, &mut self.prev);
+        let mut prev = self.prev.drain(..).peekable();
+        let mut next = SimTime::INFINITY;
         for (&(id, voq), &rate) in self.flows.iter().zip(&self.rates) {
             let rate = Rate::from_bytes_per_sec(rate);
-            let remaining = match self.carry.remove(&id) {
+            let remaining = match prev.next_if(|e| e.flow == id) {
                 // An unchanged rate keeps its drain epoch: the completion
-                // instant is bit-invariant to unrelated churn, and the
-                // calendar is not touched.
+                // instant is bit-invariant to unrelated churn.
                 Some(old) if old.keeps_rate(rate) => {
+                    next = next.min(old.completes_at);
                     self.entries.push(old);
                     continue;
                 }
@@ -482,17 +496,16 @@ impl AllocationPolicy for FairShare {
                 }
                 None => table.get(id).expect("allocated flow is active").remaining(),
             };
-            if rate.is_zero() {
-                // Pathological rounding: the flow starves for one epoch
-                // and re-enters at the next event.
-                self.calendar.remove(id);
-            } else {
+            // A zero rate (pathological rounding) starves the flow for one
+            // epoch; it re-enters at the next event.
+            if !rate.is_zero() {
                 let entry = ScheduledEntry::new(id, voq, now, remaining, rate);
-                self.calendar.update(id, entry.completes_at);
+                next = next.min(entry.completes_at);
                 self.entries.push(entry);
             }
         }
-        debug_assert!(self.carry.is_empty(), "every active flow was reallocated");
+        debug_assert!(prev.next().is_none(), "every active flow was reallocated");
+        self.next = next;
     }
 }
 
@@ -756,6 +769,106 @@ mod tests {
         );
         assert_eq!(a.mean_secs.to_bits(), b.mean_secs.to_bits());
         assert_eq!(a.max_secs.to_bits(), b.max_secs.to_bits());
+    }
+
+    /// Two racks of two hosts with a zero-capacity core: intra-rack flows
+    /// share their NICs, inter-rack flows starve.
+    struct CutCore;
+
+    impl Topology for CutCore {
+        fn num_racks(&self) -> u32 {
+            2
+        }
+        fn hosts_per_rack(&self) -> u32 {
+            2
+        }
+        fn edge_rate(&self) -> Rate {
+            Rate::from_gbps(10.0)
+        }
+        fn rack_uplink_capacity(&self) -> Rate {
+            Rate::from_bytes_per_sec(0.0)
+        }
+        fn core_planes(&self) -> u32 {
+            1
+        }
+    }
+
+    fn earliest(policy: &FairShare) -> SimTime {
+        policy
+            .entries
+            .iter()
+            .map(|e| e.completes_at)
+            .min()
+            .unwrap_or(SimTime::INFINITY)
+    }
+
+    #[test]
+    fn cached_next_completion_is_the_minimum_over_the_accounts() {
+        use basrpt_core::FlowState;
+
+        let topo = CutCore;
+        let mut policy = FairShare::new(&topo, true);
+        let mut table = FlowTable::new();
+        let mut out = Vec::new();
+        let flow = |id, src, dst, size| {
+            FlowState::new(
+                FlowId::new(id),
+                Voq::new(HostId::new(src), HostId::new(dst)),
+                size,
+            )
+        };
+        let us = SimTime::from_micros;
+
+        // t = 0: flows 1 (0→1) and 2 (2→3) run alone at line rate.
+        table.insert(flow(1, 0, 1, 12_500)).unwrap();
+        table.insert(flow(2, 2, 3, 25_000)).unwrap();
+        policy.reschedule(&topo, SimTime::ZERO, &table, true, &mut NoProbe, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(policy.next_completion(), us(10.0));
+        assert_eq!(policy.next_completion(), earliest(&policy));
+
+        // t = 1 µs: flow 3 joins flow 2's NIC (re-rating flow 2 to half)
+        // and flow 4 crosses the cut core (starving). Flow 1 keeps its
+        // rate, its epoch, and its 10 µs completion.
+        table.insert(flow(3, 2, 3, 2_500)).unwrap();
+        table.insert(flow(4, 0, 2, 1_000)).unwrap();
+        policy.reschedule(&topo, us(1.0), &table, true, &mut NoProbe, &mut out);
+        let ids: Vec<u64> = policy.entries.iter().map(|e| e.flow.raw()).collect();
+        assert_eq!(ids, vec![1, 2, 3], "the starved flow has no account");
+        assert_eq!(policy.entries[0].epoch, SimTime::ZERO, "flow 1 kept");
+        assert_eq!(policy.entries[1].epoch, us(1.0), "flow 2 re-rated");
+        // Flow 2's first microsecond settles as it is re-rated.
+        assert_eq!(
+            out,
+            vec![SettledDrain {
+                flow: FlowId::new(2),
+                voq: Voq::new(HostId::new(2), HostId::new(3)),
+                amount: 1_250,
+                completed: false,
+            }]
+        );
+        // Flow 3's 2 500 bytes at 5 Gbps finish ~4 µs in, first of all.
+        let t3 = crate::settle::completion_instant(us(1.0), 2_500, Rate::from_gbps(5.0));
+        assert!((t3.as_secs() - 5e-6).abs() < 1e-15);
+        assert_eq!(policy.next_completion(), t3);
+        assert_eq!(policy.next_completion(), earliest(&policy));
+
+        // A lazy settle at that instant completes flow 3 and touches
+        // nothing else.
+        out.clear();
+        assert!(policy.settle(t3, false, &mut out));
+        assert_eq!(
+            out,
+            vec![SettledDrain {
+                flow: FlowId::new(3),
+                voq: Voq::new(HostId::new(2), HostId::new(3)),
+                amount: 2_500,
+                completed: true,
+            }]
+        );
+        assert_eq!(policy.entries.len(), 2);
+        assert_eq!(policy.next_completion(), us(10.0));
+        assert_eq!(policy.next_completion(), earliest(&policy));
     }
 
     #[test]

@@ -151,15 +151,6 @@ impl fmt::Display for OfferError {
 
 impl Error for OfferError {}
 
-/// Metadata of one active flow, keyed explicitly for snapshots.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct MetaRecord {
-    flow: dcn_types::FlowId,
-    class: dcn_types::FlowClass,
-    size: Bytes,
-    arrival: SimTime,
-}
-
 /// A suspended [`OnlineFabric`]: every piece of engine state needed to
 /// continue a run bit-for-bit, as plain data.
 ///
@@ -174,15 +165,16 @@ struct MetaRecord {
 /// and a scheduler in an equivalent state — the shipped disciplines keep
 /// no state across decisions, so a freshly built one is equivalent.
 ///
-/// The type derives the workspace's (vendored) `serde` traits.
+/// The type derives the `serde` traits, but the workspace's vendored
+/// `serde` is a set of marker traits: nothing serializes a snapshot yet,
+/// and a real `serde` backend is needed before one can be written out.
 ///
 /// [`restore_with_probe`]: OnlineFabric::restore_with_probe
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FabricSnapshot {
     config: SimConfig,
-    /// Active flows, sorted by id; `metas` is index-aligned.
-    flows: Vec<FlowState>,
-    metas: Vec<MetaRecord>,
+    /// Active flows with their metadata, sorted by id.
+    flows: Vec<(FlowState, FlowMeta)>,
     /// Live scheduled entries in schedule-priority order.
     entries: Vec<ScheduledEntry>,
     alloc_stats: DeltaStats,
@@ -271,13 +263,14 @@ pub(crate) trait AllocationPolicy {
     /// One settled drain was applied to the table.
     fn on_drain(&mut self, _drain: &SettledDrain) {}
 
-    /// The FCT to record for a flow completing at `t` whose own
+    /// The FCT to record for a flow of `size` completing at `t` whose own
     /// transmission scored FCT `base`.
     fn completion_fct(
         &mut self,
         _t: SimTime,
         _drain: &SettledDrain,
         _info: &FlowMeta,
+        _size: Bytes,
         base: SimTime,
     ) -> SimTime {
         base
@@ -526,20 +519,21 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             voq: drain.voq,
             amount: outcome.drained,
         });
-        if drain.completed {
+        if let Some(done) = outcome.completed {
             let info = self
                 .meta
                 .remove(&drain.flow)
                 .expect("active flow has metadata");
+            let size = Bytes::new(done.size());
             let base_fct = t - info.arrival + self.config.base_latency;
-            let flow_fct = self.policy.completion_fct(t, &drain, &info, base_fct);
-            self.fct.record(info.class, info.size, flow_fct);
-            self.fct_by_size.record(info.size, flow_fct);
+            let flow_fct = self.policy.completion_fct(t, &drain, &info, size, base_fct);
+            self.fct.record(info.class, size, flow_fct);
+            self.fct_by_size.record(size, flow_fct);
             fan.on_completion(&CompletionEvent {
                 time: t.as_secs(),
                 flow: drain.flow,
                 voq: drain.voq,
-                size: info.size.as_u64(),
+                size: done.size(),
                 fct: flow_fct.as_secs(),
             });
             if self.collect_completions {
@@ -548,7 +542,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
                     time: t,
                     voq: drain.voq,
                     class: info.class,
-                    size: info.size,
+                    size,
                     fct: flow_fct,
                 });
             }
@@ -598,7 +592,6 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
                 arrival.id,
                 FlowMeta {
                     class: arrival.class,
-                    size: arrival.size,
                     arrival: arrival.time,
                 },
             );
@@ -760,8 +753,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     ///
     /// Returns [`FabricError::BadConfig`] when the snapshot is internally
     /// inconsistent (duplicate flows, drain accounts that disagree with
-    /// the flow table — in bytes or in VOQ — two accounts on one VOQ,
-    /// dangling metadata) or references hosts outside `topo`.
+    /// the flow table — in bytes or in VOQ — or two accounts on one VOQ)
+    /// or references hosts outside `topo`.
     pub fn restore_with_probe(
         topo: &'t T,
         scheduler: &'s mut S,
@@ -771,7 +764,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         let bad = |msg: String| FabricError::BadConfig(format!("bad snapshot: {msg}"));
 
         let mut table = FlowTable::new();
-        for flow in &snapshot.flows {
+        let mut meta = HashMap::with_capacity(snapshot.flows.len());
+        for &(flow, info) in &snapshot.flows {
             if !topo.contains(flow.voq().src()) || !topo.contains(flow.voq().dst()) {
                 return Err(bad(format!(
                     "flow {} uses hosts outside the {}-host topology",
@@ -779,32 +773,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                     topo.num_hosts()
                 )));
             }
-            table.insert(*flow).map_err(|e| bad(e.to_string()))?;
-        }
-
-        if snapshot.metas.len() != snapshot.flows.len() {
-            return Err(bad(format!(
-                "{} metadata records for {} flows",
-                snapshot.metas.len(),
-                snapshot.flows.len()
-            )));
-        }
-        let mut meta = HashMap::with_capacity(snapshot.metas.len());
-        for m in &snapshot.metas {
-            if table.get(m.flow).is_none() {
-                return Err(bad(format!("metadata for unknown flow {}", m.flow)));
-            }
-            let prev = meta.insert(
-                m.flow,
-                FlowMeta {
-                    class: m.class,
-                    size: m.size,
-                    arrival: m.arrival,
-                },
-            );
-            if prev.is_some() {
-                return Err(bad(format!("duplicate metadata for flow {}", m.flow)));
-            }
+            table.insert(flow).map_err(|e| bad(e.to_string()))?;
+            meta.insert(flow.id(), info);
         }
 
         let mut bound = HashSet::with_capacity(snapshot.entries.len());
@@ -981,24 +951,20 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// that continues bit-for-bit.
     pub fn snapshot(&self) -> FabricSnapshot {
         let core = &self.core;
-        let mut flows: Vec<FlowState> = core.table.iter().copied().collect();
-        flows.sort_by_key(|f| f.id());
-        let metas = flows
+        let mut flows: Vec<(FlowState, FlowMeta)> = core
+            .table
             .iter()
             .map(|f| {
-                let info = core.meta.get(&f.id()).expect("active flow has metadata");
-                MetaRecord {
-                    flow: f.id(),
-                    class: info.class,
-                    size: info.size,
-                    arrival: info.arrival,
-                }
+                (
+                    *f,
+                    *core.meta.get(&f.id()).expect("active flow has metadata"),
+                )
             })
             .collect();
+        flows.sort_by_key(|(f, _)| f.id());
         FabricSnapshot {
             config: core.config,
             flows,
-            metas,
             entries: core.policy.alloc.snapshot_entries(),
             alloc_stats: core.policy.alloc.stats(),
             pending: core.pending.iter().copied().collect(),
@@ -1383,6 +1349,12 @@ mod tests {
         let tiny = FatTree::scaled(1, 1, 1).unwrap();
         let mut sched2 = Srpt::new();
         let err = OnlineFabric::restore(&tiny, &mut sched2, snap.clone()).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // A flow listed twice is rejected as it enters the table.
+        let mut broken = snap.clone();
+        broken.flows.push(broken.flows[0]);
+        let err = restore(broken).unwrap_err();
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
 
         // Corrupting the drain account must be caught.

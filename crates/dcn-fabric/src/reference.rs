@@ -3,8 +3,8 @@
 //! Every product engine — crossbar matching ([`crate::simulate`], the
 //! [`OnlineFabric`](crate::OnlineFabric) it wraps), ECMP, RepFlow and max-min
 //! fair share — runs on one shared event core that keeps persistent
-//! allocation state, pays calendar work only for the flows whose rate
-//! changed, and settles byte accounts lazily. This module runs the same
+//! allocation state, opens a new drain epoch only for the flows whose
+//! rate changed, and settles byte accounts lazily. This module runs the same
 //! model through the simplest loop that computes the same bits: a linear
 //! rescan of every transmitting flow for the next completion, every
 //! account settled on every event, and the allocation rebuilt from a

@@ -402,6 +402,7 @@ impl AllocationPolicy for Replicated<'_> {
         t: SimTime,
         drain: &SettledDrain,
         info: &FlowMeta,
+        size: Bytes,
         base: SimTime,
     ) -> SimTime {
         // First copy to finish sets the recorded FCT.
@@ -425,7 +426,7 @@ impl AllocationPolicy for Replicated<'_> {
         self.log.push(RepFlowCompletion {
             flow: drain.flow,
             voq: drain.voq,
-            size: info.size,
+            size,
             replicated,
             fct,
             base_fct: base,

@@ -190,8 +190,9 @@ pub trait Topology {
 /// has 12 racks × 12 hosts, 3 cores, 10/40 Gbps).
 ///
 /// The paper configures the bandwidths so "the bottleneck is not in the
-/// network": [`FatTree::is_full_bisection`] checks that a rack's uplink
-/// capacity covers all of its hosts. In full-bisection mode only the edge
+/// network": [`Topology::is_full_bisection`] checks that a rack's uplink
+/// capacity covers all of its hosts (12 × 10 Gbps ≤ 3 × 40 Gbps holds
+/// with equality). In full-bisection mode only the edge
 /// (host NIC) constraints bind and scheduling is a pure crossbar matching;
 /// otherwise the engine additionally enforces per-rack uplink capacity.
 ///
@@ -201,7 +202,7 @@ pub trait Topology {
 /// # Example
 ///
 /// ```
-/// use dcn_fabric::FatTree;
+/// use dcn_fabric::{FatTree, Topology};
 /// let topo = FatTree::paper_topology();
 /// assert_eq!(topo.num_hosts(), 144);
 /// assert!(topo.is_full_bisection());
@@ -280,101 +281,34 @@ impl FatTree {
         )
     }
 
-    /// Number of racks (= ToR switches).
-    pub fn num_racks(&self) -> u32 {
-        self.num_racks
-    }
-
-    /// Hosts per rack.
-    pub fn hosts_per_rack(&self) -> u32 {
-        self.hosts_per_rack
-    }
-
     /// Number of core switches.
     pub fn num_cores(&self) -> u32 {
         self.num_cores
-    }
-
-    /// Total number of hosts.
-    pub fn num_hosts(&self) -> u32 {
-        self.num_racks * self.hosts_per_rack
-    }
-
-    /// Host NIC rate.
-    pub fn edge_rate(&self) -> Rate {
-        self.edge_rate
     }
 
     /// ToR-to-core link rate.
     pub fn core_rate(&self) -> Rate {
         self.core_rate
     }
-
-    /// Aggregate uplink capacity of one rack (`num_cores × core_rate`).
-    pub fn rack_uplink_capacity(&self) -> Rate {
-        self.core_rate * self.num_cores as f64
-    }
-
-    /// Whether a host is part of this topology.
-    pub fn contains(&self, host: HostId) -> bool {
-        host.index() < self.num_hosts()
-    }
-
-    /// The rack a host lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is outside the topology.
-    pub fn rack_of(&self, host: HostId) -> RackId {
-        assert!(self.contains(host), "host {host} outside topology");
-        RackId::new(host.index() / self.hosts_per_rack)
-    }
-
-    /// Whether a flow between this VOQ's endpoints stays inside one rack
-    /// (and therefore never touches the core layer).
-    pub fn is_intra_rack(&self, voq: Voq) -> bool {
-        self.rack_of(voq.src()) == self.rack_of(voq.dst())
-    }
-
-    /// Whether every rack's uplink capacity covers its hosts' aggregate
-    /// edge capacity — the paper's "bottleneck not in the network"
-    /// configuration (12 × 10 Gbps ≤ 3 × 40 Gbps holds with equality).
-    pub fn is_full_bisection(&self) -> bool {
-        self.rack_uplink_capacity().bytes_per_sec()
-            >= self.edge_rate.bytes_per_sec() * self.hosts_per_rack as f64
-    }
-
-    /// The oversubscription ratio: host capacity per rack divided by
-    /// uplink capacity (1.0 = exactly full bisection, > 1 = oversubscribed).
-    pub fn oversubscription(&self) -> f64 {
-        self.edge_rate.bytes_per_sec() * self.hosts_per_rack as f64
-            / self.rack_uplink_capacity().bytes_per_sec()
-    }
-
-    /// Maximum number of concurrently transmitting *inter-rack* flows a
-    /// single rack can source (or sink) at full edge rate.
-    pub fn max_inter_rack_flows_per_rack(&self) -> u32 {
-        let ratio = self.rack_uplink_capacity().bytes_per_sec() / self.edge_rate.bytes_per_sec();
-        ratio.floor() as u32
-    }
 }
 
 impl Topology for FatTree {
     fn num_racks(&self) -> u32 {
-        FatTree::num_racks(self)
+        self.num_racks
     }
     fn hosts_per_rack(&self) -> u32 {
-        FatTree::hosts_per_rack(self)
+        self.hosts_per_rack
     }
     fn edge_rate(&self) -> Rate {
-        FatTree::edge_rate(self)
+        self.edge_rate
     }
+    /// `num_cores × core_rate`.
     fn rack_uplink_capacity(&self) -> Rate {
-        FatTree::rack_uplink_capacity(self)
+        self.core_rate * self.num_cores as f64
     }
     /// Each core switch is an independent path group.
     fn core_planes(&self) -> u32 {
-        FatTree::num_cores(self)
+        self.num_cores
     }
 }
 

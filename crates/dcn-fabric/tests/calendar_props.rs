@@ -1,13 +1,19 @@
 //! Property tests for [`CompletionCalendar`] under adversarial reschedule
 //! sequences — the situations lazy invalidation must survive: the same
-//! flow rescheduled over and over (stale entries pile up on the heap),
-//! reschedules to the *same* instant (must not grow the heap), and
+//! flow rescheduled over and over (stale items pile up on the heap),
+//! re-applying an unchanged schedule (must push nothing), and
 //! drain-to-zero (empty schedules, `INFINITY` answers, then refills).
-//! Every prefix of every sequence is checked against a naive
-//! recompute-the-minimum model.
+//!
+//! The calendar keeps no live set; its owner's accounts are the truth.
+//! Here the owner is a naive model — one account per flow, in the slot
+//! named by the flow id — that pushes an item whenever an account's
+//! instant changes, as the delta allocator does. Every prefix of every
+//! sequence is checked against a recompute-the-minimum answer, and the
+//! allocator itself is driven through arbitrary reschedules to check that
+//! an unchanged re-apply pushes nothing.
 
-use dcn_fabric::CompletionCalendar;
-use dcn_types::{FlowId, SimTime};
+use dcn_fabric::{CompletionCalendar, DeltaAllocator};
+use dcn_types::{FlowId, HostId, Rate, SimTime, Voq};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -19,31 +25,53 @@ fn at(tenths: u64) -> SimTime {
     SimTime::from_millis(tenths as f64 / 10.0)
 }
 
-/// The naive model: the last schedule handed over, as a map.
-fn model_of(schedule: &[(u64, u64)]) -> HashMap<u64, u64> {
-    // Last pair wins, like the calendar documents.
-    schedule.iter().copied().collect()
+/// The owner of a calendar: the live instant of each flow's account, in
+/// the slot `id`, with one push per changed instant.
+#[derive(Default)]
+struct Owner {
+    cal: CompletionCalendar,
+    live: HashMap<u64, u64>,
 }
 
-fn check_against_model(cal: &mut CompletionCalendar, model: &HashMap<u64, u64>, step: usize) {
-    assert_eq!(cal.len(), model.len(), "step {step}: live count");
-    assert_eq!(cal.is_empty(), model.is_empty(), "step {step}: emptiness");
-    let want = model
-        .values()
-        .map(|&t| at(t))
-        .min()
-        .unwrap_or(SimTime::INFINITY);
-    assert_eq!(cal.next_completion(), want, "step {step}: minimum instant");
-    assert!(
-        cal.heap_len() >= cal.len(),
-        "step {step}: heap can never hold fewer entries than live flows"
-    );
+impl Owner {
+    /// Opens (or moves) flow `id`'s account onto instant `t`.
+    fn set(&mut self, id: u64, t: u64) {
+        if self.live.insert(id, t) != Some(t) {
+            self.cal.push(at(t), f(id), id as usize);
+        }
+    }
+
+    /// Replaces every account with `schedule` (last pair wins).
+    fn reschedule(&mut self, schedule: &[(u64, u64)]) {
+        let next: HashMap<u64, u64> = schedule.iter().copied().collect();
+        self.live.retain(|id, _| next.contains_key(id));
+        for (&id, &t) in &next {
+            self.set(id, t);
+        }
+    }
+
+    fn next_completion(&mut self) -> SimTime {
+        let live = &self.live;
+        self.cal.next_completion(|t, flow, slot| {
+            flow.raw() as usize == slot && live.get(&flow.raw()).map(|&t| at(t)) == Some(t)
+        })
+    }
+
+    /// The naive answer: the minimum over the live accounts.
+    fn want(&self) -> SimTime {
+        self.live
+            .values()
+            .map(|&t| at(t))
+            .min()
+            .unwrap_or(SimTime::INFINITY)
+    }
 }
 
 proptest! {
     /// Arbitrary reschedule sequences over a small id space (maximizing
-    /// collisions): after every `set_schedule` the calendar agrees with
-    /// the naive model, including empty schedules mid-sequence.
+    /// collisions): after every reschedule the calendar reports the live
+    /// minimum — never a stale instant — including after empty schedules
+    /// mid-sequence.
     #[test]
     fn calendar_tracks_the_model_on_arbitrary_sequences(
         steps in prop::collection::vec(
@@ -51,56 +79,33 @@ proptest! {
             1..30,
         )
     ) {
-        let mut cal = CompletionCalendar::new();
+        let mut owner = Owner::default();
         for (step, schedule) in steps.iter().enumerate() {
-            cal.set_schedule(schedule.iter().map(|&(id, t)| (f(id), at(t))));
-            let model = model_of(schedule);
-            check_against_model(&mut cal, &model, step);
+            owner.reschedule(schedule);
+            prop_assert_eq!(owner.next_completion(), owner.want(), "step {}", step);
+            prop_assert!(owner.cal.heap_len() >= owner.live.len(), "step {}", step);
         }
     }
 
     /// One flow rescheduled to a fresh instant every step: the pathological
     /// case for lazy invalidation. The answer must stay exact at every
     /// prefix, and popping through the garbage at the end must terminate
-    /// with the single live entry.
+    /// on an empty heap.
     #[test]
     fn repeated_invalidation_of_one_flow_stays_exact(
         instants in prop::collection::vec(0u64..10_000, 1..200)
     ) {
-        let mut cal = CompletionCalendar::new();
+        let mut owner = Owner::default();
         for (step, &t) in instants.iter().enumerate() {
-            cal.set_schedule([(f(1), at(t))]);
-            assert_eq!(cal.next_completion(), at(t), "step {step}");
-            assert_eq!(cal.len(), 1);
+            owner.set(1, t);
+            prop_assert_eq!(owner.next_completion(), at(t), "step {}", step);
         }
-        // After validation the heap has shed every entry that sorted ahead
+        // After validation the heap has shed every item that sorted ahead
         // of the live one; everything behind it may lazily remain.
-        prop_assert!(cal.heap_len() >= 1);
-        cal.set_schedule(std::iter::empty::<(FlowId, SimTime)>());
-        prop_assert_eq!(cal.next_completion(), SimTime::INFINITY);
-        prop_assert_eq!(cal.heap_len(), 0, "draining pops all stale entries");
-    }
-
-    /// Rescheduling flows to their *current* instants is free: no heap
-    /// growth, no answer change — however often it is repeated.
-    #[test]
-    fn reschedule_to_same_instant_never_grows_the_heap(
-        schedule in prop::collection::vec((0u64..8, 0u64..500), 1..8),
-        repeats in 1usize..50,
-    ) {
-        let mut cal = CompletionCalendar::new();
-        cal.set_schedule(schedule.iter().map(|&(id, t)| (f(id), at(t))));
-        let model = model_of(&schedule);
-        check_against_model(&mut cal, &model, 0);
-        let heap_before = cal.heap_len();
-        for rep in 1..=repeats {
-            // Re-hand the deduplicated live set (iteration order varies —
-            // the calendar must not care).
-            let live: Vec<(u64, u64)> = model.iter().map(|(&id, &t)| (id, t)).collect();
-            cal.set_schedule(live.iter().map(|&(id, t)| (f(id), at(t))));
-            check_against_model(&mut cal, &model, rep);
-        }
-        prop_assert_eq!(cal.heap_len(), heap_before, "identical reschedules are free");
+        prop_assert!(owner.cal.heap_len() >= 1);
+        owner.reschedule(&[]);
+        prop_assert_eq!(owner.next_completion(), SimTime::INFINITY);
+        prop_assert_eq!(owner.cal.heap_len(), 0, "draining pops all stale items");
     }
 
     /// Drain-to-zero churn: alternate between a schedule and emptiness.
@@ -114,124 +119,188 @@ proptest! {
             1..20,
         )
     ) {
-        let mut cal = CompletionCalendar::new();
+        let mut owner = Owner::default();
         for (step, schedule) in rounds.iter().enumerate() {
-            cal.set_schedule(schedule.iter().map(|&(id, t)| (f(id), at(t))));
-            check_against_model(&mut cal, &model_of(schedule), step);
-            cal.set_schedule(std::iter::empty::<(FlowId, SimTime)>());
-            assert_eq!(cal.next_completion(), SimTime::INFINITY, "step {step}: drained");
-            assert_eq!(cal.heap_len(), 0, "step {step}: drained heap is empty");
+            owner.reschedule(schedule);
+            prop_assert_eq!(owner.next_completion(), owner.want(), "step {}", step);
+            owner.reschedule(&[]);
+            prop_assert_eq!(owner.next_completion(), SimTime::INFINITY, "step {}", step);
+            prop_assert_eq!(owner.cal.heap_len(), 0, "step {}: drained heap is empty", step);
         }
     }
 }
 
-/// Every targeted-edit operation the delta engine performs, as a proptest
-/// value.
+/// Every edit an owner makes, as a proptest value.
 #[derive(Debug, Clone, Copy)]
 enum DeltaOp {
-    /// `CompletionCalendar::update` — schedule or move one flow.
-    Update(u64, u64),
-    /// `CompletionCalendar::remove` — deschedule one flow.
+    /// Open or move one flow's account.
+    Set(u64, u64),
+    /// Close one flow's account (an eviction or completion).
     Remove(u64),
     /// `CompletionCalendar::next_completion` — pop through stale garbage.
     Query,
-    /// `CompletionCalendar::set_schedule` of the current live set — the
-    /// bulk API interleaved mid-stream (the two APIs must compose).
-    BulkReassert,
+    /// `CompletionCalendar::pop_due` — settle the flows due by an instant.
+    PopDue(u64),
 }
 
 fn delta_op() -> impl Strategy<Value = DeltaOp> {
     prop_oneof![
-        4 => (0u64..6, 0u64..300).prop_map(|(id, t)| DeltaOp::Update(id, t)),
+        4 => (0u64..6, 0u64..300).prop_map(|(id, t)| DeltaOp::Set(id, t)),
         2 => (0u64..6).prop_map(DeltaOp::Remove),
         2 => Just(DeltaOp::Query),
-        1 => Just(DeltaOp::BulkReassert),
+        1 => (0u64..300).prop_map(DeltaOp::PopDue),
     ]
 }
 
 proptest! {
-    /// Adversarial interleaving of targeted updates, removes, pops, and
-    /// bulk reasserts: after **every** operation the incrementally edited
-    /// calendar agrees with a calendar freshly built from the model — same
-    /// minimum, same live count, and popping both to exhaustion yields the
-    /// same instant sequence (heap-order agreement, not just the top).
+    /// Adversarial interleaving of opens, closes, queries and due pops:
+    /// after **every** operation the incrementally edited calendar agrees
+    /// with a calendar freshly built from the model, `pop_due` returns
+    /// exactly the due accounts once each, and popping both calendars to
+    /// exhaustion yields the same `(instant, flow)` sequence.
     #[test]
     fn targeted_edits_agree_with_a_freshly_built_calendar(
         ops in prop::collection::vec(delta_op(), 1..120)
     ) {
-        let mut cal = CompletionCalendar::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut owner = Owner::default();
+        let fresh_of = |live: &HashMap<u64, u64>| {
+            let mut fresh = Owner::default();
+            for (&id, &t) in live {
+                fresh.set(id, t);
+            }
+            fresh
+        };
         for (step, &op) in ops.iter().enumerate() {
             match op {
-                DeltaOp::Update(id, t) => {
-                    cal.update(f(id), at(t));
-                    model.insert(id, t);
-                }
+                DeltaOp::Set(id, t) => owner.set(id, t),
                 DeltaOp::Remove(id) => {
-                    cal.remove(f(id));
-                    model.remove(&id);
+                    owner.live.remove(&id);
                 }
                 DeltaOp::Query => {
                     // Exercised below for every step; a standalone query
                     // also forces stale-top pops *between* edits.
-                    let _ = cal.next_completion();
+                    let _ = owner.next_completion();
                 }
-                DeltaOp::BulkReassert => {
-                    let live: Vec<(u64, u64)> =
-                        model.iter().map(|(&id, &t)| (id, t)).collect();
-                    cal.set_schedule(live.iter().map(|&(id, t)| (f(id), at(t))));
+                DeltaOp::PopDue(t) => {
+                    let mut due: Vec<u64> = owner
+                        .live
+                        .iter()
+                        .filter(|&(_, &at)| at <= t)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    due.sort_by_key(|&id| (owner.live[&id], id));
+                    for want in due {
+                        let live = &owner.live;
+                        let popped = owner.cal.pop_due(at(t), |at_, flow, slot| {
+                            flow.raw() as usize == slot
+                                && live.get(&flow.raw()).map(|&t| at(t)) == Some(at_)
+                        });
+                        prop_assert_eq!(popped, Some((f(want), want as usize)), "step {}", step);
+                        owner.live.remove(&want);
+                    }
+                    let live = &owner.live;
+                    let popped = owner.cal.pop_due(at(t), |at_, flow, slot| {
+                        flow.raw() as usize == slot
+                            && live.get(&flow.raw()).map(|&t| at(t)) == Some(at_)
+                    });
+                    prop_assert_eq!(popped, None, "step {}: nothing else is due", step);
                 }
             }
-            let mut fresh = CompletionCalendar::new();
-            fresh.set_schedule(model.iter().map(|(&id, &t)| (f(id), at(t))));
-            prop_assert_eq!(cal.len(), fresh.len(), "step {}: live count", step);
+            let mut fresh = fresh_of(&owner.live);
             prop_assert_eq!(
-                cal.next_completion(),
+                owner.next_completion(),
                 fresh.next_completion(),
                 "step {}: minimum instant",
                 step
             );
             prop_assert!(
-                cal.heap_len() >= cal.len(),
-                "step {}: heap cannot undercount the live set",
+                owner.cal.heap_len() >= owner.live.len(),
+                "step {}: heap cannot undercount the live accounts",
                 step
             );
         }
         // Drain both calendars to exhaustion in completion order: the
-        // edited calendar must yield the identical instant sequence.
-        let mut fresh = CompletionCalendar::new();
-        fresh.set_schedule(model.iter().map(|(&id, &t)| (f(id), at(t))));
-        while !model.is_empty() {
+        // edited calendar must yield the identical sequence.
+        let mut fresh = fresh_of(&owner.live);
+        while !owner.live.is_empty() {
             let want = fresh.next_completion();
-            prop_assert_eq!(cal.next_completion(), want, "drain: minimum");
-            let (&id, _) = model
+            prop_assert_eq!(owner.next_completion(), want, "drain: minimum");
+            let id = *owner
+                .live
                 .iter()
-                .find(|&(_, &t)| at(t) == want)
+                .filter(|&(_, &t)| at(t) == want)
+                .map(|(id, _)| id)
+                .min()
                 .expect("minimum comes from the model");
-            model.remove(&id);
-            cal.remove(f(id));
-            fresh.remove(f(id));
+            owner.live.remove(&id);
+            fresh.live.remove(&id);
         }
-        prop_assert_eq!(cal.next_completion(), SimTime::INFINITY);
-        prop_assert_eq!(cal.heap_len(), 0, "full drain pops all garbage");
+        prop_assert_eq!(owner.next_completion(), SimTime::INFINITY);
+        prop_assert_eq!(owner.cal.heap_len(), 0, "full drain pops all garbage");
+    }
+
+    /// The allocator owns the calendar in the engine: through arbitrary
+    /// reschedules (entrants, leavers, due completions) it stays
+    /// consistent, an unchanged re-apply pushes nothing, and an empty
+    /// schedule drains the calendar to nothing.
+    #[test]
+    fn allocator_reapply_pushes_nothing_and_drains_to_empty(
+        steps in prop::collection::vec(
+            (prop::collection::vec(0u64..8, 0..6), 1u64..40, 1usize..4),
+            1..20,
+        )
+    ) {
+        let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
+        let mut now = SimTime::ZERO;
+        for (step, (lanes, micros, repeats)) in steps.iter().enumerate() {
+            // Lane `k` is VOQ `k → k + 8`, in slot `k`; each step's flows
+            // are fresh ids (a completed flow never returns), so a lane
+            // kept across steps is a preemption on the same VOQ.
+            let mut seen = [false; 8];
+            let selected: Vec<(FlowId, Voq)> = lanes
+                .iter()
+                .filter(|&&k| !std::mem::replace(&mut seen[k as usize], true))
+                .map(|&k| {
+                    let voq = Voq::new(HostId::new(k as u32), HostId::new(k as u32 + 8));
+                    (f(step as u64 * 8 + k), voq)
+                })
+                .collect();
+            let admit = |id: FlowId| (1_250 * (id.raw() % 13 + 1), (id.raw() % 8) as usize);
+            alloc.apply(now, selected.clone(), admit, |_| {});
+            alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+            let pushed = alloc.calendar_len();
+            let next = alloc.next_completion();
+            for _ in 0..*repeats {
+                let d = alloc.apply(now, selected.clone(), admit, |_| {});
+                prop_assert_eq!(d.entered + d.left, 0, "step {}", step);
+            }
+            prop_assert!(alloc.calendar_len() <= pushed, "step {}: re-apply pushed", step);
+            prop_assert_eq!(alloc.next_completion(), next, "step {}", step);
+            // Let time pass and settle whatever completes.
+            now = SimTime::from_secs(now.as_secs() + *micros as f64 * 1e-6);
+            alloc.settle_due(now, |_| {});
+            alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+        }
+        alloc.apply(now, Vec::new(), |_| unreachable!(), |_| {});
+        prop_assert_eq!(alloc.next_completion(), SimTime::INFINITY);
+        prop_assert_eq!(alloc.calendar_len(), 0, "an empty schedule drains the calendar");
     }
 }
 
 /// Deterministic worst case outside proptest: N reschedules of one flow to
-/// strictly earlier instants each time — every stale entry sorts *behind*
+/// strictly earlier instants each time — every stale item sorts *behind*
 /// the live one, so `next_completion` keeps O(1) peeks while `heap_len`
 /// records the garbage, all popped in one terminal drain.
 #[test]
 fn monotonically_earlier_reschedules_accumulate_then_drain() {
-    let mut cal = CompletionCalendar::new();
+    let mut owner = Owner::default();
     let n = 500u64;
     for i in 0..n {
-        cal.set_schedule([(f(7), at(10_000 - i))]);
-        assert_eq!(cal.next_completion(), at(10_000 - i));
+        owner.set(7, 10_000 - i);
+        assert_eq!(owner.next_completion(), at(10_000 - i));
     }
-    assert_eq!(cal.len(), 1);
-    assert!(cal.heap_len() as u64 >= 1, "live entry present");
-    cal.set_schedule(std::iter::empty::<(FlowId, SimTime)>());
-    assert_eq!(cal.next_completion(), SimTime::INFINITY);
-    assert_eq!(cal.heap_len(), 0);
+    assert_eq!(owner.cal.heap_len() as u64, n, "every stale item is queued");
+    owner.reschedule(&[]);
+    assert_eq!(owner.next_completion(), SimTime::INFINITY);
+    assert_eq!(owner.cal.heap_len(), 0);
 }

@@ -33,8 +33,7 @@ pub fn quadratic_lyapunov(table: &FlowTable) -> f64 {
 
 /// Samples the quadratic Lyapunov function and estimates its drift.
 ///
-/// Generalizes the `dcn-switch::lyapunov` instrumentation to any substrate
-/// carrying a [`FlowTable`]: at each [`SampleEvent`] the probe records
+/// Works on any substrate carrying a [`FlowTable`]: at each [`SampleEvent`] the probe records
 /// `L(X)` into a [`TimeSeries`] and accumulates the one-sample differences
 /// `L(X(t_{k+1})) − L(X(t_k))` — an empirical view of the expected drift
 /// `Δ(X(t))` (Eq. 4) along the simulated trajectory. A positive mean drift
@@ -126,6 +125,16 @@ mod tests {
     #[test]
     fn lyapunov_of_empty_table_is_zero() {
         assert_eq!(quadratic_lyapunov(&FlowTable::new()), 0.0);
+    }
+
+    #[test]
+    fn lyapunov_sums_squared_voq_backlogs() {
+        let mut t = FlowTable::new();
+        let q = Voq::new(HostId::new(0), HostId::new(1));
+        t.insert(FlowState::new(FlowId::new(1), q, 3)).unwrap();
+        t.insert(FlowState::new(FlowId::new(2), q, 2)).unwrap();
+        // One VOQ with backlog 5: the flows sum before squaring.
+        assert_eq!(quadratic_lyapunov(&t), 12.5);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! * [`EventCounterProbe`] — event counts plus a log-spaced histogram of
 //!   scheduler decision wall latencies; mergeable across seeds.
 //! * [`DriftProbe`] — samples the quadratic Lyapunov function
-//!   `L(X) = ½ Σ X_ij²` and estimates its one-sample drift, generalizing
-//!   the `dcn-switch::lyapunov` instrumentation to any substrate.
+//!   `L(X) = ½ Σ X_ij²` and estimates its one-sample drift, on any
+//!   substrate that samples a flow table (the slotted switch and the
+//!   fabric alike).
 //! * [`JsonlProbe`] — streams every event as one JSON object per line,
 //!   consumable by the `results/` tooling (see [`jsonl`]).
 //!

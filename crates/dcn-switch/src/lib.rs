@@ -14,9 +14,9 @@
 //! simulation driver: it caches each schedule for as long as it provably
 //! stays valid and advances whole macro-slot windows, bit-identical to
 //! the slot-by-slot oracle [`reference::run`]. This model is
-//! where the paper's theory lives, so the crate also provides
-//! [`lyapunov`] instrumentation (the quadratic Lyapunov function, one-slot
-//! drift samples, and the Theorem-1 bounds) and the exact Fig.-1
+//! where the paper's theory lives, so the crate also provides the
+//! Theorem-1 bounds ([`lyapunov`]; the run's Lyapunov series is
+//! [`dcn_probe::quadratic_lyapunov`] per sample) and the exact Fig.-1
 //! three-flow instability scenario ([`fig1`]).
 //!
 //! # Example

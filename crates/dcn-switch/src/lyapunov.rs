@@ -1,30 +1,8 @@
-//! Lyapunov instrumentation: the quadratic Lyapunov function, drift
-//! sampling, and the Theorem-1 bounds (§IV-B, Eqs. 3–7).
+//! The Theorem-1 bounds (§IV-B, Eqs. 3–7). The quadratic Lyapunov
+//! function and its drift sampling live in `dcn_probe`
+//! ([`dcn_probe::quadratic_lyapunov`], [`dcn_probe::DriftProbe`]).
 
-use basrpt_core::FlowTable;
 use serde::{Deserialize, Serialize};
-
-/// The quadratic Lyapunov function `L(X) = ½ Σ_ij X_ij²` (Eq. 3), over the
-/// VOQ backlogs of `table`.
-///
-/// # Example
-///
-/// ```
-/// use basrpt_core::{FlowState, FlowTable};
-/// use dcn_switch::lyapunov::lyapunov_value;
-/// use dcn_types::{FlowId, HostId, Voq};
-///
-/// let mut t = FlowTable::new();
-/// t.insert(FlowState::new(FlowId::new(1), Voq::new(HostId::new(0), HostId::new(1)), 3))?;
-/// t.insert(FlowState::new(FlowId::new(2), Voq::new(HostId::new(1), HostId::new(0)), 4))?;
-/// assert_eq!(lyapunov_value(&t), 0.5 * (9.0 + 16.0));
-/// # Ok::<(), basrpt_core::FlowTableError>(())
-/// ```
-pub fn lyapunov_value(table: &FlowTable) -> f64 {
-    // The computation now lives in `dcn-probe` (shared with the fabric's
-    // `DriftProbe`); this re-export keeps the historical call sites.
-    dcn_probe::quadratic_lyapunov(table)
-}
 
 /// The drift-plus-penalty constant `B' = N(1 + N·B)/2` of Theorem 1, where
 /// `N` is the port count and `B ≥ E[A_ij²]` bounds the arrival second
@@ -105,66 +83,9 @@ impl TheoremBounds {
     }
 }
 
-/// Accumulates one-slot Lyapunov drift samples
-/// `L(X(t+1)) − L(X(t))`, giving an empirical estimate of the expected
-/// drift `Δ(X(t))` (Eq. 4) along the simulated trajectory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DriftEstimator {
-    last_value: Option<f64>,
-    sum: f64,
-    count: u64,
-}
-
-impl DriftEstimator {
-    /// Creates an estimator with no observations.
-    pub fn new() -> Self {
-        DriftEstimator::default()
-    }
-
-    /// Observes the Lyapunov value at the next slot boundary.
-    pub fn observe(&mut self, lyapunov: f64) {
-        if let Some(prev) = self.last_value {
-            self.sum += lyapunov - prev;
-            self.count += 1;
-        }
-        self.last_value = Some(lyapunov);
-    }
-
-    /// Number of drift samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The mean one-slot drift; `None` before two observations.
-    pub fn mean_drift(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basrpt_core::FlowState;
-    use dcn_types::{FlowId, HostId, Voq};
-
-    #[test]
-    fn lyapunov_of_empty_table_is_zero() {
-        assert_eq!(lyapunov_value(&FlowTable::new()), 0.0);
-    }
-
-    #[test]
-    fn lyapunov_sums_squared_backlogs() {
-        let mut t = FlowTable::new();
-        let q = Voq::new(HostId::new(0), HostId::new(1));
-        t.insert(FlowState::new(FlowId::new(1), q, 3)).unwrap();
-        t.insert(FlowState::new(FlowId::new(2), q, 2)).unwrap();
-        // One VOQ with backlog 5.
-        assert_eq!(lyapunov_value(&t), 12.5);
-    }
 
     #[test]
     fn b_prime_formula() {
@@ -188,18 +109,5 @@ mod tests {
     #[should_panic(expected = "epsilon")]
     fn bad_epsilon_rejected() {
         let _ = TheoremBounds::new(4, 10.0, 0.0, 8.0, 1.0);
-    }
-
-    #[test]
-    fn drift_estimator_means_differences() {
-        let mut d = DriftEstimator::new();
-        assert!(d.mean_drift().is_none());
-        d.observe(10.0);
-        assert!(d.mean_drift().is_none());
-        d.observe(14.0);
-        d.observe(12.0);
-        // Drifts: +4, -2 -> mean +1.
-        assert_eq!(d.mean_drift(), Some(1.0));
-        assert_eq!(d.count(), 2);
     }
 }

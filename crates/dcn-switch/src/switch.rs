@@ -297,7 +297,7 @@ impl Probe for SwitchSampler {
             .unwrap_or(0);
         self.max_port_backlog.push(secs, max_port as f64);
         self.lyapunov
-            .push(secs, crate::lyapunov::lyapunov_value(event.table));
+            .push(secs, dcn_probe::quadratic_lyapunov(event.table));
     }
 }
 

@@ -16,7 +16,7 @@
 mod support;
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig};
+use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig, Topology};
 use basrpt::probe::EventCounterProbe;
 use basrpt::types::SimTime;
 use basrpt::workload::TrafficSpec;

@@ -26,7 +26,7 @@
 //! and paste the printed fixture blocks over the constants below.
 
 use basrpt::core::{Scheduler, Srpt, ThresholdBacklogSrpt};
-use basrpt::fabric::{FabricRun, SimConfig};
+use basrpt::fabric::{FabricRun, SimConfig, Topology};
 use basrpt::types::{FlowClass, SimTime};
 use basrpt_bench::{paper_equivalent_fast_basrpt, run_fabric_with, Scale, FCT_BASE_LATENCY_US};
 

@@ -5,7 +5,7 @@
 //! backlog-aware schedulers bound it.
 
 use basrpt::core::{FastBasrpt, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
-use basrpt::fabric::{simulate, FabricRun, FatTree, SimConfig};
+use basrpt::fabric::{simulate, FabricRun, FatTree, SimConfig, Topology};
 use basrpt::types::SimTime;
 use basrpt::workload::StarvationScript;
 

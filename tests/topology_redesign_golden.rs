@@ -17,7 +17,7 @@
 //! and paste the printed fixture blocks over the constants below.
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
-use basrpt::fabric::{simulate, FabricRun, FatTree, SimConfig};
+use basrpt::fabric::{simulate, FabricRun, FatTree, SimConfig, Topology};
 use basrpt::metrics::TimeSeries;
 use basrpt::types::{FlowClass, SimTime};
 use basrpt::workload::TrafficSpec;

@@ -51,10 +51,12 @@ bench-smoke:
 trace-smoke:
 	cargo run --release --example trace_run target/trace-smoke
 
-# Pipes the sample flows file through the streaming daemon; `--validate`
-# re-parses every emitted completion line with `dcn_probe::jsonl::parse_line`
-# and the daemon exits non-zero on any schema violation or count mismatch.
+# Runs the daemon's input-parsing unit tests, then pipes the sample flows
+# file through the streaming daemon; `--validate` re-parses every emitted
+# completion line with `dcn_probe::jsonl::parse_line` and the daemon exits
+# non-zero on any schema violation or count mismatch.
 daemon-smoke:
+	cargo test --release --example daemon
 	BASRPT_HORIZON_MS=50 cargo run --release --example daemon -- \
 		examples/daemon_flows.txt --validate > /dev/null
 

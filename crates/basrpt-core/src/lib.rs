@@ -77,4 +77,4 @@ pub use scheduler::{
     check_maximal, greedy_by_key, schedule_champions_adjusted, Candidate, CountingScheduler,
     MakeScheduler, NoAdjust, Scheduler, ViewAdjust,
 };
-pub use table::{DrainOutcome, FlowTable, FlowTableError, VoqView};
+pub use table::{DrainOutcome, FlowSlot, FlowTable, FlowTableError, VoqView};

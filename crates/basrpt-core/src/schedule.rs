@@ -137,9 +137,8 @@ impl Schedule {
     }
 
     /// Consumes the schedule, returning the selected `(flow, voq)` pairs
-    /// in selection order. The zero-copy handover for engines that keep
-    /// the previous selection alive across events (the delta allocator's
-    /// stay-detection diff) instead of re-reading it per event.
+    /// in selection order — the slice the fabric's delta allocator diffs
+    /// against its previous selection.
     pub fn into_pairs(self) -> Vec<(FlowId, Voq)> {
         self.selected
     }

@@ -40,6 +40,26 @@ impl fmt::Display for FlowTableError {
 
 impl Error for FlowTableError {}
 
+/// A flow's slot in its [`FlowTable`]'s slab arena: the handle
+/// [`FlowTable::insert`] returns and [`DrainOutcome::slot`] reports back.
+///
+/// A slot is stable while its flow is active and is recycled for a later
+/// insert once the flow completes or is removed, so slots stay dense:
+/// every slot ever handed out is below the number of flows the table has
+/// held at once. Consumers keeping per-flow records beside the table
+/// index a `Vec` by [`FlowSlot::index`] instead of hashing the
+/// [`FlowId`]; such a record must be read at its flow's completion,
+/// before a later insert can reuse the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowSlot(u32);
+
+impl FlowSlot {
+    /// The slot as a `Vec` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Result of draining units from a flow via [`FlowTable::drain`].
 ///
 /// `drained` only falls short of the requested amount when the request
@@ -53,8 +73,10 @@ pub struct DrainOutcome {
     /// Units actually removed from the flow (≤ the requested amount).
     pub drained: u64,
     /// The flow's final state if the drain completed it; the flow has then
-    /// already been removed from the table.
+    /// already been removed from the table and its slot freed for reuse.
     pub completed: Option<FlowState>,
+    /// The drained flow's slot.
+    pub slot: FlowSlot,
 }
 
 /// A read-only summary of one non-empty VOQ, as exposed to schedulers.
@@ -262,14 +284,28 @@ impl FlowTable {
 
     /// Looks up an active flow.
     pub fn get(&self, id: FlowId) -> Option<&FlowState> {
+        self.entry(id).map(|e| &e.state)
+    }
+
+    /// The slab entry of an active flow.
+    fn entry(&self, id: FlowId) -> Option<&FlowEntry> {
         let &slot = self.flow_slots.get(&id)?;
-        self.flows[slot as usize].as_ref().map(|e| &e.state)
+        let entry = self.flows[slot as usize].as_ref();
+        Some(entry.expect("indexed slab slot is live"))
     }
 
     /// Iterates over all active flows in unspecified order (for statistics;
     /// schedulers should use [`FlowTable::voqs`]).
     pub fn iter(&self) -> impl Iterator<Item = &FlowState> {
         self.flows.iter().flatten().map(|e| &e.state)
+    }
+
+    /// Iterates over all active flows with their slots, in slot order.
+    pub fn slots(&self) -> impl Iterator<Item = (FlowSlot, &FlowState)> {
+        self.flows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((FlowSlot(i as u32), &e.as_ref()?.state)))
     }
 
     /// Iterates over all non-empty VOQs in deterministic (lexicographic)
@@ -347,23 +383,13 @@ impl FlowTable {
 
     /// Whether a `(remaining, id)` runner entry matches live state.
     fn runner_short_valid(&self, vs: u32, remaining: u64, id: FlowId) -> bool {
-        self.flow_slots.get(&id).is_some_and(|&slot| {
-            let entry = self.flows[slot as usize]
-                .as_ref()
-                .expect("indexed slab slot is live");
-            entry.voq_slot == vs && entry.state.remaining() == remaining
-        })
+        self.entry(id)
+            .is_some_and(|e| e.voq_slot == vs && e.state.remaining() == remaining)
     }
 
     /// Whether an id runner entry matches a flow live in this VOQ.
     fn runner_old_valid(&self, vs: u32, id: FlowId) -> bool {
-        self.flow_slots.get(&id).is_some_and(|&slot| {
-            self.flows[slot as usize]
-                .as_ref()
-                .expect("indexed slab slot is live")
-                .voq_slot
-                == vs
-        })
+        self.entry(id).is_some_and(|e| e.voq_slot == vs)
     }
 
     /// Restores the shortest champion after the cached one left the VOQ:
@@ -429,12 +455,12 @@ impl FlowTable {
         }
     }
 
-    /// Inserts a newly arrived flow.
+    /// Inserts a newly arrived flow and returns its slot.
     ///
     /// # Errors
     ///
     /// Returns [`FlowTableError::DuplicateFlow`] if the id is already active.
-    pub fn insert(&mut self, flow: FlowState) -> Result<(), FlowTableError> {
+    pub fn insert(&mut self, flow: FlowState) -> Result<FlowSlot, FlowTableError> {
         if self.flow_slots.contains_key(&flow.id()) {
             return Err(FlowTableError::DuplicateFlow(flow.id()));
         }
@@ -509,7 +535,7 @@ impl FlowTable {
         *self.ingress.entry(voq.src()).or_insert(0) += flow.remaining();
         self.total_backlog += flow.remaining();
         self.version += 1;
-        Ok(())
+        Ok(FlowSlot(fidx))
     }
 
     /// Removes a flow (e.g. a cancelled transfer), returning its state.
@@ -558,6 +584,7 @@ impl FlowTable {
             return Ok(DrainOutcome {
                 drained,
                 completed: Some(flow),
+                slot: FlowSlot(fidx),
             });
         }
 
@@ -590,6 +617,7 @@ impl FlowTable {
         Ok(DrainOutcome {
             drained,
             completed: None,
+            slot: FlowSlot(fidx),
         })
     }
 
@@ -997,6 +1025,29 @@ mod tests {
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(1));
         assert_eq!(view.shortest_remaining, 25);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn completed_flow_slot_is_reported_and_reused() {
+        let mut t = FlowTable::new();
+        let a = t.insert(flow(1, 0, 1, 5)).unwrap();
+        let b = t.insert(flow(2, 2, 3, 5)).unwrap();
+        assert_ne!(a, b);
+        let partial = t.drain(FlowId::new(1), 2).unwrap();
+        assert_eq!(partial.slot, a);
+        assert!(partial.completed.is_none());
+        let done = t.drain(FlowId::new(1), 3).unwrap();
+        assert_eq!(done.slot, a);
+        assert!(done.completed.is_some());
+        // The next flow, on any VOQ, takes the freed slot.
+        let c = t.insert(flow(3, 4, 5, 9)).unwrap();
+        assert_eq!(c, a);
+        let by_slot: Vec<(usize, FlowId)> = t.slots().map(|(s, f)| (s.index(), f.id())).collect();
+        assert_eq!(
+            by_slot,
+            vec![(a.index(), FlowId::new(3)), (b.index(), FlowId::new(2))]
+        );
         t.check_invariants().unwrap();
     }
 

@@ -378,7 +378,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
             // Flow `i < n` sits in VOQ slot `i`; the two alternating
             // last-position ids share slot `n - 1`.
             let admit = |id: FlowId| (1 << 40, (id.raw() as usize).min(n - 1));
-            alloc.apply(SimTime::ZERO, base.clone(), admit, |_| {});
+            alloc.apply(SimTime::ZERO, &base, admit, |_| {});
             let mut swapped = base.clone();
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
@@ -387,7 +387,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
                     // apply sees one entrant, one leaver, n-1 stays.
                     tick += 1;
                     swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
-                    alloc.apply(SimTime::ZERO, swapped.clone(), admit, |_| {});
+                    alloc.apply(SimTime::ZERO, &swapped, admit, |_| {});
                     alloc.next_completion()
                 })
             });
@@ -448,7 +448,7 @@ fn bench_settle_cost(c: &mut Criterion) {
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            alloc.apply(SimTime::ZERO, sel.clone(), admit, |_| {});
+            alloc.apply(SimTime::ZERO, &sel, admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("due_check", n), &n, |b, _| {
                 b.iter(|| {
@@ -462,7 +462,7 @@ fn bench_settle_cost(c: &mut Criterion) {
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            alloc.apply(SimTime::ZERO, sel.clone(), admit, |_| {});
+            alloc.apply(SimTime::ZERO, &sel, admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("view_adjust", n), &n, |b, &n| {
                 b.iter(|| {

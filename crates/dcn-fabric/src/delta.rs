@@ -152,9 +152,10 @@ pub struct SettledDrain {
 /// // Two flows admitted at t = 0: 1.25 MB completes after exactly 1 ms.
 /// // An entrant reports its remaining bytes and its VOQ's table slot
 /// // (`FlowTable::voq_slot`); here flow 1's VOQ is slot 0, flow 2's slot 1.
+/// let matching = [(FlowId::new(1), voq(0, 1)), (FlowId::new(2), voq(2, 3))];
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
-///     vec![(FlowId::new(1), voq(0, 1)), (FlowId::new(2), voq(2, 3))],
+///     &matching,
 ///     |id| if id == FlowId::new(1) { (1_250_000, 0) } else { (5_000_000, 1) },
 ///     |_| unreachable!("nothing scheduled before, so nothing is evicted"),
 /// );
@@ -165,7 +166,7 @@ pub struct SettledDrain {
 /// // positionally, so nothing is hashed, entered, or evicted.
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
-///     vec![(FlowId::new(1), voq(0, 1)), (FlowId::new(2), voq(2, 3))],
+///     &matching,
 ///     |_| unreachable!("no flow entered, so no remaining size is read"),
 ///     |_| unreachable!("no flow left, so nothing is evicted"),
 /// );
@@ -189,17 +190,15 @@ pub struct DeltaAllocator {
     /// table slot ([`VoqView::slot`]): a crossbar matching schedules at
     /// most one flow per VOQ, so the
     /// [`live_views`](DeltaAllocator::live_views) lens resolves each VOQ's
-    /// unsettled bytes with one indexed read.
+    /// unsettled bytes with one indexed read. The only record of which
+    /// flows are scheduled.
     by_slot: Vec<Option<ScheduledEntry>>,
-    /// `flow → VOQ slot` of the live scheduled flows — read only on the
-    /// `O(Δ)` paths that start from a flow id (the diff window, due
-    /// completions) and on observation settlement.
-    slots: HashMap<FlowId, usize>,
-    /// The previous selection in priority order — what `apply` diffs the
-    /// next selection against, and the order every settlement path emits
-    /// drains in. May contain *tombstones*: pairs whose flow completed
-    /// (and left `slots`) after this selection was applied.
-    sel: Vec<(FlowId, Voq)>,
+    /// The previous selection in priority order, each pair with its VOQ's
+    /// slot — what `apply` diffs the next selection against, and the
+    /// order every settlement path emits drains in. A pair is live iff
+    /// its slot holds its flow's account; the others are *tombstones* of
+    /// flows that completed after this selection was applied.
+    sel: Vec<(FlowId, Voq, usize)>,
     stats: DeltaStats,
 }
 
@@ -211,20 +210,20 @@ impl DeltaAllocator {
             rate,
             calendar: CompletionCalendar::new(),
             by_slot: Vec::new(),
-            slots: HashMap::new(),
             sel: Vec::new(),
             stats: DeltaStats::default(),
         }
     }
 
-    /// Number of currently scheduled flows.
+    /// Number of currently scheduled flows. Linear in the VOQ slots;
+    /// intended for tests and diagnostics.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.by_slot.iter().flatten().count()
     }
 
     /// Whether no flow is currently scheduled.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// Cumulative delta statistics since construction.
@@ -262,20 +261,21 @@ impl DeltaAllocator {
     /// its slot only after the leaver's bytes are accounted.
     ///
     /// Cost: the matched prefix and suffix of the previous selection pay
-    /// one pair comparison each (no hashing, no copies); only the changed
-    /// middle window pays `O(Δ)` hash probes and `O(Δ log n)` calendar
-    /// pushes. In the steady state of one arrival or completion per event,
-    /// that window is a handful of pairs regardless of schedule size.
+    /// one pair comparison each (no hashing; the suffix moves in memory
+    /// when the window changes size); only the changed middle window pays
+    /// `O(Δ)` hash probes and `O(Δ log n)` calendar pushes. In the steady
+    /// state of one arrival or completion per event, that window is a
+    /// handful of pairs regardless of schedule size.
     pub fn apply(
         &mut self,
         now: SimTime,
-        selected: Vec<(FlowId, Voq)>,
+        selected: &[(FlowId, Voq)],
         mut admit: impl FnMut(FlowId) -> (u64, usize),
         mut on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
-        let old = std::mem::replace(&mut self.sel, selected);
-        let n_old = old.len();
-        let n_new = self.sel.len();
+        let n_old = self.sel.len();
+        let n_new = selected.len();
+        let same = |(id, voq, _): (FlowId, Voq, usize), pair: (FlowId, Voq)| (id, voq) == pair;
 
         // Matched ends. A pair can only match a pair of the *same* flow,
         // and a completed flow cannot reappear in a fresh schedule (it
@@ -287,11 +287,11 @@ impl DeltaAllocator {
         // pair), so the two windows are self-contained.
         let limit = n_old.min(n_new);
         let mut lo = 0;
-        while lo < limit && old[lo] == self.sel[lo] {
+        while lo < limit && same(self.sel[lo], selected[lo]) {
             lo += 1;
         }
         let mut hi = 0;
-        while hi < limit - lo && old[n_old - 1 - hi] == self.sel[n_new - 1 - hi] {
+        while hi < limit - lo && same(self.sel[n_old - 1 - hi], selected[n_new - 1 - hi]) {
             hi += 1;
         }
 
@@ -300,56 +300,65 @@ impl DeltaAllocator {
             ..DeltaOutcome::default()
         };
 
-        // Old-side window first: anything not re-selected has left (or is
-        // a completion tombstone, already absent from `slots`). Leavers
-        // settle to `now` so the bytes they moved while scheduled are
-        // never lost — in eager mode every account was settled this
-        // instant already, so the owed amount is zero and no drain fires —
-        // and free their VOQ slot for an entrant below.
-        if lo + hi < n_old {
-            let reselected: HashSet<FlowId> =
-                self.sel[lo..n_new - hi].iter().map(|&(id, _)| id).collect();
-            for &(id, _) in &old[lo..n_old - hi] {
-                if reselected.contains(&id) {
-                    continue;
-                }
-                let Some(slot) = self.slots.remove(&id) else {
-                    continue; // completion tombstone, swept for free
-                };
-                let entry = self.by_slot[slot]
-                    .take()
-                    .expect("a scheduled flow's VOQ slot holds its entry");
-                let owed = entry.target_at(now) - entry.settled;
-                if owed > 0 {
-                    debug_assert!(
-                        entry.settled + owed < entry.epoch_remaining,
-                        "a due completion must settle before the reschedule evicts it"
-                    );
-                    on_evict(SettledDrain {
-                        flow: id,
-                        voq: entry.voq,
-                        amount: owed,
-                        completed: false,
-                    });
-                }
-                out.left += 1;
+        // The old window's live flows by id; tombstones (slot no longer
+        // holding their flow) are swept for free.
+        let mut live = HashMap::with_capacity(n_old - hi - lo);
+        for &(id, _, slot) in &self.sel[lo..n_old - hi] {
+            if account_of(&self.by_slot, slot, id).is_some() {
+                live.insert(id, slot);
             }
         }
 
-        // New-side window: entrants open an epoch in their VOQ's slot;
-        // flows already bound merely moved position.
-        for i in lo..n_new - hi {
-            let (id, voq) = self.sel[i];
-            if self.slots.contains_key(&id) {
-                out.kept += 1;
+        // New-side window: flows already bound merely moved position and
+        // keep their slot; entrants report theirs and open an epoch there
+        // once the leavers are gone.
+        let mut entrants = Vec::new();
+        let window: Vec<(FlowId, Voq, usize)> = selected[lo..n_new - hi]
+            .iter()
+            .map(|&(id, voq)| {
+                if let Some(slot) = live.remove(&id) {
+                    out.kept += 1;
+                    return (id, voq, slot);
+                }
+                let (remaining, slot) = admit(id);
+                let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
+                entrants.push((slot, entry));
+                (id, voq, slot)
+            })
+            .collect();
+
+        // Old-side window, in priority order: the live flows left in
+        // `live` were not re-selected. Leavers settle to `now` so the
+        // bytes they moved while scheduled are never lost — in eager mode
+        // every account was settled this instant already, so the owed
+        // amount is zero and no drain fires — and free their VOQ slot for
+        // an entrant.
+        for (id, _, slot) in self.sel.splice(lo..n_old - hi, window) {
+            if !live.contains_key(&id) {
                 continue;
             }
-            let (remaining, slot) = admit(id);
-            self.bind(
-                slot,
-                ScheduledEntry::new(id, voq, now, remaining, self.rate),
-            );
-            out.entered += 1;
+            let entry = self.by_slot[slot]
+                .take()
+                .expect("a live pair's VOQ slot holds its entry");
+            let owed = entry.target_at(now) - entry.settled;
+            if owed > 0 {
+                debug_assert!(
+                    entry.settled + owed < entry.epoch_remaining,
+                    "a due completion must settle before the reschedule evicts it"
+                );
+                on_evict(SettledDrain {
+                    flow: id,
+                    voq: entry.voq,
+                    amount: owed,
+                    completed: false,
+                });
+            }
+            out.left += 1;
+        }
+
+        out.entered = entrants.len() as u64;
+        for (slot, entry) in entrants {
+            self.bind(slot, entry);
         }
 
         self.stats.reschedules += 1;
@@ -370,7 +379,6 @@ impl DeltaAllocator {
             "a matching schedules at most one flow per VOQ"
         );
         self.calendar.push(entry.completes_at, entry.flow, slot);
-        self.slots.insert(entry.flow, slot);
         self.by_slot[slot] = Some(entry);
     }
 
@@ -390,7 +398,6 @@ impl DeltaAllocator {
         let (id, voq) = (entry.flow, entry.voq);
         if completed {
             self.by_slot[slot] = None;
-            self.slots.remove(&id);
         }
         on_drain(SettledDrain {
             flow: id,
@@ -427,7 +434,7 @@ impl DeltaAllocator {
                 let ordered: Vec<usize> = self
                     .sel
                     .iter()
-                    .filter_map(|&(id, _)| due.iter().find(|d| d.0 == id).map(|d| d.1))
+                    .filter_map(|&(id, _, _)| due.iter().find(|d| d.0 == id).map(|d| d.1))
                     .collect();
                 debug_assert_eq!(ordered.len(), due.len());
                 for slot in ordered {
@@ -453,9 +460,10 @@ impl DeltaAllocator {
         // over a clone-free snapshot of the priority order is sound; the
         // explicit index keeps the borrow checker out of the closure.
         for i in 0..self.sel.len() {
-            let Some(&slot) = self.slots.get(&self.sel[i].0) else {
+            let (id, _, slot) = self.sel[i];
+            if account_of(&self.by_slot, slot, id).is_none() {
                 continue; // completion tombstone
-            };
+            }
             self.settle_slot(slot, t, &mut |d| {
                 completed_any |= d.completed;
                 on_drain(d);
@@ -483,7 +491,7 @@ impl DeltaAllocator {
     pub(crate) fn snapshot_entries(&self) -> Vec<ScheduledEntry> {
         self.sel
             .iter()
-            .filter_map(|(id, _)| self.by_slot[*self.slots.get(id)?])
+            .filter_map(|&(id, _, slot)| account_of(&self.by_slot, slot, id).copied())
             .collect()
     }
 
@@ -502,36 +510,26 @@ impl DeltaAllocator {
         let mut alloc = DeltaAllocator::new(rate);
         alloc.stats = stats;
         for (entry, slot) in entries {
-            alloc.sel.push((entry.flow, entry.voq));
+            alloc.sel.push((entry.flow, entry.voq, slot));
             alloc.bind(slot, entry);
         }
         alloc
     }
 
-    /// Consistency check: the slot index and the selection mirror the
-    /// slot-indexed entries exactly (same flows, priority order covering
-    /// every live flow once), and the calendar answers their earliest
-    /// instant. Linear; intended for tests.
+    /// Consistency check: the selection's live pairs cover every
+    /// slot-indexed entry exactly once, in priority order, and the
+    /// calendar answers their earliest instant. Linear; intended for
+    /// tests.
     pub fn check_consistent(&mut self) -> Result<(), String> {
-        let bound = self.by_slot.iter().flatten().count();
-        if bound != self.slots.len() {
-            return Err(format!(
-                "{bound} bound VOQ slots but {} indexed flows",
-                self.slots.len()
-            ));
-        }
         let mut seen = HashSet::new();
         let mut want = SimTime::INFINITY;
-        for &(id, voq) in &self.sel {
-            let Some(&slot) = self.slots.get(&id) else {
+        for &(id, voq, slot) in &self.sel {
+            let Some(entry) = account_of(&self.by_slot, slot, id) else {
                 continue; // completion tombstone
             };
             if !seen.insert(id) {
                 return Err(format!("flow {id} appears twice in the selection"));
             }
-            let Some(entry) = self.by_slot[slot].as_ref().filter(|e| e.flow == id) else {
-                return Err(format!("VOQ slot {slot} does not hold flow {id}"));
-            };
             if entry.voq != voq {
                 return Err(format!(
                     "flow {id} selected on {voq:?}, bound to a different VOQ"
@@ -542,11 +540,11 @@ impl DeltaAllocator {
             }
             want = want.min(entry.completes_at);
         }
-        if seen.len() != self.slots.len() {
+        if seen.len() != self.len() {
             return Err(format!(
                 "selection covers {} live flows but {} are live",
                 seen.len(),
-                self.slots.len()
+                self.len()
             ));
         }
         let got = self.next_completion();
@@ -559,16 +557,21 @@ impl DeltaAllocator {
     }
 }
 
+/// The account bound in VOQ slot `slot`, if it is `flow`'s: the one
+/// liveness test for selection pairs and calendar items alike.
+fn account_of(
+    by_slot: &[Option<ScheduledEntry>],
+    slot: usize,
+    flow: FlowId,
+) -> Option<&ScheduledEntry> {
+    by_slot.get(slot)?.as_ref().filter(|e| e.flow == flow)
+}
+
 /// The calendar's liveness check against the slot-indexed accounts: an
 /// item is live iff its slot still holds its flow's account, completing
 /// at its instant.
 fn bound_at(by_slot: &[Option<ScheduledEntry>]) -> impl Fn(SimTime, FlowId, usize) -> bool + '_ {
-    move |at, flow, slot| {
-        by_slot
-            .get(slot)
-            .and_then(Option::as_ref)
-            .is_some_and(|e| e.flow == flow && e.completes_at == at)
-    }
+    move |at, flow, slot| account_of(by_slot, slot, flow).is_some_and(|e| e.completes_at == at)
 }
 
 /// The settlement-adjusting view lens lent by
@@ -743,7 +746,7 @@ mod tests {
         on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
         let voqs: HashMap<FlowId, Voq> = selected.iter().copied().collect();
-        alloc.apply(now, selected, |id| (size(id), slot(voqs[&id])), on_evict)
+        alloc.apply(now, &selected, |id| (size(id), slot(voqs[&id])), on_evict)
     }
 
     #[test]
@@ -1022,9 +1025,9 @@ mod tests {
                 table.voq_slot(q).unwrap(),
             )
         };
-        alloc.apply(SimTime::ZERO, vec![(f(1), q)], admit, no_evict);
+        alloc.apply(SimTime::ZERO, &[(f(1), q)], admit, no_evict);
         let mut evicted = Vec::new();
-        alloc.apply(SimTime::from_micros(1.0), vec![(f(2), q)], admit, |d| {
+        alloc.apply(SimTime::from_micros(1.0), &[(f(2), q)], admit, |d| {
             evicted.push(d)
         });
         assert_eq!(evicted.len(), 1);
@@ -1114,7 +1117,7 @@ mod tests {
         table.insert(FlowState::new(f(2), q, 5_000)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
         let admit = |_| (12_500, table.voq_slot(q).unwrap());
-        alloc.apply(SimTime::ZERO, vec![(f(1), q)], admit, no_evict);
+        alloc.apply(SimTime::ZERO, &[(f(1), q)], admit, no_evict);
 
         let view_at = |table: &FlowTable, alloc: &DeltaAllocator, t: SimTime| {
             let mut view = table.voqs().next().unwrap();
@@ -1164,7 +1167,7 @@ mod tests {
         table.insert(FlowState::new(f(2), q, 3_750)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
         let admit = |_| (5_000, table.voq_slot(q).unwrap());
-        alloc.apply(SimTime::ZERO, vec![(f(5), q)], admit, no_evict);
+        alloc.apply(SimTime::ZERO, &[(f(5), q)], admit, no_evict);
 
         let mut view = table.voqs().next().unwrap();
         assert_eq!(view.shortest_flow, f(2));

@@ -80,7 +80,7 @@ use crate::engine::{
 use crate::settle::SettleMode;
 use crate::shard::CompletionRecord;
 use crate::topology::Topology;
-use basrpt_core::{FlowState, FlowTable, Scheduler};
+use basrpt_core::{FlowSlot, FlowState, FlowTable, Scheduler};
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
 use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
@@ -88,7 +88,7 @@ use dcn_probe::{
 use dcn_types::{Bytes, SimTime};
 use dcn_workload::FlowArrival;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -342,9 +342,10 @@ impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
                 self.scheduler.schedule(table)
             }
         });
+        let pairs = schedule.into_pairs();
         let selected = match self.budgets.as_mut() {
-            Some(budgets) => budgets.filter(topo, schedule.iter()).to_vec(),
-            None => schedule.into_pairs(),
+            Some(budgets) => budgets.filter(topo, pairs.iter().copied()),
+            None => &pairs,
         };
         // Entrants' remaining bytes are exact in the stale table too: a
         // flow entering the scheduled set was not transmitting, so it has
@@ -378,7 +379,9 @@ pub(crate) struct Core<'t, T: Topology + ?Sized, A, P> {
     /// accounts exactly, in either mode.
     mode: SettleMode,
     table: FlowTable,
-    meta: HashMap<dcn_types::FlowId, FlowMeta>,
+    /// Each active flow's class and arrival, indexed by its table slot
+    /// ([`FlowSlot`]): written at admission, read at completion.
+    meta: Vec<FlowMeta>,
     /// Reusable scratch for settled drains, so the hot per-event path
     /// never allocates (the policy cannot call back into the core while
     /// it is mutably borrowed, so drains are staged here first).
@@ -416,7 +419,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             config,
             mode,
             table: FlowTable::new(),
-            meta: HashMap::new(),
+            meta: Vec::new(),
             drain_buf: Vec::new(),
             fct: FctRecorder::new(),
             fct_by_size: SizeBucketRecorder::pfabric_buckets(),
@@ -520,10 +523,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             amount: outcome.drained,
         });
         if let Some(done) = outcome.completed {
-            let info = self
-                .meta
-                .remove(&drain.flow)
-                .expect("active flow has metadata");
+            let info = self.meta[outcome.slot.index()];
             let size = Bytes::new(done.size());
             let base_fct = t - info.arrival + self.config.base_latency;
             let flow_fct = self.policy.completion_fct(t, &drain, &info, size, base_fct);
@@ -581,15 +581,17 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
         let mut arrived_any = false;
         let clock = self.clock;
         while let Some(arrival) = self.pending.pop_front_if(|a| a.time <= clock) {
-            self.table
+            let slot = self
+                .table
                 .insert(FlowState::new(
                     arrival.id,
                     arrival.voq,
                     arrival.size.as_u64(),
                 ))
                 .map_err(|e| FabricError::BadArrival(e.to_string()))?;
-            self.meta.insert(
-                arrival.id,
+            put_meta(
+                &mut self.meta,
+                slot,
                 FlowMeta {
                     class: arrival.class,
                     arrival: arrival.time,
@@ -658,6 +660,13 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
         };
         Ok((run, self.policy))
     }
+}
+
+/// Records an admitted flow's metadata at its table slot. Slots are dense
+/// (a new slot is the slab's next index), so `meta` grows by at most one.
+fn put_meta(meta: &mut Vec<FlowMeta>, slot: FlowSlot, info: FlowMeta) {
+    meta.resize(meta.len().max(slot.index() + 1), info);
+    meta[slot.index()] = info;
 }
 
 /// The batch loop of every engine: the core under the policy `policy`
@@ -764,7 +773,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         let bad = |msg: String| FabricError::BadConfig(format!("bad snapshot: {msg}"));
 
         let mut table = FlowTable::new();
-        let mut meta = HashMap::with_capacity(snapshot.flows.len());
+        let mut meta = Vec::with_capacity(snapshot.flows.len());
         for &(flow, info) in &snapshot.flows {
             if !topo.contains(flow.voq().src()) || !topo.contains(flow.voq().dst()) {
                 return Err(bad(format!(
@@ -773,8 +782,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                     topo.num_hosts()
                 )));
             }
-            table.insert(flow).map_err(|e| bad(e.to_string()))?;
-            meta.insert(flow.id(), info);
+            let slot = table.insert(flow).map_err(|e| bad(e.to_string()))?;
+            put_meta(&mut meta, slot, info);
         }
 
         let mut bound = HashSet::with_capacity(snapshot.entries.len());
@@ -953,13 +962,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         let core = &self.core;
         let mut flows: Vec<(FlowState, FlowMeta)> = core
             .table
-            .iter()
-            .map(|f| {
-                (
-                    *f,
-                    *core.meta.get(&f.id()).expect("active flow has metadata"),
-                )
-            })
+            .slots()
+            .map(|(slot, f)| (*f, core.meta[slot.index()]))
             .collect();
         flows.sort_by_key(|(f, _)| f.id());
         FabricSnapshot {
@@ -1070,6 +1074,44 @@ mod tests {
         let run = online.finish().unwrap();
         assert_eq!(run.completions, 1);
         assert_eq!(run.leftover_flows, 0);
+    }
+
+    #[test]
+    fn a_reused_slot_keeps_each_flows_class_and_arrival() {
+        // Query flow A (1 ms at line rate) completes at the instant
+        // background flow B arrives; B takes A's freed table slot.
+        let topo = small_topo();
+        let base = SimTime::from_micros(7.0);
+        let config = SimConfig::builder()
+            .horizon(SimTime::from_secs(0.01))
+            .base_latency(base)
+            .build();
+        let mut sched = Srpt::new();
+        let mut online = OnlineFabric::new(&topo, &mut sched, config);
+        let mut a = arrival(0, 0.0, 0, 1, 1_250_000);
+        a.class = FlowClass::Query;
+        let b = arrival(1, 0.001, 2, 3, 2_500_000);
+        online.offer(a).unwrap();
+        online.offer(b).unwrap();
+        online.step_until(b.time).unwrap();
+        let slots: Vec<(usize, FlowId)> = online
+            .core
+            .table
+            .slots()
+            .map(|(slot, f)| (slot.index(), f.id()))
+            .collect();
+        assert_eq!(slots, vec![(0, b.id)], "B reuses A's slot");
+
+        online.step_until(SimTime::from_millis(5.0)).unwrap();
+        let done = online.drain_completions();
+        assert_eq!(done.len(), 2);
+        let (rec_a, rec_b) = (done[0], done[1]);
+        assert_eq!((rec_a.flow, rec_a.class), (a.id, FlowClass::Query));
+        assert_eq!(rec_a.time, b.time);
+        assert_eq!(rec_a.fct, rec_a.time - a.time + base);
+        assert_eq!((rec_b.flow, rec_b.class), (b.id, FlowClass::Background));
+        assert!(rec_b.time > b.time);
+        assert_eq!(rec_b.fct, rec_b.time - b.time + base);
     }
 
     #[test]

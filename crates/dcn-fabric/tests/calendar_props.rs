@@ -266,12 +266,12 @@ proptest! {
                 })
                 .collect();
             let admit = |id: FlowId| (1_250 * (id.raw() % 13 + 1), (id.raw() % 8) as usize);
-            alloc.apply(now, selected.clone(), admit, |_| {});
+            alloc.apply(now, &selected, admit, |_| {});
             alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
             let pushed = alloc.calendar_len();
             let next = alloc.next_completion();
             for _ in 0..*repeats {
-                let d = alloc.apply(now, selected.clone(), admit, |_| {});
+                let d = alloc.apply(now, &selected, admit, |_| {});
                 prop_assert_eq!(d.entered + d.left, 0, "step {}", step);
             }
             prop_assert!(alloc.calendar_len() <= pushed, "step {}: re-apply pushed", step);
@@ -281,7 +281,7 @@ proptest! {
             alloc.settle_due(now, |_| {});
             alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
         }
-        alloc.apply(now, Vec::new(), |_| unreachable!(), |_| {});
+        alloc.apply(now, &[], |_| unreachable!(), |_| {});
         prop_assert_eq!(alloc.next_completion(), SimTime::INFINITY);
         prop_assert_eq!(alloc.calendar_len(), 0, "an empty schedule drains the calendar");
     }

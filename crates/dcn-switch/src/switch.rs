@@ -9,7 +9,6 @@ use dcn_probe::{
 };
 use dcn_types::{FlowId, HostId, Slot, Voq};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A flow that finished transferring in the slotted model.
@@ -77,7 +76,10 @@ pub struct SlottedSwitch {
     table: FlowTable,
     now: Slot,
     next_id: u64,
-    arrival_slots: HashMap<FlowId, Slot>,
+    /// Each active flow's first eligible slot, indexed by its table slot
+    /// ([`basrpt_core::FlowSlot`]): written at admission, read at
+    /// completion.
+    arrivals: Vec<Slot>,
 }
 
 impl SlottedSwitch {
@@ -93,7 +95,7 @@ impl SlottedSwitch {
             table: FlowTable::new(),
             now: Slot::ZERO,
             next_id: 0,
-            arrival_slots: HashMap::new(),
+            arrivals: Vec::new(),
         }
     }
 
@@ -115,20 +117,14 @@ impl SlottedSwitch {
     /// Injects a flow of `packets` packets that is eligible to transmit in
     /// the current slot (flows injected before the first step count their
     /// FCT from slot 0, matching the paper's "ready at the beginning of
-    /// slot 1" convention in Fig. 1).
+    /// slot 1" convention in Fig. 1). Arrivals applied by [`Self::step`]
+    /// and the drivers are admitted through this same path.
     ///
     /// # Panics
     ///
     /// Panics if the VOQ's ports are outside the switch, the VOQ is a
     /// self-loop, or `packets` is zero.
     pub fn inject(&mut self, voq: Voq, packets: u64) -> FlowId {
-        self.admit(voq, packets)
-    }
-
-    /// Admits a flow eligible from the current slot — the one path for
-    /// injected flows and polled arrivals alike, with [`Self::inject`]'s
-    /// panics.
-    fn admit(&mut self, voq: Voq, packets: u64) -> FlowId {
         assert!(
             voq.src().index() < self.num_ports && voq.dst().index() < self.num_ports,
             "{voq} outside a {0}-port switch",
@@ -137,10 +133,15 @@ impl SlottedSwitch {
         assert!(!voq.is_self_loop(), "self-loop {voq} not allowed");
         let id = FlowId::new(self.next_id);
         self.next_id += 1;
-        self.table
+        let slot = self
+            .table
             .insert(FlowState::new(id, voq, packets))
-            .expect("ids are unique by construction");
-        self.arrival_slots.insert(id, self.now);
+            .expect("ids are unique by construction")
+            .index();
+        // Slots are dense, so a new one grows the record by one.
+        self.arrivals
+            .resize(self.arrivals.len().max(slot + 1), self.now);
+        self.arrivals[slot] = self.now;
         id
     }
 
@@ -182,15 +183,11 @@ impl SlottedSwitch {
             debug_assert_eq!(drained.drained, k, "window never overshoots a flow");
             outcome.transmitted += k;
             if let Some(done) = drained.completed {
-                let arrival = self
-                    .arrival_slots
-                    .remove(&id)
-                    .expect("every active flow has an arrival slot");
                 outcome.completions.push(CompletedFlow {
                     id,
                     voq,
                     size: done.size(),
-                    arrival,
+                    arrival: self.arrivals[drained.slot.index()],
                     completion: last,
                 });
             }
@@ -198,7 +195,7 @@ impl SlottedSwitch {
         // End-of-slot arrivals become eligible in the next slot.
         self.now = last.next();
         for (voq, packets) in arrivals {
-            let id = self.admit(voq, packets);
+            let id = self.inject(voq, packets);
             outcome.admitted.push((id, voq, packets));
         }
         outcome
@@ -710,6 +707,56 @@ mod tests {
         assert_eq!(q, voq(0, 1));
         assert_eq!(packets, 4);
         assert!(sw.table().get(id).is_some());
+    }
+
+    #[test]
+    fn a_reused_slot_keeps_each_flows_arrival() {
+        // Flow A (eligible from slot 1, 2 packets) completes in the last
+        // slot of a two-slot window; flow B arrives at that window's end
+        // and takes A's freed table slot.
+        let script = vec![(0u64, voq(0, 1), 2u64), (2, voq(2, 0), 3)];
+        let config = RunConfig {
+            slots: 10,
+            sample_every: 10,
+        };
+        let mut sched = CountingScheduler::new(Srpt::new());
+        let product = run(
+            3,
+            &mut sched,
+            &mut ScriptedArrivals::new(script.clone()),
+            config,
+        );
+        assert_eq!(sched.calls(), 4, "slot 0, A's window, B's window, idle");
+        let arrivals: Vec<(FlowId, Slot, Slot)> = product
+            .completions
+            .iter()
+            .map(|c| (c.id, c.arrival, c.completion))
+            .collect();
+        assert_eq!(
+            arrivals,
+            vec![
+                (FlowId::new(0), Slot::new(1), Slot::new(2)),
+                (FlowId::new(1), Slot::new(3), Slot::new(5)),
+            ]
+        );
+        let oracle = reference::run(
+            3,
+            &mut Srpt::new(),
+            &mut ScriptedArrivals::new(script),
+            config,
+        );
+        assert_identical(&oracle, &product);
+
+        let mut sw = SlottedSwitch::new(3);
+        sw.inject(voq(0, 1), 1);
+        let out = sw.step(&mut Srpt::new(), vec![(voq(2, 0), 3)]);
+        assert_eq!(out.completions[0].arrival, Slot::new(0));
+        let slots: Vec<(usize, FlowId)> = sw
+            .table()
+            .slots()
+            .map(|(slot, f)| (slot.index(), f.id()))
+            .collect();
+        assert_eq!(slots, vec![(0, FlowId::new(1))], "B reuses A's slot");
     }
 
     #[test]

@@ -61,6 +61,18 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The simulated horizon `BASRPT_HORIZON_MS` names, in milliseconds; the
+/// engine needs it positive and finite.
+fn horizon(millis: f64) -> Result<SimTime, String> {
+    if millis > 0.0 && millis.is_finite() {
+        Ok(SimTime::from_millis(millis))
+    } else {
+        Err(format!(
+            "bad BASRPT_HORIZON_MS: {millis} is not a positive finite number"
+        ))
+    }
+}
+
 /// Parses one input line into an arrival, or `None` for blanks/comments.
 fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>, String> {
     let line = line.trim();
@@ -76,6 +88,10 @@ fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>,
     let time: f64 = next("time")?
         .parse()
         .map_err(|e| format!("line {num}: bad time: {e}"))?;
+    // `SimTime` asserts a non-negative time; NaN fails this comparison too.
+    let time = (time >= 0.0)
+        .then(|| SimTime::from_secs(time))
+        .ok_or_else(|| format!("line {num}: bad time: {time} is not a non-negative number"))?;
     let src: u32 = next("src")?
         .parse()
         .map_err(|e| format!("line {num}: bad src: {e}"))?;
@@ -95,7 +111,7 @@ fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>,
     }
     Ok(Some(FlowArrival {
         id: FlowId::new(id),
-        time: SimTime::from_secs(time),
+        time,
         voq: Voq::new(HostId::new(src), HostId::new(dst)),
         size: Bytes::new(size),
         class,
@@ -153,7 +169,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         Box::new(BufReader::new(File::open(&path)?))
     };
 
-    let horizon = SimTime::from_millis(env_f64("BASRPT_HORIZON_MS", 1000.0));
+    let horizon = horizon(env_f64("BASRPT_HORIZON_MS", 1000.0))?;
     let watermark = env_usize("BASRPT_WATERMARK", 65_536);
     let topo = FatTree::paper_topology(); // 144 hosts, 12 racks, 10 Gbps edge
     let sched_name = std::env::var("BASRPT_SCHED").unwrap_or_else(|_| "fast-basrpt".into());
@@ -236,4 +252,59 @@ fn main() -> Result<(), Box<dyn Error>> {
         .into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<FlowArrival>, String> {
+        parse_arrival(line, 7, 3)
+    }
+
+    #[test]
+    fn clean_lines_parse() {
+        let a = parse("0.0001  2  1  80000  query").unwrap().unwrap();
+        assert_eq!(a.id, FlowId::new(7));
+        assert_eq!(a.time, SimTime::from_secs(0.0001));
+        assert_eq!(a.voq, Voq::new(HostId::new(2), HostId::new(1)));
+        assert_eq!(a.size, Bytes::new(80_000));
+        assert_eq!(a.class, FlowClass::Query);
+        assert_eq!(parse("  # comment").unwrap(), None);
+        assert_eq!(parse("").unwrap(), None);
+    }
+
+    #[test]
+    fn nan_time_is_a_line_error() {
+        let err = parse("NaN 2 3 500").unwrap_err();
+        assert!(err.starts_with("line 3: bad time: "), "{err}");
+    }
+
+    #[test]
+    fn negative_time_is_a_line_error() {
+        let err = parse("-1 2 3 500").unwrap_err();
+        assert!(err.starts_with("line 3: bad time: "), "{err}");
+    }
+
+    #[test]
+    fn missing_field_is_a_line_error() {
+        assert_eq!(parse("0.5 2 3").unwrap_err(), "line 3: missing size");
+        assert_eq!(parse("0.5").unwrap_err(), "line 3: missing src");
+    }
+
+    #[test]
+    fn unknown_class_is_a_line_error() {
+        assert_eq!(
+            parse("0.5 2 3 500 bulk").unwrap_err(),
+            "line 3: unknown class \"bulk\""
+        );
+    }
+
+    #[test]
+    fn nan_negative_zero_or_infinite_horizon_is_an_error() {
+        for bad in [f64::NAN, -5.0, 0.0, f64::INFINITY] {
+            assert!(horizon(bad).is_err(), "{bad}");
+        }
+        assert_eq!(horizon(50.0), Ok(SimTime::from_millis(50.0)));
+    }
 }

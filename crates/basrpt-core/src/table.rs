@@ -7,15 +7,13 @@
 //!   dense indices, with a free list for reuse — so drains and champion
 //!   updates touch contiguous memory instead of chasing `HashMap` buckets;
 //! * a **champion index** per VOQ — the cached shortest `(remaining, id)`
-//!   pair and smallest id, plus two lazily-invalidated runner-up heaps in
-//!   the style of `dcn-fabric`'s completion calendar — so schedulers read
-//!   each VOQ's winning candidate in `O(1)` and the table restores it in
-//!   amortized `O(log n)` when a champion leaves.
+//!   pair and smallest id, plus two ordered sets holding exactly the other
+//!   flows' keys — so schedulers read each VOQ's winning candidate in
+//!   `O(1)` and the table restores it in `O(log n)` when a champion leaves.
 
 use crate::FlowState;
 use dcn_types::{FlowId, HostId, Voq};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -120,8 +118,8 @@ struct FlowEntry {
     voq_slot: u32,
 }
 
-/// Per-VOQ champion index: the current winners plus lazily-invalidated
-/// runner-up heaps (see the invariants on [`FlowTable`]).
+/// Per-VOQ champion index: the current winners plus the exact runner-up
+/// sets (see the invariants on [`FlowTable`]).
 #[derive(Debug, Clone)]
 struct VoqSlot {
     voq: Voq,
@@ -131,16 +129,28 @@ struct VoqSlot {
     shortest_remaining: u64,
     shortest_flow: FlowId,
     oldest_flow: FlowId,
-    /// Min-heap of `(remaining, id)` candidate entries. Entries go stale
-    /// when their flow drains, completes or becomes the cached champion;
-    /// stale tops are discarded when a new champion is needed.
-    runners_short: BinaryHeap<Reverse<(u64, FlowId)>>,
-    /// Min-heap of candidate ids for the FIFO (oldest = smallest id) pick,
-    /// with the same lazy-invalidation contract.
-    runners_old: BinaryHeap<Reverse<FlowId>>,
+    /// The current `(remaining, id)` key of every flow but the shortest
+    /// champion; its first element is the next shortest champion.
+    runners_short: BTreeSet<(u64, FlowId)>,
+    /// The id of every flow but the oldest champion, for the FIFO (oldest =
+    /// smallest id) pick.
+    runners_old: BTreeSet<FlowId>,
 }
 
 impl VoqSlot {
+    /// Ranks a flow at `(remaining, id)` against the shortest champion of a
+    /// non-empty VOQ: whichever loses joins `runners_short`.
+    fn enter_short(&mut self, remaining: u64, id: FlowId) {
+        let loser = if (remaining, id) < (self.shortest_remaining, self.shortest_flow) {
+            let champion = (self.shortest_remaining, self.shortest_flow);
+            (self.shortest_remaining, self.shortest_flow) = (remaining, id);
+            champion
+        } else {
+            (remaining, id)
+        };
+        self.runners_short.insert(loser);
+    }
+
     fn empty(voq: Voq) -> Self {
         VoqSlot {
             voq,
@@ -149,8 +159,8 @@ impl VoqSlot {
             shortest_remaining: 0,
             shortest_flow: FlowId::new(0),
             oldest_flow: FlowId::new(0),
-            runners_short: BinaryHeap::new(),
-            runners_old: BinaryHeap::new(),
+            runners_short: BTreeSet::new(),
+            runners_old: BTreeSet::new(),
         }
     }
 }
@@ -166,20 +176,18 @@ impl VoqSlot {
 /// * the cached champions of a non-empty VOQ are exact: `(shortest_remaining,
 ///   shortest_flow)` is the minimum `(remaining, id)` pair over its flows and
 ///   `oldest_flow` is its smallest id;
-/// * **runner coverage**: every live flow of a VOQ that is *not* the cached
-///   champion has at least one heap entry matching its current key, so when
-///   a champion completes or is removed, popping heap entries until the
-///   first one that matches a live flow's current state yields the exact
-///   next champion. Stale entries (drained, completed, or reused ids) are
-///   discarded on the way; duplicates are harmless because validity is
-///   checked against live state, never assumed.
+/// * **exact runner-ups**: each VOQ's runner-up sets hold exactly its
+///   non-champion flows at their current keys — `(remaining, id)` for every
+///   flow but the shortest champion, the id of every flow but the oldest —
+///   so when a champion completes or is removed, the first set element is
+///   the next champion. A single-flow VOQ's sets are empty.
 ///
 /// Reading the per-VOQ champions ([`FlowTable::voqs`],
 /// [`FlowTable::voq_view`]) is `O(1)` per VOQ off the cached fields, so a
 /// full scheduling pass costs `O(Q log Q)` in the number of non-empty VOQs
 /// rather than `O(F log F)` in the number of flows, and champion-preserving
 /// drains (the SRPT/BASRPT steady state: the shortest flow only gets
-/// shorter) cost `O(1)` with no heap traffic at all.
+/// shorter) cost `O(1)` with no set traffic at all.
 ///
 /// Every successful mutation also advances a counter,
 /// [`FlowTable::version`], so a consumer caching table-derived state can
@@ -262,24 +270,9 @@ impl FlowTable {
         self.ingress.get(&host).copied().unwrap_or(0)
     }
 
-    /// Iterates over the ingress ports with non-zero backlog and their
-    /// backlogs, in port order (the per-server queue lengths of the paper's
-    /// Figs. 2 and 5b).
-    pub fn ingress_backlogs(&self) -> impl Iterator<Item = (HostId, u64)> + '_ {
-        self.ingress.iter().map(|(&h, &b)| (h, b))
-    }
-
     /// The largest per-ingress-port backlog, zero for an empty table.
     pub fn max_ingress_backlog(&self) -> u64 {
         self.ingress.values().copied().max().unwrap_or(0)
-    }
-
-    /// Number of ingress ports with non-zero backlog. Every non-empty VOQ's
-    /// source is one of them, so a crossbar matching that occupies this many
-    /// ingress ports cannot be extended — schedulers use that as an early
-    /// exit.
-    pub fn num_active_ingress_ports(&self) -> usize {
-        self.ingress.len()
     }
 
     /// Looks up an active flow.
@@ -376,85 +369,6 @@ impl FlowTable {
         self.version
     }
 
-    /// Soft bound on a runner heap before stale entries are pruned.
-    fn runner_cap(len: u32) -> usize {
-        usize::max(16, 2 * len as usize)
-    }
-
-    /// Whether a `(remaining, id)` runner entry matches live state.
-    fn runner_short_valid(&self, vs: u32, remaining: u64, id: FlowId) -> bool {
-        self.entry(id)
-            .is_some_and(|e| e.voq_slot == vs && e.state.remaining() == remaining)
-    }
-
-    /// Whether an id runner entry matches a flow live in this VOQ.
-    fn runner_old_valid(&self, vs: u32, id: FlowId) -> bool {
-        self.entry(id).is_some_and(|e| e.voq_slot == vs)
-    }
-
-    /// Restores the shortest champion after the cached one left the VOQ:
-    /// pops runner entries until the first that matches a live flow's
-    /// current `(remaining, id)`. Runner coverage guarantees one exists.
-    fn refresh_shortest(&mut self, vs: u32) {
-        loop {
-            let Reverse((remaining, id)) = self.voq_slots[vs as usize]
-                .runners_short
-                .pop()
-                .expect("runner coverage: non-empty VOQ lost its shortest candidates");
-            if self.runner_short_valid(vs, remaining, id) {
-                let slot = &mut self.voq_slots[vs as usize];
-                slot.shortest_remaining = remaining;
-                slot.shortest_flow = id;
-                return;
-            }
-        }
-    }
-
-    /// Restores the oldest champion after the cached one left the VOQ.
-    fn refresh_oldest(&mut self, vs: u32) {
-        loop {
-            let Reverse(id) = self.voq_slots[vs as usize]
-                .runners_old
-                .pop()
-                .expect("runner coverage: non-empty VOQ lost its oldest candidates");
-            if self.runner_old_valid(vs, id) {
-                self.voq_slots[vs as usize].oldest_flow = id;
-                return;
-            }
-        }
-    }
-
-    /// Rebuilds a runner heap from only its valid entries (one per flow)
-    /// when stale entries outnumber live ones. Amortized `O(1)` per push:
-    /// triggered only after at least half the heap went stale.
-    fn prune_runners(&mut self, vs: u32) {
-        let slot = &mut self.voq_slots[vs as usize];
-        let cap = Self::runner_cap(slot.len);
-        if slot.runners_short.len() > cap {
-            let heap = std::mem::take(&mut self.voq_slots[vs as usize].runners_short);
-            let mut seen = HashSet::new();
-            let mut kept = Vec::new();
-            for Reverse((remaining, id)) in heap.into_vec() {
-                if self.runner_short_valid(vs, remaining, id) && seen.insert(id) {
-                    kept.push(Reverse((remaining, id)));
-                }
-            }
-            self.voq_slots[vs as usize].runners_short = BinaryHeap::from(kept);
-        }
-        let slot = &self.voq_slots[vs as usize];
-        if slot.runners_old.len() > cap {
-            let heap = std::mem::take(&mut self.voq_slots[vs as usize].runners_old);
-            let mut seen = HashSet::new();
-            let mut kept = Vec::new();
-            for Reverse(id) in heap.into_vec() {
-                if self.runner_old_valid(vs, id) && seen.insert(id) {
-                    kept.push(Reverse(id));
-                }
-            }
-            self.voq_slots[vs as usize].runners_old = BinaryHeap::from(kept);
-        }
-    }
-
     /// Inserts a newly arrived flow and returns its slot.
     ///
     /// # Errors
@@ -475,8 +389,6 @@ impl FlowTable {
             }
         };
 
-        // Slab insertion first so runner validity checks (pruning below)
-        // can already see the new flow.
         let fidx = match self.free.pop() {
             Some(i) => {
                 self.flows[i as usize] = Some(FlowEntry {
@@ -502,34 +414,19 @@ impl FlowTable {
             slot.oldest_flow = flow.id();
         } else {
             // Whoever loses the championship (the newcomer or the displaced
-            // incumbent) gets a runner entry at its *current* key, keeping
-            // runner coverage exact.
-            if (flow.remaining(), flow.id()) < (slot.shortest_remaining, slot.shortest_flow) {
-                let displaced = (slot.shortest_remaining, slot.shortest_flow);
-                slot.runners_short.push(Reverse(displaced));
-                slot.shortest_remaining = flow.remaining();
-                slot.shortest_flow = flow.id();
+            // incumbent) joins the runner-up sets at its current key.
+            slot.enter_short(flow.remaining(), flow.id());
+            let loser = if flow.id() < slot.oldest_flow {
+                std::mem::replace(&mut slot.oldest_flow, flow.id())
             } else {
-                slot.runners_short
-                    .push(Reverse((flow.remaining(), flow.id())));
-            }
-            if flow.id() < slot.oldest_flow {
-                let displaced = slot.oldest_flow;
-                slot.runners_old.push(Reverse(displaced));
-                slot.oldest_flow = flow.id();
-            } else {
-                slot.runners_old.push(Reverse(flow.id()));
-            }
+                flow.id()
+            };
+            slot.runners_old.insert(loser);
         }
         slot.len += 1;
         slot.backlog += flow.remaining();
-        let needs_prune = slot.runners_short.len() > Self::runner_cap(slot.len)
-            || slot.runners_old.len() > Self::runner_cap(slot.len);
         if slot.len == 1 {
             self.nonempty.insert(voq, vs);
-        }
-        if needs_prune {
-            self.prune_runners(vs);
         }
 
         *self.ingress.entry(voq.src()).or_insert(0) += flow.remaining();
@@ -593,20 +490,14 @@ impl FlowTable {
         slot.backlog -= drained;
         if slot.shortest_flow == id {
             // The champion only got shorter; its `(remaining, id)` pair is
-            // still the minimum, so no heap traffic on the hot path.
+            // still the minimum, so no set traffic on the hot path.
             slot.shortest_remaining = after;
-        } else if (after, id) < (slot.shortest_remaining, slot.shortest_flow) {
-            let displaced = (slot.shortest_remaining, slot.shortest_flow);
-            slot.runners_short.push(Reverse(displaced));
-            slot.shortest_remaining = after;
-            slot.shortest_flow = id;
         } else {
-            // Still a runner-up: re-cover it at its new key (the old entry
-            // just went stale).
-            slot.runners_short.push(Reverse((after, id)));
-        }
-        if slot.runners_short.len() > Self::runner_cap(slot.len) {
-            self.prune_runners(vs);
+            // A runner-up leaves its old key, then it or the champion it
+            // overtakes takes a runner-up key.
+            let was = slot.runners_short.remove(&(after + drained, id));
+            debug_assert!(was, "runner-up {id} missing from its VOQ's set");
+            slot.enter_short(after, id);
         }
         *self
             .ingress
@@ -622,25 +513,35 @@ impl FlowTable {
     }
 
     /// Shared bookkeeping for a flow leaving its VOQ (completion or
-    /// removal). The flow must already be gone from the slab so runner
-    /// validity checks see only survivors. `departing_backlog` is the
-    /// backlog released by the departure.
+    /// removal). `departing_backlog` is the backlog released by the
+    /// departure: the flow's remaining units just before it left, so
+    /// `(departing_backlog, id)` is its runner-up key.
     fn depart(&mut self, vs: u32, id: FlowId, departing_backlog: u64) {
         let slot = &mut self.voq_slots[vs as usize];
         let voq = slot.voq;
         slot.backlog -= departing_backlog;
         slot.len -= 1;
-        if slot.len == 0 {
-            slot.runners_short.clear();
-            slot.runners_old.clear();
-            self.nonempty.remove(&voq);
+        // A departing champion hands over to its first runner-up (none once
+        // the VOQ empties); a departing runner-up leaves its exact keys.
+        if slot.shortest_flow == id {
+            if let Some((remaining, next)) = slot.runners_short.pop_first() {
+                slot.shortest_remaining = remaining;
+                slot.shortest_flow = next;
+            }
         } else {
-            if slot.shortest_flow == id {
-                self.refresh_shortest(vs);
+            let was = slot.runners_short.remove(&(departing_backlog, id));
+            debug_assert!(was, "runner-up {id} missing from its VOQ's set");
+        }
+        if slot.oldest_flow == id {
+            if let Some(next) = slot.runners_old.pop_first() {
+                slot.oldest_flow = next;
             }
-            if self.voq_slots[vs as usize].oldest_flow == id {
-                self.refresh_oldest(vs);
-            }
+        } else {
+            let was = slot.runners_old.remove(&id);
+            debug_assert!(was, "runner-up {id} missing from its VOQ's set");
+        }
+        if slot.len == 0 {
+            self.nonempty.remove(&voq);
         }
         let ingress = self
             .ingress
@@ -656,7 +557,7 @@ impl FlowTable {
 
     /// Checks every structural invariant, returning a description of the
     /// first violation. Intended for tests and debug assertions; cost is
-    /// linear in the number of flows plus retained runner entries.
+    /// `O(F log F)` in the number of flows.
     pub fn check_invariants(&self) -> Result<(), String> {
         // Slab ↔ lookup consistency.
         let mut live = 0usize;
@@ -695,32 +596,22 @@ impl FlowTable {
             return Err("slab slots neither live nor free".to_string());
         }
 
-        // Recompute per-VOQ aggregates and champions from the slab.
+        // Recount every VOQ's keys from the slab: the first key of each
+        // order is its champion, and the rest must be its runner-up set.
+        #[derive(Default)]
         struct Recount {
             backlog: u64,
-            len: u32,
-            shortest: (u64, FlowId),
-            oldest: FlowId,
+            short: BTreeSet<(u64, FlowId)>,
+            old: BTreeSet<FlowId>,
         }
         let mut recounts: BTreeMap<Voq, Recount> = BTreeMap::new();
         let mut ingress_sums: BTreeMap<HostId, u64> = BTreeMap::new();
         let mut total = 0u64;
         for flow in self.iter() {
-            let key = (flow.remaining(), flow.id());
-            recounts
-                .entry(flow.voq())
-                .and_modify(|r| {
-                    r.backlog += flow.remaining();
-                    r.len += 1;
-                    r.shortest = r.shortest.min(key);
-                    r.oldest = r.oldest.min(flow.id());
-                })
-                .or_insert(Recount {
-                    backlog: flow.remaining(),
-                    len: 1,
-                    shortest: key,
-                    oldest: flow.id(),
-                });
+            let r = recounts.entry(flow.voq()).or_default();
+            r.backlog += flow.remaining();
+            r.short.insert((flow.remaining(), flow.id()));
+            r.old.insert(flow.id());
             *ingress_sums.entry(flow.voq().src()).or_insert(0) += flow.remaining();
             total += flow.remaining();
         }
@@ -755,72 +646,43 @@ impl FlowTable {
             }
         }
         for slot in &self.voq_slots {
-            match recounts.get(&slot.voq) {
-                None => {
-                    if slot.len != 0 || slot.backlog != 0 {
-                        return Err(format!("empty VOQ {} has residual counts", slot.voq));
-                    }
-                    if !slot.runners_short.is_empty() || !slot.runners_old.is_empty() {
-                        return Err(format!("empty VOQ {} kept runner entries", slot.voq));
-                    }
+            let Some(r) = recounts.get_mut(&slot.voq) else {
+                if slot.len != 0 || slot.backlog != 0 {
+                    return Err(format!("empty VOQ {} has residual counts", slot.voq));
                 }
-                Some(r) => {
-                    if slot.len != r.len {
-                        return Err(format!("VOQ {} len {} != {}", slot.voq, slot.len, r.len));
-                    }
-                    if slot.backlog != r.backlog {
-                        return Err(format!(
-                            "VOQ {} backlog {} != {}",
-                            slot.voq, slot.backlog, r.backlog
-                        ));
-                    }
-                    if (slot.shortest_remaining, slot.shortest_flow) != r.shortest {
-                        return Err(format!(
-                            "VOQ {} shortest champion ({}, {}) != {:?}",
-                            slot.voq, slot.shortest_remaining, slot.shortest_flow, r.shortest
-                        ));
-                    }
-                    if slot.oldest_flow != r.oldest {
-                        return Err(format!(
-                            "VOQ {} oldest champion {} != {}",
-                            slot.voq, slot.oldest_flow, r.oldest
-                        ));
-                    }
+                if !slot.runners_short.is_empty() || !slot.runners_old.is_empty() {
+                    return Err(format!("empty VOQ {} kept runner entries", slot.voq));
                 }
+                continue;
+            };
+            let len = r.short.len();
+            if slot.len as usize != len {
+                return Err(format!("VOQ {} len {} != {len}", slot.voq, slot.len));
             }
-        }
-
-        // Runner coverage: every live non-champion flow has a valid entry.
-        let mut short_entries: HashMap<u32, HashSet<(u64, FlowId)>> = HashMap::new();
-        let mut old_entries: HashMap<u32, HashSet<FlowId>> = HashMap::new();
-        for (vs, slot) in self.voq_slots.iter().enumerate() {
-            short_entries.insert(
-                vs as u32,
-                slot.runners_short.iter().map(|Reverse(e)| *e).collect(),
-            );
-            old_entries.insert(
-                vs as u32,
-                slot.runners_old.iter().map(|Reverse(id)| *id).collect(),
-            );
-        }
-        for entry in self.flows.iter().flatten() {
-            let flow = &entry.state;
-            let vs = entry.voq_slot;
-            let slot = &self.voq_slots[vs as usize];
-            if slot.shortest_flow != flow.id()
-                && !short_entries[&vs].contains(&(flow.remaining(), flow.id()))
-            {
+            if slot.backlog != r.backlog {
                 return Err(format!(
-                    "runner coverage lost: flow {} in VOQ {} has no valid shortest entry",
-                    flow.id(),
-                    slot.voq
+                    "VOQ {} backlog {} != {}",
+                    slot.voq, slot.backlog, r.backlog
                 ));
             }
-            if slot.oldest_flow != flow.id() && !old_entries[&vs].contains(&flow.id()) {
+            let shortest = r.short.pop_first();
+            if Some((slot.shortest_remaining, slot.shortest_flow)) != shortest {
                 return Err(format!(
-                    "runner coverage lost: flow {} in VOQ {} has no valid oldest entry",
-                    flow.id(),
-                    slot.voq
+                    "VOQ {} shortest champion ({}, {}) != {shortest:?}",
+                    slot.voq, slot.shortest_remaining, slot.shortest_flow
+                ));
+            }
+            let oldest = r.old.pop_first();
+            if Some(slot.oldest_flow) != oldest {
+                return Err(format!(
+                    "VOQ {} oldest champion {} != {oldest:?}",
+                    slot.voq, slot.oldest_flow
+                ));
+            }
+            if slot.runners_short != r.short || slot.runners_old != r.old {
+                return Err(format!(
+                    "VOQ {} runner-ups {:?} / {:?} != non-champion keys {:?} / {:?}",
+                    slot.voq, slot.runners_short, slot.runners_old, r.short, r.old
                 ));
             }
         }
@@ -1007,20 +869,20 @@ mod tests {
     #[test]
     fn champions_survive_id_reuse_in_same_voq() {
         // The bench's per-event loop completes a flow and reinserts the same
-        // id; stale runner entries for the old incarnation must never leak
-        // into the champions of the new one.
+        // id; the old incarnation's keys must never leak into the champions
+        // of the new one.
         let mut t = FlowTable::new();
         t.insert(flow(1, 0, 1, 10)).unwrap();
         t.insert(flow(2, 0, 1, 20)).unwrap();
         t.insert(flow(3, 0, 1, 30)).unwrap();
-        t.drain(FlowId::new(1), 10).unwrap(); // complete, leaving stale entries
+        t.drain(FlowId::new(1), 10).unwrap(); // complete
         t.insert(flow(1, 0, 1, 25)).unwrap(); // same id, new size
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(2));
         assert_eq!(view.oldest_flow, FlowId::new(1));
         t.check_invariants().unwrap();
         // Remove the shortest champion: the reused id must be re-ranked at
-        // its *new* remaining, not the stale 10-unit entry.
+        // its *new* remaining, not the old incarnation's 10 units.
         t.remove(FlowId::new(2)).unwrap();
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(1));
@@ -1065,11 +927,20 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// The runner-up sets of `voq` as `(shortest, oldest)` contents.
+    fn runners(t: &FlowTable, voq: Voq) -> (Vec<(u64, FlowId)>, Vec<FlowId>) {
+        let slot = &t.voq_slots[t.voq_lookup[&voq] as usize];
+        (
+            slot.runners_short.iter().copied().collect(),
+            slot.runners_old.iter().copied().collect(),
+        )
+    }
+
     #[test]
-    fn runner_heaps_stay_bounded_under_churn() {
+    fn runner_sets_hold_exactly_the_non_champions_under_churn() {
         // A long-lived elephant keeps draining while mice come and go: the
-        // runner heaps must prune stale entries instead of growing with the
-        // number of mutations.
+        // runner-up sets must track the live flows exactly instead of
+        // growing with the number of mutations.
         let mut t = FlowTable::new();
         t.insert(flow(0, 0, 1, 1_000_000)).unwrap();
         for round in 0..5_000u64 {
@@ -1079,14 +950,46 @@ mod tests {
             }
             t.drain(FlowId::new(id), 1).unwrap();
             t.drain(FlowId::new(0), 1).unwrap();
+            let (short, old) = runners(&t, voq(0, 1));
+            let len = t.voq_view(voq(0, 1)).unwrap().len;
+            assert_eq!(
+                (short.len(), old.len()),
+                (len - 1, len - 1),
+                "round {round}"
+            );
         }
-        let slot = &t.voq_slots[t.voq_lookup[&voq(0, 1)] as usize];
-        let cap = FlowTable::runner_cap(slot.len);
-        assert!(
-            slot.runners_short.len() <= 2 * cap,
-            "shortest runner heap kept {} entries",
-            slot.runners_short.len()
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn non_champion_drain_and_remove_keep_the_sets_exact() {
+        let id = FlowId::new;
+        let mut t = FlowTable::new();
+        t.insert(flow(1, 0, 1, 10)).unwrap();
+        t.insert(flow(2, 0, 1, 20)).unwrap();
+        t.insert(flow(3, 0, 1, 30)).unwrap();
+        assert_eq!(
+            runners(&t, voq(0, 1)),
+            (vec![(20, id(2)), (30, id(3))], vec![id(2), id(3)])
         );
+
+        // Flow 3, a runner-up, drains past the champion and displaces it.
+        t.drain(id(3), 25).unwrap();
+        let view = t.voq_view(voq(0, 1)).unwrap();
+        assert_eq!((view.shortest_remaining, view.shortest_flow), (5, id(3)));
+        assert_eq!(view.oldest_flow, id(1));
+        assert_eq!(
+            runners(&t, voq(0, 1)),
+            (vec![(10, id(1)), (20, id(2))], vec![id(2), id(3)])
+        );
+        t.check_invariants().unwrap();
+
+        // Removing flow 2, a runner-up in both orders, leaves its exact keys.
+        t.remove(id(2)).unwrap();
+        let view = t.voq_view(voq(0, 1)).unwrap();
+        assert_eq!((view.shortest_remaining, view.shortest_flow), (5, id(3)));
+        assert_eq!((view.oldest_flow, view.len), (id(1), 2));
+        assert_eq!(runners(&t, voq(0, 1)), (vec![(10, id(1))], vec![id(3)]));
         t.check_invariants().unwrap();
     }
 }

@@ -26,11 +26,6 @@
 //! The calendar stores instants, not flow state: exact drain accounting
 //! (which instant a flow completes at) is the engine's job — see
 //! `engine.rs` — and the calendar never re-derives completion times.
-//!
-//! The same push-don't-delete discipline powers the champion index inside
-//! `basrpt_core::FlowTable` (its per-VOQ runner-up heaps validate entries
-//! against live flow state on pop, exactly as `next_completion` does
-//! here); when reasoning about one, the other is the reference point.
 
 use dcn_types::{FlowId, SimTime};
 use std::cmp::Reverse;

@@ -50,10 +50,9 @@
 //! eagerly settled table would have served (same champion, same
 //! tie-breaks). Disciplines opt in via
 //! [`Scheduler::supports_lazy_views`](basrpt_core::Scheduler::supports_lazy_views);
-//! everything else (and every run under a per-flow-fidelity probe, or an
-//! engine pinned with `OnlineFabric::force_eager_settle`) takes the eager
-//! path, which settles every account on every event exactly like the
-//! reference engines.
+//! everything else (and every run under a per-flow-fidelity probe) takes
+//! the eager path, which settles every account on every event exactly
+//! like the reference engines.
 //!
 //! The decision itself stays one greedy pass over the per-VOQ champions,
 //! `O(Q log Q)` per event: the lens moves the key of *every* transmitting

@@ -89,6 +89,35 @@ impl SimConfig {
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
     }
+
+    /// Checks the settings every engine needs to terminate: the fields are
+    /// public, so a struct literal can bypass [`SimConfigBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::BadConfig`] if the horizon is zero or
+    /// infinite, the sampling period is zero or infinite, or the latency
+    /// floor is infinite.
+    pub fn validate(&self) -> Result<(), FabricError> {
+        let positive_finite = |t: SimTime| t > SimTime::ZERO && !t.is_infinite();
+        let problem = if !positive_finite(self.horizon) {
+            "horizon must be positive and finite"
+        } else if !positive_finite(self.sample_every) {
+            "sample period must be positive and finite"
+        } else if self.base_latency.is_infinite() {
+            "latency floor must be finite"
+        } else {
+            return Ok(());
+        };
+        Err(FabricError::BadConfig(problem.to_string()))
+    }
+
+    /// Panics with [`validate`](SimConfig::validate)'s message.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(FabricError::BadConfig(problem)) = self.validate() {
+            panic!("{problem}");
+        }
+    }
 }
 
 /// Builder for [`SimConfig`], obtained from [`SimConfig::builder`].
@@ -160,28 +189,18 @@ impl SimConfigBuilder {
     /// Panics if the horizon is zero or infinite, the sampling period is
     /// zero or infinite, or the latency floor is infinite.
     pub fn build(self) -> SimConfig {
-        assert!(
-            self.horizon > SimTime::ZERO && !self.horizon.is_infinite(),
-            "horizon must be positive and finite"
-        );
         let sample_every = self.sample_every.unwrap_or_else(|| {
             SimTime::from_secs(self.horizon.as_secs() / 400.0).max(SimConfig::MIN_SAMPLE_PERIOD)
         });
-        assert!(
-            sample_every > SimTime::ZERO && !sample_every.is_infinite(),
-            "sample period must be positive and finite"
-        );
-        assert!(
-            !self.base_latency.is_infinite(),
-            "latency floor must be finite"
-        );
-        SimConfig {
+        let config = SimConfig {
             horizon: self.horizon,
             sample_every,
             monitored_port: self.monitored_port,
             enforce_core_capacity: self.enforce_core_capacity,
             base_latency: self.base_latency,
-        }
+        };
+        config.assert_valid();
+        config
     }
 }
 
@@ -348,7 +367,8 @@ pub(crate) fn timed_decision<O: Probe + ?Sized>(
 ///
 /// Returns [`FabricError::BadArrival`] if an arrival references hosts
 /// outside `topo`, is a self-loop, has zero size, or goes backwards in
-/// time.
+/// time, and [`FabricError::BadConfig`] if `config` fails
+/// [`SimConfig::validate`].
 pub fn simulate<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     topo: &T,
     scheduler: &mut S,
@@ -443,6 +463,7 @@ where
     P: Probe,
     A: FnMut(SimTime, &FlowTable, &mut dyn Probe, &mut Vec<(FlowId, Voq, Rate)>),
 {
+    config.validate()?;
     let mut generator = generator.into_iter();
     let mut table = FlowTable::new();
     let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();

@@ -192,7 +192,6 @@ pub struct FabricSnapshot {
     reschedules: u64,
     finished: bool,
     high_watermark: usize,
-    collect_completions: bool,
     completed: Vec<CompletionRecord>,
 }
 
@@ -401,6 +400,9 @@ pub(crate) struct Core<'t, T: Topology + ?Sized, A, P> {
     /// order (offers are time-ordered, so this is also time order).
     pending: VecDeque<FlowArrival>,
     high_watermark: usize,
+    /// Whether completions are logged for `drain_completions`: on for
+    /// every `OnlineFabric` (so restored engines too), off in `run_batch`,
+    /// whose caller only reads the final run.
     collect_completions: bool,
     completed: Vec<CompletionRecord>,
     finished: bool,
@@ -682,6 +684,7 @@ pub(crate) fn run_batch<T: Topology + ?Sized, A: AllocationPolicy, P: Probe>(
     probe: P,
     policy: impl FnOnce(bool) -> A,
 ) -> Result<(FabricRun, A), FabricError> {
+    config.validate()?;
     let mut core = Core::new(topo, config, probe, policy);
     core.high_watermark = usize::MAX;
     core.collect_completions = false;
@@ -716,6 +719,10 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
 
 impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized> OnlineFabric<'t, 's, T, S, NoProbe> {
     /// Creates an idle engine at `t = 0` with no observer attached.
+    ///
+    /// # Panics
+    ///
+    /// As [`with_probe`](OnlineFabric::with_probe).
     pub fn new(topo: &'t T, scheduler: &'s mut S, config: SimConfig) -> Self {
         Self::with_probe(topo, scheduler, config, NoProbe)
     }
@@ -740,7 +747,14 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized> OnlineFabric<'t, 's, T
 
 impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric<'t, 's, T, S, P> {
     /// Creates an idle engine at `t = 0` whose event stream feeds `probe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SimConfig::validate`]'s message if `config` fails it
+    /// (a zero or infinite horizon or sampling period would never let the
+    /// clock reach the horizon).
     pub fn with_probe(topo: &'t T, scheduler: &'s mut S, config: SimConfig, probe: P) -> Self {
+        config.assert_valid();
         OnlineFabric {
             core: Core::new(topo, config, probe, |enforce_core| {
                 Crossbar::new(topo, scheduler, enforce_core, 1)
@@ -762,14 +776,16 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     ///
     /// Returns [`FabricError::BadConfig`] when the snapshot is internally
     /// inconsistent (duplicate flows, drain accounts that disagree with
-    /// the flow table — in bytes or in VOQ — or two accounts on one VOQ)
-    /// or references hosts outside `topo`.
+    /// the flow table — in bytes or in VOQ — or two accounts on one VOQ),
+    /// references hosts outside `topo`, or carries a config that fails
+    /// [`SimConfig::validate`].
     pub fn restore_with_probe(
         topo: &'t T,
         scheduler: &'s mut S,
         probe: P,
         snapshot: FabricSnapshot,
     ) -> Result<Self, FabricError> {
+        snapshot.config.validate()?;
         let bad = |msg: String| FabricError::BadConfig(format!("bad snapshot: {msg}"));
 
         let mut table = FlowTable::new();
@@ -851,7 +867,6 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                 last_arrival_time: snapshot.last_arrival_time,
                 pending: snapshot.pending.into(),
                 high_watermark: snapshot.high_watermark,
-                collect_completions: snapshot.collect_completions,
                 completed: snapshot.completed,
                 finished: snapshot.finished,
                 ..core
@@ -863,29 +878,6 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// [`DEFAULT_HIGH_WATERMARK`]). `usize::MAX` disables backpressure.
     pub fn high_watermark(mut self, limit: usize) -> Self {
         self.core.high_watermark = limit;
-        self
-    }
-
-    /// Sets whether completions are recorded for
-    /// [`drain_completions`](OnlineFabric::drain_completions) (builder
-    /// style; default `true`). Callers that only want the final
-    /// [`FabricRun`] can switch this off so an undrained engine never
-    /// accumulates an unbounded completion log — the batch wrapper does.
-    pub fn collect_completions(mut self, collect: bool) -> Self {
-        self.core.collect_completions = collect;
-        self
-    }
-
-    /// Pins this engine to eager settlement (builder style): every
-    /// scheduled account settles on every event, as the reference engine
-    /// does, regardless of the probe and scheduler. The output is
-    /// bit-identical to the lazy path; this is the one way to pin the
-    /// eager oracle run, used by the differential suites and benches to
-    /// compare both paths in one process. Only the
-    /// eager direction can be forced; laziness is never forced onto a
-    /// scheduler or probe that needs ground-truth tables.
-    pub fn force_eager_settle(mut self) -> Self {
-        self.core.mode = SettleMode::Eager;
         self
     }
 
@@ -937,8 +929,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     }
 
     /// Takes the completions recorded since the last call (or since
-    /// construction), in completion order. Empty when
-    /// [`collect_completions`](OnlineFabric::collect_completions) is off.
+    /// construction), in completion order.
     pub fn drain_completions(&mut self) -> Vec<CompletionRecord> {
         std::mem::take(&mut self.core.completed)
     }
@@ -985,7 +976,6 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             reschedules: core.reschedules,
             finished: core.finished,
             high_watermark: core.high_watermark,
-            collect_completions: core.collect_completions,
             completed: core.completed.clone(),
         }
     }
@@ -1184,6 +1174,40 @@ mod tests {
         ));
     }
 
+    /// Struct literals bypass `SimConfigBuilder::build`; a zero sampling
+    /// period or an infinite horizon would never let the clock reach the
+    /// horizon, so every entry point rejects them up front.
+    #[test]
+    fn configs_that_never_reach_the_horizon_are_rejected() {
+        let topo = small_topo();
+        let workload = [arrival(0, 0.0, 0, 1, 100)];
+        let zero_period = SimConfig {
+            sample_every: SimTime::ZERO,
+            ..config(0.01)
+        };
+        let endless = SimConfig {
+            horizon: SimTime::INFINITY,
+            ..config(0.01)
+        };
+        for bad in [zero_period, endless] {
+            let err = crate::simulate(&topo, &mut Srpt::new(), workload, bad).unwrap_err();
+            assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+            let err = crate::reference::simulate_scan(&topo, &mut Srpt::new(), workload, bad)
+                .unwrap_err();
+            assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample period must be positive and finite")]
+    fn online_fabric_panics_on_a_zero_sampling_period() {
+        let config = SimConfig {
+            sample_every: SimTime::ZERO,
+            ..config(0.01)
+        };
+        OnlineFabric::new(&small_topo(), &mut Srpt::new(), config);
+    }
+
     #[test]
     fn snapshot_restore_midrun_continues_to_the_same_run() {
         let topo = small_topo();
@@ -1282,10 +1306,9 @@ mod tests {
     }
 
     /// Lazy settlement is unobservable under every allocation policy:
-    /// crossbar (via `force_eager_settle`), max-min fair share, ECMP and
-    /// RepFlow each produce the bit-identical run — and, for RepFlow, the
-    /// identical completion log and replica accounting — lazily and
-    /// eagerly settled.
+    /// crossbar, max-min fair share, ECMP and RepFlow each produce the
+    /// bit-identical run — and, for RepFlow, the identical completion log
+    /// and replica accounting — lazily and eagerly settled.
     #[test]
     fn lazy_and_eager_settlement_agree_bitwise() {
         let topo = small_topo();
@@ -1300,19 +1323,14 @@ mod tests {
             arrival(4, 0.0007, 6, 7, 1_250_000),
             arrival(5, 0.0012, 2, 3, 50_000),
         ];
-        let run = |force_eager: bool| {
+        let crossbar = |eager| {
             let mut sched = Srpt::new();
-            let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
-            if force_eager {
-                online = online.force_eager_settle();
-            }
-            for a in &workload {
-                online.offer(*a).unwrap();
-            }
-            (online.settle_mode(), online.finish().unwrap())
+            let (mode, run, _) = drive(&topo, &workload, eager, |e| {
+                Crossbar::new(&topo, &mut sched, e, 1)
+            });
+            (mode, run)
         };
-        let (lazy_mode, lazy) = run(false);
-        let (eager_mode, eager) = run(true);
+        let ((lazy_mode, lazy), (eager_mode, eager)) = (crossbar(false), crossbar(true));
         assert_eq!(eager_mode, SettleMode::Eager);
         assert!(lazy_mode.is_lazy(), "SRPT + NoProbe runs lazy");
         assert_same_run(&lazy, &eager, "crossbar");
@@ -1391,6 +1409,12 @@ mod tests {
         let tiny = FatTree::scaled(1, 1, 1).unwrap();
         let mut sched2 = Srpt::new();
         let err = OnlineFabric::restore(&tiny, &mut sched2, snap.clone()).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // So is a config no run could finish under.
+        let mut broken = snap.clone();
+        broken.config.horizon = SimTime::INFINITY;
+        let err = restore(broken).unwrap_err();
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
 
         // A flow listed twice is rejected as it enters the table.

@@ -45,8 +45,8 @@ impl SettleMode {
     /// Picks the settlement mode for a run: lazy exactly when nothing
     /// observes per-flow progress between samples — the attached probe
     /// does not request flow fidelity and the scheduler can decide from
-    /// settlement-adjusted VOQ views. The eager oracle run of a lazy-capable
-    /// configuration is pinned with `OnlineFabric::force_eager_settle`.
+    /// settlement-adjusted VOQ views. A lazy-capable configuration runs
+    /// eager under a flow-fidelity probe, with bit-identical output.
     ///
     /// ```
     /// use dcn_fabric::SettleMode;

@@ -1,6 +1,6 @@
 //! FCT statistics broken down by flow-size bucket.
 
-use crate::{percentile_sorted, FctSummary};
+use crate::FctSummary;
 use dcn_types::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -111,30 +111,7 @@ impl SizeBucketRecorder {
             .iter()
             .zip(&self.samples)
             .zip(&self.bytes)
-            .map(|((bucket, fcts), &bytes)| {
-                if fcts.is_empty() {
-                    (*bucket, None)
-                } else {
-                    let mut sorted = fcts.clone();
-                    let count = sorted.len();
-                    let mean = sorted.iter().sum::<f64>() / count as f64;
-                    sorted.sort_unstable_by(f64::total_cmp);
-                    let p50 = percentile_sorted(&sorted, 50.0).expect("non-empty");
-                    let p99 = percentile_sorted(&sorted, 99.0).expect("non-empty");
-                    let max = *sorted.last().expect("non-empty");
-                    (
-                        *bucket,
-                        Some(FctSummary {
-                            count,
-                            mean_secs: mean,
-                            p50_secs: p50,
-                            p99_secs: p99,
-                            max_secs: max,
-                            total_bytes: bytes,
-                        }),
-                    )
-                }
-            })
+            .map(|((bucket, fcts), &bytes)| (*bucket, FctSummary::of(fcts, bytes)))
             .collect()
     }
 

@@ -74,6 +74,23 @@ pub struct FctSummary {
 }
 
 impl FctSummary {
+    /// Summarizes FCT samples in seconds carrying `total_bytes`; `None` for
+    /// no samples. The mean sums the samples in recording order.
+    pub(crate) fn of(fct_secs: &[f64], total_bytes: Bytes) -> Option<FctSummary> {
+        let count = fct_secs.len();
+        let mean = fct_secs.iter().sum::<f64>() / count as f64;
+        let mut sorted = fct_secs.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        Some(FctSummary {
+            count,
+            mean_secs: mean,
+            p50_secs: percentile_sorted(&sorted, 50.0)?,
+            p99_secs: percentile_sorted(&sorted, 99.0)?,
+            max_secs: *sorted.last()?,
+            total_bytes,
+        })
+    }
+
     /// Mean FCT in milliseconds (the unit of the paper's Table I).
     pub fn mean_ms(&self) -> f64 {
         self.mean_secs * 1e3
@@ -143,7 +160,7 @@ impl FctRecorder {
     /// Summarizes one class; `None` if no flow of that class completed.
     pub fn summary(&self, class: FlowClass) -> Option<FctSummary> {
         let samples = self.by_class.get(&class)?;
-        Some(Self::summarize(&samples.fct_secs, samples.total_bytes))
+        FctSummary::of(&samples.fct_secs, samples.total_bytes)
     }
 
     /// Summarizes all completions regardless of class.
@@ -154,29 +171,7 @@ impl FctRecorder {
             all.extend_from_slice(&c.fct_secs);
             bytes += c.total_bytes;
         }
-        if all.is_empty() {
-            None
-        } else {
-            Some(Self::summarize(&all, bytes))
-        }
-    }
-
-    fn summarize(fct_secs: &[f64], total_bytes: Bytes) -> FctSummary {
-        let mut sorted = fct_secs.to_vec();
-        let count = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / count as f64;
-        sorted.sort_unstable_by(f64::total_cmp);
-        let p50 = percentile_sorted(&sorted, 50.0).expect("non-empty");
-        let p99 = percentile_sorted(&sorted, 99.0).expect("non-empty");
-        let max = *sorted.last().expect("non-empty");
-        FctSummary {
-            count,
-            mean_secs: mean,
-            p50_secs: p50,
-            p99_secs: p99,
-            max_secs: max,
-            total_bytes,
-        }
+        FctSummary::of(&all, bytes)
     }
 }
 

@@ -1,7 +1,8 @@
 //! Fast BASRPT (the paper's Algorithm 1).
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
+    ViewAdjust,
 };
 
 /// The practical backlog-aware SRPT approximation (§IV-C, Algorithm 1).
@@ -42,10 +43,11 @@ use crate::{
 /// assert!(!s.contains(FlowId::new(1)));
 /// # Ok::<(), basrpt_core::FlowTableError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FastBasrpt {
     v: f64,
     num_ports: usize,
+    ranking: Ranking,
 }
 
 impl FastBasrpt {
@@ -61,7 +63,11 @@ impl FastBasrpt {
             "V must be finite and >= 0, got {v}"
         );
         assert!(num_ports > 0, "fabric must have at least one port");
-        FastBasrpt { v, num_ports }
+        FastBasrpt {
+            v,
+            num_ports,
+            ranking: Ranking::default(),
+        }
     }
 
     /// The FCT-vs-stability weight `V`.
@@ -100,7 +106,7 @@ impl Scheduler for FastBasrpt {
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         let w = self.weight();
-        schedule_champions_adjusted(table, adjust, |view| Candidate {
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
             key: w * view.shortest_remaining as f64 - view.backlog as f64,
             flow: view.shortest_flow,
             voq: view.voq,

@@ -1,7 +1,8 @@
 //! FIFO: arrival-order baseline.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
+    ViewAdjust,
 };
 
 /// First-in-first-out scheduling: flows are admitted to the matching in
@@ -26,13 +27,15 @@ use crate::{
 /// assert!(s.contains(FlowId::new(1)));
 /// # Ok::<(), basrpt_core::FlowTableError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Fifo;
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Fifo {
+    ranking: Ranking,
+}
 
 impl Fifo {
     /// Creates the FIFO scheduler.
     pub fn new() -> Self {
-        Fifo
+        Fifo::default()
     }
 }
 
@@ -58,7 +61,7 @@ impl Scheduler for Fifo {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(table, adjust, |view| Candidate {
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
             // Ids stay far below 2^53, so the f64 key is exact.
             key: view.oldest_flow.raw() as f64,
             flow: view.oldest_flow,

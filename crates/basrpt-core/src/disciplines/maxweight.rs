@@ -1,7 +1,8 @@
 //! MaxWeight: the classical throughput-optimal baseline.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
+    ViewAdjust,
 };
 
 /// Greedy MaxWeight scheduling: VOQs are served in decreasing order of
@@ -28,13 +29,15 @@ use crate::{
 /// assert!(s.contains(FlowId::new(2))); // deeper queue wins regardless of size
 /// # Ok::<(), basrpt_core::FlowTableError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxWeight;
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MaxWeight {
+    ranking: Ranking,
+}
 
 impl MaxWeight {
     /// Creates the MaxWeight scheduler.
     pub fn new() -> Self {
-        MaxWeight
+        MaxWeight::default()
     }
 }
 
@@ -57,7 +60,7 @@ impl Scheduler for MaxWeight {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(table, adjust, |view| Candidate {
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
             key: -(view.backlog as f64),
             flow: view.shortest_flow,
             voq: view.voq,

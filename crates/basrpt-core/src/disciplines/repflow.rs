@@ -1,7 +1,8 @@
 //! RepFlow: SRPT ranking plus short-flow replication metadata.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
+    ViewAdjust,
 };
 
 /// The RepFlow baseline (Xu & Li, INFOCOM'14): flows shorter than a
@@ -26,9 +27,10 @@ use crate::{
 /// assert!(rep.replicates(50_000));
 /// assert!(!rep.replicates(100_000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepFlow {
     threshold: u64,
+    ranking: Ranking,
 }
 
 /// The paper's replication cutoff: flows under 100 KB count as "short".
@@ -38,7 +40,10 @@ impl RepFlow {
     /// Creates a RepFlow scheduler replicating flows strictly shorter
     /// than `threshold` bytes.
     pub fn new(threshold: u64) -> Self {
-        RepFlow { threshold }
+        RepFlow {
+            threshold,
+            ranking: Ranking::default(),
+        }
     }
 
     /// The replication threshold in bytes.
@@ -83,7 +88,7 @@ impl Scheduler for RepFlow {
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         // Identical ranking to SRPT: replication happens on the fabric
         // side, the crossbar matching is untouched.
-        schedule_champions_adjusted(table, adjust, |v| Candidate {
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, |v| Candidate {
             key: v.shortest_remaining as f64,
             flow: v.shortest_flow,
             voq: v.voq,

@@ -1,7 +1,8 @@
 //! Shortest Remaining Processing Time (greedy maximal SRPT).
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Schedule, Scheduler, ViewAdjust,
+    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
+    ViewAdjust,
 };
 
 /// The SRPT discipline used by PDQ, pFabric and PASE (§II-A): repeatedly
@@ -27,13 +28,15 @@ use crate::{
 /// assert!(schedule.contains(FlowId::new(2))); // the 1-unit flow wins
 /// # Ok::<(), basrpt_core::FlowTableError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Srpt;
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Srpt {
+    ranking: Ranking,
+}
 
 impl Srpt {
     /// Creates the SRPT scheduler.
     pub fn new() -> Self {
-        Srpt
+        Srpt::default()
     }
 }
 
@@ -61,7 +64,7 @@ impl Scheduler for Srpt {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(table, adjust, |v| Candidate {
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, |v| Candidate {
             key: v.shortest_remaining as f64,
             flow: v.shortest_flow,
             voq: v.voq,

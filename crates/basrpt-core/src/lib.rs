@@ -32,7 +32,9 @@
 //!
 //! Every key-driven discipline decides through one greedy pass over the
 //! per-VOQ champions ([`schedule_champions_adjusted`]), `O(Q log Q)` in
-//! the number of non-empty VOQs. Its single oracle is the full-scan
+//! the number of non-empty VOQs. Each discipline owns a [`Ranking`] that
+//! carries the previous decision's order and buffers into the next; it is
+//! a cache that never changes a schedule. Its single oracle is the full-scan
 //! [`reference::schedule_scan`], which rebuilds every champion from the
 //! flows and ranks them with its own [`reference::VoqDiscipline`] keys;
 //! the differential suites pin the two bit-identical.
@@ -75,6 +77,6 @@ pub use flow::FlowState;
 pub use schedule::{Schedule, ScheduleError};
 pub use scheduler::{
     check_maximal, greedy_by_key, schedule_champions_adjusted, Candidate, CountingScheduler,
-    MakeScheduler, NoAdjust, Scheduler, ViewAdjust,
+    MakeScheduler, NoAdjust, Ranking, Scheduler, ViewAdjust,
 };
 pub use table::{DrainOutcome, FlowSlot, FlowTable, FlowTableError, VoqView};

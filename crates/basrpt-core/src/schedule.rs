@@ -76,6 +76,17 @@ impl Schedule {
         Schedule::default()
     }
 
+    /// An empty schedule pre-sized for ports `0..num_ports` and at most
+    /// `max_len` selected flows, so a decision's admissions never
+    /// reallocate.
+    pub(crate) fn with_ports(num_ports: u32, max_len: usize) -> Self {
+        Schedule {
+            selected: Vec::with_capacity(max_len.min(num_ports as usize)),
+            busy_ingress: PortSet::with_ports(num_ports),
+            busy_egress: PortSet::with_ports(num_ports),
+        }
+    }
+
     /// Number of selected flows.
     pub fn len(&self) -> usize {
         self.selected.len()

@@ -41,8 +41,11 @@ impl ViewAdjust for NoAdjust {
 ///
 /// Schedulers are consulted by the embedding simulator on every flow arrival
 /// and completion (the paper's update rule) and return a crossbar matching
-/// over the currently active flows. They may keep internal state (e.g. the
-/// round-robin pointer), hence `&mut self`.
+/// over the currently active flows. They may keep internal state, hence
+/// `&mut self`: state that shapes the decision (the round-robin pointer),
+/// or the key-driven disciplines' [`Ranking`], a cache carried from one
+/// decision to the next that never changes a schedule and that no
+/// snapshot captures.
 pub trait Scheduler {
     /// Short human-readable name, used in experiment output.
     fn name(&self) -> &str;
@@ -245,6 +248,12 @@ pub struct Candidate {
 /// schedule that is maximal over the non-empty VOQs, exactly the "flows are
 /// selected until all left flows are blocked" rule of §II-A.
 ///
+/// This is the stateless skeleton (round-robin and the tie-break tests use
+/// it); the key-driven disciplines run the same order and the same pass
+/// through [`schedule_champions_adjusted`], which only adds buffers and a
+/// starting order carried across decisions ([`Ranking`]): a cache that
+/// never changes the schedule.
+///
 /// # Ordering contract
 ///
 /// The admission order — and therefore the produced matching, its
@@ -257,7 +266,7 @@ pub struct Candidate {
 /// * equal keys fall back to the **flow id**, which is unique per table —
 ///   a flow lives in exactly one VOQ — so no pair of candidates ever ties
 ///   fully and the initial order of the candidate slice is irrelevant
-///   (`sort_unstable` is safe).
+///   (`sort_unstable` is safe, and so is starting from any hint order).
 ///
 /// The full-scan oracle
 /// ([`reference::schedule_scan`](crate::reference::schedule_scan))
@@ -283,13 +292,24 @@ pub struct Candidate {
 /// assert!(!s.contains(FlowId::new(1)));
 /// ```
 pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
-    debug_assert!(
-        candidates.iter().all(|c| c.key.is_finite()),
-        "candidate keys must be finite"
-    );
-    candidates.sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then(a.flow.cmp(&b.flow)));
-    let mut schedule = Schedule::new();
-    for cand in candidates.iter() {
+    candidates.sort_unstable_by(rank_cmp);
+    admit_in_order(Schedule::new(), candidates.iter())
+}
+
+/// The admission order of the ordering contract on [`greedy_by_key`]:
+/// ascending key by [`f64::total_cmp`], then ascending flow id.
+fn rank_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    a.key.total_cmp(&b.key).then(a.flow.cmp(&b.flow))
+}
+
+/// The greedy pass: admits each ranked candidate whose two ports are
+/// still free in `schedule`.
+fn admit_in_order<'a>(
+    mut schedule: Schedule,
+    ranked: impl Iterator<Item = &'a Candidate>,
+) -> Schedule {
+    for cand in ranked {
+        debug_assert!(cand.key.is_finite(), "candidate keys must be finite");
         if schedule.admits(cand.voq) {
             schedule
                 .add(cand.flow, cand.voq)
@@ -299,34 +319,116 @@ pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
     schedule
 }
 
+/// The ranking state a key-driven discipline carries from one decision to
+/// the next: the buffers [`schedule_champions_adjusted`] reads its
+/// candidates into, and the previous decision's rank of each VOQ.
+///
+/// Between two events every transmitting VOQ's key moves by the same
+/// amount (fast BASRPT: `(V/N − 1)·d` for `d` bytes sent; SRPT: `d`) and
+/// every other key stays put, so the previous decision's order is still
+/// almost sorted. Laid out in that order, with new VOQs last, the
+/// candidates sort in near-linear time under the run-adaptive stable sort.
+///
+/// The carried order is only a starting point: the sort's comparator is
+/// total and no two candidates tie fully, so the decision is the same
+/// whatever order it starts from. A `Ranking` is a cache that never
+/// changes a schedule. It compares equal to every other `Ranking`, a
+/// fresh one ([`Ranking::default`]) decides exactly like a warm one, and
+/// no snapshot captures it.
+#[derive(Clone, Default)]
+pub struct Ranking {
+    /// This decision's candidates, in `Voq` order.
+    candidates: Vec<Candidate>,
+    /// Indices into `candidates`: laid out in the previous decision's rank
+    /// order with new VOQs last, then sorted into admission order.
+    order: Vec<u32>,
+    /// The previous decision's VOQs in `Voq` order, each with its rank.
+    ranks: Vec<(Voq, u32)>,
+}
+
+impl PartialEq for Ranking {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Ranking {}
+
+impl std::fmt::Debug for Ranking {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ranking")
+            .field("carried", &self.ranks.len())
+            .finish()
+    }
+}
+
 /// Ranks one candidate per non-empty VOQ — read in `O(1)` apiece off the
-/// table's champion index, then corrected by `adjust` — and runs
-/// [`greedy_by_key`]: the shared skeleton of the key-driven one-pass
-/// disciplines (SRPT, fast BASRPT, MaxWeight, FIFO, RepFlow). Their
-/// [`Scheduler::schedule`] is this call with [`NoAdjust`]; lazily settling
-/// engines pass their pending-drain correction through
-/// [`Scheduler::schedule_adjusted`]. The whole decision costs `O(Q log Q)`
-/// in the number of non-empty VOQs (≤ P² for P ports), independent of the
-/// flow count; the `O(F + Q log Q)` full scan survives as
-/// [`reference::schedule_scan`](crate::reference::schedule_scan) for
+/// table's champion index, then corrected by `adjust` — and runs the
+/// greedy pass of [`greedy_by_key`], in its admission order: the shared
+/// skeleton of the key-driven one-pass disciplines (SRPT, fast BASRPT,
+/// MaxWeight, FIFO, RepFlow). Their [`Scheduler::schedule`] is this call
+/// with [`NoAdjust`]; lazily settling engines pass their pending-drain
+/// correction through [`Scheduler::schedule_adjusted`].
+///
+/// Each discipline passes its own [`Ranking`]. The candidates are laid
+/// out in that ranking's previous order by one merge of the table's
+/// `Voq`-ordered views against the carried `Voq`-ordered ranks (`O(Q)`,
+/// no hashing), sorted by the stable run-adaptive sort, and admitted into
+/// a [`Schedule`] pre-sized for the ports they name. The ranking only
+/// chooses where the sort starts, never what it returns. The whole
+/// decision costs `O(Q log Q)` in the number of non-empty VOQs (≤ P² for
+/// P ports) and near `O(Q)` when the previous order still mostly holds,
+/// independent of the flow count; the `O(F + Q log Q)` full scan survives
+/// as [`reference::schedule_scan`](crate::reference::schedule_scan) for
 /// differential testing.
 pub fn schedule_champions_adjusted<F>(
+    ranking: &mut Ranking,
     table: &FlowTable,
     adjust: &dyn ViewAdjust,
-    to_candidate: F,
+    mut to_candidate: F,
 ) -> Schedule
 where
     F: FnMut(&VoqView) -> Candidate,
 {
-    let mut to_candidate = to_candidate;
-    let mut candidates: Vec<Candidate> = table
-        .voqs()
-        .map(|mut v| {
-            adjust.adjust(&mut v);
-            to_candidate(&v)
-        })
-        .collect();
-    greedy_by_key(&mut candidates)
+    let Ranking {
+        candidates,
+        order,
+        ranks,
+    } = ranking;
+    candidates.clear();
+    candidates.reserve(table.num_nonempty_voqs());
+    order.clear();
+    order.reserve(table.num_nonempty_voqs());
+    // `order[rank]` receives the candidate holding that rank last time;
+    // VOQs that emptied since leave `u32::MAX` holes, new VOQs append.
+    order.resize(ranks.len(), u32::MAX);
+    let mut carried = 0;
+    let mut ports = 0;
+    for mut view in table.voqs() {
+        adjust.adjust(&mut view);
+        let index = candidates.len() as u32;
+        candidates.push(to_candidate(&view));
+        ports = ports.max(view.voq.src().index().max(view.voq.dst().index()) + 1);
+        while carried < ranks.len() && ranks[carried].0 < view.voq {
+            carried += 1;
+        }
+        match ranks.get(carried) {
+            Some(&(voq, rank)) if voq == view.voq => order[rank as usize] = index,
+            _ => order.push(index),
+        }
+    }
+    order.retain(|&index| index != u32::MAX);
+    order.sort_by(|&a, &b| rank_cmp(&candidates[a as usize], &candidates[b as usize]));
+
+    ranks.clear();
+    ranks.extend(candidates.iter().map(|c| (c.voq, 0)));
+    for (rank, &index) in order.iter().enumerate() {
+        ranks[index as usize].1 = rank as u32;
+    }
+    admit_in_order(
+        Schedule::with_ports(ports, candidates.len()),
+        order.iter().map(|&index| &candidates[index as usize]),
+    )
 }
 
 /// Asserts that `schedule` is a valid *maximal* matching over the non-empty
@@ -422,7 +524,7 @@ mod tests {
             flow: v.shortest_flow,
             voq: v.voq,
         };
-        let s = schedule_champions_adjusted(&t, &Shrink, key);
+        let s = schedule_champions_adjusted(&mut Ranking::default(), &t, &Shrink, key);
         assert!(s.contains(FlowId::new(1)));
         assert!(!s.contains(FlowId::new(2)));
     }

@@ -57,8 +57,11 @@
 //! The decision itself stays one greedy pass over the per-VOQ champions,
 //! `O(Q log Q)` per event: the lens moves the key of *every* transmitting
 //! VOQ between two decisions, so a key index kept across events would
-//! have to re-sort a large share of its entries anyway. `PERFMODEL.md`
-//! has the full cost model.
+//! have to re-sort a large share of its entries anyway. What the
+//! discipline does carry is the previous decision's *order*
+//! ([`basrpt_core::Ranking`]): every transmitting key moves by the same
+//! amount, so that order is nearly sorted and the sort runs in
+//! near-linear time. `PERFMODEL.md` has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suites (`tests/delta_differential.rs`,
@@ -198,6 +201,12 @@ pub struct DeltaAllocator {
     /// its slot holds its flow's account; the others are *tombstones* of
     /// flows that completed after this selection was applied.
     sel: Vec<(FlowId, Voq, usize)>,
+    /// `apply`'s working buffers, cleared and reused so a reschedule
+    /// allocates nothing once warm: the old window's live flows by id,
+    /// the entrants waiting for the leavers' slots, and the new window.
+    live: HashMap<FlowId, usize>,
+    entrants: Vec<(usize, ScheduledEntry)>,
+    window: Vec<(FlowId, Voq, usize)>,
     stats: DeltaStats,
 }
 
@@ -210,6 +219,9 @@ impl DeltaAllocator {
             calendar: CompletionCalendar::new(),
             by_slot: Vec::new(),
             sel: Vec::new(),
+            live: HashMap::new(),
+            entrants: Vec::new(),
+            window: Vec::new(),
             stats: DeltaStats::default(),
         }
     }
@@ -301,7 +313,8 @@ impl DeltaAllocator {
 
         // The old window's live flows by id; tombstones (slot no longer
         // holding their flow) are swept for free.
-        let mut live = HashMap::with_capacity(n_old - hi - lo);
+        let live = &mut self.live;
+        live.clear();
         for &(id, _, slot) in &self.sel[lo..n_old - hi] {
             if account_of(&self.by_slot, slot, id).is_some() {
                 live.insert(id, slot);
@@ -311,20 +324,22 @@ impl DeltaAllocator {
         // New-side window: flows already bound merely moved position and
         // keep their slot; entrants report theirs and open an epoch there
         // once the leavers are gone.
-        let mut entrants = Vec::new();
-        let window: Vec<(FlowId, Voq, usize)> = selected[lo..n_new - hi]
-            .iter()
-            .map(|&(id, voq)| {
-                if let Some(slot) = live.remove(&id) {
+        self.window.clear();
+        for &(id, voq) in &selected[lo..n_new - hi] {
+            let slot = match live.remove(&id) {
+                Some(slot) => {
                     out.kept += 1;
-                    return (id, voq, slot);
+                    slot
                 }
-                let (remaining, slot) = admit(id);
-                let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
-                entrants.push((slot, entry));
-                (id, voq, slot)
-            })
-            .collect();
+                None => {
+                    let (remaining, slot) = admit(id);
+                    let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
+                    self.entrants.push((slot, entry));
+                    slot
+                }
+            };
+            self.window.push((id, voq, slot));
+        }
 
         // Old-side window, in priority order: the live flows left in
         // `live` were not re-selected. Leavers settle to `now` so the
@@ -332,7 +347,7 @@ impl DeltaAllocator {
         // every account was settled this instant already, so the owed
         // amount is zero and no drain fires — and free their VOQ slot for
         // an entrant.
-        for (id, _, slot) in self.sel.splice(lo..n_old - hi, window) {
+        for (id, _, slot) in self.sel.splice(lo..n_old - hi, self.window.drain(..)) {
             if !live.contains_key(&id) {
                 continue;
             }
@@ -355,10 +370,12 @@ impl DeltaAllocator {
             out.left += 1;
         }
 
+        let mut entrants = std::mem::take(&mut self.entrants);
         out.entered = entrants.len() as u64;
-        for (slot, entry) in entrants {
+        for (slot, entry) in entrants.drain(..) {
             self.bind(slot, entry);
         }
+        self.entrants = entrants;
 
         self.stats.reschedules += 1;
         self.stats.entered += out.entered;

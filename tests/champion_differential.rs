@@ -146,7 +146,9 @@ fn assert_runs_identical(indexed: &SwitchRun, scan: &SwitchRun, label: &str) {
 
 /// `(name, indexed scheduler, full-scan twin)` for every key-driven
 /// discipline and both fast-BASRPT validity classes (integer weight →
-/// unbounded windows, fractional weight → one-slot windows). `RoundRobin` and
+/// unbounded windows, fractional weight → one-slot windows), plus a
+/// non-dyadic weight (`10/3`) whose keys round, so the indexed twin's
+/// carried ranking meets near-ties over whole runs. `RoundRobin` and
 /// `ExactBasrpt` are excluded by design: neither ranks VOQ champions, so
 /// no scan twin exists for them.
 type SchedulerPair = (&'static str, Box<dyn Scheduler>, Box<dyn Scheduler>);
@@ -182,6 +184,11 @@ fn pairs() -> Vec<SchedulerPair> {
             "fast_basrpt_w05",
             Box::new(FastBasrpt::new(4.0, 8)),
             Box::new(ScanScheduler::new(FastBasrpt::new(4.0, 8))),
+        ),
+        (
+            "fast_basrpt_w10_3",
+            Box::new(FastBasrpt::new(10.0, 3)),
+            Box::new(ScanScheduler::new(FastBasrpt::new(10.0, 3))),
         ),
     ]
 }

@@ -1,8 +1,8 @@
 //! Fast BASRPT (the paper's Algorithm 1).
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
+    Ranking, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The practical backlog-aware SRPT approximation (§IV-C, Algorithm 1).
@@ -84,6 +84,13 @@ impl FastBasrpt {
     pub fn weight(&self) -> f64 {
         self.v / self.num_ports as f64
     }
+
+    /// How this instance's decisions were taken so far: certified from
+    /// the carried matching, or by a full pass and why
+    /// ([`Ranking::counts`]).
+    pub fn decisions(&self) -> DecisionCounts {
+        self.ranking.counts()
+    }
 }
 
 impl Scheduler for FastBasrpt {
@@ -106,7 +113,13 @@ impl Scheduler for FastBasrpt {
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         let w = self.weight();
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
+        // A transmitting VOQ's key moves by `(1 − w)` per byte sent.
+        let motion = if w >= 1.0 {
+            KeyMotion::Falls
+        } else {
+            KeyMotion::MayRise
+        };
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, motion, |view| Candidate {
             key: w * view.shortest_remaining as f64 - view.backlog as f64,
             flow: view.shortest_flow,
             voq: view.voq,

@@ -1,8 +1,8 @@
 //! FIFO: arrival-order baseline.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
+    Ranking, Schedule, Scheduler, ViewAdjust,
 };
 
 /// First-in-first-out scheduling: flows are admitted to the matching in
@@ -37,6 +37,13 @@ impl Fifo {
     pub fn new() -> Self {
         Fifo::default()
     }
+
+    /// How this instance's decisions were taken so far: certified from
+    /// the carried matching, or by a full pass and why
+    /// ([`Ranking::counts`]).
+    pub fn decisions(&self) -> DecisionCounts {
+        self.ranking.counts()
+    }
 }
 
 impl Scheduler for Fifo {
@@ -61,11 +68,13 @@ impl Scheduler for Fifo {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
-            // Ids stay far below 2^53, so the f64 key is exact.
-            key: view.oldest_flow.raw() as f64,
-            flow: view.oldest_flow,
-            voq: view.voq,
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, KeyMotion::Falls, |view| {
+            Candidate {
+                // Ids stay far below 2^53, so the f64 key is exact.
+                key: view.oldest_flow.raw() as f64,
+                flow: view.oldest_flow,
+                voq: view.voq,
+            }
         })
     }
 }

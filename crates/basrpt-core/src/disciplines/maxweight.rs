@@ -1,8 +1,8 @@
 //! MaxWeight: the classical throughput-optimal baseline.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
+    Ranking, Schedule, Scheduler, ViewAdjust,
 };
 
 /// Greedy MaxWeight scheduling: VOQs are served in decreasing order of
@@ -39,6 +39,13 @@ impl MaxWeight {
     pub fn new() -> Self {
         MaxWeight::default()
     }
+
+    /// How this instance's decisions were taken so far: certified from
+    /// the carried matching, or by a full pass and why
+    /// ([`Ranking::counts`]).
+    pub fn decisions(&self) -> DecisionCounts {
+        self.ranking.counts()
+    }
 }
 
 impl Scheduler for MaxWeight {
@@ -60,11 +67,17 @@ impl Scheduler for MaxWeight {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, |view| Candidate {
-            key: -(view.backlog as f64),
-            flow: view.shortest_flow,
-            voq: view.voq,
-        })
+        schedule_champions_adjusted(
+            &mut self.ranking,
+            table,
+            adjust,
+            KeyMotion::MayRise,
+            |view| Candidate {
+                key: -(view.backlog as f64),
+                flow: view.shortest_flow,
+                voq: view.voq,
+            },
+        )
     }
 }
 

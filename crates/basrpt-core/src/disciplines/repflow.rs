@@ -1,8 +1,8 @@
 //! RepFlow: SRPT ranking plus short-flow replication metadata.
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
+    Ranking, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The RepFlow baseline (Xu & Li, INFOCOM'14): flows shorter than a
@@ -56,6 +56,13 @@ impl RepFlow {
     pub fn replicates(&self, size: u64) -> bool {
         size < self.threshold
     }
+
+    /// How this instance's decisions were taken so far: certified from
+    /// the carried matching, or by a full pass and why
+    /// ([`Ranking::counts`]).
+    pub fn decisions(&self) -> DecisionCounts {
+        self.ranking.counts()
+    }
 }
 
 impl Default for RepFlow {
@@ -88,10 +95,12 @@ impl Scheduler for RepFlow {
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         // Identical ranking to SRPT: replication happens on the fabric
         // side, the crossbar matching is untouched.
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, |v| Candidate {
-            key: v.shortest_remaining as f64,
-            flow: v.shortest_flow,
-            voq: v.voq,
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, KeyMotion::Falls, |v| {
+            Candidate {
+                key: v.shortest_remaining as f64,
+                flow: v.shortest_flow,
+                voq: v.voq,
+            }
         })
     }
 }

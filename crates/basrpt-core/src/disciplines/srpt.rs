@@ -1,8 +1,8 @@
 //! Shortest Remaining Processing Time (greedy maximal SRPT).
 
 use crate::{
-    schedule_champions_adjusted, Candidate, FlowTable, NoAdjust, Ranking, Schedule, Scheduler,
-    ViewAdjust,
+    schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
+    Ranking, Schedule, Scheduler, ViewAdjust,
 };
 
 /// The SRPT discipline used by PDQ, pFabric and PASE (§II-A): repeatedly
@@ -38,6 +38,13 @@ impl Srpt {
     pub fn new() -> Self {
         Srpt::default()
     }
+
+    /// How this instance's decisions were taken so far: certified from
+    /// the carried matching, or by a full pass and why
+    /// ([`Ranking::counts`]).
+    pub fn decisions(&self) -> DecisionCounts {
+        self.ranking.counts()
+    }
 }
 
 impl Scheduler for Srpt {
@@ -64,10 +71,12 @@ impl Scheduler for Srpt {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, |v| Candidate {
-            key: v.shortest_remaining as f64,
-            flow: v.shortest_flow,
-            voq: v.voq,
+        schedule_champions_adjusted(&mut self.ranking, table, adjust, KeyMotion::Falls, |v| {
+            Candidate {
+                key: v.shortest_remaining as f64,
+                flow: v.shortest_flow,
+                voq: v.voq,
+            }
         })
     }
 }

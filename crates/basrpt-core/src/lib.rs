@@ -30,11 +30,15 @@
 //!
 //! # Decision paths
 //!
-//! Every key-driven discipline decides through one greedy pass over the
-//! per-VOQ champions ([`schedule_champions_adjusted`]), `O(Q log Q)` in
-//! the number of non-empty VOQs. Each discipline owns a [`Ranking`] that
-//! carries the previous decision's order and buffers into the next; it is
-//! a cache that never changes a schedule. Its single oracle is the full-scan
+//! Every key-driven discipline decides through one function over the
+//! per-VOQ champions ([`schedule_champions_adjusted`]). Each discipline
+//! owns a [`Ranking`] that carries the previous decision's matching into
+//! the next: behind a checked certificate, a decision repairs it around
+//! the VOQs that changed; without one (or when the discipline's keys can
+//! rise, [`KeyMotion::MayRise`]) it runs the full greedy pass, `O(Q log Q)`
+//! in the number of non-empty VOQs. Either way the schedule is the same,
+//! and the decision counts ([`DecisionCounts`]) say which way each went.
+//! The single oracle is the full-scan
 //! [`reference::schedule_scan`], which rebuilds every champion from the
 //! flows and ranks them with its own [`reference::VoqDiscipline`] keys;
 //! the differential suites pin the two bit-identical.
@@ -77,6 +81,6 @@ pub use flow::FlowState;
 pub use schedule::{Schedule, ScheduleError};
 pub use scheduler::{
     check_maximal, greedy_by_key, schedule_champions_adjusted, Candidate, CountingScheduler,
-    MakeScheduler, NoAdjust, Ranking, Scheduler, ViewAdjust,
+    DecisionCounts, KeyMotion, MakeScheduler, NoAdjust, Ranking, Scheduler, ViewAdjust,
 };
 pub use table::{DrainOutcome, FlowSlot, FlowTable, FlowTableError, VoqView};

@@ -39,6 +39,11 @@ impl Error for ScheduleError {}
 /// and hash-free. Flow membership ([`Schedule::contains`]) scans the at
 /// most `P` selected pairs; no decision path asks it.
 ///
+/// A schedule decided from a [`FlowTable`](crate::FlowTable)'s VOQ views
+/// also carries each pair's VOQ slot ([`Schedule::slotted`]), so the
+/// fabric's allocator binds it without hashing a VOQ; a pair added through
+/// [`Schedule::add`] has none. Slots never take part in equality.
+///
 /// # Example
 ///
 /// ```
@@ -54,17 +59,22 @@ impl Error for ScheduleError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
-    selected: Vec<(FlowId, Voq)>,
+    /// The selected pairs in selection order, each with its VOQ's table
+    /// slot or [`NO_SLOT`].
+    selected: Vec<(FlowId, Voq, u32)>,
     busy_ingress: PortSet,
     busy_egress: PortSet,
 }
 
+/// The slot of a pair added without one.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Two schedules are equal when they select the same flows in the same
-/// order; the busy sets are derived from `selected`, so they never need
-/// comparing.
+/// order; the busy sets and slots are derived from the selection, so they
+/// never need comparing.
 impl PartialEq for Schedule {
     fn eq(&self, other: &Self) -> bool {
-        self.selected == other.selected
+        self.iter().eq(other.iter())
     }
 }
 
@@ -118,6 +128,16 @@ impl Schedule {
     ///
     /// Returns [`ScheduleError`] if either port is already in use.
     pub fn add(&mut self, flow: FlowId, voq: Voq) -> Result<(), ScheduleError> {
+        self.add_at(flow, voq, NO_SLOT)
+    }
+
+    /// [`Schedule::add`] for a flow whose VOQ sits in table slot `slot`.
+    pub(crate) fn add_at(
+        &mut self,
+        flow: FlowId,
+        voq: Voq,
+        slot: u32,
+    ) -> Result<(), ScheduleError> {
         if self.ingress_busy(voq.src()) {
             return Err(ScheduleError::IngressBusy(voq.src()));
         }
@@ -126,19 +146,30 @@ impl Schedule {
         }
         self.busy_ingress.insert(voq.src());
         self.busy_egress.insert(voq.dst());
-        self.selected.push((flow, voq));
+        self.selected.push((flow, voq, slot));
         Ok(())
     }
 
     /// Iterates over the selected `(flow, voq)` pairs in selection order
     /// (highest priority first — the order the discipline admitted them).
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, Voq)> + '_ {
-        self.selected.iter().copied()
+        self.into_iter()
+    }
+
+    /// The selected pairs in selection order, each with its VOQ's slot in
+    /// the table the schedule was decided from ([`VoqView::slot`]), or
+    /// `None` for a pair added through [`Schedule::add`].
+    ///
+    /// [`VoqView::slot`]: crate::VoqView::slot
+    pub fn slotted(&self) -> impl Iterator<Item = (FlowId, Voq, Option<usize>)> + '_ {
+        self.selected
+            .iter()
+            .map(|&(id, voq, slot)| (id, voq, (slot != NO_SLOT).then_some(slot as usize)))
     }
 
     /// The selected flow ids, in selection order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.selected.iter().map(|&(id, _)| id)
+        self.selected.iter().map(|&(id, _, _)| id)
     }
 
     /// Whether this schedule selects the given flow. `O(len)`: a scan of
@@ -146,21 +177,17 @@ impl Schedule {
     pub fn contains(&self, flow: FlowId) -> bool {
         self.flow_ids().any(|id| id == flow)
     }
-
-    /// Consumes the schedule, returning the selected `(flow, voq)` pairs
-    /// in selection order — the slice the fabric's delta allocator diffs
-    /// against its previous selection.
-    pub fn into_pairs(self) -> Vec<(FlowId, Voq)> {
-        self.selected
-    }
 }
 
 impl<'a> IntoIterator for &'a Schedule {
     type Item = (FlowId, Voq);
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, (FlowId, Voq)>>;
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (FlowId, Voq, u32)>,
+        fn(&(FlowId, Voq, u32)) -> (FlowId, Voq),
+    >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.selected.iter().copied()
+        self.selected.iter().map(|&(id, voq, _)| (id, voq))
     }
 }
 
@@ -210,6 +237,23 @@ mod tests {
         assert!(!s.contains(FlowId::new(9)));
         let pairs: Vec<_> = (&s).into_iter().collect();
         assert_eq!(pairs.len(), 2);
+    }
+
+    #[test]
+    fn slots_ride_along_but_never_decide_equality() {
+        let mut a = Schedule::new();
+        let mut b = Schedule::new();
+        a.add_at(FlowId::new(1), voq(0, 1), 7).unwrap();
+        b.add(FlowId::new(1), voq(0, 1)).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            a.slotted().collect::<Vec<_>>(),
+            vec![(FlowId::new(1), voq(0, 1), Some(7))]
+        );
+        assert_eq!(
+            b.slotted().collect::<Vec<_>>(),
+            vec![(FlowId::new(1), voq(0, 1), None)]
+        );
     }
 
     #[test]

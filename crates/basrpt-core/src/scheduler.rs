@@ -1,8 +1,9 @@
 //! The scheduler interface and the shared greedy maximal-matching engine.
 
-use crate::table::VoqView;
+use crate::table::{TableMark, VoqView};
 use crate::{FlowTable, Schedule};
 use dcn_types::{FlowId, Voq};
+use std::collections::BinaryHeap;
 
 /// A read-time correction applied to [`VoqView`]s before a discipline
 /// ranks them.
@@ -24,6 +25,19 @@ use dcn_types::{FlowId, Voq};
 pub trait ViewAdjust {
     /// Corrects `view` to account for drains not yet written back.
     fn adjust(&self, view: &mut VoqView);
+
+    /// Calls `visit` with the slot ([`VoqView::slot`]) of every VOQ whose
+    /// view [`adjust`](ViewAdjust::adjust) may change, and returns `true`;
+    /// every other view passes through unchanged. A slot may be named
+    /// more than once.
+    ///
+    /// The default returns `false`: the lens cannot name its slots, so a
+    /// discipline carrying its matching across decisions ([`Ranking`])
+    /// cannot tell which views moved and runs a full pass.
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+        let _ = visit;
+        false
+    }
 }
 
 /// The identity adjustment: views pass through unmodified. A view-based
@@ -35,6 +49,10 @@ pub struct NoAdjust;
 
 impl ViewAdjust for NoAdjust {
     fn adjust(&self, _view: &mut VoqView) {}
+
+    fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) -> bool {
+        true
+    }
 }
 
 /// A flow scheduling discipline.
@@ -43,9 +61,9 @@ impl ViewAdjust for NoAdjust {
 /// and completion (the paper's update rule) and return a crossbar matching
 /// over the currently active flows. They may keep internal state, hence
 /// `&mut self`: state that shapes the decision (the round-robin pointer),
-/// or the key-driven disciplines' [`Ranking`], a cache carried from one
-/// decision to the next that never changes a schedule and that no
-/// snapshot captures.
+/// or the key-driven disciplines' [`Ranking`], the matching carried from
+/// one decision to the next behind a checked certificate, which never
+/// changes a schedule and which no snapshot captures.
 pub trait Scheduler {
     /// Short human-readable name, used in experiment output.
     fn name(&self) -> &str;
@@ -249,10 +267,9 @@ pub struct Candidate {
 /// selected until all left flows are blocked" rule of §II-A.
 ///
 /// This is the stateless skeleton (round-robin and the tie-break tests use
-/// it); the key-driven disciplines run the same order and the same pass
-/// through [`schedule_champions_adjusted`], which only adds buffers and a
-/// starting order carried across decisions ([`Ranking`]): a cache that
-/// never changes the schedule.
+/// it); the key-driven disciplines reach the same matching in the same
+/// order through [`schedule_champions_adjusted`], which carries it across
+/// decisions ([`Ranking`]) and repairs it around the VOQs that changed.
 ///
 /// # Ordering contract
 ///
@@ -292,14 +309,23 @@ pub struct Candidate {
 /// assert!(!s.contains(FlowId::new(1)));
 /// ```
 pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
-    candidates.sort_unstable_by(rank_cmp);
+    candidates.sort_unstable_by(|a, b| rank_cmp(a.rank(), b.rank()));
     admit_in_order(Schedule::new(), candidates.iter())
 }
 
+/// A candidate's place in the admission order: its key and flow id.
+type Rank = (f64, FlowId);
+
 /// The admission order of the ordering contract on [`greedy_by_key`]:
 /// ascending key by [`f64::total_cmp`], then ascending flow id.
-fn rank_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
-    a.key.total_cmp(&b.key).then(a.flow.cmp(&b.flow))
+fn rank_cmp(a: Rank, b: Rank) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl Candidate {
+    fn rank(&self) -> Rank {
+        (self.key, self.flow)
+    }
 }
 
 /// The greedy pass: admits each ranked candidate whose two ports are
@@ -319,31 +345,243 @@ fn admit_in_order<'a>(
     schedule
 }
 
-/// The ranking state a key-driven discipline carries from one decision to
-/// the next: the buffers [`schedule_champions_adjusted`] reads its
-/// candidates into, and the previous decision's rank of each VOQ.
+/// How a discipline's candidate key moves while its VOQ transmits: the
+/// premise of the certificate [`schedule_champions_adjusted`] checks
+/// before it carries a matching across events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyMotion {
+    /// A transmitting VOQ's key never rises: SRPT, FIFO and RepFlow, and
+    /// fast BASRPT with `V/N ≥ 1`. The previous matching is carried and
+    /// certified.
+    Falls,
+    /// A transmitting VOQ's key can rise: MaxWeight's `−backlog`, and fast
+    /// BASRPT with `V/N < 1`. Every decision is a full pass.
+    MayRise,
+}
+
+/// How a key-driven discipline's decisions were taken: certified from the
+/// carried matching, or by a full pass, counted by the reason the
+/// certificate was not attempted or did not hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecisionCounts {
+    /// Decisions that repaired the carried matching around the changed
+    /// VOQs.
+    pub certified: u64,
+    /// Full passes with nothing carried for the table: the first decision,
+    /// or a table other than the previous decision's (a clone or a
+    /// restored table is another table).
+    pub cold: u64,
+    /// Full passes because more mutations happened since the previous
+    /// decision than the table's changed-slot record holds.
+    pub overflow: u64,
+    /// Full passes because a matched VOQ that no mutation touched changed
+    /// its champion or raised its key.
+    pub key_rose: u64,
+    /// Full passes because the [`ViewAdjust`] lens could not name the VOQ
+    /// slots it corrects ([`ViewAdjust::corrected_slots`]).
+    pub unnamed_lens: u64,
+    /// Full passes of a discipline whose keys can rise
+    /// ([`KeyMotion::MayRise`]), which never attempts the certificate.
+    pub key_can_rise: u64,
+}
+
+impl DecisionCounts {
+    /// Every decision taken by a full pass, whatever the reason.
+    pub fn full_passes(&self) -> u64 {
+        self.cold + self.overflow + self.key_rose + self.unnamed_lens + self.key_can_rise
+    }
+
+    /// Every decision.
+    pub fn decisions(&self) -> u64 {
+        self.certified + self.full_passes()
+    }
+}
+
+/// Where a non-empty VOQ's candidate stands in the carried matching.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Re-read this decision and waiting in the repair's work queue.
+    Pending,
+    /// In the matching, owning both of its ports.
+    Matched,
+    /// Out of the matching, listed at both of its ports.
+    Waiting,
+}
+
+/// The carried candidate of one non-empty VOQ.
+#[derive(Debug, Clone, Copy)]
+struct VoqRank {
+    key: f64,
+    flow: FlowId,
+    /// The VOQ's table slot.
+    slot: u32,
+    status: Status,
+    /// Whether the slot is (still) listed in `Ranking::matched`.
+    listed: bool,
+    /// Whether the slot is in this decision's dirty set.
+    dirty: bool,
+}
+
+impl VoqRank {
+    fn rank(&self) -> Rank {
+        (self.key, self.flow)
+    }
+}
+
+/// The `Ranking::index` entry of a VOQ slot without a candidate.
+const ABSENT: u32 = u32::MAX;
+
+/// One crossbar port of the carried matching: the matched VOQ slot
+/// owning it, and the unmatched candidates on it in `(key, flow id)`
+/// order, each with its VOQ slot.
+#[derive(Debug, Clone, Default)]
+struct Port {
+    owner: Option<u32>,
+    waiting: Vec<(Rank, u32)>,
+}
+
+impl Port {
+    /// The position of the first waiting candidate ranked after `rank`.
+    fn after(&self, rank: Rank) -> usize {
+        self.waiting
+            .partition_point(|&(waiting, _)| rank_cmp(waiting, rank).is_le())
+    }
+
+    fn insert(&mut self, rank: Rank, slot: u32) {
+        let at = self.after(rank);
+        self.waiting.insert(at, (rank, slot));
+    }
+
+    fn remove(&mut self, rank: Rank) {
+        let at = self.after(rank);
+        debug_assert!(
+            at > 0 && rank_cmp(self.waiting[at - 1].0, rank).is_eq(),
+            "a waiting candidate is listed at its ports"
+        );
+        self.waiting.remove(at - 1);
+    }
+}
+
+/// The crossbar ports of a VOQ in `table`'s slot `slot`, as indices into
+/// `Ranking::ports`: host `h`'s ingress is `2h`, its egress `2h + 1`.
+fn ports_of(table: &FlowTable, slot: u32) -> (usize, usize) {
+    let voq = table.voq_at_slot(slot as usize);
+    (2 * voq.src().as_usize(), 2 * voq.dst().as_usize() + 1)
+}
+
+/// A candidate for the repair to (re-)examine, ordered by its rank; `scan`
+/// names the freed port whose waiting list led to it, if any.
+#[derive(Debug, Clone, Copy)]
+struct Work {
+    rank: Rank,
+    slot: u32,
+    scan: Option<usize>,
+}
+
+impl Ord for Work {
+    /// Reversed, so the max-heap pops the smallest rank first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        rank_cmp(other.rank, self.rank)
+    }
+}
+
+impl PartialOrd for Work {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Work {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Work {}
+
+/// The matching a key-driven discipline carries from one decision to the
+/// next, and the decision counts.
 ///
-/// Between two events every transmitting VOQ's key moves by the same
-/// amount (fast BASRPT: `(V/N − 1)·d` for `d` bytes sent; SRPT: `d`) and
-/// every other key stays put, so the previous decision's order is still
-/// almost sorted. Laid out in that order, with new VOQs last, the
-/// candidates sort in near-linear time under the run-adaptive stable sort.
+/// # What is carried
 ///
-/// The carried order is only a starting point: the sort's comparator is
-/// total and no two candidates tie fully, so the decision is the same
-/// whatever order it starts from. A `Ranking` is a cache that never
-/// changes a schedule. It compares equal to every other `Ranking`, a
-/// fresh one ([`Ranking::default`]) decides exactly like a warm one, and
-/// no snapshot captures it.
+/// Per non-empty VOQ of the last decision's table: the candidate's key
+/// and champion and whether it is matched (24 bytes, plus a 4-byte index
+/// entry per VOQ slot). Per crossbar port: the matched VOQ
+/// owning it and the unmatched candidates on it, in `(key, flow id)`
+/// order. And the matched set, in admission order.
+///
+/// # Why carrying it is exact
+///
+/// The greedy pass of [`greedy_by_key`] yields the unique matching in
+/// which every unmatched candidate shares a port with an *earlier* matched
+/// one (induction over the admission order; the same safe-direction
+/// argument as [`validity`](crate::validity)). That property survives an
+/// event as long as no matched key rises and no unmatched candidate
+/// changes. So a decision only has to look at the matched VOQs and the
+/// *dirty* ones:
+///
+/// 1. **Certificate.** The table's changed-slot record must reach back
+///    to the previous decision on the same table; the lens must name the
+///    slots it corrects ([`ViewAdjust::corrected_slots`]), and those that
+///    are unmatched count as dirty; every matched VOQ no mutation touched
+///    is re-read through the lens and must keep its champion with a key
+///    that did not rise. A touched VOQ that passes the same test, or an
+///    unmatched one whose candidate is unchanged, stays as it is.
+/// 2. **Repair**, a dynamic greedy maximal independent set on the
+///    crossbar's conflict graph (after Censor-Hillel, Haramaty & Karnin,
+///    PODC 2016). The dirty VOQs are taken out — a matched one frees its
+///    two ports — and the non-empty ones re-enter. Work is popped in
+///    `(key, flow id)` order: a candidate is admitted when neither port
+///    has an earlier owner, and it displaces a later owner, freeing that
+///    owner's other port. A freed port scans its waiting list from the
+///    freed rank until a candidate is admitted or an earlier owner blocks
+///    the port. Each decision is final when made: owners earlier than the
+///    candidate being examined are never displaced afterwards.
+/// 3. The matched set is re-sorted (it is nearly sorted) and emitted in
+///    that order, the admission order [`greedy_by_key`] would produce.
+///
+/// Without a certificate — the first decision on a table, a record
+/// overflow, a risen key, a lens that cannot name its slots, or a
+/// discipline whose keys can rise ([`KeyMotion::MayRise`]) — the decision
+/// is a full pass: every view is read, laid out in the previous full
+/// pass's order (new VOQs last) so the run-adaptive stable sort finishes
+/// in near-linear time, and admitted greedily.
+///
+/// The certificate compares the keys the discipline computes, so it
+/// relies on no rounding argument. A `Ranking` never changes a schedule:
+/// it compares equal to every other `Ranking`, a fresh one
+/// ([`Ranking::default`]) decides exactly like a warm one, and no snapshot
+/// captures it. Its [`counts`](Ranking::counts) say how the decisions
+/// were taken.
 #[derive(Clone, Default)]
 pub struct Ranking {
-    /// This decision's candidates, in `Voq` order.
-    candidates: Vec<Candidate>,
-    /// Indices into `candidates`: laid out in the previous decision's rank
-    /// order with new VOQs last, then sorted into admission order.
+    /// The full pass's candidates in `Voq` order, each with its VOQ slot.
+    candidates: Vec<(Candidate, u32)>,
+    /// Indices into `candidates`: laid out in the previous full pass's
+    /// rank order with new VOQs last, then sorted into admission order.
     order: Vec<u32>,
-    /// The previous decision's VOQs in `Voq` order, each with its rank.
+    /// The previous full pass's VOQs in `Voq` order, each with its rank.
     ranks: Vec<(Voq, u32)>,
+    /// The table and version the carried matching was decided on; `None`
+    /// when nothing is carried.
+    mark: Option<TableMark>,
+    /// Per VOQ slot of that table, the position of its candidate in
+    /// `ranked`, or [`ABSENT`] for an empty VOQ: 4 bytes per slot.
+    index: Vec<u32>,
+    /// The candidates of the non-empty VOQs, in no particular order.
+    ranked: Vec<VoqRank>,
+    /// Per crossbar port, indexed as in [`ports_of`].
+    ports: Vec<Port>,
+    /// The matched VOQ slots in admission order (after a repair, some
+    /// may have left; see [`VoqRank::listed`]).
+    matched: Vec<u32>,
+    /// The repair's scratch: the dirty slots (sorted, once each), the
+    /// freed ports with the rank their scan starts after, and the work
+    /// queue.
+    dirty: Vec<u32>,
+    freed: Vec<(usize, Rank)>,
+    work: BinaryHeap<Work>,
+    counts: DecisionCounts,
 }
 
 impl PartialEq for Ranking {
@@ -357,78 +595,454 @@ impl Eq for Ranking {}
 impl std::fmt::Debug for Ranking {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ranking")
-            .field("carried", &self.ranks.len())
+            .field("matched", &self.matched.len())
+            .field("counts", &self.counts)
             .finish()
     }
 }
 
-/// Ranks one candidate per non-empty VOQ — read in `O(1)` apiece off the
-/// table's champion index, then corrected by `adjust` — and runs the
-/// greedy pass of [`greedy_by_key`], in its admission order: the shared
-/// skeleton of the key-driven one-pass disciplines (SRPT, fast BASRPT,
-/// MaxWeight, FIFO, RepFlow). Their [`Scheduler::schedule`] is this call
-/// with [`NoAdjust`]; lazily settling engines pass their pending-drain
-/// correction through [`Scheduler::schedule_adjusted`].
+impl Ranking {
+    /// How this ranking's decisions were taken so far.
+    pub fn counts(&self) -> DecisionCounts {
+        self.counts
+    }
+
+    /// Makes room for the ports of hosts below `hosts`.
+    fn fit_ports(&mut self, hosts: u32) {
+        let need = 2 * hosts as usize;
+        if self.ports.len() < need {
+            self.ports.reserve_exact(need - self.ports.len());
+            self.ports.resize_with(need, Port::default);
+        }
+    }
+
+    /// The carried candidate of the VOQ in `slot`, if it is non-empty.
+    fn get(&self, slot: u32) -> Option<&VoqRank> {
+        let at = *self.index.get(slot as usize)?;
+        self.ranked.get(at as usize)
+    }
+
+    /// The carried candidate of the VOQ in `slot`, which must have one.
+    fn at(&mut self, slot: u32) -> &mut VoqRank {
+        &mut self.ranked[self.index[slot as usize] as usize]
+    }
+
+    /// Gives the VOQ in `slot` a candidate.
+    fn enter(&mut self, slot: u32, c: &Candidate, status: Status) {
+        self.index[slot as usize] = self.ranked.len() as u32;
+        self.ranked.push(VoqRank {
+            key: c.key,
+            flow: c.flow,
+            slot,
+            status,
+            listed: status == Status::Matched,
+            dirty: false,
+        });
+    }
+
+    /// Drops the candidate of the VOQ in `slot`, which emptied.
+    fn leave(&mut self, slot: u32) {
+        let at = std::mem::replace(&mut self.index[slot as usize], ABSENT);
+        self.ranked.swap_remove(at as usize);
+        if let Some(moved) = self.ranked.get(at as usize) {
+            self.index[moved.slot as usize] = at;
+        }
+    }
+
+    /// The certificate and the repair, counting the decision either way.
+    /// Without a certificate it returns `false` and the caller runs a full
+    /// pass, which rebuilds everything this may have touched.
+    fn certify(
+        &mut self,
+        table: &FlowTable,
+        adjust: &dyn ViewAdjust,
+        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
+    ) -> bool {
+        let Some(mark) = self.mark.filter(|m| m.table == table.mark().table) else {
+            self.counts.cold += 1;
+            return false;
+        };
+        let Some(changed) = table.changed_since(mark) else {
+            self.counts.overflow += 1;
+            return false;
+        };
+        self.dirty.clear();
+        self.dirty.extend_from_slice(changed);
+        let (index, ranked, dirty) = (&self.index, &self.ranked, &mut self.dirty);
+        let named = adjust.corrected_slots(&mut |slot| {
+            let matched = index
+                .get(slot)
+                .and_then(|&at| ranked.get(at as usize))
+                .is_some_and(|rank| rank.status == Status::Matched);
+            if !matched {
+                dirty.push(slot as u32);
+            }
+        });
+        if !named {
+            self.counts.unnamed_lens += 1;
+            return false;
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        self.index.resize(table.num_voq_slots(), ABSENT);
+        for &slot in &self.dirty {
+            if let Some(&at) = self.index.get(slot as usize).filter(|&&at| at != ABSENT) {
+                self.ranked[at as usize].dirty = true;
+            }
+        }
+        // Clean matched VOQs: the champion stays and the key may only
+        // fall, which keeps every unmatched candidate's earlier blocker
+        // earlier.
+        for &slot in &self.matched {
+            let rank = &mut self.ranked[self.index[slot as usize] as usize];
+            if rank.dirty {
+                continue;
+            }
+            let now = table.view_at_slot(slot as usize).map(|mut view| {
+                adjust.adjust(&mut view);
+                to_candidate(&view)
+            });
+            match now {
+                Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
+                    rank.key = c.key;
+                }
+                _ => {
+                    self.counts.key_rose += 1;
+                    return false;
+                }
+            }
+        }
+        self.repair(table, adjust, to_candidate);
+        self.counts.certified += 1;
+        true
+    }
+
+    /// Step 2 of the certified decision: takes the changed dirty VOQs out
+    /// and re-admits around them.
+    fn repair(
+        &mut self,
+        table: &FlowTable,
+        adjust: &dyn ViewAdjust,
+        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
+    ) {
+        self.freed.clear();
+        self.work.clear();
+        for i in 0..self.dirty.len() {
+            let slot = self.dirty[i];
+            let old = self.get(slot).copied();
+            if old.is_some() {
+                self.at(slot).dirty = false;
+            }
+            let new = table.view_at_slot(slot as usize).map(|mut view| {
+                adjust.adjust(&mut view);
+                to_candidate(&view)
+            });
+            match (old, new) {
+                (Some(old), Some(c))
+                    if old.status == Status::Matched
+                        && c.flow == old.flow
+                        && c.key.total_cmp(&old.key).is_le() =>
+                {
+                    self.at(slot).key = c.key;
+                    continue;
+                }
+                (Some(old), Some(c))
+                    if old.status == Status::Waiting && rank_cmp(c.rank(), old.rank()).is_eq() =>
+                {
+                    continue;
+                }
+                _ => {}
+            }
+            let (src, dst) = ports_of(table, slot);
+            match old {
+                Some(old) if old.status == Status::Matched => {
+                    for port in [src, dst] {
+                        self.ports[port].owner = None;
+                        self.freed.push((port, old.rank()));
+                    }
+                }
+                Some(old) => {
+                    self.ports[src].remove(old.rank());
+                    self.ports[dst].remove(old.rank());
+                }
+                None => {}
+            }
+            match (old, new) {
+                (Some(_), Some(c)) => {
+                    let rank = self.at(slot);
+                    (rank.key, rank.flow, rank.status) = (c.key, c.flow, Status::Pending);
+                }
+                (None, Some(c)) => self.enter(slot, &c, Status::Pending),
+                (Some(_), None) => self.leave(slot),
+                (None, None) => continue,
+            }
+            if let Some(c) = new {
+                self.fit_ports(c.voq.src().index().max(c.voq.dst().index()) + 1);
+                self.work.push(Work {
+                    rank: c.rank(),
+                    slot,
+                    scan: None,
+                });
+            }
+        }
+        // Every removal is done, so the waiting lists hold exactly the
+        // unmatched candidates the scans may reach.
+        for i in 0..self.freed.len() {
+            let (port, from) = self.freed[i];
+            self.scan(port, from);
+        }
+        while let Some(work) = self.work.pop() {
+            self.examine(table, work);
+        }
+        let (index, ranked) = (&self.index, &mut self.ranked);
+        self.matched.retain(
+            |&slot| match ranked.get_mut(index[slot as usize] as usize) {
+                Some(rank) => {
+                    rank.listed = rank.status == Status::Matched;
+                    rank.listed
+                }
+                None => false,
+            },
+        );
+        self.matched.sort_by(|&a, &b| {
+            let rank = |slot: u32| ranked[index[slot as usize] as usize].rank();
+            rank_cmp(rank(a), rank(b))
+        });
+    }
+
+    /// Queues the first candidate waiting on `port` after `from`, tagged
+    /// with that port so its examination continues the scan.
+    fn scan(&mut self, port: usize, from: Rank) {
+        let waiting = &self.ports[port];
+        if let Some(&(rank, slot)) = waiting.waiting.get(waiting.after(from)) {
+            self.work.push(Work {
+                rank,
+                slot,
+                scan: Some(port),
+            });
+        }
+    }
+
+    /// Whether `port` is owned by a candidate ranked before `rank`.
+    fn owned_before(&self, port: usize, rank: Rank) -> bool {
+        self.ports[port]
+            .owner
+            .and_then(|owner| self.get(owner))
+            .is_some_and(|owner| rank_cmp(owner.rank(), rank).is_lt())
+    }
+
+    /// Admits or blocks one candidate, in the repair's global rank order.
+    fn examine(&mut self, table: &FlowTable, work: Work) {
+        let slot = work.slot;
+        let rank = *self.at(slot);
+        if rank.status == Status::Matched {
+            return; // admitted through another port's scan
+        }
+        let (src, dst) = ports_of(table, slot);
+        if self.owned_before(src, rank.rank()) || self.owned_before(dst, rank.rank()) {
+            if rank.status == Status::Pending {
+                self.ports[src].insert(rank.rank(), slot);
+                self.ports[dst].insert(rank.rank(), slot);
+                self.at(slot).status = Status::Waiting;
+            }
+            if let Some(port) = work.scan {
+                if !self.owned_before(port, rank.rank()) {
+                    self.scan(port, rank.rank());
+                }
+            }
+            return;
+        }
+        if rank.status == Status::Waiting {
+            self.ports[src].remove(rank.rank());
+            self.ports[dst].remove(rank.rank());
+        }
+        // Later owners of either port are displaced: each waits at both
+        // of its ports and frees the one it does not share.
+        for port in [src, dst] {
+            if let Some(owner) = self.ports[port].owner {
+                self.displace(table, owner, port);
+            }
+            self.ports[port].owner = Some(slot);
+        }
+        let rank = self.at(slot);
+        rank.status = Status::Matched;
+        if !rank.listed {
+            rank.listed = true;
+            self.matched.push(slot);
+        }
+    }
+
+    /// Unmatches `owner`, displaced on port `lost`, and frees its other
+    /// port.
+    fn displace(&mut self, table: &FlowTable, owner: u32, lost: usize) {
+        let rank = self.at(owner).rank();
+        let (src, dst) = ports_of(table, owner);
+        self.ports[src].insert(rank, owner);
+        self.ports[dst].insert(rank, owner);
+        self.at(owner).status = Status::Waiting;
+        let free = if lost == src { dst } else { src };
+        self.ports[free].owner = None;
+        self.scan(free, rank);
+    }
+
+    /// The certified decision's schedule: the matched set in admission
+    /// order, each pair with its VOQ slot.
+    fn emit(&self, table: &FlowTable) -> Schedule {
+        let mut schedule = Schedule::with_ports(self.ports.len() as u32 / 2, self.matched.len());
+        for &slot in &self.matched {
+            let flow = self.ranked[self.index[slot as usize] as usize].flow;
+            schedule
+                .add_at(flow, table.voq_at_slot(slot as usize), slot)
+                .expect("the carried matching is port-disjoint");
+        }
+        schedule
+    }
+
+    /// The full pass: ranks every view and admits greedily. With `carry`,
+    /// it also rebuilds the carried matching from scratch.
+    fn full_pass(
+        &mut self,
+        table: &FlowTable,
+        adjust: &dyn ViewAdjust,
+        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
+        carry: bool,
+    ) -> Schedule {
+        let Ranking {
+            candidates,
+            order,
+            ranks,
+            ..
+        } = self;
+        candidates.clear();
+        candidates.reserve(table.num_nonempty_voqs());
+        order.clear();
+        order.reserve(table.num_nonempty_voqs());
+        // `order[rank]` receives the candidate holding that rank last time;
+        // VOQs that emptied since leave `u32::MAX` holes, new VOQs append.
+        order.resize(ranks.len(), u32::MAX);
+        let mut carried = 0;
+        let mut ports = 0;
+        for mut view in table.voqs() {
+            adjust.adjust(&mut view);
+            let index = candidates.len() as u32;
+            candidates.push((to_candidate(&view), view.slot));
+            ports = ports.max(view.voq.src().index().max(view.voq.dst().index()) + 1);
+            while carried < ranks.len() && ranks[carried].0 < view.voq {
+                carried += 1;
+            }
+            match ranks.get(carried) {
+                Some(&(voq, rank)) if voq == view.voq => order[rank as usize] = index,
+                _ => order.push(index),
+            }
+        }
+        order.retain(|&index| index != u32::MAX);
+        order.sort_by(|&a, &b| {
+            rank_cmp(
+                candidates[a as usize].0.rank(),
+                candidates[b as usize].0.rank(),
+            )
+        });
+
+        ranks.clear();
+        ranks.extend(candidates.iter().map(|(c, _)| (c.voq, 0)));
+        for (rank, &index) in order.iter().enumerate() {
+            ranks[index as usize].1 = rank as u32;
+        }
+
+        if carry {
+            self.reset_carried(table, ports);
+        } else {
+            self.mark = None;
+        }
+        let mut schedule = Schedule::with_ports(ports, self.candidates.len());
+        for i in 0..self.order.len() {
+            let (c, slot) = self.candidates[self.order[i] as usize];
+            debug_assert!(c.key.is_finite(), "candidate keys must be finite");
+            let matched = schedule.admits(c.voq);
+            if matched {
+                schedule
+                    .add_at(c.flow, c.voq, slot)
+                    .expect("admits() checked both ports");
+            }
+            if !carry {
+                continue;
+            }
+            let (src, dst) = ports_of(table, slot);
+            if matched {
+                self.enter(slot, &c, Status::Matched);
+                self.ports[src].owner = Some(slot);
+                self.ports[dst].owner = Some(slot);
+                self.matched.push(slot);
+            } else {
+                // Admission order is rank order, so the lists stay sorted.
+                self.enter(slot, &c, Status::Waiting);
+                self.ports[src].waiting.push((c.rank(), slot));
+                self.ports[dst].waiting.push((c.rank(), slot));
+            }
+        }
+        if carry {
+            self.mark = Some(table.mark());
+        }
+        schedule
+    }
+
+    /// Empties the carried matching for a full pass over `table`, whose
+    /// candidates use hosts below `hosts`. The ports are dropped for
+    /// another table and only emptied for the same one.
+    fn reset_carried(&mut self, table: &FlowTable, hosts: u32) {
+        if self.mark.map(|m| m.table) != Some(table.mark().table) {
+            self.ports.clear();
+        }
+        for port in &mut self.ports {
+            port.owner = None;
+            port.waiting.clear();
+        }
+        self.fit_ports(hosts);
+        self.index.clear();
+        self.index.resize(table.num_voq_slots(), ABSENT);
+        self.ranked.clear();
+        self.matched.clear();
+    }
+}
+
+/// Decides one key-driven discipline's matching — one candidate per
+/// non-empty VOQ, read off the table's champion index and corrected by
+/// `adjust` — with the admission order of [`greedy_by_key`]: the shared
+/// decision of SRPT, fast BASRPT, MaxWeight, FIFO and RepFlow. Their
+/// [`Scheduler::schedule`] is this call with [`NoAdjust`]; lazily settling
+/// engines pass their pending-drain correction through
+/// [`Scheduler::schedule_adjusted`].
 ///
-/// Each discipline passes its own [`Ranking`]. The candidates are laid
-/// out in that ranking's previous order by one merge of the table's
-/// `Voq`-ordered views against the carried `Voq`-ordered ranks (`O(Q)`,
-/// no hashing), sorted by the stable run-adaptive sort, and admitted into
-/// a [`Schedule`] pre-sized for the ports they name. The ranking only
-/// chooses where the sort starts, never what it returns. The whole
-/// decision costs `O(Q log Q)` in the number of non-empty VOQs (≤ P² for
-/// P ports) and near `O(Q)` when the previous order still mostly holds,
-/// independent of the flow count; the `O(F + Q log Q)` full scan survives
-/// as [`reference::schedule_scan`](crate::reference::schedule_scan) for
+/// Each discipline passes its own [`Ranking`] and the [`KeyMotion`] of
+/// its key. When the keys only fall, the ranking carries the previous
+/// matching and, behind a checked certificate, repairs it around the VOQs
+/// that changed: `O(M + D log Q)` for `M` matched and `D` changed VOQs,
+/// instead of reading and sorting all `Q` candidates. Otherwise — and
+/// whenever the certificate cannot be proven — the decision is a full
+/// pass, `O(Q log Q)` and near `O(Q)` when the previous order still mostly
+/// holds. Both produce the same schedule, each pair with its VOQ slot; the
+/// `O(F + Q log Q)` full scan survives as
+/// [`reference::schedule_scan`](crate::reference::schedule_scan) for
 /// differential testing.
 pub fn schedule_champions_adjusted<F>(
     ranking: &mut Ranking,
     table: &FlowTable,
     adjust: &dyn ViewAdjust,
+    motion: KeyMotion,
     mut to_candidate: F,
 ) -> Schedule
 where
     F: FnMut(&VoqView) -> Candidate,
 {
-    let Ranking {
-        candidates,
-        order,
-        ranks,
-    } = ranking;
-    candidates.clear();
-    candidates.reserve(table.num_nonempty_voqs());
-    order.clear();
-    order.reserve(table.num_nonempty_voqs());
-    // `order[rank]` receives the candidate holding that rank last time;
-    // VOQs that emptied since leave `u32::MAX` holes, new VOQs append.
-    order.resize(ranks.len(), u32::MAX);
-    let mut carried = 0;
-    let mut ports = 0;
-    for mut view in table.voqs() {
-        adjust.adjust(&mut view);
-        let index = candidates.len() as u32;
-        candidates.push(to_candidate(&view));
-        ports = ports.max(view.voq.src().index().max(view.voq.dst().index()) + 1);
-        while carried < ranks.len() && ranks[carried].0 < view.voq {
-            carried += 1;
-        }
-        match ranks.get(carried) {
-            Some(&(voq, rank)) if voq == view.voq => order[rank as usize] = index,
-            _ => order.push(index),
-        }
+    if motion == KeyMotion::MayRise {
+        ranking.counts.key_can_rise += 1;
+        return ranking.full_pass(table, adjust, &mut to_candidate, false);
     }
-    order.retain(|&index| index != u32::MAX);
-    order.sort_by(|&a, &b| rank_cmp(&candidates[a as usize], &candidates[b as usize]));
-
-    ranks.clear();
-    ranks.extend(candidates.iter().map(|c| (c.voq, 0)));
-    for (rank, &index) in order.iter().enumerate() {
-        ranks[index as usize].1 = rank as u32;
+    if ranking.certify(table, adjust, &mut to_candidate) {
+        ranking.mark = Some(table.mark());
+        return ranking.emit(table);
     }
-    admit_in_order(
-        Schedule::with_ports(ports, candidates.len()),
-        order.iter().map(|&index| &candidates[index as usize]),
-    )
+    ranking.full_pass(table, adjust, &mut to_candidate, true)
 }
 
 /// Asserts that `schedule` is a valid *maximal* matching over the non-empty
@@ -524,7 +1138,13 @@ mod tests {
             flow: v.shortest_flow,
             voq: v.voq,
         };
-        let s = schedule_champions_adjusted(&mut Ranking::default(), &t, &Shrink, key);
+        let s = schedule_champions_adjusted(
+            &mut Ranking::default(),
+            &t,
+            &Shrink,
+            KeyMotion::Falls,
+            key,
+        );
         assert!(s.contains(FlowId::new(1)));
         assert!(!s.contains(FlowId::new(2)));
     }

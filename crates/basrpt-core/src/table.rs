@@ -16,6 +16,40 @@ use dcn_types::{FlowId, HostId, Voq};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// How many successful mutations the table's changed-slot record keeps
+/// before it drops its older half: a reader that falls further behind
+/// than that is told the record no longer covers its gap.
+pub(crate) const CHANGE_RECORD: usize = 4096;
+
+/// The source of table identities.
+static NEXT_TABLE: AtomicU64 = AtomicU64::new(1);
+
+/// A table's identity: fresh on every new, default, cloned or restored
+/// table, so a reading of one table never passes for another's.
+#[derive(Debug, PartialEq, Eq)]
+struct Identity(u64);
+
+impl Default for Identity {
+    fn default() -> Self {
+        Identity(NEXT_TABLE.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Identity {
+    fn clone(&self) -> Self {
+        Identity::default()
+    }
+}
+
+/// A point in one table's mutation history: the table's identity and its
+/// [`FlowTable::version`] at the time of the reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableMark {
+    pub(crate) table: u64,
+    pub(crate) version: u64,
+}
 
 /// Error returned by [`FlowTable`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +225,13 @@ impl VoqSlot {
 ///
 /// Every successful mutation also advances a counter,
 /// [`FlowTable::version`], so a consumer caching table-derived state can
-/// ask "has anything changed since I last looked?" in `O(1)`.
+/// ask "has anything changed since I last looked?" in `O(1)`, and appends
+/// the VOQ slot it touched to a bounded record, so the key-driven
+/// disciplines' carried matching ([`crate::Ranking`]) can ask *which* VOQs
+/// changed. Each table has its own identity — fresh on [`FlowTable::new`],
+/// [`Default`] and [`Clone`] — so a reading taken on one table never
+/// passes for another's; a clone holds the same flows and version but is
+/// another table.
 ///
 /// # Example
 ///
@@ -229,6 +269,12 @@ pub struct FlowTable {
     total_backlog: u64,
     /// Successful mutations so far; see [`FlowTable::version`].
     version: u64,
+    identity: Identity,
+    /// The VOQ slot of each of the last (at most [`CHANGE_RECORD`])
+    /// mutations, oldest first: entry `k` is mutation number
+    /// `changed_base + k`, so `changed_base + changed.len() == version`.
+    changed: Vec<u32>,
+    changed_base: u64,
 }
 
 impl FlowTable {
@@ -341,6 +387,57 @@ impl FlowTable {
         self.voq_lookup.get(&voq).map(|&vs| vs as usize)
     }
 
+    /// The summary of the VOQ in dense slot `slot` ([`VoqView::slot`]), or
+    /// `None` if that VOQ is empty or the slot was never handed out.
+    /// `O(1)` and hash-free.
+    pub(crate) fn view_at_slot(&self, slot: usize) -> Option<VoqView> {
+        let vs = self.voq_slots.get(slot)?;
+        (vs.len > 0).then(|| self.view_of(vs.voq, slot as u32))
+    }
+
+    /// The VOQ in dense slot `slot`, which never changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never handed out.
+    pub(crate) fn voq_at_slot(&self, slot: usize) -> Voq {
+        self.voq_slots[slot].voq
+    }
+
+    /// The number of VOQ slots handed out so far.
+    pub(crate) fn num_voq_slots(&self) -> usize {
+        self.voq_slots.len()
+    }
+
+    /// This table's identity and current version.
+    pub(crate) fn mark(&self) -> TableMark {
+        TableMark {
+            table: self.identity.0,
+            version: self.version,
+        }
+    }
+
+    /// The VOQ slots touched by every mutation since `mark`, oldest first
+    /// and possibly repeated, or `None` when `mark` was taken on another
+    /// table or the record no longer reaches back to it.
+    pub(crate) fn changed_since(&self, mark: TableMark) -> Option<&[u32]> {
+        if mark.table != self.identity.0 || mark.version < self.changed_base {
+            return None;
+        }
+        self.changed
+            .get((mark.version - self.changed_base) as usize..)
+    }
+
+    /// Counts one successful mutation of the VOQ in slot `vs`.
+    fn note_change(&mut self, vs: u32) {
+        if self.changed.len() == CHANGE_RECORD {
+            self.changed.drain(..CHANGE_RECORD / 2);
+            self.changed_base += (CHANGE_RECORD / 2) as u64;
+        }
+        self.changed.push(vs);
+        self.version += 1;
+    }
+
     /// The number of successful mutations ([`insert`](FlowTable::insert),
     /// [`drain`](FlowTable::drain), [`remove`](FlowTable::remove)) applied
     /// so far. Reads and calls that return `Err` leave it unchanged, so a
@@ -431,7 +528,7 @@ impl FlowTable {
 
         *self.ingress.entry(voq.src()).or_insert(0) += flow.remaining();
         self.total_backlog += flow.remaining();
-        self.version += 1;
+        self.note_change(vs);
         Ok(FlowSlot(fidx))
     }
 
@@ -504,7 +601,7 @@ impl FlowTable {
             .get_mut(&voq.src())
             .expect("flow present but ingress index missing") -= drained;
         self.total_backlog -= drained;
-        self.version += 1;
+        self.note_change(vs);
         Ok(DrainOutcome {
             drained,
             completed: None,
@@ -552,13 +649,30 @@ impl FlowTable {
             self.ingress.remove(&voq.src());
         }
         self.total_backlog -= departing_backlog;
-        self.version += 1;
+        self.note_change(vs);
     }
 
     /// Checks every structural invariant, returning a description of the
     /// first violation. Intended for tests and debug assertions; cost is
     /// `O(F log F)` in the number of flows.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.changed_base + self.changed.len() as u64 != self.version
+            || self.changed.len() > CHANGE_RECORD
+        {
+            return Err(format!(
+                "changed-slot record holds {} slots from version {}, table is at {}",
+                self.changed.len(),
+                self.changed_base,
+                self.version
+            ));
+        }
+        if let Some(&vs) = self
+            .changed
+            .iter()
+            .find(|&&vs| vs as usize >= self.voq_slots.len())
+        {
+            return Err(format!("changed-slot record names unknown VOQ slot {vs}"));
+        }
         // Slab ↔ lookup consistency.
         let mut live = 0usize;
         for (i, entry) in self.flows.iter().enumerate() {
@@ -843,6 +957,46 @@ mod tests {
         copy.check_invariants().unwrap();
         t.drain(FlowId::new(1), 1).unwrap();
         assert_ne!(copy.version(), t.version(), "clones mutate independently");
+    }
+
+    #[test]
+    fn changed_record_names_each_mutation_on_this_table_only() {
+        let mut t = FlowTable::new();
+        t.insert(flow(1, 0, 1, 5)).unwrap();
+        t.insert(flow(2, 2, 3, 5)).unwrap();
+        let (a, b) = (
+            t.voq_slot(voq(0, 1)).unwrap(),
+            t.voq_slot(voq(2, 3)).unwrap(),
+        );
+        let mark = t.mark();
+        assert_eq!(t.changed_since(mark), Some(&[][..]));
+        t.drain(FlowId::new(2), 1).unwrap();
+        t.remove(FlowId::new(1)).unwrap();
+        assert!(t.drain(FlowId::new(9), 1).is_err());
+        assert_eq!(t.changed_since(mark), Some(&[b as u32, a as u32][..]));
+        assert_eq!(t.view_at_slot(a), None, "emptied");
+        assert_eq!(t.view_at_slot(b), t.voq_view(voq(2, 3)));
+        assert_eq!(t.view_at_slot(99), None, "never handed out");
+
+        // A clone is another table, and so is a fresh one.
+        let copy = t.clone();
+        assert_eq!(copy.version(), t.version());
+        assert_eq!(copy.changed_since(mark), None);
+        assert_eq!(copy.changed_since(copy.mark()), Some(&[][..]));
+        assert_eq!(FlowTable::new().changed_since(mark), None);
+        copy.check_invariants().unwrap();
+
+        // A reader further behind than the record reaches is turned away;
+        // one inside it is served.
+        for _ in 0..CHANGE_RECORD {
+            t.insert(flow(3, 4, 5, 2)).unwrap();
+            t.remove(FlowId::new(3)).unwrap();
+        }
+        assert_eq!(t.changed_since(mark), None);
+        let recent = t.mark();
+        t.drain(FlowId::new(2), 1).unwrap();
+        assert_eq!(t.changed_since(recent), Some(&[b as u32][..]));
+        t.check_invariants().unwrap();
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! table, tie-breaks included, and every key-driven discipline's
 //! schedule equal to its full-scan twin's — both for a fresh discipline
 //! and for one long-lived instance that decides after every step, so its
-//! carried ranking starts each decision from the previous one's order.
+//! carried matching is certified and repaired around the VOQs that
+//! changed (or, without a certificate, its full pass starts from the
+//! previous order).
 //!
 //! The tie-break contract under test is the one `tests/tie_break.rs`
 //! pins directly: within a VOQ the shortest flow wins with the smaller
@@ -15,7 +17,7 @@
 use basrpt_core::reference::{schedule_scan, ScanScheduler, VoqDiscipline};
 use basrpt_core::{
     check_maximal, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, RepFlow, Scheduler, Srpt,
-    ThresholdBacklogSrpt,
+    ThresholdBacklogSrpt, ViewAdjust, VoqView,
 };
 use dcn_types::{FlowId, HostId, Voq};
 use proptest::prelude::*;
@@ -174,6 +176,9 @@ struct Warm {
     /// `V/N = 10/3`: non-dyadic with small integer near-ties
     /// (`(10/3)·r − b` for `r` three apart and `b` ten apart).
     fast_thirds: FastBasrpt,
+    /// `V/N = 1/2 < 1`: transmitting keys rise, so every decision is a
+    /// full pass.
+    fast_sub: FastBasrpt,
     repflow: RepFlow,
 }
 
@@ -186,8 +191,24 @@ impl Warm {
             fast_dyadic: FastBasrpt::new(16.0, 8),
             fast_paper: FastBasrpt::new(2500.0, 144),
             fast_thirds: FastBasrpt::new(10.0, 3),
+            fast_sub: FastBasrpt::new(1.0, 2),
             repflow: RepFlow::default(),
         }
+    }
+
+    /// Certified decisions summed over the instances whose keys only fall.
+    fn certified(&self) -> u64 {
+        [
+            self.srpt.decisions(),
+            self.fifo.decisions(),
+            self.fast_dyadic.decisions(),
+            self.fast_paper.decisions(),
+            self.fast_thirds.decisions(),
+            self.repflow.decisions(),
+        ]
+        .iter()
+        .map(|c| c.certified)
+        .sum()
     }
 
     /// Decides on `table` with every warm instance and asserts each
@@ -199,6 +220,7 @@ impl Warm {
         assert_warm_agrees(&mut self.fast_dyadic, &FastBasrpt::new(16.0, 8), table)?;
         assert_warm_agrees(&mut self.fast_paper, &FastBasrpt::new(2500.0, 144), table)?;
         assert_warm_agrees(&mut self.fast_thirds, &FastBasrpt::new(10.0, 3), table)?;
+        assert_warm_agrees(&mut self.fast_sub, &FastBasrpt::new(1.0, 2), table)?;
         // RepFlow ranks exactly like SRPT and has no scan twin of its own.
         prop_assert_eq!(
             self.repflow.schedule(table),
@@ -261,6 +283,125 @@ fn warm_ranking_survives_a_voq_emptying_and_refilling() {
     warm.assert_match_fresh_scans(&table).unwrap();
 }
 
+/// A matched VOQ that empties frees both of its ports, and the repair
+/// must follow the chain it starts: the waiting candidate it blocked is
+/// admitted and displaces a later owner, whose freed port admits the next.
+#[test]
+fn an_emptied_matched_voq_starts_a_chain_of_repairs() {
+    let q = |s, d| Voq::new(HostId::new(s), HostId::new(d));
+    let mut table = FlowTable::new();
+    let mut warm = Warm::new();
+    // SRPT order: A (0,1) matched; B (0,2) waits behind A on ingress 0;
+    // C (3,2) matched on the free egress 2; D (3,4) waits behind C.
+    for (id, voq, size) in [
+        (1, q(0, 1), 1),
+        (2, q(0, 2), 2),
+        (3, q(3, 2), 3),
+        (4, q(3, 4), 4),
+    ] {
+        table
+            .insert(FlowState::new(FlowId::new(id), voq, size))
+            .unwrap();
+    }
+    warm.assert_match_fresh_scans(&table).unwrap();
+    // A completes under its matched champion: B takes ingress 0 and
+    // egress 2 from the later C, and C's freed ingress 3 admits D.
+    let done = table.drain(FlowId::new(1), 1).unwrap();
+    assert!(done.completed.is_some());
+    warm.assert_match_fresh_scans(&table).unwrap();
+    let srpt = warm.srpt.schedule(&table);
+    let ids: Vec<u64> = srpt.flow_ids().map(FlowId::raw).collect();
+    assert_eq!(ids, [2, 4]);
+    // A refills (0,1) with the shortest flow: the chain runs backwards.
+    table
+        .insert(FlowState::new(FlowId::new(5), q(0, 1), 1))
+        .unwrap();
+    warm.assert_match_fresh_scans(&table).unwrap();
+    assert!(warm.certified() > 0, "the warm instances repaired");
+    assert_eq!(warm.fast_sub.decisions().certified, 0);
+    assert_eq!(warm.maxweight.decisions().certified, 0);
+}
+
+/// More mutations between two decisions than the table's changed-slot
+/// record holds: the next decision cannot be certified and runs a full
+/// pass, which carries a fresh matching into the decision after it.
+#[test]
+fn a_gap_longer_than_the_changed_slot_record_forces_a_full_pass() {
+    let q = |s, d| Voq::new(HostId::new(s), HostId::new(d));
+    let mut table = FlowTable::new();
+    table
+        .insert(FlowState::new(FlowId::new(1), q(0, 1), 1_000_000))
+        .unwrap();
+    table
+        .insert(FlowState::new(FlowId::new(2), q(0, 2), 2_000_000))
+        .unwrap();
+    table
+        .insert(FlowState::new(FlowId::new(3), q(1, 2), 10))
+        .unwrap();
+    let mut srpt = Srpt::new();
+    let decide = |srpt: &mut Srpt, table: &FlowTable| {
+        assert_eq!(srpt.schedule(table), schedule_scan(&Srpt::new(), table));
+        srpt.decisions()
+    };
+    assert_eq!(decide(&mut srpt, &table).cold, 1);
+    for _ in 0..100 {
+        table.drain(FlowId::new(2), 1).unwrap();
+    }
+    assert_eq!(decide(&mut srpt, &table).certified, 1);
+    for _ in 0..10_000 {
+        table.drain(FlowId::new(2), 1).unwrap();
+    }
+    table.drain(FlowId::new(1), 999_999).unwrap();
+    let counts = decide(&mut srpt, &table);
+    assert_eq!((counts.overflow, counts.certified), (1, 1));
+    table.remove(FlowId::new(3)).unwrap();
+    assert_eq!(decide(&mut srpt, &table).certified, 2);
+}
+
+/// A lens over the champions leaving host 0: with `grow == 0` it pretends
+/// each has sent half of its remaining units (keys fall), otherwise that
+/// each grew by `grow` units (keys rise). `named` says whether it names
+/// the slots it corrects.
+struct HostZeroLens {
+    named: bool,
+    grow: u64,
+    slots: Vec<usize>,
+}
+
+impl HostZeroLens {
+    fn on(table: &FlowTable, named: bool, grow: u64) -> Self {
+        let slots = table
+            .voqs()
+            .filter(|v| v.voq.src() == HostId::new(0))
+            .map(|v| v.slot())
+            .collect();
+        HostZeroLens { named, grow, slots }
+    }
+}
+
+impl ViewAdjust for HostZeroLens {
+    fn adjust(&self, view: &mut VoqView) {
+        if view.voq.src() != HostId::new(0) {
+            return;
+        }
+        if self.grow == 0 {
+            let sent = view.shortest_remaining / 2;
+            view.shortest_remaining -= sent;
+            view.backlog -= sent;
+        } else {
+            view.shortest_remaining += self.grow;
+            view.backlog += self.grow;
+        }
+    }
+
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+        if self.named {
+            self.slots.iter().for_each(|&slot| visit(slot));
+        }
+        self.named
+    }
+}
+
 proptest! {
     /// A long-lived instance of each key-driven discipline decides after
     /// every step of a random script and must match a fresh instance's
@@ -301,6 +442,78 @@ proptest! {
             }
             warm.assert_match_fresh_scans(&a)?;
             warm.assert_match_fresh_scans(&b)?;
+        }
+    }
+
+    /// One instance alternates between a table and its clone, which
+    /// share their contents and version at the split but are different
+    /// tables: a matching carried from one never certifies the other.
+    #[test]
+    fn warm_rankings_survive_a_table_and_its_clone(
+        before in prop::collection::vec(arb_op(6, 16), 1..60),
+        ops_a in prop::collection::vec(arb_op(6, 16), 1..40),
+        ops_b in prop::collection::vec(arb_op(6, 16), 1..40),
+    ) {
+        let mut a = FlowTable::new();
+        let mut warm = Warm::new();
+        for &op in &before {
+            apply(&mut a, op);
+            warm.assert_match_fresh_scans(&a)?;
+        }
+        let mut b = a.clone();
+        prop_assert_eq!(a.version(), b.version());
+        for i in 0..ops_a.len().max(ops_b.len()) {
+            warm.assert_match_fresh_scans(&b)?;
+            if let Some(&op) = ops_a.get(i) {
+                apply(&mut a, op);
+            }
+            warm.assert_match_fresh_scans(&a)?;
+            if let Some(&op) = ops_b.get(i) {
+                apply(&mut b, op);
+            }
+        }
+    }
+
+    /// Warm SRPT and fast BASRPT deciding through a lens: one that names
+    /// the slots it corrects is certified, one that cannot runs a full
+    /// pass every time, and one that raises matched keys fails the
+    /// certificate; all equal a fresh instance's decision.
+    #[test]
+    fn lenses_decide_exactly_whether_or_not_they_name_their_slots(
+        ops in prop::collection::vec(arb_op(5, 20), 1..100),
+    ) {
+        let mut table = FlowTable::new();
+        let mut srpt = [Srpt::new(), Srpt::new(), Srpt::new()];
+        let fresh_fast = || FastBasrpt::new(2500.0, 144);
+        let mut fast = [fresh_fast(), fresh_fast(), fresh_fast()];
+        for (step, &op) in ops.iter().enumerate() {
+            apply(&mut table, op);
+            let lenses = [
+                HostZeroLens::on(&table, false, 0),
+                HostZeroLens::on(&table, true, 0),
+                HostZeroLens::on(&table, true, step as u64 + 1),
+            ];
+            for (i, lens) in lenses.iter().enumerate() {
+                prop_assert_eq!(
+                    srpt[i].schedule_adjusted(&table, lens),
+                    Srpt::new().schedule_adjusted(&table, lens),
+                    "SRPT, lens {}", i
+                );
+                prop_assert_eq!(
+                    fast[i].schedule_adjusted(&table, lens),
+                    fresh_fast().schedule_adjusted(&table, lens),
+                    "fast BASRPT, lens {}", i
+                );
+            }
+        }
+        let decisions = ops.len() as u64;
+        for unnamed in [srpt[0].decisions(), fast[0].decisions()] {
+            prop_assert_eq!(unnamed.certified, 0);
+            prop_assert_eq!(unnamed.unnamed_lens, decisions - 1);
+        }
+        for named in [srpt[1].decisions(), fast[1].decisions()] {
+            prop_assert_eq!(named.unnamed_lens + named.key_rose, 0);
+            prop_assert_eq!(named.decisions(), decisions);
         }
     }
 

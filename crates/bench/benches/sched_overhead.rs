@@ -10,6 +10,12 @@
 //! `fast_basrpt_warm` rows re-decide an unchanged table on one long-lived
 //! discipline, the presorted best case.
 //!
+//! The `event_decision` group prices the decision the fabric engine
+//! makes on every arrival and completion at 144 ports: one long-lived
+//! discipline behind the allocator's lazy lens, carrying its matching
+//! across events (fast BASRPT) or running a full pass each time
+//! (MaxWeight).
+//!
 //! The `per_event_decision` group measures a steady-state loop — one
 //! table event (a one-unit drain, cycling over the flows) followed by one
 //! one-pass scheduling decision — across fabric sizes
@@ -182,6 +188,83 @@ fn bench_per_event(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// One event then one decision on a long-lived discipline behind the
+/// fabric allocator's lazy lens, at 144 ports — the decision the fabric
+/// engine makes on every arrival and completion. A small event loop keeps
+/// the state live: an arrival every microsecond (sizes uniform up to
+/// 180 KB, half the line rate per port) unless a scheduled flow completes
+/// first; each decision is bound by a `DeltaAllocator`, whose settled
+/// drains write back into the table. Fast BASRPT carries its matching and
+/// certifies almost every decision; MaxWeight's keys rise, so each of its
+/// decisions is a full pass.
+fn bench_event_decision(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_decision");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .sample_size(20);
+    event_decision(&mut group, "fast_basrpt", FastBasrpt::new(2500.0, 144));
+    event_decision(&mut group, "maxweight", MaxWeight::new());
+    group.finish();
+}
+
+fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut sched: S) {
+    use dcn_fabric::DeltaAllocator;
+    use dcn_types::Rate;
+
+    const PORTS: u32 = 144;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut table = FlowTable::new();
+    let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
+    let mut selected = Vec::new();
+    let mut next_id = 0u64;
+    let mut now = SimTime::ZERO;
+    let mut event = move |sched: &mut S| {
+        let arrival = SimTime::from_secs(now.as_secs() + 1e-6);
+        let due = alloc.next_completion();
+        if due <= arrival {
+            now = due;
+            alloc.settle_due(now, |d| {
+                table
+                    .drain(d.flow, d.amount)
+                    .expect("scheduled flow is active");
+            });
+        } else {
+            now = arrival;
+            let src = rng.gen_range(0..PORTS);
+            let dst = (src + rng.gen_range(1..PORTS)) % PORTS;
+            let voq = Voq::new(HostId::new(src), HostId::new(dst));
+            let size = rng.gen_range(1..=180_000u64);
+            table
+                .insert(FlowState::new(FlowId::new(next_id), voq, size))
+                .expect("fresh id");
+            next_id += 1;
+        }
+        let schedule = sched.schedule_adjusted(&table, &alloc.live_views(now));
+        selected.clear();
+        selected.extend(
+            schedule
+                .slotted()
+                .map(|(id, voq, slot)| (id, voq, slot.expect("decided from the table's views"))),
+        );
+        let admit = |id| table.get(id).expect("scheduled flow is active").remaining();
+        let mut evicted = Vec::new();
+        alloc.apply(now, &selected, admit, |d| evicted.push(d));
+        for d in evicted {
+            table
+                .drain(d.flow, d.amount)
+                .expect("scheduled flow is active");
+        }
+        schedule.len()
+    };
+    for _ in 0..20_000 {
+        event(&mut sched);
+    }
+    group.bench_with_input(BenchmarkId::new(name, PORTS), &(), |b, _| {
+        b.iter(|| event(&mut sched))
+    });
 }
 
 /// End-to-end engine runs under each probe flavour, attached through
@@ -399,17 +482,18 @@ fn bench_delta_reschedule(c: &mut Criterion) {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
             // Distinct VOQs per flow: the allocator indexes live flows by
             // VOQ under the crossbar's one-flow-per-VOQ invariant.
-            let base: Vec<(FlowId, Voq)> = (0..n)
+            // Flow `i` sits in VOQ slot `i`; the two alternating
+            // last-position ids share slot `n - 1`.
+            let base: Vec<(FlowId, Voq, usize)> = (0..n)
                 .map(|i| {
                     (
                         FlowId::new(i as u64),
                         Voq::new(HostId::new(2 * i as u32), HostId::new(2 * i as u32 + 1)),
+                        i,
                     )
                 })
                 .collect();
-            // Flow `i < n` sits in VOQ slot `i`; the two alternating
-            // last-position ids share slot `n - 1`.
-            let admit = |id: FlowId| (1 << 40, (id.raw() as usize).min(n - 1));
+            let admit = |_| 1 << 40;
             alloc.apply(SimTime::ZERO, &base, admit, |_| {});
             let mut swapped = base.clone();
             let mut tick = 0u64;
@@ -472,10 +556,11 @@ fn bench_settle_cost(c: &mut Criterion) {
             let sibling = FlowId::new((n + k) as u64);
             table.insert(FlowState::new(sibling, voq, 1 << 41)).unwrap();
         }
-        let admit = |id| {
-            let flow = table.get(id).unwrap();
-            (flow.remaining(), table.voq_slot(flow.voq()).unwrap())
-        };
+        let sel: Vec<(FlowId, Voq, usize)> = sel
+            .into_iter()
+            .map(|(id, voq)| (id, voq, table.voq_slot(voq).unwrap()))
+            .collect();
+        let admit = |id| table.get(id).unwrap().remaining();
         let views: Vec<VoqView> = table.voqs().collect();
 
         {
@@ -728,6 +813,7 @@ fn bench_exact_blowup(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_disciplines,
+    bench_event_decision,
     bench_per_event,
     bench_champion_index,
     bench_probe_overhead,

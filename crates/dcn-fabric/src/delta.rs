@@ -24,11 +24,13 @@
 //!
 //! * [`apply`](DeltaAllocator::apply) diffs the new selection against the
 //!   previous one **positionally**: the common prefix and suffix of
-//!   identical `(flow, VOQ)` pairs — in steady state almost the whole
-//!   schedule — match with one `Copy`-pair comparison each, zero hash
-//!   probes, zero copies. Only the middle window (the pairs around the
-//!   triggering event, size `O(Δ)`) is hashed to classify entrants,
-//!   leavers, and movers;
+//!   identical `(flow, VOQ, slot)` triples match with one comparison
+//!   each, zero hash probes, zero copies. The middle window between them
+//!   is not small — a decision re-sorts the matched set, so on the paper
+//!   fabric it averages 31.3 of 73.7 selected pairs — but it is classified
+//!   without hashing: each pair carries its VOQ slot, a pair is kept iff
+//!   that slot holds its flow's account, and the old window's leavers are
+//!   the live pairs a per-slot generation stamp did not re-mark;
 //! * settlement is **lazy**: a scheduled flow's byte account is converted
 //!   into table drains only when the flow is *observed* — its own
 //!   completion ([`settle_due`](DeltaAllocator::settle_due)), its
@@ -54,14 +56,17 @@
 //! the eager path, which settles every account on every event exactly
 //! like the reference engines.
 //!
-//! The decision itself stays one greedy pass over the per-VOQ champions,
-//! `O(Q log Q)` per event: the lens moves the key of *every* transmitting
-//! VOQ between two decisions, so a key index kept across events would
-//! have to re-sort a large share of its entries anyway. What the
-//! discipline does carry is the previous decision's *order*
-//! ([`basrpt_core::Ranking`]): every transmitting key moves by the same
-//! amount, so that order is nearly sorted and the sort runs in
-//! near-linear time. `PERFMODEL.md` has the full cost model.
+//! The lens moves the key of every transmitting VOQ between two
+//! decisions, but only in the safe direction for the disciplines whose
+//! keys fall as they transmit (SRPT, FIFO, RepFlow, fast BASRPT with
+//! `V/N ≥ 1`): the greedy matching is the unique one in which every
+//! unmatched candidate has an earlier matched neighbour, and falling
+//! matched keys keep it so. Those disciplines carry the previous
+//! *matching* ([`basrpt_core::Ranking`]) and, behind a certificate that
+//! re-reads the matched VOQs through the lens, repair it around the VOQs
+//! the table or the lens changed. For that the lens names the slots it
+//! corrects ([`ViewAdjust::corrected_slots`]): the live pairs of the
+//! selection. `PERFMODEL.md` has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suites (`tests/delta_differential.rs`,
@@ -73,7 +78,7 @@ use crate::repflow::plane_of;
 use crate::topology::Topology;
 use basrpt_core::{ViewAdjust, VoqView};
 use dcn_types::{FlowId, PlaneId, Rate, SimTime, Voq};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The allocation delta of one [`DeltaAllocator::apply`] call: how many
 /// flows entered, left, and kept their rate across the reschedule.
@@ -82,7 +87,10 @@ use std::collections::{HashMap, HashSet};
 /// of the previous schedule that lost their ports (completed flows are
 /// accounted by [`DeltaAllocator::settle_due`] /
 /// [`DeltaAllocator::settle`], not here). Only `entered` and `left` — the
-/// affected frontier — cost hash or calendar work.
+/// affected frontier — cost calendar work; a kept flow costs one
+/// comparison at the matched ends, or one slot read and stamp inside the
+/// changed window, which on the paper fabric holds 31.3 of 73.7 pairs on
+/// average, mostly kept flows whose rank moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaOutcome {
     /// Flows newly admitted into the transmitting set (fresh drain epoch,
@@ -92,7 +100,7 @@ pub struct DeltaOutcome {
     /// the reschedule instant and evicted; their calendar items go stale).
     pub left: u64,
     /// Flows that stayed scheduled: epoch, byte account, and calendar
-    /// item all untouched (pair-compare only for the matched ends).
+    /// item all untouched.
     pub kept: u64,
 }
 
@@ -137,8 +145,9 @@ pub struct SettledDrain {
 /// or, at observation points, every account
 /// ([`settle`](DeltaAllocator::settle)) — in schedule-priority order
 /// either way, exactly as the eager reference engines emit drains. Flows
-/// that stay scheduled across an `apply` cost one pair comparison; only
-/// the allocation delta is hashed or touches the calendar. The production
+/// that stay scheduled across an `apply` cost a comparison or a slot
+/// read, never a hash; only the allocation delta touches the calendar.
+/// The production
 /// [`simulate`](crate::simulate) event loop is a thin driver around this
 /// type.
 ///
@@ -152,13 +161,13 @@ pub struct SettledDrain {
 /// let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
 ///
 /// // Two flows admitted at t = 0: 1.25 MB completes after exactly 1 ms.
-/// // An entrant reports its remaining bytes and its VOQ's table slot
-/// // (`FlowTable::voq_slot`); here flow 1's VOQ is slot 0, flow 2's slot 1.
-/// let matching = [(FlowId::new(1), voq(0, 1)), (FlowId::new(2), voq(2, 3))];
+/// // Each pair names its VOQ's table slot (`VoqView::slot`); here flow 1's
+/// // VOQ is slot 0, flow 2's slot 1. An entrant reports its remaining bytes.
+/// let matching = [(FlowId::new(1), voq(0, 1), 0), (FlowId::new(2), voq(2, 3), 1)];
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
 ///     &matching,
-///     |id| if id == FlowId::new(1) { (1_250_000, 0) } else { (5_000_000, 1) },
+///     |id| if id == FlowId::new(1) { 1_250_000 } else { 5_000_000 },
 ///     |_| unreachable!("nothing scheduled before, so nothing is evicted"),
 /// );
 /// assert_eq!((delta.entered, delta.left, delta.kept), (2, 0, 0));
@@ -201,12 +210,13 @@ pub struct DeltaAllocator {
     /// its slot holds its flow's account; the others are *tombstones* of
     /// flows that completed after this selection was applied.
     sel: Vec<(FlowId, Voq, usize)>,
-    /// `apply`'s working buffers, cleared and reused so a reschedule
-    /// allocates nothing once warm: the old window's live flows by id,
-    /// the entrants waiting for the leavers' slots, and the new window.
-    live: HashMap<FlowId, usize>,
+    /// `apply`'s working state, reused so a reschedule allocates nothing
+    /// once warm: per VOQ slot, the generation of the last `apply` that
+    /// re-selected the flow bound there; that generation; and the
+    /// entrants waiting for the leavers' slots.
+    stamps: Vec<u32>,
+    generation: u32,
     entrants: Vec<(usize, ScheduledEntry)>,
-    window: Vec<(FlowId, Voq, usize)>,
     stats: DeltaStats,
 }
 
@@ -219,9 +229,9 @@ impl DeltaAllocator {
             calendar: CompletionCalendar::new(),
             by_slot: Vec::new(),
             sel: Vec::new(),
-            live: HashMap::new(),
+            stamps: Vec::new(),
+            generation: 0,
             entrants: Vec::new(),
-            window: Vec::new(),
             stats: DeltaStats::default(),
         }
     }
@@ -257,13 +267,14 @@ impl DeltaAllocator {
     /// Rebinds the allocator to a new schedule, computed at instant `now`,
     /// and returns the allocation delta.
     ///
-    /// `selected` is the matching in priority order; each flow and each
-    /// VOQ must appear at most once (a [`basrpt_core::Schedule`]
-    /// guarantees both). Flows already scheduled keep their drain epoch
-    /// and calendar item untouched; flows entering open a fresh epoch at
-    /// `now` over the remaining bytes `admit(flow)` reports, bound to the
-    /// VOQ slot it reports ([`basrpt_core::FlowTable::voq_slot`]; read
-    /// lazily, only for entrants); flows of the previous schedule not
+    /// `selected` is the matching in priority order, each pair with its
+    /// VOQ's table slot ([`basrpt_core::Schedule::slotted`], or
+    /// [`basrpt_core::FlowTable::voq_slot`]); each flow and each VOQ must
+    /// appear at most once (a [`basrpt_core::Schedule`] guarantees both).
+    /// Flows already scheduled keep their drain epoch and calendar item
+    /// untouched; flows entering open a fresh epoch at `now` over the
+    /// remaining bytes `admit(flow)` reports (read lazily, only for
+    /// entrants), bound to their slot; flows of the previous schedule not
     /// re-selected are settled to `now` — any bytes they transmitted since
     /// their last observation are reported through `on_evict`, never
     /// completing one (a due completion must be settled before
@@ -272,21 +283,21 @@ impl DeltaAllocator {
     /// its slot only after the leaver's bytes are accounted.
     ///
     /// Cost: the matched prefix and suffix of the previous selection pay
-    /// one pair comparison each (no hashing; the suffix moves in memory
-    /// when the window changes size); only the changed middle window pays
-    /// `O(Δ)` hash probes and `O(Δ log n)` calendar pushes. In the steady
-    /// state of one arrival or completion per event, that window is a
-    /// handful of pairs regardless of schedule size.
+    /// one comparison each (the suffix moves in memory when the window
+    /// changes size); each pair of the middle window pays one indexed
+    /// read of its VOQ slot and one generation stamp, with no hashing; only
+    /// the `Δ` entrants and leavers pay calendar work, `O(Δ log n)`. The
+    /// window is not small: the decision re-sorts the matched set by key,
+    /// and on the paper fabric it averages 31.3 of 73.7 selected pairs.
     pub fn apply(
         &mut self,
         now: SimTime,
-        selected: &[(FlowId, Voq)],
-        mut admit: impl FnMut(FlowId) -> (u64, usize),
+        selected: &[(FlowId, Voq, usize)],
+        mut admit: impl FnMut(FlowId) -> u64,
         mut on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
         let n_old = self.sel.len();
         let n_new = selected.len();
-        let same = |(id, voq, _): (FlowId, Voq, usize), pair: (FlowId, Voq)| (id, voq) == pair;
 
         // Matched ends. A pair can only match a pair of the *same* flow,
         // and a completed flow cannot reappear in a fresh schedule (it
@@ -298,11 +309,11 @@ impl DeltaAllocator {
         // pair), so the two windows are self-contained.
         let limit = n_old.min(n_new);
         let mut lo = 0;
-        while lo < limit && same(self.sel[lo], selected[lo]) {
+        while lo < limit && self.sel[lo] == selected[lo] {
             lo += 1;
         }
         let mut hi = 0;
-        while hi < limit - lo && same(self.sel[n_old - 1 - hi], selected[n_new - 1 - hi]) {
+        while hi < limit - lo && self.sel[n_old - 1 - hi] == selected[n_new - 1 - hi] {
             hi += 1;
         }
 
@@ -311,44 +322,42 @@ impl DeltaAllocator {
             ..DeltaOutcome::default()
         };
 
-        // The old window's live flows by id; tombstones (slot no longer
-        // holding their flow) are swept for free.
-        let live = &mut self.live;
-        live.clear();
-        for &(id, _, slot) in &self.sel[lo..n_old - hi] {
+        // New-side window: a pair whose VOQ slot holds its flow's account
+        // is a kept flow that merely moved (it sits in the old window, as
+        // above) and is stamped as re-selected; any other pair is an
+        // entrant that opens an epoch in its slot once the leavers are
+        // gone.
+        if self.generation == u32::MAX {
+            self.stamps.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        if self.stamps.len() < self.by_slot.len() {
+            self.stamps.resize(self.by_slot.len(), 0);
+        }
+        for &(id, voq, slot) in &selected[lo..n_new - hi] {
             if account_of(&self.by_slot, slot, id).is_some() {
-                live.insert(id, slot);
+                self.stamps[slot] = self.generation;
+                out.kept += 1;
+            } else {
+                let entry = ScheduledEntry::new(id, voq, now, admit(id), self.rate);
+                self.entrants.push((slot, entry));
             }
         }
 
-        // New-side window: flows already bound merely moved position and
-        // keep their slot; entrants report theirs and open an epoch there
-        // once the leavers are gone.
-        self.window.clear();
-        for &(id, voq) in &selected[lo..n_new - hi] {
-            let slot = match live.remove(&id) {
-                Some(slot) => {
-                    out.kept += 1;
-                    slot
-                }
-                None => {
-                    let (remaining, slot) = admit(id);
-                    let entry = ScheduledEntry::new(id, voq, now, remaining, self.rate);
-                    self.entrants.push((slot, entry));
-                    slot
-                }
-            };
-            self.window.push((id, voq, slot));
-        }
-
-        // Old-side window, in priority order: the live flows left in
-        // `live` were not re-selected. Leavers settle to `now` so the
+        // Old-side window, in priority order: its live pairs that were not
+        // stamped were not re-selected; tombstones (slot no longer holding
+        // their flow) are swept for free. Leavers settle to `now` so the
         // bytes they moved while scheduled are never lost — in eager mode
         // every account was settled this instant already, so the owed
         // amount is zero and no drain fires — and free their VOQ slot for
         // an entrant.
-        for (id, _, slot) in self.sel.splice(lo..n_old - hi, self.window.drain(..)) {
-            if !live.contains_key(&id) {
+        for (id, _, slot) in self
+            .sel
+            .splice(lo..n_old - hi, selected[lo..n_new - hi].iter().copied())
+        {
+            if account_of(&self.by_slot, slot, id).is_none() || self.stamps[slot] == self.generation
+            {
                 continue;
             }
             let entry = self.by_slot[slot]
@@ -626,6 +635,17 @@ impl ViewAdjust for LiveViews<'_> {
             view.shortest_remaining = live;
         }
     }
+
+    /// The lens corrects only the VOQs with a bound account: the live
+    /// pairs of the allocator's selection.
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+        for &(id, _, slot) in &self.alloc.sel {
+            if account_of(&self.alloc.by_slot, slot, id).is_some() {
+                visit(slot);
+            }
+        }
+        true
+    }
 }
 
 /// The core-capacity admission filter, with persistent scratch state
@@ -651,7 +671,6 @@ pub(crate) struct CoreBudgets {
     /// `rack * planes + plane` → bytes/second charged this decision.
     up_used: Vec<f64>,
     down_used: Vec<f64>,
-    out: Vec<(FlowId, Voq)>,
     /// The inter-rack flows the last [`filter`](CoreBudgets::filter)
     /// rejected, in priority order.
     pub(crate) rejected: Vec<(FlowId, Voq)>,
@@ -668,36 +687,39 @@ impl CoreBudgets {
             planes,
             up_used: vec![0.0; cells],
             down_used: vec![0.0; cells],
-            out: Vec::new(),
             rejected: Vec::new(),
         }
     }
 
-    /// Filters `selected` under the per-plane rack budgets, returning the
-    /// admitted sub-sequence in the original priority order.
-    pub(crate) fn filter<T: Topology + ?Sized>(
+    /// Filters `selected` (in priority order) in place under the per-plane
+    /// rack budgets, keeping the admitted pairs in their order; `pair`
+    /// reads a selected item's flow and VOQ, so any extra fields (the
+    /// allocator's VOQ slots) pass through.
+    pub(crate) fn filter<T: Topology + ?Sized, P>(
         &mut self,
         topo: &T,
-        selected: impl Iterator<Item = (FlowId, Voq)>,
-    ) -> &[(FlowId, Voq)] {
+        selected: &mut Vec<P>,
+        pair: impl Fn(&P) -> (FlowId, Voq),
+    ) {
         self.up_used.fill(0.0);
         self.down_used.fill(0.0);
-        self.out.clear();
-        self.rejected.clear();
-        for (id, voq) in selected {
-            if topo.is_intra_rack(voq) || {
+        let mut rejected = std::mem::take(&mut self.rejected);
+        rejected.clear();
+        selected.retain(|item| {
+            let (id, voq) = pair(item);
+            let admitted = topo.is_intra_rack(voq) || {
                 let plane = match self.planes {
                     1 => PlaneId::new(0),
                     planes => plane_of(id, planes),
                 };
                 self.admit(topo, voq, plane)
-            } {
-                self.out.push((id, voq));
-            } else {
-                self.rejected.push((id, voq));
+            };
+            if !admitted {
+                rejected.push((id, voq));
             }
-        }
-        &self.out
+            admitted
+        });
+        self.rejected = rejected;
     }
 
     /// Admits one inter-rack flow on `voq` onto `plane` if both its rack
@@ -761,8 +783,11 @@ mod tests {
         size: impl Fn(FlowId) -> u64,
         on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
-        let voqs: HashMap<FlowId, Voq> = selected.iter().copied().collect();
-        alloc.apply(now, &selected, |id| (size(id), slot(voqs[&id])), on_evict)
+        let selected: Vec<_> = selected
+            .into_iter()
+            .map(|(id, q)| (id, q, slot(q)))
+            .collect();
+        alloc.apply(now, &selected, size, on_evict)
     }
 
     #[test]
@@ -1035,15 +1060,11 @@ mod tests {
         table.insert(FlowState::new(f(1), q, 1_250_000)).unwrap();
         table.insert(FlowState::new(f(2), q, 1_250)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        let admit = |id| {
-            (
-                table.get(id).unwrap().remaining(),
-                table.voq_slot(q).unwrap(),
-            )
-        };
-        alloc.apply(SimTime::ZERO, &[(f(1), q)], admit, no_evict);
+        let admit = |id| table.get(id).unwrap().remaining();
+        let s = table.voq_slot(q).unwrap();
+        alloc.apply(SimTime::ZERO, &[(f(1), q, s)], admit, no_evict);
         let mut evicted = Vec::new();
-        alloc.apply(SimTime::from_micros(1.0), &[(f(2), q)], admit, |d| {
+        alloc.apply(SimTime::from_micros(1.0), &[(f(2), q, s)], admit, |d| {
             evicted.push(d)
         });
         assert_eq!(evicted.len(), 1);
@@ -1072,6 +1093,87 @@ mod tests {
         assert!(done[0].completed);
         assert!(alloc.is_empty());
         alloc.check_consistent().unwrap();
+    }
+
+    #[test]
+    fn slot_window_preempts_and_returns_on_the_same_voq() {
+        // Flow 2 holds the middle VOQ (2,3); flow 9 preempts it there, then
+        // flow 2 returns. Each time the window's entrant and leaver share
+        // one VOQ slot: the leaver is told apart from a kept flow by the
+        // slot holding another flow's account, and settles first.
+        let mut alloc = DeltaAllocator::new(gbps10());
+        let (a, b, c) = ((f(1), voq(0, 1)), (f(2), voq(2, 3)), (f(3), voq(4, 5)));
+        apply(
+            &mut alloc,
+            SimTime::ZERO,
+            vec![a, b, c],
+            |_| 1 << 30,
+            no_evict,
+        );
+        let mut evicted = Vec::new();
+        let d = apply(
+            &mut alloc,
+            SimTime::from_micros(1.0),
+            vec![a, (f(9), voq(2, 3)), c],
+            |id| {
+                assert_eq!(id, f(9));
+                1 << 20
+            },
+            |drain| evicted.push(drain),
+        );
+        assert_eq!((d.entered, d.left, d.kept), (1, 1, 2));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!((evicted[0].flow, evicted[0].amount), (f(2), 1_250));
+        alloc.check_consistent().unwrap();
+
+        evicted.clear();
+        let d = apply(
+            &mut alloc,
+            SimTime::from_micros(2.0),
+            vec![a, b, c],
+            |id| {
+                assert_eq!(id, f(2));
+                (1 << 30) - 1_250
+            },
+            |drain| evicted.push(drain),
+        );
+        assert_eq!((d.entered, d.left, d.kept), (1, 1, 2));
+        assert_eq!((evicted[0].flow, evicted[0].amount), (f(9), 1_250));
+        assert_eq!(alloc.len(), 3);
+        alloc.check_consistent().unwrap();
+    }
+
+    #[test]
+    fn tombstone_then_readmission_on_its_slot() {
+        // Flow 2 completes and leaves a tombstone in the middle of the
+        // selection; the next selection moves flow 3 past it and admits
+        // flow 7 on the tombstone's VOQ slot.
+        let mut alloc = DeltaAllocator::new(gbps10());
+        let (a, b, c) = ((f(1), voq(0, 1)), (f(2), voq(2, 3)), (f(3), voq(4, 5)));
+        apply(
+            &mut alloc,
+            SimTime::ZERO,
+            vec![a, b, c],
+            |id| if id == f(2) { 1_250 } else { 1 << 30 },
+            no_evict,
+        );
+        assert!(alloc.settle_due(SimTime::from_micros(1.0), |d| {
+            assert_eq!((d.flow, d.completed), (f(2), true));
+        }));
+        assert_eq!(alloc.len(), 2);
+        let d = apply(
+            &mut alloc,
+            SimTime::from_micros(1.0),
+            vec![a, c, (f(7), voq(2, 3))],
+            |id| {
+                assert_eq!(id, f(7), "only the re-admission reads its size");
+                2_500
+            },
+            no_evict,
+        );
+        assert_eq!((d.entered, d.left, d.kept), (1, 0, 2));
+        alloc.check_consistent().unwrap();
+        assert_eq!(alloc.next_completion(), SimTime::from_micros(3.0));
     }
 
     #[test]
@@ -1132,8 +1234,8 @@ mod tests {
         table.insert(FlowState::new(f(1), q, 12_500)).unwrap();
         table.insert(FlowState::new(f(2), q, 5_000)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        let admit = |_| (12_500, table.voq_slot(q).unwrap());
-        alloc.apply(SimTime::ZERO, &[(f(1), q)], admit, no_evict);
+        let s = table.voq_slot(q).unwrap();
+        alloc.apply(SimTime::ZERO, &[(f(1), q, s)], |_| 12_500, no_evict);
 
         let view_at = |table: &FlowTable, alloc: &DeltaAllocator, t: SimTime| {
             let mut view = table.voqs().next().unwrap();
@@ -1171,6 +1273,30 @@ mod tests {
     }
 
     #[test]
+    fn live_views_names_exactly_the_bound_slots() {
+        let mut alloc = DeltaAllocator::new(gbps10());
+        let (a, b) = ((f(1), voq(0, 1)), (f(2), voq(2, 3)));
+        apply(
+            &mut alloc,
+            SimTime::ZERO,
+            vec![a, b],
+            |id| if id == f(1) { 1_250 } else { 1 << 30 },
+            no_evict,
+        );
+        let named = |alloc: &DeltaAllocator| {
+            let mut slots = Vec::new();
+            assert!(alloc
+                .live_views(SimTime::ZERO)
+                .corrected_slots(&mut |s| slots.push(s)));
+            slots
+        };
+        assert_eq!(named(&alloc), [slot(a.1), slot(b.1)]);
+        // A completion's tombstone is not named.
+        alloc.settle_due(SimTime::from_micros(1.0), |_| {});
+        assert_eq!(named(&alloc), [slot(b.1)]);
+    }
+
+    #[test]
     fn live_views_honors_the_id_tie_break() {
         use basrpt_core::{FlowState, FlowTable};
 
@@ -1182,8 +1308,8 @@ mod tests {
         table.insert(FlowState::new(f(5), q, 5_000)).unwrap();
         table.insert(FlowState::new(f(2), q, 3_750)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        let admit = |_| (5_000, table.voq_slot(q).unwrap());
-        alloc.apply(SimTime::ZERO, &[(f(5), q)], admit, no_evict);
+        let s = table.voq_slot(q).unwrap();
+        alloc.apply(SimTime::ZERO, &[(f(5), q, s)], |_| 5_000, no_evict);
 
         let mut view = table.voqs().next().unwrap();
         assert_eq!(view.shortest_flow, f(2));
@@ -1214,13 +1340,15 @@ mod tests {
             .map(|i| (f(i), voq(i as u32, 8 + i as u32)))
             .collect();
         let mut budgets = CoreBudgets::new(&topo, 1);
-        let got = budgets.filter(&topo, selected.iter().copied()).to_vec();
+        let mut got = selected.clone();
+        budgets.filter(&topo, &mut got, |&p| p);
         assert_eq!(got.len(), 4, "one 40 Gbps uplink carries 4 edge flows");
         assert_eq!(&got[..], &selected[..4], "priority order preserved");
+        assert_eq!(&budgets.rejected[..], &selected[4..]);
         // Intra-rack flows pass even with the core budget exhausted.
-        let mut with_local = selected.clone();
-        with_local.push((f(99), voq(0, 1)));
-        let got = budgets.filter(&topo, with_local.iter().copied()).to_vec();
+        let mut got = selected.clone();
+        got.push((f(99), voq(0, 1)));
+        budgets.filter(&topo, &mut got, |&p| p);
         assert_eq!(got.len(), 5);
         assert_eq!(got[4], (f(99), voq(0, 1)));
     }

@@ -76,15 +76,11 @@ pub fn simulate_scan_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     let mut budgets = enforces_core(topo, &config).then(|| CoreBudgets::new(topo, 1));
     run_reference(topo, generator, config, probe, |now, table, obs, out| {
         let schedule = timed_decision(obs, now, || scheduler.schedule(table));
-        match budgets.as_mut() {
-            Some(budgets) => out.extend(
-                budgets
-                    .filter(topo, schedule.iter())
-                    .iter()
-                    .map(|&(id, voq)| (id, voq, edge)),
-            ),
-            None => out.extend(schedule.iter().map(|(id, voq)| (id, voq, edge))),
+        let mut selected: Vec<_> = schedule.iter().collect();
+        if let Some(budgets) = budgets.as_mut() {
+            budgets.filter(topo, &mut selected, |&p| p);
         }
+        out.extend(selected.iter().map(|&(id, voq)| (id, voq, edge)));
     })
 }
 

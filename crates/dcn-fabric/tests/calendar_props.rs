@@ -257,15 +257,15 @@ proptest! {
             // are fresh ids (a completed flow never returns), so a lane
             // kept across steps is a preemption on the same VOQ.
             let mut seen = [false; 8];
-            let selected: Vec<(FlowId, Voq)> = lanes
+            let selected: Vec<(FlowId, Voq, usize)> = lanes
                 .iter()
                 .filter(|&&k| !std::mem::replace(&mut seen[k as usize], true))
                 .map(|&k| {
                     let voq = Voq::new(HostId::new(k as u32), HostId::new(k as u32 + 8));
-                    (f(step as u64 * 8 + k), voq)
+                    (f(step as u64 * 8 + k), voq, k as usize)
                 })
                 .collect();
-            let admit = |id: FlowId| (1_250 * (id.raw() % 13 + 1), (id.raw() % 8) as usize);
+            let admit = |id: FlowId| 1_250 * (id.raw() % 13 + 1);
             alloc.apply(now, &selected, admit, |_| {});
             alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
             let pushed = alloc.calendar_len();

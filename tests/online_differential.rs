@@ -20,7 +20,7 @@
 
 mod support;
 
-use basrpt::core::{FastBasrpt, Scheduler, Srpt};
+use basrpt::core::{FastBasrpt, MaxWeight, Scheduler, Srpt};
 use basrpt::fabric::{
     simulate, FabricRun, FatTree, KAryFatTree, OfferError, OnlineFabric, SimConfig, Topology,
 };
@@ -359,6 +359,82 @@ fn streamed_completions_match_the_batch_recorders() {
         h_streamed, h_bulk,
         "incremental drains must concatenate to the bulk drain"
     );
+}
+
+/// Checkpoints restored onto the *same* warm scheduler instance — a
+/// snapshot every seventh of the arrivals, each restored onto the
+/// scheduler the suspended engine used, as a long-running service
+/// checkpoints — are bit-identical to the uninterrupted run. The
+/// instance's carried matching belongs to the dropped engine's table; a
+/// restored table is another table, so its first decision starts afresh.
+#[test]
+fn restoring_onto_the_same_warm_scheduler_matches_uninterrupted() {
+    let cfg = config(0.02);
+    for (topo_name, topo) in &topologies() {
+        for (name, make) in &disciplines() {
+            for seed in 1..=3u64 {
+                let topo = topo.as_ref();
+                let arrivals = arrivals_for(topo, 0.9, seed, cfg.horizon);
+                let batch = simulate(topo, make(topo.num_hosts()).as_mut(), arrivals.clone(), cfg)
+                    .expect("valid batch run");
+                let mut sched = make(topo.num_hosts());
+                let every = (arrivals.len() / 7).max(1);
+                let mut online = OnlineFabric::new(topo, sched.as_mut(), cfg);
+                for (i, a) in arrivals.iter().enumerate() {
+                    if i > 0 && i % every == 0 {
+                        let snapshot = online.snapshot();
+                        drop(online);
+                        online = OnlineFabric::restore(topo, sched.as_mut(), snapshot)
+                            .expect("snapshot of a live engine restores");
+                    }
+                    online.step_before(a.time).expect("valid buffered arrivals");
+                    if online.is_finished() {
+                        break;
+                    }
+                    online.offer(*a).expect("valid arrival");
+                }
+                let run = online.finish().expect("valid run");
+                assert_bit_identical(
+                    &run,
+                    &batch,
+                    &format!("{topo_name}/{name}/seed{seed}/restored every {every} arrivals"),
+                );
+            }
+        }
+    }
+}
+
+/// On the paper's fabric and traffic, fast BASRPT certifies its carried
+/// matching in all but at most 1% of decisions (the first decision, and
+/// any gap the table's changed-slot record no longer covers), while
+/// MaxWeight, whose keys rise as it transmits, never attempts the
+/// certificate.
+#[test]
+fn fast_basrpt_certifies_its_decisions_and_maxweight_never_tries() {
+    let topo = FatTree::paper_topology();
+    let cfg = config(0.004);
+    let arrivals: Vec<FlowArrival> = TrafficSpec::paper_default(0.95)
+        .expect("valid paper spec")
+        .generator(1)
+        .expect("valid generator")
+        .take_while(|a| a.time < cfg.horizon)
+        .collect();
+
+    let mut fast = FastBasrpt::new(2500.0, topo.num_hosts() as usize);
+    simulate(&topo, &mut fast, arrivals.clone(), cfg).expect("valid run");
+    let counts = fast.decisions();
+    assert!(counts.decisions() > 1_000, "{counts:?}");
+    assert!(
+        counts.full_passes() * 100 <= counts.decisions(),
+        "more than 1% full passes: {counts:?}"
+    );
+    assert_eq!(counts.key_rose, 0, "{counts:?}");
+
+    let mut maxweight = MaxWeight::new();
+    simulate(&topo, &mut maxweight, arrivals, cfg).expect("valid run");
+    let counts = maxweight.decisions();
+    assert!(counts.decisions() > 1_000, "{counts:?}");
+    assert_eq!(counts.key_can_rise, counts.decisions(), "{counts:?}");
 }
 
 fn online_is_empty_tail(run: &FabricRun) -> bool {

@@ -3,6 +3,7 @@
 use dcn_types::{FlowId, HostId, PortSet, Voq};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error returned when adding a flow to a [`Schedule`] would violate the
 /// crossbar constraint.
@@ -36,13 +37,17 @@ impl Error for ScheduleError {}
 ///
 /// Port occupancy is tracked in dense [`PortSet`] bitmaps, so the greedy
 /// admission loops ([`Schedule::admits`], [`Schedule::add`]) are `O(1)`
-/// and hash-free. Flow membership ([`Schedule::contains`]) scans the at
-/// most `P` selected pairs; no decision path asks it.
+/// and hash-free. A schedule a carried matching emits has its pairs
+/// checked port-disjoint as they are copied, and builds the bitmaps only
+/// when first asked: the fabric binds it without asking. Flow membership
+/// ([`Schedule::contains`]) scans the at most `P` selected pairs; no
+/// decision path asks it.
 ///
 /// A schedule decided from a [`FlowTable`](crate::FlowTable)'s VOQ views
-/// also carries each pair's VOQ slot ([`Schedule::slotted`]), so the
-/// fabric's allocator binds it without hashing a VOQ; a pair added through
-/// [`Schedule::add`] has none. Slots never take part in equality.
+/// also carries each pair's VOQ slot, so the fabric's allocator adopts its
+/// pair list ([`Schedule::into_slotted`]) without hashing a VOQ; a pair
+/// added through [`Schedule::add`] has none. Slots never take part in
+/// equality.
 ///
 /// # Example
 ///
@@ -62,8 +67,11 @@ pub struct Schedule {
     /// The selected pairs in selection order, each with its VOQ's table
     /// slot or [`NO_SLOT`].
     selected: Vec<(FlowId, Voq, u32)>,
-    busy_ingress: PortSet,
-    busy_egress: PortSet,
+    /// Whether some pair was added without a slot.
+    slotless: bool,
+    /// The busy ingress and egress ports, built from `selected` on first
+    /// use.
+    busy: OnceLock<[PortSet; 2]>,
 }
 
 /// The slot of a pair added without one.
@@ -92,8 +100,23 @@ impl Schedule {
     pub(crate) fn with_ports(num_ports: u32, max_len: usize) -> Self {
         Schedule {
             selected: Vec::with_capacity(max_len.min(num_ports as usize)),
-            busy_ingress: PortSet::with_ports(num_ports),
-            busy_egress: PortSet::with_ports(num_ports),
+            slotless: false,
+            busy: OnceLock::from([
+                PortSet::with_ports(num_ports),
+                PortSet::with_ports(num_ports),
+            ]),
+        }
+    }
+
+    /// The schedule of `pairs`, in their order, which the caller has
+    /// checked port-disjoint and which all carry a slot; the busy port
+    /// sets are built on first use.
+    pub(crate) fn from_disjoint(pairs: Vec<(FlowId, Voq, u32)>) -> Self {
+        debug_assert!(pairs.iter().all(|p| p.2 != NO_SLOT));
+        Schedule {
+            selected: pairs,
+            slotless: false,
+            busy: OnceLock::new(),
         }
     }
 
@@ -107,14 +130,24 @@ impl Schedule {
         self.selected.is_empty()
     }
 
-    /// Whether `ingress` already sends in this schedule.
-    pub fn ingress_busy(&self, ingress: HostId) -> bool {
-        self.busy_ingress.contains(ingress)
+    /// The busy ingress and egress ports.
+    fn busy(&self) -> &[PortSet; 2] {
+        self.busy.get_or_init(|| {
+            let mut busy = [PortSet::new(), PortSet::new()];
+            for &(_, voq, _) in &self.selected {
+                busy[0].insert(voq.src());
+                busy[1].insert(voq.dst());
+            }
+            busy
+        })
     }
 
-    /// Whether `egress` already receives in this schedule.
-    pub fn egress_busy(&self, egress: HostId) -> bool {
-        self.busy_egress.contains(egress)
+    fn ingress_busy(&self, ingress: HostId) -> bool {
+        self.busy()[0].contains(ingress)
+    }
+
+    fn egress_busy(&self, egress: HostId) -> bool {
+        self.busy()[1].contains(egress)
     }
 
     /// Whether a flow in `voq` could still be added.
@@ -144,9 +177,11 @@ impl Schedule {
         if self.egress_busy(voq.dst()) {
             return Err(ScheduleError::EgressBusy(voq.dst()));
         }
-        self.busy_ingress.insert(voq.src());
-        self.busy_egress.insert(voq.dst());
+        let [ingress, egress] = self.busy.get_mut().expect("built by the checks above");
+        ingress.insert(voq.src());
+        egress.insert(voq.dst());
         self.selected.push((flow, voq, slot));
+        self.slotless |= slot == NO_SLOT;
         Ok(())
     }
 
@@ -157,14 +192,20 @@ impl Schedule {
     }
 
     /// The selected pairs in selection order, each with its VOQ's slot in
-    /// the table the schedule was decided from ([`VoqView::slot`]), or
-    /// `None` for a pair added through [`Schedule::add`].
+    /// the table the schedule was decided from ([`VoqView::slot`]): the
+    /// schedule's own pair list, handed over without a copy. `slot_of`
+    /// resolves the VOQ of each pair added through [`Schedule::add`]; it is
+    /// not called, and the list not walked, when every pair has a slot.
     ///
     /// [`VoqView::slot`]: crate::VoqView::slot
-    pub fn slotted(&self) -> impl Iterator<Item = (FlowId, Voq, Option<usize>)> + '_ {
-        self.selected
-            .iter()
-            .map(|&(id, voq, slot)| (id, voq, (slot != NO_SLOT).then_some(slot as usize)))
+    pub fn into_slotted(self, mut slot_of: impl FnMut(Voq) -> usize) -> Vec<(FlowId, Voq, u32)> {
+        let mut pairs = self.selected;
+        if self.slotless {
+            for (_, voq, slot) in pairs.iter_mut().filter(|p| p.2 == NO_SLOT) {
+                *slot = u32::try_from(slot_of(*voq)).expect("VOQ slots fit in u32");
+            }
+        }
+        pairs
     }
 
     /// The selected flow ids, in selection order.
@@ -245,15 +286,55 @@ mod tests {
         let mut b = Schedule::new();
         a.add_at(FlowId::new(1), voq(0, 1), 7).unwrap();
         b.add(FlowId::new(1), voq(0, 1)).unwrap();
+        b.add_at(FlowId::new(2), voq(2, 3), 4).unwrap();
+        a.add(FlowId::new(2), voq(2, 3)).unwrap();
         assert_eq!(a, b);
+        let resolve = |q: Voq| 10 + q.src().as_usize();
         assert_eq!(
-            a.slotted().collect::<Vec<_>>(),
-            vec![(FlowId::new(1), voq(0, 1), Some(7))]
+            a.into_slotted(resolve),
+            [
+                (FlowId::new(1), voq(0, 1), 7),
+                (FlowId::new(2), voq(2, 3), 12)
+            ]
         );
         assert_eq!(
-            b.slotted().collect::<Vec<_>>(),
-            vec![(FlowId::new(1), voq(0, 1), None)]
+            b.into_slotted(resolve),
+            [
+                (FlowId::new(1), voq(0, 1), 10),
+                (FlowId::new(2), voq(2, 3), 4)
+            ]
         );
+        let mut c = Schedule::new();
+        c.add_at(FlowId::new(3), voq(0, 1), 5).unwrap();
+        assert_eq!(
+            c.into_slotted(|_| unreachable!("every pair has a slot")),
+            [(FlowId::new(3), voq(0, 1), 5)]
+        );
+    }
+
+    #[test]
+    fn an_adopted_pair_list_builds_its_busy_ports_on_first_use() {
+        let mut s = Schedule::from_disjoint(vec![(FlowId::new(1), voq(0, 1), 3)]);
+        assert!(s.busy.get().is_none());
+        assert!(!s.admits(voq(0, 2)) && !s.admits(voq(2, 1)) && s.admits(voq(2, 3)));
+        s.add(FlowId::new(2), voq(2, 3)).unwrap();
+        assert_eq!(
+            s.add(FlowId::new(3), voq(2, 4)),
+            Err(ScheduleError::IngressBusy(HostId::new(2)))
+        );
+        assert_eq!(
+            s.into_slotted(|_| 9),
+            [
+                (FlowId::new(1), voq(0, 1), 3),
+                (FlowId::new(2), voq(2, 3), 9)
+            ]
+        );
+    }
+
+    #[test]
+    fn schedules_cross_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Schedule>();
     }
 
     #[test]

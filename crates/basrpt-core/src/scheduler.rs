@@ -33,10 +33,34 @@ pub trait ViewAdjust {
     ///
     /// The default returns `false`: the lens cannot name its slots, so a
     /// discipline carrying its matching across decisions ([`Ranking`])
-    /// cannot tell which views moved and runs a full pass.
+    /// cannot tell which views moved and runs a full pass, unless the
+    /// lens's count ([`corrected_count`](ViewAdjust::corrected_count))
+    /// already vouched for them.
     fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
         let _ = visit;
         false
+    }
+
+    /// [`adjust`](ViewAdjust::adjust)s `view` and returns whether the lens
+    /// corrects its VOQ's slot ([`VoqView::slot`]) at all, whether or not
+    /// this view changed. The default adjusts and says it does.
+    fn adjust_counted(&self, view: &mut VoqView) -> bool {
+        self.adjust(view);
+        true
+    }
+
+    /// The number of slots the lens corrects, if it keeps that count: those
+    /// for which [`adjust_counted`](ViewAdjust::adjust_counted) returns
+    /// `true`. The default keeps none.
+    ///
+    /// A [`Ranking`] counts the corrected slots among its non-empty
+    /// matched VOQs while it re-reads them anyway. The matched slots are
+    /// distinct, so when the two counts are equal every corrected slot is
+    /// matched, no unmatched view moved, and the lens need not name its
+    /// slots through [`corrected_slots`](ViewAdjust::corrected_slots);
+    /// otherwise it asks for them.
+    fn corrected_count(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -378,7 +402,8 @@ pub struct DecisionCounts {
     /// its champion or raised its key.
     pub key_rose: u64,
     /// Full passes because the [`ViewAdjust`] lens could not name the VOQ
-    /// slots it corrects ([`ViewAdjust::corrected_slots`]).
+    /// slots it corrects ([`ViewAdjust::corrected_slots`]) when its count
+    /// ([`ViewAdjust::corrected_count`]) did not vouch for them.
     pub unnamed_lens: u64,
     /// Full passes of a discipline whose keys can rise
     /// ([`KeyMotion::MayRise`]), which never attempts the certificate.
@@ -416,8 +441,6 @@ struct VoqRank {
     /// The VOQ's table slot.
     slot: u32,
     status: Status,
-    /// Whether the slot is (still) listed in `Ranking::matched`.
-    listed: bool,
     /// Whether the slot is in this decision's dirty set.
     dirty: bool,
 }
@@ -426,6 +449,16 @@ impl VoqRank {
     fn rank(&self) -> Rank {
         (self.key, self.flow)
     }
+}
+
+/// One VOQ of the carried matching, a *member*: its candidate and table
+/// slot — everything its schedule pair needs.
+type Member = (Candidate, u32);
+
+/// The position in `matched` (in admission order) of the first member
+/// not ranked before `rank`.
+fn rank_position(matched: &[Member], rank: Rank) -> usize {
+    matched.partition_point(|(c, _)| rank_cmp(c.rank(), rank).is_lt())
 }
 
 /// The `Ranking::index` entry of a VOQ slot without a candidate.
@@ -462,11 +495,15 @@ impl Port {
     }
 }
 
-/// The crossbar ports of a VOQ in `table`'s slot `slot`, as indices into
-/// `Ranking::ports`: host `h`'s ingress is `2h`, its egress `2h + 1`.
-fn ports_of(table: &FlowTable, slot: u32) -> (usize, usize) {
-    let voq = table.voq_at_slot(slot as usize);
+/// The crossbar ports of `voq`, as indices into `Ranking::ports`: host
+/// `h`'s ingress is `2h`, its egress `2h + 1`.
+fn voq_ports(voq: Voq) -> (usize, usize) {
     (2 * voq.src().as_usize(), 2 * voq.dst().as_usize() + 1)
+}
+
+/// The crossbar ports of the VOQ in `table`'s slot `slot`.
+fn ports_of(table: &FlowTable, slot: u32) -> (usize, usize) {
+    voq_ports(table.voq_at_slot(slot as usize))
 }
 
 /// A candidate for the repair to (re-)examine, ordered by its rank; `scan`
@@ -508,7 +545,9 @@ impl Eq for Work {}
 /// and champion and whether it is matched (24 bytes, plus a 4-byte index
 /// entry per VOQ slot). Per crossbar port: the matched VOQ
 /// owning it and the unmatched candidates on it, in `(key, flow id)`
-/// order. And the matched set, in admission order.
+/// order. And the matched set in admission order, one record per VOQ
+/// holding its flow, VOQ, slot and key, so a decision emits its schedule
+/// by copying the records.
 ///
 /// # Why carrying it is exact
 ///
@@ -521,11 +560,15 @@ impl Eq for Work {}
 /// *dirty* ones:
 ///
 /// 1. **Certificate.** The table's changed-slot record must reach back
-///    to the previous decision on the same table; the lens must name the
-///    slots it corrects ([`ViewAdjust::corrected_slots`]), and those that
-///    are unmatched count as dirty; every matched VOQ no mutation touched
-///    is re-read through the lens and must keep its champion with a key
-///    that did not rise. A touched VOQ that passes the same test, or an
+///    to the previous decision on the same table. Every matched VOQ no
+///    mutation touched is re-read through the lens and must keep its
+///    champion with a key that did not rise; the same pass re-keys its
+///    record, moves it back into admission order (keys that fall can
+///    overtake) and counts the matched slots the lens corrects. The lens
+///    must account for the slots it corrects: either its count
+///    ([`ViewAdjust::corrected_count`]) equals the matched ones, or it
+///    names them ([`ViewAdjust::corrected_slots`]) and the unmatched ones
+///    count as dirty. A touched VOQ that passes the same test, or an
 ///    unmatched one whose candidate is unchanged, stays as it is.
 /// 2. **Repair**, a dynamic greedy maximal independent set on the
 ///    crossbar's conflict graph (after Censor-Hillel, Haramaty & Karnin,
@@ -536,9 +579,11 @@ impl Eq for Work {}
 ///    owner's other port. A freed port scans its waiting list from the
 ///    freed rank until a candidate is admitted or an earlier owner blocks
 ///    the port. Each decision is final when made: owners earlier than the
-///    candidate being examined are never displaced afterwards.
-/// 3. The matched set is re-sorted (it is nearly sorted) and emitted in
-///    that order, the admission order [`greedy_by_key`] would produce.
+///    candidate being examined are never displaced afterwards. An admitted
+///    candidate's record is inserted into the matched set at its rank and
+///    a displaced one's removed, so the set stays in admission order.
+/// 3. The matched set is emitted in that order, the admission order
+///    [`greedy_by_key`] would produce.
 ///
 /// Without a certificate — the first decision on a table, a record
 /// overflow, a risen key, a lens that cannot name its slots, or a
@@ -572,9 +617,8 @@ pub struct Ranking {
     ranked: Vec<VoqRank>,
     /// Per crossbar port, indexed as in [`ports_of`].
     ports: Vec<Port>,
-    /// The matched VOQ slots in admission order (after a repair, some
-    /// may have left; see [`VoqRank::listed`]).
-    matched: Vec<u32>,
+    /// The matched VOQs in admission order.
+    matched: Vec<Member>,
     /// The repair's scratch: the dirty slots (sorted, once each), the
     /// freed ports with the rank their scan starts after, and the work
     /// queue.
@@ -635,7 +679,6 @@ impl Ranking {
             flow: c.flow,
             slot,
             status,
-            listed: status == Status::Matched,
             dirty: false,
         });
     }
@@ -668,8 +711,32 @@ impl Ranking {
         };
         self.dirty.clear();
         self.dirty.extend_from_slice(changed);
+        self.index.resize(table.num_voq_slots(), ABSENT);
+        for &slot in &self.dirty {
+            if let Some(&at) = self.index.get(slot as usize).filter(|&&at| at != ABSENT) {
+                self.ranked[at as usize].dirty = true;
+            }
+        }
+        let Some(corrected) = self.rekey(table, adjust, to_candidate) else {
+            self.counts.key_rose += 1;
+            return false;
+        };
+        if adjust.corrected_count() != Some(corrected) && !self.name_corrected(adjust) {
+            self.counts.unnamed_lens += 1;
+            return false;
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        self.repair(table, adjust, to_candidate);
+        self.counts.certified += 1;
+        true
+    }
+
+    /// Has the lens name the slots it corrects and marks the unmatched
+    /// ones dirty; `false` if it cannot name them.
+    fn name_corrected(&mut self, adjust: &dyn ViewAdjust) -> bool {
         let (index, ranked, dirty) = (&self.index, &self.ranked, &mut self.dirty);
-        let named = adjust.corrected_slots(&mut |slot| {
+        adjust.corrected_slots(&mut |slot| {
             let matched = index
                 .get(slot)
                 .and_then(|&at| ranked.get(at as usize))
@@ -677,44 +744,53 @@ impl Ranking {
             if !matched {
                 dirty.push(slot as u32);
             }
-        });
-        if !named {
-            self.counts.unnamed_lens += 1;
-            return false;
-        }
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        self.index.resize(table.num_voq_slots(), ABSENT);
-        for &slot in &self.dirty {
-            if let Some(&at) = self.index.get(slot as usize).filter(|&&at| at != ABSENT) {
-                self.ranked[at as usize].dirty = true;
+        })
+    }
+
+    /// The certificate's one pass over the matched set: every member is
+    /// re-read through the lens, and the members whose slot the lens
+    /// corrects are counted. Each clean member (no mutation touched it)
+    /// must keep its champion with a key that did not rise; its record is
+    /// re-keyed and moved back into admission order. Dirty members leave
+    /// the set for the repair to re-admit. Returns the count, or `None` if
+    /// a key rose.
+    fn rekey(
+        &mut self,
+        table: &FlowTable,
+        adjust: &dyn ViewAdjust,
+        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
+    ) -> Option<usize> {
+        let (mut kept, mut corrected) = (0, 0);
+        for i in 0..self.matched.len() {
+            let (mut member, slot) = self.matched[i];
+            let slot = slot as usize;
+            let mut view = table.view_at_slot(slot);
+            if let Some(view) = &mut view {
+                corrected += usize::from(adjust.adjust_counted(view));
             }
-        }
-        // Clean matched VOQs: the champion stays and the key may only
-        // fall, which keeps every unmatched candidate's earlier blocker
-        // earlier.
-        for &slot in &self.matched {
-            let rank = &mut self.ranked[self.index[slot as usize] as usize];
+            let rank = &mut self.ranked[self.index[slot] as usize];
             if rank.dirty {
                 continue;
             }
-            let now = table.view_at_slot(slot as usize).map(|mut view| {
-                adjust.adjust(&mut view);
-                to_candidate(&view)
-            });
-            match now {
-                Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
-                    rank.key = c.key;
+            // A clean member keeps its champion and its key may only fall,
+            // which keeps every unmatched candidate's earlier blocker
+            // earlier.
+            match view.map(|view| to_candidate(&view)) {
+                Some(c) if c.flow == member.flow && c.key.total_cmp(&member.key).is_le() => {
+                    (rank.key, member.key) = (c.key, c.key);
                 }
-                _ => {
-                    self.counts.key_rose += 1;
-                    return false;
-                }
+                _ => return None,
             }
+            let mut at = kept;
+            while at > 0 && rank_cmp(member.rank(), self.matched[at - 1].0.rank()).is_lt() {
+                self.matched[at] = self.matched[at - 1];
+                at -= 1;
+            }
+            self.matched[at] = (member, slot as u32);
+            kept += 1;
         }
-        self.repair(table, adjust, to_candidate);
-        self.counts.certified += 1;
-        true
+        self.matched.truncate(kept);
+        Some(corrected)
     }
 
     /// Step 2 of the certified decision: takes the changed dirty VOQs out
@@ -744,6 +820,7 @@ impl Ranking {
                         && c.key.total_cmp(&old.key).is_le() =>
                 {
                     self.at(slot).key = c.key;
+                    self.list(table, slot);
                     continue;
                 }
                 (Some(old), Some(c))
@@ -794,20 +871,18 @@ impl Ranking {
         while let Some(work) = self.work.pop() {
             self.examine(table, work);
         }
-        let (index, ranked) = (&self.index, &mut self.ranked);
-        self.matched.retain(
-            |&slot| match ranked.get_mut(index[slot as usize] as usize) {
-                Some(rank) => {
-                    rank.listed = rank.status == Status::Matched;
-                    rank.listed
-                }
-                None => false,
-            },
-        );
-        self.matched.sort_by(|&a, &b| {
-            let rank = |slot: u32| ranked[index[slot as usize] as usize].rank();
-            rank_cmp(rank(a), rank(b))
-        });
+    }
+
+    /// Inserts the matched VOQ in `slot` into the matched set at its rank.
+    fn list(&mut self, table: &FlowTable, slot: u32) {
+        let rank = *self.at(slot);
+        let member = Candidate {
+            key: rank.key,
+            flow: rank.flow,
+            voq: table.voq_at_slot(slot as usize),
+        };
+        let at = rank_position(&self.matched, member.rank());
+        self.matched.insert(at, (member, slot));
     }
 
     /// Queues the first candidate waiting on `port` after `from`, tagged
@@ -864,18 +939,20 @@ impl Ranking {
             }
             self.ports[port].owner = Some(slot);
         }
-        let rank = self.at(slot);
-        rank.status = Status::Matched;
-        if !rank.listed {
-            rank.listed = true;
-            self.matched.push(slot);
-        }
+        self.at(slot).status = Status::Matched;
+        self.list(table, slot);
     }
 
     /// Unmatches `owner`, displaced on port `lost`, and frees its other
     /// port.
     fn displace(&mut self, table: &FlowTable, owner: u32, lost: usize) {
         let rank = self.at(owner).rank();
+        let at = rank_position(&self.matched, rank);
+        debug_assert!(
+            self.matched.get(at).is_some_and(|&(_, slot)| slot == owner),
+            "a port's owner is in the matched set"
+        );
+        self.matched.remove(at);
         let (src, dst) = ports_of(table, owner);
         self.ports[src].insert(rank, owner);
         self.ports[dst].insert(rank, owner);
@@ -885,17 +962,20 @@ impl Ranking {
         self.scan(free, rank);
     }
 
-    /// The certified decision's schedule: the matched set in admission
-    /// order, each pair with its VOQ slot.
-    fn emit(&self, table: &FlowTable) -> Schedule {
-        let mut schedule = Schedule::with_ports(self.ports.len() as u32 / 2, self.matched.len());
-        for &slot in &self.matched {
-            let flow = self.ranked[self.index[slot as usize] as usize].flow;
-            schedule
-                .add_at(flow, table.voq_at_slot(slot as usize), slot)
-                .expect("the carried matching is port-disjoint");
-        }
-        schedule
+    /// The certified decision's schedule: a copy of the matched set's
+    /// records, in admission order, each pair with its VOQ slot. Each
+    /// member must own both of its ports, so no two share one.
+    fn emit(&self) -> Schedule {
+        let owns = |port: usize, slot: u32| self.ports[port].owner == Some(slot);
+        let pairs = self.matched.iter().map(|&(c, slot)| {
+            let (src, dst) = voq_ports(c.voq);
+            assert!(
+                owns(src, slot) && owns(dst, slot),
+                "the carried matching is port-disjoint"
+            );
+            (c.flow, c.voq, slot)
+        });
+        Schedule::from_disjoint(pairs.collect())
     }
 
     /// The full pass: ranks every view and admits greedily. With `carry`,
@@ -972,7 +1052,7 @@ impl Ranking {
                 self.enter(slot, &c, Status::Matched);
                 self.ports[src].owner = Some(slot);
                 self.ports[dst].owner = Some(slot);
-                self.matched.push(slot);
+                self.matched.push((c, slot));
             } else {
                 // Admission order is rank order, so the lists stay sorted.
                 self.enter(slot, &c, Status::Waiting);
@@ -1040,7 +1120,7 @@ where
     }
     if ranking.certify(table, adjust, &mut to_candidate) {
         ranking.mark = Some(table.mark());
-        return ranking.emit(table);
+        return ranking.emit();
     }
     ranking.full_pass(table, adjust, &mut to_candidate, true)
 }

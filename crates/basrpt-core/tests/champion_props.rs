@@ -358,12 +358,112 @@ fn a_gap_longer_than_the_changed_slot_record_forces_a_full_pass() {
     assert_eq!(decide(&mut srpt, &table).certified, 2);
 }
 
+/// A lens that pretends the champion of each listed VOQ slot has sent
+/// the given units, so keys fall by different amounts between two
+/// decisions. It keeps the count of the slots it corrects and names them.
+struct SentLens(Vec<(usize, u64)>);
+
+impl ViewAdjust for SentLens {
+    fn adjust(&self, view: &mut VoqView) {
+        self.adjust_counted(view);
+    }
+
+    fn adjust_counted(&self, view: &mut VoqView) -> bool {
+        let Some(&(_, sent)) = self.0.iter().find(|&&(slot, _)| slot == view.slot()) else {
+            return false;
+        };
+        view.shortest_remaining -= sent;
+        view.backlog -= sent;
+        true
+    }
+
+    fn corrected_count(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+        self.0.iter().for_each(|&(slot, _)| visit(slot));
+        true
+    }
+}
+
+/// A lens that corrects an unmatched VOQ, which no mutation touched,
+/// so that it overtakes its blocker: the count of matched slots it
+/// corrects falls short of its own, and the decision must have it name
+/// its slots and repair around the unmatched one.
+#[test]
+fn a_count_that_misses_an_unmatched_slot_makes_the_lens_name_it() {
+    let q = |s, d| Voq::new(HostId::new(s), HostId::new(d));
+    let mut table = FlowTable::new();
+    // A (0,1) is matched; B (0,2) waits behind it on ingress 0.
+    table
+        .insert(FlowState::new(FlowId::new(1), q(0, 1), 10))
+        .unwrap();
+    table
+        .insert(FlowState::new(FlowId::new(2), q(0, 2), 20))
+        .unwrap();
+    let mut srpt = Srpt::new();
+    let first = srpt.schedule_adjusted(&table, &SentLens(Vec::new()));
+    assert_eq!(first.flow_ids().map(FlowId::raw).collect::<Vec<_>>(), [1]);
+    let lens = SentLens(vec![(table.voq_slot(q(0, 2)).unwrap(), 15)]);
+    let decided = srpt.schedule_adjusted(&table, &lens);
+    assert_eq!(decided, Srpt::new().schedule_adjusted(&table, &lens));
+    assert_eq!(decided.flow_ids().map(FlowId::raw).collect::<Vec<_>>(), [2]);
+    assert_eq!(srpt.decisions().certified, 1, "named, then repaired");
+}
+
+/// Clean matched keys that cross between two decisions, an entrant that
+/// ranks mid-order and a matched VOQ that empties: the carried matching is
+/// re-keyed, re-ordered and repaired in one certified decision, and emits
+/// the fresh ranking's pairs in its order.
+#[test]
+fn crossing_keys_an_entrant_and_a_leaver_keep_admission_order() {
+    let q = |s, d| Voq::new(HostId::new(s), HostId::new(d));
+    let mut table = FlowTable::new();
+    // Four matched VOQs on disjoint ports, SRPT order A < B < C < D.
+    let (a, b, c, d) = (q(0, 1), q(2, 3), q(4, 5), q(6, 7));
+    for (id, voq, size) in [(1, a, 10), (2, b, 20), (3, c, 30), (4, d, 40)] {
+        table
+            .insert(FlowState::new(FlowId::new(id), voq, size))
+            .unwrap();
+    }
+    let mut srpt = Srpt::new();
+    let mut fast = FastBasrpt::new(2500.0, 144);
+    let none = SentLens(Vec::new());
+    assert_eq!(
+        srpt.schedule_adjusted(&table, &none),
+        Srpt::new().schedule(&table)
+    );
+    fast.schedule_adjusted(&table, &none);
+    // D drains 35 units and A one, through the lens only: D overtakes A,
+    // B and C, A keeps its place. E enters between A and B; B empties.
+    let slot = |voq| table.voq_slot(voq).unwrap();
+    let lens = SentLens(vec![(slot(a), 1), (slot(d), 35)]);
+    table
+        .insert(FlowState::new(FlowId::new(5), q(8, 9), 15))
+        .unwrap();
+    table.remove(FlowId::new(2)).unwrap();
+    let decided = srpt.schedule_adjusted(&table, &lens);
+    assert_eq!(decided, Srpt::new().schedule_adjusted(&table, &lens));
+    let ids: Vec<u64> = decided.flow_ids().map(FlowId::raw).collect();
+    assert_eq!(ids, [4, 1, 5, 3]);
+    assert_eq!(
+        fast.schedule_adjusted(&table, &lens),
+        FastBasrpt::new(2500.0, 144).schedule_adjusted(&table, &lens)
+    );
+    for counts in [srpt.decisions(), fast.decisions()] {
+        assert_eq!((counts.cold, counts.certified), (1, 1));
+    }
+}
+
 /// A lens over the champions leaving host 0: with `grow == 0` it pretends
 /// each has sent half of its remaining units (keys fall), otherwise that
 /// each grew by `grow` units (keys rise). `named` says whether it names
-/// the slots it corrects.
+/// the slots it corrects; `counted` whether it keeps their count, which
+/// disagrees with the matched slots whenever a host-0 VOQ waits.
 struct HostZeroLens {
     named: bool,
+    counted: bool,
     grow: u64,
     slots: Vec<usize>,
 }
@@ -375,7 +475,19 @@ impl HostZeroLens {
             .filter(|v| v.voq.src() == HostId::new(0))
             .map(|v| v.slot())
             .collect();
-        HostZeroLens { named, grow, slots }
+        HostZeroLens {
+            named,
+            counted: false,
+            grow,
+            slots,
+        }
+    }
+
+    fn counted(table: &FlowTable) -> Self {
+        HostZeroLens {
+            counted: true,
+            ..HostZeroLens::on(table, true, 0)
+        }
     }
 }
 
@@ -399,6 +511,15 @@ impl ViewAdjust for HostZeroLens {
             self.slots.iter().for_each(|&slot| visit(slot));
         }
         self.named
+    }
+
+    fn adjust_counted(&self, view: &mut VoqView) -> bool {
+        self.adjust(view);
+        view.voq.src() == HostId::new(0)
+    }
+
+    fn corrected_count(&self) -> Option<usize> {
+        self.counted.then_some(self.slots.len())
     }
 }
 
@@ -476,22 +597,25 @@ proptest! {
 
     /// Warm SRPT and fast BASRPT deciding through a lens: one that names
     /// the slots it corrects is certified, one that cannot runs a full
-    /// pass every time, and one that raises matched keys fails the
-    /// certificate; all equal a fresh instance's decision.
+    /// pass every time, one that raises matched keys fails the
+    /// certificate, and one whose count disagrees with the matched slots
+    /// it corrects falls back to naming them; all equal a fresh instance's
+    /// decision.
     #[test]
     fn lenses_decide_exactly_whether_or_not_they_name_their_slots(
         ops in prop::collection::vec(arb_op(5, 20), 1..100),
     ) {
         let mut table = FlowTable::new();
-        let mut srpt = [Srpt::new(), Srpt::new(), Srpt::new()];
+        let mut srpt = [Srpt::new(), Srpt::new(), Srpt::new(), Srpt::new()];
         let fresh_fast = || FastBasrpt::new(2500.0, 144);
-        let mut fast = [fresh_fast(), fresh_fast(), fresh_fast()];
+        let mut fast = [fresh_fast(), fresh_fast(), fresh_fast(), fresh_fast()];
         for (step, &op) in ops.iter().enumerate() {
             apply(&mut table, op);
             let lenses = [
                 HostZeroLens::on(&table, false, 0),
                 HostZeroLens::on(&table, true, 0),
                 HostZeroLens::on(&table, true, step as u64 + 1),
+                HostZeroLens::counted(&table),
             ];
             for (i, lens) in lenses.iter().enumerate() {
                 prop_assert_eq!(
@@ -511,7 +635,12 @@ proptest! {
             prop_assert_eq!(unnamed.certified, 0);
             prop_assert_eq!(unnamed.unnamed_lens, decisions - 1);
         }
-        for named in [srpt[1].decisions(), fast[1].decisions()] {
+        for named in [
+            srpt[1].decisions(),
+            fast[1].decisions(),
+            srpt[3].decisions(),
+            fast[3].decisions(),
+        ] {
             prop_assert_eq!(named.unnamed_lens + named.key_rose, 0);
             prop_assert_eq!(named.decisions(), decisions);
         }

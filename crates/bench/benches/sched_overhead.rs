@@ -195,16 +195,18 @@ fn bench_per_event(c: &mut Criterion) {
 /// engine makes on every arrival and completion. A small event loop keeps
 /// the state live: an arrival every microsecond (sizes uniform up to
 /// 180 KB, half the line rate per port) unless a scheduled flow completes
-/// first; each decision is bound by a `DeltaAllocator`, whose settled
-/// drains write back into the table. Fast BASRPT carries its matching and
-/// certifies almost every decision; MaxWeight's keys rise, so each of its
-/// decisions is a full pass.
+/// first; each decision is bound by a `DeltaAllocator`, which adopts the
+/// schedule's pair list exactly as the fabric's crossbar policy hands it
+/// over, and whose settled drains write back into the table. SRPT and fast
+/// BASRPT carry their matching and certify almost every decision;
+/// MaxWeight's keys rise, so each of its decisions is a full pass.
 fn bench_event_decision(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_decision");
     group
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
+    event_decision(&mut group, "srpt", Srpt::new());
     event_decision(&mut group, "fast_basrpt", FastBasrpt::new(2500.0, 144));
     event_decision(&mut group, "maxweight", MaxWeight::new());
     group.finish();
@@ -218,7 +220,6 @@ fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut 
     let mut rng = StdRng::seed_from_u64(7);
     let mut table = FlowTable::new();
     let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-    let mut selected = Vec::new();
     let mut next_id = 0u64;
     let mut now = SimTime::ZERO;
     let mut event = move |sched: &mut S| {
@@ -243,21 +244,21 @@ fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut 
             next_id += 1;
         }
         let schedule = sched.schedule_adjusted(&table, &alloc.live_views(now));
-        selected.clear();
-        selected.extend(
-            schedule
-                .slotted()
-                .map(|(id, voq, slot)| (id, voq, slot.expect("decided from the table's views"))),
-        );
+        let matched = schedule.len();
+        let mut selected = schedule.into_slotted(|voq| {
+            table
+                .voq_slot(voq)
+                .expect("a scheduled flow's VOQ has a slot")
+        });
         let admit = |id| table.get(id).expect("scheduled flow is active").remaining();
         let mut evicted = Vec::new();
-        alloc.apply(now, &selected, admit, |d| evicted.push(d));
+        alloc.apply(now, &mut selected, admit, |d| evicted.push(d));
         for d in evicted {
             table
                 .drain(d.flow, d.amount)
                 .expect("scheduled flow is active");
         }
-        schedule.len()
+        matched
     };
     for _ in 0..20_000 {
         event(&mut sched);
@@ -434,6 +435,9 @@ fn calendar_of(pairs: &[(FlowId, SimTime)]) -> (CompletionCalendar, Vec<SimTime>
 ///   (one `Copy`-pair compare per kept flow, no hashing, no stamping)
 ///   isolates the one-entry window, then the entrant/leaver pay the
 ///   `O(log n)` calendar edit — the true `O(Δ log n)` per-event cost.
+///   The allocator adopts the applied list and hands back its previous
+///   one, which the next iteration edits and applies, so no pair is
+///   copied.
 ///
 /// In the fabric engine the schedule is a crossbar matching (≤ 72 pairs on
 /// the paper topology), so `targeted_churn` is the term that scales with
@@ -484,18 +488,18 @@ fn bench_delta_reschedule(c: &mut Criterion) {
             // VOQ under the crossbar's one-flow-per-VOQ invariant.
             // Flow `i` sits in VOQ slot `i`; the two alternating
             // last-position ids share slot `n - 1`.
-            let base: Vec<(FlowId, Voq, usize)> = (0..n)
+            let mut base: Vec<(FlowId, Voq, u32)> = (0..n as u32)
                 .map(|i| {
                     (
-                        FlowId::new(i as u64),
-                        Voq::new(HostId::new(2 * i as u32), HostId::new(2 * i as u32 + 1)),
+                        FlowId::new(u64::from(i)),
+                        Voq::new(HostId::new(2 * i), HostId::new(2 * i + 1)),
                         i,
                     )
                 })
                 .collect();
             let admit = |_| 1 << 40;
-            alloc.apply(SimTime::ZERO, &base, admit, |_| {});
             let mut swapped = base.clone();
+            alloc.apply(SimTime::ZERO, &mut base, admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
                 b.iter(|| {
@@ -503,7 +507,7 @@ fn bench_delta_reschedule(c: &mut Criterion) {
                     // apply sees one entrant, one leaver, n-1 stays.
                     tick += 1;
                     swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
-                    alloc.apply(SimTime::ZERO, &swapped, admit, |_| {});
+                    alloc.apply(SimTime::ZERO, &mut swapped, admit, |_| {});
                     alloc.next_completion()
                 })
             });
@@ -556,16 +560,16 @@ fn bench_settle_cost(c: &mut Criterion) {
             let sibling = FlowId::new((n + k) as u64);
             table.insert(FlowState::new(sibling, voq, 1 << 41)).unwrap();
         }
-        let sel: Vec<(FlowId, Voq, usize)> = sel
+        let sel: Vec<(FlowId, Voq, u32)> = sel
             .into_iter()
-            .map(|(id, voq)| (id, voq, table.voq_slot(voq).unwrap()))
+            .map(|(id, voq)| (id, voq, table.voq_slot(voq).unwrap() as u32))
             .collect();
         let admit = |id| table.get(id).unwrap().remaining();
         let views: Vec<VoqView> = table.voqs().collect();
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            alloc.apply(SimTime::ZERO, &sel, admit, |_| {});
+            alloc.apply(SimTime::ZERO, &mut sel.clone(), admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("due_check", n), &n, |b, _| {
                 b.iter(|| {
@@ -579,7 +583,7 @@ fn bench_settle_cost(c: &mut Criterion) {
 
         {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            alloc.apply(SimTime::ZERO, &sel, admit, |_| {});
+            alloc.apply(SimTime::ZERO, &mut sel.clone(), admit, |_| {});
             let mut tick = 0u64;
             group.bench_with_input(BenchmarkId::new("view_adjust", n), &n, |b, &n| {
                 b.iter(|| {

@@ -22,15 +22,17 @@
 //!
 //! This generation removes both linear terms:
 //!
-//! * [`apply`](DeltaAllocator::apply) diffs the new selection against the
+//! * [`apply`](DeltaAllocator::apply) **adopts** the schedule's own pair
+//!   list as its selection, copying no pair, and diffs it against the
 //!   previous one **positionally**: the common prefix and suffix of
 //!   identical `(flow, VOQ, slot)` triples match with one comparison
-//!   each, zero hash probes, zero copies. The middle window between them
-//!   is not small — a decision re-sorts the matched set, so on the paper
-//!   fabric it averages 31.3 of 73.7 selected pairs — but it is classified
-//!   without hashing: each pair carries its VOQ slot, a pair is kept iff
-//!   that slot holds its flow's account, and the old window's leavers are
-//!   the live pairs a per-slot generation stamp did not re-mark;
+//!   each, zero hash probes. The middle window between them is not small
+//!   — an entrant and the flow it displaces usually sit far apart in the
+//!   admission order, so on the paper fabric it averages 31.2 of 73.6
+//!   selected pairs — but it is classified without hashing: each pair
+//!   carries its VOQ slot, a pair is kept iff that slot holds its flow's
+//!   account, and the old window's leavers are the live pairs a per-slot
+//!   generation stamp did not re-mark;
 //! * settlement is **lazy**: a scheduled flow's byte account is converted
 //!   into table drains only when the flow is *observed* — its own
 //!   completion ([`settle_due`](DeltaAllocator::settle_due)), its
@@ -64,9 +66,12 @@
 //! matched keys keep it so. Those disciplines carry the previous
 //! *matching* ([`basrpt_core::Ranking`]) and, behind a certificate that
 //! re-reads the matched VOQs through the lens, repair it around the VOQs
-//! the table or the lens changed. For that the lens names the slots it
-//! corrects ([`ViewAdjust::corrected_slots`]): the live pairs of the
-//! selection. `PERFMODEL.md` has the full cost model.
+//! the table or the lens changed. For that the lens must account for the
+//! slots it corrects, the bound ones: it keeps their count
+//! ([`ViewAdjust::corrected_count`]), so a certificate that finds every
+//! bound slot among the matched VOQs it re-reads needs no walk of the
+//! selection, and it names them ([`ViewAdjust::corrected_slots`]) when
+//! the counts disagree. `PERFMODEL.md` has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suites (`tests/delta_differential.rs`,
@@ -89,8 +94,8 @@ use std::collections::HashSet;
 /// [`DeltaAllocator::settle`], not here). Only `entered` and `left` — the
 /// affected frontier — cost calendar work; a kept flow costs one
 /// comparison at the matched ends, or one slot read and stamp inside the
-/// changed window, which on the paper fabric holds 31.3 of 73.7 pairs on
-/// average, mostly kept flows whose rank moved.
+/// changed window, which on the paper fabric holds 31.2 of 73.6 pairs on
+/// average, mostly kept flows whose position shifted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaOutcome {
     /// Flows newly admitted into the transmitting set (fresh drain epoch,
@@ -163,21 +168,25 @@ pub struct SettledDrain {
 /// // Two flows admitted at t = 0: 1.25 MB completes after exactly 1 ms.
 /// // Each pair names its VOQ's table slot (`VoqView::slot`); here flow 1's
 /// // VOQ is slot 0, flow 2's slot 1. An entrant reports its remaining bytes.
-/// let matching = [(FlowId::new(1), voq(0, 1), 0), (FlowId::new(2), voq(2, 3), 1)];
+/// // The allocator adopts the list and hands back its previous one (empty).
+/// let matching = vec![(FlowId::new(1), voq(0, 1), 0), (FlowId::new(2), voq(2, 3), 1)];
+/// let mut selected = matching.clone();
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
-///     &matching,
+///     &mut selected,
 ///     |id| if id == FlowId::new(1) { 1_250_000 } else { 5_000_000 },
 ///     |_| unreachable!("nothing scheduled before, so nothing is evicted"),
 /// );
 /// assert_eq!((delta.entered, delta.left, delta.kept), (2, 0, 0));
+/// assert!(selected.is_empty());
 /// assert_eq!(alloc.next_completion(), SimTime::from_millis(1.0));
 ///
 /// // Re-applying the same matching is free: the whole selection matches
 /// // positionally, so nothing is hashed, entered, or evicted.
+/// let mut selected = matching.clone();
 /// let delta = alloc.apply(
 ///     SimTime::ZERO,
-///     &matching,
+///     &mut selected,
 ///     |_| unreachable!("no flow entered, so no remaining size is read"),
 ///     |_| unreachable!("no flow left, so nothing is evicted"),
 /// );
@@ -204,12 +213,14 @@ pub struct DeltaAllocator {
     /// unsettled bytes with one indexed read. The only record of which
     /// flows are scheduled.
     by_slot: Vec<Option<ScheduledEntry>>,
-    /// The previous selection in priority order, each pair with its VOQ's
+    /// The adopted selection in priority order, each pair with its VOQ's
     /// slot — what `apply` diffs the next selection against, and the
     /// order every settlement path emits drains in. A pair is live iff
     /// its slot holds its flow's account; the others are *tombstones* of
     /// flows that completed after this selection was applied.
-    sel: Vec<(FlowId, Voq, usize)>,
+    sel: Vec<(FlowId, Voq, u32)>,
+    /// The number of bound accounts (`Some` entries of `by_slot`).
+    bound: usize,
     /// `apply`'s working state, reused so a reschedule allocates nothing
     /// once warm: per VOQ slot, the generation of the last `apply` that
     /// re-selected the flow bound there; that generation; and the
@@ -229,6 +240,7 @@ impl DeltaAllocator {
             calendar: CompletionCalendar::new(),
             by_slot: Vec::new(),
             sel: Vec::new(),
+            bound: 0,
             stamps: Vec::new(),
             generation: 0,
             entrants: Vec::new(),
@@ -236,10 +248,9 @@ impl DeltaAllocator {
         }
     }
 
-    /// Number of currently scheduled flows. Linear in the VOQ slots;
-    /// intended for tests and diagnostics.
+    /// Number of currently scheduled flows.
     pub fn len(&self) -> usize {
-        self.by_slot.iter().flatten().count()
+        self.bound
     }
 
     /// Whether no flow is currently scheduled.
@@ -268,9 +279,11 @@ impl DeltaAllocator {
     /// and returns the allocation delta.
     ///
     /// `selected` is the matching in priority order, each pair with its
-    /// VOQ's table slot ([`basrpt_core::Schedule::slotted`], or
+    /// VOQ's table slot ([`basrpt_core::Schedule::into_slotted`], or
     /// [`basrpt_core::FlowTable::voq_slot`]); each flow and each VOQ must
     /// appear at most once (a [`basrpt_core::Schedule`] guarantees both).
+    /// The allocator adopts the list as its selection and leaves its
+    /// previous selection in `selected`'s place, so no pair is copied.
     /// Flows already scheduled keep their drain epoch and calendar item
     /// untouched; flows entering open a fresh epoch at `now` over the
     /// remaining bytes `admit(flow)` reports (read lazily, only for
@@ -283,21 +296,23 @@ impl DeltaAllocator {
     /// its slot only after the leaver's bytes are accounted.
     ///
     /// Cost: the matched prefix and suffix of the previous selection pay
-    /// one comparison each (the suffix moves in memory when the window
-    /// changes size); each pair of the middle window pays one indexed
-    /// read of its VOQ slot and one generation stamp, with no hashing; only
-    /// the `Δ` entrants and leavers pay calendar work, `O(Δ log n)`. The
-    /// window is not small: the decision re-sorts the matched set by key,
-    /// and on the paper fabric it averages 31.3 of 73.7 selected pairs.
+    /// one comparison each; each pair of the middle window pays one
+    /// indexed read of its VOQ slot and one generation stamp, with no
+    /// hashing; only the `Δ` entrants and leavers pay calendar work,
+    /// `O(Δ log n)`. The window is not small: an entrant and the flow it
+    /// displaces usually sit far apart in the admission order, and on the
+    /// paper fabric the window averages 31.2 of 73.6 selected pairs.
     pub fn apply(
         &mut self,
         now: SimTime,
-        selected: &[(FlowId, Voq, usize)],
+        selected: &mut Vec<(FlowId, Voq, u32)>,
         mut admit: impl FnMut(FlowId) -> u64,
         mut on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
-        let n_old = self.sel.len();
-        let n_new = selected.len();
+        std::mem::swap(&mut self.sel, selected);
+        let old = &*selected;
+        let n_old = old.len();
+        let n_new = self.sel.len();
 
         // Matched ends. A pair can only match a pair of the *same* flow,
         // and a completed flow cannot reappear in a fresh schedule (it
@@ -309,11 +324,11 @@ impl DeltaAllocator {
         // pair), so the two windows are self-contained.
         let limit = n_old.min(n_new);
         let mut lo = 0;
-        while lo < limit && self.sel[lo] == selected[lo] {
+        while lo < limit && old[lo] == self.sel[lo] {
             lo += 1;
         }
         let mut hi = 0;
-        while hi < limit - lo && self.sel[n_old - 1 - hi] == selected[n_new - 1 - hi] {
+        while hi < limit - lo && old[n_old - 1 - hi] == self.sel[n_new - 1 - hi] {
             hi += 1;
         }
 
@@ -335,7 +350,8 @@ impl DeltaAllocator {
         if self.stamps.len() < self.by_slot.len() {
             self.stamps.resize(self.by_slot.len(), 0);
         }
-        for &(id, voq, slot) in &selected[lo..n_new - hi] {
+        for &(id, voq, slot) in &self.sel[lo..n_new - hi] {
+            let slot = slot as usize;
             if account_of(&self.by_slot, slot, id).is_some() {
                 self.stamps[slot] = self.generation;
                 out.kept += 1;
@@ -352,10 +368,8 @@ impl DeltaAllocator {
         // every account was settled this instant already, so the owed
         // amount is zero and no drain fires — and free their VOQ slot for
         // an entrant.
-        for (id, _, slot) in self
-            .sel
-            .splice(lo..n_old - hi, selected[lo..n_new - hi].iter().copied())
-        {
+        for &(id, _, slot) in &old[lo..n_old - hi] {
+            let slot = slot as usize;
             if account_of(&self.by_slot, slot, id).is_none() || self.stamps[slot] == self.generation
             {
                 continue;
@@ -363,6 +377,7 @@ impl DeltaAllocator {
             let entry = self.by_slot[slot]
                 .take()
                 .expect("a live pair's VOQ slot holds its entry");
+            self.bound -= 1;
             let owed = entry.target_at(now) - entry.settled;
             if owed > 0 {
                 debug_assert!(
@@ -405,6 +420,7 @@ impl DeltaAllocator {
         );
         self.calendar.push(entry.completes_at, entry.flow, slot);
         self.by_slot[slot] = Some(entry);
+        self.bound += 1;
     }
 
     /// Settles the byte account bound in VOQ slot `slot` at instant `t`,
@@ -423,6 +439,7 @@ impl DeltaAllocator {
         let (id, voq) = (entry.flow, entry.voq);
         if completed {
             self.by_slot[slot] = None;
+            self.bound -= 1;
         }
         on_drain(SettledDrain {
             flow: id,
@@ -486,6 +503,7 @@ impl DeltaAllocator {
         // explicit index keeps the borrow checker out of the closure.
         for i in 0..self.sel.len() {
             let (id, _, slot) = self.sel[i];
+            let slot = slot as usize;
             if account_of(&self.by_slot, slot, id).is_none() {
                 continue; // completion tombstone
             }
@@ -516,7 +534,7 @@ impl DeltaAllocator {
     pub(crate) fn snapshot_entries(&self) -> Vec<ScheduledEntry> {
         self.sel
             .iter()
-            .filter_map(|&(id, _, slot)| account_of(&self.by_slot, slot, id).copied())
+            .filter_map(|&(id, _, slot)| account_of(&self.by_slot, slot as usize, id).copied())
             .collect()
     }
 
@@ -535,7 +553,7 @@ impl DeltaAllocator {
         let mut alloc = DeltaAllocator::new(rate);
         alloc.stats = stats;
         for (entry, slot) in entries {
-            alloc.sel.push((entry.flow, entry.voq, slot));
+            alloc.sel.push((entry.flow, entry.voq, slot as u32));
             alloc.bind(slot, entry);
         }
         alloc
@@ -549,7 +567,7 @@ impl DeltaAllocator {
         let mut seen = HashSet::new();
         let mut want = SimTime::INFINITY;
         for &(id, voq, slot) in &self.sel {
-            let Some(entry) = account_of(&self.by_slot, slot, id) else {
+            let Some(entry) = account_of(&self.by_slot, slot as usize, id) else {
                 continue; // completion tombstone
             };
             if !seen.insert(id) {
@@ -565,11 +583,12 @@ impl DeltaAllocator {
             }
             want = want.min(entry.completes_at);
         }
-        if seen.len() != self.len() {
+        let live = self.by_slot.iter().flatten().count();
+        if seen.len() != live || self.bound != live {
             return Err(format!(
-                "selection covers {} live flows but {} are live",
+                "selection covers {} live flows and {} are counted, but {live} are live",
                 seen.len(),
-                self.len()
+                self.bound
             ));
         }
         let got = self.next_completion();
@@ -611,15 +630,20 @@ pub struct LiveViews<'a> {
 
 impl ViewAdjust for LiveViews<'_> {
     fn adjust(&self, view: &mut VoqView) {
+        self.adjust_counted(view);
+    }
+
+    /// The lens corrects exactly the VOQs with a bound account.
+    fn adjust_counted(&self, view: &mut VoqView) -> bool {
         let Some(Some(entry)) = self.alloc.by_slot.get(view.slot()) else {
-            return; // no flow of this VOQ is transmitting
+            return false; // no flow of this VOQ is transmitting
         };
         debug_assert_eq!(entry.voq, view.voq, "the view comes from the bound table");
         let flow = entry.flow;
         let target = entry.target_at(self.now);
         let owed = target - entry.settled;
         if owed == 0 {
-            return;
+            return true;
         }
         view.backlog -= owed;
         let live = entry.epoch_remaining - target;
@@ -634,17 +658,25 @@ impl ViewAdjust for LiveViews<'_> {
             view.shortest_flow = flow;
             view.shortest_remaining = live;
         }
+        true
     }
 
     /// The lens corrects only the VOQs with a bound account: the live
     /// pairs of the allocator's selection.
     fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
         for &(id, _, slot) in &self.alloc.sel {
-            if account_of(&self.alloc.by_slot, slot, id).is_some() {
-                visit(slot);
+            if account_of(&self.alloc.by_slot, slot as usize, id).is_some() {
+                visit(slot as usize);
             }
         }
         true
+    }
+
+    /// The allocator counts its bound accounts, so a decision that re-reads
+    /// every matched VOQ learns whether the lens corrects any other one
+    /// without walking the selection.
+    fn corrected_count(&self) -> Option<usize> {
+        Some(self.alloc.bound)
     }
 }
 
@@ -783,11 +815,11 @@ mod tests {
         size: impl Fn(FlowId) -> u64,
         on_evict: impl FnMut(SettledDrain),
     ) -> DeltaOutcome {
-        let selected: Vec<_> = selected
+        let mut selected: Vec<_> = selected
             .into_iter()
-            .map(|(id, q)| (id, q, slot(q)))
+            .map(|(id, q)| (id, q, slot(q) as u32))
             .collect();
-        alloc.apply(now, &selected, size, on_evict)
+        alloc.apply(now, &mut selected, size, on_evict)
     }
 
     #[test]
@@ -1061,12 +1093,15 @@ mod tests {
         table.insert(FlowState::new(f(2), q, 1_250)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
         let admit = |id| table.get(id).unwrap().remaining();
-        let s = table.voq_slot(q).unwrap();
-        alloc.apply(SimTime::ZERO, &[(f(1), q, s)], admit, no_evict);
+        let s = table.voq_slot(q).unwrap() as u32;
+        alloc.apply(SimTime::ZERO, &mut vec![(f(1), q, s)], admit, no_evict);
         let mut evicted = Vec::new();
-        alloc.apply(SimTime::from_micros(1.0), &[(f(2), q, s)], admit, |d| {
-            evicted.push(d)
-        });
+        alloc.apply(
+            SimTime::from_micros(1.0),
+            &mut vec![(f(2), q, s)],
+            admit,
+            |d| evicted.push(d),
+        );
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].flow, f(1));
         assert_eq!(evicted[0].amount, 1_250);
@@ -1234,14 +1269,24 @@ mod tests {
         table.insert(FlowState::new(f(1), q, 12_500)).unwrap();
         table.insert(FlowState::new(f(2), q, 5_000)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        let s = table.voq_slot(q).unwrap();
-        alloc.apply(SimTime::ZERO, &[(f(1), q, s)], |_| 12_500, no_evict);
+        let s = table.voq_slot(q).unwrap() as u32;
+        alloc.apply(SimTime::ZERO, &mut vec![(f(1), q, s)], |_| 12_500, no_evict);
 
         let view_at = |table: &FlowTable, alloc: &DeltaAllocator, t: SimTime| {
             let mut view = table.voqs().next().unwrap();
             alloc.live_views(t).adjust(&mut view);
             view
         };
+
+        // The bound VOQ counts as corrected even while it owes nothing; a
+        // VOQ without a bound account does not.
+        let mut view = table.voq_view(q).unwrap();
+        assert!(alloc.live_views(SimTime::ZERO).adjust_counted(&mut view));
+        assert_eq!(view, table.voq_view(q).unwrap());
+        let mut other = table.clone();
+        other.insert(FlowState::new(f(3), voq(2, 3), 100)).unwrap();
+        let mut view = other.voq_view(voq(2, 3)).unwrap();
+        assert!(!alloc.live_views(SimTime::ZERO).adjust_counted(&mut view));
 
         // 2 µs in: flow 1 has moved 2 500 unsettled bytes. Its live
         // remaining (10 000) still loses to flow 2's 5 000.
@@ -1291,9 +1336,15 @@ mod tests {
             slots
         };
         assert_eq!(named(&alloc), [slot(a.1), slot(b.1)]);
-        // A completion's tombstone is not named.
+        // The count and the per-slot test agree with the naming.
+        let lens = alloc.live_views(SimTime::ZERO);
+        assert_eq!(lens.corrected_count(), Some(2));
+        // A completion's tombstone is not named, nor counted.
         alloc.settle_due(SimTime::from_micros(1.0), |_| {});
         assert_eq!(named(&alloc), [slot(b.1)]);
+        let lens = alloc.live_views(SimTime::ZERO);
+        assert_eq!(lens.corrected_count(), Some(1));
+        alloc.check_consistent().unwrap();
     }
 
     #[test]
@@ -1308,8 +1359,8 @@ mod tests {
         table.insert(FlowState::new(f(5), q, 5_000)).unwrap();
         table.insert(FlowState::new(f(2), q, 3_750)).unwrap();
         let mut alloc = DeltaAllocator::new(gbps10());
-        let s = table.voq_slot(q).unwrap();
-        alloc.apply(SimTime::ZERO, &[(f(5), q, s)], |_| 5_000, no_evict);
+        let s = table.voq_slot(q).unwrap() as u32;
+        alloc.apply(SimTime::ZERO, &mut vec![(f(5), q, s)], |_| 5_000, no_evict);
 
         let mut view = table.voqs().next().unwrap();
         assert_eq!(view.shortest_flow, f(2));

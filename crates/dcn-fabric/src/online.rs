@@ -85,7 +85,7 @@ use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
 use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
 };
-use dcn_types::{Bytes, FlowId, SimTime, Voq};
+use dcn_types::{Bytes, SimTime};
 use dcn_workload::FlowArrival;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
@@ -287,9 +287,6 @@ pub(crate) struct Crossbar<'s, S: ?Sized> {
     /// The core-capacity filter, present when core capacity is enforced
     /// (one plane for the aggregate filter, the fabric's planes for ECMP).
     pub(crate) budgets: Option<CoreBudgets>,
-    /// The decision's pairs with their VOQ slots, filtered in place:
-    /// reused across decisions.
-    selected: Vec<(FlowId, Voq, usize)>,
 }
 
 impl<'s, S: Scheduler + ?Sized> Crossbar<'s, S> {
@@ -303,7 +300,6 @@ impl<'s, S: Scheduler + ?Sized> Crossbar<'s, S> {
             scheduler,
             alloc: DeltaAllocator::new(topo.edge_rate()),
             budgets: enforce_core.then(|| CoreBudgets::new(topo, planes)),
-            selected: Vec::new(),
         }
     }
 }
@@ -345,23 +341,23 @@ impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
                 self.scheduler.schedule(table)
             }
         });
-        // Pairs decided from the table's views carry their VOQ slot; only
-        // a discipline that builds its schedule otherwise costs a lookup.
-        let selected = &mut self.selected;
-        selected.clear();
-        selected.extend(schedule.slotted().map(|(id, voq, slot)| {
-            let slot = slot.or_else(|| table.voq_slot(voq));
-            (id, voq, slot.expect("a scheduled flow's VOQ has a slot"))
-        }));
+        // The allocator adopts the schedule's own pair list. Pairs decided
+        // from the table's views carry their VOQ slot; only a discipline
+        // that builds its schedule otherwise costs a lookup.
+        let mut selected = schedule.into_slotted(|voq| {
+            table
+                .voq_slot(voq)
+                .expect("a scheduled flow's VOQ has a slot")
+        });
         if let Some(budgets) = self.budgets.as_mut() {
-            budgets.filter(topo, selected, |&(id, voq, _)| (id, voq));
+            budgets.filter(topo, &mut selected, |&(id, voq, _)| (id, voq));
         }
         // Entrants' remaining bytes are exact in the stale table too: a
         // flow entering the scheduled set was not transmitting, so it has
         // no unsettled drains. Evicted flows settle their unsettled
         // progress on the way out.
         let admit = |id| table.get(id).expect("scheduled flow is active").remaining();
-        self.alloc.apply(now, selected, admit, |d| out.push(d));
+        self.alloc.apply(now, &mut selected, admit, |d| out.push(d));
     }
 }
 

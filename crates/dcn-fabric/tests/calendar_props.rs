@@ -257,21 +257,21 @@ proptest! {
             // are fresh ids (a completed flow never returns), so a lane
             // kept across steps is a preemption on the same VOQ.
             let mut seen = [false; 8];
-            let selected: Vec<(FlowId, Voq, usize)> = lanes
+            let selected: Vec<(FlowId, Voq, u32)> = lanes
                 .iter()
                 .filter(|&&k| !std::mem::replace(&mut seen[k as usize], true))
                 .map(|&k| {
                     let voq = Voq::new(HostId::new(k as u32), HostId::new(k as u32 + 8));
-                    (f(step as u64 * 8 + k), voq, k as usize)
+                    (f(step as u64 * 8 + k), voq, k as u32)
                 })
                 .collect();
             let admit = |id: FlowId| 1_250 * (id.raw() % 13 + 1);
-            alloc.apply(now, &selected, admit, |_| {});
+            alloc.apply(now, &mut selected.clone(), admit, |_| {});
             alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
             let pushed = alloc.calendar_len();
             let next = alloc.next_completion();
             for _ in 0..*repeats {
-                let d = alloc.apply(now, &selected, admit, |_| {});
+                let d = alloc.apply(now, &mut selected.clone(), admit, |_| {});
                 prop_assert_eq!(d.entered + d.left, 0, "step {}", step);
             }
             prop_assert!(alloc.calendar_len() <= pushed, "step {}: re-apply pushed", step);
@@ -281,7 +281,7 @@ proptest! {
             alloc.settle_due(now, |_| {});
             alloc.check_consistent().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
         }
-        alloc.apply(now, &[], |_| unreachable!(), |_| {});
+        alloc.apply(now, &mut Vec::new(), |_| unreachable!(), |_| {});
         prop_assert_eq!(alloc.next_completion(), SimTime::INFINITY);
         prop_assert_eq!(alloc.calendar_len(), 0, "an empty schedule drains the calendar");
     }

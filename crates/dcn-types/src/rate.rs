@@ -90,14 +90,25 @@ impl Rate {
     /// floor here never accumulates across events; completion instants are
     /// derived analytically via [`Rate::transfer_time`], never from
     /// repeated `bytes_in` calls.
+    ///
+    /// The floor is the `as` cast itself, which truncates toward zero and
+    /// saturates; `max` first maps negatives, `−0.0` and NaN to zero. That
+    /// is bit-for-bit `floor().max(0.0) as u64` without a libm call, which
+    /// baseline x86-64 (no SSE4.1 `roundsd`) cannot inline.
     pub fn bytes_in(self, elapsed: SimTime) -> Bytes {
-        Bytes::new((self.0 * elapsed.as_secs()).floor().max(0.0) as u64)
+        Bytes::new(truncate_bytes(self.0 * elapsed.as_secs()))
     }
 
     /// The smaller of two rates.
     pub fn min(self, other: Rate) -> Rate {
         Rate(self.0.min(other.0))
     }
+}
+
+/// Whole bytes in a non-negative byte count: the `as` cast truncates
+/// toward zero and saturates, after `max` drops negatives and NaN.
+fn truncate_bytes(bytes: f64) -> u64 {
+    bytes.max(0.0) as u64
 }
 
 impl Add for Rate {
@@ -154,6 +165,41 @@ mod tests {
         let r = Rate::from_bytes_per_sec(1000.0);
         assert_eq!(r.bytes_in(SimTime::from_secs(2.5)), Bytes::new(2500));
         assert_eq!(Rate::ZERO.bytes_in(SimTime::from_secs(5.0)), Bytes::ZERO);
+    }
+
+    #[test]
+    fn truncation_matches_floor_for_every_class_of_value() {
+        let values = [
+            0.0,
+            -0.0,
+            0.25,
+            0.999_999_999_999,
+            1.0,
+            1.5,
+            2500.0,
+            12_499.999_999,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 2.0,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            u64::MAX as f64,
+            1.8446744073709552e19 * 4.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for v in values {
+            assert_eq!(
+                truncate_bytes(v),
+                v.floor().max(0.0) as u64,
+                "{v:?} truncates like floor"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 mod support;
 
-use basrpt::core::{FastBasrpt, Scheduler, Srpt};
+use basrpt::core::{FastBasrpt, Fifo, MaxWeight, RoundRobin, Scheduler, Srpt};
 use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig, Topology};
 use basrpt::probe::EventCounterProbe;
 use basrpt::types::SimTime;
@@ -32,6 +32,10 @@ fn config(horizon_secs: f64, enforce_core: bool) -> SimConfig {
 
 type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
 
+/// Every source of the pair list the allocator adopts: SRPT, FIFO and fast
+/// BASRPT with `V/N ≥ 1` certify carried matchings; MaxWeight and fast
+/// BASRPT with `V/N < 1` decide by full passes; round-robin builds its
+/// schedule pair by pair, without VOQ slots, and settles eagerly.
 fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
     vec![
         ("srpt", Box::new(|| Box::new(Srpt::new()))),
@@ -39,12 +43,19 @@ fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
             "fast_basrpt",
             Box::new(|| Box::new(FastBasrpt::new(2500.0 * 8.0 / 144.0, 8))),
         ),
+        ("fifo", Box::new(|| Box::new(Fifo::new()))),
+        ("maxweight", Box::new(|| Box::new(MaxWeight::new()))),
+        (
+            "fast_basrpt_sub",
+            Box::new(|| Box::new(FastBasrpt::new(4.0, 8))),
+        ),
+        ("round_robin", Box::new(|| Box::new(RoundRobin::new()))),
     ]
 }
 
-/// Seeds 1..=3 × {SRPT, FastBasrpt} × {free, core-enforced}: run summaries,
-/// series fingerprints, and FCT summaries all bit-identical between the
-/// delta engine and the eager reference.
+/// Seeds 1..=3 × every discipline above × {free, core-enforced}: run
+/// summaries, series fingerprints, and FCT summaries all bit-identical
+/// between the delta engine and the eager reference.
 #[test]
 fn delta_matches_the_reference_across_seeds_and_disciplines() {
     for (name, make) in &disciplines() {

@@ -14,10 +14,15 @@ verify: trace-smoke daemon-smoke lint docs doc-tests
 	$(MAKE) test-baselines
 	$(MAKE) loc
 
-# Zero-warning clippy across every target, and formatting is canonical.
+# Zero-warning clippy across every target, and formatting is canonical —
+# in the workspace and in the benchmark package (its own workspace over the
+# crates' public API), so a crate-API change that breaks the benchmark
+# fails here rather than in the benchmark run.
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo fmt --check
+	cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+	cargo fmt --manifest-path perfbench/Cargo.toml --check
 
 # The baseline-discipline invariants at release speed and a non-default
 # shard count: the fair-share production-vs-naive differential matrix and

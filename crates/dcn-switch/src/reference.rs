@@ -73,7 +73,7 @@ pub fn run_probed<S: Scheduler + ?Sized, A: SlotArrivals + ?Sized, P: Probe>(
 ) -> SwitchRun {
     config.validate();
     let mut switch = SlottedSwitch::new(num_ports);
-    let mut sampler = SwitchSampler::new(num_ports);
+    let mut sampler = SwitchSampler::new();
     let mut fan = Fanout::new(&mut sampler, probe);
     let mut tally = Tally::default();
 

@@ -102,12 +102,16 @@ impl PortSet {
         self.len = 0;
     }
 
-    /// Iterates over the ports in the set in ascending index order.
+    /// Iterates over the ports in the set in ascending index order, one
+    /// step per word and per member.
     pub fn iter(&self) -> impl Iterator<Item = HostId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
-            (0..64)
-                .filter(move |b| word & (1u64 << b) != 0)
-                .map(move |b| HostId::new((i * 64 + b) as u32))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let b = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(HostId::new((i * 64) as u32 + b))
+            })
         })
     }
 }

@@ -4,6 +4,7 @@ use crate::{
     schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
     Ranking, Schedule, Scheduler, ViewAdjust,
 };
+use dcn_types::{FlowId, Voq};
 
 /// The practical backlog-aware SRPT approximation (§IV-C, Algorithm 1).
 ///
@@ -109,6 +110,10 @@ impl Scheduler for FastBasrpt {
     fn supports_lazy_views(&self) -> bool {
         // The key reads only the view's champion and backlog.
         true
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        self.ranking.recycle(pairs);
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {

@@ -4,6 +4,7 @@ use crate::{
     schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
     Ranking, Schedule, Scheduler, ViewAdjust,
 };
+use dcn_types::{FlowId, Voq};
 
 /// First-in-first-out scheduling: flows are admitted to the matching in
 /// arrival order (flow ids are assigned in arrival order by the workload
@@ -65,6 +66,10 @@ impl Scheduler for Fifo {
     fn supports_lazy_views(&self) -> bool {
         // The key reads only the view's oldest flow.
         true
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        self.ranking.recycle(pairs);
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {

@@ -4,6 +4,7 @@ use crate::{
     schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
     Ranking, Schedule, Scheduler, ViewAdjust,
 };
+use dcn_types::{FlowId, Voq};
 
 /// The RepFlow baseline (Xu & Li, INFOCOM'14): flows shorter than a
 /// threshold are replicated across distinct core planes and the first
@@ -90,6 +91,10 @@ impl Scheduler for RepFlow {
     fn supports_lazy_views(&self) -> bool {
         // Same view-only decision as SRPT.
         true
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        self.ranking.recycle(pairs);
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {

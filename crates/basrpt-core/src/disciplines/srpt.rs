@@ -4,6 +4,7 @@ use crate::{
     schedule_champions_adjusted, Candidate, DecisionCounts, FlowTable, KeyMotion, NoAdjust,
     Ranking, Schedule, Scheduler, ViewAdjust,
 };
+use dcn_types::{FlowId, Voq};
 
 /// The SRPT discipline used by PDQ, pFabric and PASE (§II-A): repeatedly
 /// select the globally shortest remaining flow whose ingress and egress
@@ -68,6 +69,10 @@ impl Scheduler for Srpt {
     fn supports_lazy_views(&self) -> bool {
         // The decision reads only the per-VOQ views.
         true
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        self.ranking.recycle(pairs);
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {

@@ -145,6 +145,14 @@ pub trait Scheduler {
         let _ = adjust;
         self.schedule(table)
     }
+
+    /// Takes back the pair list of a schedule this scheduler returned,
+    /// once the engine is done with it ([`Schedule::into_slotted`]), so
+    /// the next decision can reuse its allocation. The default drops it;
+    /// the disciplines that carry a matching ([`Ranking`]) keep it.
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        let _ = pairs;
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -166,6 +174,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         (**self).schedule_adjusted(table, adjust)
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        (**self).recycle(pairs);
     }
 }
 
@@ -266,6 +278,10 @@ impl<S: Scheduler> Scheduler for CountingScheduler<S> {
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         self.calls += 1;
         self.inner.schedule_adjusted(table, adjust)
+    }
+
+    fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        self.inner.recycle(pairs);
     }
 }
 
@@ -625,6 +641,9 @@ pub struct Ranking {
     dirty: Vec<u32>,
     freed: Vec<(usize, Rank)>,
     work: BinaryHeap<Work>,
+    /// A spent pair list handed back by the engine, which the next
+    /// certified decision fills instead of allocating.
+    spare: Vec<(FlowId, Voq, u32)>,
     counts: DecisionCounts,
 }
 
@@ -649,6 +668,16 @@ impl Ranking {
     /// How this ranking's decisions were taken so far.
     pub fn counts(&self) -> DecisionCounts {
         self.counts
+    }
+
+    /// Keeps `pairs`, a spent schedule's pair list, for the next certified
+    /// decision to fill. A list with room for more pairs than there are
+    /// ports (no matching has that many) is dropped, so the kept capacity
+    /// stays bounded.
+    pub(crate) fn recycle(&mut self, pairs: Vec<(FlowId, Voq, u32)>) {
+        if pairs.capacity() <= self.ports.len() {
+            self.spare = pairs;
+        }
     }
 
     /// Makes room for the ports of hosts below `hosts`.
@@ -965,17 +994,19 @@ impl Ranking {
     /// The certified decision's schedule: a copy of the matched set's
     /// records, in admission order, each pair with its VOQ slot. Each
     /// member must own both of its ports, so no two share one.
-    fn emit(&self) -> Schedule {
+    fn emit(&mut self) -> Schedule {
+        let mut pairs = std::mem::take(&mut self.spare);
+        pairs.clear();
         let owns = |port: usize, slot: u32| self.ports[port].owner == Some(slot);
-        let pairs = self.matched.iter().map(|&(c, slot)| {
+        pairs.extend(self.matched.iter().map(|&(c, slot)| {
             let (src, dst) = voq_ports(c.voq);
             assert!(
                 owns(src, slot) && owns(dst, slot),
                 "the carried matching is port-disjoint"
             );
             (c.flow, c.voq, slot)
-        });
-        Schedule::from_disjoint(pairs.collect())
+        }));
+        Schedule::from_disjoint(pairs)
     }
 
     /// The full pass: ranks every view and admits greedily. With `carry`,

@@ -105,11 +105,6 @@ pub fn run_fabric_probed<P: Probe>(
     simulate_probed(topo, scheduler, generator, config, probe).expect("valid simulation")
 }
 
-/// Formats a millisecond quantity with three significant decimals.
-pub fn fmt_ms(ms: f64) -> String {
-    format!("{ms:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

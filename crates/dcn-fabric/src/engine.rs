@@ -247,11 +247,6 @@ impl FabricRun {
     pub fn monitored_port_stability(&self, config: TrendConfig) -> StabilityReport {
         StabilityReport::classify(&self.monitored_port_backlog, config)
     }
-
-    /// Stability verdict for the whole-fabric backlog trace.
-    pub fn total_backlog_stability(&self, config: TrendConfig) -> StabilityReport {
-        StabilityReport::classify(&self.total_backlog, config)
-    }
 }
 
 /// Engine-side metadata of one active flow (what the [`FlowTable`] does

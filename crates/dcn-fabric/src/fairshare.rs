@@ -22,18 +22,22 @@
 //!
 //! Two implementations compute it:
 //!
-//! * [`FairShareAllocator`] — the production allocator: per-flow
-//!   constraint lists built once per reschedule, a compacted live-flow
-//!   list, `O(C + live)` per round;
+//! * [`FairShareAllocator`] — the production allocator: the flows indexed
+//!   by constraint once per reallocation, cached constraint levels
+//!   refreshed only where a frozen flow touched them, `O(A)` per round for
+//!   the `A` constraints that still have unfrozen members;
 //! * [`crate::reference::simulate_fair_share_naive`] — a deliberately
 //!   naive reference that rescans **every flow for every constraint on
 //!   every round** (`O(n²)` per reschedule) with dumb data structures.
 //!
 //! Both follow the *same canonical arithmetic contract* — fill levels are
-//! computed as `(residual / unfrozen).max(0.0)`, residuals are decremented
-//! by the round's level once per frozen member in ascending flow-id order
-//! (source, destination, uplink, downlink constraint order within a flow)
-//! — so their outputs are **bit-identical**, which is what
+//! computed as `(residual / unfrozen).max(0.0)`, a round's level is the
+//! smallest of them, every unfrozen flow on a constraint at that level
+//! (compared by bits, against the levels at the round's start) freezes at
+//! it, and residuals are decremented by the round's level once per frozen
+//! member (every subtraction of a round is by the same level, so the
+//! order the frozen flows are applied in does not change a bit) — so
+//! their outputs are **bit-identical**, which is what
 //! `tests/fairshare_differential.rs` pins across seeds × topologies ×
 //! shard counts, the same technique that pins the delta engine against
 //! the scan engine.
@@ -51,10 +55,13 @@
 //! epoch, so its completion instant (and every output bit) is invariant
 //! to unrelated churn.
 //!
-//! Each transmitting flow's drain account is the only record of its
-//! completion instant. The policy keeps the accounts in one id-ordered
-//! list, rebuilt on every reallocation by a merge walk against the
-//! id-sorted allocation, and keeps the earliest instant as a cached
+//! The policy keeps the active flows in one id-ordered list across
+//! events — an arrival enters it and a completion leaves it, each at its
+//! binary-searched place — so a reallocation neither collects nor sorts
+//! the table. Each transmitting flow's drain account is the
+//! only record of its completion instant. The policy keeps the accounts
+//! in one id-ordered list, rebuilt on every reallocation by a merge walk
+//! against the id-ordered allocation, and keeps the earliest instant as a cached
 //! minimum: every event already scans every account (lazy settlement
 //! checks each one for being due) and every reallocation rebuilds them
 //! all, so both passes refresh the minimum for free. There is no
@@ -73,7 +80,7 @@ use crate::delta::SettledDrain;
 use crate::engine::{FabricError, FabricRun, ScheduledEntry, SimConfig};
 use crate::online::{run_batch, AllocationPolicy};
 use crate::topology::Topology;
-use basrpt_core::FlowTable;
+use basrpt_core::{FlowSlot, FlowTable};
 use dcn_probe::{NoProbe, Probe};
 use dcn_types::{FlowId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
@@ -163,9 +170,17 @@ impl ConstraintSpec {
 /// The production progressive water-filler.
 ///
 /// Reusable across reallocations: internal vectors are cleared, not
-/// reallocated. Per reallocation the cost is `O(n)` setup plus
-/// `O(C + live)` per filling round, against the naive reference's
-/// `O(n · C)` per round — same arithmetic, different data structures (see
+/// reallocated. Each allocation indexes the flows by constraint (every
+/// constraint's members, ascending, in one offsets-and-members array
+/// beside each flow's own constraint list) and caches each constraint's
+/// fill level, recomputing a level only after a frozen flow touched its
+/// constraint. A filling round takes the minimum over the constraints
+/// that still have unfrozen members (a compacted list), then freezes the
+/// unfrozen members of the constraints at that level: `O(A)` per round
+/// for `A` such constraints, plus `O(n)` freezing over the whole
+/// allocation (a constraint's members are walked once, in the round it
+/// saturates), after `O(C + n)` setup — against the naive reference's
+/// `O(n · C)` per round. Same arithmetic, different data structures (see
 /// the module docs for the bit-identity contract).
 ///
 /// # Example
@@ -190,11 +205,26 @@ impl ConstraintSpec {
 #[derive(Debug)]
 pub struct FairShareAllocator {
     spec: ConstraintSpec,
+    /// Per constraint: the residual capacity, the unfrozen member count,
+    /// and the cached fill level (`NaN` once a frozen flow touched it).
     residual: Vec<f64>,
     unfrozen: Vec<u32>,
+    level: Vec<f64>,
+    /// The members of constraint `c`, as ascending flow indices, are
+    /// `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// Per flow: its constraints in canonical order, and whether it is
+    /// frozen.
     cons: Vec<[u32; 4]>,
     cons_len: Vec<u8>,
-    live: Vec<u32>,
+    frozen: Vec<bool>,
+    /// The constraints that had unfrozen members at the last round's
+    /// start, ascending.
+    active: Vec<u32>,
+    /// The round's scratch: the constraints at its level, and the flows
+    /// they freeze.
+    tight: Vec<u32>,
     marked: Vec<u32>,
 }
 
@@ -206,23 +236,22 @@ impl FairShareAllocator {
             spec,
             residual: Vec::with_capacity(c),
             unfrozen: Vec::with_capacity(c),
+            level: Vec::new(),
+            start: Vec::new(),
+            members: Vec::new(),
             cons: Vec::new(),
             cons_len: Vec::new(),
-            live: Vec::new(),
+            frozen: Vec::new(),
+            active: Vec::new(),
+            tight: Vec::new(),
             marked: Vec::new(),
         }
     }
 
-    /// The constraint system this allocator fills.
-    pub fn spec(&self) -> &ConstraintSpec {
-        &self.spec
-    }
-
     /// Computes the max-min fair rate (bytes/second) of every flow.
     ///
-    /// `flows` must be sorted by ascending [`FlowId`] — the canonical
-    /// freezing order of the arithmetic contract (the engine collects the
-    /// flow table in that order). `rates` is cleared and filled so
+    /// `flows` must be sorted by ascending [`FlowId`], the order the
+    /// engine keeps its flow list in. `rates` is cleared and filled so
     /// `rates[i]` is the rate of `flows[i]`.
     pub fn allocate(&mut self, flows: &[(FlowId, Voq)], rates: &mut Vec<f64>) {
         debug_assert!(
@@ -236,6 +265,8 @@ impl FairShareAllocator {
         self.residual.extend((0..c).map(|i| self.spec.cap(i)));
         self.unfrozen.clear();
         self.unfrozen.resize(c, 0);
+        self.level.clear();
+        self.level.resize(c, f64::NAN);
         self.cons.clear();
         self.cons_len.clear();
         for &(_, voq) in flows {
@@ -247,56 +278,91 @@ impl FairShareAllocator {
             self.cons.push(buf);
             self.cons_len.push(n as u8);
         }
-        self.live.clear();
-        self.live.extend(0..flows.len() as u32);
+        self.frozen.clear();
+        self.frozen.resize(flows.len(), false);
 
-        while !self.live.is_empty() {
-            // The round's fill level: the smallest per-constraint level
-            // among constraints that still have unfrozen members.
+        // The constraint index: `start` first holds each constraint's end,
+        // then the flows are placed back to front, which leaves it holding
+        // each constraint's start and every member list ascending.
+        self.start.clear();
+        let mut end = 0;
+        for &count in &self.unfrozen {
+            end += count;
+            self.start.push(end);
+        }
+        self.start.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for f in (0..flows.len()).rev() {
+            for &cc in &self.cons[f][..self.cons_len[f] as usize] {
+                let at = &mut self.start[cc as usize];
+                *at -= 1;
+                self.members[*at as usize] = f as u32;
+            }
+        }
+        self.active.clear();
+        self.active
+            .extend((0..c as u32).filter(|&i| self.unfrozen[i as usize] > 0));
+
+        let mut left = flows.len();
+        while left > 0 {
+            // The round's fill level: the smallest level among constraints
+            // that still have unfrozen members, found in ascending
+            // constraint order with the constraints at it. The same pass
+            // drops the constraints whose members all froze and refreshes
+            // the levels the last round touched.
             let mut lambda = f64::INFINITY;
-            for i in 0..c {
-                if self.unfrozen[i] > 0 {
-                    let level = (self.residual[i] / self.unfrozen[i] as f64).max(0.0);
-                    if level < lambda {
-                        lambda = level;
+            self.tight.clear();
+            let mut kept = 0;
+            for i in 0..self.active.len() {
+                let ci = self.active[i] as usize;
+                if self.unfrozen[ci] == 0 {
+                    continue;
+                }
+                self.active[kept] = ci as u32;
+                kept += 1;
+                if self.level[ci].is_nan() {
+                    self.level[ci] = (self.residual[ci] / self.unfrozen[ci] as f64).max(0.0);
+                }
+                let level = self.level[ci];
+                if level < lambda {
+                    lambda = level;
+                    self.tight.clear();
+                    self.tight.push(ci as u32);
+                } else if level.to_bits() == lambda.to_bits() {
+                    self.tight.push(ci as u32);
+                }
+            }
+            self.active.truncate(kept);
+            debug_assert!(lambda.is_finite(), "live flows imply a finite level");
+
+            // Freeze every unfrozen member of a constraint at the round
+            // level. Each such constraint is left with no unfrozen member,
+            // so its member list is walked in this round only.
+            self.marked.clear();
+            for &ci in &self.tight {
+                let (lo, hi) = (self.start[ci as usize], self.start[ci as usize + 1]);
+                for &f in &self.members[lo as usize..hi as usize] {
+                    if !self.frozen[f as usize] {
+                        self.frozen[f as usize] = true;
+                        self.marked.push(f);
                     }
                 }
             }
-            debug_assert!(lambda.is_finite(), "live flows imply a finite level");
-
-            // Freeze every unfrozen flow touching a constraint at the
-            // round level. `live` is ascending, so `marked` is too.
-            self.marked.clear();
-            let (cons, cons_len, unfrozen, residual, marked) = (
-                &self.cons,
-                &self.cons_len,
-                &self.unfrozen,
-                &self.residual,
-                &mut self.marked,
-            );
-            self.live.retain(|&f| {
-                let fi = f as usize;
-                let hit = cons[fi][..cons_len[fi] as usize].iter().any(|&cc| {
-                    let ci = cc as usize;
-                    unfrozen[ci] > 0
-                        && ((residual[ci] / unfrozen[ci] as f64).max(0.0)).to_bits()
-                            == lambda.to_bits()
-                });
-                if hit {
-                    marked.push(f);
-                }
-                !hit
-            });
             debug_assert!(!self.marked.is_empty(), "each round freezes a flow");
+            left -= self.marked.len();
 
-            // Apply in ascending flow order, constraints in canonical
-            // order — the exact subtraction sequence of the contract.
+            // Every subtraction of a round is by the same level, so each
+            // residual takes the contract's sequence of subtractions in
+            // whatever order the frozen flows are applied.
             for &f in &self.marked {
                 let fi = f as usize;
                 rates[fi] = lambda;
                 for &cc in &self.cons[fi][..self.cons_len[fi] as usize] {
-                    self.residual[cc as usize] -= lambda;
-                    self.unfrozen[cc as usize] -= 1;
+                    let ci = cc as usize;
+                    self.residual[ci] -= lambda;
+                    self.unfrozen[ci] -= 1;
+                    self.level[ci] = f64::NAN;
                 }
             }
         }
@@ -388,9 +454,10 @@ pub(crate) struct FairShare {
     /// The earliest `completes_at` over `entries`, refreshed by the two
     /// passes that rewrite them (`settle` and `reschedule`).
     next: SimTime,
-    /// Scratch reused across reallocations: the id-sorted active flows
-    /// and their rates.
+    /// The active flows in ascending id order, kept across events: an
+    /// arrival enters it, a completion leaves it.
     flows: Vec<(FlowId, Voq)>,
+    /// Scratch reused across reallocations: the rate of each of `flows`.
     rates: Vec<f64>,
 }
 
@@ -458,9 +525,14 @@ impl AllocationPolicy for FairShare {
         _obs: &mut O,
         out: &mut Vec<SettledDrain>,
     ) {
-        self.flows.clear();
-        self.flows.extend(table.iter().map(|f| (f.id(), f.voq())));
-        self.flows.sort_unstable_by_key(|&(id, _)| id);
+        debug_assert!(
+            {
+                let mut active: Vec<_> = table.iter().map(|f| (f.id(), f.voq())).collect();
+                active.sort_unstable_by_key(|&(id, _)| id);
+                active == self.flows
+            },
+            "the kept flow list is the table's, in id order"
+        );
         self.alloc.allocate(&self.flows, &mut self.rates);
         // The previous entries are an id-ordered subsequence of the active
         // flows (a flow leaves the table only by completing, which drops
@@ -521,6 +593,21 @@ impl AllocationPolicy for FairShare {
         }
         debug_assert_eq!(old_left, 0, "every active flow was reallocated");
         self.next = next;
+    }
+
+    fn on_arrival<T: Topology + ?Sized>(&mut self, _topo: &T, arrival: &FlowArrival, _: FlowSlot) {
+        let at = self.flows.partition_point(|&(id, _)| id < arrival.id);
+        self.flows.insert(at, (arrival.id, arrival.voq));
+    }
+
+    fn on_drain(&mut self, drain: &SettledDrain) {
+        if drain.completed {
+            let at = self
+                .flows
+                .binary_search_by_key(&drain.flow, |&(id, _)| id)
+                .expect("a completing flow is listed");
+            self.flows.remove(at);
+        }
     }
 }
 
@@ -708,6 +795,53 @@ mod tests {
         assert!((s.mean_secs - 0.002).abs() < 1e-9);
     }
 
+    /// Allocates `flows` with `alloc` and checks the rates bit for bit
+    /// against the naive water-filler, every constraint's capacity, and
+    /// max-min fairness: each flow has a saturated constraint on which no
+    /// member runs faster. Returns the rates.
+    fn assert_matches_naive(
+        alloc: &mut FairShareAllocator,
+        spec: &ConstraintSpec,
+        flows: &[(FlowId, Voq)],
+    ) -> Vec<f64> {
+        let mut fast = Vec::new();
+        let mut naive = Vec::new();
+        alloc.allocate(flows, &mut fast);
+        waterfill_naive(spec, flows, &mut naive);
+        assert_eq!(fast.len(), naive.len());
+        for (i, (a, b)) in fast.iter().zip(naive.iter()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "flow {i}: {a} vs {b}");
+        }
+        let members = |c: usize| {
+            flows.iter().enumerate().filter(move |&(_, &(_, voq))| {
+                let mut buf = [0u32; 4];
+                let n = spec.constraints_of(voq, &mut buf);
+                buf[..n].contains(&(c as u32))
+            })
+        };
+        let used: Vec<f64> = (0..spec.len())
+            .map(|c| members(c).map(|(i, _)| fast[i]).sum())
+            .collect();
+        for (c, &used) in used.iter().enumerate() {
+            assert!(
+                used <= spec.cap(c) * (1.0 + 1e-9),
+                "constraint {c} oversubscribed: {used} > {}",
+                spec.cap(c)
+            );
+        }
+        for (i, &(_, voq)) in flows.iter().enumerate() {
+            let mut buf = [0u32; 4];
+            let n = spec.constraints_of(voq, &mut buf);
+            let bottleneck = buf[..n].iter().any(|&c| {
+                let c = c as usize;
+                used[c] >= spec.cap(c) * (1.0 - 1e-9)
+                    && members(c).all(|(j, _)| fast[j] <= fast[i] * (1.0 + 1e-9))
+            });
+            assert!(bottleneck, "flow {i} at {} has no bottleneck", fast[i]);
+        }
+        fast
+    }
+
     #[test]
     fn allocator_matches_naive_reference_bitwise() {
         let topo = KAryFatTree::builder(4)
@@ -734,30 +868,7 @@ mod tests {
         .iter()
         .map(|&(id, s, d)| (FlowId::new(id), Voq::new(HostId::new(s), HostId::new(d))))
         .collect();
-        let mut fast = Vec::new();
-        let mut naive = Vec::new();
-        alloc.allocate(&flows, &mut fast);
-        waterfill_naive(&spec, &flows, &mut naive);
-        assert_eq!(fast.len(), naive.len());
-        for (i, (a, b)) in fast.iter().zip(naive.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "flow {i}: {a} vs {b}");
-        }
-        // And the allocation respects every constraint.
-        for c in 0..spec.len() {
-            let mut used = 0.0;
-            for (i, &(_, voq)) in flows.iter().enumerate() {
-                let mut buf = [0u32; 4];
-                let n = spec.constraints_of(voq, &mut buf);
-                if buf[..n].contains(&(c as u32)) {
-                    used += fast[i];
-                }
-            }
-            assert!(
-                used <= spec.cap(c) * (1.0 + 1e-9),
-                "constraint {c} oversubscribed: {used} > {}",
-                spec.cap(c)
-            );
-        }
+        assert_matches_naive(&mut alloc, &spec, &flows);
     }
 
     #[test]
@@ -825,18 +936,17 @@ mod tests {
         let mut policy = FairShare::new(&topo, true);
         let mut table = FlowTable::new();
         let mut out = Vec::new();
-        let flow = |id, src, dst, size| {
-            FlowState::new(
-                FlowId::new(id),
-                Voq::new(HostId::new(src), HostId::new(dst)),
-                size,
-            )
+        // Admits a flow as the core does: into the table, then the hook.
+        let admit = |policy: &mut FairShare, table: &mut FlowTable, id, src, dst, size| {
+            let a = arrival(id, 0.0, src, dst, size);
+            let slot = table.insert(FlowState::new(a.id, a.voq, size)).unwrap();
+            policy.on_arrival(&topo, &a, slot);
         };
         let us = SimTime::from_micros;
 
         // t = 0: flows 1 (0→1) and 2 (2→3) run alone at line rate.
-        table.insert(flow(1, 0, 1, 12_500)).unwrap();
-        table.insert(flow(2, 2, 3, 25_000)).unwrap();
+        admit(&mut policy, &mut table, 1, 0, 1, 12_500);
+        admit(&mut policy, &mut table, 2, 2, 3, 25_000);
         policy.reschedule(&topo, SimTime::ZERO, &table, true, &mut NoProbe, &mut out);
         assert!(out.is_empty());
         assert_eq!(policy.next_completion(), us(10.0));
@@ -845,8 +955,8 @@ mod tests {
         // t = 1 µs: flow 3 joins flow 2's NIC (re-rating flow 2 to half)
         // and flow 4 crosses the cut core (starving). Flow 1 keeps its
         // rate, its epoch, and its 10 µs completion.
-        table.insert(flow(3, 2, 3, 2_500)).unwrap();
-        table.insert(flow(4, 0, 2, 1_000)).unwrap();
+        admit(&mut policy, &mut table, 3, 2, 3, 2_500);
+        admit(&mut policy, &mut table, 4, 0, 2, 1_000);
         policy.reschedule(&topo, us(1.0), &table, true, &mut NoProbe, &mut out);
         let ids: Vec<u64> = policy.entries.iter().map(|e| e.flow.raw()).collect();
         assert_eq!(ids, vec![1, 2, 3], "the starved flow has no account");
@@ -884,6 +994,122 @@ mod tests {
         assert_eq!(policy.entries.len(), 2);
         assert_eq!(policy.next_completion(), us(10.0));
         assert_eq!(policy.next_completion(), earliest(&policy));
+    }
+
+    /// Flows with ascending ids (with gaps) on the given VOQs.
+    fn flow_set(voqs: impl IntoIterator<Item = (u32, u32)>) -> Vec<(FlowId, Voq)> {
+        voqs.into_iter()
+            .enumerate()
+            .map(|(i, (s, d))| {
+                let id = FlowId::new(3 * i as u64 + u64::from(s % 3));
+                (id, Voq::new(HostId::new(s), HostId::new(d)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn empty_flow_set_allocates_nothing() {
+        let topo = FatTree::scaled(2, 4, 1).unwrap();
+        let spec = ConstraintSpec::new(&topo, true);
+        let mut alloc = FairShareAllocator::new(spec.clone());
+        let mut rates = vec![1.0];
+        alloc.allocate(&[], &mut rates);
+        assert!(rates.is_empty());
+        // The allocator is reusable after an empty allocation.
+        assert_matches_naive(&mut alloc, &spec, &flow_set([(0, 1), (0, 2)]));
+    }
+
+    #[test]
+    fn many_constraints_saturate_in_one_round() {
+        // A ring over the eight hosts: every NIC carries one flow out and
+        // one in, so all sixteen NIC levels tie and one round freezes
+        // every flow at line rate.
+        let topo = FatTree::scaled(2, 4, 1).unwrap();
+        let spec = ConstraintSpec::new(&topo, false);
+        let mut alloc = FairShareAllocator::new(spec.clone());
+        let rates = assert_matches_naive(
+            &mut alloc,
+            &spec,
+            &flow_set((0..8).map(|h| (h, (h + 1) % 8))),
+        );
+        assert!(rates.iter().all(|&r| r == spec.cap(0)));
+    }
+
+    #[test]
+    fn zero_capacity_core_freezes_inter_rack_flows_at_zero() {
+        let spec = ConstraintSpec::new(&CutCore, true);
+        let mut alloc = FairShareAllocator::new(spec.clone());
+        let rates = assert_matches_naive(
+            &mut alloc,
+            &spec,
+            &flow_set([(0, 1), (0, 2), (1, 0), (3, 2), (2, 1), (3, 0)]),
+        );
+        let edge = spec.cap(0);
+        // The starved flows take nothing, so flow 0 keeps host 0 whole.
+        assert_eq!(rates, vec![edge, 0.0, edge, edge, 0.0, 0.0]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The topologies a case draws from, each with core enforcement on
+        /// or off: the full-bisection paper fabric, an oversubscribed
+        /// two-tier fat-tree, an oversubscribed k-ary fat-tree, and a
+        /// zero-capacity core.
+        fn topology(pick: u8) -> Box<dyn Topology> {
+            match pick {
+                0 => Box::new(FatTree::scaled(2, 4, 1).unwrap()),
+                1 => Box::new(FatTree::scaled(3, 8, 1).unwrap()),
+                2 => Box::new(
+                    KAryFatTree::builder(4)
+                        .hosts_per_edge(4)
+                        .oversubscription(4.0)
+                        .build()
+                        .unwrap(),
+                ),
+                _ => Box::new(CutCore),
+            }
+        }
+
+        /// Maps the drawn host pairs to VOQs of one shape: any pair, a
+        /// pool of four hosts (repeated VOQs), one source NIC, one
+        /// destination NIC, or a shift permutation (every NIC equally
+        /// loaded, so many constraints tie at one level).
+        fn voqs(shape: u8, hosts: u32, pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
+            let other = |s: u32, b: u32, n: u32| (s + 1 + b % (n - 1)) % n;
+            let shift = pairs.first().map_or(1, |&(_, b)| 1 + b % (hosts - 1));
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| match shape {
+                    0 => (a % hosts, other(a % hosts, b, hosts)),
+                    1 => (a % 4, other(a % 4, b, 4)),
+                    2 => (0, other(0, b, hosts)),
+                    3 => (other(0, a, hosts), 0),
+                    _ => (i as u32 % hosts, (i as u32 + shift) % hosts),
+                })
+                .collect()
+        }
+
+        proptest! {
+            #[test]
+            fn allocate_matches_naive_water_filling(
+                topo in 0u8..4,
+                enforce in 0u8..2,
+                shape in 0u8..5,
+                pairs in prop::collection::vec((0u32..1024, 0u32..1024), 0..48),
+            ) {
+                let topo = topology(topo);
+                let spec = ConstraintSpec::new(&*topo, enforce == 1);
+                let mut alloc = FairShareAllocator::new(spec.clone());
+                let flows = flow_set(voqs(shape, topo.num_hosts(), &pairs));
+                assert_matches_naive(&mut alloc, &spec, &flows);
+                // The same allocator, reused on a subset.
+                let half: Vec<_> = flows.iter().copied().step_by(2).collect();
+                assert_matches_naive(&mut alloc, &spec, &half);
+            }
+        }
     }
 
     #[test]

@@ -370,6 +370,8 @@ impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
             (slot, flow.remaining())
         };
         self.alloc.apply(now, &mut selected, admit, |d| out.push(d));
+        // `apply` handed back the previous decision's list.
+        self.scheduler.recycle(selected);
     }
 }
 

@@ -1,12 +1,14 @@
 //! Differential tests for the max-min fair-share fabric engine.
 //!
 //! `dcn_fabric::simulate_fair_share` is the production engine: the
-//! incremental `FairShareAllocator` (per-flow constraint lists, compacted
-//! live set, targeted calendar updates) driving the delta-style fair
-//! event loop. `dcn_fabric::reference::simulate_fair_share_naive` is a
-//! genuinely different implementation: an `O(n·C)`-per-round water-filler
-//! that rescans every flow for every constraint, with a linear completion
-//! scan. Both follow the canonical water-filling arithmetic contract
+//! fair-share policy on the shared event core, with lazy settlement and a
+//! cached next-completion minimum, reallocating through the
+//! `FairShareAllocator` (flows indexed by constraint, cached constraint
+//! levels, `O(A)` per filling round over the `A` constraints that still
+//! have unfrozen members). `dcn_fabric::reference::simulate_fair_share_naive`
+//! is a genuinely different implementation: an eager loop whose
+//! `O(n·C)`-per-round water-filler rescans every flow for every
+//! constraint, with a linear completion scan. Both follow the canonical water-filling arithmetic contract
 //! spelled out in the `fairshare` module docs, so every observable —
 //! byte counters, FCT summary bits, sampled-series fingerprints, full
 //! probe event streams — must match **bit for bit** across seeds ×

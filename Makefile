@@ -1,17 +1,19 @@
 # Developer entry points. `make verify` is the tier-1 gate from ROADMAP.md.
 
-.PHONY: verify lint test test-baselines bench-smoke trace-smoke daemon-smoke docs doc-tests loc clean
+.PHONY: verify lint test test-baselines test-crates bench-smoke trace-smoke daemon-smoke docs doc-tests loc clean
 
 # Tier-1: release build + the root package's quiet test run, plus the
 # trace and daemon round-trip smokes, a warning-free lint/format gate,
 # and the doc gates (rustdoc warnings — including broken intra-doc
-# links — fail the build, and every worked example must execute). Ends by
-# printing the tracked non-test line count (`make loc`).
+# links — fail the build, and every worked example must execute), the
+# crates' own suites (`make test-crates`). Ends by printing the tracked
+# non-test line count (`make loc`).
 verify: trace-smoke daemon-smoke lint docs doc-tests
 	cargo build --release
 	cargo test -q
 	BASRPT_SHARDS=2 cargo test --release --test shard_differential
 	$(MAKE) test-baselines
+	$(MAKE) test-crates
 	$(MAKE) loc
 
 # Zero-warning clippy across every target, and formatting is canonical —
@@ -30,6 +32,13 @@ lint:
 test-baselines:
 	BASRPT_SHARDS=4 cargo test --release --test fairshare_differential
 	cargo test --release --test repflow_props
+
+# Each crate's `#[cfg(test)]` unit tests and its own suites under
+# `crates/*/tests` (props, tie_break, champion_props and table_index_props
+# in basrpt-core; calendar_props in dcn-fabric), at release speed. The root
+# package's tests run in `verify`'s `cargo test -q`.
+test-crates:
+	cargo test --release --workspace --exclude basrpt --lib --tests
 
 # The full workspace test suite (unit + integration + property + doctests).
 test:

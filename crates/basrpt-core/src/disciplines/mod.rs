@@ -5,7 +5,6 @@ mod fast_basrpt;
 mod fifo;
 mod maxweight;
 mod repflow;
-mod round_robin;
 mod srpt;
 mod threshold;
 
@@ -14,6 +13,5 @@ pub use fast_basrpt::FastBasrpt;
 pub use fifo::Fifo;
 pub use maxweight::MaxWeight;
 pub use repflow::{RepFlow, REPFLOW_DEFAULT_THRESHOLD};
-pub use round_robin::RoundRobin;
 pub use srpt::Srpt;
 pub use threshold::ThresholdBacklogSrpt;

@@ -14,19 +14,18 @@ use dcn_types::{FlowId, Voq};
 /// RepFlow is a *routing* discipline, not a scheduling one: within the
 /// crossbar it ranks flows exactly like [`Srpt`](crate::Srpt) (same
 /// champions, same keys, so the matching is bit-identical). What it adds
-/// is the replication predicate — [`replicates`](RepFlow::replicates) —
-/// which the fabric layer (`dcn_fabric::simulate_repflow`) consults to
-/// race a replica on an alternate core plane whenever a short flow's
-/// primary plane is saturated.
+/// is the replication cutoff — [`threshold`](RepFlow::threshold) — which
+/// the fabric layer (`dcn_fabric::simulate_repflow`) reads to race a
+/// replica of each strictly shorter flow on an alternate core plane
+/// whenever its primary plane is saturated.
 ///
 /// # Example
 ///
 /// ```
-/// use basrpt_core::RepFlow;
+/// use basrpt_core::{RepFlow, REPFLOW_DEFAULT_THRESHOLD};
 ///
 /// let rep = RepFlow::default(); // the paper's 100 KB cutoff
-/// assert!(rep.replicates(50_000));
-/// assert!(!rep.replicates(100_000));
+/// assert_eq!(rep.threshold(), REPFLOW_DEFAULT_THRESHOLD);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepFlow {
@@ -50,12 +49,6 @@ impl RepFlow {
     /// The replication threshold in bytes.
     pub fn threshold(&self) -> u64 {
         self.threshold
-    }
-
-    /// Whether a flow of `size` bytes is replicated (strictly shorter
-    /// than the threshold).
-    pub fn replicates(&self, size: u64) -> bool {
-        size < self.threshold
     }
 
     /// How this instance's decisions were taken so far: certified from
@@ -141,10 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn threshold_is_strict() {
+    fn threshold_round_trips() {
         let rep = RepFlow::new(1000);
-        assert!(rep.replicates(999));
-        assert!(!rep.replicates(1000));
         assert_eq!(rep.threshold(), 1000);
     }
 

@@ -47,40 +47,6 @@ impl FlowState {
         }
     }
 
-    /// Recreates the state of a partially transferred flow — the
-    /// snapshot/restore counterpart of [`FlowState::new`]. `remaining` is
-    /// the units still owed at the restore instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `remaining` is zero (a complete flow must never re-enter a
-    /// flow table) or exceeds `size`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use basrpt_core::FlowState;
-    /// use dcn_types::{FlowId, HostId, Voq};
-    ///
-    /// let voq = Voq::new(HostId::new(0), HostId::new(1));
-    /// let f = FlowState::resumed(FlowId::new(7), voq, 10, 4);
-    /// assert_eq!(f.size(), 10);
-    /// assert_eq!(f.remaining(), 4);
-    /// ```
-    pub fn resumed(id: FlowId, voq: Voq, size: u64, remaining: u64) -> Self {
-        assert!(remaining > 0, "flow {id} resumed with nothing remaining");
-        assert!(
-            remaining <= size,
-            "flow {id} resumed with remaining {remaining} > size {size}"
-        );
-        FlowState {
-            id,
-            voq,
-            size,
-            remaining,
-        }
-    }
-
     /// The flow's identifier.
     pub const fn id(&self) -> FlowId {
         self.id

@@ -26,7 +26,9 @@
 //! | [`ThresholdBacklogSrpt`] | Fig. 2's comparison strategy | SRPT, but VOQs whose backlog exceeds a threshold jump the queue |
 //! | [`MaxWeight`] | classic throughput-optimal baseline (the `V → 0` limit) | `−voq_backlog` |
 //! | [`Fifo`] | baseline | arrival order |
-//! | [`RoundRobin`] | fair-share baseline | least recently served VOQ |
+//!
+//! The fair-share baseline is not a crossbar matching, so it is not here:
+//! it is `dcn-fabric`'s max-min water-filling engine.
 //!
 //! # Decision paths
 //!
@@ -74,8 +76,8 @@ mod table;
 pub mod validity;
 
 pub use disciplines::{
-    ExactBasrpt, ExactBasrptError, FastBasrpt, Fifo, MaxWeight, PenaltyKind, RepFlow, RoundRobin,
-    Srpt, ThresholdBacklogSrpt, REPFLOW_DEFAULT_THRESHOLD,
+    ExactBasrpt, ExactBasrptError, FastBasrpt, Fifo, MaxWeight, PenaltyKind, RepFlow, Srpt,
+    ThresholdBacklogSrpt, REPFLOW_DEFAULT_THRESHOLD,
 };
 pub use flow::FlowState;
 pub use schedule::{Schedule, ScheduleError};

@@ -70,11 +70,9 @@ impl Ord for F64Key {
 ///
 /// This is the oracle's own statement of each discipline's key, written
 /// independently of the one-pass `schedule_adjusted` closures it is
-/// differentially pinned against. Implemented by the stateless one-pass
-/// disciplines; stateful ones
-/// (e.g. [`RoundRobin`](crate::RoundRobin), whose priority depends on
-/// service history, or [`ExactBasrpt`](crate::ExactBasrpt), whose
-/// objective couples VOQs) cannot be expressed this way.
+/// differentially pinned against. Implemented by the one-pass
+/// disciplines; [`ExactBasrpt`](crate::ExactBasrpt), whose objective
+/// couples VOQs, cannot be expressed this way.
 pub trait VoqDiscipline {
     /// The ordered ranking key. For disciplines whose one-pass twin ranks
     /// `f64` candidate keys this should be [`F64Key`] (built from the
@@ -337,11 +335,6 @@ impl<D: VoqDiscipline> ScanScheduler<D> {
     pub fn new(discipline: D) -> Self {
         ScanScheduler { discipline }
     }
-
-    /// The wrapped discipline.
-    pub fn discipline(&self) -> &D {
-        &self.discipline
-    }
 }
 
 impl<D: VoqDiscipline> Scheduler for ScanScheduler<D> {
@@ -473,7 +466,7 @@ mod tests {
         let t = demo_table();
         let mut scan = ScanScheduler::new(FastBasrpt::new(2500.0, 144));
         assert_eq!(scan.name(), "fast BASRPT");
-        assert_eq!(scan.discipline().v(), 2500.0);
+        assert_eq!(scan.discipline.v(), 2500.0);
         let s = scan.schedule(&t);
         let mut direct = FastBasrpt::new(2500.0, 144);
         let direct_schedule = direct.schedule(&t);

@@ -84,10 +84,10 @@ impl ViewAdjust for NoAdjust {
 /// Schedulers are consulted by the embedding simulator on every flow arrival
 /// and completion (the paper's update rule) and return a crossbar matching
 /// over the currently active flows. They may keep internal state, hence
-/// `&mut self`: state that shapes the decision (the round-robin pointer),
-/// or the key-driven disciplines' [`Ranking`], the matching carried from
-/// one decision to the next behind a checked certificate, which never
-/// changes a schedule and which no snapshot captures.
+/// `&mut self`: the key-driven disciplines' [`Ranking`], the matching
+/// carried from one decision to the next behind a checked certificate,
+/// which never changes a schedule and which no snapshot captures. No
+/// discipline in this crate keeps state that shapes a decision.
 pub trait Scheduler {
     /// Short human-readable name, used in experiment output.
     fn name(&self) -> &str;
@@ -113,8 +113,8 @@ pub trait Scheduler {
     /// behind the per-discipline overrides. The default of `1` is always
     /// sound — a
     /// schedule is trivially valid for the slot it was computed for — and
-    /// is what stateful disciplines (round-robin's rotation, exact
-    /// BASRPT) must keep so they are re-consulted every slot.
+    /// is what a discipline without an invariance argument (exact BASRPT's
+    /// coupled objective) must keep so it is re-consulted every slot.
     fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
         let _ = (table, schedule);
         1
@@ -127,9 +127,9 @@ pub trait Scheduler {
     /// table reads and still obtain the bit-identical schedule.
     ///
     /// The default is `false` — always sound, since the engine then falls
-    /// back to eager settlement before every decision. Stateful or
-    /// per-flow-reading disciplines (round-robin's rotation, exact
-    /// BASRPT's enumeration) must keep it.
+    /// back to eager settlement before every decision. Exact BASRPT keeps
+    /// it: it runs only on the slotted switch and at small scale, where
+    /// eager settlement costs nothing worth a view-based twin.
     fn supports_lazy_views(&self) -> bool {
         false
     }
@@ -185,8 +185,8 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 ///
 /// Parallel drivers — the sharded fabric engine (`dcn-fabric`), multi-seed
 /// sweeps — need one scheduler instance *per partition*, built to the same
-/// parameters, because disciplines carry internal state (round-robin
-/// pointers and rotation counters) that must not be shared across
+/// parameters, because disciplines carry internal state (the carried
+/// [`Ranking`] and its decision counts) that must not be shared across
 /// partitions. A `MakeScheduler` is that recipe: `make()` returns a fresh,
 /// identically configured instance, and the `Sync` bound lets worker
 /// threads call it concurrently.
@@ -306,8 +306,8 @@ pub struct Candidate {
 /// schedule that is maximal over the non-empty VOQs, exactly the "flows are
 /// selected until all left flows are blocked" rule of §II-A.
 ///
-/// This is the stateless skeleton (round-robin and the tie-break tests use
-/// it); the key-driven disciplines reach the same matching in the same
+/// This is the stateless skeleton that the tie-break tests pin; the
+/// key-driven disciplines reach the same matching in the same
 /// order through [`schedule_champions_adjusted`], which carries it across
 /// decisions ([`Ranking`]) and repairs it around the VOQs that changed.
 ///

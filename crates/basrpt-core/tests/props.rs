@@ -2,8 +2,8 @@
 
 use basrpt_core::reference::schedule_scan;
 use basrpt_core::{
-    check_maximal, ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, RoundRobin,
-    Scheduler, Srpt, ThresholdBacklogSrpt,
+    check_maximal, ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, Scheduler, Srpt,
+    ThresholdBacklogSrpt,
 };
 use dcn_types::{FlowId, HostId, Voq};
 use proptest::prelude::*;
@@ -41,7 +41,6 @@ fn all_schedulers(num_ports: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(FastBasrpt::new(1.0, num_ports)),
         Box::new(MaxWeight::new()),
         Box::new(Fifo::new()),
-        Box::new(RoundRobin::new()),
         Box::new(ThresholdBacklogSrpt::new(100)),
     ]
 }

@@ -26,12 +26,7 @@ pub mod record;
 pub mod runner;
 pub mod scale;
 
-pub use parallel::{
-    run_seeds, run_seeds_probed, run_seeds_with, seeds_from_env, threads_from_env, SeedStats,
-};
+pub use parallel::{run_seeds, run_seeds_with, seeds_from_env, threads_from_env, SeedStats};
 pub use record::{median_ns, parse_groups, write_merged, Groups};
-pub use runner::{
-    paper_equivalent_fast_basrpt, run_fabric, run_fabric_probed, run_fabric_with, LabeledRun,
-    FCT_BASE_LATENCY_US,
-};
+pub use runner::{paper_equivalent_fast_basrpt, run_fabric, run_fabric_with, FCT_BASE_LATENCY_US};
 pub use scale::Scale;

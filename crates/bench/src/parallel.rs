@@ -16,7 +16,6 @@
 //!   available parallelism. The sweep never spawns more workers than
 //!   seeds.
 
-use dcn_probe::EventCounterProbe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -166,51 +165,6 @@ where
     F: Fn(u64) -> T + Sync,
 {
     run_seeds_with(seeds, threads_from_env(), job)
-}
-
-/// Observed variant of [`run_seeds`]: every seed's job receives its own
-/// fresh [`EventCounterProbe`] (probes are stateful, so sharing one across
-/// worker threads is impossible by construction), and the per-seed probes
-/// are folded into one merged sweep-wide report after the scope joins.
-///
-/// Returns the per-seed results in seed order plus the merged probe.
-///
-/// # Example
-///
-/// ```
-/// use basrpt_bench::parallel::run_seeds_probed;
-/// use dcn_probe::Probe;
-///
-/// let (results, merged) = run_seeds_probed(&[1, 2, 3], |seed, probe| {
-///     probe.on_sample(&dcn_probe::SampleEvent {
-///         time: 0.0,
-///         table: &basrpt_core::FlowTable::new(),
-///         delivered: 0.0,
-///     });
-///     seed * 10
-/// });
-/// assert_eq!(results, vec![(1, 10), (2, 20), (3, 30)]);
-/// assert_eq!(merged.samples(), 3);
-/// ```
-pub fn run_seeds_probed<T, F>(seeds: &[u64], job: F) -> (Vec<(u64, T)>, EventCounterProbe)
-where
-    T: Send,
-    F: Fn(u64, &mut EventCounterProbe) -> T + Sync,
-{
-    let per_seed = run_seeds(seeds, |seed| {
-        let mut probe = EventCounterProbe::new();
-        let out = job(seed, &mut probe);
-        (out, probe)
-    });
-    let mut merged = EventCounterProbe::new();
-    let results = per_seed
-        .into_iter()
-        .map(|(seed, (out, probe))| {
-            merged.merge(&probe);
-            (seed, out)
-        })
-        .collect();
-    (results, merged)
 }
 
 #[cfg(test)]

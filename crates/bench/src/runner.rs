@@ -1,8 +1,7 @@
 //! Experiment execution helpers shared by the bench targets.
 
 use basrpt_core::{FastBasrpt, Scheduler};
-use dcn_fabric::{simulate, simulate_probed, FabricRun, FatTree, SimConfig};
-use dcn_probe::Probe;
+use dcn_fabric::{simulate, FabricRun, FatTree, SimConfig};
 use dcn_types::SimTime;
 use dcn_workload::TrafficSpec;
 
@@ -16,15 +15,6 @@ pub const FCT_BASE_LATENCY_US: f64 = 100.0;
 /// Number of servers in the paper's fabric; the reference point for
 /// [`paper_equivalent_fast_basrpt`].
 pub const PAPER_NUM_HOSTS: usize = 144;
-
-/// A finished run with the label it should carry in printed tables.
-#[derive(Debug)]
-pub struct LabeledRun {
-    /// Row label (scheduler name, V value, load, …).
-    pub label: String,
-    /// The measurements.
-    pub run: FabricRun,
-}
 
 /// Builds a fast BASRPT scheduler whose *per-flow weight* `V/N` equals that
 /// of the paper's scheduler with parameter `v_paper` on the 144-host
@@ -83,26 +73,6 @@ pub fn run_fabric_with(
 ) -> FabricRun {
     let generator = spec.generator(seed).expect("valid spec");
     simulate(topo, scheduler, generator, config).expect("valid simulation")
-}
-
-/// Like [`run_fabric_with`], additionally streaming the run's events to
-/// `probe` (pass `&mut probe` to keep it). Combine with
-/// [`crate::parallel::run_seeds_probed`] for a per-seed probe merged into
-/// one sweep-wide report.
-///
-/// # Panics
-///
-/// Panics on workload or simulation errors, as in [`run_fabric`].
-pub fn run_fabric_probed<P: Probe>(
-    topo: &FatTree,
-    spec: &TrafficSpec,
-    scheduler: &mut dyn Scheduler,
-    seed: u64,
-    config: SimConfig,
-    probe: P,
-) -> FabricRun {
-    let generator = spec.generator(seed).expect("valid spec");
-    simulate_probed(topo, scheduler, generator, config, probe).expect("valid simulation")
 }
 
 #[cfg(test)]

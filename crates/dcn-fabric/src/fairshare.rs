@@ -457,6 +457,9 @@ pub(crate) struct FairShare {
     /// The active flows in ascending id order, kept across events: an
     /// arrival enters it, a completion leaves it.
     flows: Vec<(FlowId, Voq)>,
+    /// The table slot of each of `flows`, at the same index: an account
+    /// opened for a flow reads its slot here instead of probing the table.
+    slots: Vec<FlowSlot>,
     /// Scratch reused across reallocations: the rate of each of `flows`.
     rates: Vec<f64>,
 }
@@ -468,6 +471,7 @@ impl FairShare {
             entries: VecDeque::new(),
             next: SimTime::INFINITY,
             flows: Vec::new(),
+            slots: Vec::new(),
             rates: Vec::new(),
         }
     }
@@ -530,8 +534,14 @@ impl AllocationPolicy for FairShare {
                 let mut active: Vec<_> = table.iter().map(|f| (f.id(), f.voq())).collect();
                 active.sort_unstable_by_key(|&(id, _)| id);
                 active == self.flows
+                    && self.slots.len() == self.flows.len()
+                    && self
+                        .flows
+                        .iter()
+                        .zip(&self.slots)
+                        .all(|(&(id, _), &slot)| table.get_at(slot, id).is_some())
             },
-            "the kept flow list is the table's, in id order"
+            "the kept flow list is the table's, in id order, with each flow's slot"
         );
         self.alloc.allocate(&self.flows, &mut self.rates);
         // The previous entries are an id-ordered subsequence of the active
@@ -541,7 +551,7 @@ impl AllocationPolicy for FairShare {
         // the ring never holds more entries than there are active flows.
         let mut old_left = self.entries.len();
         let mut next = SimTime::INFINITY;
-        for (&(id, _), &rate) in self.flows.iter().zip(&self.rates) {
+        for ((&(id, _), &slot), &rate) in self.flows.iter().zip(&self.slots).zip(&self.rates) {
             let rate = Rate::from_bytes_per_sec(rate);
             let prev = match self.entries.front() {
                 Some(e) if old_left > 0 && e.flow == id => {
@@ -576,9 +586,9 @@ impl AllocationPolicy for FairShare {
                     (old.slot, old.epoch_remaining - target)
                 }
                 // A flow without an account (newly arrived, or starved at
-                // the last allocation) is found by id, once per epoch.
+                // the last allocation) reads its remaining bytes at the
+                // slot it was admitted to.
                 None => {
-                    let slot = table.slot_of(id).expect("allocated flow is active");
                     let flow = table.get_at(slot, id).expect("slot holds it");
                     (slot, flow.remaining())
                 }
@@ -595,9 +605,15 @@ impl AllocationPolicy for FairShare {
         self.next = next;
     }
 
-    fn on_arrival<T: Topology + ?Sized>(&mut self, _topo: &T, arrival: &FlowArrival, _: FlowSlot) {
+    fn on_arrival<T: Topology + ?Sized>(
+        &mut self,
+        _topo: &T,
+        arrival: &FlowArrival,
+        slot: FlowSlot,
+    ) {
         let at = self.flows.partition_point(|&(id, _)| id < arrival.id);
         self.flows.insert(at, (arrival.id, arrival.voq));
+        self.slots.insert(at, slot);
     }
 
     fn on_drain(&mut self, drain: &SettledDrain) {
@@ -607,6 +623,7 @@ impl AllocationPolicy for FairShare {
                 .binary_search_by_key(&drain.flow, |&(id, _)| id)
                 .expect("a completing flow is listed");
             self.flows.remove(at);
+            self.slots.remove(at);
         }
     }
 }

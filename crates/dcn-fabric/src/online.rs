@@ -205,11 +205,6 @@ impl FabricSnapshot {
     pub fn active_flows(&self) -> usize {
         self.flows.len()
     }
-
-    /// Number of offered-but-not-admitted arrivals captured.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// What differs between the fabric engines — everything else is the one
@@ -1004,19 +999,9 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         self.core.finished
     }
 
-    /// Arrivals offered but not yet admitted into the flow table.
-    pub fn in_flight(&self) -> usize {
-        self.core.pending.len()
-    }
-
     /// Number of currently active (admitted, not completed) flows.
     pub fn active_flows(&self) -> usize {
         self.core.table.len()
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.core.config
     }
 
     /// Cumulative delta-rescheduling statistics so far.
@@ -1061,9 +1046,9 @@ mod tests {
         let mut sched = Srpt::new();
         let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
         online.offer(arrival(0, 0.0, 0, 1, 1_250_000)).unwrap();
-        assert_eq!(online.in_flight(), 1);
+        assert_eq!(online.core.pending.len(), 1);
         online.step_until(SimTime::from_millis(2.0)).unwrap();
-        assert_eq!(online.in_flight(), 0);
+        assert_eq!(online.core.pending.len(), 0);
         // The clock sits at the last processed event instant, at or before
         // the step limit but past the 1 ms completion.
         assert!(online.clock() >= SimTime::from_millis(1.0));
@@ -1131,7 +1116,7 @@ mod tests {
             }
         );
         online.step_until(SimTime::from_secs(0.0025)).unwrap();
-        assert_eq!(online.in_flight(), 0);
+        assert_eq!(online.core.pending.len(), 0);
         assert!(matches!(
             online.offer(arrival(2, 0.003, 4, 5, 100)),
             Ok(Accepted::Queued { in_flight: 1 })

@@ -280,16 +280,6 @@ impl FatTree {
             Rate::from_gbps(40.0),
         )
     }
-
-    /// Number of core switches.
-    pub fn num_cores(&self) -> u32 {
-        self.num_cores
-    }
-
-    /// ToR-to-core link rate.
-    pub fn core_rate(&self) -> Rate {
-        self.core_rate
-    }
 }
 
 impl Topology for FatTree {
@@ -363,40 +353,6 @@ impl KAryFatTree {
             edge_rate: Rate::from_gbps(10.0),
             oversubscription: 1.0,
         }
-    }
-
-    /// The arity `k`: pods, and ports per switch.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Hosts attached to each edge (ToR) switch.
-    pub fn hosts_per_edge(&self) -> u32 {
-        self.hosts_per_edge
-    }
-
-    /// Number of pods.
-    pub fn num_pods(&self) -> u32 {
-        self.k
-    }
-
-    /// Edge switches (racks) per pod.
-    pub fn edges_per_pod(&self) -> u32 {
-        self.k / 2
-    }
-
-    /// Total number of core switches (`(k/2)²`, in `k/2` planes).
-    pub fn num_cores(&self) -> u32 {
-        (self.k / 2) * (self.k / 2)
-    }
-
-    /// The pod a host lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is outside the topology.
-    pub fn pod_of(&self, host: HostId) -> u32 {
-        self.rack_of(host).index() / self.edges_per_pod()
     }
 }
 
@@ -508,10 +464,10 @@ mod tests {
         let t = FatTree::paper_topology();
         assert_eq!(t.num_racks(), 12);
         assert_eq!(t.hosts_per_rack(), 12);
-        assert_eq!(t.num_cores(), 3);
+        assert_eq!(t.num_cores, 3);
         assert_eq!(t.num_hosts(), 144);
         assert!((t.edge_rate().gbps() - 10.0).abs() < 1e-9);
-        assert!((t.core_rate().gbps() - 40.0).abs() < 1e-9);
+        assert!((t.core_rate.gbps() - 40.0).abs() < 1e-9);
         assert!(t.is_full_bisection());
         assert!((t.oversubscription() - 1.0).abs() < 1e-12);
         assert_eq!(t.max_inter_rack_flows_per_rack(), 12);
@@ -573,7 +529,7 @@ mod tests {
         assert_eq!(dt.num_racks(), t.num_racks());
         assert_eq!(dt.hosts_per_rack(), t.hosts_per_rack());
         assert_eq!(dt.num_hosts(), t.num_hosts());
-        assert_eq!(dt.core_planes(), t.num_cores());
+        assert_eq!(dt.core_planes(), t.num_cores);
         assert_eq!(
             dt.rack_uplink_capacity().bytes_per_sec().to_bits(),
             t.rack_uplink_capacity().bytes_per_sec().to_bits(),
@@ -593,15 +549,11 @@ mod tests {
 
     #[test]
     fn canonical_kary_dimensions() {
-        // k = 4: 4 pods × 2 edges × 2 hosts = 16 hosts, 4 cores in 2 planes.
+        // k = 4: 4 pods × 2 edges × 2 hosts = 16 hosts, cores in 2 planes.
         let t = KAryFatTree::builder(4).build().unwrap();
-        assert_eq!(t.k(), 4);
-        assert_eq!(t.num_pods(), 4);
-        assert_eq!(t.edges_per_pod(), 2);
         assert_eq!(t.num_racks(), 8);
         assert_eq!(t.hosts_per_rack(), 2);
         assert_eq!(t.num_hosts(), 16);
-        assert_eq!(t.num_cores(), 4);
         assert_eq!(t.core_planes(), 2);
         assert!(t.is_full_bisection());
         // k = 16 canonical: k³/4 = 1024 hosts.
@@ -632,13 +584,9 @@ mod tests {
     }
 
     #[test]
-    fn kary_pod_membership() {
+    fn kary_rack_membership() {
         let t = KAryFatTree::builder(4).build().unwrap();
-        // 2 hosts per edge, 2 edges per pod → 4 hosts per pod.
-        assert_eq!(t.pod_of(HostId::new(0)), 0);
-        assert_eq!(t.pod_of(HostId::new(3)), 0);
-        assert_eq!(t.pod_of(HostId::new(4)), 1);
-        assert_eq!(t.pod_of(HostId::new(15)), 3);
+        // 2 hosts per edge (rack).
         assert_eq!(t.rack_of(HostId::new(5)), RackId::new(2));
     }
 

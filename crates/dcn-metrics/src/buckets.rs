@@ -23,16 +23,6 @@ impl SizeBucket {
         SizeBucket { lo, hi }
     }
 
-    /// Lower bound (exclusive).
-    pub fn lo(&self) -> Bytes {
-        self.lo
-    }
-
-    /// Upper bound (inclusive).
-    pub fn hi(&self) -> Bytes {
-        self.hi
-    }
-
     /// Whether a flow of `size` falls in this bucket.
     pub fn contains(&self, size: Bytes) -> bool {
         size > self.lo && size <= self.hi

@@ -48,11 +48,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -103,7 +98,7 @@ mod tests {
         // All rendered lines share the same width of the widest row.
         assert!(lines[0].starts_with("a"));
         assert!(lines[2].starts_with("longer-cell"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -12,8 +12,7 @@ const NUM_BUCKETS: usize = 32;
 ///
 /// Bucket `i` counts observations in `[2^i, 2^(i+1))` nanoseconds (bucket 0
 /// also absorbs sub-nanosecond readings); observations beyond the last
-/// bucket land in it. Mergeable, so per-seed histograms from a parallel
-/// sweep can be combined into one report.
+/// bucket land in it.
 ///
 /// # Example
 ///
@@ -25,7 +24,7 @@ const NUM_BUCKETS: usize = 32;
 /// h.record(Duration::from_nanos(700));
 /// h.record(Duration::from_nanos(900));
 /// assert_eq!(h.count(), 2);
-/// assert_eq!(h.max_ns(), 900);
+/// assert_eq!(h.quantile_ns(1.0), Some(512));
 /// assert!((h.mean_ns() - 800.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,17 +32,12 @@ pub struct LatencyHistogram {
     buckets: [u64; NUM_BUCKETS],
     count: u64,
     total_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
 }
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram {
-            min_ns: u64::MAX,
-            ..LatencyHistogram::default()
-        }
+        LatencyHistogram::default()
     }
 
     /// Records one latency observation.
@@ -53,8 +47,6 @@ impl LatencyHistogram {
         self.buckets[bucket] += 1;
         self.count += 1;
         self.total_ns += u128::from(ns);
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
     }
 
     /// Number of observations.
@@ -69,20 +61,6 @@ impl LatencyHistogram {
         } else {
             self.total_ns as f64 / self.count as f64
         }
-    }
-
-    /// Smallest observed latency in nanoseconds; zero when empty.
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    /// Largest observed latency in nanoseconds; zero when empty.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
     }
 
     /// The smallest latency (ns, lower bucket edge) below which at least
@@ -109,36 +87,13 @@ impl LatencyHistogram {
         }
         Some(1u64 << (NUM_BUCKETS - 1))
     }
-
-    /// The non-empty buckets as `(lower_edge_ns, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (1u64 << i, n))
-            .collect()
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
 }
 
 /// Counts every event class and histograms scheduler decision latencies.
 ///
 /// The cheapest "what happened in this run" probe: attach it to a
 /// simulation and read per-event totals plus wall-clock decision cost
-/// afterwards. Mergeable across runs/seeds via
-/// [`EventCounterProbe::merge`], which is how the multi-seed bench runner
-/// aggregates one probe per seed into a fleet-wide report.
+/// afterwards.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventCounterProbe {
     arrivals: u64,
@@ -156,10 +111,7 @@ pub struct EventCounterProbe {
 impl EventCounterProbe {
     /// Creates a probe with all counters at zero.
     pub fn new() -> Self {
-        EventCounterProbe {
-            latency: LatencyHistogram::new(),
-            ..EventCounterProbe::default()
-        }
+        EventCounterProbe::default()
     }
 
     /// Number of arrival events.
@@ -192,16 +144,6 @@ impl EventCounterProbe {
         self.decisions
     }
 
-    /// Decisions that selected no flow (idle system).
-    pub fn empty_decisions(&self) -> u64 {
-        self.empty_decisions
-    }
-
-    /// Total flows selected across all decisions (= matched port pairs).
-    pub fn scheduled_flows(&self) -> u64 {
-        self.scheduled_flows
-    }
-
     /// Number of sampling instants observed.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -220,21 +162,6 @@ impl EventCounterProbe {
     /// never timed a decision).
     pub fn decision_latency(&self) -> &LatencyHistogram {
         &self.latency
-    }
-
-    /// Folds the counts of another probe into this one (e.g. merging the
-    /// per-seed probes of a parallel sweep).
-    pub fn merge(&mut self, other: &EventCounterProbe) {
-        self.arrivals += other.arrivals;
-        self.arrived_units += other.arrived_units;
-        self.drains += other.drains;
-        self.drained_units += other.drained_units;
-        self.completions += other.completions;
-        self.decisions += other.decisions;
-        self.empty_decisions += other.empty_decisions;
-        self.scheduled_flows += other.scheduled_flows;
-        self.samples += other.samples;
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -307,10 +234,8 @@ mod tests {
         h.record(Duration::from_nanos(1));
         h.record(Duration::from_nanos(3));
         h.record(Duration::from_nanos(1024));
-        assert_eq!(h.nonzero_buckets(), vec![(1, 1), (2, 1), (1024, 1)]);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.min_ns(), 1);
-        assert_eq!(h.max_ns(), 1024);
+        assert_eq!(h.quantile_ns(0.0), Some(1));
         assert_eq!(h.quantile_ns(0.5), Some(2));
         assert_eq!(h.quantile_ns(1.0), Some(1024));
     }
@@ -320,26 +245,11 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.min_ns(), 0);
-        assert_eq!(h.max_ns(), 0);
         assert_eq!(h.quantile_ns(0.5), None);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
-    fn histogram_merge_combines_extremes() {
-        let mut a = LatencyHistogram::new();
-        a.record(Duration::from_nanos(10));
-        let mut b = LatencyHistogram::new();
-        b.record(Duration::from_nanos(5000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min_ns(), 10);
-        assert_eq!(a.max_ns(), 5000);
-    }
-
-    #[test]
-    fn counter_tracks_decisions_and_merges() {
+    fn counter_tracks_decisions_and_completions() {
         let mut probe = EventCounterProbe::new();
         let mut schedule = Schedule::new();
         schedule
@@ -356,23 +266,21 @@ mod tests {
             latency: None,
         });
         assert_eq!(probe.decisions(), 2);
-        assert_eq!(probe.empty_decisions(), 1);
-        assert_eq!(probe.scheduled_flows(), 1);
         assert_eq!(probe.decision_latency().count(), 1);
         assert!((probe.mean_matching_size() - 0.5).abs() < 1e-12);
 
-        let mut other = EventCounterProbe::new();
-        other.on_completion(&CompletionEvent {
+        probe.on_completion(&CompletionEvent {
             time: 2.0,
             flow: FlowId::new(1),
             voq: Voq::new(HostId::new(0), HostId::new(1)),
             size: 4,
             fct: 2.0,
         });
-        probe.merge(&other);
         assert_eq!(probe.completions(), 1);
-        assert_eq!(probe.decisions(), 2);
         let text = probe.to_string();
-        assert!(text.contains("2 decisions"), "display: {text}");
+        assert!(
+            text.contains("2 decisions (1 empty, 0.50 flows/decision)"),
+            "display: {text}"
+        );
     }
 }

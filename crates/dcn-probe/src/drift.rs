@@ -31,21 +31,18 @@ pub fn quadratic_lyapunov(table: &FlowTable) -> f64 {
         / 2.0
 }
 
-/// Samples the quadratic Lyapunov function and estimates its drift.
+/// Samples the quadratic Lyapunov function along a run.
 ///
-/// Works on any substrate carrying a [`FlowTable`]: at each [`SampleEvent`] the probe records
-/// `L(X)` into a [`TimeSeries`] and accumulates the one-sample differences
-/// `L(X(t_{k+1})) − L(X(t_k))` — an empirical view of the expected drift
-/// `Δ(X(t))` (Eq. 4) along the simulated trajectory. A positive mean drift
-/// sustained over the run is the signature of the instability the paper's
-/// Fig. 2 shows for SRPT; Theorem 1's drift bound caps it for BASRPT.
+/// Works on any substrate carrying a [`FlowTable`]: at each [`SampleEvent`]
+/// the probe records `L(X)` into a [`TimeSeries`]. Its one-sample
+/// differences `L(X(t_{k+1})) − L(X(t_k))` are an empirical view of the
+/// expected drift `Δ(X(t))` (Eq. 4) along the simulated trajectory. A
+/// positive mean drift sustained over the run is the signature of the
+/// instability the paper's Fig. 2 shows for SRPT; Theorem 1's drift bound
+/// caps it for BASRPT.
 #[derive(Debug, Clone, Default)]
 pub struct DriftProbe {
     series: TimeSeries,
-    last_value: Option<f64>,
-    drift_sum: f64,
-    drift_count: u64,
-    max_drift: f64,
 }
 
 impl DriftProbe {
@@ -58,31 +55,6 @@ impl DriftProbe {
     pub fn lyapunov_series(&self) -> &TimeSeries {
         &self.series
     }
-
-    /// Number of drift samples (one fewer than Lyapunov samples).
-    pub fn drift_count(&self) -> u64 {
-        self.drift_count
-    }
-
-    /// Mean one-sample drift; `None` before two samples.
-    pub fn mean_drift(&self) -> Option<f64> {
-        if self.drift_count == 0 {
-            None
-        } else {
-            Some(self.drift_sum / self.drift_count as f64)
-        }
-    }
-
-    /// Largest observed one-sample drift (most destabilizing step); zero
-    /// before two samples.
-    pub fn max_drift(&self) -> f64 {
-        self.max_drift
-    }
-
-    /// The final Lyapunov value, if any sample was taken.
-    pub fn last_value(&self) -> Option<f64> {
-        self.last_value
-    }
 }
 
 impl Probe for DriftProbe {
@@ -91,15 +63,8 @@ impl Probe for DriftProbe {
     }
 
     fn on_sample(&mut self, event: &SampleEvent<'_>) {
-        let value = quadratic_lyapunov(event.table);
-        self.series.push(event.time, value);
-        if let Some(prev) = self.last_value {
-            let drift = value - prev;
-            self.drift_sum += drift;
-            self.drift_count += 1;
-            self.max_drift = self.max_drift.max(drift);
-        }
-        self.last_value = Some(value);
+        self.series
+            .push(event.time, quadratic_lyapunov(event.table));
     }
 }
 
@@ -138,9 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn drift_probe_tracks_differences() {
+    fn drift_probe_samples_the_lyapunov_function() {
         let mut probe = DriftProbe::new();
-        assert!(probe.mean_drift().is_none());
         for (t, units) in [(0.0, 2u64), (1.0, 4), (2.0, 3)] {
             let table = table_with_backlog(units);
             probe.on_sample(&SampleEvent {
@@ -149,11 +113,7 @@ mod tests {
                 delivered: 0.0,
             });
         }
-        // L values: 2, 8, 4.5 -> drifts +6, -3.5 -> mean +1.25, max +6.
+        // L values: ½·2², ½·4², ½·3².
         assert_eq!(probe.lyapunov_series().values(), &[2.0, 8.0, 4.5]);
-        assert_eq!(probe.drift_count(), 2);
-        assert_eq!(probe.mean_drift(), Some(1.25));
-        assert_eq!(probe.max_drift(), 6.0);
-        assert_eq!(probe.last_value(), Some(4.5));
     }
 }

@@ -292,11 +292,6 @@ impl<W: Write> JsonlProbe<W> {
         self.lines
     }
 
-    /// Whether an I/O error has been latched.
-    pub fn has_error(&self) -> bool {
-        self.error.is_some()
-    }
-
     /// Flushes and returns the sink, or the first latched I/O error.
     ///
     /// # Errors
@@ -536,7 +531,7 @@ mod tests {
             voq: voq(),
             amount: 1,
         });
-        assert!(probe.has_error());
+        assert!(probe.error.is_some());
         assert_eq!(probe.lines_written(), 0);
         assert!(probe.finish().is_err());
     }
@@ -614,7 +609,7 @@ mod tests {
                 voq: voq(),
                 amount: 1,
             });
-            assert!(probe.has_error());
+            assert!(probe.error.is_some());
             // Dropped without finish(): the latched error is reported on
             // stderr (not testable here) instead of vanishing.
         }

@@ -32,11 +32,11 @@
 //!   re-implemented as a probe; reproduces the pre-probe engine output
 //!   bit for bit (locked by `tests/probe_differential.rs`).
 //! * [`EventCounterProbe`] — event counts plus a log-spaced histogram of
-//!   scheduler decision wall latencies; mergeable across seeds.
+//!   scheduler decision wall latencies.
 //! * [`DriftProbe`] — samples the quadratic Lyapunov function
-//!   `L(X) = ½ Σ X_ij²` and estimates its one-sample drift, on any
-//!   substrate that samples a flow table (the slotted switch and the
-//!   fabric alike).
+//!   `L(X) = ½ Σ X_ij²` into a series whose one-sample differences are
+//!   its drift, on any substrate that samples a flow table (the slotted
+//!   switch and the fabric alike).
 //! * [`JsonlProbe`] — streams every event as one JSON object per line,
 //!   consumable by the `results/` tooling (see [`jsonl`]).
 //!

@@ -71,11 +71,6 @@ impl ScriptedArrivals {
         script.sort_by_key(|&(slot, voq, _)| (slot, voq));
         ScriptedArrivals { script, cursor: 0 }
     }
-
-    /// Whether every scripted arrival has been delivered.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.script.len()
-    }
 }
 
 impl SlotArrivals for ScriptedArrivals {
@@ -226,7 +221,7 @@ mod tests {
         assert_eq!(s.poll(Slot::new(0)), vec![(q1, 5)]);
         assert!(s.poll(Slot::new(1)).is_empty());
         assert_eq!(s.poll(Slot::new(2)), vec![(q1, 1), (q2, 3)]);
-        assert!(s.is_exhausted());
+        assert_eq!(s.cursor, s.script.len());
     }
 
     #[test]

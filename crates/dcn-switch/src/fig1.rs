@@ -61,11 +61,6 @@ pub fn run_fig1<S: Scheduler + ?Sized>(scheduler: &mut S) -> SwitchRun {
     crate::run(4, scheduler, &mut arr, config)
 }
 
-/// Packets left stranded by the scheduler after the 6-slot horizon.
-pub fn leftover_packets(run: &SwitchRun) -> u64 {
-    run.leftover_packets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -393,8 +393,8 @@ pub fn run<S: Scheduler + ?Sized, A: SlotArrivals + ?Sized>(
 ///
 /// * the end of the run;
 /// * the discipline's validity bound
-///   ([`Scheduler::schedule_validity`]) — `1` for stateful schedulers
-///   such as `RoundRobin`;
+///   ([`Scheduler::schedule_validity`]) — `1` for a scheduler with no
+///   invariance argument, such as `ExactBasrpt`;
 /// * the next sampling instant, so no [`SampleEvent`] is skipped;
 /// * the next arrival ([`SlotArrivals::lookahead`]); an `Unknown` source
 ///   such as Bernoulli arrivals makes every window one slot long;

@@ -97,8 +97,8 @@ impl From<u32> for RackId {
 /// ```
 /// use dcn_types::{HostId, Voq};
 /// let q = Voq::new(HostId::new(1), HostId::new(2));
-/// assert_ne!(q, q.reversed());
-/// assert_eq!(q.reversed().reversed(), q);
+/// assert_eq!(q.src(), HostId::new(1));
+/// assert_eq!(q.dst(), HostId::new(2));
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
@@ -122,14 +122,6 @@ impl Voq {
     /// The egress port (destination server) of this VOQ.
     pub const fn dst(self) -> HostId {
         self.dst
-    }
-
-    /// The VOQ of the reverse direction (`q_ji` for this `q_ij`).
-    pub const fn reversed(self) -> Self {
-        Voq {
-            src: self.dst,
-            dst: self.src,
-        }
     }
 
     /// Whether this VOQ loops a host back to itself. Self-loops never occur
@@ -193,50 +185,6 @@ impl From<u32> for PlaneId {
     }
 }
 
-/// Identifier of one copy of a replicated flow: the flow plus the core
-/// plane the copy rides.
-///
-/// The copy on the flow's ECMP-assigned plane is its *primary*; copies on
-/// every other plane are replicas racing it (first copy to finish wins).
-///
-/// # Example
-///
-/// ```
-/// use dcn_types::{FlowId, PlaneId, ReplicaId};
-/// let r = ReplicaId::new(FlowId::new(7), PlaneId::new(1));
-/// assert_eq!(r.flow(), FlowId::new(7));
-/// assert_eq!(r.plane(), PlaneId::new(1));
-/// assert_eq!(r.to_string(), "f7@plane1");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ReplicaId {
-    flow: crate::FlowId,
-    plane: PlaneId,
-}
-
-impl ReplicaId {
-    /// Creates the identifier of `flow`'s copy on `plane`.
-    pub const fn new(flow: crate::FlowId, plane: PlaneId) -> Self {
-        ReplicaId { flow, plane }
-    }
-
-    /// The replicated flow.
-    pub const fn flow(self) -> crate::FlowId {
-        self.flow
-    }
-
-    /// The core plane this copy rides.
-    pub const fn plane(self) -> PlaneId {
-        self.plane
-    }
-}
-
-impl fmt::Display for ReplicaId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.flow, self.plane)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,11 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn voq_accessors_and_reverse() {
+    fn voq_accessors() {
         let q = Voq::new(HostId::new(1), HostId::new(2));
         assert_eq!(q.src(), HostId::new(1));
         assert_eq!(q.dst(), HostId::new(2));
-        assert_eq!(q.reversed(), Voq::new(HostId::new(2), HostId::new(1)));
         assert!(!q.is_self_loop());
         assert!(Voq::new(HostId::new(5), HostId::new(5)).is_self_loop());
     }
@@ -288,17 +235,5 @@ mod tests {
         assert_eq!(p.as_usize(), 2);
         assert_eq!(PlaneId::from(2), p);
         assert_eq!(p.to_string(), "plane2");
-    }
-
-    #[test]
-    fn replica_id_accessors() {
-        let r = ReplicaId::new(crate::FlowId::new(9), PlaneId::new(0));
-        assert_eq!(r.flow(), crate::FlowId::new(9));
-        assert_eq!(r.plane(), PlaneId::new(0));
-        assert_eq!(r.to_string(), "f9@plane0");
-        // Ordering is (flow, plane) lexicographic — the deterministic
-        // replica-processing order of the fabric engine.
-        let earlier = ReplicaId::new(crate::FlowId::new(8), PlaneId::new(3));
-        assert!(earlier < r);
     }
 }

@@ -34,7 +34,7 @@ mod time;
 
 pub use bytes::Bytes;
 pub use flow::{FlowClass, FlowId};
-pub use ids::{HostId, PlaneId, RackId, ReplicaId, Voq};
+pub use ids::{HostId, PlaneId, RackId, Voq};
 pub use portset::PortSet;
 pub use rate::Rate;
 pub use time::{SimTime, Slot};

@@ -79,11 +79,6 @@ impl SimTime {
         self.0
     }
 
-    /// The time in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Whether this is the "never" sentinel (or any infinite time).
     pub fn is_infinite(self) -> bool {
         self.0.is_infinite()

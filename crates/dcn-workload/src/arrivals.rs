@@ -38,11 +38,6 @@ impl PoissonProcess {
         PoissonProcess { rate_per_sec }
     }
 
-    /// The expected arrivals per second.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.rate_per_sec
-    }
-
     /// Draws the gap until the next arrival (exponential, always > 0).
     pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         // 1 - U is in (0, 1], so ln never sees zero.
@@ -68,7 +63,7 @@ mod tests {
             (mean - 0.02).abs() < 0.001,
             "mean gap {mean} should be ~1/50"
         );
-        assert_eq!(p.rate_per_sec(), 50.0);
+        assert_eq!(p.rate_per_sec, 50.0);
     }
 
     #[test]

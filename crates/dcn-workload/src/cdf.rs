@@ -73,19 +73,6 @@ impl EmpiricalCdf {
         Ok(EmpiricalCdf { points })
     }
 
-    /// A degenerate distribution: every flow has exactly `size` bytes
-    /// (the paper's fixed 20 KB queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn fixed(size: Bytes) -> Self {
-        assert!(!size.is_zero(), "flow size must be positive");
-        EmpiricalCdf {
-            points: vec![(size.as_f64(), 1.0)],
-        }
-    }
-
     /// The DCTCP web-search-shaped distribution used for background flows.
     ///
     /// Shape constraints transcribed from the paper's description of \[1\]
@@ -122,21 +109,6 @@ impl EmpiricalCdf {
             (50_000_000.0, 1.0),
         ])
         .expect("preset is valid")
-    }
-
-    /// The CDF knots.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// The minimum possible sampled size in bytes.
-    pub fn min_size(&self) -> Bytes {
-        Bytes::new(self.points[0].0.round().max(1.0) as u64)
-    }
-
-    /// The maximum possible sampled size in bytes.
-    pub fn max_size(&self) -> Bytes {
-        Bytes::new(self.points.last().expect("non-empty").0.round() as u64)
     }
 
     /// The exact mean of the piecewise-linear distribution, in bytes.
@@ -202,8 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_always_returns_the_size() {
-        let cdf = EmpiricalCdf::fixed(Bytes::from_kb(20));
+    fn single_knot_always_returns_its_size() {
+        let cdf = EmpiricalCdf::from_points(vec![(20_000.0, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(cdf.sample(&mut rng), Bytes::from_kb(20));
@@ -214,12 +186,13 @@ mod tests {
     #[test]
     fn quantile_is_monotone_and_bounded() {
         let cdf = EmpiricalCdf::web_search();
+        let (min, max) = (cdf.points[0].0, cdf.points.last().unwrap().0);
         let mut prev = 0.0;
         for i in 0..=1000 {
             let u = i as f64 / 1000.0;
             let q = cdf.quantile(u);
             assert!(q >= prev, "quantile must be non-decreasing");
-            assert!(q >= cdf.min_size().as_f64() && q <= cdf.max_size().as_f64());
+            assert!(q >= min && q <= max);
             prev = q;
         }
     }
@@ -242,14 +215,14 @@ mod tests {
     fn web_search_matches_paper_constraints() {
         let cdf = EmpiricalCdf::web_search();
         // All flow sizes within the 50 MB bound of \[1\].
-        assert!(cdf.max_size() <= Bytes::from_mb(50));
+        assert!(cdf.points.last().unwrap().0 <= Bytes::from_mb(50).as_f64());
         // ~30 % of flows in 1-20 MB...
         let p_large = 1.0_f64 - 0.70;
         assert!((p_large - 0.30).abs() < 1e-9);
         // ...carrying over 95 % of all bytes.
         let total_mean = cdf.mean();
         let mut large_mass = 0.0;
-        for pair in cdf.points().windows(2) {
+        for pair in cdf.points.windows(2) {
             let (s0, c0) = pair[0];
             let (s1, c1) = pair[1];
             if s0 >= 1_000_000.0 {
@@ -270,7 +243,7 @@ mod tests {
         // Most data-mining flows are tiny...
         assert!(dm.quantile(0.8) <= 10_000.0);
         // ...but its maximum dwarfs web-search's.
-        assert!(dm.max_size() > ws.max_size());
+        assert!(dm.points.last().unwrap().0 > ws.points.last().unwrap().0);
     }
 
     #[test]

@@ -48,11 +48,11 @@ pub struct FlowArrival {
 ///
 /// Each host runs two independent Poisson sources:
 ///
-/// * queries of fixed [`TrafficSpec::query_size`], destination uniform over
-///   all *other* hosts;
-/// * background flows with sizes from
-///   [`TrafficSpec::background_sizes`], destination uniform over the other
-///   hosts of the *same rack*.
+/// * queries of the fixed `query_size`, destination uniform over all
+///   *other* hosts;
+/// * background flows with sizes from the `background_sizes`
+///   distribution, destination uniform over the other hosts of the *same
+///   rack*.
 ///
 /// Arrival rates are derived so each ingress port offers
 /// `load × edge_rate` bytes per second, split `query_fraction` /
@@ -272,26 +272,6 @@ impl TrafficSpec {
         self.load
     }
 
-    /// Fraction of offered bytes carried by queries.
-    pub fn query_fraction(&self) -> f64 {
-        self.query_fraction
-    }
-
-    /// The fixed query size.
-    pub fn query_size(&self) -> Bytes {
-        self.query_size
-    }
-
-    /// The background flow-size distribution.
-    pub fn background_sizes(&self) -> &EmpiricalCdf {
-        &self.background_sizes
-    }
-
-    /// The query destination scope.
-    pub fn query_scope(&self) -> QueryScope {
-        self.query_scope
-    }
-
     /// The rack a host belongs to.
     ///
     /// # Panics
@@ -487,7 +467,7 @@ mod tests {
         assert_eq!(spec.num_hosts(), 144);
         assert_eq!(spec.num_racks(), 12);
         assert_eq!(spec.hosts_per_rack(), 12);
-        assert_eq!(spec.query_size(), Bytes::from_kb(20));
+        assert_eq!(spec.query_size, Bytes::from_kb(20));
         assert!((spec.edge_rate().gbps() - 10.0).abs() < 1e-9);
         assert_eq!(spec.rack_of(HostId::new(0)), RackId::new(0));
         assert_eq!(spec.rack_of(HostId::new(143)), RackId::new(11));
@@ -522,8 +502,8 @@ mod tests {
     fn rates_recover_offered_load() {
         let spec = TrafficSpec::paper_default(0.8).unwrap();
         let offered = spec.offered_bytes_per_sec();
-        let recovered = spec.query_rate_per_host() * spec.query_size().as_f64()
-            + spec.background_rate_per_host() * spec.background_sizes().mean();
+        let recovered = spec.query_rate_per_host() * spec.query_size.as_f64()
+            + spec.background_rate_per_host() * spec.background_sizes.mean();
         assert!((offered - recovered).abs() / offered < 1e-12);
         assert!((offered - 0.8 * 1.25e9).abs() < 1e-3);
     }
@@ -561,10 +541,10 @@ mod tests {
                         spec.rack_of(a.voq.dst()),
                         "background flows stay in-rack"
                     );
-                    assert!(a.size >= spec.background_sizes().min_size());
+                    assert!(a.size.as_f64() >= spec.background_sizes.quantile(0.0));
                 }
                 FlowClass::Query => {
-                    assert_eq!(a.size, spec.query_size());
+                    assert_eq!(a.size, spec.query_size);
                 }
             }
         }
@@ -641,7 +621,7 @@ mod tests {
         let spec = TrafficSpec::paper_default(0.5)
             .unwrap()
             .with_background_sizes(EmpiricalCdf::data_mining());
-        assert_eq!(spec.background_sizes(), &EmpiricalCdf::data_mining());
+        assert_eq!(spec.background_sizes, EmpiricalCdf::data_mining());
     }
 
     #[test]

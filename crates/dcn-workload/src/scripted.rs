@@ -146,16 +146,6 @@ impl StarvationScript {
         )
     }
 
-    /// The per-bottleneck load of the short-flow populations (`ρ_s`).
-    pub fn short_load(&self, edge_rate: Rate) -> f64 {
-        edge_rate.transfer_time(self.short_size).as_secs() / self.short_period.as_secs()
-    }
-
-    /// The bottleneck load of the long-flow population (`ρ_l`).
-    pub fn long_load(&self, edge_rate: Rate) -> f64 {
-        edge_rate.transfer_time(self.long_size).as_secs() / self.long_period.as_secs()
-    }
-
     /// Arrival time of population `p`'s `k`-th flow.
     fn time_of(&self, p: usize, k: u64) -> SimTime {
         match p {
@@ -212,8 +202,11 @@ mod tests {
     fn defaults_satisfy_the_starvation_conditions() {
         let rate = Rate::from_gbps(10.0);
         let s = StarvationScript::with_defaults(rate).unwrap();
-        let rho_s = s.short_load(rate);
-        let rho_l = s.long_load(rate);
+        // Per-bottleneck loads of the short (`ρ_s`) and long (`ρ_l`)
+        // populations.
+        let load = |size, period: SimTime| rate.transfer_time(size).as_secs() / period.as_secs();
+        let rho_s = load(s.short_size, s.short_period);
+        let rho_l = load(s.long_size, s.long_period);
         assert!((rho_s - 0.4).abs() < 1e-12);
         assert!((rho_l - 0.3).abs() < 1e-12);
         assert!(rho_s + rho_l < 1.0);

@@ -1,6 +1,7 @@
-//! A six-way scheduler shoot-out on the flow-level fabric: SRPT, fast
-//! BASRPT, threshold backlog-aware SRPT, MaxWeight, FIFO and round-robin
-//! compete on the same high-load workload (same seed, same arrivals).
+//! A six-way shoot-out on the flow-level fabric: SRPT, fast BASRPT,
+//! threshold backlog-aware SRPT, MaxWeight and FIFO compete on the same
+//! high-load workload (same seed, same arrivals), next to max-min fair
+//! sharing, the no-scheduling baseline.
 //!
 //! This is the kind of comparison a practitioner would run before picking a
 //! discipline: it shows the paper's delay/stability triangle — SRPT wins
@@ -35,8 +36,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         Box::new(ThresholdBacklogSrpt::new(50_000_000)),
         Box::new(MaxWeight::new()),
         Box::new(Fifo::new()),
-        Box::new(RoundRobin::new()),
     ];
+    let config = SimConfig::builder().horizon(horizon).build();
+    let mut runs = Vec::new();
+    for mut sched in schedulers {
+        let run = simulate(&topo, sched.as_mut(), spec.generator(1234)?, config)?;
+        runs.push((sched.name().to_string(), run));
+    }
+    let fair = simulate_fair_share(&topo, spec.generator(1234)?, config)?;
+    runs.push(("max-min fair share".to_string(), fair));
 
     let mut table = TextTable::new(vec![
         "scheme".into(),
@@ -48,19 +56,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         "queue trend".into(),
     ]);
 
-    for mut sched in schedulers {
-        let run = simulate(
-            &topo,
-            sched.as_mut(),
-            spec.generator(1234)?,
-            SimConfig::builder().horizon(horizon).build(),
-        )?;
+    for (name, run) in runs {
         let q = run.fct.summary(FlowClass::Query);
         let b = run.fct.summary(FlowClass::Background);
         let st = run.monitored_port_stability(TrendConfig::default());
         let ms = |v: Option<f64>| v.map_or("-".into(), |x| format!("{x:.3} ms"));
         table.add_row(vec![
-            sched.name().to_string(),
+            name,
             ms(q.map(|s| s.mean_ms())),
             ms(q.map(|s| s.p99_ms())),
             ms(b.map(|s| s.mean_ms())),

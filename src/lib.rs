@@ -86,8 +86,7 @@ pub mod probe {
 }
 
 pub use basrpt_core::{
-    ExactBasrpt, FastBasrpt, Fifo, MaxWeight, PenaltyKind, RoundRobin, Scheduler, Srpt,
-    ThresholdBacklogSrpt,
+    ExactBasrpt, FastBasrpt, Fifo, MaxWeight, PenaltyKind, Scheduler, Srpt, ThresholdBacklogSrpt,
 };
 pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slot, Voq};
 
@@ -120,8 +119,8 @@ pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slo
 /// ```
 pub mod prelude {
     pub use basrpt_core::{
-        ExactBasrpt, FastBasrpt, Fifo, FlowTable, MaxWeight, PenaltyKind, RepFlow, RoundRobin,
-        Schedule, Scheduler, Srpt, ThresholdBacklogSrpt,
+        ExactBasrpt, FastBasrpt, Fifo, FlowTable, MaxWeight, PenaltyKind, RepFlow, Schedule,
+        Scheduler, Srpt, ThresholdBacklogSrpt,
     };
     pub use dcn_fabric::{
         simulate, simulate_ecmp, simulate_fair_share, simulate_fair_share_sharded, simulate_probed,

@@ -148,9 +148,9 @@ fn assert_runs_identical(indexed: &SwitchRun, scan: &SwitchRun, label: &str) {
 /// discipline and both fast-BASRPT validity classes (integer weight →
 /// unbounded windows, fractional weight → one-slot windows), plus a
 /// non-dyadic weight (`10/3`) whose keys round, so the indexed twin's
-/// carried ranking meets near-ties over whole runs. `RoundRobin` and
-/// `ExactBasrpt` are excluded by design: neither ranks VOQ champions, so
-/// no scan twin exists for them.
+/// carried ranking meets near-ties over whole runs. `ExactBasrpt` is
+/// excluded by design: it ranks no VOQ champions, so no scan twin exists
+/// for it.
 type SchedulerPair = (&'static str, Box<dyn Scheduler>, Box<dyn Scheduler>);
 
 fn pairs() -> Vec<SchedulerPair> {

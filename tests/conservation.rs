@@ -6,9 +6,7 @@
 
 mod support;
 
-use basrpt::core::{
-    FastBasrpt, Fifo, MaxWeight, RepFlow, RoundRobin, Scheduler, Srpt, ThresholdBacklogSrpt,
-};
+use basrpt::core::{FastBasrpt, Fifo, MaxWeight, RepFlow, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{
     simulate, simulate_fair_share, simulate_repflow, FabricRun, FatTree, KAryFatTree, SimConfig,
 };
@@ -26,7 +24,6 @@ fn schedulers(n: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(FastBasrpt::new(0.0, n)),
         Box::new(MaxWeight::new()),
         Box::new(Fifo::new()),
-        Box::new(RoundRobin::new()),
         Box::new(ThresholdBacklogSrpt::new(10_000_000)),
         Box::new(RepFlow::default()),
     ]
@@ -254,7 +251,6 @@ fn invariant_battery_covers_every_discipline() {
         ("FastBASRPT-V0", |n| Box::new(FastBasrpt::new(0.0, n))),
         ("MaxWeight", |_| Box::new(MaxWeight::new())),
         ("FIFO", |_| Box::new(Fifo::new())),
-        ("RoundRobin", |_| Box::new(RoundRobin::new())),
         ("ThresholdSRPT", |_| {
             Box::new(ThresholdBacklogSrpt::new(10_000_000))
         }),

@@ -15,7 +15,7 @@
 
 mod support;
 
-use basrpt::core::{FastBasrpt, Fifo, MaxWeight, RoundRobin, Scheduler, Srpt};
+use basrpt::core::{FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig, Topology};
 use basrpt::probe::EventCounterProbe;
 use basrpt::types::SimTime;
@@ -34,8 +34,8 @@ type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
 
 /// Every source of the pair list the allocator adopts: SRPT, FIFO and fast
 /// BASRPT with `V/N ≥ 1` certify carried matchings; MaxWeight and fast
-/// BASRPT with `V/N < 1` decide by full passes; round-robin builds its
-/// schedule pair by pair, without VOQ slots, and settles eagerly.
+/// BASRPT with `V/N < 1` decide by full passes; threshold backlog-aware
+/// SRPT builds its schedule pair by pair, without VOQ slots.
 fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
     vec![
         ("srpt", Box::new(|| Box::new(Srpt::new()))),
@@ -49,7 +49,10 @@ fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
             "fast_basrpt_sub",
             Box::new(|| Box::new(FastBasrpt::new(4.0, 8))),
         ),
-        ("round_robin", Box::new(|| Box::new(RoundRobin::new()))),
+        (
+            "threshold",
+            Box::new(|| Box::new(ThresholdBacklogSrpt::new(1_000_000))),
+        ),
     ]
 }
 

@@ -14,7 +14,7 @@
 //! calendar.
 
 use basrpt::core::{
-    CountingScheduler, FastBasrpt, Fifo, MaxWeight, RoundRobin, Scheduler, Srpt,
+    CountingScheduler, ExactBasrpt, FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt,
     ThresholdBacklogSrpt,
 };
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
@@ -151,8 +151,9 @@ fn assert_runs_identical(reference: &SwitchRun, fast: &SwitchRun, label: &str) {
 /// The disciplines the differential quantifies over, covering every
 /// validity class: unbounded windows (SRPT, FIFO, integer-weight fast
 /// BASRPT), analytically bounded windows (MaxWeight, threshold), and the
-/// always-recompute fallback (fractional-weight fast BASRPT, the stateful
-/// RoundRobin).
+/// always-recompute fallback (fractional-weight fast BASRPT, and exact
+/// BASRPT, which has no invariance argument and whose default 8-port
+/// limit fits the 8-port switch).
 fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
     vec![
         ("srpt", Box::new(Srpt::new())),
@@ -163,7 +164,7 @@ fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
         ("fast_basrpt_w2", Box::new(FastBasrpt::new(16.0, 8))),
         // V/N = 0.5: fractional weight, degrades to one-slot validity.
         ("fast_basrpt_w05", Box::new(FastBasrpt::new(4.0, 8))),
-        ("round_robin", Box::new(RoundRobin::new())),
+        ("exact_basrpt", Box::new(ExactBasrpt::new(16.0))),
     ]
 }
 

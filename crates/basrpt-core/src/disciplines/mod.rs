@@ -2,7 +2,6 @@
 
 mod exact_basrpt;
 mod fast_basrpt;
-mod fifo;
 mod maxweight;
 mod repflow;
 mod srpt;
@@ -10,7 +9,6 @@ mod threshold;
 
 pub use exact_basrpt::{ExactBasrpt, ExactBasrptError, PenaltyKind};
 pub use fast_basrpt::FastBasrpt;
-pub use fifo::Fifo;
 pub use maxweight::MaxWeight;
 pub use repflow::{RepFlow, REPFLOW_DEFAULT_THRESHOLD};
 pub use srpt::Srpt;

@@ -25,7 +25,6 @@
 //! | [`ExactBasrpt`] | §IV-A optimization problem | exhaustive search over maximal schedules minimizing `V·ȳ − Σ X_ij R_ij` |
 //! | [`ThresholdBacklogSrpt`] | Fig. 2's comparison strategy | SRPT, but VOQs whose backlog exceeds a threshold jump the queue |
 //! | [`MaxWeight`] | classic throughput-optimal baseline (the `V → 0` limit) | `−voq_backlog` |
-//! | [`Fifo`] | baseline | arrival order |
 //!
 //! The fair-share baseline is not a crossbar matching, so it is not here:
 //! it is `dcn-fabric`'s max-min water-filling engine.
@@ -76,7 +75,7 @@ mod table;
 pub mod validity;
 
 pub use disciplines::{
-    ExactBasrpt, ExactBasrptError, FastBasrpt, Fifo, MaxWeight, PenaltyKind, RepFlow, Srpt,
+    ExactBasrpt, ExactBasrptError, FastBasrpt, MaxWeight, PenaltyKind, RepFlow, Srpt,
     ThresholdBacklogSrpt, REPFLOW_DEFAULT_THRESHOLD,
 };
 pub use flow::FlowState;

@@ -150,22 +150,6 @@ impl VoqDiscipline for crate::MaxWeight {
     }
 }
 
-impl VoqDiscipline for crate::Fifo {
-    type Key = F64Key;
-
-    fn name(&self) -> &str {
-        "FIFO"
-    }
-
-    fn rank(&self, view: &VoqView) -> (F64Key, FlowId) {
-        (F64Key::new(view.oldest_flow.raw() as f64), view.oldest_flow)
-    }
-
-    fn schedule_validity(&self, table: &FlowTable, schedule: &Schedule) -> u64 {
-        Scheduler::schedule_validity(self, table, schedule)
-    }
-}
-
 impl VoqDiscipline for crate::ThresholdBacklogSrpt {
     /// `(backlog ≤ threshold, shortest remaining)` — the exact prefix of
     /// the tuple the one-pass implementation sorts, kept as integers so no
@@ -257,22 +241,16 @@ fn ranked_all_flows(table: &FlowTable, key: impl Fn(f64, f64) -> f64) -> Schedul
 pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Schedule {
     struct Scratch {
         backlog: u64,
-        len: usize,
         shortest: (u64, FlowId),
-        oldest: FlowId,
     }
     let mut per_voq: BTreeMap<Voq, Scratch> = BTreeMap::new();
     for f in table.iter() {
         let s = per_voq.entry(f.voq()).or_insert(Scratch {
             backlog: 0,
-            len: 0,
             shortest: (f.remaining(), f.id()),
-            oldest: f.id(),
         });
         s.backlog += f.remaining();
-        s.len += 1;
         s.shortest = s.shortest.min((f.remaining(), f.id()));
-        s.oldest = s.oldest.min(f.id());
     }
     let mut ranked: Vec<(D::Key, FlowId, Voq)> = per_voq
         .iter()
@@ -282,8 +260,6 @@ pub fn schedule_scan<D: VoqDiscipline>(discipline: &D, table: &FlowTable) -> Sch
                 backlog: s.backlog,
                 shortest_remaining: s.shortest.0,
                 shortest_flow: s.shortest.1,
-                oldest_flow: s.oldest,
-                len: s.len,
                 slot: table
                     .voq_slot(*voq)
                     .expect("a VOQ holding a flow has a table slot") as u32,
@@ -354,7 +330,7 @@ impl<D: VoqDiscipline> Scheduler for ScanScheduler<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FastBasrpt, Fifo, FlowState, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
+    use crate::{FastBasrpt, FlowState, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
     use dcn_types::{HostId, Voq};
 
     fn insert(t: &mut FlowTable, id: u64, src: u32, dst: u32, size: u64) {
@@ -412,7 +388,6 @@ mod tests {
 
     fn assert_scan_matches_indexed(t: &FlowTable) {
         assert_eq!(schedule_scan(&Srpt::new(), t), Srpt::new().schedule(t));
-        assert_eq!(schedule_scan(&Fifo::new(), t), Fifo::new().schedule(t));
         assert_eq!(
             schedule_scan(&MaxWeight::new(), t),
             MaxWeight::new().schedule(t)

@@ -27,19 +27,13 @@ pub trait ViewAdjust {
     fn adjust(&self, view: &mut VoqView);
 
     /// Calls `visit` with the slot ([`VoqView::slot`]) of every VOQ whose
-    /// view [`adjust`](ViewAdjust::adjust) may change, and returns `true`;
-    /// every other view passes through unchanged. A slot may be named
-    /// more than once.
-    ///
-    /// The default returns `false`: the lens cannot name its slots, so a
+    /// view [`adjust`](ViewAdjust::adjust) may change; every other view
+    /// passes through unchanged. A slot may be named more than once. A
     /// discipline carrying its matching across decisions ([`Ranking`])
-    /// cannot tell which views moved and runs a full pass, unless the
-    /// lens's count ([`corrected_count`](ViewAdjust::corrected_count))
-    /// already vouched for them.
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
-        let _ = visit;
-        false
-    }
+    /// asks for them unless the lens's count
+    /// ([`corrected_count`](ViewAdjust::corrected_count)) already vouched
+    /// for them.
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize));
 
     /// [`adjust`](ViewAdjust::adjust)s `view` and returns whether the lens
     /// corrects its VOQ's slot ([`VoqView::slot`]) at all, whether or not
@@ -74,9 +68,7 @@ pub struct NoAdjust;
 impl ViewAdjust for NoAdjust {
     fn adjust(&self, _view: &mut VoqView) {}
 
-    fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) -> bool {
-        true
-    }
+    fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) {}
 }
 
 /// A flow scheduling discipline.
@@ -390,7 +382,7 @@ fn admit_in_order<'a>(
 /// before it carries a matching across events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyMotion {
-    /// A transmitting VOQ's key never rises: SRPT, FIFO and RepFlow, and
+    /// A transmitting VOQ's key never rises: SRPT and RepFlow, and
     /// fast BASRPT with `V/N ≥ 1`. The previous matching is carried and
     /// certified.
     Falls,
@@ -417,10 +409,6 @@ pub struct DecisionCounts {
     /// Full passes because a matched VOQ that no mutation touched changed
     /// its champion or raised its key.
     pub key_rose: u64,
-    /// Full passes because the [`ViewAdjust`] lens could not name the VOQ
-    /// slots it corrects ([`ViewAdjust::corrected_slots`]) when its count
-    /// ([`ViewAdjust::corrected_count`]) did not vouch for them.
-    pub unnamed_lens: u64,
     /// Full passes of a discipline whose keys can rise
     /// ([`KeyMotion::MayRise`]), which never attempts the certificate.
     pub key_can_rise: u64,
@@ -429,7 +417,7 @@ pub struct DecisionCounts {
 impl DecisionCounts {
     /// Every decision taken by a full pass, whatever the reason.
     pub fn full_passes(&self) -> u64 {
-        self.cold + self.overflow + self.key_rose + self.unnamed_lens + self.key_can_rise
+        self.cold + self.overflow + self.key_rose + self.key_can_rise
     }
 
     /// Every decision.
@@ -602,11 +590,11 @@ impl Eq for Work {}
 ///    [`greedy_by_key`] would produce.
 ///
 /// Without a certificate — the first decision on a table, a record
-/// overflow, a risen key, a lens that cannot name its slots, or a
-/// discipline whose keys can rise ([`KeyMotion::MayRise`]) — the decision
-/// is a full pass: every view is read, laid out in the previous full
-/// pass's order (new VOQs last) so the run-adaptive stable sort finishes
-/// in near-linear time, and admitted greedily.
+/// overflow, a risen key, or a discipline whose keys can rise
+/// ([`KeyMotion::MayRise`]) — the decision is a full pass: every view is
+/// read, laid out in the previous full pass's order (new VOQs last) so the
+/// run-adaptive stable sort finishes in near-linear time, and admitted
+/// greedily.
 ///
 /// The certificate compares the keys the discipline computes, so it
 /// relies on no rounding argument. A `Ranking` never changes a schedule:
@@ -750,9 +738,8 @@ impl Ranking {
             self.counts.key_rose += 1;
             return false;
         };
-        if adjust.corrected_count() != Some(corrected) && !self.name_corrected(adjust) {
-            self.counts.unnamed_lens += 1;
-            return false;
+        if adjust.corrected_count() != Some(corrected) {
+            self.name_corrected(adjust);
         }
         self.dirty.sort_unstable();
         self.dirty.dedup();
@@ -762,8 +749,8 @@ impl Ranking {
     }
 
     /// Has the lens name the slots it corrects and marks the unmatched
-    /// ones dirty; `false` if it cannot name them.
-    fn name_corrected(&mut self, adjust: &dyn ViewAdjust) -> bool {
+    /// ones dirty.
+    fn name_corrected(&mut self, adjust: &dyn ViewAdjust) {
         let (index, ranked, dirty) = (&self.index, &self.ranked, &mut self.dirty);
         adjust.corrected_slots(&mut |slot| {
             let matched = index
@@ -1119,7 +1106,7 @@ impl Ranking {
 /// Decides one key-driven discipline's matching — one candidate per
 /// non-empty VOQ, read off the table's champion index and corrected by
 /// `adjust` — with the admission order of [`greedy_by_key`]: the shared
-/// decision of SRPT, fast BASRPT, MaxWeight, FIFO and RepFlow. Their
+/// decision of SRPT, fast BASRPT, MaxWeight and RepFlow. Their
 /// [`Scheduler::schedule`] is this call with [`NoAdjust`]; lazily settling
 /// engines pass their pending-drain correction through
 /// [`Scheduler::schedule_adjusted`].
@@ -1233,6 +1220,10 @@ mod tests {
                 if view.shortest_flow == FlowId::new(1) {
                     view.shortest_remaining = 0;
                 }
+            }
+
+            fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) {
+                unreachable!("a fresh ranking's first decision is a full pass");
             }
         }
         let mut t = FlowTable::new();

@@ -9,10 +9,9 @@
 //!   reach their flow by it with no lookup, and check that the slot still
 //!   holds the flow id they were given;
 //! * a **champion index** per VOQ — the cached shortest `(remaining, id)`
-//!   pair and smallest id, plus two ordered sets holding exactly the
-//!   other flows' keys — so schedulers read each VOQ's winning candidate
-//!   in `O(1)` and the table restores it in `O(log n)` when a champion
-//!   leaves;
+//!   pair plus an ordered set holding exactly the other flows' keys — so
+//!   schedulers read each VOQ's winning candidate in `O(1)` and the table
+//!   restores it in `O(log n)` when the champion leaves;
 //! * a **per-source non-empty index**: each source host's non-empty VOQs,
 //!   the only one inline in the host's entry, two or more as `(dst, VOQ
 //!   slot)` pairs sorted by `dst` in a pooled row that a binary search
@@ -231,11 +230,6 @@ pub struct VoqView {
     pub shortest_remaining: u64,
     /// Identifier of that shortest flow (ties broken by smaller id).
     pub shortest_flow: FlowId,
-    /// Identifier of the earliest-arrived flow in the VOQ (smallest id;
-    /// generators assign ids in arrival order).
-    pub oldest_flow: FlowId,
-    /// Number of flows waiting in the VOQ.
-    pub len: usize,
     /// The VOQ's dense slot in its table; see [`VoqView::slot`].
     pub(crate) slot: u32,
 }
@@ -260,23 +254,19 @@ struct FlowEntry {
     voq_slot: u32,
 }
 
-/// Per-VOQ champion index: the current winners plus the exact runner-up
-/// sets (see the invariants on [`FlowTable`]).
+/// Per-VOQ champion index: the current winner plus the exact runner-up
+/// set (see the invariants on [`FlowTable`]).
 #[derive(Debug, Clone)]
 struct VoqSlot {
     voq: Voq,
     len: u32,
     backlog: u64,
-    /// Cached champions; meaningful only while `len > 0`.
+    /// Cached champion; meaningful only while `len > 0`.
     shortest_remaining: u64,
     shortest_flow: FlowId,
-    oldest_flow: FlowId,
     /// The current `(remaining, id)` key of every flow but the shortest
     /// champion; its first element is the next shortest champion.
     runners_short: BTreeSet<(u64, FlowId)>,
-    /// The id of every flow but the oldest champion, for the FIFO (oldest =
-    /// smallest id) pick.
-    runners_old: BTreeSet<FlowId>,
 }
 
 impl VoqSlot {
@@ -300,9 +290,7 @@ impl VoqSlot {
             backlog: 0,
             shortest_remaining: 0,
             shortest_flow: FlowId::new(0),
-            oldest_flow: FlowId::new(0),
             runners_short: BTreeSet::new(),
-            runners_old: BTreeSet::new(),
         }
     }
 }
@@ -318,14 +306,12 @@ impl VoqSlot {
 /// * `backlog` of a VOQ equals the sum of its flows' remaining units;
 /// * per-ingress-port and total backlogs equal the sums over their VOQs;
 /// * the flow-id map names exactly the live slab slots;
-/// * the cached champions of a non-empty VOQ are exact: `(shortest_remaining,
-///   shortest_flow)` is the minimum `(remaining, id)` pair over its flows and
-///   `oldest_flow` is its smallest id;
-/// * **exact runner-ups**: each VOQ's runner-up sets hold exactly its
-///   non-champion flows at their current keys — `(remaining, id)` for every
-///   flow but the shortest champion, the id of every flow but the oldest —
-///   so when a champion completes or is removed, the first set element is
-///   the next champion. A single-flow VOQ's sets are empty.
+/// * the cached champion of a non-empty VOQ is exact: `(shortest_remaining,
+///   shortest_flow)` is the minimum `(remaining, id)` pair over its flows;
+/// * **exact runner-ups**: each VOQ's runner-up set holds exactly the
+///   `(remaining, id)` keys of its flows but the champion, so when the
+///   champion completes or is removed, the first set element is the next
+///   champion. A single-flow VOQ's set is empty.
 ///
 /// Reading the per-VOQ champions ([`FlowTable::voqs`],
 /// [`FlowTable::voq_view`]) is `O(1)` per VOQ off the cached fields, so a
@@ -535,8 +521,6 @@ impl FlowTable {
             backlog: slot.backlog,
             shortest_remaining: slot.shortest_remaining,
             shortest_flow: slot.shortest_flow,
-            oldest_flow: slot.oldest_flow,
-            len: slot.len as usize,
             slot: vs,
         }
     }
@@ -668,18 +652,11 @@ impl FlowTable {
 
         let slot = &mut self.voq_slots[vs as usize];
         if slot.len == 0 {
-            slot.shortest_remaining = flow.remaining();
-            (slot.shortest_flow, slot.oldest_flow) = (id, id);
+            (slot.shortest_remaining, slot.shortest_flow) = (flow.remaining(), id);
         } else {
             // Whoever loses the championship (the newcomer or the displaced
-            // incumbent) joins the runner-up sets at its current key.
+            // incumbent) joins the runner-up set at its current key.
             slot.enter_short(flow.remaining(), id);
-            let loser = if id < slot.oldest_flow {
-                std::mem::replace(&mut slot.oldest_flow, id)
-            } else {
-                id
-            };
-            slot.runners_old.insert(loser);
         }
         slot.len += 1;
         slot.backlog += flow.remaining();
@@ -884,21 +861,13 @@ impl FlowTable {
         q.backlog -= departing_backlog;
         q.len -= 1;
         // A departing champion hands over to its first runner-up (none once
-        // the VOQ empties); a departing runner-up leaves its exact keys.
+        // the VOQ empties); a departing runner-up leaves its exact key.
         if q.shortest_flow == id {
             if let Some(next) = q.runners_short.pop_first() {
                 (q.shortest_remaining, q.shortest_flow) = next;
             }
         } else {
             let was = q.runners_short.remove(&(departing_backlog, id));
-            debug_assert!(was, "runner-up {id} missing from its VOQ's set");
-        }
-        if q.oldest_flow == id {
-            if let Some(next) = q.runners_old.pop_first() {
-                q.oldest_flow = next;
-            }
-        } else {
-            let was = q.runners_old.remove(&id);
             debug_assert!(was, "runner-up {id} missing from its VOQ's set");
         }
         if q.len == 0 {
@@ -967,13 +936,12 @@ impl FlowTable {
             return Err("slab slots neither live nor free".to_string());
         }
 
-        // Recount every VOQ's keys from the slab: the first key of each
-        // order is its champion, and the rest must be its runner-up set.
+        // Recount every VOQ's keys from the slab: the first key is its
+        // champion, and the rest must be its runner-up set.
         #[derive(Default)]
         struct Recount {
             backlog: u64,
             short: BTreeSet<(u64, FlowId)>,
-            old: BTreeSet<FlowId>,
         }
         let mut recounts: BTreeMap<Voq, Recount> = BTreeMap::new();
         let mut ingress_sums: BTreeMap<HostId, u64> = BTreeMap::new();
@@ -982,7 +950,6 @@ impl FlowTable {
             let r = recounts.entry(flow.voq()).or_default();
             r.backlog += flow.remaining();
             r.short.insert((flow.remaining(), flow.id()));
-            r.old.insert(flow.id());
             *ingress_sums.entry(flow.voq().src()).or_insert(0) += flow.remaining();
             total += flow.remaining();
         }
@@ -1042,7 +1009,7 @@ impl FlowTable {
                 if slot.len != 0 || slot.backlog != 0 {
                     return Err(format!("empty VOQ {} has residual counts", slot.voq));
                 }
-                if !slot.runners_short.is_empty() || !slot.runners_old.is_empty() {
+                if !slot.runners_short.is_empty() {
                     return Err(format!("empty VOQ {} kept runner entries", slot.voq));
                 }
                 continue;
@@ -1064,17 +1031,10 @@ impl FlowTable {
                     slot.voq, slot.shortest_remaining, slot.shortest_flow
                 ));
             }
-            let oldest = r.old.pop_first();
-            if Some(slot.oldest_flow) != oldest {
+            if slot.runners_short != r.short {
                 return Err(format!(
-                    "VOQ {} oldest champion {} != {oldest:?}",
-                    slot.voq, slot.oldest_flow
-                ));
-            }
-            if slot.runners_short != r.short || slot.runners_old != r.old {
-                return Err(format!(
-                    "VOQ {} runner-ups {:?} / {:?} != non-champion keys {:?} / {:?}",
-                    slot.voq, slot.runners_short, slot.runners_old, r.short, r.old
+                    "VOQ {} runner-ups {:?} != non-champion keys {:?}",
+                    slot.voq, slot.runners_short, r.short
                 ));
             }
         }
@@ -1350,14 +1310,13 @@ mod tests {
     }
 
     #[test]
-    fn oldest_flow_is_smallest_id() {
+    fn shortest_champion_ignores_arrival_order() {
         let mut t = FlowTable::new();
         t.insert(flow(5, 0, 1, 2)).unwrap();
         t.insert(flow(3, 0, 1, 9)).unwrap();
         let view = t.voqs().next().unwrap();
-        assert_eq!(view.oldest_flow, FlowId::new(3));
         assert_eq!(view.shortest_flow, FlowId::new(5));
-        assert_eq!(view.len, 2);
+        assert_eq!(voq_len(&t, voq(0, 1)), 2);
     }
 
     #[test]
@@ -1373,7 +1332,6 @@ mod tests {
         t.insert(flow(1, 0, 1, 25)).unwrap(); // same id, new size
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(2));
-        assert_eq!(view.oldest_flow, FlowId::new(1));
         t.check_invariants().unwrap();
         // Remove the shortest champion: the reused id must be re-ranked at
         // its *new* remaining, not the old incarnation's 10 units.
@@ -1482,23 +1440,25 @@ mod tests {
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(2));
         assert_eq!(view.shortest_remaining, 7);
-        assert_eq!(view.len, 1);
+        assert_eq!(voq_len(&t, voq(0, 1)), 1);
         t.check_invariants().unwrap();
     }
 
-    /// The runner-up sets of `voq` as `(shortest, oldest)` contents.
-    fn runners(t: &FlowTable, voq: Voq) -> (Vec<(u64, FlowId)>, Vec<FlowId>) {
+    /// The runner-up set of `voq`.
+    fn runners(t: &FlowTable, voq: Voq) -> Vec<(u64, FlowId)> {
         let slot = &t.voq_slots[t.voq_lookup[&voq] as usize];
-        (
-            slot.runners_short.iter().copied().collect(),
-            slot.runners_old.iter().copied().collect(),
-        )
+        slot.runners_short.iter().copied().collect()
+    }
+
+    /// The number of flows in `voq`.
+    fn voq_len(t: &FlowTable, voq: Voq) -> usize {
+        t.voq_slots[t.voq_lookup[&voq] as usize].len as usize
     }
 
     #[test]
     fn runner_sets_hold_exactly_the_non_champions_under_churn() {
         // A long-lived elephant keeps draining while mice come and go: the
-        // runner-up sets must track the live flows exactly instead of
+        // runner-up set must track the live flows exactly instead of
         // growing with the number of mutations.
         let mut t = FlowTable::new();
         t.insert(flow(0, 0, 1, 1_000_000)).unwrap();
@@ -1509,13 +1469,8 @@ mod tests {
             }
             t.drain(FlowId::new(id), 1).unwrap();
             t.drain(FlowId::new(0), 1).unwrap();
-            let (short, old) = runners(&t, voq(0, 1));
-            let len = t.voq_view(voq(0, 1)).unwrap().len;
-            assert_eq!(
-                (short.len(), old.len()),
-                (len - 1, len - 1),
-                "round {round}"
-            );
+            let len = voq_len(&t, voq(0, 1));
+            assert_eq!(runners(&t, voq(0, 1)).len(), len - 1, "round {round}");
         }
         t.check_invariants().unwrap();
     }
@@ -1527,28 +1482,21 @@ mod tests {
         t.insert(flow(1, 0, 1, 10)).unwrap();
         t.insert(flow(2, 0, 1, 20)).unwrap();
         t.insert(flow(3, 0, 1, 30)).unwrap();
-        assert_eq!(
-            runners(&t, voq(0, 1)),
-            (vec![(20, id(2)), (30, id(3))], vec![id(2), id(3)])
-        );
+        assert_eq!(runners(&t, voq(0, 1)), vec![(20, id(2)), (30, id(3))]);
 
         // Flow 3, a runner-up, drains past the champion and displaces it.
         t.drain(id(3), 25).unwrap();
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!((view.shortest_remaining, view.shortest_flow), (5, id(3)));
-        assert_eq!(view.oldest_flow, id(1));
-        assert_eq!(
-            runners(&t, voq(0, 1)),
-            (vec![(10, id(1)), (20, id(2))], vec![id(2), id(3)])
-        );
+        assert_eq!(runners(&t, voq(0, 1)), vec![(10, id(1)), (20, id(2))]);
         t.check_invariants().unwrap();
 
-        // Removing flow 2, a runner-up in both orders, leaves its exact keys.
+        // Removing flow 2, a runner-up, leaves its exact key.
         t.remove(id(2)).unwrap();
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!((view.shortest_remaining, view.shortest_flow), (5, id(3)));
-        assert_eq!((view.oldest_flow, view.len), (id(1), 2));
-        assert_eq!(runners(&t, voq(0, 1)), (vec![(10, id(1))], vec![id(3)]));
+        assert_eq!(voq_len(&t, voq(0, 1)), 2);
+        assert_eq!(runners(&t, voq(0, 1)), vec![(10, id(1))]);
         t.check_invariants().unwrap();
     }
 }

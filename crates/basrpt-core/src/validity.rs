@@ -35,12 +35,13 @@
 //! member in front of it. Iterating the argument extends it to any number
 //! of slots over which the premises hold.
 //!
-//! * **SRPT / FIFO**: served keys drop by exactly 1 per slot (SRPT) or are
-//!   constant (FIFO) — safe forever, bound `u64::MAX`.
+//! * **SRPT**: served keys drop by exactly 1 per slot — safe forever,
+//!   bound `u64::MAX`.
 //! * **Fast BASRPT**, key `w·remaining − backlog`: a served candidate
-//!   shifts by `1 − w` per slot. For an *integer* weight `w ≥ 1` the shift
-//!   is `≤ 0` and every key stays an exactly-representable f64 (like the
-//!   FIFO key, assuming magnitudes below 2⁵³), so the bound is `u64::MAX`;
+//!   shifts by `1 − w` per slot (not at all at `w = 1`). For an *integer*
+//!   weight `w ≥ 1` the shift is `≤ 0` and every key stays an
+//!   exactly-representable f64 (assuming magnitudes below 2⁵³), so the
+//!   bound is `u64::MAX`;
 //!   otherwise the shift is either towards the back (`w < 1`) or inexact
 //!   in f64, and the bound degrades to 1.
 //! * **MaxWeight**, key `−backlog`: served keys *grow* by 1 per slot — the

@@ -10,13 +10,13 @@
 //!
 //! The tie-break contract under test is the one `tests/tie_break.rs`
 //! pins directly: within a VOQ the shortest flow wins with the smaller
-//! `FlowId` breaking remaining-size ties, the oldest flow is the
-//! smallest id, and across VOQs `greedy_by_key` admits in ascending
+//! `FlowId` breaking remaining-size ties, and across VOQs `greedy_by_key`
+//! admits in ascending
 //! `(key, flow id)` order.
 
 use basrpt_core::reference::{schedule_scan, ScanScheduler, VoqDiscipline};
 use basrpt_core::{
-    check_maximal, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, RepFlow, Scheduler, Srpt,
+    check_maximal, FastBasrpt, FlowState, FlowTable, MaxWeight, RepFlow, Scheduler, Srpt,
     ThresholdBacklogSrpt, ViewAdjust, VoqView,
 };
 use dcn_types::{FlowId, HostId, Voq};
@@ -103,18 +103,15 @@ fn assert_champions_match_scan(table: &FlowTable) -> Result<(), TestCaseError> {
         let mut backlog = 0u64;
         let mut len = 0usize;
         let mut shortest: Option<(u64, FlowId)> = None;
-        let mut oldest: Option<FlowId> = None;
         for f in table.iter().filter(|f| f.voq() == view.voq) {
             backlog += f.remaining();
             len += 1;
             let key = (f.remaining(), f.id());
             shortest = Some(shortest.map_or(key, |s| s.min(key)));
-            oldest = Some(oldest.map_or(f.id(), |o| o.min(f.id())));
         }
         prop_assert!(len > 0, "voqs() yielded empty VOQ {:?}", view.voq);
         let (srem, sflow) = shortest.expect("non-empty");
         prop_assert_eq!(view.backlog, backlog, "backlog of {:?}", view.voq);
-        prop_assert_eq!(view.len, len, "len of {:?}", view.voq);
         prop_assert_eq!(
             view.shortest_remaining,
             srem,
@@ -125,12 +122,6 @@ fn assert_champions_match_scan(table: &FlowTable) -> Result<(), TestCaseError> {
             view.shortest_flow,
             sflow,
             "shortest flow (id tie-break) of {:?}",
-            view.voq
-        );
-        prop_assert_eq!(
-            view.oldest_flow,
-            oldest.expect("non-empty"),
-            "oldest flow of {:?}",
             view.voq
         );
         seen += 1;
@@ -167,8 +158,9 @@ where
 /// starts from the previous decision's order — possibly on another table.
 struct Warm {
     srpt: Srpt,
-    fifo: Fifo,
     maxweight: MaxWeight,
+    /// `V/N = 1`: a served candidate's key stays constant.
+    fast_unit: FastBasrpt,
     /// `V/N = 2`: dyadic, every key exact.
     fast_dyadic: FastBasrpt,
     /// The paper's `V/N = 2500/144`: non-dyadic, keys round.
@@ -186,8 +178,8 @@ impl Warm {
     fn new() -> Self {
         Warm {
             srpt: Srpt::new(),
-            fifo: Fifo::new(),
             maxweight: MaxWeight::new(),
+            fast_unit: FastBasrpt::new(8.0, 8),
             fast_dyadic: FastBasrpt::new(16.0, 8),
             fast_paper: FastBasrpt::new(2500.0, 144),
             fast_thirds: FastBasrpt::new(10.0, 3),
@@ -200,7 +192,7 @@ impl Warm {
     fn certified(&self) -> u64 {
         [
             self.srpt.decisions(),
-            self.fifo.decisions(),
+            self.fast_unit.decisions(),
             self.fast_dyadic.decisions(),
             self.fast_paper.decisions(),
             self.fast_thirds.decisions(),
@@ -215,8 +207,8 @@ impl Warm {
     /// schedule equals the full scan of a fresh instance.
     fn assert_match_fresh_scans(&mut self, table: &FlowTable) -> Result<(), TestCaseError> {
         assert_warm_agrees(&mut self.srpt, &Srpt::new(), table)?;
-        assert_warm_agrees(&mut self.fifo, &Fifo::new(), table)?;
         assert_warm_agrees(&mut self.maxweight, &MaxWeight::new(), table)?;
+        assert_warm_agrees(&mut self.fast_unit, &FastBasrpt::new(8.0, 8), table)?;
         assert_warm_agrees(&mut self.fast_dyadic, &FastBasrpt::new(16.0, 8), table)?;
         assert_warm_agrees(&mut self.fast_paper, &FastBasrpt::new(2500.0, 144), table)?;
         assert_warm_agrees(&mut self.fast_thirds, &FastBasrpt::new(10.0, 3), table)?;
@@ -381,9 +373,8 @@ impl ViewAdjust for SentLens {
         Some(self.0.len())
     }
 
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) {
         self.0.iter().for_each(|&(slot, _)| visit(slot));
-        true
     }
 }
 
@@ -458,25 +449,23 @@ fn crossing_keys_an_entrant_and_a_leaver_keep_admission_order() {
 
 /// A lens over the champions leaving host 0: with `grow == 0` it pretends
 /// each has sent half of its remaining units (keys fall), otherwise that
-/// each grew by `grow` units (keys rise). `named` says whether it names
-/// the slots it corrects; `counted` whether it keeps their count, which
+/// each grew by `grow` units (keys rise). It names the slots it
+/// corrects; `counted` says whether it also keeps their count, which
 /// disagrees with the matched slots whenever a host-0 VOQ waits.
 struct HostZeroLens {
-    named: bool,
     counted: bool,
     grow: u64,
     slots: Vec<usize>,
 }
 
 impl HostZeroLens {
-    fn on(table: &FlowTable, named: bool, grow: u64) -> Self {
+    fn on(table: &FlowTable, grow: u64) -> Self {
         let slots = table
             .voqs()
             .filter(|v| v.voq.src() == HostId::new(0))
             .map(|v| v.slot())
             .collect();
         HostZeroLens {
-            named,
             counted: false,
             grow,
             slots,
@@ -486,7 +475,7 @@ impl HostZeroLens {
     fn counted(table: &FlowTable) -> Self {
         HostZeroLens {
             counted: true,
-            ..HostZeroLens::on(table, true, 0)
+            ..HostZeroLens::on(table, 0)
         }
     }
 }
@@ -506,11 +495,8 @@ impl ViewAdjust for HostZeroLens {
         }
     }
 
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
-        if self.named {
-            self.slots.iter().for_each(|&slot| visit(slot));
-        }
-        self.named
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) {
+        self.slots.iter().for_each(|&slot| visit(slot));
     }
 
     fn adjust_counted(&self, view: &mut VoqView) -> bool {
@@ -596,25 +582,23 @@ proptest! {
     }
 
     /// Warm SRPT and fast BASRPT deciding through a lens: one that names
-    /// the slots it corrects is certified, one that cannot runs a full
-    /// pass every time, one that raises matched keys fails the
-    /// certificate, and one whose count disagrees with the matched slots
-    /// it corrects falls back to naming them; all equal a fresh instance's
-    /// decision.
+    /// the slots it corrects is certified, one that raises matched keys
+    /// fails the certificate, and one whose count disagrees with the
+    /// matched slots it corrects falls back to naming them; all equal a
+    /// fresh instance's decision.
     #[test]
-    fn lenses_decide_exactly_whether_or_not_they_name_their_slots(
+    fn lenses_decide_exactly_whether_or_not_they_certify(
         ops in prop::collection::vec(arb_op(5, 20), 1..100),
     ) {
         let mut table = FlowTable::new();
-        let mut srpt = [Srpt::new(), Srpt::new(), Srpt::new(), Srpt::new()];
+        let mut srpt = [Srpt::new(), Srpt::new(), Srpt::new()];
         let fresh_fast = || FastBasrpt::new(2500.0, 144);
-        let mut fast = [fresh_fast(), fresh_fast(), fresh_fast(), fresh_fast()];
+        let mut fast = [fresh_fast(), fresh_fast(), fresh_fast()];
         for (step, &op) in ops.iter().enumerate() {
             apply(&mut table, op);
             let lenses = [
-                HostZeroLens::on(&table, false, 0),
-                HostZeroLens::on(&table, true, 0),
-                HostZeroLens::on(&table, true, step as u64 + 1),
+                HostZeroLens::on(&table, 0),
+                HostZeroLens::on(&table, step as u64 + 1),
                 HostZeroLens::counted(&table),
             ];
             for (i, lens) in lenses.iter().enumerate() {
@@ -631,17 +615,13 @@ proptest! {
             }
         }
         let decisions = ops.len() as u64;
-        for unnamed in [srpt[0].decisions(), fast[0].decisions()] {
-            prop_assert_eq!(unnamed.certified, 0);
-            prop_assert_eq!(unnamed.unnamed_lens, decisions - 1);
-        }
         for named in [
-            srpt[1].decisions(),
-            fast[1].decisions(),
-            srpt[3].decisions(),
-            fast[3].decisions(),
+            srpt[0].decisions(),
+            fast[0].decisions(),
+            srpt[2].decisions(),
+            fast[2].decisions(),
         ] {
-            prop_assert_eq!(named.unnamed_lens + named.key_rose, 0);
+            prop_assert_eq!(named.key_rose, 0);
             prop_assert_eq!(named.decisions(), decisions);
         }
     }
@@ -677,7 +657,7 @@ proptest! {
             apply(&mut table, op);
             if i % 7 == 0 || i + 1 == ops.len() {
                 assert_paths_agree(Srpt::new(), &table)?;
-                assert_paths_agree(Fifo::new(), &table)?;
+                assert_paths_agree(FastBasrpt::new(8.0, 8), &table)?;
                 assert_paths_agree(MaxWeight::new(), &table)?;
                 assert_paths_agree(FastBasrpt::new(16.0, 8), &table)?;
                 assert_paths_agree(FastBasrpt::new(4.0, 8), &table)?;

@@ -2,7 +2,7 @@
 
 use basrpt_core::reference::schedule_scan;
 use basrpt_core::{
-    check_maximal, ExactBasrpt, FastBasrpt, Fifo, FlowState, FlowTable, MaxWeight, Scheduler, Srpt,
+    check_maximal, ExactBasrpt, FastBasrpt, FlowState, FlowTable, MaxWeight, Scheduler, Srpt,
     ThresholdBacklogSrpt,
 };
 use dcn_types::{FlowId, HostId, Voq};
@@ -40,7 +40,7 @@ fn all_schedulers(num_ports: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(FastBasrpt::new(2500.0, num_ports)),
         Box::new(FastBasrpt::new(1.0, num_ports)),
         Box::new(MaxWeight::new()),
-        Box::new(Fifo::new()),
+        Box::new(FastBasrpt::new(num_ports as f64, num_ports)),
         Box::new(ThresholdBacklogSrpt::new(100)),
     ]
 }
@@ -194,7 +194,7 @@ proptest! {
                 check_one!(Srpt::new());
                 check_one!(FastBasrpt::new(2500.0, 6));
                 check_one!(MaxWeight::new());
-                check_one!(Fifo::new());
+                check_one!(FastBasrpt::new(6.0, 6));
                 check_one!(ThresholdBacklogSrpt::new(100));
             };
         }

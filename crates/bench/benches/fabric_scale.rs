@@ -9,11 +9,11 @@
 //!   active flow in the fabric on every reschedule, so doubling the
 //!   fabric more than doubles the run time.
 //!
-//! * `shard_speedup` — the ISSUE acceptance measurement: the 1152-host
-//!   k = 16 fat-tree (9 hosts per edge, 3:1 oversubscribed) under a
-//!   cluster-separable workload, simulated via `simulate_sharded` at
-//!   S ∈ {1, 2, 4, 8}. The machine this records on has **one core**, so
-//!   any speedup is purely algorithmic — S independent engines each rank
+//! * `shard_speedup` — the 1152-host k = 16 fat-tree (9 hosts per edge,
+//!   3:1 oversubscribed) under a cluster-separable workload, simulated
+//!   via `simulate_sharded` at S ∈ {1, 2, 4, 8} and by the global
+//!   `simulate` (the `global` row). Pinned to one core, any speedup over
+//!   `global` is purely algorithmic — S independent engines each rank
 //!   only their own component's flows, turning one `O(A log A)` matching
 //!   per event into `O((A/S) log (A/S))` — and the differential suite
 //!   (`tests/shard_differential.rs`) pins every row to the same output
@@ -105,6 +105,16 @@ fn bench_shard_speedup(c: &mut Criterion) {
     let cfg = SimConfig::builder().horizon(horizon).build();
     let arrivals = arrivals_for(&topo, QueryScope::Cluster(8), 0.6, horizon, 11);
     let factory = || Srpt::new();
+    group.bench_with_input(
+        BenchmarkId::from_parameter("global"),
+        &arrivals,
+        |b, arrivals| {
+            b.iter(|| {
+                simulate(&topo, &mut Srpt::new(), arrivals.iter().copied(), cfg)
+                    .expect("fabric run")
+            })
+        },
+    );
     for shards in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("end_to_end", shards),

@@ -43,8 +43,7 @@
 //! instead of an `O(n)` sweep of every scheduled flow.
 
 use basrpt_core::{
-    ExactBasrpt, FastBasrpt, Fifo, FlowSlot, FlowState, FlowTable, MaxWeight, Scheduler, Srpt,
-    VoqView,
+    ExactBasrpt, FastBasrpt, FlowSlot, FlowState, FlowTable, MaxWeight, Scheduler, Srpt, VoqView,
 };
 use criterion::{criterion_group, BatchSize, BenchmarkGroup, BenchmarkId, Criterion};
 use dcn_fabric::CompletionCalendar;
@@ -89,7 +88,6 @@ fn bench_disciplines(c: &mut Criterion) {
             FastBasrpt::new(2500.0, 144)
         });
         cold_decision(&mut group, "maxweight", flows, &table, MaxWeight::new);
-        cold_decision(&mut group, "fifo", flows, &table, Fifo::new);
         // One long-lived discipline re-deciding the unchanged table: the
         // presorted best case of the carried ranking.
         let mut warm = FastBasrpt::new(2500.0, 144);

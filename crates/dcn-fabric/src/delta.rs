@@ -60,7 +60,7 @@
 //!
 //! The lens moves the key of every transmitting VOQ between two
 //! decisions, but only in the safe direction for the disciplines whose
-//! keys fall as they transmit (SRPT, FIFO, RepFlow, fast BASRPT with
+//! keys fall as they transmit (SRPT, RepFlow, fast BASRPT with
 //! `V/N ≥ 1`): the greedy matching is the unique one in which every
 //! unmatched candidate has an earlier matched neighbour, and falling
 //! matched keys keep it so. Those disciplines carry the previous
@@ -74,8 +74,8 @@
 //! the counts disagree. `PERFMODEL.md` has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
-//! differential suites (`tests/delta_differential.rs`,
-//! `tests/calendar_differential.rs`) pin both engines bit-identical.
+//! differential suite (`tests/delta_differential.rs`) pins both engines
+//! bit-identical.
 
 use crate::calendar::CompletionCalendar;
 use crate::engine::ScheduledEntry;
@@ -667,13 +667,12 @@ impl ViewAdjust for LiveViews<'_> {
 
     /// The lens corrects only the VOQs with a bound account: the live
     /// pairs of the allocator's selection.
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) -> bool {
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) {
         for &(id, _, slot) in &self.alloc.sel {
             if account_of(&self.alloc.by_slot, slot as usize, id).is_some() {
                 visit(slot as usize);
             }
         }
-        true
     }
 
     /// The allocator counts its bound accounts, so a decision that re-reads
@@ -1346,9 +1345,9 @@ mod tests {
         );
         let named = |alloc: &DeltaAllocator| {
             let mut slots = Vec::new();
-            assert!(alloc
+            alloc
                 .live_views(SimTime::ZERO)
-                .corrected_slots(&mut |s| slots.push(s)));
+                .corrected_slots(&mut |s| slots.push(s));
             slots
         };
         assert_eq!(named(&alloc), [slot(a.1), slot(b.1)]);

@@ -433,10 +433,10 @@ pub fn simulate_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    crate::online::run_batch(topo, generator, config, probe, |enforce_core| {
+    crate::online::run_batch(topo, generator, config, probe, false, |enforce_core| {
         Crossbar::new(topo, scheduler, enforce_core, 1)
     })
-    .map(|(run, _)| run)
+    .map(|(run, ..)| run)
 }
 
 /// The eager reference event loop — the single oracle the shared event

@@ -681,10 +681,10 @@ pub fn simulate_fair_share_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_batch(topo, generator, config, probe, |enforce_core| {
+    run_batch(topo, generator, config, probe, false, |enforce_core| {
         FairShare::new(topo, enforce_core)
     })
-    .map(|(run, _)| run)
+    .map(|(run, ..)| run)
 }
 
 #[cfg(test)]

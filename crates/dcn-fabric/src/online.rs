@@ -409,9 +409,9 @@ pub(crate) struct Core<'t, T: Topology + ?Sized, A, P> {
     /// order (offers are time-ordered, so this is also time order).
     pending: VecDeque<FlowArrival>,
     high_watermark: usize,
-    /// Whether completions are logged for `drain_completions`: on for
-    /// every `OnlineFabric` (so restored engines too), off in `run_batch`,
-    /// whose caller only reads the final run.
+    /// Whether completions are logged: on for every `OnlineFabric` (so
+    /// restored engines too), for `drain_completions`; in `run_batch`
+    /// only when its caller asks for the log.
     collect_completions: bool,
     completed: Vec<CompletionRecord>,
     finished: bool,
@@ -651,7 +651,9 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
 
     /// Runs to the horizon and returns the run measurements and the
     /// policy's final state.
-    fn finish(mut self) -> Result<(FabricRun, A), FabricError> {
+    /// Runs to the horizon and returns the run, the policy and the
+    /// completions logged and not yet drained.
+    fn finish(mut self) -> Result<(FabricRun, A, Vec<CompletionRecord>), FabricError> {
         self.step_until(self.config.horizon)?;
         debug_assert!(self.finished, "the horizon event marks the engine finished");
         let series = self.sampler.into_series();
@@ -671,7 +673,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             reschedules: self.reschedules,
             horizon: self.config.horizon,
         };
-        Ok((run, self.policy))
+        Ok((run, self.policy, self.completed))
     }
 }
 
@@ -687,18 +689,20 @@ fn put_meta(meta: &mut Vec<FlowMeta>, slot: FlowSlot, info: FlowMeta) {
 /// through every event instant *strictly before* the arrival, then offers
 /// it — so same-instant completions, samples and decisions coalesce with
 /// the arrival into one event, and the in-flight buffer never holds more
-/// than one instant's arrivals.
+/// than one instant's arrivals. The completion log is kept only when
+/// `log_completions`, and is empty otherwise.
 pub(crate) fn run_batch<T: Topology + ?Sized, A: AllocationPolicy, P: Probe>(
     topo: &T,
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
     probe: P,
+    log_completions: bool,
     policy: impl FnOnce(bool) -> A,
-) -> Result<(FabricRun, A), FabricError> {
+) -> Result<(FabricRun, A, Vec<CompletionRecord>), FabricError> {
     config.validate()?;
     let mut core = Core::new(topo, config, probe, policy);
     core.high_watermark = usize::MAX;
-    core.collect_completions = false;
+    core.collect_completions = log_completions;
     for arrival in generator {
         core.step_before(arrival.time)?;
         if core.finished {
@@ -948,7 +952,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     ///
     /// As [`step_until`](OnlineFabric::step_until).
     pub fn finish(self) -> Result<FabricRun, FabricError> {
-        self.core.finish().map(|(run, _)| run)
+        self.core.finish().map(|(run, ..)| run)
     }
 
     /// Captures the full engine state as a [`FabricSnapshot`]. The engine
@@ -1267,7 +1271,7 @@ mod tests {
             core.offer(*a).unwrap();
         }
         let mode = core.mode;
-        let (run, policy) = core.finish().unwrap();
+        let (run, policy, _) = core.finish().unwrap();
         (mode, run, policy)
     }
 

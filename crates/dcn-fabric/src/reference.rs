@@ -21,9 +21,9 @@
 //! Both paths share the exact epoch-based drain accounting and the event
 //! ordering within an instant with the product core, so their outputs
 //! must be **bit-identical**: any divergence is an engine bug, not a
-//! modelling difference. `tests/calendar_differential.rs`,
-//! `tests/delta_differential.rs` and `tests/fairshare_differential.rs`
-//! pin exactly that across seeds × disciplines × topologies.
+//! modelling difference. `tests/delta_differential.rs` and
+//! `tests/fairshare_differential.rs` pin exactly that across seeds ×
+//! disciplines × topologies.
 //!
 //! Per-event costs are measured in the `event_loop` and `delta_reschedule`
 //! bench groups of `sched_overhead` and modelled in `PERFMODEL.md`; these

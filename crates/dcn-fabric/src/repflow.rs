@@ -228,10 +228,10 @@ pub fn simulate_ecmp_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     probe: P,
 ) -> Result<FabricRun, FabricError> {
     let planes = topo.core_planes().max(1);
-    run_batch(topo, generator, config, probe, |enforce_core| {
+    run_batch(topo, generator, config, probe, false, |enforce_core| {
         Crossbar::new(topo, scheduler, enforce_core, planes)
     })
-    .map(|(run, _)| run)
+    .map(|(run, ..)| run)
 }
 
 /// Runs one RepFlow simulation: single-path ECMP routing plus replication
@@ -290,7 +290,7 @@ pub fn simulate_repflow_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<RepFlowRun, FabricError> {
-    let (run, policy) = run_batch(topo, generator, config, probe, |enforce_core| {
+    let (run, policy, _) = run_batch(topo, generator, config, probe, false, |enforce_core| {
         Replicated::new(topo, discipline, &config, enforce_core)
     })?;
     Ok(policy.into_run(run, config.horizon))

@@ -34,11 +34,13 @@
 //! `O((P/S)² log (P/S))` against the global `O(P² log P)`, which is where
 //! the sharded speedup comes from; see `PERFMODEL.md`).
 
-use crate::engine::{simulate_probed, FabricError, FabricRun, SimConfig};
+use crate::engine::{FabricError, FabricRun, SimConfig};
+use crate::fairshare::FairShare;
+use crate::online::{run_batch, Crossbar};
 use crate::topology::Topology;
 use basrpt_core::MakeScheduler;
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter, TimeSeries};
-use dcn_probe::{CompletionEvent, Probe};
+use dcn_probe::NoProbe;
 use dcn_types::{Bytes, FlowClass, FlowId, RackId, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use std::collections::HashMap;
@@ -226,22 +228,6 @@ pub struct ShardedRun {
     pub completion_log: Vec<CompletionRecord>,
 }
 
-/// Probe capturing every completion event of one bin's engine.
-#[derive(Debug, Default)]
-struct CompletionLogProbe {
-    records: Vec<(f64, FlowId, Voq, u64, f64)>,
-}
-
-impl Probe for CompletionLogProbe {
-    fn wants_decision_timing(&self) -> bool {
-        false
-    }
-    fn on_completion(&mut self, event: &CompletionEvent) {
-        self.records
-            .push((event.time, event.flow, event.voq, event.size, event.fct));
-    }
-}
-
 /// Runs one simulation partitioned into `shards` rack-disjoint bins, each
 /// driven by its own delta-rate engine with a fresh scheduler from
 /// `factory`, on scoped worker threads; merges the per-bin runs
@@ -268,9 +254,11 @@ where
     M: MakeScheduler,
 {
     run_partitioned(topo, arrivals, config, shards, |bin_arrivals| {
-        let mut probe = CompletionLogProbe::default();
-        let run = simulate_probed(topo, &mut factory.make(), bin_arrivals, config, &mut probe)?;
-        Ok((run, probe))
+        let mut scheduler = factory.make();
+        run_batch(topo, bin_arrivals, config, NoProbe, true, |enforce_core| {
+            Crossbar::new(topo, &mut scheduler, enforce_core, 1)
+        })
+        .map(|(run, _, log)| (run, log))
     })
 }
 
@@ -303,23 +291,24 @@ where
     T: Topology + Sync + ?Sized,
 {
     run_partitioned(topo, arrivals, config, shards, |bin_arrivals| {
-        let mut probe = CompletionLogProbe::default();
-        let run =
-            crate::fairshare::simulate_fair_share_probed(topo, bin_arrivals, config, &mut probe)?;
-        Ok((run, probe))
+        run_batch(topo, bin_arrivals, config, NoProbe, true, |enforce_core| {
+            FairShare::new(topo, enforce_core)
+        })
+        .map(|(run, _, log)| (run, log))
     })
 }
 
 /// The shared plan → fan-out → deterministic-merge skeleton behind the
 /// sharded entry points: partitions the workload with [`ShardPlan`],
 /// drives each bin through `run_bin` on scoped worker threads, and merges
-/// the per-bin runs (see the module docs for why the merge is exact).
+/// the per-bin runs and completion logs (see the module docs for why the
+/// merge is exact).
 fn run_partitioned<T>(
     topo: &T,
     arrivals: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
     shards: usize,
-    run_bin: impl Fn(Vec<FlowArrival>) -> Result<(FabricRun, CompletionLogProbe), FabricError> + Sync,
+    run_bin: impl Fn(Vec<FlowArrival>) -> Result<(FabricRun, Vec<CompletionRecord>), FabricError> + Sync,
 ) -> Result<ShardedRun, FabricError>
 where
     T: Topology + Sync + ?Sized,
@@ -329,14 +318,12 @@ where
     let bins = plan.shards_used();
 
     let mut per_bin: Vec<Vec<FlowArrival>> = vec![Vec::new(); bins];
-    let mut class_of: HashMap<FlowId, FlowClass> = HashMap::with_capacity(arrivals.len());
     for a in arrivals {
-        class_of.insert(a.id, a.class);
         per_bin[plan.bin_of_arrival(topo, &a)].push(a);
     }
 
     // One worker per bin; with a single bin, stay on the caller's thread.
-    let results: Vec<Result<(FabricRun, CompletionLogProbe), FabricError>> = if bins == 1 {
+    let results: Vec<Result<(FabricRun, Vec<CompletionRecord>), FabricError>> = if bins == 1 {
         vec![run_bin(per_bin.pop().expect("one bin"))]
     } else {
         std::thread::scope(|scope| {
@@ -354,17 +341,8 @@ where
     let mut runs = Vec::with_capacity(bins);
     let mut records: Vec<CompletionRecord> = Vec::new();
     for result in results {
-        let (run, probe) = result?;
-        for (time, flow, voq, size, fct) in probe.records {
-            records.push(CompletionRecord {
-                flow,
-                time: SimTime::from_secs(time),
-                voq,
-                class: *class_of.get(&flow).expect("completed flow arrived"),
-                size: Bytes::new(size),
-                fct: SimTime::from_secs(fct),
-            });
-        }
+        let (run, log) = result?;
+        records.extend(log);
         runs.push(run);
     }
 

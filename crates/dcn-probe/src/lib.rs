@@ -33,10 +33,6 @@
 //!   bit for bit (locked by `tests/probe_differential.rs`).
 //! * [`EventCounterProbe`] — event counts plus a log-spaced histogram of
 //!   scheduler decision wall latencies.
-//! * [`DriftProbe`] — samples the quadratic Lyapunov function
-//!   `L(X) = ½ Σ X_ij²` into a series whose one-sample differences are
-//!   its drift, on any substrate that samples a flow table (the slotted
-//!   switch and the fabric alike).
 //! * [`JsonlProbe`] — streams every event as one JSON object per line,
 //!   consumable by the `results/` tooling (see [`jsonl`]).
 //!
@@ -69,12 +65,10 @@ use dcn_types::{FlowId, Voq};
 use std::time::Duration;
 
 mod counter;
-mod drift;
 pub mod jsonl;
 mod sampler;
 
 pub use counter::{EventCounterProbe, LatencyHistogram};
-pub use drift::{quadratic_lyapunov, DriftProbe};
 pub use jsonl::JsonlProbe;
 pub use sampler::{BacklogSampler, SampledSeries};
 
@@ -293,10 +287,11 @@ impl<P: Probe + ?Sized> Probe for &mut P {
 /// # Example
 ///
 /// ```
-/// use dcn_probe::{DriftProbe, EventCounterProbe, Fanout};
+/// use dcn_probe::{BacklogSampler, EventCounterProbe, Fanout};
+/// use dcn_types::HostId;
 /// let mut counter = EventCounterProbe::new();
-/// let mut drift = DriftProbe::new();
-/// let fan = Fanout::new(&mut counter, &mut drift);
+/// let mut sampler = BacklogSampler::new(HostId::new(0));
+/// let fan = Fanout::new(&mut counter, &mut sampler);
 /// # let _ = fan;
 /// ```
 #[derive(Debug)]

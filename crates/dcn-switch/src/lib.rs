@@ -15,9 +15,10 @@
 //! stays valid and advances whole macro-slot windows, bit-identical to
 //! the slot-by-slot oracle [`reference::run`]. This model is
 //! where the paper's theory lives, so the crate also provides the
-//! Theorem-1 bounds ([`lyapunov`]; the run's Lyapunov series is
-//! [`dcn_probe::quadratic_lyapunov`] per sample) and the exact Fig.-1
-//! three-flow instability scenario ([`fig1`]).
+//! quadratic Lyapunov function and the Theorem-1 bounds ([`lyapunov`];
+//! the run's Lyapunov series is [`lyapunov::quadratic_lyapunov`] per
+//! sample) and the exact Fig.-1 three-flow instability scenario
+//! ([`fig1`]).
 //!
 //! # Example
 //!

@@ -1,8 +1,37 @@
-//! The Theorem-1 bounds (§IV-B, Eqs. 3–7). The quadratic Lyapunov
-//! function and its drift sampling live in `dcn_probe`
-//! ([`dcn_probe::quadratic_lyapunov`], [`dcn_probe::DriftProbe`]).
+//! The quadratic Lyapunov function and the Theorem-1 bounds (§IV-B,
+//! Eqs. 3–7).
 
+use basrpt_core::FlowTable;
 use serde::{Deserialize, Serialize};
+
+/// The quadratic Lyapunov function `L(X) = ½ Σ_ij X_ij²` (the paper's
+/// Eq. 3) over the VOQ backlogs of `table`. A run samples it into
+/// [`SwitchRun::lyapunov`](crate::SwitchRun::lyapunov), whose one-sample
+/// differences are an empirical view of the drift `Δ(X(t))` (Eq. 4).
+///
+/// # Example
+///
+/// ```
+/// use basrpt_core::{FlowState, FlowTable};
+/// use dcn_switch::lyapunov::quadratic_lyapunov;
+/// use dcn_types::{FlowId, HostId, Voq};
+///
+/// let mut t = FlowTable::new();
+/// t.insert(FlowState::new(FlowId::new(1), Voq::new(HostId::new(0), HostId::new(1)), 3))?;
+/// t.insert(FlowState::new(FlowId::new(2), Voq::new(HostId::new(1), HostId::new(0)), 4))?;
+/// assert_eq!(quadratic_lyapunov(&t), 0.5 * (9.0 + 16.0));
+/// # Ok::<(), basrpt_core::FlowTableError>(())
+/// ```
+pub fn quadratic_lyapunov(table: &FlowTable) -> f64 {
+    table
+        .voqs()
+        .map(|v| {
+            let x = v.backlog as f64;
+            x * x
+        })
+        .sum::<f64>()
+        / 2.0
+}
 
 /// The drift-plus-penalty constant `B' = N(1 + N·B)/2` of Theorem 1, where
 /// `N` is the port count and `B ≥ E[A_ij²]` bounds the arrival second
@@ -86,6 +115,23 @@ impl TheoremBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use basrpt_core::FlowState;
+    use dcn_types::{FlowId, HostId, Voq};
+
+    #[test]
+    fn lyapunov_of_empty_table_is_zero() {
+        assert_eq!(quadratic_lyapunov(&FlowTable::new()), 0.0);
+    }
+
+    #[test]
+    fn lyapunov_sums_squared_voq_backlogs() {
+        let mut t = FlowTable::new();
+        let q = Voq::new(HostId::new(0), HostId::new(1));
+        t.insert(FlowState::new(FlowId::new(1), q, 3)).unwrap();
+        t.insert(FlowState::new(FlowId::new(2), q, 2)).unwrap();
+        // One VOQ with backlog 5: the flows sum before squaring.
+        assert_eq!(quadratic_lyapunov(&t), 12.5);
+    }
 
     #[test]
     fn b_prime_formula() {

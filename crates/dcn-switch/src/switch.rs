@@ -290,7 +290,7 @@ impl Probe for SwitchSampler {
         self.max_port_backlog
             .push(secs, event.table.max_ingress_backlog() as f64);
         self.lyapunov
-            .push(secs, dcn_probe::quadratic_lyapunov(event.table));
+            .push(secs, crate::lyapunov::quadratic_lyapunov(event.table));
     }
 }
 

@@ -6,9 +6,9 @@ use std::fmt;
 /// Unique identifier of a flow.
 ///
 /// Generators assign identifiers in strictly increasing arrival order, so a
-/// smaller `FlowId` always means an earlier (or simultaneous) arrival — the
-/// FIFO baseline scheduler relies on this to order flows by arrival without
-/// storing timestamps.
+/// smaller `FlowId` always means an earlier (or simultaneous) arrival — so
+/// the schedulers' tie-break (the smaller id first among equal keys) favours
+/// the earlier arrival without storing timestamps.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

@@ -318,8 +318,8 @@ enum Population {
 /// An endless, deterministic stream of [`FlowArrival`]s merging every
 /// host's query and background Poisson processes in time order.
 ///
-/// Flow ids are assigned in strictly increasing arrival order (FIFO
-/// scheduling relies on this). The stream never ends; consumers stop by
+/// Flow ids are assigned in strictly increasing arrival order (see
+/// [`FlowId`](dcn_types::FlowId)). The stream never ends; consumers stop by
 /// bounding simulated time.
 ///
 /// # Example

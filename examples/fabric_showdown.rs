@@ -1,5 +1,5 @@
-//! A six-way shoot-out on the flow-level fabric: SRPT, fast BASRPT,
-//! threshold backlog-aware SRPT, MaxWeight and FIFO compete on the same
+//! A five-way shoot-out on the flow-level fabric: SRPT, fast BASRPT,
+//! threshold backlog-aware SRPT and MaxWeight compete on the same
 //! high-load workload (same seed, same arrivals), next to max-min fair
 //! sharing, the no-scheduling baseline.
 //!
@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         Box::new(FastBasrpt::new(2500.0, n)),
         Box::new(ThresholdBacklogSrpt::new(50_000_000)),
         Box::new(MaxWeight::new()),
-        Box::new(Fifo::new()),
     ];
     let config = SimConfig::builder().horizon(horizon).build();
     let mut runs = Vec::new();

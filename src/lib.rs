@@ -86,7 +86,7 @@ pub mod probe {
 }
 
 pub use basrpt_core::{
-    ExactBasrpt, FastBasrpt, Fifo, MaxWeight, PenaltyKind, Scheduler, Srpt, ThresholdBacklogSrpt,
+    ExactBasrpt, FastBasrpt, MaxWeight, PenaltyKind, Scheduler, Srpt, ThresholdBacklogSrpt,
 };
 pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slot, Voq};
 
@@ -119,8 +119,8 @@ pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slo
 /// ```
 pub mod prelude {
     pub use basrpt_core::{
-        ExactBasrpt, FastBasrpt, Fifo, FlowTable, MaxWeight, PenaltyKind, RepFlow, Schedule,
-        Scheduler, Srpt, ThresholdBacklogSrpt,
+        ExactBasrpt, FastBasrpt, FlowTable, MaxWeight, PenaltyKind, RepFlow, Schedule, Scheduler,
+        Srpt, ThresholdBacklogSrpt,
     };
     pub use dcn_fabric::{
         simulate, simulate_ecmp, simulate_fair_share, simulate_fair_share_sharded, simulate_probed,
@@ -129,9 +129,7 @@ pub mod prelude {
         Topology, TopologyError,
     };
     pub use dcn_metrics::{StabilityReport, TimeSeries, TrendConfig};
-    pub use dcn_probe::{
-        BacklogSampler, DriftProbe, EventCounterProbe, Fanout, JsonlProbe, NoProbe, Probe,
-    };
+    pub use dcn_probe::{BacklogSampler, EventCounterProbe, Fanout, JsonlProbe, NoProbe, Probe};
     pub use dcn_switch::{RunConfig, SlottedSwitch};
     pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slot, Voq};
     pub use dcn_workload::{FlowArrival, QueryScope, TrafficSpec};

@@ -1,8 +1,8 @@
 //! Differential tests pinning the champion-indexed schedulers to the
 //! full-scan reference.
 //!
-//! The `FlowTable` maintains a per-VOQ champion index (shortest / oldest
-//! flow plus backlog aggregates, repaired incrementally on every insert,
+//! The `FlowTable` maintains a per-VOQ champion index (shortest flow plus
+//! backlog aggregates, repaired incrementally on every insert,
 //! drain, and removal); `schedule_champions_adjusted` and the key-driven
 //! disciplines read their candidates from it.
 //! `basrpt_core::reference::ScanScheduler` instead recomputes every
@@ -16,7 +16,7 @@
 //! suite quantifies over both switch drivers and both substrates.
 
 use basrpt::core::reference::ScanScheduler;
-use basrpt::core::{FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
+use basrpt::core::{FastBasrpt, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{simulate_probed, FatTree, SimConfig};
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
@@ -161,9 +161,9 @@ fn pairs() -> Vec<SchedulerPair> {
             Box::new(ScanScheduler::new(Srpt::new())),
         ),
         (
-            "fifo",
-            Box::new(Fifo::new()),
-            Box::new(ScanScheduler::new(Fifo::new())),
+            "fast_basrpt_w1",
+            Box::new(FastBasrpt::new(8.0, 8)),
+            Box::new(ScanScheduler::new(FastBasrpt::new(8.0, 8))),
         ),
         (
             "maxweight",

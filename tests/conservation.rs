@@ -6,7 +6,7 @@
 
 mod support;
 
-use basrpt::core::{FastBasrpt, Fifo, MaxWeight, RepFlow, Scheduler, Srpt, ThresholdBacklogSrpt};
+use basrpt::core::{FastBasrpt, MaxWeight, RepFlow, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{
     simulate, simulate_fair_share, simulate_repflow, FabricRun, FatTree, KAryFatTree, SimConfig,
 };
@@ -23,7 +23,7 @@ fn schedulers(n: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(FastBasrpt::new(2500.0, n)),
         Box::new(FastBasrpt::new(0.0, n)),
         Box::new(MaxWeight::new()),
-        Box::new(Fifo::new()),
+        Box::new(FastBasrpt::new(n as f64, n)),
         Box::new(ThresholdBacklogSrpt::new(10_000_000)),
         Box::new(RepFlow::default()),
     ]
@@ -250,7 +250,7 @@ fn invariant_battery_covers_every_discipline() {
         ("FastBASRPT", |n| Box::new(FastBasrpt::new(2500.0, n))),
         ("FastBASRPT-V0", |n| Box::new(FastBasrpt::new(0.0, n))),
         ("MaxWeight", |_| Box::new(MaxWeight::new())),
-        ("FIFO", |_| Box::new(Fifo::new())),
+        ("FastBASRPT-W1", |n| Box::new(FastBasrpt::new(n as f64, n))),
         ("ThresholdSRPT", |_| {
             Box::new(ThresholdBacklogSrpt::new(10_000_000))
         }),

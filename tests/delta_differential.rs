@@ -1,10 +1,13 @@
-//! Differential tests for the delta-rate fabric engine.
+//! Differential tests for the production fabric engine: the delta-rate
+//! allocator and the indexed completion calendar.
 //!
 //! The production engine (`dcn_fabric::simulate`) keeps a persistent
 //! `DeltaAllocator` across events and touches only the flows whose rate
-//! allocation changed; `dcn_fabric::reference::simulate_scan` is the eager
-//! reference loop — a linear completion rescan, every account settled on
-//! every event, the allocation rebuilt on every decision. Both share the
+//! allocation changed, and finds the next completion through
+//! `CompletionCalendar`; `dcn_fabric::reference::simulate_scan` is the
+//! eager reference loop — a linear completion rescan, every account
+//! settled on every event, the allocation rebuilt on every decision. Both
+//! share the
 //! exact epoch-based drain accounting and per-instant event ordering, so
 //! every observable —
 //! event streams, sampled series, FCT summaries, byte conservation — must
@@ -15,10 +18,10 @@
 
 mod support;
 
-use basrpt::core::{FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
+use basrpt::core::{FastBasrpt, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig, Topology};
 use basrpt::probe::EventCounterProbe;
-use basrpt::types::SimTime;
+use basrpt::types::{FlowClass, SimTime};
 use basrpt::workload::TrafficSpec;
 use support::conservation::assert_bit_identical;
 use support::fingerprint::fingerprint;
@@ -32,10 +35,11 @@ fn config(horizon_secs: f64, enforce_core: bool) -> SimConfig {
 
 type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
 
-/// Every source of the pair list the allocator adopts: SRPT, FIFO and fast
-/// BASRPT with `V/N ≥ 1` certify carried matchings; MaxWeight and fast
-/// BASRPT with `V/N < 1` decide by full passes; threshold backlog-aware
-/// SRPT builds its schedule pair by pair, without VOQ slots.
+/// Every source of the pair list the allocator adopts: SRPT and fast
+/// BASRPT with `V/N ≥ 1` certify carried matchings (at `V/N = 1` a served
+/// key stays constant); MaxWeight and fast BASRPT with `V/N < 1` decide
+/// by full passes; threshold backlog-aware SRPT builds its schedule pair
+/// by pair, without VOQ slots.
 fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
     vec![
         ("srpt", Box::new(|| Box::new(Srpt::new()))),
@@ -43,7 +47,10 @@ fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
             "fast_basrpt",
             Box::new(|| Box::new(FastBasrpt::new(2500.0 * 8.0 / 144.0, 8))),
         ),
-        ("fifo", Box::new(|| Box::new(Fifo::new()))),
+        (
+            "fast_basrpt_w1",
+            Box::new(|| Box::new(FastBasrpt::new(8.0, 8))),
+        ),
         ("maxweight", Box::new(|| Box::new(MaxWeight::new()))),
         (
             "fast_basrpt_sub",
@@ -79,6 +86,10 @@ fn delta_matches_the_reference_across_seeds_and_disciplines() {
                 .unwrap();
                 assert_bit_identical(&delta, &scan, &format!("{label} vs scan"));
                 assert!(delta.completions > 0, "{label}: non-trivial run");
+                assert!(
+                    delta.fct.summary(FlowClass::Background).is_some(),
+                    "{label}: background FCTs recorded"
+                );
             }
         }
     }

@@ -10,12 +10,10 @@
 //! and drain. The only tolerated difference is the wall-clock `latency`
 //! of replayed decisions (`None`, since nothing was computed), which the
 //! hash therefore skips. This is the same pin-the-refactor technique
-//! `tests/calendar_differential.rs` uses for the fabric's completion
-//! calendar.
+//! `tests/delta_differential.rs` uses for the fabric engine.
 
 use basrpt::core::{
-    CountingScheduler, ExactBasrpt, FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt,
-    ThresholdBacklogSrpt,
+    CountingScheduler, ExactBasrpt, FastBasrpt, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt,
 };
 use basrpt::probe::{ArrivalEvent, CompletionEvent, DecisionEvent, DrainEvent, Probe, SampleEvent};
 use basrpt::switch::arrivals::BernoulliFlowArrivals;
@@ -149,18 +147,18 @@ fn assert_runs_identical(reference: &SwitchRun, fast: &SwitchRun, label: &str) {
 }
 
 /// The disciplines the differential quantifies over, covering every
-/// validity class: unbounded windows (SRPT, FIFO, integer-weight fast
-/// BASRPT), analytically bounded windows (MaxWeight, threshold), and the
+/// validity class: unbounded windows (SRPT, integer-weight fast BASRPT,
+/// whose served keys stay constant at `V/N = 1`), analytically bounded windows (MaxWeight, threshold), and the
 /// always-recompute fallback (fractional-weight fast BASRPT, and exact
 /// BASRPT, which has no invariance argument and whose default 8-port
 /// limit fits the 8-port switch).
 fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
     vec![
         ("srpt", Box::new(Srpt::new())),
-        ("fifo", Box::new(Fifo::new())),
         ("maxweight", Box::new(MaxWeight::new())),
         ("threshold", Box::new(ThresholdBacklogSrpt::new(15))),
-        // V/N = 2: integer weight, unbounded validity.
+        // V/N = 1 and 2: integer weights, unbounded validity.
+        ("fast_basrpt_w1", Box::new(FastBasrpt::new(8.0, 8))),
         ("fast_basrpt_w2", Box::new(FastBasrpt::new(16.0, 8))),
         // V/N = 0.5: fractional weight, degrades to one-slot validity.
         ("fast_basrpt_w05", Box::new(FastBasrpt::new(4.0, 8))),

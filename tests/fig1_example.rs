@@ -1,7 +1,7 @@
 //! Integration test: the paper's Fig. 1 walk-through, driven end to end
 //! through the facade crate (workload → slotted switch → schedulers).
 
-use basrpt::core::{ExactBasrpt, FastBasrpt, Fifo, MaxWeight, Scheduler, Srpt};
+use basrpt::core::{ExactBasrpt, FastBasrpt, MaxWeight, Scheduler, Srpt};
 use basrpt::switch::fig1;
 
 #[test]
@@ -54,7 +54,7 @@ fn every_stable_discipline_clears_the_example() {
         Box::new(ExactBasrpt::new(0.8)),
         Box::new(FastBasrpt::new(0.8, 4)),
         Box::new(MaxWeight::new()),
-        Box::new(Fifo::new()),
+        Box::new(FastBasrpt::new(4.0, 4)),
     ];
     for mut d in disciplines {
         let run = fig1::run_fig1(d.as_mut());

@@ -14,7 +14,7 @@
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
 use basrpt::fabric::{simulate, simulate_probed, FabricRun, FatTree, SimConfig};
 use basrpt::metrics::TimeSeries;
-use basrpt::probe::{BacklogSampler, DriftProbe, EventCounterProbe, Fanout};
+use basrpt::probe::{BacklogSampler, EventCounterProbe, Fanout};
 use basrpt::types::{FlowClass, SimTime};
 use basrpt::workload::TrafficSpec;
 
@@ -168,13 +168,13 @@ fn probes_do_not_perturb_the_simulation() {
         .build();
     let bare = simulate(&topo, &mut Srpt::new(), spec.generator(42).unwrap(), config).unwrap();
     let mut counter = EventCounterProbe::new();
-    let mut drift = DriftProbe::new();
+    let mut sampler = BacklogSampler::new(config.monitored_port);
     let observed = simulate_probed(
         &topo,
         &mut Srpt::new(),
         spec.generator(42).unwrap(),
         config,
-        Fanout::new(&mut counter, &mut drift),
+        Fanout::new(&mut counter, &mut sampler),
     )
     .unwrap();
     assert_eq!(fingerprint(&bare), fingerprint(&observed));
@@ -183,5 +183,8 @@ fn probes_do_not_perturb_the_simulation() {
     // And the observers actually saw the run.
     assert_eq!(counter.decisions(), observed.reschedules);
     assert!(counter.decision_latency().count() > 0);
-    assert_eq!(drift.lyapunov_series().len(), observed.total_backlog.len());
+    assert_eq!(
+        sampler.series().total_backlog.len(),
+        observed.total_backlog.len()
+    );
 }

@@ -6,8 +6,8 @@
 //! Both paths share the exact epoch-based drain accounting, so every
 //! observable — event streams, sampled series, FCT summaries, byte
 //! conservation — must match **bit for bit** across seeds and disciplines.
-//! This is the same pin-the-refactor technique PR 1 used for the
-//! incremental scheduler and PR 2 for the probe redesign.
+//! This is the same pin-the-refactor technique that checks the
+//! incremental scheduler and the probe redesign.
 
 use basrpt::core::{FastBasrpt, Scheduler, Srpt};
 use basrpt::fabric::{reference, simulate, simulate_probed, FabricRun, FatTree, SimConfig};

@@ -82,6 +82,6 @@ pub use flow::FlowState;
 pub use schedule::{Schedule, ScheduleError};
 pub use scheduler::{
     check_maximal, greedy_by_key, schedule_champions_adjusted, Candidate, CountingScheduler,
-    DecisionCounts, KeyMotion, MakeScheduler, NoAdjust, Ranking, Scheduler, ViewAdjust,
+    DecisionCounts, KeyMotion, NoAdjust, Ranking, Scheduler, ViewAdjust,
 };
 pub use table::{DrainOutcome, FlowSlot, FlowTable, FlowTableError, VoqView};

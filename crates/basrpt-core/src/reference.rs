@@ -412,12 +412,13 @@ mod tests {
     fn scan_matches_indexed_across_disciplines() {
         let mut t = demo_table();
         assert_scan_matches_indexed(&t);
-        // Mutate through drains, a completion, and an id-reusing insert so
+        // Mutate through drains, completions, and an id-reusing insert so
         // the indexed path leans on its lazily repaired champions.
         t.drain(FlowId::new(2), 4).unwrap();
         t.drain(FlowId::new(6), 1).unwrap(); // completes
         insert(&mut t, 6, 2, 0, 3); // id reuse
-        t.remove(FlowId::new(4)).unwrap();
+        let left = t.get(FlowId::new(4)).unwrap().remaining();
+        assert!(t.drain(FlowId::new(4), left).unwrap().completed.is_some());
         assert_scan_matches_indexed(&t);
     }
 

@@ -173,42 +173,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
 }
 
-/// A thread-safe factory of identically configured [`Scheduler`]s.
-///
-/// Parallel drivers — the sharded fabric engine (`dcn-fabric`), multi-seed
-/// sweeps — need one scheduler instance *per partition*, built to the same
-/// parameters, because disciplines carry internal state (the carried
-/// [`Ranking`] and its decision counts) that must not be shared across
-/// partitions. A `MakeScheduler` is that recipe: `make()` returns a fresh,
-/// identically configured instance, and the `Sync` bound lets worker
-/// threads call it concurrently.
-///
-/// Any `Fn() -> S + Sync` closure is a factory via the blanket impl:
-///
-/// ```
-/// use basrpt_core::{MakeScheduler, Scheduler, Srpt};
-///
-/// let factory = || Srpt::new();
-/// let a = factory.make();
-/// let b = factory.make();
-/// assert_eq!(a.name(), b.name());
-/// ```
-pub trait MakeScheduler: Sync {
-    /// The scheduler type this factory produces.
-    type Sched: Scheduler;
-
-    /// Builds a fresh, identically configured scheduler instance.
-    fn make(&self) -> Self::Sched;
-}
-
-impl<S: Scheduler, F: Fn() -> S + Sync> MakeScheduler for F {
-    type Sched = S;
-
-    fn make(&self) -> S {
-        self()
-    }
-}
-
 /// A transparent [`Scheduler`] wrapper counting `schedule()` invocations.
 ///
 /// Used to measure how many decisions a driver actually computes — e.g.

@@ -5,9 +5,10 @@
 //!
 //! * a **slab arena** of flows — `Vec<Option<FlowEntry>>` slots addressed by
 //!   dense indices, with a free list for reuse. A slot is the flow's handle
-//!   ([`FlowSlot`]): [`FlowTable::drain_at`] and [`FlowTable::remove_at`]
+//!   ([`FlowSlot`]): [`FlowTable::drain_at`] and [`FlowTable::get_at`]
 //!   reach their flow by it with no lookup, and check that the slot still
-//!   holds the flow id they were given;
+//!   holds the flow id they were given. A flow leaves the table only by
+//!   draining to completion;
 //! * a **champion index** per VOQ — the cached shortest `(remaining, id)`
 //!   pair plus an ordered set holding exactly the other flows' keys — so
 //!   schedulers read each VOQ's winning candidate in `O(1)` and the table
@@ -159,8 +160,7 @@ impl Error for FlowTableError {}
 ///
 /// Slots carry no generation, so a handle kept past its flow's departure
 /// may name a later flow. The slot-keyed operations
-/// ([`FlowTable::drain_at`], [`FlowTable::remove_at`],
-/// [`FlowTable::get_at`]) therefore take the flow id alongside the slot
+/// ([`FlowTable::drain_at`], [`FlowTable::get_at`]) therefore take the flow id alongside the slot
 /// and reject a slot that holds another flow (or none).
 ///
 /// The slot is stored one up in a [`NonZeroU32`], so an
@@ -584,7 +584,7 @@ impl FlowTable {
     }
 
     /// The number of successful mutations ([`insert`](FlowTable::insert),
-    /// [`drain`](FlowTable::drain), [`remove`](FlowTable::remove)) applied
+    /// [`drain`](FlowTable::drain), [`drain_at`](FlowTable::drain_at)) applied
     /// so far. Reads and calls that return `Err` leave it unchanged, so a
     /// consumer that remembers the value can tell in `O(1)` whether the
     /// table mutated since — the slotted switch's driver in `dcn-switch` uses
@@ -743,36 +743,6 @@ impl FlowTable {
         }
     }
 
-    /// Removes a flow (e.g. a cancelled transfer) by id, returning its
-    /// state: one hash probe, then [`FlowTable::remove_at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowTableError::UnknownFlow`] if the id is not active.
-    pub fn remove(&mut self, id: FlowId) -> Result<FlowState, FlowTableError> {
-        let slot = self.slot_of(id).ok_or(FlowTableError::UnknownFlow(id))?;
-        self.remove_at(slot, id)
-    }
-
-    /// Removes flow `id` from `slot`, returning its state. No lookup: the
-    /// slot reaches the flow, and the id only confirms it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowTableError::UnknownFlow`] unless `slot` holds flow
-    /// `id` (a stale handle whose slot was freed, or reused by another
-    /// flow, is rejected and changes nothing).
-    pub fn remove_at(&mut self, slot: FlowSlot, id: FlowId) -> Result<FlowState, FlowTableError> {
-        let fidx = self.held(slot, id)?;
-        let entry = self.flows[fidx as usize]
-            .take()
-            .expect("a held slot is live");
-        let flow = entry.state;
-        self.release(fidx, id);
-        self.depart(entry.voq_slot, id, flow.remaining(), flow.voq());
-        Ok(flow)
-    }
-
     /// Drains up to `units` from a flow found by id, removing the flow if
     /// it completes: one hash probe, then [`FlowTable::drain_at`].
     ///
@@ -853,7 +823,7 @@ impl FlowTable {
     }
 
     /// Shared bookkeeping for flow `id` leaving the VOQ `voq` in slot `vs`
-    /// (completion or removal). `departing_backlog` is the backlog
+    /// on completion. `departing_backlog` is the backlog
     /// released by the departure: the flow's remaining units just before
     /// it left, so `(departing_backlog, id)` is its runner-up key.
     fn depart(&mut self, vs: u32, id: FlowId, departing_backlog: u64, voq: Voq) {
@@ -1116,6 +1086,12 @@ mod tests {
         FlowState::new(FlowId::new(id), voq(src, dst), size)
     }
 
+    /// Drains flow `id`'s whole remaining size: the way a flow leaves.
+    fn drain_out(t: &mut FlowTable, id: FlowId) {
+        let left = t.get(id).expect("an active flow").remaining();
+        assert!(t.drain(id, left).unwrap().completed.is_some());
+    }
+
     #[test]
     fn insert_updates_all_backlogs() {
         let mut t = FlowTable::new();
@@ -1178,21 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_unindexes() {
-        let mut t = FlowTable::new();
-        t.insert(flow(1, 0, 1, 5)).unwrap();
-        t.insert(flow(2, 0, 1, 3)).unwrap();
-        let removed = t.remove(FlowId::new(1)).unwrap();
-        assert_eq!(removed.size(), 5);
-        assert_eq!(t.voq_backlog(voq(0, 1)), 3);
-        assert_eq!(
-            t.remove(FlowId::new(1)),
-            Err(FlowTableError::UnknownFlow(FlowId::new(1)))
-        );
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
     fn drain_unknown_flow_errors() {
         let mut t = FlowTable::new();
         assert_eq!(
@@ -1228,8 +1189,8 @@ mod tests {
         assert!(advanced(&t), "partial drain");
         assert!(t.drain(FlowId::new(1), 3).unwrap().completed.is_some());
         assert!(advanced(&t), "completing drain");
-        t.remove(FlowId::new(2)).unwrap();
-        assert!(advanced(&t), "remove");
+        drain_out(&mut t, FlowId::new(2));
+        assert!(advanced(&t), "emptying drain");
 
         // Reads never move it.
         t.insert(flow(3, 2, 0, 4)).unwrap();
@@ -1243,7 +1204,6 @@ mod tests {
         // Neither do calls that fail.
         assert!(t.insert(flow(3, 0, 1, 1)).is_err());
         assert!(t.drain(FlowId::new(9), 1).is_err());
-        assert!(t.remove(FlowId::new(9)).is_err());
         assert!(!advanced(&t), "failed calls");
     }
 
@@ -1271,7 +1231,7 @@ mod tests {
         let mark = t.mark();
         assert_eq!(t.changed_since(mark), Some(&[][..]));
         t.drain(FlowId::new(2), 1).unwrap();
-        t.remove(FlowId::new(1)).unwrap();
+        drain_out(&mut t, FlowId::new(1));
         assert!(t.drain(FlowId::new(9), 1).is_err());
         assert_eq!(t.changed_since(mark), Some(&[b as u32, a as u32][..]));
         assert_eq!(t.view_at_slot(a), None, "emptied");
@@ -1290,7 +1250,7 @@ mod tests {
         // one inside it is served.
         for _ in 0..CHANGE_RECORD {
             t.insert(flow(3, 4, 5, 2)).unwrap();
-            t.remove(FlowId::new(3)).unwrap();
+            drain_out(&mut t, FlowId::new(3));
         }
         assert_eq!(t.changed_since(mark), None);
         let recent = t.mark();
@@ -1333,9 +1293,9 @@ mod tests {
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(2));
         t.check_invariants().unwrap();
-        // Remove the shortest champion: the reused id must be re-ranked at
-        // its *new* remaining, not the old incarnation's 10 units.
-        t.remove(FlowId::new(2)).unwrap();
+        // Drain out the shortest champion: the reused id must be re-ranked
+        // at its *new* remaining, not the old incarnation's 10 units.
+        drain_out(&mut t, FlowId::new(2));
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!(view.shortest_flow, FlowId::new(1));
         assert_eq!(view.shortest_remaining, 25);
@@ -1381,7 +1341,6 @@ mod tests {
         assert_eq!(reused, old);
         let (version, before) = (t.version(), t.clone());
         assert_eq!(t.drain_at(old, id(1), 1), Err(unknown));
-        assert_eq!(t.remove_at(old, id(1)), Err(unknown));
         assert_eq!(t.get_at(old, id(1)), None);
         assert_eq!(
             t.drain_at(FlowSlot::new(99), id(3), 1),
@@ -1398,7 +1357,7 @@ mod tests {
         // The right handle still reaches the new flow.
         let out = t.drain_at(reused, id(3), 2).unwrap();
         assert_eq!((out.drained, out.slot), (2, reused));
-        assert_eq!(t.remove_at(reused, id(3)).unwrap().remaining(), 5);
+        assert!(t.drain_at(reused, id(3), 5).unwrap().completed.is_some());
         t.check_invariants().unwrap();
     }
 
@@ -1491,8 +1450,8 @@ mod tests {
         assert_eq!(runners(&t, voq(0, 1)), vec![(10, id(1)), (20, id(2))]);
         t.check_invariants().unwrap();
 
-        // Removing flow 2, a runner-up, leaves its exact key.
-        t.remove(id(2)).unwrap();
+        // Draining out flow 2, a runner-up, leaves its exact key.
+        drain_out(&mut t, id(2));
         let view = t.voq_view(voq(0, 1)).unwrap();
         assert_eq!((view.shortest_remaining, view.shortest_flow), (5, id(3)));
         assert_eq!(voq_len(&t, voq(0, 1)), 2);

@@ -38,6 +38,7 @@ enum Op {
         pick: usize,
         units: u64,
     },
+    /// Drain a flow's whole remaining size: the way a flow leaves.
     Remove {
         pick: usize,
     },
@@ -89,10 +90,17 @@ fn apply(table: &mut FlowTable, op: Op) {
             let live: Vec<FlowId> = table.iter().map(|f| f.id()).collect();
             if !live.is_empty() {
                 let id = live[pick % live.len()];
-                table.remove(id).expect("picked a live flow");
+                drain_out(table, id);
             }
         }
     }
+}
+
+/// Drains flow `id`'s whole remaining size: the way a flow leaves.
+fn drain_out(table: &mut FlowTable, id: FlowId) {
+    let left = table.get(id).expect("a live flow").remaining();
+    let out = table.drain(id, left).expect("a live flow");
+    assert!(out.completed.is_some(), "draining the rest completes");
 }
 
 /// Recomputes every VOQ summary by scanning all flows and asserts the
@@ -258,14 +266,14 @@ fn warm_ranking_survives_a_voq_emptying_and_refilling() {
     insert(&mut table, 4, q(2, 0), 7);
     warm.assert_match_fresh_scans(&table).unwrap();
     // VOQ (0,2) empties: its carried rank is a hole in the next layout.
-    table.remove(FlowId::new(2)).unwrap();
+    drain_out(&mut table, FlowId::new(2));
     warm.assert_match_fresh_scans(&table).unwrap();
     // ...and refills with a flow that now outranks every other VOQ.
     insert(&mut table, 5, q(0, 2), 1);
     warm.assert_match_fresh_scans(&table).unwrap();
     // Every VOQ empties, then a different set refills.
     for id in [1, 3, 4, 5] {
-        table.remove(FlowId::new(id)).unwrap();
+        drain_out(&mut table, FlowId::new(id));
         warm.assert_match_fresh_scans(&table).unwrap();
     }
     assert!(table.is_empty());
@@ -346,7 +354,7 @@ fn a_gap_longer_than_the_changed_slot_record_forces_a_full_pass() {
     table.drain(FlowId::new(1), 999_999).unwrap();
     let counts = decide(&mut srpt, &table);
     assert_eq!((counts.overflow, counts.certified), (1, 1));
-    table.remove(FlowId::new(3)).unwrap();
+    drain_out(&mut table, FlowId::new(3));
     assert_eq!(decide(&mut srpt, &table).certified, 2);
 }
 
@@ -433,7 +441,7 @@ fn crossing_keys_an_entrant_and_a_leaver_keep_admission_order() {
     table
         .insert(FlowState::new(FlowId::new(5), q(8, 9), 15))
         .unwrap();
-    table.remove(FlowId::new(2)).unwrap();
+    drain_out(&mut table, FlowId::new(2));
     let decided = srpt.schedule_adjusted(&table, &lens);
     assert_eq!(decided, Srpt::new().schedule_adjusted(&table, &lens));
     let ids: Vec<u64> = decided.flow_ids().map(FlowId::raw).collect();

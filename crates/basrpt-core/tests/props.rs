@@ -225,7 +225,9 @@ proptest! {
                 3 if !live.is_empty() => {
                     let pick = (f.size as usize) % live.len();
                     let id = FlowId::new(live[pick]);
-                    table.remove(id).expect("picked a live flow");
+                    let left = table.get(id).expect("picked a live flow").remaining();
+                    let out = table.drain(id, left).expect("picked a live flow");
+                    assert!(out.completed.is_some(), "draining the rest completes");
                     live.swap_remove(pick);
                 }
                 _ => {}

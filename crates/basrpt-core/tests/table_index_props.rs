@@ -31,6 +31,7 @@ enum Op {
         pick: usize,
         units: u64,
     },
+    /// Drain a flow's whole remaining size: the way a flow leaves.
     Remove {
         pick: usize,
     },
@@ -114,11 +115,12 @@ impl Script {
             Op::Remove { pick } if !live.is_empty() => {
                 let id = live[pick % live.len()];
                 let (_, remaining, slot) = self.model[&id];
-                let flow = self
+                let out = self
                     .table
-                    .remove_at(slot, id)
+                    .drain_at(slot, id, remaining)
                     .map_err(TestCaseError::fail)?;
-                prop_assert_eq!(flow.remaining(), remaining);
+                prop_assert_eq!(out.drained, remaining);
+                prop_assert_eq!(out.completed.map(|f| f.id()), Some(id));
                 self.model.remove(&id);
                 self.departed = Some((slot, id));
             }
@@ -131,10 +133,7 @@ impl Script {
                         self.table.drain_at(slot, id, units),
                         Err(FlowTableError::UnknownFlow(id))
                     );
-                    prop_assert_eq!(
-                        self.table.remove_at(slot, id),
-                        Err(FlowTableError::UnknownFlow(id))
-                    );
+                    prop_assert_eq!(self.table.get_at(slot, id), None);
                     prop_assert_eq!(self.table.version(), version);
                 }
             }

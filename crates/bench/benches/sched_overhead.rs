@@ -16,16 +16,6 @@
 //! across events (fast BASRPT) or running a full pass each time
 //! (MaxWeight).
 //!
-//! The `per_event_decision` group measures a steady-state loop — one
-//! table event (a one-unit drain, cycling over the flows) followed by one
-//! one-pass scheduling decision — across fabric sizes
-//! `N ∈ {16, 48, 144, 288}` with 40 flows per server, so the `O(Q log Q)`
-//! decision is priced as the VOQ count grows. Its events (and
-//! `champion_index`'s) move one VOQ's key by one unit, so the carried
-//! ranking finds the previous order almost intact: these rows overstate
-//! the carried-order gain, and perfbench's in-place decisions are the
-//! measure of it.
-//!
 //! The `fastforward_switch` group measures the orthogonal lever: instead
 //! of making each decision cheaper, the switch driver `dcn_switch::run`
 //! makes *fewer* decisions, re-invoking the scheduler only when a cached
@@ -132,61 +122,6 @@ fn cold_decision<S: Scheduler>(
             BatchSize::SmallInput,
         )
     });
-}
-
-/// Applies one table event: drains one unit from the next flow in a
-/// round-robin over the initial flow ids, re-inserting a completed flow in
-/// place so the population stays constant across iterations.
-fn one_event(table: &mut FlowTable, cursor: &mut usize, num_flows: usize) {
-    let id = FlowId::new((*cursor % num_flows) as u64);
-    *cursor += 1;
-    let out = table.drain(id, 1).expect("cycled flows stay live");
-    if let Some(done) = out.completed {
-        table
-            .insert(FlowState::new(id, done.voq(), 1_000))
-            .expect("id was just freed");
-    }
-}
-
-fn bench_per_event(c: &mut Criterion) {
-    let mut group = c.benchmark_group("per_event_decision");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-
-    const FLOWS_PER_SERVER: usize = 40;
-    for &n in &[16u32, 48, 144, 288] {
-        let flows = FLOWS_PER_SERVER * n as usize;
-
-        {
-            let mut table = table_with(n, flows, 42);
-            let mut sched = FastBasrpt::new(2500.0, n as usize);
-            let mut cursor = 0usize;
-            group.bench_with_input(
-                BenchmarkId::new("fast_basrpt_one_pass", n),
-                &flows,
-                |b, &f| {
-                    b.iter(|| {
-                        one_event(&mut table, &mut cursor, f);
-                        sched.schedule(std::hint::black_box(&table))
-                    })
-                },
-            );
-        }
-        {
-            let mut table = table_with(n, flows, 42);
-            let mut sched = Srpt::new();
-            let mut cursor = 0usize;
-            group.bench_with_input(BenchmarkId::new("srpt_one_pass", n), &flows, |b, &f| {
-                b.iter(|| {
-                    one_event(&mut table, &mut cursor, f);
-                    sched.schedule(std::hint::black_box(&table))
-                })
-            });
-        }
-    }
-    group.finish();
 }
 
 /// One event then one decision on a long-lived discipline behind the
@@ -429,25 +364,15 @@ fn calendar_of(pairs: &[(FlowId, SimTime)]) -> (CompletionCalendar, Vec<SimTime>
 }
 
 /// Per-event rebinding cost under the delta discipline, as the scheduled
-/// set grows 64 → 4096:
-///
-/// * `targeted_churn` — the delta engine's calendar work for a one-flow
-///   allocation change: one account moves to a new instant, one
-///   [`CompletionCalendar::push`]
-///   plus the validated peek, `O(log n)` — near-flat in `n`;
-/// * `allocator_swap_one` — the whole `DeltaAllocator::apply` for a
-///   schedule differing in one flow: a prefix/suffix positional diff
-///   (one `Copy`-pair compare per kept flow, no hashing, no stamping)
-///   isolates the one-entry window, then the entrant/leaver pay the
-///   `O(log n)` calendar edit — the true `O(Δ log n)` per-event cost.
-///   The allocator adopts the applied list and hands back its previous
-///   one, which the next iteration edits and applies, so no pair is
-///   copied.
-///
-/// In the fabric engine the schedule is a crossbar matching (≤ 72 pairs on
-/// the paper topology), so `targeted_churn` is the term that scales with
-/// the *backlog*, and its flatness is what unlocks million-flow runs —
-/// `PERFMODEL.md` has the full decomposition.
+/// set grows 64 → 4096: `allocator_swap_one` is the whole
+/// `DeltaAllocator::apply` for a schedule differing in one flow. A
+/// prefix/suffix positional diff (one `Copy`-pair compare per kept flow,
+/// no hashing, no stamping) isolates the one-entry window, then the
+/// entrant and the leaver pay the `O(log n)` calendar edit — the
+/// `O(Δ log n)` per-event cost. The allocator adopts the applied list and
+/// hands back its previous one, which the next iteration edits and
+/// applies, so no pair is copied. `PERFMODEL.md` has the full
+/// decomposition.
 fn bench_delta_reschedule(c: &mut Criterion) {
     use dcn_fabric::DeltaAllocator;
     use dcn_types::Rate;
@@ -459,64 +384,34 @@ fn bench_delta_reschedule(c: &mut Criterion) {
         .sample_size(20);
 
     for &n in &[64usize, 256, 1024, 4096] {
-        let mut rng = StdRng::seed_from_u64(9);
-        let pairs: Vec<(FlowId, SimTime)> = (0..n)
+        let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
+        // Distinct VOQs per flow: the allocator indexes live flows by
+        // VOQ under the crossbar's one-flow-per-VOQ invariant.
+        // Flow `i` sits in VOQ slot `i`; the two alternating
+        // last-position ids share slot `n - 1`.
+        let mut base: Vec<(FlowId, Voq, u32)> = (0..n as u32)
             .map(|i| {
                 (
-                    FlowId::new(i as u64),
-                    SimTime::from_micros(rng.gen_range(1.0..1e6)),
+                    FlowId::new(u64::from(i)),
+                    Voq::new(HostId::new(2 * i), HostId::new(2 * i + 1)),
+                    i,
                 )
             })
             .collect();
-
-        {
-            let (mut cal, mut live) = calendar_of(&pairs);
-            let mut tick = 0u64;
-            group.bench_with_input(BenchmarkId::new("targeted_churn", n), &n, |b, &n| {
-                b.iter(|| {
-                    // One flow's completion instant moves; nothing else is
-                    // touched. Rotate the victim and the instant so the
-                    // heap sees genuine churn, not a cached no-op.
-                    tick += 1;
-                    let victim = (tick % n as u64) as usize;
-                    let at = SimTime::from_micros((1 + tick % 999_983) as f64);
-                    live[victim] = at;
-                    cal.push(at, FlowId::new(victim as u64), victim);
-                    cal.next_completion(|at, _, slot| live[slot] == at)
-                })
-            });
-        }
-
-        {
-            let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
-            // Distinct VOQs per flow: the allocator indexes live flows by
-            // VOQ under the crossbar's one-flow-per-VOQ invariant.
-            // Flow `i` sits in VOQ slot `i`; the two alternating
-            // last-position ids share slot `n - 1`.
-            let mut base: Vec<(FlowId, Voq, u32)> = (0..n as u32)
-                .map(|i| {
-                    (
-                        FlowId::new(u64::from(i)),
-                        Voq::new(HostId::new(2 * i), HostId::new(2 * i + 1)),
-                        i,
-                    )
-                })
-                .collect();
-            let admit = |id: FlowId| (FlowSlot::new(id.raw() as usize), 1 << 40);
-            let mut swapped = base.clone();
-            alloc.apply(SimTime::ZERO, &mut base, admit, |_| {});
-            let mut tick = 0u64;
-            group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
-                b.iter(|| {
-                    // Alternate the last slot between two flow ids: every
-                    // apply sees one entrant, one leaver, n-1 stays.
-                    tick += 1;
-                    swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
-                    alloc.apply(SimTime::ZERO, &mut swapped, admit, |_| {});
-                    alloc.next_completion()
-                })
-            });
-        }
+        let admit = |id: FlowId| (FlowSlot::new(id.raw() as usize), 1 << 40);
+        let mut swapped = base.clone();
+        alloc.apply(SimTime::ZERO, &mut base, admit, |_| {});
+        let mut tick = 0u64;
+        group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
+            b.iter(|| {
+                // Alternate the last slot between two flow ids: every
+                // apply sees one entrant, one leaver, n-1 stays.
+                tick += 1;
+                swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
+                alloc.apply(SimTime::ZERO, &mut swapped, admit, |_| {});
+                alloc.next_completion()
+            })
+        });
     }
     group.finish();
 }
@@ -747,55 +642,6 @@ fn bench_fastforward(c: &mut Criterion) {
     group.finish();
 }
 
-/// The champion index head to head against the full scan it replaced,
-/// at fixed fabric size (144 hosts, so Q ≤ 144² VOQs) and growing flow
-/// count. Every iteration applies one table event (`one_event`, which
-/// also recycles completed ids) before deciding, so the index pays its
-/// incremental maintenance inside the loop — no free pre-built state:
-///
-/// * `scan` — `reference::schedule_scan`: recompute all per-VOQ
-///   champions from the `F` flows, `O(F + Q log Q)` per decision;
-/// * `one_pass` — the production `FastBasrpt`: read champions from the
-///   table's index and sort them, `O(Q log Q)` per decision.
-///
-/// The `scan`/`one_pass` gap is the champion index's win and must be
-/// ≥ 5× from `F = 10_000` up; `results/bench.json` records both series.
-fn bench_champion_index(c: &mut Criterion) {
-    use basrpt_core::reference::schedule_scan;
-
-    let mut group = c.benchmark_group("champion_index");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(15);
-
-    for &flows in &[100usize, 1_000, 10_000, 100_000] {
-        {
-            let mut table = table_with(144, flows, 42);
-            let discipline = FastBasrpt::new(2500.0, 144);
-            let mut cursor = 0usize;
-            group.bench_with_input(BenchmarkId::new("scan", flows), &flows, |b, &f| {
-                b.iter(|| {
-                    one_event(&mut table, &mut cursor, f);
-                    schedule_scan(&discipline, std::hint::black_box(&table))
-                })
-            });
-        }
-        {
-            let mut table = table_with(144, flows, 42);
-            let mut sched = FastBasrpt::new(2500.0, 144);
-            let mut cursor = 0usize;
-            group.bench_with_input(BenchmarkId::new("one_pass", flows), &flows, |b, &f| {
-                b.iter(|| {
-                    one_event(&mut table, &mut cursor, f);
-                    sched.schedule(std::hint::black_box(&table))
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_exact_blowup(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_basrpt_enumeration");
     group
@@ -826,8 +672,6 @@ criterion_group!(
     benches,
     bench_disciplines,
     bench_event_decision,
-    bench_per_event,
-    bench_champion_index,
     bench_probe_overhead,
     bench_event_loop,
     bench_delta_reschedule,

@@ -39,8 +39,8 @@
 //!   eviction (inside `apply`), a sample instant or the horizon
 //!   ([`settle`](DeltaAllocator::settle)), or a snapshot. Between
 //!   observations the account is the pair (drain epoch, settled bytes),
-//!   and every conversion derives cumulative progress with the single
-//!   [`settle_drain_target`](crate::settle_drain_target) formula, so the
+//!   and every conversion settles through the account's own
+//!   `ScheduledEntry::settle` (see [`crate::settle`]), so the
 //!   drains a flow reports always sum to exactly the bytes its epochs
 //!   owed: `arrived == delivered + leftover` holds bit-for-bit at every
 //!   observation point (`tests/support/battery.rs` asserts it at every
@@ -78,8 +78,8 @@
 //! bit-identical.
 
 use crate::calendar::CompletionCalendar;
-use crate::engine::ScheduledEntry;
 use crate::repflow::plane_of;
+use crate::settle::{ScheduledEntry, SettledDrain};
 use crate::topology::Topology;
 use basrpt_core::{FlowSlot, ViewAdjust, VoqView};
 use dcn_types::{FlowId, PlaneId, Rate, SimTime, Voq};
@@ -122,22 +122,6 @@ pub struct DeltaStats {
     pub left: u64,
     /// Total stay-scheduled decisions (zero-cost per flow).
     pub kept: u64,
-}
-
-/// One settled drain reported by the allocator's settlement paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SettledDrain {
-    /// The draining flow.
-    pub flow: FlowId,
-    /// Its table slot, which reaches it with no lookup
-    /// ([`basrpt_core::FlowTable::drain_at`], whose outcome also names
-    /// its VOQ).
-    pub slot: FlowSlot,
-    /// Bytes newly owed since the last settlement (> 0).
-    pub amount: u64,
-    /// Whether this drain exhausts the flow's remaining bytes; the flow is
-    /// already evicted from the allocator when the callback runs.
-    pub completed: bool,
 }
 
 /// Persistent, incrementally maintained binding of schedules to drain
@@ -383,22 +367,16 @@ impl DeltaAllocator {
             {
                 continue;
             }
-            let entry = self.by_slot[slot]
+            let mut entry = self.by_slot[slot]
                 .take()
                 .expect("a live pair's VOQ slot holds its entry");
             self.bound -= 1;
-            let owed = entry.target_at(now) - entry.settled;
-            if owed > 0 {
+            if let Some(drain) = entry.settle(now) {
                 debug_assert!(
-                    entry.settled + owed < entry.epoch_remaining,
+                    !drain.completed,
                     "a due completion must settle before the reschedule evicts it"
                 );
-                on_evict(SettledDrain {
-                    flow: id,
-                    slot: entry.slot,
-                    amount: owed,
-                    completed: false,
-                });
+                on_evict(drain);
             }
             out.left += 1;
         }
@@ -438,24 +416,14 @@ impl DeltaAllocator {
         let entry = self.by_slot[slot]
             .as_mut()
             .expect("a scheduled flow's VOQ slot holds its entry");
-        let target = entry.target_at(t);
-        let amount = target - entry.settled;
-        if amount == 0 {
+        let Some(drain) = entry.settle(t) else {
             return;
-        }
-        entry.settled = target;
-        let completed = entry.settled == entry.epoch_remaining;
-        let (id, at) = (entry.flow, entry.slot);
-        if completed {
+        };
+        if drain.completed {
             self.by_slot[slot] = None;
             self.bound -= 1;
         }
-        on_drain(SettledDrain {
-            flow: id,
-            slot: at,
-            amount,
-            completed,
-        });
+        on_drain(drain);
     }
 
     /// Settles exactly the flows owed a completion at instant `t` — the

@@ -1,9 +1,10 @@
-//! Run configuration and results, the per-flow drain account, and the
-//! eager reference event loop every fabric engine is pinned against.
+//! Run configuration and results, and the eager reference event loop
+//! every fabric engine is pinned against.
 
 use crate::online::Crossbar;
+use crate::settle::ScheduledEntry;
 use crate::topology::Topology;
-use basrpt_core::{FlowSlot, FlowState, FlowTable, Schedule, Scheduler};
+use basrpt_core::{FlowState, FlowTable, Schedule, Scheduler};
 use dcn_metrics::{
     FctRecorder, SizeBucketRecorder, StabilityReport, ThroughputMeter, TimeSeries, TrendConfig,
 };
@@ -41,15 +42,14 @@ impl fmt::Display for FabricError {
 impl Error for FabricError {}
 
 /// Configuration of one fabric simulation run.
+///
+/// Every run samples its time series every
+/// [`sample_every`](SimConfig::sample_every) (derived from the horizon)
+/// and traces the backlog of host [`MONITORED_PORT`](SimConfig::MONITORED_PORT).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Simulated duration.
     pub horizon: SimTime,
-    /// Sampling period for the recorded time series.
-    pub sample_every: SimTime,
-    /// The port whose queue-length trace is recorded (the paper plots "the
-    /// queue length... from one of the servers").
-    pub monitored_port: HostId,
     /// Enforce per-rack uplink capacity even on full-bisection fabrics
     /// (always enforced on oversubscribed ones).
     pub enforce_core_capacity: bool,
@@ -62,13 +62,18 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The smallest sampling period automatic sampling will pick: one
-    /// slot, i.e. the ~1.2 µs it takes to transmit one 1500-byte MTU at
-    /// the 10 Gbps edge rate. Sampling below this timescale cannot observe
-    /// anything new (queue state only changes when bytes move) but makes
-    /// the event loop wake on every sample point, so short horizons used
-    /// to slow down quadratically as `horizon / 400` underflowed the slot.
+    /// The smallest sampling period a run uses: one slot, i.e. the ~1.2 µs
+    /// it takes to transmit one 1500-byte MTU at the 10 Gbps edge rate.
+    /// Sampling below this timescale cannot observe anything new (queue
+    /// state only changes when bytes move) but makes the event loop wake
+    /// on every sample point, so short horizons used to slow down
+    /// quadratically as `horizon / 400` underflowed the slot.
     pub const MIN_SAMPLE_PERIOD: SimTime = SimTime::from_micros_const(1.2);
+
+    /// The host whose queue-length trace is recorded: the paper plots
+    /// "the queue length... from one of the servers", and every run
+    /// monitors host 0.
+    pub const MONITORED_PORT: HostId = HostId::new(0);
 
     /// Starts building a configuration: set the duration with
     /// [`horizon`](SimConfigBuilder::horizon), then any optional knobs, then
@@ -81,13 +86,19 @@ impl SimConfig {
     /// use dcn_types::SimTime;
     ///
     /// let config = SimConfig::builder()
-    ///     .horizon(SimTime::from_secs(0.5))
-    ///     .sample_every(SimTime::from_millis(1.0))
+    ///     .horizon(SimTime::from_secs(0.4))
     ///     .build();
-    /// assert_eq!(config.sample_every, SimTime::from_millis(1.0));
+    /// assert_eq!(config.sample_every(), SimTime::from_millis(1.0));
     /// ```
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
+    }
+
+    /// The sampling period of the recorded time series: `horizon / 400`,
+    /// clamped from below to [`SimConfig::MIN_SAMPLE_PERIOD`] so short
+    /// horizons never sample finer than one transmission slot.
+    pub fn sample_every(&self) -> SimTime {
+        SimTime::from_secs(self.horizon.as_secs() / 400.0).max(Self::MIN_SAMPLE_PERIOD)
     }
 
     /// Checks the settings every engine needs to terminate: the fields are
@@ -96,14 +107,11 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`FabricError::BadConfig`] if the horizon is zero or
-    /// infinite, the sampling period is zero or infinite, or the latency
-    /// floor is infinite.
+    /// infinite, or the latency floor is infinite.
     pub fn validate(&self) -> Result<(), FabricError> {
-        let positive_finite = |t: SimTime| t > SimTime::ZERO && !t.is_infinite();
-        let problem = if !positive_finite(self.horizon) {
+        let positive_finite = self.horizon > SimTime::ZERO && !self.horizon.is_infinite();
+        let problem = if !positive_finite {
             "horizon must be positive and finite"
-        } else if !positive_finite(self.sample_every) {
-            "sample period must be positive and finite"
         } else if self.base_latency.is_infinite() {
             "latency floor must be finite"
         } else {
@@ -122,14 +130,12 @@ impl SimConfig {
 
 /// Builder for [`SimConfig`], obtained from [`SimConfig::builder`].
 ///
-/// Defaults: a 1 s horizon, automatic ~400-point sampling, monitored
-/// port 0, core capacity not enforced, no FCT latency floor.
+/// Defaults: a 1 s horizon, core capacity not enforced, no FCT latency
+/// floor.
 #[must_use = "call .build() to obtain the SimConfig"]
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfigBuilder {
     horizon: SimTime,
-    sample_every: Option<SimTime>,
-    monitored_port: HostId,
     enforce_core_capacity: bool,
     base_latency: SimTime,
 }
@@ -138,8 +144,6 @@ impl Default for SimConfigBuilder {
     fn default() -> Self {
         SimConfigBuilder {
             horizon: SimTime::from_secs(1.0),
-            sample_every: None,
-            monitored_port: HostId::new(0),
             enforce_core_capacity: false,
             base_latency: SimTime::ZERO,
         }
@@ -150,23 +154,6 @@ impl SimConfigBuilder {
     /// Sets the simulated duration (default 1 s).
     pub fn horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Sets an explicit sampling period. When unset, [`build`] picks
-    /// `horizon / 400`, clamped from below to
-    /// [`SimConfig::MIN_SAMPLE_PERIOD`] so short horizons never sample
-    /// finer than one transmission slot.
-    ///
-    /// [`build`]: SimConfigBuilder::build
-    pub fn sample_every(mut self, period: SimTime) -> Self {
-        self.sample_every = Some(period);
-        self
-    }
-
-    /// Sets the port whose queue-length trace is recorded (default port 0).
-    pub fn monitored_port(mut self, port: HostId) -> Self {
-        self.monitored_port = port;
         self
     }
 
@@ -186,16 +173,11 @@ impl SimConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the horizon is zero or infinite, the sampling period is
-    /// zero or infinite, or the latency floor is infinite.
+    /// Panics if the horizon is zero or infinite, or the latency floor is
+    /// infinite.
     pub fn build(self) -> SimConfig {
-        let sample_every = self.sample_every.unwrap_or_else(|| {
-            SimTime::from_secs(self.horizon.as_secs() / 400.0).max(SimConfig::MIN_SAMPLE_PERIOD)
-        });
         let config = SimConfig {
             horizon: self.horizon,
-            sample_every,
-            monitored_port: self.monitored_port,
             enforce_core_capacity: self.enforce_core_capacity,
             base_latency: self.base_latency,
         };
@@ -263,83 +245,6 @@ pub(crate) struct FlowMeta {
 /// on full-bisection ones. The one place every engine derives it from.
 pub(crate) fn enforces_core<T: Topology + ?Sized>(topo: &T, config: &SimConfig) -> bool {
     config.enforce_core_capacity || !topo.is_full_bisection()
-}
-
-/// Drain-accounting state of one transmitting flow.
-///
-/// A transmitting flow drains at its allocated `rate` (the edge line rate
-/// for a crossbar matching, a max-min fair share otherwise) from the
-/// instant that rate was assigned — its **epoch** — until it completes, is
-/// descheduled, or is re-rated. All byte arithmetic is anchored at the
-/// epoch: at any event instant `t`, the cumulative bytes owed are derived
-/// **once** from the total elapsed time `t - epoch` via [`Rate::bytes_in`]
-/// (one floor), and the per-event drain is the integer difference against
-/// what has already been settled. Increments therefore sum exactly — no
-/// per-event rounding can accumulate — and the completion instant is the
-/// analytic `epoch + epoch_remaining / rate`, at which the entry
-/// force-settles its exact remaining bytes (no 1-byte residue wakeups).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScheduledEntry {
-    pub(crate) flow: FlowId,
-    /// The flow's table slot, so settling the account reaches the flow
-    /// (and its VOQ) with no lookup. A snapshot carries it, but a restore
-    /// re-resolves it: the restored table assigns its own slots. The
-    /// account holds no VOQ of its own: the table has it, and an entry
-    /// eight bytes smaller keeps `Option<ScheduledEntry>` at 56 bytes.
-    pub(crate) slot: FlowSlot,
-    /// The rate the flow drains at during this epoch.
-    pub(crate) rate: Rate,
-    /// When this entry's accounting epoch started (admission at `rate`;
-    /// survives reschedules that keep the flow at the same rate).
-    pub(crate) epoch: SimTime,
-    /// Remaining bytes at `epoch`.
-    pub(crate) epoch_remaining: u64,
-    /// Bytes drained from the table since `epoch` (≤ `epoch_remaining`).
-    pub(crate) settled: u64,
-    /// Exact completion instant: `epoch + epoch_remaining / rate`.
-    pub(crate) completes_at: SimTime,
-}
-
-impl ScheduledEntry {
-    pub(crate) fn new(
-        flow: FlowId,
-        slot: FlowSlot,
-        now: SimTime,
-        remaining: u64,
-        rate: Rate,
-    ) -> Self {
-        ScheduledEntry {
-            flow,
-            slot,
-            rate,
-            epoch: now,
-            epoch_remaining: remaining,
-            settled: 0,
-            completes_at: crate::settle::completion_instant(now, remaining, rate),
-        }
-    }
-
-    /// Cumulative bytes owed by instant `t`: a single conversion of the
-    /// total elapsed time since the epoch, clamped to the entry's size and
-    /// forced to exactly `epoch_remaining` at (or past) the analytic
-    /// completion instant — [`crate::settle_drain_target`], the one
-    /// settlement formula every engine shares.
-    pub(crate) fn target_at(&self, t: SimTime) -> u64 {
-        crate::settle::drain_target(
-            self.epoch,
-            self.completes_at,
-            self.epoch_remaining,
-            self.rate,
-            t,
-        )
-    }
-
-    /// Whether the flow keeps this epoch when re-allocated at `rate`:
-    /// only an unchanged rate (to the bit) preserves the completion
-    /// instant.
-    pub(crate) fn keeps_rate(&self, rate: Rate) -> bool {
-        self.rate.bytes_per_sec().to_bits() == rate.bytes_per_sec().to_bits()
-    }
 }
 
 /// Computes one crossbar decision, reporting it (with its wall-clock
@@ -484,7 +389,7 @@ where
     let mut fct = FctRecorder::new();
     let mut fct_by_size = SizeBucketRecorder::pfabric_buckets();
     let mut throughput = ThroughputMeter::new();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
+    let mut sampler = BacklogSampler::new(SimConfig::MONITORED_PORT);
     let mut fan = Fanout::new(&mut sampler, probe);
     let mut arrivals_count = 0usize;
     let mut completions_count = 0usize;
@@ -603,7 +508,7 @@ where
                 table: &table,
                 delivered: throughput.delivered().as_f64(),
             });
-            next_sample += config.sample_every;
+            next_sample += config.sample_every();
         }
 
         // --- reallocate on arrival or completion (the paper's update rule) ---
@@ -707,18 +612,12 @@ mod tests {
         let short = SimConfig::builder()
             .horizon(SimTime::from_micros(100.0))
             .build();
-        assert_eq!(short.sample_every, SimConfig::MIN_SAMPLE_PERIOD);
+        assert_eq!(short.sample_every(), SimConfig::MIN_SAMPLE_PERIOD);
         // Long horizons keep the ~400-point resolution.
         let long = SimConfig::builder()
             .horizon(SimTime::from_secs(4.0))
             .build();
-        assert_eq!(long.sample_every, SimTime::from_millis(10.0));
-        // The explicit override still wins in both directions.
-        let fine = SimConfig::builder()
-            .horizon(SimTime::from_micros(100.0))
-            .sample_every(SimTime::from_micros(0.1))
-            .build();
-        assert_eq!(fine.sample_every, SimTime::from_micros(0.1));
+        assert_eq!(long.sample_every(), SimTime::from_millis(10.0));
     }
 
     #[test]
@@ -899,8 +798,6 @@ mod tests {
         let topo = small_topo();
         let config = SimConfig::builder()
             .horizon(SimTime::from_secs(0.01))
-            .sample_every(SimTime::from_millis(1.0))
-            .monitored_port(HostId::new(0))
             .build();
         let run = simulate(
             &topo,

@@ -71,14 +71,14 @@
 //! per event only the flows actually *due* drain into the table, and an
 //! unchanged-rate flow's account is left untouched until a sample
 //! instant, the horizon, or its own rate change observes it. Because each
-//! account settles through the same exact `drain_target` conversion no
+//! account settles through the same exact `ScheduledEntry` conversion no
 //! matter when it is read, lazy and eager runs are bit-identical — the
 //! naive reference stays eager and `tests/fairshare_differential.rs` pins
 //! exactly that.
 
-use crate::delta::SettledDrain;
-use crate::engine::{FabricError, FabricRun, ScheduledEntry, SimConfig};
+use crate::engine::{FabricError, FabricRun, SimConfig};
 use crate::online::{run_batch, AllocationPolicy};
+use crate::settle::{ScheduledEntry, SettledDrain};
 use crate::topology::Topology;
 use basrpt_core::{FlowSlot, FlowTable};
 use dcn_probe::{NoProbe, Probe};
@@ -494,23 +494,13 @@ impl AllocationPolicy for FairShare {
         let mut completed_any = false;
         let mut next = SimTime::INFINITY;
         self.entries.retain_mut(|e| {
-            let target = if observe_all || t >= e.completes_at {
-                e.target_at(t)
-            } else {
-                e.settled
-            };
-            if target > e.settled {
-                let completed = target == e.epoch_remaining;
-                out.push(SettledDrain {
-                    flow: e.flow,
-                    slot: e.slot,
-                    amount: target - e.settled,
-                    completed,
-                });
-                e.settled = target;
-                if completed {
-                    completed_any = true;
-                    return false;
+            if observe_all || t >= e.completes_at {
+                if let Some(drain) = e.settle(t) {
+                    out.push(drain);
+                    if drain.completed {
+                        completed_any = true;
+                        return false;
+                    }
                 }
             }
             next = next.min(e.completes_at);
@@ -572,18 +562,12 @@ impl AllocationPolicy for FairShare {
                 // the live remaining bytes, so any unsettled residue
                 // drains first — under eager settlement the event already
                 // settled it and this owes nothing.
-                Some(old) => {
-                    let target = old.target_at(now);
-                    debug_assert!(target < old.epoch_remaining, "due flows settled first");
-                    if target > old.settled {
-                        out.push(SettledDrain {
-                            flow: id,
-                            slot: old.slot,
-                            amount: target - old.settled,
-                            completed: false,
-                        });
+                Some(mut old) => {
+                    if let Some(drain) = old.settle(now) {
+                        debug_assert!(!drain.completed, "due flows settled first");
+                        out.push(drain);
                     }
-                    (old.slot, old.epoch_remaining - target)
+                    (old.slot, old.epoch_remaining - old.settled)
                 }
                 // A flow without an account (newly arrived, or starved at
                 // the last allocation) reads its remaining bytes at the
@@ -990,7 +974,7 @@ mod tests {
             }]
         );
         // Flow 3's 2 500 bytes at 5 Gbps finish ~4 µs in, first of all.
-        let t3 = crate::settle::completion_instant(us(1.0), 2_500, Rate::from_gbps(5.0));
+        let t3 = us(1.0) + Rate::from_gbps(5.0).transfer_time(Bytes::new(2_500));
         assert!((t3.as_secs() - 5e-6).abs() < 1e-15);
         assert_eq!(policy.next_completion(), t3);
         assert_eq!(policy.next_completion(), earliest(&policy));

@@ -61,7 +61,7 @@ mod shard;
 mod topology;
 
 pub use calendar::CompletionCalendar;
-pub use delta::{DeltaAllocator, DeltaOutcome, DeltaStats, LiveViews, SettledDrain};
+pub use delta::{DeltaAllocator, DeltaOutcome, DeltaStats, LiveViews};
 pub use engine::{simulate, simulate_probed, FabricError, FabricRun, SimConfig, SimConfigBuilder};
 pub use fairshare::{
     simulate_fair_share, simulate_fair_share_probed, ConstraintSpec, FairShareAllocator,
@@ -71,10 +71,7 @@ pub use repflow::{
     plane_of, simulate_ecmp, simulate_ecmp_probed, simulate_repflow, simulate_repflow_probed,
     RepFlowCompletion, RepFlowRun, RepFlowStats,
 };
-pub use settle::{
-    completion_instant as settle_completion_instant, drain_target as settle_drain_target,
-    SettleMode,
-};
+pub use settle::{SettleMode, SettledDrain};
 pub use shard::{
     simulate_fair_share_sharded, simulate_sharded, CompletionRecord, ShardPlan, ShardedRun,
 };

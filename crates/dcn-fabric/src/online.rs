@@ -72,12 +72,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::delta::{CoreBudgets, DeltaAllocator, DeltaStats, SettledDrain};
+use crate::delta::{CoreBudgets, DeltaAllocator, DeltaStats};
 use crate::engine::{
-    enforces_core, timed_decision, validate_arrival, FabricError, FabricRun, FlowMeta,
-    ScheduledEntry, SimConfig,
+    enforces_core, timed_decision, validate_arrival, FabricError, FabricRun, FlowMeta, SimConfig,
 };
-use crate::settle::SettleMode;
+use crate::settle::{ScheduledEntry, SettleMode, SettledDrain};
 use crate::shard::CompletionRecord;
 use crate::topology::Topology;
 use basrpt_core::{FlowSlot, FlowState, FlowTable, Scheduler};
@@ -435,7 +434,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             fct: FctRecorder::new(),
             fct_by_size: SizeBucketRecorder::pfabric_buckets(),
             throughput: ThroughputMeter::new(),
-            sampler: BacklogSampler::new(config.monitored_port),
+            sampler: BacklogSampler::new(SimConfig::MONITORED_PORT),
             arrivals: 0,
             completions: 0,
             arrived_bytes: Bytes::ZERO,
@@ -630,7 +629,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
                 table: &self.table,
                 delivered: self.throughput.delivered().as_f64(),
             });
-            self.next_sample += self.config.sample_every;
+            self.next_sample += self.config.sample_every();
         }
 
         // Reallocate on arrival or completion (the paper's update rule).
@@ -1174,35 +1173,29 @@ mod tests {
         ));
     }
 
-    /// Struct literals bypass `SimConfigBuilder::build`; a zero sampling
-    /// period or an infinite horizon would never let the clock reach the
-    /// horizon, so every entry point rejects them up front.
+    /// Struct literals bypass `SimConfigBuilder::build`; an infinite
+    /// horizon would never let the clock reach it, so every entry point
+    /// rejects it up front.
     #[test]
     fn configs_that_never_reach_the_horizon_are_rejected() {
         let topo = small_topo();
         let workload = [arrival(0, 0.0, 0, 1, 100)];
-        let zero_period = SimConfig {
-            sample_every: SimTime::ZERO,
-            ..config(0.01)
-        };
         let endless = SimConfig {
             horizon: SimTime::INFINITY,
             ..config(0.01)
         };
-        for bad in [zero_period, endless] {
-            let err = crate::simulate(&topo, &mut Srpt::new(), workload, bad).unwrap_err();
-            assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
-            let err = crate::reference::simulate_scan(&topo, &mut Srpt::new(), workload, bad)
-                .unwrap_err();
-            assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
-        }
+        let err = crate::simulate(&topo, &mut Srpt::new(), workload, endless).unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+        let err = crate::reference::simulate_scan(&topo, &mut Srpt::new(), workload, endless)
+            .unwrap_err();
+        assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "sample period must be positive and finite")]
-    fn online_fabric_panics_on_a_zero_sampling_period() {
+    #[should_panic(expected = "horizon must be positive and finite")]
+    fn online_fabric_panics_on_an_endless_horizon() {
         let config = SimConfig {
-            sample_every: SimTime::ZERO,
+            horizon: SimTime::INFINITY,
             ..config(0.01)
         };
         OnlineFabric::new(&small_topo(), &mut Srpt::new(), config);

@@ -30,9 +30,9 @@
 //! after losing — the engine cancels lazily, a conservative model of
 //! RepFlow's transport-level cutoff) are tallied to the last byte.
 
-use crate::delta::SettledDrain;
-use crate::engine::{FabricError, FabricRun, FlowMeta, ScheduledEntry, SimConfig};
+use crate::engine::{FabricError, FabricRun, FlowMeta, SimConfig};
 use crate::online::{run_batch, AllocationPolicy, Crossbar};
+use crate::settle::{ScheduledEntry, SettledDrain};
 use crate::topology::Topology;
 use basrpt_core::{FlowSlot, FlowTable, RepFlow, Scheduler};
 use dcn_probe::{NoProbe, Probe};

@@ -10,8 +10,8 @@
 //! union-find over the workload's (source rack, destination rack) edges,
 //! packs them into at most `S` bins, and [`simulate_sharded`] drives each
 //! bin through its own delta-rate engine (own [`DeltaAllocator`]
-//! [`crate::DeltaAllocator`], own scheduler instance from a
-//! [`MakeScheduler`] factory) on scoped worker threads.
+//! [`crate::DeltaAllocator`], own scheduler instance from a factory
+//! closure) on scoped worker threads.
 //!
 //! The merge is deterministic and observable-exact:
 //!
@@ -38,7 +38,7 @@ use crate::engine::{FabricError, FabricRun, SimConfig};
 use crate::fairshare::FairShare;
 use crate::online::{run_batch, Crossbar};
 use crate::topology::Topology;
-use basrpt_core::MakeScheduler;
+use basrpt_core::Scheduler;
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter, TimeSeries};
 use dcn_probe::NoProbe;
 use dcn_types::{Bytes, FlowClass, FlowId, RackId, SimTime, Voq};
@@ -231,7 +231,9 @@ pub struct ShardedRun {
 /// Runs one simulation partitioned into `shards` rack-disjoint bins, each
 /// driven by its own delta-rate engine with a fresh scheduler from
 /// `factory`, on scoped worker threads; merges the per-bin runs
-/// deterministically (see the module docs).
+/// deterministically (see the module docs). Each bin builds its own
+/// scheduler because a discipline's carried state (its
+/// [`Ranking`](basrpt_core::Ranking)) must not be shared across bins.
 ///
 /// All partition-invariant observables — arrival/completion counts, byte
 /// totals, sampled series, FCT statistics — are **bit-identical for every
@@ -242,19 +244,20 @@ pub struct ShardedRun {
 ///
 /// Returns [`FabricError::BadArrival`] under the same conditions as
 /// [`crate::simulate`] (lowest bin index wins when several bins fail).
-pub fn simulate_sharded<T, M>(
+pub fn simulate_sharded<T, S, F>(
     topo: &T,
-    factory: &M,
+    factory: &F,
     arrivals: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
     shards: usize,
 ) -> Result<ShardedRun, FabricError>
 where
     T: Topology + Sync + ?Sized,
-    M: MakeScheduler,
+    S: Scheduler,
+    F: Fn() -> S + Sync,
 {
     run_partitioned(topo, arrivals, config, shards, |bin_arrivals| {
-        let mut scheduler = factory.make();
+        let mut scheduler = factory();
         run_batch(topo, bin_arrivals, config, NoProbe, true, |enforce_core| {
             Crossbar::new(topo, &mut scheduler, enforce_core, 1)
         })

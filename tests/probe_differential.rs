@@ -15,7 +15,7 @@ use basrpt::core::{FastBasrpt, Scheduler, Srpt};
 use basrpt::fabric::{simulate, simulate_probed, FabricRun, FatTree, SimConfig};
 use basrpt::metrics::TimeSeries;
 use basrpt::probe::{BacklogSampler, EventCounterProbe, Fanout};
-use basrpt::types::{FlowClass, SimTime};
+use basrpt::types::{FlowClass, HostId, SimTime};
 use basrpt::workload::TrafficSpec;
 
 fn fnv(h: &mut u64, bits: u64) {
@@ -137,7 +137,7 @@ fn external_sampler_probe_reproduces_run_series() {
     let config = SimConfig::builder()
         .horizon(SimTime::from_secs(0.05))
         .build();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
+    let mut sampler = BacklogSampler::new(HostId::new(0));
     let run = simulate_probed(
         &topo,
         &mut Srpt::new(),
@@ -168,7 +168,7 @@ fn probes_do_not_perturb_the_simulation() {
         .build();
     let bare = simulate(&topo, &mut Srpt::new(), spec.generator(42).unwrap(), config).unwrap();
     let mut counter = EventCounterProbe::new();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
+    let mut sampler = BacklogSampler::new(HostId::new(0));
     let observed = simulate_probed(
         &topo,
         &mut Srpt::new(),

@@ -11,7 +11,6 @@
 verify: trace-smoke daemon-smoke lint docs doc-tests
 	cargo build --release
 	cargo test -q
-	BASRPT_SHARDS=2 cargo test --release --test shard_differential
 	$(MAKE) test-baselines
 	$(MAKE) test-crates
 	$(MAKE) loc
@@ -26,11 +25,11 @@ lint:
 	cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 	cargo fmt --manifest-path perfbench/Cargo.toml --check
 
-# The baseline-discipline invariants at release speed and a non-default
-# shard count: the fair-share production-vs-naive differential matrix and
-# the RepFlow dominance/degeneracy property suite.
+# The baseline-discipline invariants at release speed: the fair-share
+# production-vs-naive differential matrix and the RepFlow
+# dominance/degeneracy property suite.
 test-baselines:
-	BASRPT_SHARDS=4 cargo test --release --test fairshare_differential
+	cargo test --release --test fairshare_differential
 	cargo test --release --test repflow_props
 
 # Each crate's `#[cfg(test)]` unit tests and its own suites under

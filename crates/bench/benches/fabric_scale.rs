@@ -1,29 +1,17 @@
-//! Scale benches for the parameterized-topology / sharded-engine redesign.
+//! Scale bench for the parameterized topology layer.
 //!
-//! Two groups, both end-to-end `dcn-fabric` runs (not micro-benchmarks):
-//!
-//! * `fat_tree_scale` — one global engine on `KAryFatTree` fabrics from
-//!   144 to 9216 hosts (fixed simulated horizon, so the measured time
-//!   tracks how per-event cost grows with fabric size). This is the
-//!   motivating curve for sharding: the greedy matching ranks every
-//!   active flow in the fabric on every reschedule, so doubling the
-//!   fabric more than doubles the run time.
-//!
-//! * `shard_speedup` — the 1152-host k = 16 fat-tree (9 hosts per edge,
-//!   3:1 oversubscribed) under a cluster-separable workload, simulated
-//!   via `simulate_sharded` at S ∈ {1, 2, 4, 8} and by the global
-//!   `simulate` (the `global` row). Pinned to one core, any speedup over
-//!   `global` is purely algorithmic — S independent engines each rank
-//!   only their own component's flows, turning one `O(A log A)` matching
-//!   per event into `O((A/S) log (A/S))` — and the differential suite
-//!   (`tests/shard_differential.rs`) pins every row to the same output
-//!   bits.
+//! `fat_tree_scale` runs one end-to-end `dcn-fabric` run (not a
+//! micro-benchmark) on `KAryFatTree` fabrics from 144 to 9216 hosts, at a
+//! fixed simulated horizon, so the measured time tracks how per-event cost
+//! grows with fabric size: the greedy matching ranks every active flow in
+//! the fabric on every reschedule, so doubling the fabric more than
+//! doubles the run time.
 //!
 //! Medians land in `results/bench.json` via the merging recorder.
 
 use basrpt_core::Srpt;
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use dcn_fabric::{simulate, simulate_sharded, KAryFatTree, SimConfig, Topology};
+use dcn_fabric::{simulate, KAryFatTree, SimConfig, Topology};
 use dcn_types::SimTime;
 use dcn_workload::{FlowArrival, QueryScope, TrafficSpec};
 use std::time::Duration;
@@ -88,49 +76,7 @@ fn bench_fat_tree_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same 1152-host run at every shard count.
-fn bench_shard_speedup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_speedup");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(if quick() { 1 } else { 3 }));
-
-    let topo = KAryFatTree::builder(16)
-        .hosts_per_edge(9)
-        .oversubscription(3.0)
-        .build()
-        .expect("valid k-ary parameters");
-    let horizon = SimTime::from_secs(if quick() { 200e-6 } else { 500e-6 });
-    let cfg = SimConfig::builder().horizon(horizon).build();
-    let arrivals = arrivals_for(&topo, QueryScope::Cluster(8), 0.6, horizon, 11);
-    let factory = || Srpt::new();
-    group.bench_with_input(
-        BenchmarkId::from_parameter("global"),
-        &arrivals,
-        |b, arrivals| {
-            b.iter(|| {
-                simulate(&topo, &mut Srpt::new(), arrivals.iter().copied(), cfg)
-                    .expect("fabric run")
-            })
-        },
-    );
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("end_to_end", shards),
-            &arrivals,
-            |b, arrivals| {
-                b.iter(|| {
-                    simulate_sharded(&topo, &factory, arrivals.iter().copied(), cfg, shards)
-                        .expect("sharded run")
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_fat_tree_scale, bench_shard_speedup);
+criterion_group!(benches, bench_fat_tree_scale);
 
 fn main() {
     benches();

@@ -299,8 +299,7 @@ pub fn simulate<T: Topology + ?Sized, S: Scheduler + ?Sized>(
 /// (a persistent [`DeltaAllocator`](crate::DeltaAllocator) that pays
 /// calendar work only for the flows whose allocation actually changed),
 /// driven through the same offer/step machine as
-/// [`OnlineFabric`](crate::OnlineFabric); the sharded engine runs each
-/// bin through it. The differential suites
+/// [`OnlineFabric`](crate::OnlineFabric). The differential suites
 /// (`tests/delta_differential.rs`, `tests/online_differential.rs`) pin the
 /// outputs bit-identical to the eager reference loop.
 ///
@@ -338,7 +337,7 @@ pub fn simulate_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    crate::online::run_batch(topo, generator, config, probe, false, |enforce_core| {
+    crate::online::run_batch(topo, generator, config, probe, |enforce_core| {
         Crossbar::new(topo, scheduler, enforce_core, 1)
     })
     .map(|(run, ..)| run)

@@ -38,9 +38,8 @@
 //! member (every subtraction of a round is by the same level, so the
 //! order the frozen flows are applied in does not change a bit) — so
 //! their outputs are **bit-identical**, which is what
-//! `tests/fairshare_differential.rs` pins across seeds × topologies ×
-//! shard counts, the same technique that pins the delta engine against
-//! the scan engine.
+//! `tests/fairshare_differential.rs` pins across seeds × topologies, the
+//! same technique that pins the delta engine against the scan engine.
 //!
 //! # The event loop
 //!
@@ -665,7 +664,7 @@ pub fn simulate_fair_share_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_batch(topo, generator, config, probe, false, |enforce_core| {
+    run_batch(topo, generator, config, probe, |enforce_core| {
         FairShare::new(topo, enforce_core)
     })
     .map(|(run, ..)| run)

@@ -22,9 +22,8 @@
 //! for max-min fair sharing, and [`simulate_ecmp`] / [`simulate_repflow`]
 //! (and their `_probed` forms) for the multi-plane baselines. All of them
 //! run on one event core; [`OnlineFabric`] exposes the crossbar run as a
-//! step-able engine, [`simulate_sharded`] splits it into independent
-//! bins, and [`reference`](mod@reference) holds the eager oracle they are
-//! pinned to.
+//! step-able engine, and [`reference`](mod@reference) holds the eager
+//! oracle they are pinned to.
 //!
 //! # Example
 //!
@@ -57,7 +56,6 @@ mod online;
 pub mod reference;
 mod repflow;
 mod settle;
-mod shard;
 mod topology;
 
 pub use calendar::CompletionCalendar;
@@ -66,13 +64,12 @@ pub use engine::{simulate, simulate_probed, FabricError, FabricRun, SimConfig, S
 pub use fairshare::{
     simulate_fair_share, simulate_fair_share_probed, ConstraintSpec, FairShareAllocator,
 };
-pub use online::{Accepted, FabricSnapshot, OfferError, OnlineFabric, DEFAULT_HIGH_WATERMARK};
+pub use online::{
+    Accepted, CompletionRecord, FabricSnapshot, OfferError, OnlineFabric, DEFAULT_HIGH_WATERMARK,
+};
 pub use repflow::{
     plane_of, simulate_ecmp, simulate_ecmp_probed, simulate_repflow, simulate_repflow_probed,
     RepFlowCompletion, RepFlowRun, RepFlowStats,
 };
 pub use settle::{SettleMode, SettledDrain};
-pub use shard::{
-    simulate_fair_share_sharded, simulate_sharded, CompletionRecord, ShardPlan, ShardedRun,
-};
 pub use topology::{FatTree, KAryFatTree, KAryFatTreeBuilder, Topology, TopologyError};

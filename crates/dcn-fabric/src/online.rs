@@ -77,14 +77,13 @@ use crate::engine::{
     enforces_core, timed_decision, validate_arrival, FabricError, FabricRun, FlowMeta, SimConfig,
 };
 use crate::settle::{ScheduledEntry, SettleMode, SettledDrain};
-use crate::shard::CompletionRecord;
 use crate::topology::Topology;
 use basrpt_core::{FlowSlot, FlowState, FlowTable, Scheduler};
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
 use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
 };
-use dcn_types::{Bytes, SimTime, Voq};
+use dcn_types::{Bytes, FlowClass, FlowId, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
@@ -95,6 +94,25 @@ use std::fmt;
 /// but not-yet-admitted arrivals, [`OnlineFabric::offer`] reports
 /// [`OfferError::Backpressure`] until the caller steps the clock forward.
 pub const DEFAULT_HIGH_WATERMARK: usize = 65_536;
+
+/// One completed flow, as [`OnlineFabric::drain_completions`] hands it
+/// out in completion order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompletionRecord {
+    /// The completed flow.
+    pub flow: FlowId,
+    /// The completion instant.
+    pub time: SimTime,
+    /// The VOQ the flow occupied.
+    pub voq: Voq,
+    /// The flow's traffic class.
+    pub class: FlowClass,
+    /// The flow's size.
+    pub size: Bytes,
+    /// The recorded flow completion time (includes any configured base
+    /// latency).
+    pub fct: SimTime,
+}
 
 /// Outcome of a successful [`OnlineFabric::offer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,8 +427,8 @@ pub(crate) struct Core<'t, T: Topology + ?Sized, A, P> {
     pending: VecDeque<FlowArrival>,
     high_watermark: usize,
     /// Whether completions are logged: on for every `OnlineFabric` (so
-    /// restored engines too), for `drain_completions`; in `run_batch`
-    /// only when its caller asks for the log.
+    /// restored engines too), for `drain_completions`; off in
+    /// `run_batch`, which never reads the log.
     collect_completions: bool,
     completed: Vec<CompletionRecord>,
     finished: bool,
@@ -650,9 +668,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
 
     /// Runs to the horizon and returns the run measurements and the
     /// policy's final state.
-    /// Runs to the horizon and returns the run, the policy and the
-    /// completions logged and not yet drained.
-    fn finish(mut self) -> Result<(FabricRun, A, Vec<CompletionRecord>), FabricError> {
+    fn finish(mut self) -> Result<(FabricRun, A), FabricError> {
         self.step_until(self.config.horizon)?;
         debug_assert!(self.finished, "the horizon event marks the engine finished");
         let series = self.sampler.into_series();
@@ -672,7 +688,7 @@ impl<'t, T: Topology + ?Sized, A: AllocationPolicy, P: Probe> Core<'t, T, A, P> 
             reschedules: self.reschedules,
             horizon: self.config.horizon,
         };
-        Ok((run, self.policy, self.completed))
+        Ok((run, self.policy))
     }
 }
 
@@ -688,20 +704,18 @@ fn put_meta(meta: &mut Vec<FlowMeta>, slot: FlowSlot, info: FlowMeta) {
 /// through every event instant *strictly before* the arrival, then offers
 /// it — so same-instant completions, samples and decisions coalesce with
 /// the arrival into one event, and the in-flight buffer never holds more
-/// than one instant's arrivals. The completion log is kept only when
-/// `log_completions`, and is empty otherwise.
+/// than one instant's arrivals.
 pub(crate) fn run_batch<T: Topology + ?Sized, A: AllocationPolicy, P: Probe>(
     topo: &T,
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
     probe: P,
-    log_completions: bool,
     policy: impl FnOnce(bool) -> A,
-) -> Result<(FabricRun, A, Vec<CompletionRecord>), FabricError> {
+) -> Result<(FabricRun, A), FabricError> {
     config.validate()?;
     let mut core = Core::new(topo, config, probe, policy);
     core.high_watermark = usize::MAX;
-    core.collect_completions = log_completions;
+    core.collect_completions = false;
     for arrival in generator {
         core.step_before(arrival.time)?;
         if core.finished {
@@ -1264,7 +1278,7 @@ mod tests {
             core.offer(*a).unwrap();
         }
         let mode = core.mode;
-        let (run, policy, _) = core.finish().unwrap();
+        let (run, policy) = core.finish().unwrap();
         (mode, run, policy)
     }
 

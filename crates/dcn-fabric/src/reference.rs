@@ -89,7 +89,7 @@ pub fn simulate_scan_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
 /// differential-testing reference for
 /// [`simulate_fair_share`](crate::simulate_fair_share), which
 /// `tests/fairshare_differential.rs` pins bit-identical across seeds ×
-/// topologies × shard counts (see the `fairshare` module docs for the
+/// topologies (see the `fairshare` module docs for the
 /// arithmetic contract that makes two genuinely different implementations
 /// agree to the last bit).
 ///

@@ -228,7 +228,7 @@ pub fn simulate_ecmp_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     probe: P,
 ) -> Result<FabricRun, FabricError> {
     let planes = topo.core_planes().max(1);
-    run_batch(topo, generator, config, probe, false, |enforce_core| {
+    run_batch(topo, generator, config, probe, |enforce_core| {
         Crossbar::new(topo, scheduler, enforce_core, planes)
     })
     .map(|(run, ..)| run)
@@ -290,7 +290,7 @@ pub fn simulate_repflow_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<RepFlowRun, FabricError> {
-    let (run, policy, _) = run_batch(topo, generator, config, probe, false, |enforce_core| {
+    let (run, policy) = run_batch(topo, generator, config, probe, |enforce_core| {
         Replicated::new(topo, discipline, &config, enforce_core)
     })?;
     Ok(policy.into_run(run, config.horizon))

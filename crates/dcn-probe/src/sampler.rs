@@ -41,11 +41,6 @@ impl BacklogSampler {
         }
     }
 
-    /// The port whose backlog is traced.
-    pub fn monitored_port(&self) -> HostId {
-        self.monitored_port
-    }
-
     /// The series recorded so far.
     pub fn series(&self) -> &SampledSeries {
         &self.series
@@ -132,6 +127,5 @@ mod tests {
         });
         assert_eq!(sampler.series().total_backlog.values(), &[0.0]);
         assert_eq!(sampler.series().max_port_backlog.values(), &[0.0]);
-        assert_eq!(sampler.monitored_port(), HostId::new(3));
     }
 }

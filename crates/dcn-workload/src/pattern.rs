@@ -11,18 +11,15 @@ use std::collections::BinaryHeap;
 /// Destination scope of the query population.
 ///
 /// The paper draws query destinations uniformly over **all** other hosts
-/// ([`QueryScope::Fabric`]). Narrower scopes keep queries inside the
-/// source's rack or cluster of racks, which makes the workload
-/// *rack-separable*: no flow connects two clusters, so the sharded fabric
-/// engine (`dcn-fabric`) can partition one run into independent
-/// per-cluster sub-simulations.
+/// ([`QueryScope::Fabric`]). [`QueryScope::Cluster`] keeps queries inside
+/// the source's cluster of racks (`Cluster(1)`: its own rack), so no flow
+/// connects two clusters: the separable traffic the fabric-scale benches
+/// drive large fat-trees with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum QueryScope {
     /// Uniform over all other hosts of the fabric (the paper's pattern).
     #[default]
     Fabric,
-    /// Uniform over the other hosts of the source's rack.
-    Rack,
     /// Uniform over the other hosts of the source's cluster of this many
     /// consecutive racks (must divide the rack count).
     Cluster(u32),
@@ -219,18 +216,13 @@ impl TrafficSpec {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidSpec`] if the scope has no valid
-    /// destination for this topology (a rack scope needs ≥ 2 hosts per
-    /// rack; a cluster scope needs a positive rack count per cluster that
-    /// divides the total rack count).
+    /// destination for this topology (a cluster scope needs a positive
+    /// rack count per cluster that divides the total rack count, and at
+    /// least two hosts per cluster).
     pub fn with_query_scope(mut self, scope: QueryScope) -> Result<Self, WorkloadError> {
         let invalid = |msg: String| Err(WorkloadError::InvalidSpec(msg));
         match scope {
             QueryScope::Fabric => {}
-            QueryScope::Rack => {
-                if self.query_fraction > 0.0 && self.hosts_per_rack < 2 {
-                    return invalid("rack-scoped queries need at least two hosts per rack".into());
-                }
-            }
             QueryScope::Cluster(racks) => {
                 if racks == 0 || !self.num_racks.is_multiple_of(racks) {
                     return invalid(format!(
@@ -408,10 +400,6 @@ impl Iterator for FlowGenerator {
             Population::Query => {
                 let (base, span) = match self.spec.query_scope {
                     QueryScope::Fabric => (0, self.spec.num_hosts()),
-                    QueryScope::Rack => (
-                        self.spec.rack_of(src).index() * self.spec.hosts_per_rack,
-                        self.spec.hosts_per_rack,
-                    ),
                     QueryScope::Cluster(racks) => {
                         let cluster = self.spec.rack_of(src).index() / racks;
                         (
@@ -644,7 +632,7 @@ mod tests {
     fn scoped_queries_stay_inside_their_scope() {
         let spec = TrafficSpec::paper_default(0.8)
             .unwrap()
-            .with_query_scope(QueryScope::Rack)
+            .with_query_scope(QueryScope::Cluster(1))
             .unwrap();
         let mut gen = spec.generator(7).unwrap();
         for _ in 0..500 {
@@ -681,6 +669,6 @@ mod tests {
             EmpiricalCdf::web_search(),
         )
         .unwrap();
-        assert!(single.with_query_scope(QueryScope::Rack).is_err());
+        assert!(single.with_query_scope(QueryScope::Cluster(1)).is_err());
     }
 }

@@ -92,8 +92,7 @@ pub use dcn_types::{Bytes, FlowClass, FlowId, HostId, RackId, Rate, SimTime, Slo
 
 /// The names almost every program needs, importable in one line.
 ///
-/// Covers the schedulers, both simulators' entry points (including the
-/// sharded fabric engine), the topology layer ([`prelude::Topology`],
+/// Covers the schedulers, both simulators' entry points, the topology layer ([`prelude::Topology`],
 /// [`prelude::FatTree`], [`prelude::KAryFatTree`]), workload generation,
 /// the common id/unit types, and the probe API. Anything more specialised
 /// (metrics internals, Lyapunov tooling) stays behind its module path.
@@ -123,10 +122,9 @@ pub mod prelude {
         Srpt, ThresholdBacklogSrpt,
     };
     pub use dcn_fabric::{
-        simulate, simulate_ecmp, simulate_fair_share, simulate_fair_share_sharded, simulate_probed,
-        simulate_repflow, simulate_sharded, FabricRun, FabricSnapshot, FatTree, KAryFatTree,
-        KAryFatTreeBuilder, OnlineFabric, RepFlowRun, RepFlowStats, ShardedRun, SimConfig,
-        Topology, TopologyError,
+        simulate, simulate_ecmp, simulate_fair_share, simulate_probed, simulate_repflow, FabricRun,
+        FabricSnapshot, FatTree, KAryFatTree, KAryFatTreeBuilder, OnlineFabric, RepFlowRun,
+        RepFlowStats, SimConfig, Topology, TopologyError,
     };
     pub use dcn_metrics::{StabilityReport, TimeSeries, TrendConfig};
     pub use dcn_probe::{BacklogSampler, EventCounterProbe, Fanout, JsonlProbe, NoProbe, Probe};

@@ -9,9 +9,10 @@ mod support;
 use basrpt::core::{FastBasrpt, MaxWeight, RepFlow, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{
     simulate, simulate_fair_share, simulate_repflow, FabricRun, FatTree, KAryFatTree, SimConfig,
+    Topology,
 };
 use basrpt::types::{Bytes, SimTime};
-use basrpt::workload::TrafficSpec;
+use basrpt::workload::{QueryScope, TrafficSpec};
 use support::battery::{
     run_invariant_battery, FairShareDiscipline, RepFlowDiscipline, ScheduledDiscipline,
 };
@@ -284,6 +285,33 @@ fn fair_share_conserves_on_generated_traffic() {
         assert_conserved(&r, &format!("fair-share seed {seed}"));
         assert!(r.completions > 0);
     }
+}
+
+/// The largest fabric the suites run: a 1152-host k = 16 fat-tree (9 hosts
+/// per edge, 3:1 oversubscribed) under cluster-scoped queries conserves
+/// every byte and flow through the product engine.
+#[test]
+fn kary_1152_host_run_conserves() {
+    let topo = KAryFatTree::builder(16)
+        .hosts_per_edge(9)
+        .oversubscription(3.0)
+        .build()
+        .expect("valid k-ary parameters");
+    assert_eq!(topo.num_hosts(), 1152);
+    let spec = TrafficSpec::scaled(topo.num_racks(), topo.hosts_per_rack(), 0.5)
+        .and_then(|s| s.with_query_scope(QueryScope::Cluster(8)))
+        .expect("valid scoped spec");
+    let r = simulate(
+        &topo,
+        &mut Srpt::new(),
+        spec.generator(5).expect("valid"),
+        SimConfig::builder()
+            .horizon(SimTime::from_millis(1.0))
+            .build(),
+    )
+    .expect("1152-host run");
+    assert_conserved(&r, "1152-host SRPT");
+    assert!(r.completions > 0, "1152-host SRPT: no completions");
 }
 
 #[test]

@@ -13,29 +13,22 @@
 //! byte counters, FCT summary bits, sampled-series fingerprints, full
 //! probe event streams — must match **bit for bit** across seeds ×
 //! {full-bisection fat-tree, oversubscribed k-ary fat-tree}.
-//!
-//! The sharded path is pinned too: fair-share constraints couple flows
-//! only within rack-connected components, so
-//! `simulate_fair_share_sharded` must reproduce the global engine's
-//! observables exactly for every shard count (`BASRPT_SHARDS ∈ {1, 4}`
-//! in CI, plus whatever the environment requests).
 
 mod support;
 
 use basrpt::fabric::{
-    reference, simulate_fair_share, simulate_fair_share_probed, simulate_fair_share_sharded,
-    FatTree, KAryFatTree, SimConfig, Topology,
+    reference, simulate_fair_share, simulate_fair_share_probed, FatTree, KAryFatTree, SimConfig,
+    Topology,
 };
 use basrpt::types::SimTime;
 use basrpt::workload::{FlowArrival, TrafficSpec};
-use support::conservation::{assert_bit_identical, assert_conserved, assert_observables_identical};
+use support::conservation::{assert_bit_identical, assert_conserved};
 use support::fingerprint::FnvProbe;
-use support::shards::shards_from_env;
 
 /// The two topologies the matrix quantifies over: NIC-only constraints on
 /// the full-bisection paper fabric, and binding rack up/downlink budgets
 /// on a 2:1 oversubscribed k-ary fat-tree.
-fn topologies() -> Vec<(&'static str, Box<dyn Topology + Sync>)> {
+fn topologies() -> Vec<(&'static str, Box<dyn Topology>)> {
     let paper = FatTree::scaled(2, 4, 1).expect("valid scaled fat-tree");
     let kary = KAryFatTree::builder(4)
         .hosts_per_edge(2)
@@ -97,41 +90,6 @@ fn production_matches_naive_reference_bitwise() {
     }
 }
 
-/// Fair-share is rack-separable: the sharded engine reproduces the
-/// global engine's observables bit for bit at every shard count
-/// (reschedule counts excepted — they are per-bin sums by construction).
-#[test]
-fn sharded_matches_global_across_shard_counts() {
-    for (topo_name, topo) in &topologies() {
-        for seed in [1u64, 2] {
-            let cfg = config(0.05);
-            let arrivals = arrivals_for(topo.as_ref(), 0.85, seed, cfg.horizon);
-            let global = simulate_fair_share(topo.as_ref(), arrivals.clone(), cfg)
-                .expect("valid simulation");
-            let mut shard_counts = vec![1usize, 4];
-            let from_env = shards_from_env();
-            if !shard_counts.contains(&from_env) {
-                shard_counts.push(from_env);
-            }
-            for shards in shard_counts {
-                let label = format!("{topo_name}/seed{seed}/shards{shards}");
-                let sharded =
-                    simulate_fair_share_sharded(topo.as_ref(), arrivals.clone(), cfg, shards)
-                        .expect("valid simulation");
-                assert_observables_identical(&sharded.run, &global, &label);
-                assert!(
-                    sharded
-                        .completion_log
-                        .windows(2)
-                        .all(|w| (w[0].time.as_secs(), w[0].flow)
-                            <= (w[1].time.as_secs(), w[1].flow)),
-                    "{label}: completion log must be (time, flow)-sorted"
-                );
-            }
-        }
-    }
-}
-
 mod scripted {
     //! Property test: the two water-fillers agree on adversarial scripted
     //! workloads too — bursts of simultaneous arrivals, degenerate sizes,
@@ -185,14 +143,6 @@ mod scripted {
                 )
                 .expect("valid simulation");
                 assert_bit_identical(&fast, &naive, topo_name);
-                let sharded = simulate_fair_share_sharded(
-                    topo.as_ref(),
-                    arrivals.clone(),
-                    cfg,
-                    4,
-                )
-                .expect("valid simulation");
-                assert_observables_identical(&sharded.run, &fast, topo_name);
             }
         }
     }

@@ -119,34 +119,6 @@ pub fn assert_bit_identical(a: &FabricRun, b: &FabricRun, label: &str) {
     assert_fct_bits_equal(a, b, label);
 }
 
-/// [`assert_bit_identical`] minus the reschedule count — for comparisons
-/// where the decision count differs by construction (e.g. sharded vs
-/// global execution) while every physical observable must still agree.
-pub fn assert_observables_identical(a: &FabricRun, b: &FabricRun, label: &str) {
-    assert_eq!(a.arrivals, b.arrivals, "{label}: arrivals");
-    assert_eq!(a.completions, b.completions, "{label}: completions");
-    assert_eq!(a.arrived_bytes, b.arrived_bytes, "{label}: arrived bytes");
-    assert_eq!(
-        a.throughput.delivered(),
-        b.throughput.delivered(),
-        "{label}: delivered bytes"
-    );
-    assert_eq!(
-        a.leftover_bytes, b.leftover_bytes,
-        "{label}: leftover bytes"
-    );
-    assert_eq!(
-        a.leftover_flows, b.leftover_flows,
-        "{label}: leftover flows"
-    );
-    assert_eq!(
-        fingerprint(a),
-        fingerprint(b),
-        "{label}: sampled series fingerprint"
-    );
-    assert_fct_bits_equal(a, b, label);
-}
-
 /// Asserts the FCT summaries of both traffic classes agree bit for bit
 /// (count, mean, p99 — `f64::to_bits` equality, not approximation).
 pub fn assert_fct_bits_equal(a: &FabricRun, b: &FabricRun, label: &str) {

@@ -27,4 +27,3 @@ pub mod battery;
 pub mod conservation;
 pub mod fingerprint;
 pub mod oracles;
-pub mod shards;

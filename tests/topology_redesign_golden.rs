@@ -1,7 +1,7 @@
 //! Golden pin for the paper topology across the Topology API redesign.
 //!
 //! The PR that introduced the `Topology` trait (parameterized k-ary
-//! fat-trees, sharded execution) rewired every layer the paper fabric
+//! fat-trees) rewired every layer the paper fabric
 //! passes through: the topology type, the engine's capacity queries, the
 //! core-budget filter, and the builder. This file pins
 //! `FatTree::paper_topology()` runs **bit-for-bit** to fixtures harvested

@@ -13,14 +13,20 @@
 //! * `repflow` — ECMP plus replica races for every sub-100 KB flow, which
 //!   adds the race bookkeeping and a second admission pass on top.
 //!
+//! One more row, `paper_fabric/fair_share`, prices the fair-share engine
+//! at the paper's scale: `FatTree::paper_topology()` under
+//! `TrafficSpec::paper_default(0.95)`, seed 1, 20 sim-ms (5 under
+//! `BASRPT_SCALE=quick`), with a few samples, since one run takes about a
+//! second.
+//!
 //! Medians land in `results/bench.json` via the merging recorder, so the
 //! relative cost of the baselines is tracked alongside the scale curves.
 
 use basrpt_core::{RepFlow, Srpt};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcn_fabric::{
-    simulate, simulate_ecmp, simulate_fair_share, simulate_repflow, KAryFatTree, SimConfig,
-    Topology,
+    simulate, simulate_ecmp, simulate_fair_share, simulate_repflow, FatTree, KAryFatTree,
+    SimConfig, Topology,
 };
 use dcn_types::SimTime;
 use dcn_workload::{FlowArrival, TrafficSpec};
@@ -104,6 +110,28 @@ fn bench_baseline_disciplines(c: &mut Criterion) {
                     cfg,
                 )
                 .expect("fabric run")
+            })
+        },
+    );
+
+    let paper = FatTree::paper_topology();
+    let horizon = SimTime::from_millis(if quick() { 5.0 } else { 20.0 });
+    let cfg = SimConfig::builder().horizon(horizon).build();
+    let arrivals: Vec<FlowArrival> = TrafficSpec::paper_default(0.95)
+        .expect("valid paper spec")
+        .generator(1)
+        .expect("generator")
+        .take_while(|a| a.time < horizon)
+        .collect();
+    group
+        .sample_size(3)
+        .measurement_time(Duration::from_secs(1));
+    group.bench_with_input(
+        BenchmarkId::new("paper_fabric", "fair_share"),
+        &arrivals,
+        |b, arrivals| {
+            b.iter(|| {
+                simulate_fair_share(&paper, arrivals.iter().copied(), cfg).expect("fabric run")
             })
         },
     );

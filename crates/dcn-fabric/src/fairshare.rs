@@ -22,13 +22,15 @@
 //!
 //! Two implementations compute it:
 //!
-//! * [`FairShareAllocator`] — the production allocator: the flows indexed
-//!   by constraint once per reallocation, cached constraint levels
-//!   refreshed only where a frozen flow touched them, `O(A)` per round for
-//!   the `A` constraints that still have unfrozen members;
+//! * [`FairShareAllocator`] — the production allocator: a persistent
+//!   constraint index that arrivals insert into and completions remove
+//!   from, and a log of the last allocation's rounds, so a reallocation
+//!   replays only the rounds that its changes can move (see *Incremental
+//!   replay* below);
 //! * [`crate::reference::simulate_fair_share_naive`] — a deliberately
 //!   naive reference that rescans **every flow for every constraint on
-//!   every round** (`O(n²)` per reschedule) with dumb data structures.
+//!   every round** (`O(n²)` per reschedule) with dumb data structures,
+//!   from full capacity on every reallocation.
 //!
 //! Both follow the *same canonical arithmetic contract* — fill levels are
 //! computed as `(residual / unfrozen).max(0.0)`, a round's level is the
@@ -40,6 +42,51 @@
 //! their outputs are **bit-identical**, which is what
 //! `tests/fairshare_differential.rs` pins across seeds × topologies, the
 //! same technique that pins the delta engine against the scan engine.
+//!
+//! # Incremental replay
+//!
+//! The allocator logs, for the last allocation, each round `j`'s level
+//! `λ_j`, the round each constraint was tight in (its level was `λ_j`, so
+//! every unfrozen member froze), the flows each round froze, and a
+//! checkpoint of every constraint's `(residual, unfrozen)` at each
+//! round's start plus the final state. Between two reallocations flows
+//! are inserted and removed; a constraint whose membership changed has a
+//! count delta `δ_c` (insertions minus removals). The next allocation
+//! restarts from the first round `k` that the changes can move:
+//!
+//! * `k` is at most the round any changed constraint was tight in. A
+//!   removed flow froze in a round where one of its own constraints was
+//!   tight, and that constraint's membership changed, so `k` is at most
+//!   the earliest round any removed flow froze in: every removed flow is
+//!   unfrozen at every round before `k`.
+//! * A round `j < k` is kept only if every changed constraint, with its
+//!   new count `unfrozen_j + δ_c`, has no member left or a level strictly
+//!   `>` `λ_j`.
+//!
+//! **Why this is exact.** Induct on `j < k`, with the claim that the
+//! from-scratch run on the new flow set starts round `j` with the logged
+//! residuals and the logged counts plus `δ`. That holds at `j = 0` (full
+//! capacity; every member unfrozen). In round `j`, every unchanged
+//! constraint has the logged count, so the logged level; every changed
+//! one is strictly above `λ_j` or has no member. So the round's level is
+//! `λ_j` again, and its tight constraints are the logged ones: they are
+//! unchanged (none is changed, by the first rule), so their members —
+//! hence the flows the round freezes — are the logged ones. No inserted
+//! flow freezes (it sits only on changed constraints), and no removed
+//! flow froze in the log (it froze at `k` or later). The same flows
+//! freeze at the same level, so every residual takes the same sequence of
+//! subtractions, and every count drops by the same amount: the claim
+//! holds at `j + 1`. Flows still unfrozen touch no residual, so the
+//! state at `k` is the logged checkpoint `k` with `δ` added to its
+//! counts, which is what the from-scratch run reaches there; from `k` the
+//! allocator runs the ordinary filling loop. Every subtraction of a round
+//! is by the same level, so the members of a constraint may be kept in
+//! any order.
+//!
+//! A reallocation therefore folds `δ` into checkpoints `0..=k` (they
+//! describe the new flow set from now on), restores checkpoint `k`,
+//! unfreezes the flows the log froze at `k` or later, and fills from
+//! round `k`, logging as it goes.
 //!
 //! # The event loop
 //!
@@ -56,12 +103,13 @@
 //!
 //! The policy keeps the active flows in one id-ordered list across
 //! events — an arrival enters it and a completion leaves it, each at its
-//! binary-searched place — so a reallocation neither collects nor sorts
-//! the table. Each transmitting flow's drain account is the
-//! only record of its completion instant. The policy keeps the accounts
-//! in one id-ordered list, rebuilt on every reallocation by a merge walk
-//! against the id-ordered allocation, and keeps the earliest instant as a cached
-//! minimum: every event already scans every account (lazy settlement
+//! binary-searched place, with its allocator key beside it — so a
+//! reallocation neither collects nor sorts the table, and the allocator
+//! sees only the flows that came and went. Each transmitting flow's drain
+//! account is the only record of its completion instant. The policy keeps
+//! the accounts in one id-ordered list, rebuilt on every reallocation by
+//! a merge walk against the id-ordered flow list, and keeps the earliest
+//! instant as a cached minimum: every event already scans every account (lazy settlement
 //! checks each one for being due) and every reallocation rebuilds them
 //! all, so both passes refresh the minimum for free. There is no
 //! completion heap and no per-flow map.
@@ -166,69 +214,108 @@ impl ConstraintSpec {
     }
 }
 
-/// The production progressive water-filler.
+/// Marks a flow that the filling has not frozen, and a constraint that was
+/// tight in no round.
+const OPEN: u32 = u32::MAX;
+
+/// A flow's handle in a [`FairShareAllocator`], returned by
+/// [`FairShareAllocator::insert`]. The key of a removed flow is reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FairShareKey(u32);
+
+/// One flow of a [`FairShareAllocator`]'s index.
+#[derive(Debug, Clone, Copy)]
+struct FlowRecord {
+    /// Its constraints in canonical order; the first `len` are used.
+    cons: [u32; 4],
+    len: u8,
+    /// The round it froze in at the last filling, or `OPEN`.
+    round: u32,
+    /// Its rate at the last filling.
+    rate: f64,
+}
+
+/// The production progressive water-filler, incremental across events.
 ///
-/// Reusable across reallocations: internal vectors are cleared, not
-/// reallocated. Each allocation indexes the flows by constraint (every
-/// constraint's members, ascending, in one offsets-and-members array
-/// beside each flow's own constraint list) and caches each constraint's
-/// fill level, recomputing a level only after a frozen flow touched its
-/// constraint. A filling round takes the minimum over the constraints
-/// that still have unfrozen members (a compacted list), then freezes the
-/// unfrozen members of the constraints at that level: `O(A)` per round
-/// for `A` such constraints, plus `O(n)` freezing over the whole
-/// allocation (a constraint's members are walked once, in the round it
-/// saturates), after `O(C + n)` setup — against the naive reference's
-/// `O(n · C)` per round. Same arithmetic, different data structures (see
-/// the module docs for the bit-identity contract).
+/// The allocator keeps the flows it was given: [`insert`](Self::insert)
+/// adds a flow and returns its key, [`remove`](Self::remove) takes it out,
+/// and [`reallocate`](Self::reallocate) brings every live flow's
+/// [`rate`](Self::rate) up to date. The index is a slab of flow records
+/// (constraints, the round the flow froze in, its rate) and each
+/// constraint's member list, in no particular order; it is never rebuilt.
+/// A reallocation replays the filling only from the first round its
+/// changes can move (the module docs state the rule and why it is
+/// exact), restoring that round's logged constraint state.
+///
+/// A filling round takes the minimum over the constraints that still have
+/// unfrozen members (a compacted list), each level cached and recomputed
+/// only after a frozen flow touched its constraint, then freezes the
+/// unfrozen members of the constraints at that level: `O(A)` per round for
+/// `A` such constraints, plus `O(C)` to log the round's checkpoint —
+/// against the naive reference's `O(n · C)` per round from full capacity.
+/// Same arithmetic, different data structures (see the module docs for the
+/// bit-identity contract).
 ///
 /// # Example
 ///
 /// ```
 /// use dcn_fabric::{ConstraintSpec, FairShareAllocator, FatTree, Topology};
-/// use dcn_types::{FlowId, HostId, Voq};
+/// use dcn_types::{HostId, Voq};
 ///
 /// let topo = FatTree::scaled(2, 4, 1)?;
 /// let mut alloc = FairShareAllocator::new(ConstraintSpec::new(&topo, false));
+/// let line = topo.edge_rate().bytes_per_sec();
 /// // Two flows out of host 0: the 10 Gbps NIC is split fairly.
-/// let flows = vec![
-///     (FlowId::new(0), Voq::new(HostId::new(0), HostId::new(1))),
-///     (FlowId::new(1), Voq::new(HostId::new(0), HostId::new(2))),
-/// ];
-/// let mut rates = Vec::new();
-/// alloc.allocate(&flows, &mut rates);
-/// assert_eq!(rates[0], topo.edge_rate().bytes_per_sec() / 2.0);
-/// assert_eq!(rates[0], rates[1]);
+/// let a = alloc.insert(Voq::new(HostId::new(0), HostId::new(1)));
+/// let b = alloc.insert(Voq::new(HostId::new(0), HostId::new(2)));
+/// alloc.reallocate();
+/// assert_eq!(alloc.rate(a), line / 2.0);
+/// assert_eq!(alloc.rate(a), alloc.rate(b));
+/// // Once the first leaves, the second has the NIC to itself.
+/// alloc.remove(a);
+/// alloc.reallocate();
+/// assert_eq!(alloc.rate(b), line);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct FairShareAllocator {
     spec: ConstraintSpec,
-    /// Per constraint: the residual capacity, the unfrozen member count,
-    /// and the cached fill level (`NaN` once a frozen flow touched it).
+    /// Per constraint, during a filling: the residual capacity, the
+    /// unfrozen member count, and the cached fill level (`NaN` once a
+    /// frozen flow touched it).
     residual: Vec<f64>,
     unfrozen: Vec<u32>,
     level: Vec<f64>,
-    /// The members of constraint `c`, as ascending flow indices, are
-    /// `members[start[c]..start[c + 1]]`.
-    start: Vec<u32>,
-    members: Vec<u32>,
-    /// Per flow: its constraints in canonical order, and whether it is
-    /// frozen.
-    cons: Vec<[u32; 4]>,
-    cons_len: Vec<u8>,
-    frozen: Vec<bool>,
+    /// The flow records, by key; `free` holds the removed flows' keys.
+    flows: Vec<FlowRecord>,
+    free: Vec<u32>,
+    /// Each constraint's member keys, in any order.
+    members: Vec<Vec<u32>>,
+    /// The changes since the last reallocation: per constraint, its count
+    /// delta, and the constraints whose membership changed (a constraint
+    /// changed twice is listed twice).
+    delta: Vec<i32>,
+    changed: Vec<u32>,
+    /// The round log of the last filling: each round's level, the round
+    /// each constraint was tight in (or `OPEN`), the keys in the order
+    /// they froze with each round's first index (plus the end), and each
+    /// round's `(residual, unfrozen)` checkpoint at its start, plus the
+    /// final state, `C` entries per round.
+    lambda: Vec<f64>,
+    tight_in: Vec<u32>,
+    frozen: Vec<u32>,
+    round_start: Vec<u32>,
+    saved_residual: Vec<f64>,
+    saved_unfrozen: Vec<u32>,
     /// The constraints that had unfrozen members at the last round's
-    /// start, ascending.
+    /// start, ascending, and the round's tight constraints.
     active: Vec<u32>,
-    /// The round's scratch: the constraints at its level, and the flows
-    /// they freeze.
     tight: Vec<u32>,
-    marked: Vec<u32>,
 }
 
 impl FairShareAllocator {
-    /// Creates an allocator for the given constraint system.
+    /// Creates an allocator for the given constraint system, holding no
+    /// flows. The rest of its storage is sized on first use.
     pub fn new(spec: ConstraintSpec) -> Self {
         let c = spec.len();
         FairShareAllocator {
@@ -236,75 +323,165 @@ impl FairShareAllocator {
             residual: Vec::with_capacity(c),
             unfrozen: Vec::with_capacity(c),
             level: Vec::new(),
-            start: Vec::new(),
+            flows: Vec::new(),
+            free: Vec::new(),
             members: Vec::new(),
-            cons: Vec::new(),
-            cons_len: Vec::new(),
+            delta: Vec::new(),
+            changed: Vec::new(),
+            lambda: Vec::new(),
+            tight_in: Vec::new(),
             frozen: Vec::new(),
+            round_start: Vec::new(),
+            saved_residual: Vec::new(),
+            saved_unfrozen: Vec::new(),
             active: Vec::new(),
             tight: Vec::new(),
-            marked: Vec::new(),
         }
     }
 
-    /// Computes the max-min fair rate (bytes/second) of every flow.
-    ///
-    /// `flows` must be sorted by ascending [`FlowId`], the order the
-    /// engine keeps its flow list in. `rates` is cleared and filled so
-    /// `rates[i]` is the rate of `flows[i]`.
-    pub fn allocate(&mut self, flows: &[(FlowId, Voq)], rates: &mut Vec<f64>) {
-        debug_assert!(
-            flows.windows(2).all(|w| w[0].0 < w[1].0),
-            "flows must be sorted by ascending id"
-        );
+    /// Sizes the per-constraint storage and logs the empty allocation:
+    /// no rounds, and a final state at full capacity.
+    fn size(&mut self) {
         let c = self.spec.len();
-        rates.clear();
-        rates.resize(flows.len(), 0.0);
-        self.residual.clear();
         self.residual.extend((0..c).map(|i| self.spec.cap(i)));
-        self.unfrozen.clear();
         self.unfrozen.resize(c, 0);
-        self.level.clear();
         self.level.resize(c, f64::NAN);
-        self.cons.clear();
-        self.cons_len.clear();
-        for &(_, voq) in flows {
-            let mut buf = [0u32; 4];
-            let n = self.spec.constraints_of(voq, &mut buf);
-            for &cc in &buf[..n] {
-                self.unfrozen[cc as usize] += 1;
-            }
-            self.cons.push(buf);
-            self.cons_len.push(n as u8);
-        }
-        self.frozen.clear();
-        self.frozen.resize(flows.len(), false);
+        self.members.resize_with(c, Vec::new);
+        self.delta.resize(c, 0);
+        self.tight_in.resize(c, OPEN);
+        self.round_start.push(0);
+        self.saved_residual.extend_from_slice(&self.residual);
+        self.saved_unfrozen.extend_from_slice(&self.unfrozen);
+    }
 
-        // The constraint index: `start` first holds each constraint's end,
-        // then the flows are placed back to front, which leaves it holding
-        // each constraint's start and every member list ascending.
-        self.start.clear();
-        let mut end = 0;
-        for &count in &self.unfrozen {
-            end += count;
-            self.start.push(end);
+    fn change(&mut self, c: u32, by: i32) {
+        self.delta[c as usize] += by;
+        self.changed.push(c);
+    }
+
+    /// Adds a flow on `voq` and returns its key. Its rate is set by the
+    /// next [`reallocate`](Self::reallocate).
+    pub fn insert(&mut self, voq: Voq) -> FairShareKey {
+        if self.round_start.is_empty() {
+            self.size();
         }
-        self.start.push(end);
-        self.members.clear();
-        self.members.resize(end as usize, 0);
-        for f in (0..flows.len()).rev() {
-            for &cc in &self.cons[f][..self.cons_len[f] as usize] {
-                let at = &mut self.start[cc as usize];
-                *at -= 1;
-                self.members[*at as usize] = f as u32;
+        let mut cons = [0u32; 4];
+        let len = self.spec.constraints_of(voq, &mut cons);
+        let record = FlowRecord {
+            cons,
+            len: len as u8,
+            round: OPEN,
+            rate: 0.0,
+        };
+        let key = match self.free.pop() {
+            Some(key) => {
+                self.flows[key as usize] = record;
+                key
+            }
+            None => {
+                self.flows.push(record);
+                (self.flows.len() - 1) as u32
+            }
+        };
+        for &c in &cons[..len] {
+            self.members[c as usize].push(key);
+            self.change(c, 1);
+        }
+        FairShareKey(key)
+    }
+
+    /// Removes the live flow `key`; its key may be handed out again.
+    pub fn remove(&mut self, key: FairShareKey) {
+        let record = self.flows[key.0 as usize];
+        for &c in &record.cons[..record.len as usize] {
+            let members = &mut self.members[c as usize];
+            let at = members
+                .iter()
+                .position(|&f| f == key.0)
+                .expect("a live flow is a member of its constraints");
+            members.swap_remove(at);
+            self.change(c, -1);
+        }
+        self.free.push(key.0);
+    }
+
+    /// The max-min fair rate (bytes/second) of the live flow `key` at the
+    /// last [`reallocate`](Self::reallocate).
+    pub fn rate(&self, key: FairShareKey) -> f64 {
+        self.flows[key.0 as usize].rate
+    }
+
+    /// Recomputes the max-min fair rate of every live flow, replaying the
+    /// filling from the first round the changes since the last call can
+    /// move.
+    pub fn reallocate(&mut self) {
+        if self.round_start.is_empty() {
+            self.size();
+        }
+        let c = self.spec.len();
+
+        // The replay point: no later than the round a changed constraint
+        // was tight in, which bounds it by every removed flow's round too.
+        let mut k = self.lambda.len();
+        for &ci in &self.changed {
+            k = k.min(self.tight_in[ci as usize] as usize);
+        }
+        // Nor later than a round in which a changed constraint's level,
+        // with its new count, is not strictly above the round's level.
+        for &ci in &self.changed {
+            let ci = ci as usize;
+            let delta = i64::from(self.delta[ci]);
+            for j in 0..k {
+                let count = i64::from(self.saved_unfrozen[j * c + ci]) + delta;
+                if count <= 0 {
+                    continue;
+                }
+                let level = (self.saved_residual[j * c + ci] / count as f64).max(0.0);
+                if level <= self.lambda[j] {
+                    k = j;
+                    break;
+                }
+            }
+        }
+
+        // Rounds `0..k` stand: their checkpoints take the new counts (a
+        // constraint listed twice takes its delta once).
+        for &ci in &self.changed {
+            let ci = ci as usize;
+            let delta = std::mem::take(&mut self.delta[ci]);
+            for j in 0..=k {
+                let count = &mut self.saved_unfrozen[j * c + ci];
+                *count = count.wrapping_add_signed(delta);
+            }
+        }
+        self.changed.clear();
+
+        // Restore round `k`'s state, and unfreeze what froze from it on.
+        let keep = self.round_start[k] as usize;
+        for &f in &self.frozen[keep..] {
+            self.flows[f as usize].round = OPEN;
+        }
+        self.frozen.truncate(keep);
+        self.lambda.truncate(k);
+        self.round_start.truncate(k + 1);
+        self.saved_residual.truncate((k + 1) * c);
+        self.saved_unfrozen.truncate((k + 1) * c);
+        self.residual.copy_from_slice(&self.saved_residual[k * c..]);
+        self.unfrozen.copy_from_slice(&self.saved_unfrozen[k * c..]);
+        self.level.fill(f64::NAN);
+        for round in &mut self.tight_in {
+            if *round as usize >= k {
+                *round = OPEN;
             }
         }
         self.active.clear();
         self.active
             .extend((0..c as u32).filter(|&i| self.unfrozen[i as usize] > 0));
 
-        let mut left = flows.len();
-        while left > 0 {
+        // Fill until a round freezes nothing: no constraint has an unfrozen
+        // member left.
+        let mut round = k as u32;
+        loop {
             // The round's fill level: the smallest level among constraints
             // that still have unfrozen members, found in ascending
             // constraint order with the constraints at it. The same pass
@@ -333,37 +510,45 @@ impl FairShareAllocator {
                 }
             }
             self.active.truncate(kept);
-            debug_assert!(lambda.is_finite(), "live flows imply a finite level");
 
             // Freeze every unfrozen member of a constraint at the round
             // level. Each such constraint is left with no unfrozen member,
             // so its member list is walked in this round only.
-            self.marked.clear();
+            let start = self.frozen.len();
             for &ci in &self.tight {
-                let (lo, hi) = (self.start[ci as usize], self.start[ci as usize + 1]);
-                for &f in &self.members[lo as usize..hi as usize] {
-                    if !self.frozen[f as usize] {
-                        self.frozen[f as usize] = true;
-                        self.marked.push(f);
+                self.tight_in[ci as usize] = round;
+                for &f in &self.members[ci as usize] {
+                    let record = &mut self.flows[f as usize];
+                    if record.round == OPEN {
+                        record.round = round;
+                        record.rate = lambda;
+                        self.frozen.push(f);
                     }
                 }
             }
-            debug_assert!(!self.marked.is_empty(), "each round freezes a flow");
-            left -= self.marked.len();
+            if self.frozen.len() == start {
+                break;
+            }
 
             // Every subtraction of a round is by the same level, so each
             // residual takes the contract's sequence of subtractions in
             // whatever order the frozen flows are applied.
-            for &f in &self.marked {
-                let fi = f as usize;
-                rates[fi] = lambda;
-                for &cc in &self.cons[fi][..self.cons_len[fi] as usize] {
+            for &f in &self.frozen[start..] {
+                let record = &self.flows[f as usize];
+                for &cc in &record.cons[..record.len as usize] {
                     let ci = cc as usize;
                     self.residual[ci] -= lambda;
                     self.unfrozen[ci] -= 1;
                     self.level[ci] = f64::NAN;
                 }
             }
+
+            // Log the round, and the state the next one starts from.
+            self.lambda.push(lambda);
+            self.round_start.push(self.frozen.len() as u32);
+            self.saved_residual.extend_from_slice(&self.residual);
+            self.saved_unfrozen.extend_from_slice(&self.unfrozen);
+            round += 1;
         }
     }
 }
@@ -439,10 +624,11 @@ pub(crate) fn waterfill_naive(
 }
 
 /// The max-min fair-share allocation policy of the shared event core:
-/// every active flow transmits at its [`FairShareAllocator`] rate,
-/// recomputed on every arrival and completion. A flow whose rate is
-/// unchanged to the bit keeps its drain epoch; only re-rated flows settle
-/// their old epoch and open a new one.
+/// every active flow transmits at its [`FairShareAllocator`] rate. An
+/// arrival inserts the flow into the allocator and a completion removes
+/// it; every reallocation replays the filling from the first round they
+/// move. A flow whose rate is unchanged to the bit keeps its drain epoch;
+/// only re-rated flows settle their old epoch and open a new one.
 #[derive(Debug)]
 pub(crate) struct FairShare {
     alloc: FairShareAllocator,
@@ -455,12 +641,17 @@ pub(crate) struct FairShare {
     next: SimTime,
     /// The active flows in ascending id order, kept across events: an
     /// arrival enters it, a completion leaves it.
-    flows: Vec<(FlowId, Voq)>,
-    /// The table slot of each of `flows`, at the same index: an account
-    /// opened for a flow reads its slot here instead of probing the table.
-    slots: Vec<FlowSlot>,
-    /// Scratch reused across reallocations: the rate of each of `flows`.
-    rates: Vec<f64>,
+    flows: Vec<LiveFlow>,
+}
+
+/// One active flow of [`FairShare`]: its id, the table slot an account
+/// opened for it reads (instead of probing the table), and its key in the
+/// allocator.
+#[derive(Debug, Clone, Copy)]
+struct LiveFlow {
+    id: FlowId,
+    slot: FlowSlot,
+    key: FairShareKey,
 }
 
 impl FairShare {
@@ -470,8 +661,6 @@ impl FairShare {
             entries: VecDeque::new(),
             next: SimTime::INFINITY,
             flows: Vec::new(),
-            slots: Vec::new(),
-            rates: Vec::new(),
         }
     }
 }
@@ -520,19 +709,17 @@ impl AllocationPolicy for FairShare {
     ) {
         debug_assert!(
             {
-                let mut active: Vec<_> = table.iter().map(|f| (f.id(), f.voq())).collect();
-                active.sort_unstable_by_key(|&(id, _)| id);
-                active == self.flows
-                    && self.slots.len() == self.flows.len()
+                let mut active: Vec<_> = table.iter().map(|f| f.id()).collect();
+                active.sort_unstable();
+                active.iter().eq(self.flows.iter().map(|f| &f.id))
                     && self
                         .flows
                         .iter()
-                        .zip(&self.slots)
-                        .all(|(&(id, _), &slot)| table.get_at(slot, id).is_some())
+                        .all(|f| table.get_at(f.slot, f.id).is_some())
             },
             "the kept flow list is the table's, in id order, with each flow's slot"
         );
-        self.alloc.allocate(&self.flows, &mut self.rates);
+        self.alloc.reallocate();
         // The previous entries are an id-ordered subsequence of the active
         // flows (a flow leaves the table only by completing, which drops
         // its entry), so the walk alongside the allocation takes them off
@@ -540,8 +727,8 @@ impl AllocationPolicy for FairShare {
         // the ring never holds more entries than there are active flows.
         let mut old_left = self.entries.len();
         let mut next = SimTime::INFINITY;
-        for ((&(id, _), &slot), &rate) in self.flows.iter().zip(&self.slots).zip(&self.rates) {
-            let rate = Rate::from_bytes_per_sec(rate);
+        for &LiveFlow { id, slot, key } in &self.flows {
+            let rate = Rate::from_bytes_per_sec(self.alloc.rate(key));
             let prev = match self.entries.front() {
                 Some(e) if old_left > 0 && e.flow == id => {
                     old_left -= 1;
@@ -594,19 +781,26 @@ impl AllocationPolicy for FairShare {
         arrival: &FlowArrival,
         slot: FlowSlot,
     ) {
-        let at = self.flows.partition_point(|&(id, _)| id < arrival.id);
-        self.flows.insert(at, (arrival.id, arrival.voq));
-        self.slots.insert(at, slot);
+        let at = self.flows.partition_point(|f| f.id < arrival.id);
+        let key = self.alloc.insert(arrival.voq);
+        self.flows.insert(
+            at,
+            LiveFlow {
+                id: arrival.id,
+                slot,
+                key,
+            },
+        );
     }
 
     fn on_drain(&mut self, drain: &SettledDrain) {
         if drain.completed {
             let at = self
                 .flows
-                .binary_search_by_key(&drain.flow, |&(id, _)| id)
+                .binary_search_by_key(&drain.flow, |f| f.id)
                 .expect("a completing flow is listed");
-            self.flows.remove(at);
-            self.slots.remove(at);
+            let gone = self.flows.remove(at);
+            self.alloc.remove(gone.key);
         }
     }
 }
@@ -795,19 +989,32 @@ mod tests {
         assert!((s.mean_secs - 0.002).abs() < 1e-9);
     }
 
-    /// Allocates `flows` with `alloc` and checks the rates bit for bit
-    /// against the naive water-filler, every constraint's capacity, and
-    /// max-min fairness: each flow has a saturated constraint on which no
-    /// member runs faster. Returns the rates.
+    /// A flow held by an allocator under test, with its key.
+    type Held = (FlowId, Voq, FairShareKey);
+
+    /// Inserts `flows` into `alloc`, returning them with their keys.
+    fn insert_all(alloc: &mut FairShareAllocator, flows: &[(FlowId, Voq)]) -> Vec<Held> {
+        flows
+            .iter()
+            .map(|&(id, voq)| (id, voq, alloc.insert(voq)))
+            .collect()
+    }
+
+    /// Reallocates `alloc`, which holds exactly `held` (in ascending id
+    /// order), and checks every rate bit for bit against the naive
+    /// water-filler, every constraint's capacity, and max-min fairness:
+    /// each flow has a saturated constraint on which no member runs
+    /// faster. Returns the rates, in `held`'s order.
     fn assert_matches_naive(
         alloc: &mut FairShareAllocator,
         spec: &ConstraintSpec,
-        flows: &[(FlowId, Voq)],
+        held: &[Held],
     ) -> Vec<f64> {
-        let mut fast = Vec::new();
+        alloc.reallocate();
+        let fast: Vec<f64> = held.iter().map(|&(.., key)| alloc.rate(key)).collect();
+        let flows: Vec<(FlowId, Voq)> = held.iter().map(|&(id, voq, _)| (id, voq)).collect();
         let mut naive = Vec::new();
-        alloc.allocate(flows, &mut fast);
-        waterfill_naive(spec, flows, &mut naive);
+        waterfill_naive(spec, &flows, &mut naive);
         assert_eq!(fast.len(), naive.len());
         for (i, (a, b)) in fast.iter().zip(naive.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "flow {i}: {a} vs {b}");
@@ -868,7 +1075,8 @@ mod tests {
         .iter()
         .map(|&(id, s, d)| (FlowId::new(id), Voq::new(HostId::new(s), HostId::new(d))))
         .collect();
-        assert_matches_naive(&mut alloc, &spec, &flows);
+        let held = insert_all(&mut alloc, &flows);
+        assert_matches_naive(&mut alloc, &spec, &held);
     }
 
     #[test]
@@ -1012,11 +1220,20 @@ mod tests {
         let topo = FatTree::scaled(2, 4, 1).unwrap();
         let spec = ConstraintSpec::new(&topo, true);
         let mut alloc = FairShareAllocator::new(spec.clone());
-        let mut rates = vec![1.0];
-        alloc.allocate(&[], &mut rates);
-        assert!(rates.is_empty());
-        // The allocator is reusable after an empty allocation.
-        assert_matches_naive(&mut alloc, &spec, &flow_set([(0, 1), (0, 2)]));
+        assert!(assert_matches_naive(&mut alloc, &spec, &[]).is_empty());
+        // The allocator is usable after an empty allocation, and after
+        // it is emptied again.
+        let held = insert_all(&mut alloc, &flow_set([(0, 1), (0, 2)]));
+        assert_matches_naive(&mut alloc, &spec, &held);
+        for &(.., key) in &held {
+            alloc.remove(key);
+        }
+        assert!(assert_matches_naive(&mut alloc, &spec, &[]).is_empty());
+        let held = insert_all(&mut alloc, &flow_set([(1, 0)]));
+        assert_eq!(
+            assert_matches_naive(&mut alloc, &spec, &held),
+            [spec.cap(0)]
+        );
     }
 
     #[test]
@@ -1027,11 +1244,8 @@ mod tests {
         let topo = FatTree::scaled(2, 4, 1).unwrap();
         let spec = ConstraintSpec::new(&topo, false);
         let mut alloc = FairShareAllocator::new(spec.clone());
-        let rates = assert_matches_naive(
-            &mut alloc,
-            &spec,
-            &flow_set((0..8).map(|h| (h, (h + 1) % 8))),
-        );
+        let held = insert_all(&mut alloc, &flow_set((0..8).map(|h| (h, (h + 1) % 8))));
+        let rates = assert_matches_naive(&mut alloc, &spec, &held);
         assert!(rates.iter().all(|&r| r == spec.cap(0)));
     }
 
@@ -1039,11 +1253,11 @@ mod tests {
     fn zero_capacity_core_freezes_inter_rack_flows_at_zero() {
         let spec = ConstraintSpec::new(&CutCore, true);
         let mut alloc = FairShareAllocator::new(spec.clone());
-        let rates = assert_matches_naive(
+        let held = insert_all(
             &mut alloc,
-            &spec,
             &flow_set([(0, 1), (0, 2), (1, 0), (3, 2), (2, 1), (3, 0)]),
         );
+        let rates = assert_matches_naive(&mut alloc, &spec, &held);
         let edge = spec.cap(0);
         // The starved flows take nothing, so flow 0 keeps host 0 whole.
         assert_eq!(rates, vec![edge, 0.0, edge, edge, 0.0, 0.0]);
@@ -1094,7 +1308,7 @@ mod tests {
 
         proptest! {
             #[test]
-            fn allocate_matches_naive_water_filling(
+            fn reallocate_matches_naive_water_filling(
                 topo in 0u8..4,
                 enforce in 0u8..2,
                 shape in 0u8..5,
@@ -1104,10 +1318,63 @@ mod tests {
                 let spec = ConstraintSpec::new(&*topo, enforce == 1);
                 let mut alloc = FairShareAllocator::new(spec.clone());
                 let flows = flow_set(voqs(shape, topo.num_hosts(), &pairs));
-                assert_matches_naive(&mut alloc, &spec, &flows);
-                // The same allocator, reused on a subset.
-                let half: Vec<_> = flows.iter().copied().step_by(2).collect();
+                let held = insert_all(&mut alloc, &flows);
+                assert_matches_naive(&mut alloc, &spec, &held);
+                // The same allocator, with every other flow removed.
+                for &(.., key) in held.iter().skip(1).step_by(2) {
+                    alloc.remove(key);
+                }
+                let half: Vec<_> = held.iter().copied().step_by(2).collect();
                 assert_matches_naive(&mut alloc, &spec, &half);
+            }
+
+            /// Random runs of insertions, removals and reallocations, each
+            /// reallocation checked against the naive water-filler: several
+            /// changes per reallocation, removals of flows no reallocation
+            /// has seen yet (the newest flow leaving), reused keys, and the
+            /// allocator drained to empty and refilled.
+            #[test]
+            fn incremental_reallocation_matches_naive(
+                topo in 0u8..4,
+                enforce in 0u8..2,
+                shape in 0u8..5,
+                pairs in prop::collection::vec((0u32..1024, 0u32..1024), 1..32),
+                ops in prop::collection::vec((0u8..32, 0u32..1024), 1..120),
+            ) {
+                let topo = topology(topo);
+                let spec = ConstraintSpec::new(&*topo, enforce == 1);
+                let mut alloc = FairShareAllocator::new(spec.clone());
+                // Arrivals cycle through the shape's VOQs, in id order.
+                let pool = voqs(shape, topo.num_hosts(), &pairs);
+                let mut held: Vec<Held> = Vec::new();
+                let mut next = 0;
+                for &(op, at) in &ops {
+                    match op {
+                        0..=15 => {
+                            let (s, d) = pool[next % pool.len()];
+                            let voq = Voq::new(HostId::new(s), HostId::new(d));
+                            held.push((FlowId::new(next as u64), voq, alloc.insert(voq)));
+                            next += 1;
+                        }
+                        16..=19 if !held.is_empty() => {
+                            let (.., key) = held.remove(at as usize % held.len());
+                            alloc.remove(key);
+                        }
+                        20 if !held.is_empty() => {
+                            let (.., key) = held.pop().unwrap();
+                            alloc.remove(key);
+                        }
+                        21 => {
+                            for (.., key) in held.drain(..) {
+                                alloc.remove(key);
+                            }
+                        }
+                        _ => {
+                            assert_matches_naive(&mut alloc, &spec, &held);
+                        }
+                    }
+                }
+                assert_matches_naive(&mut alloc, &spec, &held);
             }
         }
     }

@@ -63,6 +63,7 @@ pub use delta::{DeltaAllocator, DeltaOutcome, DeltaStats, LiveViews};
 pub use engine::{simulate, simulate_probed, FabricError, FabricRun, SimConfig, SimConfigBuilder};
 pub use fairshare::{
     simulate_fair_share, simulate_fair_share_probed, ConstraintSpec, FairShareAllocator,
+    FairShareKey,
 };
 pub use online::{
     Accepted, CompletionRecord, FabricSnapshot, OfferError, OnlineFabric, DEFAULT_HIGH_WATERMARK,

@@ -13,16 +13,19 @@
 //! * `repflow` — ECMP plus replica races for every sub-100 KB flow, which
 //!   adds the race bookkeeping and a second admission pass on top.
 //!
-//! One more row, `paper_fabric/fair_share`, prices the fair-share engine
-//! at the paper's scale: `FatTree::paper_topology()` under
-//! `TrafficSpec::paper_default(0.95)`, seed 1, 20 sim-ms (5 under
-//! `BASRPT_SCALE=quick`), with a few samples, since one run takes about a
-//! second.
+//! Three more rows price the fair-share engine at the paper's scale:
+//! `FatTree::paper_topology()` under `TrafficSpec::paper_default(0.95)`,
+//! seed 1. `paper_fabric/fair_share` runs 20 sim-ms (5 under
+//! `BASRPT_SCALE=quick`) with a few samples, since one run takes about a
+//! second. `paper_fabric_300ms/fair_share` and
+//! `paper_fabric_300ms/fast_basrpt` run the same arrivals for 300 sim-ms
+//! (10 under quick), two samples each, so the ratio of fair share to the
+//! paper's fast BASRPT (V = 2500) reads off one group.
 //!
 //! Medians land in `results/bench.json` via the merging recorder, so the
 //! relative cost of the baselines is tracked alongside the scale curves.
 
-use basrpt_core::{RepFlow, Srpt};
+use basrpt_core::{FastBasrpt, RepFlow, Srpt};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcn_fabric::{
     simulate, simulate_ecmp, simulate_fair_share, simulate_repflow, FatTree, KAryFatTree,
@@ -52,6 +55,16 @@ fn arrivals_for(topo: &KAryFatTree, load: f64, horizon: SimTime, seed: u64) -> V
     TrafficSpec::scaled(topo.num_racks(), topo.hosts_per_rack(), load)
         .expect("valid scaled spec")
         .generator(seed)
+        .expect("generator")
+        .take_while(|a| a.time < horizon)
+        .collect()
+}
+
+/// The paper's arrivals (load 0.95, seed 1) before `horizon`.
+fn paper_arrivals(horizon: SimTime) -> Vec<FlowArrival> {
+    TrafficSpec::paper_default(0.95)
+        .expect("valid paper spec")
+        .generator(1)
         .expect("generator")
         .take_while(|a| a.time < horizon)
         .collect()
@@ -117,12 +130,7 @@ fn bench_baseline_disciplines(c: &mut Criterion) {
     let paper = FatTree::paper_topology();
     let horizon = SimTime::from_millis(if quick() { 5.0 } else { 20.0 });
     let cfg = SimConfig::builder().horizon(horizon).build();
-    let arrivals: Vec<FlowArrival> = TrafficSpec::paper_default(0.95)
-        .expect("valid paper spec")
-        .generator(1)
-        .expect("generator")
-        .take_while(|a| a.time < horizon)
-        .collect();
+    let arrivals = paper_arrivals(horizon);
     group
         .sample_size(3)
         .measurement_time(Duration::from_secs(1));
@@ -132,6 +140,30 @@ fn bench_baseline_disciplines(c: &mut Criterion) {
         |b, arrivals| {
             b.iter(|| {
                 simulate_fair_share(&paper, arrivals.iter().copied(), cfg).expect("fabric run")
+            })
+        },
+    );
+
+    let horizon = SimTime::from_millis(if quick() { 10.0 } else { 300.0 });
+    let cfg = SimConfig::builder().horizon(horizon).build();
+    let arrivals = paper_arrivals(horizon);
+    group.sample_size(2);
+    group.bench_with_input(
+        BenchmarkId::new("paper_fabric_300ms", "fair_share"),
+        &arrivals,
+        |b, arrivals| {
+            b.iter(|| {
+                simulate_fair_share(&paper, arrivals.iter().copied(), cfg).expect("fabric run")
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("paper_fabric_300ms", "fast_basrpt"),
+        &arrivals,
+        |b, arrivals| {
+            b.iter(|| {
+                let mut sched = FastBasrpt::new(2500.0, paper.num_hosts() as usize);
+                simulate(&paper, &mut sched, arrivals.iter().copied(), cfg).expect("fabric run")
             })
         },
     );

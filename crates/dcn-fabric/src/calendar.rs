@@ -8,11 +8,13 @@
 //! heap of `(completion instant, flow, slot)` items.
 //!
 //! The calendar stores no live set of its own. Each transmitting flow's
-//! drain account (`ScheduledEntry`, owned by the [`crate::DeltaAllocator`])
-//! is the only place its completion instant lives; the `slot` of an item
-//! names where the owner keeps that account. The owner pushes one item
-//! whenever an account opens a new epoch and never deletes one: a closed,
-//! moved or completed account simply stops matching its old items.
+//! drain account (`ScheduledEntry`) is the only place its completion
+//! instant lives; the `slot` of an item names where the owner keeps that
+//! account. There are two owners: the [`crate::DeltaAllocator`] of the
+//! crossbar engines, whose slot is the VOQ slot, and the fair-share
+//! policy, whose slot is the flow's allocator key. The owner pushes one
+//! item whenever an account opens a new epoch and never deletes one: a
+//! closed, moved or completed account simply stops matching its old items.
 //! [`next_completion`](CompletionCalendar::next_completion) and
 //! [`pop_due`](CompletionCalendar::pop_due) take the owner's check — "is
 //! this slot still bound to this flow, completing at this instant?" — and
@@ -22,6 +24,13 @@
 //! cost per schedule change is `O(log n)` and a wakeup between schedule
 //! changes costs `O(1)` (a peek at an already-validated top). A flow that
 //! stays scheduled across a reschedule keeps its item untouched.
+//!
+//! A stale item that sorts behind the live minimum stays until a pop
+//! reaches it. Under fair share every re-rating of a long flow leaves one
+//! far in the future, so stale items can outnumber the live ones for
+//! milliseconds; [`compact`](CompletionCalendar::compact) drops them all at
+//! once, and the fair-share policy calls it whenever the heap holds more
+//! than twice its live flows plus 32 items.
 //!
 //! The calendar stores instants, not flow state: exact drain accounting
 //! (which instant a flow completes at) is the engine's job — see
@@ -141,6 +150,39 @@ impl CompletionCalendar {
             self.heap.pop();
         }
         Some((item.1, item.2))
+    }
+
+    /// Drops every stale item, and every copy of a live item but one, so
+    /// the heap holds exactly one item per live account. `O(n log n)` in
+    /// the heap's items; an owner whose stale items can outlive many
+    /// pushes (a re-rated flow's far-future instant, which no pop reaches
+    /// soon) calls it once they outnumber the live accounts, which keeps
+    /// the heap within a constant factor of them at `O(log n)` amortized
+    /// per push.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dcn_fabric::CompletionCalendar;
+    /// use dcn_types::{FlowId, SimTime};
+    ///
+    /// let mut cal = CompletionCalendar::new();
+    /// // Flow 1's account moves from 9 ms to 2 ms: the 9 ms item goes
+    /// // stale behind the live one, where no pop reaches it.
+    /// cal.push(SimTime::from_millis(9.0), FlowId::new(1), 0);
+    /// cal.push(SimTime::from_millis(2.0), FlowId::new(1), 0);
+    /// let live = |at, _, _| at == SimTime::from_millis(2.0);
+    /// assert_eq!(cal.next_completion(live), SimTime::from_millis(2.0));
+    /// assert_eq!(cal.heap_len(), 2);
+    /// cal.compact(live);
+    /// assert_eq!(cal.heap_len(), 1);
+    /// ```
+    pub fn compact(&mut self, is_live: impl Fn(SimTime, FlowId, usize) -> bool) {
+        let mut items = std::mem::take(&mut self.heap).into_vec();
+        items.retain(|&Reverse((at, flow, slot))| is_live(at, flow, slot));
+        items.sort_unstable();
+        items.dedup();
+        self.heap = BinaryHeap::from(items);
     }
 }
 

@@ -86,7 +86,17 @@
 //! A reallocation therefore folds `δ` into checkpoints `0..=k` (they
 //! describe the new flow set from now on), restores checkpoint `k`,
 //! unfreezes the flows the log froze at `k` or later, and fills from
-//! round `k`, logging as it goes.
+//! round `k`, logging as it goes. A flow that froze before round `k` kept
+//! its round and its level, so every live flow outside the ones frozen
+//! from round `k` on — which include every inserted flow — kept its rate
+//! to the bit: [`FairShareAllocator::moved`] names exactly those.
+//!
+//! Within a round, the order of the constraints does not matter. The
+//! round's level is the minimum of the levels, and its tight set is every
+//! level bit-equal to it; both are order-free as long as no level is
+//! `-0.0` (which would tie with `+0.0` under `min` but not under bits),
+//! and none is: residuals start at a capacity `≥ +0`, lose only levels
+//! `≥ +0`, and `x - x` is `+0`.
 //!
 //! # The event loop
 //!
@@ -105,14 +115,24 @@
 //! events — an arrival enters it and a completion leaves it, each at its
 //! binary-searched place, with its allocator key beside it — so a
 //! reallocation neither collects nor sorts the table, and the allocator
-//! sees only the flows that came and went. Each transmitting flow's drain
-//! account is the only record of its completion instant. The policy keeps
-//! the accounts in one id-ordered list, rebuilt on every reallocation by
-//! a merge walk against the id-ordered flow list, and keeps the earliest
-//! instant as a cached minimum: every event already scans every account (lazy settlement
-//! checks each one for being due) and every reallocation rebuilds them
-//! all, so both passes refresh the minimum for free. There is no
-//! completion heap and no per-flow map.
+//! sees only the flows that came and went. Each flow's id, table slot and
+//! drain account sit in a slab indexed by its allocator key. A
+//! reallocation visits only the keys the allocator [`moved`]: it keeps
+//! every account whose rate bits are unchanged, skips a starved flow that
+//! stays starved, and settles and reopens the re-rated flows in id order,
+//! the order the events emit drains in.
+//!
+//! Each transmitting flow's drain account is the only record of its
+//! completion instant; a [`CompletionCalendar`] whose item slot is the
+//! allocator key finds the earliest one, validating each item against the
+//! account under that key. A non-observation settle pops only the due
+//! accounts (ties pop in ascending flow id, the emission order); an
+//! observation point walks the id-ordered flow list. A re-rated long flow
+//! leaves a far-future stale item that no pop reaches soon, so once the
+//! heap holds more than twice the live flows plus 32 items the policy
+//! compacts it to its live items.
+//!
+//! [`moved`]: FairShareAllocator::moved
 //!
 //! The core also settles byte accounts **lazily** (see [`crate::settle`]):
 //! per event only the flows actually *due* drain into the table, and an
@@ -123,6 +143,7 @@
 //! naive reference stays eager and `tests/fairshare_differential.rs` pins
 //! exactly that.
 
+use crate::calendar::CompletionCalendar;
 use crate::engine::{FabricError, FabricRun, SimConfig};
 use crate::online::{run_batch, AllocationPolicy};
 use crate::settle::{ScheduledEntry, SettledDrain};
@@ -131,7 +152,6 @@ use basrpt_core::{FlowSlot, FlowTable};
 use dcn_probe::{NoProbe, Probe};
 use dcn_types::{FlowId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
-use std::collections::VecDeque;
 
 /// The capacity-constraint system of one topology, shared by the
 /// production and reference water-fillers so both see the identical
@@ -247,14 +267,17 @@ struct FlowRecord {
 /// changes can move (the module docs state the rule and why it is
 /// exact), restoring that round's logged constraint state.
 ///
-/// A filling round takes the minimum over the constraints that still have
-/// unfrozen members (a compacted list), each level cached and recomputed
-/// only after a frozen flow touched its constraint, then freezes the
-/// unfrozen members of the constraints at that level: `O(A)` per round for
-/// `A` such constraints, plus `O(C)` to log the round's checkpoint —
-/// against the naive reference's `O(n · C)` per round from full capacity.
-/// Same arithmetic, different data structures (see the module docs for the
-/// bit-identity contract).
+/// The levels of the `A` constraints that still have unfrozen members sit
+/// in one compact array. A filling round takes their minimum in one pass,
+/// collects the constraints bit-equal to it in a second, freezes those
+/// constraints' unfrozen members, and re-levels only the constraints the
+/// freezes touched; a constraint left with no unfrozen member is
+/// swap-removed. That is `O(A)` per round, plus `O(C)` to log the round's
+/// checkpoint — against the naive reference's `O(n · C)` per round from
+/// full capacity. Same arithmetic, different data structures (see the
+/// module docs for the bit-identity contract). [`moved`](Self::moved)
+/// names the flows the last reallocation froze anew, so a caller need
+/// look at no other flow's rate.
 ///
 /// # Example
 ///
@@ -271,21 +294,22 @@ struct FlowRecord {
 /// alloc.reallocate();
 /// assert_eq!(alloc.rate(a), line / 2.0);
 /// assert_eq!(alloc.rate(a), alloc.rate(b));
-/// // Once the first leaves, the second has the NIC to itself.
+/// // Once the first leaves, the second has the NIC to itself: it is the
+/// // one flow the reallocation moved.
 /// alloc.remove(a);
 /// alloc.reallocate();
 /// assert_eq!(alloc.rate(b), line);
+/// assert!(alloc.moved().eq([b]));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct FairShareAllocator {
     spec: ConstraintSpec,
     /// Per constraint, during a filling: the residual capacity, the
-    /// unfrozen member count, and the cached fill level (`NaN` once a
-    /// frozen flow touched it).
+    /// unfrozen member count, and its place in `active` (or `OPEN`).
     residual: Vec<f64>,
     unfrozen: Vec<u32>,
-    level: Vec<f64>,
+    place: Vec<u32>,
     /// The flow records, by key; `free` holds the removed flows' keys.
     flows: Vec<FlowRecord>,
     free: Vec<u32>,
@@ -307,9 +331,14 @@ pub struct FairShareAllocator {
     round_start: Vec<u32>,
     saved_residual: Vec<f64>,
     saved_unfrozen: Vec<u32>,
-    /// The constraints that had unfrozen members at the last round's
-    /// start, ascending, and the round's tight constraints.
+    /// Where the last reallocation's replay began in `frozen`: the keys
+    /// from there on are the ones it froze anew.
+    replayed: usize,
+    /// During a filling: the constraints that still have unfrozen
+    /// members, in no particular order, with each one's fill level beside
+    /// it; and the round's tight constraints.
     active: Vec<u32>,
+    levels: Vec<f64>,
     tight: Vec<u32>,
 }
 
@@ -322,7 +351,7 @@ impl FairShareAllocator {
             spec,
             residual: Vec::with_capacity(c),
             unfrozen: Vec::with_capacity(c),
-            level: Vec::new(),
+            place: Vec::new(),
             flows: Vec::new(),
             free: Vec::new(),
             members: Vec::new(),
@@ -334,7 +363,9 @@ impl FairShareAllocator {
             round_start: Vec::new(),
             saved_residual: Vec::new(),
             saved_unfrozen: Vec::new(),
+            replayed: 0,
             active: Vec::new(),
+            levels: Vec::new(),
             tight: Vec::new(),
         }
     }
@@ -345,7 +376,7 @@ impl FairShareAllocator {
         let c = self.spec.len();
         self.residual.extend((0..c).map(|i| self.spec.cap(i)));
         self.unfrozen.resize(c, 0);
-        self.level.resize(c, f64::NAN);
+        self.place.resize(c, OPEN);
         self.members.resize_with(c, Vec::new);
         self.delta.resize(c, 0);
         self.tight_in.resize(c, OPEN);
@@ -411,6 +442,15 @@ impl FairShareAllocator {
         self.flows[key.0 as usize].rate
     }
 
+    /// The keys the last [`reallocate`](Self::reallocate) froze anew,
+    /// every flow inserted before it among them; every other live flow
+    /// kept its [`rate`](Self::rate) to the bit.
+    pub fn moved(&self) -> impl Iterator<Item = FairShareKey> + '_ {
+        self.frozen[self.replayed..]
+            .iter()
+            .map(|&f| FairShareKey(f))
+    }
+
     /// Recomputes the max-min fair rate of every live flow, replaying the
     /// filling from the first round the changes since the last call can
     /// move.
@@ -462,54 +502,44 @@ impl FairShareAllocator {
             self.flows[f as usize].round = OPEN;
         }
         self.frozen.truncate(keep);
+        self.replayed = keep;
         self.lambda.truncate(k);
         self.round_start.truncate(k + 1);
         self.saved_residual.truncate((k + 1) * c);
         self.saved_unfrozen.truncate((k + 1) * c);
         self.residual.copy_from_slice(&self.saved_residual[k * c..]);
         self.unfrozen.copy_from_slice(&self.saved_unfrozen[k * c..]);
-        self.level.fill(f64::NAN);
         for round in &mut self.tight_in {
             if *round as usize >= k {
                 *round = OPEN;
             }
         }
         self.active.clear();
-        self.active
-            .extend((0..c as u32).filter(|&i| self.unfrozen[i as usize] > 0));
+        self.levels.clear();
+        for ci in 0..c {
+            if self.unfrozen[ci] > 0 {
+                self.place[ci] = self.active.len() as u32;
+                self.active.push(ci as u32);
+                self.levels
+                    .push(fill_level(self.residual[ci], self.unfrozen[ci]));
+            } else {
+                self.place[ci] = OPEN;
+            }
+        }
 
-        // Fill until a round freezes nothing: no constraint has an unfrozen
-        // member left.
+        // Fill until no constraint has an unfrozen member left.
         let mut round = k as u32;
-        loop {
-            // The round's fill level: the smallest level among constraints
-            // that still have unfrozen members, found in ascending
-            // constraint order with the constraints at it. The same pass
-            // drops the constraints whose members all froze and refreshes
-            // the levels the last round touched.
-            let mut lambda = f64::INFINITY;
+        while !self.levels.is_empty() {
+            // The round's fill level is the smallest level, and its tight
+            // constraints are those at it, to the bit. No level is `-0.0`,
+            // so neither depends on the order of `active`.
+            let lambda = self.levels.iter().fold(f64::INFINITY, |m, &l| m.min(l));
             self.tight.clear();
-            let mut kept = 0;
-            for i in 0..self.active.len() {
-                let ci = self.active[i] as usize;
-                if self.unfrozen[ci] == 0 {
-                    continue;
-                }
-                self.active[kept] = ci as u32;
-                kept += 1;
-                if self.level[ci].is_nan() {
-                    self.level[ci] = (self.residual[ci] / self.unfrozen[ci] as f64).max(0.0);
-                }
-                let level = self.level[ci];
-                if level < lambda {
-                    lambda = level;
-                    self.tight.clear();
-                    self.tight.push(ci as u32);
-                } else if level.to_bits() == lambda.to_bits() {
-                    self.tight.push(ci as u32);
+            for (&ci, &level) in self.active.iter().zip(&self.levels) {
+                if level.to_bits() == lambda.to_bits() {
+                    self.tight.push(ci);
                 }
             }
-            self.active.truncate(kept);
 
             // Freeze every unfrozen member of a constraint at the round
             // level. Each such constraint is left with no unfrozen member,
@@ -526,20 +556,30 @@ impl FairShareAllocator {
                     }
                 }
             }
-            if self.frozen.len() == start {
-                break;
-            }
 
             // Every subtraction of a round is by the same level, so each
             // residual takes the contract's sequence of subtractions in
-            // whatever order the frozen flows are applied.
+            // whatever order the frozen flows are applied. A touched
+            // constraint's level is recomputed after each of its
+            // subtractions, so the last one stands; a constraint left with
+            // no unfrozen member leaves `active`.
             for &f in &self.frozen[start..] {
                 let record = &self.flows[f as usize];
                 for &cc in &record.cons[..record.len as usize] {
                     let ci = cc as usize;
                     self.residual[ci] -= lambda;
                     self.unfrozen[ci] -= 1;
-                    self.level[ci] = f64::NAN;
+                    let at = self.place[ci] as usize;
+                    if self.unfrozen[ci] > 0 {
+                        self.levels[at] = fill_level(self.residual[ci], self.unfrozen[ci]);
+                    } else {
+                        self.place[ci] = OPEN;
+                        self.active.swap_remove(at);
+                        self.levels.swap_remove(at);
+                        if let Some(&moved) = self.active.get(at) {
+                            self.place[moved as usize] = at as u32;
+                        }
+                    }
                 }
             }
 
@@ -551,6 +591,15 @@ impl FairShareAllocator {
             round += 1;
         }
     }
+}
+
+/// A constraint's fill level: its residual shared by its unfrozen members,
+/// floored at zero. Residuals start at a capacity `≥ +0` and only ever
+/// lose levels `≥ +0`, and `x - x` is `+0`, so the level is never `-0.0`.
+fn fill_level(residual: f64, unfrozen: u32) -> f64 {
+    let level = (residual / unfrozen as f64).max(0.0);
+    debug_assert!(level.is_sign_positive(), "a fill level is never -0.0");
+    level
 }
 
 /// The naive reference water-filler: every round recounts every
@@ -632,35 +681,53 @@ pub(crate) fn waterfill_naive(
 #[derive(Debug)]
 pub(crate) struct FairShare {
     alloc: FairShareAllocator,
-    /// Transmitting flows in ascending id order (the emission order). A
-    /// ring, so `reschedule` rebuilds it in place: it takes the previous
-    /// entries off the front as it appends the new ones.
-    entries: VecDeque<ScheduledEntry>,
-    /// The earliest `completes_at` over `entries`, refreshed by the two
-    /// passes that rewrite them (`settle` and `reschedule`).
-    next: SimTime,
+    /// Each live flow's record, indexed by its allocator key.
+    held: Vec<HeldFlow>,
+    /// The completion instants of the drain accounts: an item's slot is
+    /// the key whose account it names.
+    calendar: CompletionCalendar,
     /// The active flows in ascending id order, kept across events: an
     /// arrival enters it, a completion leaves it.
     flows: Vec<LiveFlow>,
+    /// Scratch: the flows a reallocation re-rated, sorted by id.
+    rerated: Vec<LiveFlow>,
 }
 
-/// One active flow of [`FairShare`]: its id, the table slot an account
-/// opened for it reads (instead of probing the table), and its key in the
-/// allocator.
+/// One active flow of [`FairShare`], by allocator key: its id, the table
+/// slot an account opened for it reads (instead of probing the table),
+/// and its drain account while it transmits.
+#[derive(Debug, Clone, Copy)]
+struct HeldFlow {
+    id: FlowId,
+    slot: FlowSlot,
+    account: Option<ScheduledEntry>,
+}
+
+/// An active flow's id and allocator key.
 #[derive(Debug, Clone, Copy)]
 struct LiveFlow {
     id: FlowId,
-    slot: FlowSlot,
     key: FairShareKey,
+}
+
+/// The calendar's liveness check: the account of key `slot` holds `flow`,
+/// completing at `at`.
+fn account_at(held: &[HeldFlow]) -> impl Fn(SimTime, FlowId, usize) -> bool + '_ {
+    move |at, flow, slot| {
+        held.get(slot)
+            .and_then(|h| h.account.as_ref())
+            .is_some_and(|e| e.flow == flow && e.completes_at == at)
+    }
 }
 
 impl FairShare {
     pub(crate) fn new<T: Topology + ?Sized>(topo: &T, enforce_core: bool) -> Self {
         FairShare {
             alloc: FairShareAllocator::new(ConstraintSpec::new(topo, enforce_core)),
-            entries: VecDeque::new(),
-            next: SimTime::INFINITY,
+            held: Vec::new(),
+            calendar: CompletionCalendar::new(),
             flows: Vec::new(),
+            rerated: Vec::new(),
         }
     }
 }
@@ -671,30 +738,43 @@ impl AllocationPolicy for FairShare {
     }
 
     fn next_completion(&mut self) -> SimTime {
-        self.next
+        self.calendar.next_completion(account_at(&self.held))
     }
 
     fn settle(&mut self, t: SimTime, observe_all: bool, out: &mut Vec<SettledDrain>) -> bool {
-        // Lazy settlement touches only the flows *due* at t (one linear
-        // scan of cheap compares), deferring the others until a sample
-        // instant, the horizon, or their own rate change observes them.
-        // The same scan refreshes the earliest completion instant.
         let mut completed_any = false;
-        let mut next = SimTime::INFINITY;
-        self.entries.retain_mut(|e| {
-            if observe_all || t >= e.completes_at {
-                if let Some(drain) = e.settle(t) {
+        if observe_all {
+            // An observation point settles every account, in id order.
+            for flow in &self.flows {
+                let held = &mut self.held[flow.key.0 as usize];
+                if let Some(drain) = held.account.as_mut().and_then(|e| e.settle(t)) {
                     out.push(drain);
                     if drain.completed {
+                        held.account = None;
                         completed_any = true;
-                        return false;
                     }
                 }
             }
-            next = next.min(e.completes_at);
-            true
-        });
-        self.next = next;
+            return completed_any;
+        }
+        // Lazy settlement touches only the flows *due* at t, popped from
+        // the calendar (ties in id order), deferring the others until a
+        // sample instant, the horizon, or their own rate change observes
+        // them.
+        while let Some((_, key)) = self.calendar.pop_due(t, account_at(&self.held)) {
+            let held = &mut self.held[key];
+            let account = held.account.as_mut().expect("a live item has an account");
+            debug_assert_eq!(
+                account.completes_at, t,
+                "the wakeup is the earliest instant"
+            );
+            if let Some(drain) = account.settle(t) {
+                debug_assert!(drain.completed, "a due account completes");
+                out.push(drain);
+                held.account = None;
+                completed_any = true;
+            }
+        }
         completed_any
     }
 
@@ -712,38 +792,36 @@ impl AllocationPolicy for FairShare {
                 let mut active: Vec<_> = table.iter().map(|f| f.id()).collect();
                 active.sort_unstable();
                 active.iter().eq(self.flows.iter().map(|f| &f.id))
-                    && self
-                        .flows
-                        .iter()
-                        .all(|f| table.get_at(f.slot, f.id).is_some())
+                    && self.flows.iter().all(|f| {
+                        let held = &self.held[f.key.0 as usize];
+                        held.id == f.id && table.get_at(held.slot, f.id).is_some()
+                    })
             },
             "the kept flow list is the table's, in id order, with each flow's slot"
         );
         self.alloc.reallocate();
-        // The previous entries are an id-ordered subsequence of the active
-        // flows (a flow leaves the table only by completing, which drops
-        // its entry), so the walk alongside the allocation takes them off
-        // the ring's front, in order, while it appends the new entries:
-        // the ring never holds more entries than there are active flows.
-        let mut old_left = self.entries.len();
-        let mut next = SimTime::INFINITY;
-        for &LiveFlow { id, slot, key } in &self.flows {
+        // Only the flows the replay froze anew can have a new rate. An
+        // unchanged rate keeps its drain epoch, so the completion instant
+        // is bit-invariant to unrelated churn, and a starved flow that
+        // stays starved has no account to change.
+        for key in self.alloc.moved() {
+            let held = &self.held[key.0 as usize];
             let rate = Rate::from_bytes_per_sec(self.alloc.rate(key));
-            let prev = match self.entries.front() {
-                Some(e) if old_left > 0 && e.flow == id => {
-                    old_left -= 1;
-                    self.entries.pop_front()
-                }
-                _ => None,
+            let kept = match &held.account {
+                Some(old) => old.keeps_rate(rate),
+                None => rate.is_zero(),
             };
-            let (slot, remaining) = match prev {
-                // An unchanged rate keeps its drain epoch: the completion
-                // instant is bit-invariant to unrelated churn.
-                Some(old) if old.keeps_rate(rate) => {
-                    next = next.min(old.completes_at);
-                    self.entries.push_back(old);
-                    continue;
-                }
+            if !kept {
+                self.rerated.push(LiveFlow { id: held.id, key });
+            }
+        }
+        // The re-rated flows settle and reopen in id order, the emission
+        // order.
+        self.rerated.sort_unstable_by_key(|f| f.id);
+        for LiveFlow { id, key } in self.rerated.drain(..) {
+            let held = &mut self.held[key.0 as usize];
+            let rate = Rate::from_bytes_per_sec(self.alloc.rate(key));
+            let remaining = match held.account.take() {
                 // A rate change (or starvation) re-opens the epoch over
                 // the live remaining bytes, so any unsettled residue
                 // drains first — under eager settlement the event already
@@ -753,26 +831,30 @@ impl AllocationPolicy for FairShare {
                         debug_assert!(!drain.completed, "due flows settled first");
                         out.push(drain);
                     }
-                    (old.slot, old.epoch_remaining - old.settled)
+                    old.epoch_remaining - old.settled
                 }
                 // A flow without an account (newly arrived, or starved at
                 // the last allocation) reads its remaining bytes at the
                 // slot it was admitted to.
-                None => {
-                    let flow = table.get_at(slot, id).expect("slot holds it");
-                    (slot, flow.remaining())
-                }
+                None => table
+                    .get_at(held.slot, id)
+                    .expect("slot holds it")
+                    .remaining(),
             };
             // A zero rate (pathological rounding) starves the flow for one
             // epoch; it re-enters at the next event.
             if !rate.is_zero() {
-                let entry = ScheduledEntry::new(id, slot, now, remaining, rate);
-                next = next.min(entry.completes_at);
-                self.entries.push_back(entry);
+                let entry = ScheduledEntry::new(id, held.slot, now, remaining, rate);
+                self.calendar.push(entry.completes_at, id, key.0 as usize);
+                held.account = Some(entry);
             }
         }
-        debug_assert_eq!(old_left, 0, "every active flow was reallocated");
-        self.next = next;
+        // A re-rated long flow leaves a far-future stale item that no pop
+        // reaches soon: past twice the live flows, the calendar keeps only
+        // its live items.
+        if self.calendar.heap_len() > 2 * self.flows.len() + 32 {
+            self.calendar.compact(account_at(&self.held));
+        }
     }
 
     fn on_arrival<T: Topology + ?Sized>(
@@ -783,11 +865,19 @@ impl AllocationPolicy for FairShare {
     ) {
         let at = self.flows.partition_point(|f| f.id < arrival.id);
         let key = self.alloc.insert(arrival.voq);
+        let held = HeldFlow {
+            id: arrival.id,
+            slot,
+            account: None,
+        };
+        match self.held.get_mut(key.0 as usize) {
+            Some(reused) => *reused = held,
+            None => self.held.push(held),
+        }
         self.flows.insert(
             at,
             LiveFlow {
                 id: arrival.id,
-                slot,
                 key,
             },
         );
@@ -1127,9 +1217,17 @@ mod tests {
         }
     }
 
-    fn earliest(policy: &FairShare) -> SimTime {
+    /// The policy's drain accounts, in id order.
+    fn accounts(policy: &FairShare) -> Vec<ScheduledEntry> {
         policy
-            .entries
+            .flows
+            .iter()
+            .filter_map(|f| policy.held[f.key.0 as usize].account)
+            .collect()
+    }
+
+    fn earliest(policy: &FairShare) -> SimTime {
+        accounts(policy)
             .iter()
             .map(|e| e.completes_at)
             .min()
@@ -1166,10 +1264,11 @@ mod tests {
         admit(&mut policy, &mut table, 3, 2, 3, 2_500);
         admit(&mut policy, &mut table, 4, 0, 2, 1_000);
         policy.reschedule(&topo, us(1.0), &table, true, &mut NoProbe, &mut out);
-        let ids: Vec<u64> = policy.entries.iter().map(|e| e.flow.raw()).collect();
+        let held = accounts(&policy);
+        let ids: Vec<u64> = held.iter().map(|e| e.flow.raw()).collect();
         assert_eq!(ids, vec![1, 2, 3], "the starved flow has no account");
-        assert_eq!(policy.entries[0].epoch, SimTime::ZERO, "flow 1 kept");
-        assert_eq!(policy.entries[1].epoch, us(1.0), "flow 2 re-rated");
+        assert_eq!(held[0].epoch, SimTime::ZERO, "flow 1 kept");
+        assert_eq!(held[1].epoch, us(1.0), "flow 2 re-rated");
         // Flow 2's first microsecond settles as it is re-rated.
         assert_eq!(
             out,
@@ -1186,9 +1285,17 @@ mod tests {
         assert_eq!(policy.next_completion(), t3);
         assert_eq!(policy.next_completion(), earliest(&policy));
 
-        // A lazy settle at that instant completes flow 3 and touches
-        // nothing else.
+        // A lazy settle at an instant where nothing is due emits nothing
+        // and leaves every account as it was.
+        let before: Vec<_> = accounts(&policy).iter().map(|e| format!("{e:?}")).collect();
         out.clear();
+        assert!(!policy.settle(us(3.0), false, &mut out));
+        assert!(out.is_empty());
+        let after: Vec<_> = accounts(&policy).iter().map(|e| format!("{e:?}")).collect();
+        assert_eq!(after, before);
+        assert_eq!(policy.next_completion(), t3);
+
+        // A lazy settle at t3 completes flow 3 and touches nothing else.
         assert!(policy.settle(t3, false, &mut out));
         assert_eq!(
             out,
@@ -1199,9 +1306,66 @@ mod tests {
                 completed: true,
             }]
         );
-        assert_eq!(policy.entries.len(), 2);
+        assert_eq!(accounts(&policy).len(), 2);
         assert_eq!(policy.next_completion(), us(10.0));
         assert_eq!(policy.next_completion(), earliest(&policy));
+    }
+
+    /// A [`FairShare`] that checks, after every reschedule, that the
+    /// calendar holds at most twice the live flows' items plus 32.
+    struct Bounded(FairShare);
+
+    impl AllocationPolicy for Bounded {
+        fn supports_lazy_views(&self) -> bool {
+            self.0.supports_lazy_views()
+        }
+        fn next_completion(&mut self) -> SimTime {
+            self.0.next_completion()
+        }
+        fn settle(&mut self, t: SimTime, all: bool, out: &mut Vec<SettledDrain>) -> bool {
+            self.0.settle(t, all, out)
+        }
+        fn reschedule<T: Topology + ?Sized, O: Probe>(
+            &mut self,
+            topo: &T,
+            now: SimTime,
+            table: &FlowTable,
+            lazy: bool,
+            obs: &mut O,
+            out: &mut Vec<SettledDrain>,
+        ) {
+            self.0.reschedule(topo, now, table, lazy, obs, out);
+            let live = self.0.flows.len();
+            let items = self.0.calendar.heap_len();
+            assert!(items <= 2 * live + 32, "{items} items for {live} flows");
+        }
+        fn on_arrival<T: Topology + ?Sized>(&mut self, topo: &T, a: &FlowArrival, slot: FlowSlot) {
+            self.0.on_arrival(topo, a, slot);
+        }
+        fn on_drain(&mut self, drain: &SettledDrain) {
+            self.0.on_drain(drain);
+        }
+    }
+
+    #[test]
+    fn calendar_stays_within_twice_the_live_flows() {
+        let topo = KAryFatTree::builder(4)
+            .hosts_per_edge(4)
+            .oversubscription(2.0)
+            .build()
+            .unwrap();
+        let spec = dcn_workload::TrafficSpec::scaled(topo.num_racks(), topo.hosts_per_rack(), 0.8)
+            .unwrap();
+        let (run, bounded) = run_batch(
+            &topo,
+            spec.generator(3).unwrap(),
+            config(0.05),
+            NoProbe,
+            |e| Bounded(FairShare::new(&topo, e)),
+        )
+        .unwrap();
+        assert!(run.reschedules > 1_000, "{} reschedules", run.reschedules);
+        assert!(bounded.0.calendar.heap_len() <= 2 * bounded.0.flows.len() + 32);
     }
 
     /// Flows with ascending ids (with gaps) on the given VOQs.
@@ -1332,7 +1496,10 @@ mod tests {
             /// reallocation checked against the naive water-filler: several
             /// changes per reallocation, removals of flows no reallocation
             /// has seen yet (the newest flow leaving), reused keys, and the
-            /// allocator drained to empty and refilled.
+            /// allocator drained to empty and refilled. Each reallocation
+            /// also holds `moved()` to its contract: it names every flow
+            /// inserted since the last one and no removed flow, and every
+            /// flow outside it kept its rate to the bit.
             #[test]
             fn incremental_reallocation_matches_naive(
                 topo in 0u8..4,
@@ -1347,13 +1514,39 @@ mod tests {
                 // Arrivals cycle through the shape's VOQs, in id order.
                 let pool = voqs(shape, topo.num_hosts(), &pairs);
                 let mut held: Vec<Held> = Vec::new();
+                // The flows inserted since the last reallocation, by id.
+                let mut inserted = Vec::new();
                 let mut next = 0;
+                let check = |alloc: &mut FairShareAllocator,
+                             held: &[Held],
+                             inserted: &mut Vec<FlowId>| {
+                    let before: Vec<u64> =
+                        held.iter().map(|&(.., key)| alloc.rate(key).to_bits()).collect();
+                    assert_matches_naive(alloc, &spec, held);
+                    let moved: Vec<FairShareKey> = alloc.moved().collect();
+                    for (&(id, _, key), &rate) in held.iter().zip(&before) {
+                        if inserted.contains(&id) {
+                            assert!(moved.contains(&key), "inserted flow {id:?} not moved");
+                        } else if !moved.contains(&key) {
+                            assert_eq!(alloc.rate(key).to_bits(), rate, "flow {:?} re-rated", id);
+                        }
+                    }
+                    // A removed flow's key is live again only if reused.
+                    let live: Vec<FairShareKey> = held.iter().map(|&(.., key)| key).collect();
+                    assert!(
+                        moved.iter().all(|key| live.contains(key)),
+                        "a removed flow is among {moved:?}"
+                    );
+                    inserted.clear();
+                };
                 for &(op, at) in &ops {
                     match op {
                         0..=15 => {
                             let (s, d) = pool[next % pool.len()];
                             let voq = Voq::new(HostId::new(s), HostId::new(d));
-                            held.push((FlowId::new(next as u64), voq, alloc.insert(voq)));
+                            let id = FlowId::new(next as u64);
+                            held.push((id, voq, alloc.insert(voq)));
+                            inserted.push(id);
                             next += 1;
                         }
                         16..=19 if !held.is_empty() => {
@@ -1369,12 +1562,10 @@ mod tests {
                                 alloc.remove(key);
                             }
                         }
-                        _ => {
-                            assert_matches_naive(&mut alloc, &spec, &held);
-                        }
+                        _ => check(&mut alloc, &held, &mut inserted),
                     }
                 }
-                assert_matches_naive(&mut alloc, &spec, &held);
+                check(&mut alloc, &held, &mut inserted);
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Property tests for [`CompletionCalendar`] under adversarial reschedule
 //! sequences — the situations lazy invalidation must survive: the same
 //! flow rescheduled over and over (stale items pile up on the heap),
-//! re-applying an unchanged schedule (must push nothing), and
-//! drain-to-zero (empty schedules, `INFINITY` answers, then refills).
+//! re-applying an unchanged schedule (must push nothing), drain-to-zero
+//! (empty schedules, `INFINITY` answers, then refills), and compactions
+//! interleaved anywhere (after one, the heap holds one item per live
+//! account).
 //!
 //! The calendar keeps no live set; its owner's accounts are the truth.
 //! Here the owner is a naive model — one account per flow, in the slot
@@ -58,6 +60,14 @@ impl Owner {
         })
     }
 
+    /// Compacts the calendar against the accounts.
+    fn compact(&mut self) {
+        let live = &self.live;
+        self.cal.compact(|t, flow, slot| {
+            flow.raw() as usize == slot && live.get(&flow.raw()).map(|&t| at(t)) == Some(t)
+        });
+    }
+
     /// The naive answer: the minimum over the live accounts.
     fn want(&self) -> SimTime {
         self.live
@@ -70,19 +80,23 @@ impl Owner {
 
 proptest! {
     /// Arbitrary reschedule sequences over a small id space (maximizing
-    /// collisions): after every reschedule the calendar reports the live
-    /// minimum — never a stale instant — including after empty schedules
-    /// mid-sequence.
+    /// collisions), some steps compacted: after every reschedule the
+    /// calendar reports the live minimum — never a stale instant —
+    /// including after empty schedules mid-sequence.
     #[test]
     fn calendar_tracks_the_model_on_arbitrary_sequences(
         steps in prop::collection::vec(
-            prop::collection::vec((0u64..5, 0u64..200), 0..8),
+            (prop::collection::vec((0u64..5, 0u64..200), 0..8), 0u8..2),
             1..30,
         )
     ) {
         let mut owner = Owner::default();
-        for (step, schedule) in steps.iter().enumerate() {
+        for (step, (schedule, compact)) in steps.iter().enumerate() {
             owner.reschedule(schedule);
+            if *compact == 1 {
+                owner.compact();
+                prop_assert_eq!(owner.cal.heap_len(), owner.live.len(), "step {}", step);
+            }
             prop_assert_eq!(owner.next_completion(), owner.want(), "step {}", step);
             prop_assert!(owner.cal.heap_len() >= owner.live.len(), "step {}", step);
         }
@@ -142,6 +156,8 @@ enum DeltaOp {
     Query,
     /// `CompletionCalendar::pop_due` — settle the flows due by an instant.
     PopDue(u64),
+    /// `CompletionCalendar::compact` — drop every stale item at once.
+    Compact,
 }
 
 fn delta_op() -> impl Strategy<Value = DeltaOp> {
@@ -150,15 +166,17 @@ fn delta_op() -> impl Strategy<Value = DeltaOp> {
         2 => (0u64..6).prop_map(DeltaOp::Remove),
         2 => Just(DeltaOp::Query),
         1 => (0u64..300).prop_map(DeltaOp::PopDue),
+        1 => Just(DeltaOp::Compact),
     ]
 }
 
 proptest! {
-    /// Adversarial interleaving of opens, closes, queries and due pops:
-    /// after **every** operation the incrementally edited calendar agrees
-    /// with a calendar freshly built from the model, `pop_due` returns
-    /// exactly the due accounts once each, and popping both calendars to
-    /// exhaustion yields the same `(instant, flow)` sequence.
+    /// Adversarial interleaving of opens, closes, queries, due pops and
+    /// compactions: after **every** operation the incrementally edited
+    /// calendar agrees with a calendar freshly built from the model,
+    /// `pop_due` returns exactly the due accounts once each, a compaction
+    /// leaves exactly one item per live account, and popping both
+    /// calendars to exhaustion yields the same `(instant, flow)` sequence.
     #[test]
     fn targeted_edits_agree_with_a_freshly_built_calendar(
         ops in prop::collection::vec(delta_op(), 1..120)
@@ -205,6 +223,15 @@ proptest! {
                             && live.get(&flow.raw()).map(|&t| at(t)) == Some(at_)
                     });
                     prop_assert_eq!(popped, None, "step {}: nothing else is due", step);
+                }
+                DeltaOp::Compact => {
+                    owner.compact();
+                    prop_assert_eq!(
+                        owner.cal.heap_len(),
+                        owner.live.len(),
+                        "step {}: one item per live account",
+                        step
+                    );
                 }
             }
             let mut fresh = fresh_of(&owner.live);

@@ -9,7 +9,7 @@
 //! Three rows per fabric size (144 hosts `k = 4` and 1152 hosts `k = 16`,
 //! both 3:1 oversubscribed, matching the `fabric_scale` cells):
 //!
-//! * `stream/<hosts>` — criterion-timed full offer/step/drain run, the
+//! * `stream/<hosts>` — timed full offer/step/drain run, the
 //!   apples-to-apples counterpart of `fat_tree_scale/end_to_end`.
 //! * `decision_ns/<hosts>` — sustained wall nanoseconds per scheduling
 //!   decision (run wall time / reschedules); the reciprocal is the
@@ -21,18 +21,13 @@
 //!
 //! Medians land in `results/bench.json` via the merging recorder.
 
+use basrpt_bench::{BenchRow, Scale, Timer};
 use basrpt_core::Srpt;
-use criterion::{criterion_group, BenchResult, BenchmarkId, Criterion};
 use dcn_fabric::{KAryFatTree, OnlineFabric, SimConfig, Topology};
 use dcn_types::{FlowId, SimTime};
 use dcn_workload::{FlowArrival, QueryScope, TrafficSpec};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// Whether this is the seconds-budget smoke run (`BASRPT_SCALE=quick`).
-fn quick() -> bool {
-    std::env::var("BASRPT_SCALE").as_deref() == Ok("quick")
-}
 
 /// The benchmarked fabric cells: (k, hosts_per_edge) → 144 and 1152 hosts.
 const CELLS: &[(u32, u32)] = &[(4, 18), (16, 9)];
@@ -99,33 +94,26 @@ fn stream_once(topo: &KAryFatTree, arrivals: &[FlowArrival], cfg: SimConfig) -> 
     }
 }
 
-/// Criterion-timed full streaming runs across the fabric cells.
-fn bench_daemon_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("daemon_throughput");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(if quick() { 1 } else { 3 }));
+/// Timed full streaming runs across the fabric cells.
+fn bench_daemon_throughput() -> Vec<BenchRow> {
+    let quick = Scale::from_env() == Scale::Quick;
+    let budget = Duration::from_secs(if quick { 1 } else { 3 });
+    let mut t = Timer::new("daemon_throughput", 10, budget);
 
     let horizon = SimTime::from_secs(100e-6);
     let cfg = SimConfig::builder().horizon(horizon).build();
     for &(k, hosts_per_edge) in CELLS {
         let topo = topo_for(k, hosts_per_edge);
         let arrivals = arrivals_for(&topo, horizon);
-        group.bench_with_input(
-            BenchmarkId::new("stream", topo.num_hosts()),
-            &arrivals,
-            |b, arrivals| b.iter(|| stream_once(&topo, arrivals, cfg)),
-        );
+        t.time(&format!("stream/{}", topo.num_hosts()), || {
+            stream_once(&topo, &arrivals, cfg)
+        });
     }
-    group.finish();
+    t.into_rows()
 }
 
-criterion_group!(benches, bench_daemon_throughput);
-
 fn main() {
-    benches();
-    let mut results = criterion::take_results();
+    let mut rows = bench_daemon_throughput();
 
     // Derived steady-state rows: one instrumented run per cell.
     let horizon = SimTime::from_secs(100e-6);
@@ -146,14 +134,14 @@ fn main() {
                 per_decision,
                 1e9 / per_decision,
             );
-            results.push(BenchResult {
+            rows.push(BenchRow {
                 id: format!("daemon_throughput/decision_ns/{hosts}"),
                 median_ns: per_decision,
                 n: stats.decisions as usize,
             });
         }
         if stats.completions > 0 {
-            results.push(BenchResult {
+            rows.push(BenchRow {
                 id: format!("daemon_throughput/offer_to_completion_ns/{hosts}"),
                 median_ns: stats.latency_sum.as_nanos() as f64 / stats.completions as f64,
                 n: stats.completions,
@@ -161,8 +149,8 @@ fn main() {
         }
     }
 
-    match basrpt_bench::write_merged(&results) {
-        Ok(path) => println!("recorded {} benchmark medians to {path}", results.len()),
+    match basrpt_bench::write_merged(&rows) {
+        Ok(path) => println!("recorded {} benchmark medians to {path}", rows.len()),
         Err(e) => eprintln!("could not write bench.json: {e}"),
     }
 }

@@ -9,17 +9,12 @@
 //!
 //! Medians land in `results/bench.json` via the merging recorder.
 
+use basrpt_bench::{BenchRow, Scale, Timer};
 use basrpt_core::Srpt;
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcn_fabric::{simulate, KAryFatTree, SimConfig, Topology};
 use dcn_types::SimTime;
 use dcn_workload::{FlowArrival, QueryScope, TrafficSpec};
 use std::time::Duration;
-
-/// Whether this is the seconds-budget smoke run (`BASRPT_SCALE=quick`).
-fn quick() -> bool {
-    std::env::var("BASRPT_SCALE").as_deref() == Ok("quick")
-}
 
 /// A cluster-separable arrival vector for `topo`, cut at `horizon`.
 fn arrivals_for(
@@ -39,16 +34,14 @@ fn arrivals_for(
 }
 
 /// One global engine across fabric sizes 144 → 9216 hosts.
-fn bench_fat_tree_scale(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fat_tree_scale");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(if quick() { 1 } else { 3 }));
+fn bench_fat_tree_scale() -> Vec<BenchRow> {
+    let quick = Scale::from_env() == Scale::Quick;
+    let budget = Duration::from_secs(if quick { 1 } else { 3 });
+    let mut t = Timer::new("fat_tree_scale", 10, budget);
 
     // (k, hosts_per_edge): 8·18 = 144, 32·18 = 576, 128·9 = 1152,
     // 128·18 = 2304, 512·18 = 9216 hosts.
-    let cells: &[(u32, u32)] = if quick() {
+    let cells: &[(u32, u32)] = if quick {
         &[(4, 18), (16, 9)]
     } else {
         &[(4, 18), (8, 18), (16, 9), (16, 18), (32, 18)]
@@ -62,27 +55,17 @@ fn bench_fat_tree_scale(c: &mut Criterion) {
             .build()
             .expect("valid k-ary parameters");
         let arrivals = arrivals_for(&topo, QueryScope::Cluster(k / 2), 0.6, horizon, 11);
-        group.bench_with_input(
-            BenchmarkId::new("end_to_end", topo.num_hosts()),
-            &arrivals,
-            |b, arrivals| {
-                b.iter(|| {
-                    simulate(&topo, &mut Srpt::new(), arrivals.iter().copied(), cfg)
-                        .expect("fabric run")
-                })
-            },
-        );
+        t.time(&format!("end_to_end/{}", topo.num_hosts()), || {
+            simulate(&topo, &mut Srpt::new(), arrivals.iter().copied(), cfg).expect("fabric run")
+        });
     }
-    group.finish();
+    t.into_rows()
 }
 
-criterion_group!(benches, bench_fat_tree_scale);
-
 fn main() {
-    benches();
-    let results = criterion::take_results();
-    match basrpt_bench::write_merged(&results) {
-        Ok(path) => println!("recorded {} benchmark medians to {path}", results.len()),
+    let rows = bench_fat_tree_scale();
+    match basrpt_bench::write_merged(&rows) {
+        Ok(path) => println!("recorded {} benchmark medians to {path}", rows.len()),
         Err(e) => eprintln!("could not write bench.json: {e}"),
     }
 }

@@ -1,6 +1,6 @@
 //! Ablation — scheduler decision latency (§IV-C's complexity discussion).
 //!
-//! Criterion micro-benchmarks of a single `schedule()` call as the number
+//! Micro-benchmarks of a single `schedule()` call as the number
 //! of active flows grows, for every discipline (and exact BASRPT on the
 //! small instances it can enumerate). The paper motivates fast BASRPT by
 //! exactly this cost: the exact scheduler is exponential, the greedy pass
@@ -32,14 +32,15 @@
 //! residue is an `O(1)` due-check plus `O(1)` per-VOQ view adjustment
 //! instead of an `O(n)` sweep of every scheduled flow.
 
+use basrpt_bench::{BenchRow, Timer};
 use basrpt_core::{
     ExactBasrpt, FastBasrpt, FlowSlot, FlowState, FlowTable, MaxWeight, Scheduler, Srpt, VoqView,
 };
-use criterion::{criterion_group, BatchSize, BenchmarkGroup, BenchmarkId, Criterion};
 use dcn_fabric::CompletionCalendar;
 use dcn_types::{FlowId, HostId, SimTime, Voq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Duration;
 
 fn table_with(num_hosts: u32, num_flows: usize, seed: u64) -> FlowTable {
@@ -62,65 +63,45 @@ fn table_with(num_hosts: u32, num_flows: usize, seed: u64) -> FlowTable {
     table
 }
 
-fn bench_disciplines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("schedule_decision");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(30);
+fn bench_disciplines() -> Vec<BenchRow> {
+    let mut t = Timer::new("schedule_decision", 30, Duration::from_secs(2));
 
     for &flows in &[100usize, 1_000, 10_000] {
         let table = table_with(144, flows, 42);
         // Each decision on a fresh discipline: the cold decision, with no
         // order carried from a previous call on this unchanged table.
-        cold_decision(&mut group, "srpt", flows, &table, Srpt::new);
-        cold_decision(&mut group, "fast_basrpt", flows, &table, || {
+        cold_decision(&mut t, "srpt", flows, &table, Srpt::new);
+        cold_decision(&mut t, "fast_basrpt", flows, &table, || {
             FastBasrpt::new(2500.0, 144)
         });
-        cold_decision(&mut group, "maxweight", flows, &table, MaxWeight::new);
+        cold_decision(&mut t, "maxweight", flows, &table, MaxWeight::new);
         // One long-lived discipline re-deciding the unchanged table: the
         // presorted best case of the carried ranking.
         let mut warm = FastBasrpt::new(2500.0, 144);
-        group.bench_with_input(
-            BenchmarkId::new("fast_basrpt_warm", flows),
-            &table,
-            |b, t| b.iter(|| warm.schedule(std::hint::black_box(t))),
-        );
+        t.time(&format!("fast_basrpt_warm/{flows}"), || {
+            warm.schedule(black_box(&table))
+        });
         // The literal Algorithm 1 (sorts all flows) vs the per-VOQ-head
         // scheduler above — the O(F log F) vs O(Q log Q) gap.
-        group.bench_with_input(
-            BenchmarkId::new("fast_basrpt_literal", flows),
-            &table,
-            |b, t| {
-                b.iter(|| {
-                    basrpt_core::reference::fast_basrpt_all_flows(
-                        std::hint::black_box(t),
-                        2500.0,
-                        144,
-                    )
-                })
-            },
-        );
+        t.time(&format!("fast_basrpt_literal/{flows}"), || {
+            basrpt_core::reference::fast_basrpt_all_flows(black_box(&table), 2500.0, 144)
+        });
     }
-    group.finish();
+    t.into_rows()
 }
 
 /// Benchmarks one decision of a fresh `make()` discipline per iteration;
 /// only the decision (and dropping the discipline with its buffers) is
 /// timed.
 fn cold_decision<S: Scheduler>(
-    group: &mut BenchmarkGroup<'_>,
+    t: &mut Timer,
     name: &str,
     flows: usize,
     table: &FlowTable,
     make: impl Fn() -> S,
 ) {
-    group.bench_with_input(BenchmarkId::new(name, flows), table, |b, t| {
-        b.iter_batched(
-            &make,
-            |mut sched| sched.schedule(std::hint::black_box(t)),
-            BatchSize::SmallInput,
-        )
+    t.time_batched(&format!("{name}/{flows}"), make, |mut sched| {
+        sched.schedule(black_box(table))
     });
 }
 
@@ -134,19 +115,15 @@ fn cold_decision<S: Scheduler>(
 /// over, and whose settled drains write back into the table. SRPT and fast
 /// BASRPT carry their matching and certify almost every decision;
 /// MaxWeight's keys rise, so each of its decisions is a full pass.
-fn bench_event_decision(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_decision");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-    event_decision(&mut group, "srpt", Srpt::new());
-    event_decision(&mut group, "fast_basrpt", FastBasrpt::new(2500.0, 144));
-    event_decision(&mut group, "maxweight", MaxWeight::new());
-    group.finish();
+fn bench_event_decision() -> Vec<BenchRow> {
+    let mut t = Timer::new("event_decision", 20, Duration::from_secs(2));
+    event_decision(&mut t, "srpt", Srpt::new());
+    event_decision(&mut t, "fast_basrpt", FastBasrpt::new(2500.0, 144));
+    event_decision(&mut t, "maxweight", MaxWeight::new());
+    t.into_rows()
 }
 
-fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut sched: S) {
+fn event_decision<S: Scheduler>(t: &mut Timer, name: &str, mut sched: S) {
     use dcn_fabric::DeltaAllocator;
     use dcn_types::Rate;
 
@@ -203,9 +180,7 @@ fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut 
     for _ in 0..20_000 {
         event(&mut sched);
     }
-    group.bench_with_input(BenchmarkId::new(name, PORTS), &(), |b, _| {
-        b.iter(|| event(&mut sched))
-    });
+    t.time(&format!("{name}/{PORTS}"), || event(&mut sched));
 }
 
 /// End-to-end engine runs under each probe flavour, attached through
@@ -215,16 +190,12 @@ fn event_decision<S: Scheduler>(group: &mut BenchmarkGroup<'_>, name: &str, mut 
 /// attaching it costs nothing. The counter and JSONL rows price the real
 /// observers (the JSONL probe writes to `io::sink`, so its row is pure
 /// formatting cost).
-fn bench_probe_overhead(c: &mut Criterion) {
+fn bench_probe_overhead() -> Vec<BenchRow> {
     use dcn_fabric::{simulate, simulate_probed, FatTree, SimConfig};
     use dcn_probe::{EventCounterProbe, JsonlProbe, NoProbe};
     use dcn_workload::TrafficSpec;
 
-    let mut group = c.benchmark_group("probe_overhead");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
+    let mut t = Timer::new("probe_overhead", 20, Duration::from_secs(2));
 
     let topo = FatTree::scaled(2, 4, 1).expect("valid scaled fabric");
     let spec = TrafficSpec::scaled(2, 4, 0.7).expect("valid load");
@@ -232,50 +203,29 @@ fn bench_probe_overhead(c: &mut Criterion) {
         .horizon(SimTime::from_secs(0.05))
         .build();
 
-    group.bench_function("simulate_bare", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            simulate(&topo, &mut sched, generator, config).expect("valid simulation")
-        })
+    t.time("simulate_bare", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        simulate(&topo, &mut sched, generator, config).expect("valid simulation")
     });
-    group.bench_function("builder_noprobe", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            simulate_probed(&topo, &mut sched, generator, config, NoProbe)
-                .expect("valid simulation")
-        })
+    t.time("builder_noprobe", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        simulate_probed(&topo, &mut sched, generator, config, NoProbe).expect("valid simulation")
     });
-    group.bench_function("builder_counter", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            simulate_probed(
-                &topo,
-                &mut sched,
-                generator,
-                config,
-                EventCounterProbe::new(),
-            )
-            .expect("valid simulation")
-        })
+    t.time("builder_counter", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        let probe = EventCounterProbe::new();
+        simulate_probed(&topo, &mut sched, generator, config, probe).expect("valid simulation")
     });
-    group.bench_function("builder_jsonl_sink", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            simulate_probed(
-                &topo,
-                &mut sched,
-                generator,
-                config,
-                JsonlProbe::new(std::io::sink()),
-            )
-            .expect("valid simulation")
-        })
+    t.time("builder_jsonl_sink", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        let probe = JsonlProbe::new(std::io::sink());
+        simulate_probed(&topo, &mut sched, generator, config, probe).expect("valid simulation")
     });
-    group.finish();
+    t.into_rows()
 }
 
 /// Next-event lookup cost inside the fabric event loop: the seed engine
@@ -286,15 +236,11 @@ fn bench_probe_overhead(c: &mut Criterion) {
 /// amortized across them). The `engine_*` rows measure the end-to-end gap
 /// on the paper's 144-host fabric, where the scheduled set is large enough
 /// for the lookup to matter.
-fn bench_event_loop(c: &mut Criterion) {
+fn bench_event_loop() -> Vec<BenchRow> {
     use dcn_fabric::{reference, simulate, FatTree, SimConfig};
     use dcn_workload::TrafficSpec;
 
-    let mut group = c.benchmark_group("event_loop");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
+    let mut t = Timer::new("event_loop", 20, Duration::from_secs(2));
 
     for &n in &[64usize, 256, 1024, 4096] {
         let mut rng = StdRng::seed_from_u64(9);
@@ -307,27 +253,20 @@ fn bench_event_loop(c: &mut Criterion) {
             })
             .collect();
 
-        group.bench_with_input(
-            BenchmarkId::new("next_completion_scan", n),
-            &pairs,
-            |b, p| {
-                b.iter(|| {
-                    p.iter()
-                        .map(|&(_, at)| at)
-                        .min()
-                        .unwrap_or(SimTime::INFINITY)
-                })
-            },
-        );
+        t.time(&format!("next_completion_scan/{n}"), || {
+            pairs
+                .iter()
+                .map(|&(_, at)| at)
+                .min()
+                .unwrap_or(SimTime::INFINITY)
+        });
 
         // Flow `i`'s account sits in slot `i`; the calendar validates its
         // top against that slot's instant.
         let (mut cal, live) = calendar_of(&pairs);
-        group.bench_with_input(
-            BenchmarkId::new("next_completion_calendar", n),
-            &(),
-            |b, _| b.iter(|| cal.next_completion(|at, _, slot| live[slot] == at)),
-        );
+        t.time(&format!("next_completion_calendar/{n}"), || {
+            cal.next_completion(|at, _, slot| live[slot] == at)
+        });
     }
 
     let topo = FatTree::paper_topology();
@@ -335,22 +274,17 @@ fn bench_event_loop(c: &mut Criterion) {
     let config = SimConfig::builder()
         .horizon(SimTime::from_millis(5.0))
         .build();
-    group.bench_function("engine_calendar_paper_fabric", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            simulate(&topo, &mut sched, generator, config).expect("valid simulation")
-        })
+    t.time("engine_calendar_paper_fabric", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        simulate(&topo, &mut sched, generator, config).expect("valid simulation")
     });
-    group.bench_function("engine_scan_paper_fabric", |b| {
-        b.iter(|| {
-            let mut sched = Srpt::new();
-            let generator = spec.generator(42).expect("valid spec");
-            reference::simulate_scan(&topo, &mut sched, generator, config)
-                .expect("valid simulation")
-        })
+    t.time("engine_scan_paper_fabric", || {
+        let mut sched = Srpt::new();
+        let generator = spec.generator(42).expect("valid spec");
+        reference::simulate_scan(&topo, &mut sched, generator, config).expect("valid simulation")
     });
-    group.finish();
+    t.into_rows()
 }
 
 /// A calendar holding one item per `(flow, instant)` pair, flow `i` in
@@ -373,15 +307,11 @@ fn calendar_of(pairs: &[(FlowId, SimTime)]) -> (CompletionCalendar, Vec<SimTime>
 /// hands back its previous one, which the next iteration edits and
 /// applies, so no pair is copied. `PERFMODEL.md` has the full
 /// decomposition.
-fn bench_delta_reschedule(c: &mut Criterion) {
+fn bench_delta_reschedule() -> Vec<BenchRow> {
     use dcn_fabric::DeltaAllocator;
     use dcn_types::Rate;
 
-    let mut group = c.benchmark_group("delta_reschedule");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
+    let mut t = Timer::new("delta_reschedule", 20, Duration::from_secs(2));
 
     for &n in &[64usize, 256, 1024, 4096] {
         let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
@@ -402,18 +332,16 @@ fn bench_delta_reschedule(c: &mut Criterion) {
         let mut swapped = base.clone();
         alloc.apply(SimTime::ZERO, &mut base, admit, |_| {});
         let mut tick = 0u64;
-        group.bench_with_input(BenchmarkId::new("allocator_swap_one", n), &n, |b, &n| {
-            b.iter(|| {
-                // Alternate the last slot between two flow ids: every
-                // apply sees one entrant, one leaver, n-1 stays.
-                tick += 1;
-                swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
-                alloc.apply(SimTime::ZERO, &mut swapped, admit, |_| {});
-                alloc.next_completion()
-            })
+        t.time(&format!("allocator_swap_one/{n}"), || {
+            // Alternate the last slot between two flow ids: every
+            // apply sees one entrant, one leaver, n-1 stays.
+            tick += 1;
+            swapped[n - 1].0 = FlowId::new((n as u64) + (tick & 1));
+            alloc.apply(SimTime::ZERO, &mut swapped, admit, |_| {});
+            alloc.next_completion()
         });
     }
-    group.finish();
+    t.into_rows()
 }
 
 /// The lazy settlement primitives the per-event path leans on, as the
@@ -430,16 +358,12 @@ fn bench_delta_reschedule(c: &mut Criterion) {
 ///
 /// The `O(Δ)` reschedule itself is covered by `delta_reschedule`; these
 /// rows isolate the *observation* costs that the lazy discipline added.
-fn bench_settle_cost(c: &mut Criterion) {
+fn bench_settle_cost() -> Vec<BenchRow> {
     use basrpt_core::ViewAdjust;
     use dcn_fabric::DeltaAllocator;
     use dcn_types::Rate;
 
-    let mut group = c.benchmark_group("settle_cost");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
+    let mut t = Timer::new("settle_cost", 20, Duration::from_secs(2));
 
     for &n in &[64usize, 256, 1024, 4096] {
         let sel: Vec<(FlowId, Voq)> = (0..n)
@@ -474,12 +398,10 @@ fn bench_settle_cost(c: &mut Criterion) {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
             alloc.apply(SimTime::ZERO, &mut sel.clone(), admit, |_| {});
             let mut tick = 0u64;
-            group.bench_with_input(BenchmarkId::new("due_check", n), &n, |b, _| {
-                b.iter(|| {
-                    tick += 1;
-                    alloc.settle_due(SimTime::from_micros((tick % 997) as f64), |_| {
-                        unreachable!("no completion is due")
-                    })
+            t.time(&format!("due_check/{n}"), || {
+                tick += 1;
+                alloc.settle_due(SimTime::from_micros((tick % 997) as f64), |_| {
+                    unreachable!("no completion is due")
                 })
             });
         }
@@ -488,19 +410,17 @@ fn bench_settle_cost(c: &mut Criterion) {
             let mut alloc = DeltaAllocator::new(Rate::from_gbps(10.0));
             alloc.apply(SimTime::ZERO, &mut sel.clone(), admit, |_| {});
             let mut tick = 0u64;
-            group.bench_with_input(BenchmarkId::new("view_adjust", n), &n, |b, &n| {
-                b.iter(|| {
-                    tick += 1;
-                    let mut view = views[(tick % n as u64) as usize];
-                    alloc
-                        .live_views(SimTime::from_micros((1 + tick % 997) as f64))
-                        .adjust(&mut view);
-                    view.backlog
-                })
+            t.time(&format!("view_adjust/{n}"), || {
+                tick += 1;
+                let mut view = views[(tick % n as u64) as usize];
+                alloc
+                    .live_views(SimTime::from_micros((1 + tick % 997) as f64))
+                    .adjust(&mut view);
+                view.backlog
             });
         }
     }
-    group.finish();
+    t.into_rows()
 }
 
 /// The switch driver `run` (macro-slot windows) vs the slot-by-slot
@@ -519,7 +439,7 @@ fn bench_settle_cost(c: &mut Criterion) {
 /// arrivals admit no lookahead — any slot may bring a flow — which caps
 /// every window at one slot, where the driver must cost no more than the
 /// oracle.
-fn bench_fastforward(c: &mut Criterion) {
+fn bench_fastforward() -> Vec<BenchRow> {
     use basrpt_core::{CountingScheduler, ThresholdBacklogSrpt};
     use dcn_switch::arrivals::BernoulliFlowArrivals;
     use dcn_switch::{reference, run, RunConfig, ScriptedArrivals};
@@ -594,98 +514,77 @@ fn bench_fastforward(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group("fastforward_switch");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-    group.bench_function("slot_by_slot", |b| {
-        b.iter(|| {
-            reference::run(
-                PORTS,
-                &mut Srpt::new(),
-                &mut fig2_style_script(1),
-                RunConfig::new(SLOTS),
-            )
-        })
+    let mut t = Timer::new("fastforward_switch", 20, Duration::from_secs(2));
+    t.time("slot_by_slot", || {
+        reference::run(
+            PORTS,
+            &mut Srpt::new(),
+            &mut fig2_style_script(1),
+            RunConfig::new(SLOTS),
+        )
     });
-    group.bench_function("fast_forward", |b| {
-        b.iter(|| {
-            run(
-                PORTS,
-                &mut Srpt::new(),
-                &mut fig2_style_script(1),
-                RunConfig::new(SLOTS),
-            )
-        })
+    t.time("fast_forward", || {
+        run(
+            PORTS,
+            &mut Srpt::new(),
+            &mut fig2_style_script(1),
+            RunConfig::new(SLOTS),
+        )
     });
-    group.bench_function("slot_by_slot_bernoulli", |b| {
-        b.iter(|| {
-            reference::run(
-                8,
-                &mut Srpt::new(),
-                &mut theorem1_arrivals(),
-                RunConfig::new(SLOTS),
-            )
-        })
+    t.time("slot_by_slot_bernoulli", || {
+        reference::run(
+            8,
+            &mut Srpt::new(),
+            &mut theorem1_arrivals(),
+            RunConfig::new(SLOTS),
+        )
     });
-    group.bench_function("fast_forward_bernoulli", |b| {
-        b.iter(|| {
-            run(
-                8,
-                &mut Srpt::new(),
-                &mut theorem1_arrivals(),
-                RunConfig::new(SLOTS),
-            )
-        })
+    t.time("fast_forward_bernoulli", || {
+        run(
+            8,
+            &mut Srpt::new(),
+            &mut theorem1_arrivals(),
+            RunConfig::new(SLOTS),
+        )
     });
-    group.finish();
+    t.into_rows()
 }
 
-fn bench_exact_blowup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exact_basrpt_enumeration");
-    group
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
+fn bench_exact_blowup() -> Vec<BenchRow> {
+    let mut t = Timer::new("exact_basrpt_enumeration", 20, Duration::from_secs(2));
 
     for &ports in &[3u32, 4, 5, 6] {
         // Dense small instance: ~2 flows per VOQ.
         let flows = (ports * ports * 2) as usize;
         let table = table_with(ports, flows, 7);
         let exact = ExactBasrpt::with_port_limit(100.0, ports as usize);
-        group.bench_with_input(BenchmarkId::new("ports", ports), &table, |b, t| {
-            b.iter(|| exact.try_schedule(std::hint::black_box(t)).unwrap())
+        t.time(&format!("ports/{ports}"), || {
+            exact.try_schedule(black_box(&table)).unwrap()
         });
         // The greedy approximation on the identical instance, for contrast.
         let mut fast = FastBasrpt::new(100.0, ports as usize);
-        group.bench_with_input(
-            BenchmarkId::new("fast_same_instance", ports),
-            &table,
-            |b, t| b.iter(|| fast.schedule(std::hint::black_box(t))),
-        );
+        t.time(&format!("fast_same_instance/{ports}"), || {
+            fast.schedule(black_box(&table))
+        });
     }
-    group.finish();
+    t.into_rows()
 }
 
-criterion_group!(
-    benches,
-    bench_disciplines,
-    bench_event_decision,
-    bench_probe_overhead,
-    bench_event_loop,
-    bench_delta_reschedule,
-    bench_settle_cost,
-    bench_fastforward,
-    bench_exact_blowup
-);
-
 fn main() {
-    benches();
-    let results = criterion::take_results();
+    let groups: [fn() -> Vec<BenchRow>; 8] = [
+        bench_disciplines,
+        bench_event_decision,
+        bench_probe_overhead,
+        bench_event_loop,
+        bench_delta_reschedule,
+        bench_settle_cost,
+        bench_fastforward,
+        bench_exact_blowup,
+    ];
+    let rows: Vec<BenchRow> = groups.iter().flat_map(|group| group()).collect();
     // Merge (not overwrite): other bench targets also record groups here.
-    match basrpt_bench::write_merged(&results) {
-        Ok(path) => println!("recorded {} benchmark medians to {path}", results.len()),
+    match basrpt_bench::write_merged(&rows) {
+        Ok(path) => println!("recorded {} benchmark medians to {path}", rows.len()),
         Err(e) => eprintln!("could not write bench.json: {e}"),
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Usage: `perf_gate <baseline.json> [fresh.json]`
 //!
-//! Compares the gated criterion groups of a freshly recorded
+//! Compares the gated groups of a freshly recorded
 //! `bench.json` (defaulting to the workspace `results/bench.json`)
 //! against a committed baseline copy and **fails (exit 1) when any row's
 //! median regresses by more than 1.5×**. The gated groups are the ones
@@ -25,7 +25,7 @@
 use basrpt_bench::{median_ns, parse_groups};
 use std::process::ExitCode;
 
-/// The criterion groups the gate compares.
+/// The groups the gate compares.
 const GATED_GROUPS: &[&str] = &["event_loop", "delta_reschedule", "settle_cost"];
 
 /// Maximum tolerated `fresh / baseline` median ratio.

@@ -25,8 +25,10 @@ pub mod parallel;
 pub mod record;
 pub mod runner;
 pub mod scale;
+pub mod timer;
 
 pub use parallel::{run_seeds, run_seeds_with, seeds_from_env, threads_from_env, SeedStats};
-pub use record::{median_ns, parse_groups, write_merged, Groups};
+pub use record::{median_ns, parse_groups, write_merged, BenchRow, Groups};
 pub use runner::{paper_equivalent_fast_basrpt, run_fabric, run_fabric_with, FCT_BASE_LATENCY_US};
 pub use scale::Scale;
+pub use timer::Timer;

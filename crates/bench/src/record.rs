@@ -1,8 +1,10 @@
 //! Merging writer for `results/bench.json`.
 //!
 //! Several `[[bench]]` targets record machine-readable medians
-//! (`sched_overhead`, `fabric_scale`). Each used to overwrite the whole
-//! file, so running one target silently dropped the other's numbers. The
+//! (`sched_overhead`, `fabric_scale`, `daemon_throughput`,
+//! `baseline_disciplines`), timed by [`Timer`](crate::timer::Timer).
+//! Each used to overwrite the whole file, so running one target silently
+//! dropped the other's numbers. The
 //! writer here merges instead: groups recorded by *this* invocation
 //! replace their previous entries, every other group is carried over
 //! verbatim, and the output stays deterministic (groups and rows sorted
@@ -13,9 +15,19 @@
 //! so the reader only has to understand its own writer (the workspace
 //! deliberately vendors no JSON parser).
 
-use criterion::BenchResult;
 use std::collections::BTreeMap;
 use std::io;
+
+/// One recorded row: the median of one timed routine.
+#[derive(Debug, Clone)]
+pub struct BenchRow {
+    /// Full row id, `group/function/parameter`.
+    pub id: String,
+    /// Median per-iteration time in nanoseconds.
+    pub median_ns: f64,
+    /// Number of samples behind the median.
+    pub n: usize,
+}
 
 /// Workspace-level path of the recorded medians, anchored on this crate's
 /// manifest so `cargo bench` resolves it regardless of its CWD.
@@ -97,10 +109,10 @@ fn render(groups: &Groups) -> String {
     json
 }
 
-/// Groups freshly recorded results as `group → [(key, row object)]`.
-fn group_results(results: &[BenchResult]) -> Groups {
+/// Groups freshly recorded rows as `group → [(key, row object)]`.
+fn group_rows(rows: &[BenchRow]) -> Groups {
     let mut fresh = Groups::new();
-    for r in results {
+    for r in rows {
         let group = r.id.split('/').next().unwrap_or(&r.id).to_string();
         let key =
             r.id.strip_prefix(group.as_str())
@@ -113,19 +125,19 @@ fn group_results(results: &[BenchResult]) -> Groups {
     fresh
 }
 
-/// Merges `results` into `results/bench.json` and returns the path
-/// written. Groups present in `results` are replaced wholesale (a rerun
+/// Merges `rows` into `results/bench.json` and returns the path
+/// written. Groups present in `rows` are replaced wholesale (a rerun
 /// of one bench target refreshes all of its rows); groups recorded by
 /// other targets survive untouched.
 ///
 /// # Errors
 ///
 /// Propagates the I/O error if the file cannot be written.
-pub fn write_merged(results: &[BenchResult]) -> io::Result<String> {
+pub fn write_merged(rows: &[BenchRow]) -> io::Result<String> {
     let mut groups = std::fs::read_to_string(BENCH_JSON_PATH)
         .map(|text| parse_groups(&text))
         .unwrap_or_default();
-    for (group, rows) in group_results(results) {
+    for (group, rows) in group_rows(rows) {
         groups.insert(group, rows);
     }
     std::fs::write(BENCH_JSON_PATH, render(&groups))?;
@@ -136,8 +148,8 @@ pub fn write_merged(results: &[BenchResult]) -> io::Result<String> {
 mod tests {
     use super::*;
 
-    fn result(id: &str, median_ns: f64, n: usize) -> BenchResult {
-        BenchResult {
+    fn row(id: &str, median_ns: f64, n: usize) -> BenchRow {
+        BenchRow {
             id: id.to_string(),
             median_ns,
             n,
@@ -146,10 +158,10 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_groups_and_rows() {
-        let rendered = render(&group_results(&[
-            result("alpha/one_pass/100", 12.5, 15),
-            result("alpha/one_pass/200", 25.0, 15),
-            result("beta/scan/100", 7.0, 20),
+        let rendered = render(&group_rows(&[
+            row("alpha/one_pass/100", 12.5, 15),
+            row("alpha/one_pass/200", 25.0, 15),
+            row("beta/scan/100", 7.0, 20),
         ]));
         let parsed = parse_groups(&rendered);
         assert_eq!(parsed.len(), 2);
@@ -161,11 +173,11 @@ mod tests {
 
     #[test]
     fn merge_replaces_only_the_recorded_groups() {
-        let mut on_disk = group_results(&[
-            result("alpha/one_pass/100", 12.5, 15),
-            result("beta/scan/100", 7.0, 20),
+        let mut on_disk = group_rows(&[
+            row("alpha/one_pass/100", 12.5, 15),
+            row("beta/scan/100", 7.0, 20),
         ]);
-        let fresh = group_results(&[result("beta/scan/100", 9.0, 25)]);
+        let fresh = group_rows(&[row("beta/scan/100", 9.0, 25)]);
         for (group, rows) in fresh {
             on_disk.insert(group, rows);
         }

@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the tier-1 gate from ROADMAP.md.
 
-.PHONY: verify lint test test-baselines test-crates bench-smoke trace-smoke daemon-smoke docs doc-tests loc clean
+.PHONY: verify lint test test-baselines test-crates bench-smoke perf-pairs trace-smoke daemon-smoke docs doc-tests loc clean
 
 # Tier-1: release build + the root package's quiet test run, plus the
 # trace and daemon round-trip smokes, a warning-free lint/format gate,
@@ -58,6 +58,19 @@ bench-smoke:
 	BASRPT_SCALE=quick cargo bench -p basrpt-bench --bench daemon_throughput
 	BASRPT_SCALE=quick cargo bench -p basrpt-bench --bench baseline_disciplines
 	cargo run --release -p basrpt-bench --bin perf_gate -- target/bench-baseline.json
+
+# Alternating perfbench pairs of two checkouts on one workload and seed
+# (`perf_pairs.py`): the parent's median and quartiles, the change's
+# median and how many pairs read lower, per end-to-end metric. PARENT is
+# a checkout of the parent commit, e.g. one made with `git archive`.
+WORKLOAD ?= paper_basrpt
+SEED ?= 1
+PAIRS ?= 10
+RUN_SECONDS ?= 30
+CHANGE ?= .
+perf-pairs:
+	python3 perf_pairs.py $(PARENT) $(CHANGE) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS) --seconds $(RUN_SECONDS)
 
 # Short traced simulation: streams every event to JSONL, re-parses each
 # emitted line and exits non-zero on any schema violation.

@@ -120,7 +120,7 @@ impl Scheduler for FastBasrpt {
         let w = self.weight();
         // A transmitting VOQ's key moves by `(1 − w)` per byte sent.
         let motion = if w >= 1.0 {
-            KeyMotion::Falls
+            KeyMotion::Falls { per_byte: w - 1.0 }
         } else {
             KeyMotion::MayRise
         };

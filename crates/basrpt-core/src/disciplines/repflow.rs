@@ -93,13 +93,17 @@ impl Scheduler for RepFlow {
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
         // Identical ranking to SRPT: replication happens on the fabric
         // side, the crossbar matching is untouched.
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, KeyMotion::Falls, |v| {
-            Candidate {
+        schedule_champions_adjusted(
+            &mut self.ranking,
+            table,
+            adjust,
+            KeyMotion::Falls { per_byte: 1.0 },
+            |v| Candidate {
                 key: v.shortest_remaining as f64,
                 flow: v.shortest_flow,
                 voq: v.voq,
-            }
-        })
+            },
+        )
     }
 }
 

@@ -76,13 +76,17 @@ impl Scheduler for Srpt {
     }
 
     fn schedule_adjusted(&mut self, table: &FlowTable, adjust: &dyn ViewAdjust) -> Schedule {
-        schedule_champions_adjusted(&mut self.ranking, table, adjust, KeyMotion::Falls, |v| {
-            Candidate {
+        schedule_champions_adjusted(
+            &mut self.ranking,
+            table,
+            adjust,
+            KeyMotion::Falls { per_byte: 1.0 },
+            |v| Candidate {
                 key: v.shortest_remaining as f64,
                 flow: v.shortest_flow,
                 voq: v.voq,
-            }
-        })
+            },
+        )
     }
 }
 

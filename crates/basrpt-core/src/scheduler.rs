@@ -1,4 +1,88 @@
 //! The scheduler interface and the shared greedy maximal-matching engine.
+//!
+//! # The drain-invariant key
+//!
+//! A key-driven discipline carries its matching from one decision to the
+//! next ([`Ranking`]). When the lens reports a drain clock
+//! ([`ViewAdjust::clock`]), a certified decision leaves unread the matched
+//! VOQs no mutation touched, the *clean members*, and orders them by a key
+//! that draining does not move. This section derives how far that key can
+//! move anyway, the *margin* a decision relies on.
+//!
+//! **The premise.** A clean member read at `r` drains its champion at the
+//! lens's rate `R` from an epoch `e` of its own, so at `t ≥ r` the
+//! champion owes `d(t) = ⌊R ⊗ (t ⊖ e)⌋` bytes, where `⊗`, `⊖` and `⊕` are
+//! `f64` operations and the truncation is the settlement's
+//! (`dcn_fabric`'s `ScheduledEntry::target_at`; its clamp at the epoch's
+//! size never binds before the flow completes, and a completion is a
+//! mutation). The discipline's key falls by `f` per byte sent
+//! ([`KeyMotion::Falls`]), so its exact value is `k*(t) = C − f·d(t)` for a
+//! constant `C`.
+//!
+//! **The key.** A decision at `t` with clock `X = R ⊗ t` stores
+//! `b = k ⊕ F` with `F = f ⊗ X` for every member it reads, where `k` is the
+//! key the discipline computed. Write `R ⊗ (t ⊖ e) = R·(t − e) + η` and
+//! `d(t) = R·(t − e) + η − φ(t)` with the truncated fraction
+//! `φ(t) ∈ [0, 1)`. Then
+//!
+//! ```text
+//! k*(t) + f·R·t = (C + f·R·e) + f·φ(t) − f·η
+//! ```
+//!
+//! The first term is the member's own constant `c` (epochs differ per
+//! flow, so the constants do too), the second turns within `[0, f)` as the
+//! truncation's fraction turns, and the third is rounding.
+//!
+//! **The rounding.** Let `u = 2^-53` and let `S` bound every backlog the
+//! ranking has read: the table's total backlog, kept as a running maximum
+//! (a lazily settled table's total only overstates). Every input below is
+//! an integer of at most `S`, and `X ≤ R·t·(1 + u)`.
+//!
+//! - `t ⊖ e` and the product by `R` give `|η| ≤ 3u·X`, so `f·|η| ≤ 3u·f·X`.
+//! - `F` against `f·R·t`: the clock's and the product's rounding, and `f`'s
+//!   own when it is derived as `V/N − 1`, at most `4u·f·X`.
+//! - The key: `remaining` is exact below `2^53`, and
+//!   `(f + 1)·remaining − backlog` rounds by at most `4u·(f + 2)·S`; the
+//!   contract of [`KeyMotion::Falls`] asks this of every key.
+//! - The sum `k ⊕ F` rounds by `u·|b| ≤ u·((f + 2)·S + f·X)·(1 + 4u)`.
+//!
+//! So `b(t)`, the value a read at `t` stores, lies within `E/4` of
+//! `c + f·φ(t)`, with
+//!
+//! ```text
+//! E = 2^-48 · ((f + 2)·(S + 1) + f·X)
+//! ```
+//!
+//! The factor 4 of headroom also covers the rounding of the comparisons
+//! below, and the `+ 1` covers `f` itself rounding when `X` is small.
+//!
+//! **The margin.** `b(t)` lies in `[c − E/4, c + f + E/4)` at every `t`, so a
+//! carried `b` is within `drift = f + 2E` of the current `b(t)`. `⊕ F` is
+//! monotone, so `b_x(t) < b_y(t)` implies `k_x(t) < k_y(t)`. Hence:
+//!
+//! - Two clean members whose carried keys are `margin = 2·drift` or more
+//!   apart keep their order, and no flow-id tie-break can intervene. Sorted
+//!   by carried key, adjacent members at least `margin` apart split the
+//!   matched set into *clusters* whose order is fixed; a cluster of two or
+//!   more is a near tie, read and ordered exactly.
+//! - The repair compares a member against a rank `(k, id)` by its carried
+//!   key when that is more than `drift` from `k ⊕ F`, and reads it
+//!   otherwise.
+//! - A departing owner's freed port is scanned from the owner's *stored*
+//!   key, the key it had when last read, which is stale. That is safe
+//!   because the repair reads an owner, and stores its current key,
+//!   whenever it compares a waiting candidate against it and the stored
+//!   key does not already rank first (see [`Ranking`]), so every waiting
+//!   candidate keeps a blocker whose stored key ranks before it.
+//!
+//! **When it holds.** The premise is checked by count: the lens's
+//! [`corrected_count`](ViewAdjust::corrected_count) must equal the clean
+//! members plus the corrected dirty VOQs, which are read first. A lens
+//! corrects only VOQs the last decision matched, so equality means it
+//! corrects every clean member. Otherwise, or without a clock, the decision
+//! re-reads every matched VOQ. Debug builds re-read every clean member
+//! anyway and assert its champion, that its key did not rise, and that its
+//! carried key is within `drift` of the current one.
 
 use crate::table::{TableMark, VoqView};
 use crate::{FlowTable, Schedule};
@@ -54,6 +138,23 @@ pub trait ViewAdjust {
     /// slots through [`corrected_slots`](ViewAdjust::corrected_slots);
     /// otherwise it asks for them.
     fn corrected_count(&self) -> Option<usize> {
+        None
+    }
+
+    /// The lens's drain clock `R·now`, in bytes: what a VOQ draining at
+    /// the common rate `R` of the VOQs the lens corrects would have sent
+    /// from time zero to the lens's instant, or `None` (the default) when
+    /// the lens keeps no such clock.
+    ///
+    /// A lens that reports one promises, for every slot it corrects: the
+    /// VOQ's champion is the flow draining, it drains at `R` from an epoch
+    /// `e` of its own, and it owes `⌊R·(now − e)⌋` bytes, computed in `f64`
+    /// as `R × (now − e)` and truncated. It corrects only VOQs the last
+    /// decision on its table matched, and successive lenses over one table
+    /// share `R` and report clocks that do not go back. A [`Ranking`] then
+    /// orders the matched VOQs no mutation touched by a key that draining
+    /// does not move, and leaves them unread (see the module docs).
+    fn clock(&self) -> Option<f64> {
         None
     }
 }
@@ -344,12 +445,19 @@ fn admit_in_order<'a>(
 /// How a discipline's candidate key moves while its VOQ transmits: the
 /// premise of the certificate [`schedule_champions_adjusted`] checks
 /// before it carries a matching across events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyMotion {
-    /// A transmitting VOQ's key never rises: SRPT and RepFlow, and
-    /// fast BASRPT with `V/N ≥ 1`. The previous matching is carried and
-    /// certified.
-    Falls,
+    /// A transmitting VOQ's key never rises: it falls by `per_byte` for
+    /// each byte its champion sends. SRPT and RepFlow fall by 1, fast
+    /// BASRPT with `V/N ≥ 1` by `V/N − 1`. The previous matching is carried
+    /// and certified. The key must be computed from the view's integers
+    /// with an `f64` error of at most `4u·(per_byte + 2)·backlog`
+    /// (`u = 2^-53`), as `remaining` and `(f + 1)·remaining − backlog` are
+    /// (see the module docs).
+    Falls {
+        /// The key's fall per byte sent, `f ≥ 0`.
+        per_byte: f64,
+    },
     /// A transmitting VOQ's key can rise: MaxWeight's `−backlog`, and fast
     /// BASRPT with `V/N < 1`. Every decision is a full pass.
     MayRise,
@@ -357,7 +465,8 @@ pub enum KeyMotion {
 
 /// How a key-driven discipline's decisions were taken: certified from the
 /// carried matching, or by a full pass, counted by the reason the
-/// certificate was not attempted or did not hold.
+/// certificate was not attempted or did not hold; and what the certified
+/// decisions read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCounts {
     /// Decisions that repaired the carried matching around the changed
@@ -376,6 +485,19 @@ pub struct DecisionCounts {
     /// Full passes of a discipline whose keys can rise
     /// ([`KeyMotion::MayRise`]), which never attempts the certificate.
     pub key_can_rise: u64,
+    /// VOQs certified decisions read because a mutation touched them.
+    pub read_dirty: u64,
+    /// Clean matched VOQs certified decisions read because their carried
+    /// drain-invariant keys lay too close to order them (module docs).
+    pub read_near_tie: u64,
+    /// Clean matched VOQs the repair read to compare a candidate against.
+    pub read_on_demand: u64,
+    /// Certified decisions that re-read every matched VOQ although the lens
+    /// has a clock, because its count disagreed with the clean members
+    /// plus the corrected dirty VOQs: a member left idle, such as one the
+    /// core filter did not admit. A lens without a clock re-reads on every
+    /// decision, uncounted here.
+    pub full_rereads: u64,
 }
 
 impl DecisionCounts {
@@ -404,13 +526,15 @@ enum Status {
 /// The carried candidate of one non-empty VOQ.
 #[derive(Debug, Clone, Copy)]
 struct VoqRank {
+    /// The key when the VOQ was last read; a matched VOQ's current key is
+    /// at most this.
     key: f64,
     flow: FlowId,
+    /// The decision that last read the VOQ (`Ranking::stamp`).
+    stamp: u64,
     /// The VOQ's table slot.
     slot: u32,
     status: Status,
-    /// Whether the slot is in this decision's dirty set.
-    dirty: bool,
 }
 
 impl VoqRank {
@@ -419,14 +543,69 @@ impl VoqRank {
     }
 }
 
-/// One VOQ of the carried matching, a *member*: its candidate and table
-/// slot — everything its schedule pair needs.
-type Member = (Candidate, u32);
+/// One VOQ of the carried matching, a *member*: its drain-invariant key
+/// `b` (see the module docs) and what its schedule pair needs.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    b: f64,
+    flow: FlowId,
+    voq: Voq,
+    /// The VOQ's table slot.
+    slot: u32,
+}
 
-/// The position in `matched` (in admission order) of the first member
-/// not ranked before `rank`.
-fn rank_position(matched: &[Member], rank: Rank) -> usize {
-    matched.partition_point(|(c, _)| rank_cmp(c.rank(), rank).is_lt())
+/// The drain clock of one decision (see the module docs): the key's fall
+/// per byte `f`, the clock `X`, the shift `F = f ⊗ X` a read member's
+/// drain-invariant key adds to its key, and the drift, how far a carried
+/// drain-invariant key may lie from the current one. All zero without a
+/// clock, where every member is read and `b` is the key itself.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    fall: f64,
+    clock: f64,
+    shift: f64,
+    drift: f64,
+}
+
+impl Frame {
+    /// The frame of a decision at clock `clock`, for a key falling by
+    /// `fall` per byte and backlogs of at most `scale`.
+    fn new(fall: f64, clock: f64, scale: f64) -> Frame {
+        let rounding = ((fall + 2.0) * (scale + 1.0) + fall * clock) * 2f64.powi(-48);
+        Frame {
+            fall,
+            clock,
+            shift: fall * clock,
+            drift: fall + 2.0 * rounding,
+        }
+    }
+
+    /// The carried-key gap that fixes two clean members' order.
+    fn margin(&self) -> f64 {
+        2.0 * self.drift
+    }
+}
+
+/// What a decision reads through: the table, the lens and the
+/// discipline's key.
+struct Reader<'a, K> {
+    table: &'a FlowTable,
+    adjust: &'a dyn ViewAdjust,
+    key: &'a mut K,
+}
+
+impl<K: FnMut(&VoqView) -> Candidate> Reader<'_, K> {
+    /// The candidate of the VOQ in `slot` through the lens, if it is
+    /// non-empty, and whether the lens corrects the slot.
+    fn read(&mut self, slot: u32) -> (Option<Candidate>, bool) {
+        match self.table.view_at_slot(slot as usize) {
+            Some(mut view) => {
+                let corrected = self.adjust.adjust_counted(&mut view);
+                (Some((self.key)(&view)), corrected)
+            }
+            None => (None, false),
+        }
+    }
 }
 
 /// The `Ranking::index` entry of a VOQ slot without a candidate.
@@ -510,12 +689,12 @@ impl Eq for Work {}
 /// # What is carried
 ///
 /// Per non-empty VOQ of the last decision's table: the candidate's key
-/// and champion and whether it is matched (24 bytes, plus a 4-byte index
-/// entry per VOQ slot). Per crossbar port: the matched VOQ
-/// owning it and the unmatched candidates on it, in `(key, flow id)`
-/// order. And the matched set in admission order, one record per VOQ
-/// holding its flow, VOQ, slot and key, so a decision emits its schedule
-/// by copying the records.
+/// and champion as last read, the decision that read it, and whether it is
+/// matched (32 bytes, plus a 4-byte index entry per VOQ slot). Per crossbar
+/// port: the matched VOQ owning it and the unmatched candidates on it, in
+/// `(key, flow id)` order. And the matched set in admission order, one
+/// 32-byte record per VOQ holding its drain-invariant key, flow, VOQ and
+/// slot, so a decision emits its schedule by copying the records.
 ///
 /// # Why carrying it is exact
 ///
@@ -525,19 +704,30 @@ impl Eq for Work {}
 /// argument as [`validity`](crate::validity)). That property survives an
 /// event as long as no matched key rises and no unmatched candidate
 /// changes. So a decision only has to look at the matched VOQs and the
-/// *dirty* ones:
+/// *dirty* ones, which a mutation touched; and of the matched VOQs, only
+/// at those whose order it cannot otherwise prove:
 ///
 /// 1. **Certificate.** The table's changed-slot record must reach back
-///    to the previous decision on the same table. Every matched VOQ no
-///    mutation touched is re-read through the lens and must keep its
-///    champion with a key that did not rise; the same pass re-keys its
-///    record, moves it back into admission order (keys that fall can
-///    overtake) and counts the matched slots the lens corrects. The lens
-///    must account for the slots it corrects: either its count
-///    ([`ViewAdjust::corrected_count`]) equals the matched ones, or it
-///    names them ([`ViewAdjust::corrected_slots`]) and the unmatched ones
-///    count as dirty. A touched VOQ that passes the same test, or an
-///    unmatched one whose candidate is unchanged, stays as it is.
+///    to the previous decision on the same table. The dirty VOQs are read
+///    first, counting those the lens corrects. The *clean* members, the
+///    matched VOQs no mutation touched, must keep their champions with keys
+///    that did not rise, and the lens must correct no clean unmatched VOQ.
+///    - When the lens has a drain clock and its count
+///      ([`ViewAdjust::corrected_count`]) equals the clean members plus
+///      the corrected dirty VOQs, the lens drains every clean member, so
+///      the premise holds without reading them. Their carried
+///      drain-invariant keys order them: sorted by that key, only the near
+///      ties (clusters closer than the margin the module docs derive) are
+///      read and ordered exactly.
+///    - Otherwise every clean member is re-read, must keep its champion
+///      with a key no higher than when it was last read, and moves back
+///      into admission order. Unless the counts now agree, the lens names
+///      its slots ([`ViewAdjust::corrected_slots`]) and the unmatched ones
+///      count as dirty.
+///
+///    Dirty members leave the matched set. A dirty VOQ that passes the
+///    same test as a clean member, or an unmatched one whose candidate is
+///    unchanged, stays as it is.
 /// 2. **Repair**, a dynamic greedy maximal independent set on the
 ///    crossbar's conflict graph (after Censor-Hillel, Haramaty & Karnin,
 ///    PODC 2016). The dirty VOQs are taken out — a matched one frees its
@@ -547,11 +737,25 @@ impl Eq for Work {}
 ///    owner's other port. A freed port scans its waiting list from the
 ///    freed rank until a candidate is admitted or an earlier owner blocks
 ///    the port. Each decision is final when made: owners earlier than the
-///    candidate being examined are never displaced afterwards. An admitted
-///    candidate's record is inserted into the matched set at its rank and
-///    a displaced one's removed, so the set stays in admission order.
+///    candidate being examined are never displaced afterwards. An owner is
+///    compared by its carried key where that decides, and read otherwise.
+///    An admitted candidate's record is inserted into the matched set at
+///    its rank and a displaced one's removed, so the set stays in
+///    admission order.
 /// 3. The matched set is emitted in that order, the admission order
 ///    [`greedy_by_key`] would produce.
+///
+/// A member's stored key is the key it had when last read, which is stale
+/// for a member the decision did not read; its current key is no higher.
+/// The repair keeps one invariant on stored keys: every waiting candidate
+/// has a port whose owner's stored key ranks before the candidate's. The
+/// full pass sets it up, and the repair keeps it: it compares a candidate
+/// against an owner by the stored key when that already ranks before, and
+/// otherwise reads the owner and stores its current key; a displacing
+/// owner ranks before the one it displaces; and stored keys only fall
+/// until the member leaves. So a departing owner's stored key ranks before
+/// every waiting candidate it blocks, and a freed port's scan can start
+/// from it.
 ///
 /// Without a certificate — the first decision on a table, a record
 /// overflow, a risen key, or a discipline whose keys can rise
@@ -560,12 +764,12 @@ impl Eq for Work {}
 /// run-adaptive stable sort finishes in near-linear time, and admitted
 /// greedily.
 ///
-/// The certificate compares the keys the discipline computes, so it
-/// relies on no rounding argument. A `Ranking` never changes a schedule:
-/// it compares equal to every other `Ranking`, a fresh one
-/// ([`Ranking::default`]) decides exactly like a warm one, and no snapshot
-/// captures it. Its [`counts`](Ranking::counts) say how the decisions
-/// were taken.
+/// Where a member is read, the certificate compares the keys the
+/// discipline computes; where it is not, the margin covers every rounding.
+/// A `Ranking` never changes a schedule: it compares equal to every other
+/// `Ranking`, a fresh one ([`Ranking::default`]) decides exactly like a
+/// warm one, and no snapshot captures it. Its [`counts`](Ranking::counts)
+/// say how the decisions were taken.
 #[derive(Clone, Default)]
 pub struct Ranking {
     /// The full pass's candidates in `Voq` order, each with its VOQ slot.
@@ -587,12 +791,27 @@ pub struct Ranking {
     ports: Vec<Port>,
     /// The matched VOQs in admission order.
     matched: Vec<Member>,
+    /// The number of decisions taken, which stamps each read.
+    stamp: u64,
+    /// This decision's drain clock, and the previous decision's when it
+    /// had one.
+    frame: Frame,
+    carried: Option<Frame>,
+    /// The largest total backlog of any table decided on: the `S` of the
+    /// module docs.
+    scale: f64,
     /// The repair's scratch: the dirty slots (sorted, once each), the
-    /// freed ports with the rank their scan starts after, and the work
-    /// queue.
+    /// dirty members' slots, the slots to re-examine with their candidates
+    /// read this decision, the freed ports with the rank their scan starts
+    /// after, and the work queue.
     dirty: Vec<u32>,
+    leaving: Vec<u32>,
+    reads: Vec<(u32, Option<Candidate>)>,
     freed: Vec<(usize, Rank)>,
     work: BinaryHeap<Work>,
+    /// Whether a read found a clean member that changed its champion or
+    /// raised its key, so the decision must be a full pass.
+    broken: bool,
     /// A spent pair list handed back by the engine, which the next
     /// certified decision fills instead of allocating.
     spare: Vec<(FlowId, Voq, u32)>,
@@ -652,15 +871,15 @@ impl Ranking {
         &mut self.ranked[self.index[slot as usize] as usize]
     }
 
-    /// Gives the VOQ in `slot` a candidate.
+    /// Gives the VOQ in `slot` a candidate, read this decision.
     fn enter(&mut self, slot: u32, c: &Candidate, status: Status) {
         self.index[slot as usize] = self.ranked.len() as u32;
         self.ranked.push(VoqRank {
             key: c.key,
             flow: c.flow,
+            stamp: self.stamp,
             slot,
             status,
-            dirty: false,
         });
     }
 
@@ -676,12 +895,8 @@ impl Ranking {
     /// The certificate and the repair, counting the decision either way.
     /// Without a certificate it returns `false` and the caller runs a full
     /// pass, which rebuilds everything this may have touched.
-    fn certify(
-        &mut self,
-        table: &FlowTable,
-        adjust: &dyn ViewAdjust,
-        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
-    ) -> bool {
+    fn certify<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) -> bool {
+        let table = rd.table;
         let Some(mark) = self.mark.filter(|m| m.table == table.mark().table) else {
             self.counts.cold += 1;
             return false;
@@ -692,115 +907,299 @@ impl Ranking {
         };
         self.dirty.clear();
         self.dirty.extend_from_slice(changed);
-        self.index.resize(table.num_voq_slots(), ABSENT);
-        for &slot in &self.dirty {
-            if let Some(&at) = self.index.get(slot as usize).filter(|&&at| at != ABSENT) {
-                self.ranked[at as usize].dirty = true;
-            }
-        }
-        let Some(corrected) = self.rekey(table, adjust, to_candidate) else {
-            self.counts.key_rose += 1;
-            return false;
-        };
-        if adjust.corrected_count() != Some(corrected) {
-            self.name_corrected(adjust);
-        }
         self.dirty.sort_unstable();
         self.dirty.dedup();
-        self.repair(table, adjust, to_candidate);
+        self.index.resize(table.num_voq_slots(), ABSENT);
+        self.leaving.clear();
+        for &slot in &self.dirty {
+            let member = self
+                .index
+                .get(slot as usize)
+                .and_then(|&at| self.ranked.get(at as usize))
+                .is_some_and(|rank| rank.status == Status::Matched);
+            if member {
+                self.leaving.push(slot);
+            }
+        }
+        let corrected_dirty = self.read_dirty(rd);
+        let clean = self.matched.len() - self.leaving.len();
+        let counted = rd.adjust.corrected_count();
+        // Only a frame with a clock has a drift.
+        let frame = self.frame;
+        let clocked = self.carried.is_some_and(|carried| {
+            frame.drift > 0.0
+                && carried.fall.to_bits() == frame.fall.to_bits()
+                && carried.clock <= frame.clock
+        });
+        if clocked && counted == Some(clean + corrected_dirty) {
+            self.order_clean(rd);
+            #[cfg(debug_assertions)]
+            self.check_clean(rd);
+        } else {
+            if clocked {
+                self.counts.full_rereads += 1;
+            }
+            let Some(corrected) = self.rekey(rd) else {
+                self.counts.key_rose += 1;
+                return false;
+            };
+            if counted != Some(corrected + corrected_dirty) {
+                self.name_corrected(rd);
+            }
+        }
+        if !self.broken {
+            self.repair(rd);
+        }
+        if std::mem::take(&mut self.broken) {
+            self.counts.key_rose += 1;
+            return false;
+        }
         self.counts.certified += 1;
         true
     }
 
-    /// Has the lens name the slots it corrects and marks the unmatched
-    /// ones dirty.
-    fn name_corrected(&mut self, adjust: &dyn ViewAdjust) {
-        let (index, ranked, dirty) = (&self.index, &self.ranked, &mut self.dirty);
-        adjust.corrected_slots(&mut |slot| {
+    /// Reads every dirty slot into the repair's list and returns how many
+    /// the lens corrects.
+    fn read_dirty<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) -> usize {
+        self.reads.clear();
+        let mut corrected = 0;
+        for &slot in &self.dirty {
+            let (c, counted) = rd.read(slot);
+            corrected += usize::from(counted);
+            self.reads.push((slot, c));
+        }
+        self.counts.read_dirty += self.dirty.len() as u64;
+        corrected
+    }
+
+    /// Has the lens name the slots it corrects and reads the unmatched ones
+    /// no mutation touched, for the repair to re-examine.
+    fn name_corrected<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) {
+        let mut named = Vec::new();
+        let (index, ranked, dirty) = (&self.index, &self.ranked, &self.dirty);
+        rd.adjust.corrected_slots(&mut |slot| {
             let matched = index
                 .get(slot)
                 .and_then(|&at| ranked.get(at as usize))
                 .is_some_and(|rank| rank.status == Status::Matched);
-            if !matched {
-                dirty.push(slot as u32);
+            if !matched && dirty.binary_search(&(slot as u32)).is_err() {
+                named.push(slot as u32);
             }
-        })
+        });
+        named.sort_unstable();
+        named.dedup();
+        for slot in named {
+            let (c, _) = rd.read(slot);
+            self.reads.push((slot, c));
+        }
     }
 
-    /// The certificate's one pass over the matched set: every member is
-    /// re-read through the lens, and the members whose slot the lens
-    /// corrects are counted. Each clean member (no mutation touched it)
-    /// must keep its champion with a key that did not rise; its record is
-    /// re-keyed and moved back into admission order. Dirty members leave
-    /// the set for the repair to re-admit. Returns the count, or `None` if
-    /// a key rose.
-    fn rekey(
-        &mut self,
-        table: &FlowTable,
-        adjust: &dyn ViewAdjust,
-        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
-    ) -> Option<usize> {
+    /// The certificate's re-read of the clean members: each is read
+    /// through the lens and must keep its champion with a key no higher
+    /// than when it was last read; its record is re-keyed and moved back
+    /// into admission order. Dirty members leave the set for the repair to
+    /// re-admit. Returns how many clean members the lens corrects, or
+    /// `None` if a key rose.
+    fn rekey<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) -> Option<usize> {
         let (mut kept, mut corrected) = (0, 0);
         for i in 0..self.matched.len() {
-            let (mut member, slot) = self.matched[i];
-            let slot = slot as usize;
-            let mut view = table.view_at_slot(slot);
-            if let Some(view) = &mut view {
-                corrected += usize::from(adjust.adjust_counted(view));
-            }
-            let rank = &mut self.ranked[self.index[slot] as usize];
-            if rank.dirty {
+            let mut member = self.matched[i];
+            if self.leaving.contains(&member.slot) {
                 continue;
             }
+            let (read, counted) = rd.read(member.slot);
+            corrected += usize::from(counted);
+            let rank = &mut self.ranked[self.index[member.slot as usize] as usize];
             // A clean member keeps its champion and its key may only fall,
             // which keeps every unmatched candidate's earlier blocker
             // earlier.
-            match view.map(|view| to_candidate(&view)) {
-                Some(c) if c.flow == member.flow && c.key.total_cmp(&member.key).is_le() => {
-                    (rank.key, member.key) = (c.key, c.key);
+            match read {
+                Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
+                    (rank.key, rank.stamp) = (c.key, self.stamp);
+                    member.b = c.key + self.frame.shift;
                 }
                 _ => return None,
             }
-            let mut at = kept;
-            while at > 0 && rank_cmp(member.rank(), self.matched[at - 1].0.rank()).is_lt() {
-                self.matched[at] = self.matched[at - 1];
-                at -= 1;
+            let mut to = kept;
+            while to > 0 && self.read_before(&member, &self.matched[to - 1]) {
+                self.matched[to] = self.matched[to - 1];
+                to -= 1;
             }
-            self.matched[at] = (member, slot as u32);
+            self.matched[to] = member;
             kept += 1;
         }
         self.matched.truncate(kept);
         Some(corrected)
     }
 
+    /// Whether member `x` ranks before member `y`, both read this decision.
+    /// Their drain-invariant keys decide unless they are equal.
+    fn read_before(&self, x: &Member, y: &Member) -> bool {
+        match x.b.partial_cmp(&y.b) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => {
+                let rank = |m: &Member| self.ranked[self.index[m.slot as usize] as usize].rank();
+                rank_cmp(rank(x), rank(y)).is_lt()
+            }
+        }
+    }
+
+    /// The certificate's order of the clean members when the lens drains
+    /// every one: dirty members leave the set, the rest are sorted by their
+    /// carried drain-invariant keys, and each cluster of keys closer than
+    /// the margin is read and ordered exactly. The sort notes whether any
+    /// member moved or landed within the margin of the one before it; if
+    /// none did, there is no cluster to look for.
+    fn order_clean<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) {
+        let margin = self.frame.margin();
+        let (mut kept, mut tied) = (0, false);
+        // The drain-invariant key of `matched[kept - 1]`.
+        let mut last = f64::NEG_INFINITY;
+        for i in 0..self.matched.len() {
+            let member = self.matched[i];
+            if !self.leaving.is_empty() && self.leaving.contains(&member.slot) {
+                continue;
+            }
+            if member.b < last {
+                let mut to = kept;
+                while to > 0 && member.b < self.matched[to - 1].b {
+                    self.matched[to] = self.matched[to - 1];
+                    to -= 1;
+                }
+                self.matched[to] = member;
+                tied = true;
+            } else {
+                tied |= member.b - last < margin;
+                if kept != i {
+                    self.matched[kept] = member;
+                }
+                last = member.b;
+            }
+            kept += 1;
+        }
+        self.matched.truncate(kept);
+        if !tied {
+            return;
+        }
+        let mut start = 0;
+        for end in 1..=kept {
+            if end == kept || self.matched[end].b - self.matched[end - 1].b >= margin {
+                if end - start > 1 {
+                    self.order_tie(rd, start, end);
+                }
+                start = end;
+            }
+        }
+    }
+
+    /// Reads the near tie `matched[start..end]` and orders it exactly,
+    /// storing each member's current drain-invariant key.
+    fn order_tie<K: FnMut(&VoqView) -> Candidate>(
+        &mut self,
+        rd: &mut Reader<'_, K>,
+        start: usize,
+        end: usize,
+    ) {
+        for i in start..end {
+            let at = self.index[self.matched[i].slot as usize] as usize;
+            self.reread(rd, at);
+        }
+        self.counts.read_near_tie += (end - start) as u64;
+        let (index, ranked, shift) = (&self.index, &self.ranked, self.frame.shift);
+        let rank = |slot: u32| ranked[index[slot as usize] as usize].rank();
+        let tie = &mut self.matched[start..end];
+        tie.sort_unstable_by(|x, y| rank_cmp(rank(x.slot), rank(y.slot)));
+        for member in tie {
+            member.b = rank(member.slot).0 + shift;
+        }
+    }
+
+    /// The rank of the matched VOQ in `slot` at this decision, read through
+    /// the lens unless this decision already read it.
+    fn exact<K: FnMut(&VoqView) -> Candidate>(
+        &mut self,
+        rd: &mut Reader<'_, K>,
+        slot: u32,
+    ) -> Rank {
+        let at = self.index[slot as usize] as usize;
+        if self.ranked[at].stamp != self.stamp {
+            self.counts.read_on_demand += 1;
+            self.reread(rd, at);
+        }
+        self.ranked[at].rank()
+    }
+
+    /// Re-reads the matched VOQ of `ranked[at]` at this decision. A read
+    /// that finds its champion changed or its key risen breaks the
+    /// certificate.
+    fn reread<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>, at: usize) {
+        let rank = self.ranked[at];
+        match rd.read(rank.slot).0 {
+            Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
+                let rank = &mut self.ranked[at];
+                (rank.key, rank.stamp) = (c.key, self.stamp);
+            }
+            _ => self.broken = true,
+        }
+    }
+
+    /// Debug builds' check of the premise the unread clean members rest
+    /// on: each keeps its champion, the lens corrects it, its key did not
+    /// rise and its carried drain-invariant key is within the drift of the
+    /// current one; and the matched set is in admission order.
+    #[cfg(debug_assertions)]
+    fn check_clean<K: FnMut(&VoqView) -> Candidate>(&self, rd: &mut Reader<'_, K>) {
+        let frame = self.frame;
+        let mut previous: Option<Rank> = None;
+        for member in &self.matched {
+            let rank = self.ranked[self.index[member.slot as usize] as usize];
+            let now = if rank.stamp == self.stamp {
+                rank.rank()
+            } else {
+                let (read, corrected) = rd.read(member.slot);
+                let c = read.expect("a clean member is non-empty");
+                assert!(corrected, "the lens drains every clean member");
+                assert_eq!(c.flow, rank.flow, "a clean member keeps its champion");
+                assert!(c.key <= rank.key, "a clean member's key did not rise");
+                let b = c.key + frame.shift;
+                assert!(
+                    (b - member.b).abs() < frame.drift,
+                    "a carried drain-invariant key {} is within {} of the current {b}",
+                    member.b,
+                    frame.drift
+                );
+                c.rank()
+            };
+            if let Some(previous) = previous {
+                assert!(
+                    rank_cmp(previous, now).is_lt(),
+                    "the clean members are in admission order"
+                );
+            }
+            previous = Some(now);
+        }
+    }
+
     /// Step 2 of the certified decision: takes the changed dirty VOQs out
     /// and re-admits around them.
-    fn repair(
-        &mut self,
-        table: &FlowTable,
-        adjust: &dyn ViewAdjust,
-        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
-    ) {
+    fn repair<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) {
+        let table = rd.table;
         self.freed.clear();
         self.work.clear();
-        for i in 0..self.dirty.len() {
-            let slot = self.dirty[i];
+        for i in 0..self.reads.len() {
+            let (slot, new) = self.reads[i];
             let old = self.get(slot).copied();
-            if old.is_some() {
-                self.at(slot).dirty = false;
-            }
-            let new = table.view_at_slot(slot as usize).map(|mut view| {
-                adjust.adjust(&mut view);
-                to_candidate(&view)
-            });
             match (old, new) {
                 (Some(old), Some(c))
                     if old.status == Status::Matched
                         && c.flow == old.flow
                         && c.key.total_cmp(&old.key).is_le() =>
                 {
-                    self.at(slot).key = c.key;
-                    self.list(table, slot);
+                    let stamp = self.stamp;
+                    let rank = self.at(slot);
+                    (rank.key, rank.stamp) = (c.key, stamp);
+                    self.list(rd, slot);
                     continue;
                 }
                 (Some(old), Some(c))
@@ -826,8 +1225,10 @@ impl Ranking {
             }
             match (old, new) {
                 (Some(_), Some(c)) => {
+                    let stamp = self.stamp;
                     let rank = self.at(slot);
-                    (rank.key, rank.flow, rank.status) = (c.key, c.flow, Status::Pending);
+                    (rank.key, rank.flow, rank.stamp) = (c.key, c.flow, stamp);
+                    rank.status = Status::Pending;
                 }
                 (None, Some(c)) => self.enter(slot, &c, Status::Pending),
                 (Some(_), None) => self.leave(slot),
@@ -849,20 +1250,54 @@ impl Ranking {
             self.scan(port, from);
         }
         while let Some(work) = self.work.pop() {
-            self.examine(table, work);
+            if self.broken {
+                return;
+            }
+            self.examine(rd, work);
         }
     }
 
-    /// Inserts the matched VOQ in `slot` into the matched set at its rank.
-    fn list(&mut self, table: &FlowTable, slot: u32) {
+    /// The position in `matched` of the first member not ranked before
+    /// `rank`. A member is compared by its carried drain-invariant key when
+    /// that lies more than the drift from `rank`'s, and read otherwise.
+    fn position<K: FnMut(&VoqView) -> Candidate>(
+        &mut self,
+        rd: &mut Reader<'_, K>,
+        rank: Rank,
+    ) -> usize {
+        let (b, drift) = (rank.0 + self.frame.shift, self.frame.drift);
+        let (mut lo, mut hi) = (0, self.matched.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let member = self.matched[mid];
+            let before = if member.b + drift < b {
+                true
+            } else if member.b - drift > b {
+                false
+            } else {
+                rank_cmp(self.exact(rd, member.slot), rank).is_lt()
+            };
+            if before {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Inserts the matched VOQ in `slot`, read this decision, into the
+    /// matched set at its rank.
+    fn list<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>, slot: u32) {
         let rank = *self.at(slot);
-        let member = Candidate {
-            key: rank.key,
+        let at = self.position(rd, rank.rank());
+        let member = Member {
+            b: rank.key + self.frame.shift,
             flow: rank.flow,
-            voq: table.voq_at_slot(slot as usize),
+            voq: rd.table.voq_at_slot(slot as usize),
+            slot,
         };
-        let at = rank_position(&self.matched, member.rank());
-        self.matched.insert(at, (member, slot));
+        self.matched.insert(at, member);
     }
 
     /// Queues the first candidate waiting on `port` after `from`, tagged
@@ -878,30 +1313,38 @@ impl Ranking {
         }
     }
 
-    /// Whether `port` is owned by a candidate ranked before `rank`.
-    fn owned_before(&self, port: usize, rank: Rank) -> bool {
-        self.ports[port]
-            .owner
-            .and_then(|owner| self.get(owner))
-            .is_some_and(|owner| rank_cmp(owner.rank(), rank).is_lt())
+    /// Whether `port` is owned by a candidate ranked before `rank`. An
+    /// owner's key only falls, so its last read decides when it already
+    /// ranks before; otherwise the owner is read.
+    fn owned_before<K: FnMut(&VoqView) -> Candidate>(
+        &mut self,
+        rd: &mut Reader<'_, K>,
+        port: usize,
+        rank: Rank,
+    ) -> bool {
+        let Some(owner) = self.ports[port].owner else {
+            return false;
+        };
+        let last = self.at(owner).rank();
+        rank_cmp(last, rank).is_lt() || rank_cmp(self.exact(rd, owner), rank).is_lt()
     }
 
     /// Admits or blocks one candidate, in the repair's global rank order.
-    fn examine(&mut self, table: &FlowTable, work: Work) {
+    fn examine<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>, work: Work) {
         let slot = work.slot;
         let rank = *self.at(slot);
         if rank.status == Status::Matched {
             return; // admitted through another port's scan
         }
-        let (src, dst) = ports_of(table, slot);
-        if self.owned_before(src, rank.rank()) || self.owned_before(dst, rank.rank()) {
+        let (src, dst) = ports_of(rd.table, slot);
+        if self.owned_before(rd, src, rank.rank()) || self.owned_before(rd, dst, rank.rank()) {
             if rank.status == Status::Pending {
                 self.ports[src].insert(rank.rank(), slot);
                 self.ports[dst].insert(rank.rank(), slot);
                 self.at(slot).status = Status::Waiting;
             }
             if let Some(port) = work.scan {
-                if !self.owned_before(port, rank.rank()) {
+                if !self.owned_before(rd, port, rank.rank()) {
                     self.scan(port, rank.rank());
                 }
             }
@@ -915,25 +1358,36 @@ impl Ranking {
         // of its ports and frees the one it does not share.
         for port in [src, dst] {
             if let Some(owner) = self.ports[port].owner {
-                self.displace(table, owner, port);
+                self.displace(rd, owner, port);
             }
             self.ports[port].owner = Some(slot);
         }
-        self.at(slot).status = Status::Matched;
-        self.list(table, slot);
+        // An unmatched candidate's key is its key at this decision.
+        let stamp = self.stamp;
+        let admitted = self.at(slot);
+        (admitted.status, admitted.stamp) = (Status::Matched, stamp);
+        self.list(rd, slot);
     }
 
     /// Unmatches `owner`, displaced on port `lost`, and frees its other
     /// port.
-    fn displace(&mut self, table: &FlowTable, owner: u32, lost: usize) {
-        let rank = self.at(owner).rank();
-        let at = rank_position(&self.matched, rank);
+    fn displace<K: FnMut(&VoqView) -> Candidate>(
+        &mut self,
+        rd: &mut Reader<'_, K>,
+        owner: u32,
+        lost: usize,
+    ) {
+        let rank = self.exact(rd, owner);
+        let at = self.position(rd, rank);
+        if self.broken {
+            return;
+        }
         debug_assert!(
-            self.matched.get(at).is_some_and(|&(_, slot)| slot == owner),
+            self.matched.get(at).is_some_and(|m| m.slot == owner),
             "a port's owner is in the matched set"
         );
         self.matched.remove(at);
-        let (src, dst) = ports_of(table, owner);
+        let (src, dst) = ports_of(rd.table, owner);
         self.ports[src].insert(rank, owner);
         self.ports[dst].insert(rank, owner);
         self.at(owner).status = Status::Waiting;
@@ -949,26 +1403,25 @@ impl Ranking {
         let mut pairs = std::mem::take(&mut self.spare);
         pairs.clear();
         let owns = |port: usize, slot: u32| self.ports[port].owner == Some(slot);
-        pairs.extend(self.matched.iter().map(|&(c, slot)| {
-            let (src, dst) = voq_ports(c.voq);
+        pairs.extend(self.matched.iter().map(|m| {
+            let (src, dst) = voq_ports(m.voq);
             assert!(
-                owns(src, slot) && owns(dst, slot),
+                owns(src, m.slot) && owns(dst, m.slot),
                 "the carried matching is port-disjoint"
             );
-            (c.flow, c.voq, slot)
+            (m.flow, m.voq, m.slot)
         }));
         Schedule::from_disjoint(pairs)
     }
 
     /// The full pass: ranks every view and admits greedily. With `carry`,
     /// it also rebuilds the carried matching from scratch.
-    fn full_pass(
+    fn full_pass<K: FnMut(&VoqView) -> Candidate>(
         &mut self,
-        table: &FlowTable,
-        adjust: &dyn ViewAdjust,
-        to_candidate: &mut impl FnMut(&VoqView) -> Candidate,
+        rd: &mut Reader<'_, K>,
         carry: bool,
     ) -> Schedule {
+        let table = rd.table;
         let Ranking {
             candidates,
             order,
@@ -985,9 +1438,9 @@ impl Ranking {
         let mut carried = 0;
         let mut ports = 0;
         for mut view in table.voqs() {
-            adjust.adjust(&mut view);
+            rd.adjust.adjust(&mut view);
             let index = candidates.len() as u32;
-            candidates.push((to_candidate(&view), view.slot));
+            candidates.push(((rd.key)(&view), view.slot));
             ports = ports.max(view.voq.src().index().max(view.voq.dst().index()) + 1);
             while carried < ranks.len() && ranks[carried].0 < view.voq {
                 carried += 1;
@@ -1034,7 +1487,12 @@ impl Ranking {
                 self.enter(slot, &c, Status::Matched);
                 self.ports[src].owner = Some(slot);
                 self.ports[dst].owner = Some(slot);
-                self.matched.push((c, slot));
+                self.matched.push(Member {
+                    b: c.key + self.frame.shift,
+                    flow: c.flow,
+                    voq: c.voq,
+                    slot,
+                });
             } else {
                 // Admission order is rank order, so the lists stay sorted.
                 self.enter(slot, &c, Status::Waiting);
@@ -1049,12 +1507,9 @@ impl Ranking {
     }
 
     /// Empties the carried matching for a full pass over `table`, whose
-    /// candidates use hosts below `hosts`. The ports are dropped for
-    /// another table and only emptied for the same one.
+    /// candidates use hosts below `hosts`. The ports keep their waiting
+    /// lists' allocations, whichever table they served.
     fn reset_carried(&mut self, table: &FlowTable, hosts: u32) {
-        if self.mark.map(|m| m.table) != Some(table.mark().table) {
-            self.ports.clear();
-        }
         for port in &mut self.ports {
             port.owner = None;
             port.waiting.clear();
@@ -1079,11 +1534,13 @@ impl Ranking {
 /// its key. When the keys only fall, the ranking carries the previous
 /// matching and, behind a checked certificate, repairs it around the VOQs
 /// that changed: `O(M + D log Q)` for `M` matched and `D` changed VOQs,
-/// instead of reading and sorting all `Q` candidates. Otherwise — and
-/// whenever the certificate cannot be proven — the decision is a full
-/// pass, `O(Q log Q)` and near `O(Q)` when the previous order still mostly
-/// holds. Both produce the same schedule, each pair with its VOQ slot; the
-/// `O(F + Q log Q)` full scan survives as
+/// instead of reading and sorting all `Q` candidates. Of the `M` matched
+/// VOQs it reads only the near ties and those the repair compares against
+/// when the lens reports a drain clock ([`ViewAdjust::clock`]), and all of
+/// them otherwise. Otherwise — and whenever the certificate cannot be
+/// proven — the decision is a full pass, `O(Q log Q)` and near `O(Q)` when
+/// the previous order still mostly holds. Both produce the same schedule,
+/// each pair with its VOQ slot; the `O(F + Q log Q)` full scan survives as
 /// [`reference::schedule_scan`](crate::reference::schedule_scan) for
 /// differential testing.
 pub fn schedule_champions_adjusted<F>(
@@ -1096,15 +1553,30 @@ pub fn schedule_champions_adjusted<F>(
 where
     F: FnMut(&VoqView) -> Candidate,
 {
-    if motion == KeyMotion::MayRise {
+    let mut rd = Reader {
+        table,
+        adjust,
+        key: &mut to_candidate,
+    };
+    ranking.stamp += 1;
+    let KeyMotion::Falls { per_byte } = motion else {
         ranking.counts.key_can_rise += 1;
-        return ranking.full_pass(table, adjust, &mut to_candidate, false);
-    }
-    if ranking.certify(table, adjust, &mut to_candidate) {
+        ranking.carried = None;
+        return ranking.full_pass(&mut rd, false);
+    };
+    ranking.scale = ranking.scale.max(table.total_backlog() as f64);
+    let clock = adjust.clock();
+    ranking.frame = clock.map_or(Frame::default(), |clock| {
+        Frame::new(per_byte, clock, ranking.scale)
+    });
+    let schedule = if ranking.certify(&mut rd) {
         ranking.mark = Some(table.mark());
-        return ranking.emit();
-    }
-    ranking.full_pass(table, adjust, &mut to_candidate, true)
+        ranking.emit()
+    } else {
+        ranking.full_pass(&mut rd, true)
+    };
+    ranking.carried = clock.map(|_| ranking.frame);
+    schedule
 }
 
 /// Asserts that `schedule` is a valid *maximal* matching over the non-empty
@@ -1208,7 +1680,7 @@ mod tests {
             &mut Ranking::default(),
             &t,
             &Shrink,
-            KeyMotion::Falls,
+            KeyMotion::Falls { per_byte: 1.0 },
             key,
         );
         assert!(s.contains(FlowId::new(1)));

@@ -16,7 +16,7 @@
 
 use basrpt_core::reference::{schedule_scan, ScanScheduler, VoqDiscipline};
 use basrpt_core::{
-    check_maximal, FastBasrpt, FlowState, FlowTable, MaxWeight, RepFlow, Scheduler, Srpt,
+    check_maximal, FastBasrpt, FlowState, FlowTable, MaxWeight, RepFlow, Schedule, Scheduler, Srpt,
     ThresholdBacklogSrpt, ViewAdjust, VoqView,
 };
 use dcn_types::{FlowId, HostId, Voq};
@@ -517,6 +517,218 @@ impl ViewAdjust for HostZeroLens {
     }
 }
 
+/// One flow draining in a simulated allocator: bound to its VOQ's slot
+/// from `epoch`, owing the truncated bytes of its elapsed time, as the
+/// fabric's settlement computes them.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    slot: usize,
+    flow: FlowId,
+    epoch: f64,
+    /// Remaining bytes at the epoch.
+    remaining: u64,
+    /// Bytes already drained from the table since the epoch.
+    settled: u64,
+}
+
+/// The drain rate of [`Drains`], in bytes per unit of time: not a power of
+/// two, so the truncation's fraction turns differently for every epoch.
+const RATE: f64 = 0.7;
+
+impl Bound {
+    /// The bytes owed since the epoch at `now`: one product of the elapsed
+    /// time, truncated, and clamped to the epoch's bytes.
+    fn target(&self, now: f64) -> u64 {
+        ((RATE * (now - self.epoch).max(0.0)) as u64).min(self.remaining)
+    }
+}
+
+/// A lens over a simulated allocator that drains every bound VOQ's
+/// champion at one rate, truncating per epoch, and reports its clock:
+/// the lens a lazily settling engine lends its scheduler.
+struct Drains {
+    now: f64,
+    bound: Vec<Bound>,
+}
+
+impl ViewAdjust for Drains {
+    fn adjust(&self, view: &mut VoqView) {
+        self.adjust_counted(view);
+    }
+
+    fn adjust_counted(&self, view: &mut VoqView) -> bool {
+        let Some(b) = self.bound.iter().find(|b| b.slot == view.slot()) else {
+            return false;
+        };
+        let target = b.target(self.now);
+        let owed = target - b.settled;
+        view.backlog -= owed;
+        let live = b.remaining - target;
+        if view.shortest_flow == b.flow {
+            view.shortest_remaining -= owed;
+        } else if (live, b.flow) < (view.shortest_remaining, view.shortest_flow) {
+            view.shortest_flow = b.flow;
+            view.shortest_remaining = live;
+        }
+        true
+    }
+
+    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) {
+        self.bound.iter().for_each(|b| visit(b.slot));
+    }
+
+    fn corrected_count(&self) -> Option<usize> {
+        Some(self.bound.len())
+    }
+
+    fn clock(&self) -> Option<f64> {
+        Some(RATE * self.now)
+    }
+}
+
+impl Drains {
+    /// Drains `b`'s owed bytes into the table.
+    fn settle(table: &mut FlowTable, b: &mut Bound, now: f64) {
+        let target = b.target(now);
+        if target > b.settled {
+            table
+                .drain(b.flow, target - b.settled)
+                .expect("a bound flow is live");
+            b.settled = target;
+        }
+    }
+
+    /// Completes every flow that has sent its last byte by `now`.
+    fn complete_due(&mut self, table: &mut FlowTable) {
+        let now = self.now;
+        self.bound.retain_mut(|b| {
+            if b.target(now) < b.remaining {
+                return true;
+            }
+            Drains::settle(table, b, now);
+            false
+        });
+    }
+
+    /// Settles every bound flow, as a sample instant does.
+    fn settle_all(&mut self, table: &mut FlowTable) {
+        let now = self.now;
+        self.bound
+            .iter_mut()
+            .for_each(|b| Drains::settle(table, b, now));
+    }
+
+    /// Binds `schedule`'s pairs, keeping the epochs of flows already bound
+    /// and settling the flows it drops. With `idle`, pairs leaving that
+    /// host stay unbound, as a core filter that does not admit them.
+    fn apply(&mut self, table: &mut FlowTable, schedule: &Schedule, idle: Option<HostId>) {
+        let now = self.now;
+        let pairs: Vec<(FlowId, Voq)> = schedule
+            .iter()
+            .filter(|&(_, voq)| Some(voq.src()) != idle)
+            .collect();
+        self.bound.retain_mut(|b| {
+            if pairs.iter().any(|&(id, _)| id == b.flow) {
+                return true;
+            }
+            Drains::settle(table, b, now);
+            false
+        });
+        for (id, voq) in pairs {
+            if self.bound.iter().all(|b| b.flow != id) {
+                self.bound.push(Bound {
+                    slot: table.voq_slot(voq).expect("a scheduled VOQ"),
+                    flow: id,
+                    epoch: now,
+                    remaining: table.get(id).expect("a scheduled flow").remaining(),
+                    settled: 0,
+                });
+            }
+        }
+    }
+}
+
+/// One step of a drained script: time passes, due flows complete, and an
+/// arrival or a settlement of every account may follow.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    /// Elapsed time, in units of `1/RATE` bytes' worth, some zero.
+    dt: f64,
+    arrival: Option<(u32, u32, u64)>,
+    settle_all: bool,
+}
+
+fn arb_tick(ports: u32) -> impl Strategy<Value = Tick> {
+    (0u8..10, 0u8..6, 0u32..ports, 0u32..ports, 1u64..48).prop_map(
+        move |(kind, dt, src, dst, size)| Tick {
+            dt: [0.0, 0.0, 0.31, 1.0, 1.5, 2.9, 7.77, 23.0][usize::from(dt + kind % 3)],
+            arrival: (kind < 6).then_some((src, (src + 1 + dst % (ports - 1)) % ports, size)),
+            settle_all: kind == 9,
+        },
+    )
+}
+
+/// Runs `ticks` through a table and a simulated allocator with one
+/// long-lived instance of `make`'s discipline, deciding through the drain
+/// lens after every tick, and asserts each decision equals a fresh
+/// instance's full pass. Returns the warm instance.
+fn drained_run<S: Scheduler>(
+    make: impl Fn() -> S,
+    ticks: &[Tick],
+    idle: Option<HostId>,
+) -> Result<S, TestCaseError> {
+    let mut table = FlowTable::new();
+    let mut lens = Drains {
+        now: 0.0,
+        bound: Vec::new(),
+    };
+    let mut warm = make();
+    for (i, tick) in ticks.iter().enumerate() {
+        lens.now += tick.dt / RATE;
+        lens.complete_due(&mut table);
+        if let Some((src, dst, size)) = tick.arrival {
+            let voq = Voq::new(HostId::new(src), HostId::new(dst));
+            table
+                .insert(FlowState::new(FlowId::new(i as u64), voq, size))
+                .expect("ids are fresh");
+        }
+        if tick.settle_all {
+            lens.settle_all(&mut table);
+        }
+        let decided = warm.schedule_adjusted(&table, &lens);
+        let fresh = make().schedule_adjusted(&table, &lens);
+        prop_assert_eq!(&decided, &fresh, "{} at tick {}", warm.name(), i);
+        lens.apply(&mut table, &decided, idle);
+    }
+    Ok(warm)
+}
+
+/// Runs `ticks` under every discipline whose keys fall and checks how
+/// their decisions were taken: none found a risen key, and with no idle
+/// host none re-read every member.
+fn drained_runs(ticks: &[Tick], idle: Option<HostId>) -> Result<(), TestCaseError> {
+    let counts = [
+        drained_run(Srpt::new, ticks, idle)?.decisions(),
+        drained_run(RepFlow::default, ticks, idle)?.decisions(),
+        // `V/N = 1`: keys stay put while they transmit.
+        drained_run(|| FastBasrpt::new(8.0, 8), ticks, idle)?.decisions(),
+        // `V/N = 2`: every key exact.
+        drained_run(|| FastBasrpt::new(16.0, 8), ticks, idle)?.decisions(),
+        // The paper's `V/N`: keys round.
+        drained_run(|| FastBasrpt::new(2500.0, 144), ticks, idle)?.decisions(),
+        // `V/N = 10/3`: small integer near-ties.
+        drained_run(|| FastBasrpt::new(10.0, 3), ticks, idle)?.decisions(),
+    ];
+    for c in counts {
+        prop_assert_eq!(c.key_rose, 0, "{:?}", c);
+        prop_assert_eq!(c.decisions(), ticks.len() as u64);
+        if idle.is_none() {
+            prop_assert_eq!(c.full_rereads, 0, "{:?}", c);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// A long-lived instance of each key-driven discipline decides after
     /// every step of a random script and must match a fresh instance's
@@ -536,6 +748,35 @@ proptest! {
             apply(&mut table, op);
             warm.assert_match_fresh_scans(&table)?;
         }
+    }
+
+    /// Every discipline whose keys fall decides through a lens that drains
+    /// its matched champions at one rate, each from its own epoch and
+    /// truncated: its clean members go unread, ordered by their carried
+    /// drain-invariant keys, and every decision must equal a fresh full
+    /// pass. Small byte counts and a rate of 0.7 make exact ties (broken
+    /// by id), keys a byte apart and keys a few bytes apart common; time
+    /// that stands still leaves owed bytes at zero.
+    #[test]
+    fn drained_rankings_equal_fresh_decisions(
+        ticks in prop_oneof![
+            prop::collection::vec(arb_tick(4), 1..120),
+            prop::collection::vec(arb_tick(7), 1..160),
+        ],
+    ) {
+        let ticks: Vec<Tick> = ticks;
+        drained_runs(&ticks, None)?;
+    }
+
+    /// The same, with the VOQs leaving host 0 matched but never drained:
+    /// the lens's count misses them, so those decisions re-read every
+    /// member.
+    #[test]
+    fn a_lens_that_leaves_members_idle_decides_exactly(
+        ticks in prop::collection::vec(arb_tick(5), 1..120),
+    ) {
+        let ticks: Vec<Tick> = ticks;
+        drained_runs(&ticks, Some(HostId::new(0)))?;
     }
 
     /// One instance alternates between two unrelated tables, so each

@@ -649,6 +649,14 @@ impl ViewAdjust for LiveViews<'_> {
     fn corrected_count(&self) -> Option<usize> {
         Some(self.alloc.bound)
     }
+
+    /// Every bound account drains at the allocator's one rate from its own
+    /// epoch, owing the settlement's truncated bytes
+    /// (`ScheduledEntry::target_at`); the bound accounts are the previous
+    /// schedule's pairs the core filter admitted.
+    fn clock(&self) -> Option<f64> {
+        Some(self.alloc.rate.bytes_per_sec() * self.now.as_secs())
+    }
 }
 
 /// The core-capacity admission filter, with persistent scratch state

@@ -551,6 +551,13 @@ where
     })
 }
 
+/// The largest flow an engine accepts, 2^53 bytes (8 PiB): every size up
+/// to it is exact as an `f64`, which the decision keys and the drain
+/// arithmetic compute in, and a few thousand such flows still sum within
+/// the `u64` byte totals. Larger arrivals are rejected with
+/// [`FabricError::BadArrival`].
+pub const MAX_FLOW_BYTES: u64 = 1 << 53;
+
 pub(crate) fn validate_arrival<T: Topology + ?Sized>(
     topo: &T,
     arrival: &FlowArrival,
@@ -574,6 +581,13 @@ pub(crate) fn validate_arrival<T: Topology + ?Sized>(
         return Err(FabricError::BadArrival(format!(
             "flow {} has zero size",
             arrival.id
+        )));
+    }
+    if arrival.size.as_u64() > MAX_FLOW_BYTES {
+        return Err(FabricError::BadArrival(format!(
+            "flow {} of {} bytes exceeds the {MAX_FLOW_BYTES}-byte limit",
+            arrival.id,
+            arrival.size.as_u64()
         )));
     }
     if arrival.time < last_time {

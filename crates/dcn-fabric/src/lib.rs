@@ -60,7 +60,9 @@ mod topology;
 
 pub use calendar::CompletionCalendar;
 pub use delta::{DeltaAllocator, DeltaOutcome, DeltaStats, LiveViews};
-pub use engine::{simulate, simulate_probed, FabricError, FabricRun, SimConfig, SimConfigBuilder};
+pub use engine::{
+    simulate, simulate_probed, FabricError, FabricRun, SimConfig, SimConfigBuilder, MAX_FLOW_BYTES,
+};
 pub use fairshare::{
     simulate_fair_share, simulate_fair_share_probed, ConstraintSpec, FairShareAllocator,
     FairShareKey,

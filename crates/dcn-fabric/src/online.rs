@@ -1187,6 +1187,52 @@ mod tests {
         ));
     }
 
+    /// Flows larger than `MAX_FLOW_BYTES` would overflow the byte totals:
+    /// two `u64::MAX` flows on different sources are both rejected.
+    #[test]
+    fn oversized_flows_are_rejected_at_offer_time() {
+        let topo = small_topo();
+        let mut sched = Srpt::new();
+        let mut online = OnlineFabric::new(&topo, &mut sched, config(1.0));
+        for (id, src) in [(0, 0), (1, 2)] {
+            assert!(matches!(
+                online.offer(arrival(id, 0.1, src, 1, u64::MAX)),
+                Err(OfferError::Rejected(FabricError::BadArrival(_)))
+            ));
+        }
+        assert!(matches!(
+            online.offer(arrival(2, 0.1, 0, 1, crate::MAX_FLOW_BYTES + 1)),
+            Err(OfferError::Rejected(FabricError::BadArrival(_)))
+        ));
+        let run = online.finish().unwrap();
+        assert_eq!((run.arrivals, run.arrived_bytes.as_u64()), (0, 0));
+    }
+
+    /// A flow of exactly `MAX_FLOW_BYTES` is accepted, and its run, with a
+    /// small flow competing for its ports, conserves every byte.
+    #[test]
+    fn a_flow_at_the_size_limit_is_accepted_and_conserved() {
+        let topo = small_topo();
+        for mut sched in [
+            Box::new(Srpt::new()) as Box<dyn Scheduler>,
+            Box::new(basrpt_core::FastBasrpt::new(2500.0, 8)),
+        ] {
+            let mut online = OnlineFabric::new(&topo, sched.as_mut(), config(0.01));
+            online
+                .offer(arrival(0, 0.0, 0, 1, crate::MAX_FLOW_BYTES))
+                .unwrap();
+            online.offer(arrival(1, 0.001, 2, 1, 5_000)).unwrap();
+            let run = online.finish().unwrap();
+            assert_eq!(run.arrivals, 2);
+            assert_eq!(run.arrived_bytes.as_u64(), crate::MAX_FLOW_BYTES + 5_000);
+            assert_eq!(
+                run.arrived_bytes,
+                run.throughput.delivered() + run.leftover_bytes
+            );
+            assert_eq!((run.completions, run.leftover_flows), (1, 1));
+        }
+    }
+
     /// Struct literals bypass `SimConfigBuilder::build`; an infinite
     /// horizon would never let the clock reach it, so every entry point
     /// rejects it up front.

@@ -35,9 +35,14 @@ test-baselines:
 # Each crate's `#[cfg(test)]` unit tests and its own suites under
 # `crates/*/tests` (props, tie_break, champion_props and table_index_props
 # in basrpt-core; calendar_props in dcn-fabric), at release speed. The root
-# package's tests run in `verify`'s `cargo test -q`.
+# package's tests run in `verify`'s `cargo test -q`. basrpt-core's run
+# again in a debug build: there `Ranking::check_clean` re-reads every
+# matched VOQ a certified decision left unread and asserts the premise it
+# rests on (champion, no key rise, carried key within the drift, admission
+# order), a check release builds compile out.
 test-crates:
 	cargo test --release --workspace --exclude basrpt --lib --tests
+	cargo test -p basrpt-core --lib --tests
 
 # The full workspace test suite (unit + integration + property + doctests).
 test:

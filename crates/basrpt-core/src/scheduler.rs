@@ -75,14 +75,19 @@
 //!   key does not already rank first (see [`Ranking`]), so every waiting
 //!   candidate keeps a blocker whose stored key ranks before it.
 //!
-//! **When it holds.** The premise is checked by count: the lens's
-//! [`corrected_count`](ViewAdjust::corrected_count) must equal the clean
-//! members plus the corrected dirty VOQs, which are read first. A lens
-//! corrects only VOQs the last decision matched, so equality means it
-//! corrects every clean member. Otherwise, or without a clock, the decision
-//! re-reads every matched VOQ. Debug builds re-read every clean member
-//! anyway and assert its champion, that its key did not rise, and that its
-//! carried key is within `drift` of the current one.
+//! **When it holds.** The lens names every VOQ whose view it may move
+//! other than by its clock ([`ViewAdjust::off_clock_slots`]), such as a
+//! matched VOQ the engine left idle, and the decision reads those as dirty.
+//! Every other clean member drains by the clock, so the premise holds for
+//! it. Without a clock the frame is zero: the lens names every VOQ it
+//! corrects, an unnamed clean member's view is unchanged, and its carried
+//! key is its exact key (`drift = 0`). The carried keys belong to the
+//! previous decision's frame, so a decision whose frame does not continue
+//! that one (a clock appearing or vanishing, another `f`, a clock that went
+//! back) is a full pass. Debug builds re-read every clean member anyway and
+//! assert its champion, that its key did not rise, and that its carried
+//! key is within `drift` of the current one (equal to it when the drift is
+//! 0).
 
 use crate::table::{TableMark, VoqView};
 use crate::{FlowTable, Schedule};
@@ -111,49 +116,29 @@ pub trait ViewAdjust {
     fn adjust(&self, view: &mut VoqView);
 
     /// Calls `visit` with the slot ([`VoqView::slot`]) of every VOQ whose
-    /// view [`adjust`](ViewAdjust::adjust) may change; every other view
-    /// passes through unchanged. A slot may be named more than once. A
+    /// view [`adjust`](ViewAdjust::adjust) may move other than by the
+    /// lens's [`clock`](ViewAdjust::clock): for a lens without a clock,
+    /// every slot it corrects. A slot may be named more than once. A
     /// discipline carrying its matching across decisions ([`Ranking`])
-    /// asks for them unless the lens's count
-    /// ([`corrected_count`](ViewAdjust::corrected_count)) already vouched
-    /// for them.
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize));
-
-    /// [`adjust`](ViewAdjust::adjust)s `view` and returns whether the lens
-    /// corrects its VOQ's slot ([`VoqView::slot`]) at all, whether or not
-    /// this view changed. The default adjusts and says it does.
-    fn adjust_counted(&self, view: &mut VoqView) -> bool {
-        self.adjust(view);
-        true
-    }
-
-    /// The number of slots the lens corrects, if it keeps that count: those
-    /// for which [`adjust_counted`](ViewAdjust::adjust_counted) returns
-    /// `true`. The default keeps none.
-    ///
-    /// A [`Ranking`] counts the corrected slots among its non-empty
-    /// matched VOQs while it re-reads them anyway. The matched slots are
-    /// distinct, so when the two counts are equal every corrected slot is
-    /// matched, no unmatched view moved, and the lens need not name its
-    /// slots through [`corrected_slots`](ViewAdjust::corrected_slots);
-    /// otherwise it asks for them.
-    fn corrected_count(&self) -> Option<usize> {
-        None
-    }
+    /// reads the named VOQs as if a mutation had touched them.
+    fn off_clock_slots(&self, visit: &mut dyn FnMut(usize));
 
     /// The lens's drain clock `R·now`, in bytes: what a VOQ draining at
     /// the common rate `R` of the VOQs the lens corrects would have sent
     /// from time zero to the lens's instant, or `None` (the default) when
     /// the lens keeps no such clock.
     ///
-    /// A lens that reports one promises, for every slot it corrects: the
-    /// VOQ's champion is the flow draining, it drains at `R` from an epoch
-    /// `e` of its own, and it owes `⌊R·(now − e)⌋` bytes, computed in `f64`
-    /// as `R × (now − e)` and truncated. It corrects only VOQs the last
-    /// decision on its table matched, and successive lenses over one table
-    /// share `R` and report clocks that do not go back. A [`Ranking`] then
-    /// orders the matched VOQs no mutation touched by a key that draining
-    /// does not move, and leaves them unread (see the module docs).
+    /// A lens that reports one promises, for every VOQ the last decision on
+    /// its table matched and the lens does not name
+    /// ([`off_clock_slots`](ViewAdjust::off_clock_slots)): the VOQ's
+    /// champion is the flow draining, it drains at `R` from an epoch `e` of
+    /// its own, and it owes `⌊R·(now − e)⌋` bytes, computed in `f64` as
+    /// `R × (now − e)` and truncated. It corrects no other VOQ it does not
+    /// name, and successive lenses over one table share `R` and report
+    /// clocks that do not go back. A [`Ranking`] then orders the matched
+    /// VOQs no mutation touched and the lens does not name by a key that
+    /// draining does not move, and leaves them unread (see the module
+    /// docs).
     fn clock(&self) -> Option<f64> {
         None
     }
@@ -169,7 +154,7 @@ pub struct NoAdjust;
 impl ViewAdjust for NoAdjust {
     fn adjust(&self, _view: &mut VoqView) {}
 
-    fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) {}
+    fn off_clock_slots(&self, _visit: &mut dyn FnMut(usize)) {}
 }
 
 /// A flow scheduling discipline.
@@ -473,8 +458,10 @@ pub struct DecisionCounts {
     /// VOQs.
     pub certified: u64,
     /// Full passes with nothing carried for the table: the first decision,
-    /// or a table other than the previous decision's (a clone or a
-    /// restored table is another table).
+    /// a table other than the previous decision's (a clone or a restored
+    /// table is another table), or a frame that does not continue the
+    /// previous decision's (a clock appearing or vanishing, another fall
+    /// per byte, a clock that went back).
     pub cold: u64,
     /// Full passes because more mutations happened since the previous
     /// decision than the table's changed-slot record holds.
@@ -487,17 +474,14 @@ pub struct DecisionCounts {
     pub key_can_rise: u64,
     /// VOQs certified decisions read because a mutation touched them.
     pub read_dirty: u64,
+    /// VOQs certified decisions read because the lens named them
+    /// ([`ViewAdjust::off_clock_slots`]) and no mutation touched them.
+    pub read_named: u64,
     /// Clean matched VOQs certified decisions read because their carried
     /// drain-invariant keys lay too close to order them (module docs).
     pub read_near_tie: u64,
     /// Clean matched VOQs the repair read to compare a candidate against.
     pub read_on_demand: u64,
-    /// Certified decisions that re-read every matched VOQ although the lens
-    /// has a clock, because its count disagreed with the clean members
-    /// plus the corrected dirty VOQs: a member left idle, such as one the
-    /// core filter did not admit. A lens without a clock re-reads on every
-    /// decision, uncounted here.
-    pub full_rereads: u64,
 }
 
 impl DecisionCounts {
@@ -558,7 +542,8 @@ struct Member {
 /// per byte `f`, the clock `X`, the shift `F = f ⊗ X` a read member's
 /// drain-invariant key adds to its key, and the drift, how far a carried
 /// drain-invariant key may lie from the current one. All zero without a
-/// clock, where every member is read and `b` is the key itself.
+/// clock, where `b` is the key itself and an unread member's key does not
+/// move.
 #[derive(Debug, Clone, Copy, Default)]
 struct Frame {
     fall: f64,
@@ -584,6 +569,15 @@ impl Frame {
     fn margin(&self) -> f64 {
         2.0 * self.drift
     }
+
+    /// Whether keys carried in this frame still order members in `next`:
+    /// neither has a clock (only a clocked frame has a drift), or both do,
+    /// with one fall per byte and a clock that did not go back.
+    fn continues_to(&self, next: &Frame) -> bool {
+        (self.drift > 0.0) == (next.drift > 0.0)
+            && self.fall.to_bits() == next.fall.to_bits()
+            && self.clock <= next.clock
+    }
 }
 
 /// What a decision reads through: the table, the lens and the
@@ -596,15 +590,11 @@ struct Reader<'a, K> {
 
 impl<K: FnMut(&VoqView) -> Candidate> Reader<'_, K> {
     /// The candidate of the VOQ in `slot` through the lens, if it is
-    /// non-empty, and whether the lens corrects the slot.
-    fn read(&mut self, slot: u32) -> (Option<Candidate>, bool) {
-        match self.table.view_at_slot(slot as usize) {
-            Some(mut view) => {
-                let corrected = self.adjust.adjust_counted(&mut view);
-                (Some((self.key)(&view)), corrected)
-            }
-            None => (None, false),
-        }
+    /// non-empty.
+    fn read(&mut self, slot: u32) -> Option<Candidate> {
+        let mut view = self.table.view_at_slot(slot as usize)?;
+        self.adjust.adjust(&mut view);
+        Some((self.key)(&view))
     }
 }
 
@@ -704,30 +694,24 @@ impl Eq for Work {}
 /// argument as [`validity`](crate::validity)). That property survives an
 /// event as long as no matched key rises and no unmatched candidate
 /// changes. So a decision only has to look at the matched VOQs and the
-/// *dirty* ones, which a mutation touched; and of the matched VOQs, only
-/// at those whose order it cannot otherwise prove:
+/// *dirty* ones, which a mutation touched or the lens names; and of the
+/// matched VOQs, only at those whose order it cannot otherwise prove:
 ///
 /// 1. **Certificate.** The table's changed-slot record must reach back
-///    to the previous decision on the same table. The dirty VOQs are read
-///    first, counting those the lens corrects. The *clean* members, the
-///    matched VOQs no mutation touched, must keep their champions with keys
-///    that did not rise, and the lens must correct no clean unmatched VOQ.
-///    - When the lens has a drain clock and its count
-///      ([`ViewAdjust::corrected_count`]) equals the clean members plus
-///      the corrected dirty VOQs, the lens drains every clean member, so
-///      the premise holds without reading them. Their carried
-///      drain-invariant keys order them: sorted by that key, only the near
-///      ties (clusters closer than the margin the module docs derive) are
-///      read and ordered exactly.
-///    - Otherwise every clean member is re-read, must keep its champion
-///      with a key no higher than when it was last read, and moves back
-///      into admission order. Unless the counts now agree, the lens names
-///      its slots ([`ViewAdjust::corrected_slots`]) and the unmatched ones
-///      count as dirty.
+///    to the previous decision on the same table, and the decision's frame
+///    must continue that decision's (module docs). The *dirty* VOQs are
+///    those a mutation touched and those the lens names
+///    ([`ViewAdjust::off_clock_slots`]); they are read first. The *clean*
+///    members, the other matched VOQs, keep their champions with keys that
+///    did not rise, because the lens moves them only by its clock, if at
+///    all. Their carried drain-invariant keys order them: sorted by that
+///    key, only the near ties (clusters closer than the margin the module
+///    docs derive) are read and ordered exactly. Without a clock the
+///    margin is 0 and the carried keys are exact.
 ///
-///    Dirty members leave the matched set. A dirty VOQ that passes the
-///    same test as a clean member, or an unmatched one whose candidate is
-///    unchanged, stays as it is.
+///    Dirty members leave the matched set. A dirty VOQ that keeps its
+///    champion with a key no higher than when it was last read, or an
+///    unmatched one whose candidate is unchanged, stays as it is.
 /// 2. **Repair**, a dynamic greedy maximal independent set on the
 ///    crossbar's conflict graph (after Censor-Hillel, Haramaty & Karnin,
 ///    PODC 2016). The dirty VOQs are taken out — a matched one frees its
@@ -757,9 +741,9 @@ impl Eq for Work {}
 /// every waiting candidate it blocks, and a freed port's scan can start
 /// from it.
 ///
-/// Without a certificate — the first decision on a table, a record
-/// overflow, a risen key, or a discipline whose keys can rise
-/// ([`KeyMotion::MayRise`]) — the decision is a full pass: every view is
+/// Without a certificate — the first decision on a table or in a new
+/// frame, a record overflow, a risen key, or a discipline whose keys can
+/// rise ([`KeyMotion::MayRise`]) — the decision is a full pass: every view is
 /// read, laid out in the previous full pass's order (new VOQs last) so the
 /// run-adaptive stable sort finishes in near-linear time, and admitted
 /// greedily.
@@ -793,17 +777,17 @@ pub struct Ranking {
     matched: Vec<Member>,
     /// The number of decisions taken, which stamps each read.
     stamp: u64,
-    /// This decision's drain clock, and the previous decision's when it
-    /// had one.
+    /// This decision's drain clock, and the previous decision's, which
+    /// the carried drain-invariant keys belong to.
     frame: Frame,
-    carried: Option<Frame>,
+    carried: Frame,
     /// The largest total backlog of any table decided on: the `S` of the
     /// module docs.
     scale: f64,
     /// The repair's scratch: the dirty slots (sorted, once each), the
-    /// dirty members' slots, the slots to re-examine with their candidates
-    /// read this decision, the freed ports with the rank their scan starts
-    /// after, and the work queue.
+    /// dirty members' slots (a sorted subsequence), the slots to
+    /// re-examine with their candidates read this decision, the freed
+    /// ports with the rank their scan starts after, and the work queue.
     dirty: Vec<u32>,
     leaving: Vec<u32>,
     reads: Vec<(u32, Option<Candidate>)>,
@@ -901,6 +885,10 @@ impl Ranking {
             self.counts.cold += 1;
             return false;
         };
+        if !self.carried.continues_to(&self.frame) {
+            self.counts.cold += 1;
+            return false;
+        }
         let Some(changed) = table.changed_since(mark) else {
             self.counts.overflow += 1;
             return false;
@@ -909,8 +897,19 @@ impl Ranking {
         self.dirty.extend_from_slice(changed);
         self.dirty.sort_unstable();
         self.dirty.dedup();
+        let touched = self.dirty.len();
+        let dirty = &mut self.dirty;
+        rd.adjust
+            .off_clock_slots(&mut |slot| dirty.push(slot as u32));
+        if self.dirty.len() > touched {
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
+        }
+        self.counts.read_dirty += touched as u64;
+        self.counts.read_named += (self.dirty.len() - touched) as u64;
         self.index.resize(table.num_voq_slots(), ABSENT);
         self.leaving.clear();
+        self.reads.clear();
         for &slot in &self.dirty {
             let member = self
                 .index
@@ -920,33 +919,11 @@ impl Ranking {
             if member {
                 self.leaving.push(slot);
             }
+            self.reads.push((slot, rd.read(slot)));
         }
-        let corrected_dirty = self.read_dirty(rd);
-        let clean = self.matched.len() - self.leaving.len();
-        let counted = rd.adjust.corrected_count();
-        // Only a frame with a clock has a drift.
-        let frame = self.frame;
-        let clocked = self.carried.is_some_and(|carried| {
-            frame.drift > 0.0
-                && carried.fall.to_bits() == frame.fall.to_bits()
-                && carried.clock <= frame.clock
-        });
-        if clocked && counted == Some(clean + corrected_dirty) {
-            self.order_clean(rd);
-            #[cfg(debug_assertions)]
-            self.check_clean(rd);
-        } else {
-            if clocked {
-                self.counts.full_rereads += 1;
-            }
-            let Some(corrected) = self.rekey(rd) else {
-                self.counts.key_rose += 1;
-                return false;
-            };
-            if counted != Some(corrected + corrected_dirty) {
-                self.name_corrected(rd);
-            }
-        }
+        self.order_clean(rd);
+        #[cfg(debug_assertions)]
+        self.check_clean(rd);
         if !self.broken {
             self.repair(rd);
         }
@@ -958,99 +935,12 @@ impl Ranking {
         true
     }
 
-    /// Reads every dirty slot into the repair's list and returns how many
-    /// the lens corrects.
-    fn read_dirty<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) -> usize {
-        self.reads.clear();
-        let mut corrected = 0;
-        for &slot in &self.dirty {
-            let (c, counted) = rd.read(slot);
-            corrected += usize::from(counted);
-            self.reads.push((slot, c));
-        }
-        self.counts.read_dirty += self.dirty.len() as u64;
-        corrected
-    }
-
-    /// Has the lens name the slots it corrects and reads the unmatched ones
-    /// no mutation touched, for the repair to re-examine.
-    fn name_corrected<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) {
-        let mut named = Vec::new();
-        let (index, ranked, dirty) = (&self.index, &self.ranked, &self.dirty);
-        rd.adjust.corrected_slots(&mut |slot| {
-            let matched = index
-                .get(slot)
-                .and_then(|&at| ranked.get(at as usize))
-                .is_some_and(|rank| rank.status == Status::Matched);
-            if !matched && dirty.binary_search(&(slot as u32)).is_err() {
-                named.push(slot as u32);
-            }
-        });
-        named.sort_unstable();
-        named.dedup();
-        for slot in named {
-            let (c, _) = rd.read(slot);
-            self.reads.push((slot, c));
-        }
-    }
-
-    /// The certificate's re-read of the clean members: each is read
-    /// through the lens and must keep its champion with a key no higher
-    /// than when it was last read; its record is re-keyed and moved back
-    /// into admission order. Dirty members leave the set for the repair to
-    /// re-admit. Returns how many clean members the lens corrects, or
-    /// `None` if a key rose.
-    fn rekey<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) -> Option<usize> {
-        let (mut kept, mut corrected) = (0, 0);
-        for i in 0..self.matched.len() {
-            let mut member = self.matched[i];
-            if self.leaving.contains(&member.slot) {
-                continue;
-            }
-            let (read, counted) = rd.read(member.slot);
-            corrected += usize::from(counted);
-            let rank = &mut self.ranked[self.index[member.slot as usize] as usize];
-            // A clean member keeps its champion and its key may only fall,
-            // which keeps every unmatched candidate's earlier blocker
-            // earlier.
-            match read {
-                Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
-                    (rank.key, rank.stamp) = (c.key, self.stamp);
-                    member.b = c.key + self.frame.shift;
-                }
-                _ => return None,
-            }
-            let mut to = kept;
-            while to > 0 && self.read_before(&member, &self.matched[to - 1]) {
-                self.matched[to] = self.matched[to - 1];
-                to -= 1;
-            }
-            self.matched[to] = member;
-            kept += 1;
-        }
-        self.matched.truncate(kept);
-        Some(corrected)
-    }
-
-    /// Whether member `x` ranks before member `y`, both read this decision.
-    /// Their drain-invariant keys decide unless they are equal.
-    fn read_before(&self, x: &Member, y: &Member) -> bool {
-        match x.b.partial_cmp(&y.b) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => {
-                let rank = |m: &Member| self.ranked[self.index[m.slot as usize] as usize].rank();
-                rank_cmp(rank(x), rank(y)).is_lt()
-            }
-        }
-    }
-
-    /// The certificate's order of the clean members when the lens drains
-    /// every one: dirty members leave the set, the rest are sorted by their
-    /// carried drain-invariant keys, and each cluster of keys closer than
-    /// the margin is read and ordered exactly. The sort notes whether any
-    /// member moved or landed within the margin of the one before it; if
-    /// none did, there is no cluster to look for.
+    /// The certificate's order of the clean members: dirty members leave
+    /// the set, the rest are sorted by their carried drain-invariant keys,
+    /// and each cluster of keys closer than the margin is read and ordered
+    /// exactly. The sort notes whether any member moved or landed within
+    /// the margin of the one before it; if none did, there is no cluster to
+    /// look for.
     fn order_clean<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>) {
         let margin = self.frame.margin();
         let (mut kept, mut tied) = (0, false);
@@ -1058,7 +948,7 @@ impl Ranking {
         let mut last = f64::NEG_INFINITY;
         for i in 0..self.matched.len() {
             let member = self.matched[i];
-            if !self.leaving.is_empty() && self.leaving.contains(&member.slot) {
+            if !self.leaving.is_empty() && self.leaving.binary_search(&member.slot).is_ok() {
                 continue;
             }
             if member.b < last {
@@ -1135,7 +1025,7 @@ impl Ranking {
     /// certificate.
     fn reread<K: FnMut(&VoqView) -> Candidate>(&mut self, rd: &mut Reader<'_, K>, at: usize) {
         let rank = self.ranked[at];
-        match rd.read(rank.slot).0 {
+        match rd.read(rank.slot) {
             Some(c) if c.flow == rank.flow && c.key.total_cmp(&rank.key).is_le() => {
                 let rank = &mut self.ranked[at];
                 (rank.key, rank.stamp) = (c.key, self.stamp);
@@ -1145,9 +1035,10 @@ impl Ranking {
     }
 
     /// Debug builds' check of the premise the unread clean members rest
-    /// on: each keeps its champion, the lens corrects it, its key did not
-    /// rise and its carried drain-invariant key is within the drift of the
-    /// current one; and the matched set is in admission order.
+    /// on: each keeps its champion, its key did not rise and its carried
+    /// drain-invariant key is within the drift of the current one (equal
+    /// to it when the drift is 0); and the matched set is in admission
+    /// order.
     #[cfg(debug_assertions)]
     fn check_clean<K: FnMut(&VoqView) -> Candidate>(&self, rd: &mut Reader<'_, K>) {
         let frame = self.frame;
@@ -1157,14 +1048,13 @@ impl Ranking {
             let now = if rank.stamp == self.stamp {
                 rank.rank()
             } else {
-                let (read, corrected) = rd.read(member.slot);
-                let c = read.expect("a clean member is non-empty");
-                assert!(corrected, "the lens drains every clean member");
+                let c = rd.read(member.slot).expect("a clean member is non-empty");
                 assert_eq!(c.flow, rank.flow, "a clean member keeps its champion");
                 assert!(c.key <= rank.key, "a clean member's key did not rise");
                 let b = c.key + frame.shift;
+                let gap = (b - member.b).abs();
                 assert!(
-                    (b - member.b).abs() < frame.drift,
+                    gap < frame.drift || gap == 0.0,
                     "a carried drain-invariant key {} is within {} of the current {b}",
                     member.b,
                     frame.drift
@@ -1535,9 +1425,9 @@ impl Ranking {
 /// matching and, behind a checked certificate, repairs it around the VOQs
 /// that changed: `O(M + D log Q)` for `M` matched and `D` changed VOQs,
 /// instead of reading and sorting all `Q` candidates. Of the `M` matched
-/// VOQs it reads only the near ties and those the repair compares against
-/// when the lens reports a drain clock ([`ViewAdjust::clock`]), and all of
-/// them otherwise. Otherwise — and whenever the certificate cannot be
+/// VOQs it reads only those the lens names
+/// ([`ViewAdjust::off_clock_slots`]), the near ties and those the repair
+/// compares against. Otherwise — and whenever the certificate cannot be
 /// proven — the decision is a full pass, `O(Q log Q)` and near `O(Q)` when
 /// the previous order still mostly holds. Both produce the same schedule,
 /// each pair with its VOQ slot; the `O(F + Q log Q)` full scan survives as
@@ -1561,12 +1451,10 @@ where
     ranking.stamp += 1;
     let KeyMotion::Falls { per_byte } = motion else {
         ranking.counts.key_can_rise += 1;
-        ranking.carried = None;
         return ranking.full_pass(&mut rd, false);
     };
     ranking.scale = ranking.scale.max(table.total_backlog() as f64);
-    let clock = adjust.clock();
-    ranking.frame = clock.map_or(Frame::default(), |clock| {
+    ranking.frame = adjust.clock().map_or(Frame::default(), |clock| {
         Frame::new(per_byte, clock, ranking.scale)
     });
     let schedule = if ranking.certify(&mut rd) {
@@ -1575,7 +1463,7 @@ where
     } else {
         ranking.full_pass(&mut rd, true)
     };
-    ranking.carried = clock.map(|_| ranking.frame);
+    ranking.carried = ranking.frame;
     schedule
 }
 
@@ -1658,7 +1546,7 @@ mod tests {
                 }
             }
 
-            fn corrected_slots(&self, _visit: &mut dyn FnMut(usize)) {
+            fn off_clock_slots(&self, _visit: &mut dyn FnMut(usize)) {
                 unreachable!("a fresh ranking's first decision is a full pass");
             }
         }

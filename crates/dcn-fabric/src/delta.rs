@@ -64,14 +64,15 @@
 //! `V/N ≥ 1`): the greedy matching is the unique one in which every
 //! unmatched candidate has an earlier matched neighbour, and falling
 //! matched keys keep it so. Those disciplines carry the previous
-//! *matching* ([`basrpt_core::Ranking`]) and, behind a certificate that
-//! re-reads the matched VOQs through the lens, repair it around the VOQs
-//! the table or the lens changed. For that the lens must account for the
-//! slots it corrects, the bound ones: it keeps their count
-//! ([`ViewAdjust::corrected_count`]), so a certificate that finds every
-//! bound slot among the matched VOQs it re-reads needs no walk of the
-//! selection, and it names them ([`ViewAdjust::corrected_slots`]) when
-//! the counts disagree. `PERFMODEL.md` has the full cost model.
+//! *matching* ([`basrpt_core::Ranking`]) and, behind a certificate,
+//! repair it around the VOQs the table changed. Every bound account drains
+//! at the allocator's one rate, so the lens reports a drain clock
+//! ([`ViewAdjust::clock`]) and the certificate orders the matched VOQs
+//! nothing touched without reading them. The lens names the matched VOQs
+//! that clock does not cover ([`ViewAdjust::off_clock_slots`]): the pairs
+//! of the last schedule the core filter withheld, which stay idle, and
+//! which the certificate reads as if a mutation had touched them.
+//! `PERFMODEL.md` has the full cost model.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suite (`tests/delta_differential.rs`) pins both engines
@@ -210,6 +211,12 @@ pub struct DeltaAllocator {
     /// its slot holds its flow's account; the others are *tombstones* of
     /// flows that completed after this selection was applied.
     sel: Vec<(FlowId, Voq, u32)>,
+    /// The pairs of the last schedule that the core filter withheld from
+    /// [`apply`](DeltaAllocator::apply), each with its VOQ slot, in
+    /// priority order: matched but idle, so the
+    /// [`live_views`](DeltaAllocator::live_views) lens names them. Empty
+    /// for a caller that binds whole schedules.
+    pub(crate) withheld: Vec<(FlowId, Voq, u32)>,
     /// The number of bound accounts (`Some` entries of `by_slot`).
     bound: usize,
     /// `apply`'s working state, reused so a reschedule allocates nothing
@@ -231,6 +238,7 @@ impl DeltaAllocator {
             calendar: CompletionCalendar::new(),
             by_slot: Vec::new(),
             sel: Vec::new(),
+            withheld: Vec::new(),
             bound: 0,
             stamps: Vec::new(),
             generation: 0,
@@ -499,7 +507,10 @@ impl DeltaAllocator {
     /// so a scheduler deciding from adjusted views sees precisely the
     /// views an eagerly settled table would serve. One indexed read per
     /// VOQ, by [`VoqView::slot`]: the views must come from the table whose
-    /// slots [`apply`](DeltaAllocator::apply) was given.
+    /// slots [`apply`](DeltaAllocator::apply) was given. Its clock covers
+    /// every pair `apply` bound, so a caller must bind the whole schedule;
+    /// the engines' core filter records the pairs it withholds, and the
+    /// lens names them ([`ViewAdjust::off_clock_slots`]).
     pub fn live_views(&self, now: SimTime) -> LiveViews<'_> {
         LiveViews { alloc: self, now }
     }
@@ -602,20 +613,16 @@ pub struct LiveViews<'a> {
 }
 
 impl ViewAdjust for LiveViews<'_> {
-    fn adjust(&self, view: &mut VoqView) {
-        self.adjust_counted(view);
-    }
-
     /// The lens corrects exactly the VOQs with a bound account.
-    fn adjust_counted(&self, view: &mut VoqView) -> bool {
+    fn adjust(&self, view: &mut VoqView) {
         let Some(Some(entry)) = self.alloc.by_slot.get(view.slot()) else {
-            return false; // no flow of this VOQ is transmitting
+            return; // no flow of this VOQ is transmitting
         };
         let flow = entry.flow;
         let target = entry.target_at(self.now);
         let owed = target - entry.settled;
         if owed == 0 {
-            return true;
+            return;
         }
         view.backlog -= owed;
         let live = entry.epoch_remaining - target;
@@ -630,24 +637,14 @@ impl ViewAdjust for LiveViews<'_> {
             view.shortest_flow = flow;
             view.shortest_remaining = live;
         }
-        true
     }
 
-    /// The lens corrects only the VOQs with a bound account: the live
-    /// pairs of the allocator's selection.
-    fn corrected_slots(&self, visit: &mut dyn FnMut(usize)) {
-        for &(id, _, slot) in &self.alloc.sel {
-            if account_of(&self.alloc.by_slot, slot as usize, id).is_some() {
-                visit(slot as usize);
-            }
+    /// The pairs of the previous schedule that the core filter withheld:
+    /// matched, but idle while the clock runs.
+    fn off_clock_slots(&self, visit: &mut dyn FnMut(usize)) {
+        for &(_, _, slot) in &self.alloc.withheld {
+            visit(slot as usize);
         }
-    }
-
-    /// The allocator counts its bound accounts, so a decision that re-reads
-    /// every matched VOQ learns whether the lens corrects any other one
-    /// without walking the selection.
-    fn corrected_count(&self) -> Option<usize> {
-        Some(self.alloc.bound)
     }
 
     /// Every bound account drains at the allocator's one rate from its own
@@ -669,10 +666,9 @@ impl ViewAdjust for LiveViews<'_> {
 /// and destination rack's downlink budget *on that plane* (each plane
 /// carries `uplink / planes`), and is skipped once either is exhausted.
 /// The aggregate filter is the one-plane case: every flow rides plane 0
-/// with the whole uplink budget. Rejected inter-rack flows are kept in
-/// priority order, and the residual budgets stay charged until the next
-/// [`filter`](CoreBudgets::filter), so replicas can ride what is left
-/// through [`admit`](CoreBudgets::admit).
+/// with the whole uplink budget. The residual budgets stay charged until
+/// the next [`filter`](CoreBudgets::filter), so replicas of the rejected
+/// flows can ride what is left through [`admit`](CoreBudgets::admit).
 #[derive(Debug)]
 pub(crate) struct CoreBudgets {
     edge: f64,
@@ -682,9 +678,6 @@ pub(crate) struct CoreBudgets {
     /// `rack * planes + plane` → bytes/second charged this decision.
     up_used: Vec<f64>,
     down_used: Vec<f64>,
-    /// The inter-rack flows the last [`filter`](CoreBudgets::filter)
-    /// rejected, in priority order.
-    pub(crate) rejected: Vec<(FlowId, Voq)>,
 }
 
 impl CoreBudgets {
@@ -698,23 +691,23 @@ impl CoreBudgets {
             planes,
             up_used: vec![0.0; cells],
             down_used: vec![0.0; cells],
-            rejected: Vec::new(),
         }
     }
 
     /// Filters `selected` (in priority order) in place under the per-plane
-    /// rack budgets, keeping the admitted pairs in their order; `pair`
-    /// reads a selected item's flow and VOQ, so any extra fields (the
-    /// allocator's VOQ slots) pass through.
-    pub(crate) fn filter<T: Topology + ?Sized, P>(
+    /// rack budgets, keeping the admitted pairs in their order and moving
+    /// the rejected ones into `rejected`, in their order; `pair` reads a
+    /// selected item's flow and VOQ, so any extra fields (the allocator's
+    /// VOQ slots) pass through.
+    pub(crate) fn filter<T: Topology + ?Sized, P: Copy>(
         &mut self,
         topo: &T,
         selected: &mut Vec<P>,
+        rejected: &mut Vec<P>,
         pair: impl Fn(&P) -> (FlowId, Voq),
     ) {
         self.up_used.fill(0.0);
         self.down_used.fill(0.0);
-        let mut rejected = std::mem::take(&mut self.rejected);
         rejected.clear();
         selected.retain(|item| {
             let (id, voq) = pair(item);
@@ -726,11 +719,10 @@ impl CoreBudgets {
                 self.admit(topo, voq, plane)
             };
             if !admitted {
-                rejected.push((id, voq));
+                rejected.push(*item);
             }
             admitted
         });
-        self.rejected = rejected;
     }
 
     /// Admits one inter-rack flow on `voq` onto `plane` if both its rack
@@ -1269,15 +1261,18 @@ mod tests {
             view
         };
 
-        // The bound VOQ counts as corrected even while it owes nothing; a
-        // VOQ without a bound account does not.
+        // A bound VOQ that owes nothing yet, and a VOQ without a bound
+        // account, pass through unchanged.
         let mut view = table.voq_view(q).unwrap();
-        assert!(alloc.live_views(SimTime::ZERO).adjust_counted(&mut view));
+        alloc.live_views(SimTime::ZERO).adjust(&mut view);
         assert_eq!(view, table.voq_view(q).unwrap());
         let mut other = table.clone();
         other.insert(FlowState::new(f(3), voq(2, 3), 100)).unwrap();
         let mut view = other.voq_view(voq(2, 3)).unwrap();
-        assert!(!alloc.live_views(SimTime::ZERO).adjust_counted(&mut view));
+        alloc
+            .live_views(SimTime::from_micros(7.0))
+            .adjust(&mut view);
+        assert_eq!(view, other.voq_view(voq(2, 3)).unwrap());
 
         // 2 µs in: flow 1 has moved 2 500 unsettled bytes. Its live
         // remaining (10 000) still loses to flow 2's 5 000.
@@ -1309,33 +1304,35 @@ mod tests {
     }
 
     #[test]
-    fn live_views_names_exactly_the_bound_slots() {
-        let mut alloc = DeltaAllocator::new(gbps10());
-        let (a, b) = ((f(1), voq(0, 1)), (f(2), voq(2, 3)));
-        apply(
-            &mut alloc,
-            SimTime::ZERO,
-            vec![a, b],
-            |id| if id == f(1) { 1_250 } else { 1 << 30 },
-            no_evict,
-        );
-        let named = |alloc: &DeltaAllocator| {
-            let mut slots = Vec::new();
-            alloc
-                .live_views(SimTime::ZERO)
-                .corrected_slots(&mut |s| slots.push(s));
-            slots
-        };
-        assert_eq!(named(&alloc), [slot(a.1), slot(b.1)]);
-        // The count and the per-slot test agree with the naming.
-        let lens = alloc.live_views(SimTime::ZERO);
-        assert_eq!(lens.corrected_count(), Some(2));
-        // A completion's tombstone is not named, nor counted.
-        alloc.settle_due(SimTime::from_micros(1.0), |_| {});
-        assert_eq!(named(&alloc), [slot(b.1)]);
-        let lens = alloc.live_views(SimTime::ZERO);
-        assert_eq!(lens.corrected_count(), Some(1));
-        alloc.check_consistent().unwrap();
+    fn live_views_names_exactly_the_withheld_pairs() {
+        use crate::online::{AllocationPolicy, Crossbar};
+        use basrpt_core::{FlowState, FlowTable, Srpt};
+        use dcn_probe::NoProbe;
+
+        // 2 racks × 8 hosts, 1 core: at most 4 inter-rack flows per rack
+        // direction. SRPT matches all eight cross-rack flows, shortest
+        // first, and the filter rejects the last four.
+        let topo = FatTree::scaled(2, 8, 1).unwrap();
+        let mut table = FlowTable::new();
+        for i in 0..8 {
+            let flow = FlowState::new(f(i), voq(i as u32, 8 + i as u32), 1_000 + i);
+            table.insert(flow).unwrap();
+        }
+        let slot_of = |i: u32| table.voq_slot(voq(i, 8 + i)).unwrap();
+        for (enforce_core, withheld) in [(true, 4..8), (false, 0..0)] {
+            let mut srpt = Srpt::new();
+            let mut policy = Crossbar::new(&topo, &mut srpt, enforce_core, 1);
+            let mut out = Vec::new();
+            policy.reschedule(&topo, SimTime::ZERO, &table, true, &mut NoProbe, &mut out);
+            let mut named = Vec::new();
+            policy
+                .alloc
+                .live_views(SimTime::from_micros(1.0))
+                .off_clock_slots(&mut |s| named.push(s));
+            let want: Vec<usize> = withheld.map(slot_of).collect();
+            assert_eq!(named, want, "enforce_core = {enforce_core}");
+            assert_eq!(policy.alloc.len(), 8 - want.len());
+        }
     }
 
     #[test]
@@ -1384,14 +1381,15 @@ mod tests {
             .collect();
         let mut budgets = CoreBudgets::new(&topo, 1);
         let mut got = selected.clone();
-        budgets.filter(&topo, &mut got, |&p| p);
+        let mut rejected = Vec::new();
+        budgets.filter(&topo, &mut got, &mut rejected, |&p| p);
         assert_eq!(got.len(), 4, "one 40 Gbps uplink carries 4 edge flows");
         assert_eq!(&got[..], &selected[..4], "priority order preserved");
-        assert_eq!(&budgets.rejected[..], &selected[4..]);
+        assert_eq!(&rejected[..], &selected[4..]);
         // Intra-rack flows pass even with the core budget exhausted.
         let mut got = selected.clone();
         got.push((f(99), voq(0, 1)));
-        budgets.filter(&topo, &mut got, |&p| p);
+        budgets.filter(&topo, &mut got, &mut rejected, |&p| p);
         assert_eq!(got.len(), 5);
         assert_eq!(got[4], (f(99), voq(0, 1)));
     }

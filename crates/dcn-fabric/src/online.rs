@@ -302,7 +302,7 @@ pub(crate) trait AllocationPolicy {
 #[derive(Debug)]
 pub(crate) struct Crossbar<'s, S: ?Sized> {
     scheduler: &'s mut S,
-    alloc: DeltaAllocator,
+    pub(crate) alloc: DeltaAllocator,
     /// The core-capacity filter, present when core capacity is enforced
     /// (one plane for the aggregate filter, the fabric's planes for ECMP).
     pub(crate) budgets: Option<CoreBudgets>,
@@ -368,8 +368,15 @@ impl<S: Scheduler + ?Sized> AllocationPolicy for Crossbar<'_, S> {
                 .voq_slot(voq)
                 .expect("a scheduled flow's VOQ has a slot")
         });
+        // The allocator keeps the pairs the filter withholds: its lens
+        // names them, since they stay idle while its clock runs.
         if let Some(budgets) = self.budgets.as_mut() {
-            budgets.filter(topo, &mut selected, |&(id, voq, _)| (id, voq));
+            budgets.filter(
+                topo,
+                &mut selected,
+                &mut self.alloc.withheld,
+                |&(id, voq, _)| (id, voq),
+            );
         }
         // Entrants' remaining bytes are exact in the stale table too: a
         // flow entering the scheduled set was not transmitting, so it has

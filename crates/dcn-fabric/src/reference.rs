@@ -74,11 +74,12 @@ pub fn simulate_scan_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
 ) -> Result<FabricRun, FabricError> {
     let edge = topo.edge_rate();
     let mut budgets = enforces_core(topo, &config).then(|| CoreBudgets::new(topo, 1));
+    let mut rejected = Vec::new();
     run_reference(topo, generator, config, probe, |now, table, obs, out| {
         let schedule = timed_decision(obs, now, || scheduler.schedule(table));
         let mut selected: Vec<_> = schedule.iter().collect();
         if let Some(budgets) = budgets.as_mut() {
-            budgets.filter(topo, &mut selected, |&p| p);
+            budgets.filter(topo, &mut selected, &mut rejected, |&p| p);
         }
         out.extend(selected.iter().map(|&(id, voq)| (id, voq, edge)));
     })

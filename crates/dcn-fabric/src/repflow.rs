@@ -489,8 +489,7 @@ impl AllocationPolicy for Replicated<'_> {
         // deterministic. A rejected flow's race is found by its slot,
         // which one id lookup per rejected flow supplies.
         if let Some(budgets) = self.base.budgets.as_mut() {
-            let rejected = std::mem::take(&mut budgets.rejected);
-            for &(id, voq) in &rejected {
+            for &(id, voq, _) in &self.base.alloc.withheld {
                 let race = table
                     .slot_of(id)
                     .and_then(|at| self.races.get_mut(at.index())?.as_mut())
@@ -506,7 +505,6 @@ impl AllocationPolicy for Replicated<'_> {
                     copy.selected = true;
                 }
             }
-            budgets.rejected = rejected;
         }
         // Apply the replica selection: open epochs for the selected
         // copies, settle-and-close everyone else's.

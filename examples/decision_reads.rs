@@ -1,7 +1,8 @@
 //! What a key-driven decision reads, per decision, on the benchmark's
 //! three fabrics: how the decisions were taken ([`DecisionCounts`]) and,
-//! for the certified ones, how many VOQs they read: dirty, near-tie and
-//! on-demand. A full re-read reads every matched VOQ instead.
+//! for the certified ones, how many VOQs they read: dirty (a mutation
+//! touched them), named (the lens's clock does not cover them: pairs the
+//! core filter withheld), near-tie and on-demand.
 //!
 //! Run with:
 //!
@@ -49,13 +50,13 @@ fn drive<T: Topology>(
 fn report(name: &str, c: DecisionCounts) {
     let per = |n: u64| n as f64 / c.certified.max(1) as f64;
     println!(
-        "{name:<18} decisions {:>8}  certified {:>5.1}%  full re-reads {:>5.2}%  \
-         per certified decision: dirty {:.2}  near-tie {:.3}  on-demand {:.2}  \
-         key_rose {}",
+        "{name:<18} decisions {:>8}  certified {:>5.1}%  \
+         per certified decision: dirty {:.2}  named {:.2}  near-tie {:.3}  \
+         on-demand {:.2}  key_rose {}",
         c.decisions(),
         100.0 * c.certified as f64 / c.decisions().max(1) as f64,
-        100.0 * per(c.full_rereads),
         per(c.read_dirty),
+        per(c.read_named),
         per(c.read_near_tie),
         per(c.read_on_demand),
         c.key_rose,

@@ -21,7 +21,7 @@ mod support;
 use basrpt::core::{FastBasrpt, MaxWeight, Scheduler, Srpt, ThresholdBacklogSrpt};
 use basrpt::fabric::{reference, simulate, simulate_probed, FatTree, SimConfig, Topology};
 use basrpt::probe::EventCounterProbe;
-use basrpt::types::{FlowClass, SimTime};
+use basrpt::types::{FlowClass, Rate, SimTime};
 use basrpt::workload::TrafficSpec;
 use support::conservation::assert_bit_identical;
 use support::fingerprint::fingerprint;
@@ -97,21 +97,43 @@ fn delta_matches_the_reference_across_seeds_and_disciplines() {
 
 /// An oversubscribed fabric (core budgets binding on every reschedule)
 /// exercises the persistent `CoreBudgets` filter: the delta engine must
-/// still match the reference filter's admissions bit for bit.
+/// still match the reference filter's admissions bit for bit. Two racks of
+/// eight rarely match more cross-rack pairs than their core link carries;
+/// four racks behind 20-Gbps core links (4:1) make the filter withhold
+/// matched pairs, whose VOQs the lens names and the decisions read.
 #[test]
 fn delta_matches_references_on_oversubscribed_fabric() {
-    let topo = FatTree::scaled(2, 8, 1).unwrap();
-    assert!(!topo.is_full_bisection(), "core must be binding");
-    let spec = TrafficSpec::scaled(2, 8, 0.9).unwrap();
     let cfg = config(0.1, false); // oversubscription enforces on its own
-    for seed in [5u64, 11] {
-        let delta = simulate(&topo, &mut Srpt::new(), spec.generator(seed).unwrap(), cfg).unwrap();
-        let scan =
-            reference::simulate_scan(&topo, &mut Srpt::new(), spec.generator(seed).unwrap(), cfg)
-                .unwrap();
-        assert_bit_identical(&delta, &scan, &format!("oversubscribed/seed{seed}"));
-        assert!(delta.completions > 0);
+    let four_to_one = FatTree::new(4, 8, 1, Rate::from_gbps(10.0), Rate::from_gbps(20.0));
+    let fabrics = [
+        (FatTree::scaled(2, 8, 1).unwrap(), &[5u64, 11][..]),
+        (four_to_one.unwrap(), &[5][..]),
+    ];
+    let mut named = 0;
+    for (topo, seeds) in fabrics {
+        assert!(!topo.is_full_bisection(), "core must be binding");
+        let racks = topo.num_racks();
+        let spec = TrafficSpec::scaled(racks, 8, 0.9).unwrap();
+        for &seed in seeds {
+            let mut srpt = Srpt::new();
+            let delta = simulate(&topo, &mut srpt, spec.generator(seed).unwrap(), cfg).unwrap();
+            let scan = reference::simulate_scan(
+                &topo,
+                &mut Srpt::new(),
+                spec.generator(seed).unwrap(),
+                cfg,
+            )
+            .unwrap();
+            let label = format!("oversubscribed/{racks}x8/seed{seed}");
+            assert_bit_identical(&delta, &scan, &label);
+            assert!(delta.completions > 0);
+            named += srpt.decisions().read_named;
+        }
     }
+    assert!(
+        named > 0,
+        "the filter withheld no matched pair across decisions"
+    );
 }
 
 /// The full event streams match too: counting every arrival, drain,

@@ -67,14 +67,27 @@ bench-smoke:
 # Alternating perfbench pairs of two checkouts on one workload and seed
 # (`perf_pairs.py`): the parent's median and quartiles, the change's
 # median and how many pairs read lower, per end-to-end metric. PARENT is
-# a checkout of the parent commit, e.g. one made with `git archive`.
+# a checkout of the parent commit. Without it, HEAD (the parent of
+# uncommitted work) is extracted with `git archive` into
+# target/perf-parent/<sha>, or that extraction reused.
 WORKLOAD ?= paper_basrpt
 SEED ?= 1
 PAIRS ?= 10
 RUN_SECONDS ?= 30
 CHANGE ?= .
 perf-pairs:
-	python3 perf_pairs.py $(PARENT) $(CHANGE) --workload $(WORKLOAD) \
+	@parent="$(PARENT)"; \
+	if [ -z "$$parent" ]; then \
+		sha=$$(git rev-parse --verify "HEAD^{commit}") || exit 1; \
+		parent=target/perf-parent/$$sha; \
+		if [ ! -d "$$parent" ]; then \
+			rm -rf "$$parent.part" && mkdir -p "$$parent.part" && \
+			git archive "$$sha" | tar -x -C "$$parent.part" && \
+			mv "$$parent.part" "$$parent" || exit 1; \
+		fi; \
+	fi; \
+	echo "parent: $$parent"; \
+	python3 perf_pairs.py "$$parent" $(CHANGE) --workload $(WORKLOAD) \
 		--seed $(SEED) --pairs $(PAIRS) --seconds $(RUN_SECONDS)
 
 # Short traced simulation: streams every event to JSONL, re-parses each

@@ -41,7 +41,7 @@ impl MaxWeight {
     }
 
     /// How this instance's decisions were taken so far: certified from
-    /// the carried matching, or by a full pass and why
+    /// the carried matching, or without a certificate and why
     /// ([`Ranking::counts`]).
     pub fn decisions(&self) -> DecisionCounts {
         self.ranking.counts()

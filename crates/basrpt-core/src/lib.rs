@@ -35,9 +35,11 @@
 //! per-VOQ champions ([`schedule_champions_adjusted`]). Each discipline
 //! owns a [`Ranking`] that carries the previous decision's matching into
 //! the next: behind a checked certificate, a decision repairs it around
-//! the VOQs that changed; without one (or when the discipline's keys can
-//! rise, [`KeyMotion::MayRise`]) it runs the full greedy pass, `O(Q log Q)`
-//! in the number of non-empty VOQs. Either way the schedule is the same,
+//! the VOQs that changed; without one it runs the same repair from an
+//! empty matching, a full pass, `O(Q log Q)` in the number of non-empty
+//! VOQs. A discipline whose keys can rise ([`KeyMotion::MayRise`]) carries
+//! nothing and sorts and admits every candidate through [`greedy_by_key`].
+//! Either way the schedule is the same,
 //! and the decision counts ([`DecisionCounts`]) say which way each went.
 //! The single oracle is the full-scan
 //! [`reference::schedule_scan`], which rebuilds every champion from the

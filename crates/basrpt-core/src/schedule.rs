@@ -43,11 +43,12 @@ impl Error for ScheduleError {}
 /// ([`Schedule::contains`]) scans the at most `P` selected pairs; no
 /// decision path asks it.
 ///
-/// A schedule decided from a [`FlowTable`](crate::FlowTable)'s VOQ views
-/// also carries each pair's VOQ slot, so the fabric's allocator adopts its
-/// pair list ([`Schedule::into_slotted`]) without hashing a VOQ; a pair
-/// added through [`Schedule::add`] has none. Slots never take part in
-/// equality.
+/// A schedule has one of two origins. Built pair by pair
+/// ([`Schedule::new`], [`Schedule::add`]), it carries no slots. Emitted
+/// from a carried matching over a [`FlowTable`](crate::FlowTable)'s VOQ
+/// views, it adopts a pair list that carries each pair's VOQ slot, so the
+/// fabric's allocator takes the list ([`Schedule::into_slotted`]) without
+/// hashing a VOQ. Slots never take part in equality.
 ///
 /// # Example
 ///
@@ -65,16 +66,17 @@ impl Error for ScheduleError {}
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     /// The selected pairs in selection order, each with its VOQ's table
-    /// slot or [`NO_SLOT`].
+    /// slot, or [`NO_SLOT`] in a slotless schedule.
     selected: Vec<(FlowId, Voq, u32)>,
-    /// Whether some pair was added without a slot.
+    /// Whether the schedule was built pair by pair, without slots.
     slotless: bool,
     /// The busy ingress and egress ports, built from `selected` on first
     /// use.
     busy: OnceLock<[PortSet; 2]>,
 }
 
-/// The slot of a pair added without one.
+/// The slot of a pair [`Schedule::add`] added, until
+/// [`Schedule::into_slotted`] resolves it.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Two schedules are equal when they select the same flows in the same
@@ -92,20 +94,6 @@ impl Schedule {
     /// Creates an empty schedule.
     pub fn new() -> Self {
         Schedule::default()
-    }
-
-    /// An empty schedule pre-sized for ports `0..num_ports` and at most
-    /// `max_len` selected flows, so a decision's admissions never
-    /// reallocate.
-    pub(crate) fn with_ports(num_ports: u32, max_len: usize) -> Self {
-        Schedule {
-            selected: Vec::with_capacity(max_len.min(num_ports as usize)),
-            slotless: false,
-            busy: OnceLock::from([
-                PortSet::with_ports(num_ports),
-                PortSet::with_ports(num_ports),
-            ]),
-        }
     }
 
     /// The schedule of `pairs`, in their order, which the caller has
@@ -155,22 +143,14 @@ impl Schedule {
         !self.ingress_busy(voq.src()) && !self.egress_busy(voq.dst())
     }
 
-    /// Adds a flow transmitting from `voq.src()` to `voq.dst()`.
+    /// Adds a flow transmitting from `voq.src()` to `voq.dst()`. The
+    /// schedule is then slotless: an adopted pair list it extends is
+    /// resolved whole by [`Schedule::into_slotted`].
     ///
     /// # Errors
     ///
     /// Returns [`ScheduleError`] if either port is already in use.
     pub fn add(&mut self, flow: FlowId, voq: Voq) -> Result<(), ScheduleError> {
-        self.add_at(flow, voq, NO_SLOT)
-    }
-
-    /// [`Schedule::add`] for a flow whose VOQ sits in table slot `slot`.
-    pub(crate) fn add_at(
-        &mut self,
-        flow: FlowId,
-        voq: Voq,
-        slot: u32,
-    ) -> Result<(), ScheduleError> {
         if self.ingress_busy(voq.src()) {
             return Err(ScheduleError::IngressBusy(voq.src()));
         }
@@ -180,8 +160,8 @@ impl Schedule {
         let [ingress, egress] = self.busy.get_mut().expect("built by the checks above");
         ingress.insert(voq.src());
         egress.insert(voq.dst());
-        self.selected.push((flow, voq, slot));
-        self.slotless |= slot == NO_SLOT;
+        self.selected.push((flow, voq, NO_SLOT));
+        self.slotless = true;
         Ok(())
     }
 
@@ -193,15 +173,15 @@ impl Schedule {
 
     /// The selected pairs in selection order, each with its VOQ's slot in
     /// the table the schedule was decided from ([`VoqView::slot`]): the
-    /// schedule's own pair list, handed over without a copy. `slot_of`
-    /// resolves the VOQ of each pair added through [`Schedule::add`]; it is
-    /// not called, and the list not walked, when every pair has a slot.
+    /// schedule's own pair list, handed over without a copy. In a schedule
+    /// [`Schedule::add`] added a pair to, `slot_of` resolves every pair's
+    /// VOQ; an adopted pair list is handed back as it is, unwalked.
     ///
     /// [`VoqView::slot`]: crate::VoqView::slot
     pub fn into_slotted(self, mut slot_of: impl FnMut(Voq) -> usize) -> Vec<(FlowId, Voq, u32)> {
         let mut pairs = self.selected;
         if self.slotless {
-            for (_, voq, slot) in pairs.iter_mut().filter(|p| p.2 == NO_SLOT) {
+            for (_, voq, slot) in &mut pairs {
                 *slot = u32::try_from(slot_of(*voq)).expect("VOQ slots fit in u32");
             }
         }
@@ -282,51 +262,62 @@ mod tests {
 
     #[test]
     fn slots_ride_along_but_never_decide_equality() {
-        let mut a = Schedule::new();
-        let mut b = Schedule::new();
-        a.add_at(FlowId::new(1), voq(0, 1), 7).unwrap();
-        b.add(FlowId::new(1), voq(0, 1)).unwrap();
-        b.add_at(FlowId::new(2), voq(2, 3), 4).unwrap();
-        a.add(FlowId::new(2), voq(2, 3)).unwrap();
-        assert_eq!(a, b);
-        let resolve = |q: Voq| 10 + q.src().as_usize();
+        let adopted = Schedule::from_disjoint(vec![
+            (FlowId::new(1), voq(0, 1), 7),
+            (FlowId::new(2), voq(2, 3), 4),
+        ]);
+        let mut built = Schedule::new();
+        built.add(FlowId::new(1), voq(0, 1)).unwrap();
+        built.add(FlowId::new(2), voq(2, 3)).unwrap();
+        assert_eq!(adopted, built);
         assert_eq!(
-            a.into_slotted(resolve),
+            adopted.into_slotted(|_| unreachable!("every pair has a slot")),
             [
                 (FlowId::new(1), voq(0, 1), 7),
-                (FlowId::new(2), voq(2, 3), 12)
-            ]
-        );
-        assert_eq!(
-            b.into_slotted(resolve),
-            [
-                (FlowId::new(1), voq(0, 1), 10),
                 (FlowId::new(2), voq(2, 3), 4)
             ]
         );
-        let mut c = Schedule::new();
-        c.add_at(FlowId::new(3), voq(0, 1), 5).unwrap();
         assert_eq!(
-            c.into_slotted(|_| unreachable!("every pair has a slot")),
-            [(FlowId::new(3), voq(0, 1), 5)]
+            built.into_slotted(|q: Voq| 10 + q.src().as_usize()),
+            [
+                (FlowId::new(1), voq(0, 1), 10),
+                (FlowId::new(2), voq(2, 3), 12)
+            ]
         );
     }
 
     #[test]
     fn an_adopted_pair_list_builds_its_busy_ports_on_first_use() {
-        let mut s = Schedule::from_disjoint(vec![(FlowId::new(1), voq(0, 1), 3)]);
+        let s = Schedule::from_disjoint(vec![
+            (FlowId::new(1), voq(0, 1), 3),
+            (FlowId::new(2), voq(2, 3), 5),
+        ]);
         assert!(s.busy.get().is_none());
-        assert!(!s.admits(voq(0, 2)) && !s.admits(voq(2, 1)) && s.admits(voq(2, 3)));
+        assert!(!s.admits(voq(0, 2)) && !s.admits(voq(2, 1)) && s.admits(voq(4, 5)));
+        assert!(!s.admits(voq(2, 4)) && !s.admits(voq(4, 3)));
+        assert!(s.busy.get().is_some());
+        assert_eq!(
+            s.into_slotted(|_| unreachable!("every pair has a slot")),
+            [
+                (FlowId::new(1), voq(0, 1), 3),
+                (FlowId::new(2), voq(2, 3), 5)
+            ]
+        );
+    }
+
+    #[test]
+    fn adding_to_an_adopted_pair_list_makes_it_slotless() {
+        let mut s = Schedule::from_disjoint(vec![(FlowId::new(1), voq(0, 1), 3)]);
         s.add(FlowId::new(2), voq(2, 3)).unwrap();
         assert_eq!(
             s.add(FlowId::new(3), voq(2, 4)),
             Err(ScheduleError::IngressBusy(HostId::new(2)))
         );
         assert_eq!(
-            s.into_slotted(|_| 9),
+            s.into_slotted(|q: Voq| 10 + q.src().as_usize()),
             [
-                (FlowId::new(1), voq(0, 1), 3),
-                (FlowId::new(2), voq(2, 3), 9)
+                (FlowId::new(1), voq(0, 1), 10),
+                (FlowId::new(2), voq(2, 3), 12)
             ]
         );
     }

@@ -5,8 +5,8 @@
 //! schedule equal to its full-scan twin's — both for a fresh discipline
 //! and for one long-lived instance that decides after every step, so its
 //! carried matching is certified and repaired around the VOQs that
-//! changed (or, without a certificate, its full pass starts from the
-//! previous order).
+//! changed (or, without a certificate, repaired by a full pass from an
+//! empty matching).
 //!
 //! The tie-break contract under test is the one `tests/tie_break.rs`
 //! pins directly: within a VOQ the shortest flow wins with the smaller
@@ -176,8 +176,8 @@ struct Warm {
     /// `V/N = 10/3`: non-dyadic with small integer near-ties
     /// (`(10/3)·r − b` for `r` three apart and `b` ten apart).
     fast_thirds: FastBasrpt,
-    /// `V/N = 1/2 < 1`: transmitting keys rise, so every decision is a
-    /// full pass.
+    /// `V/N = 1/2 < 1`: transmitting keys rise, so nothing is carried and
+    /// every decision sorts and admits every candidate.
     fast_sub: FastBasrpt,
     repflow: RepFlow,
 }
@@ -449,6 +449,67 @@ fn crossing_keys_an_entrant_and_a_leaver_keep_admission_order() {
     }
 }
 
+/// A lens with a clock that raises the key of the VOQ in one slot by
+/// `by` units without naming it: it breaks the premise of a certified
+/// decision, which must find the risen key where it reads it.
+struct RaisedLens {
+    slot: usize,
+    by: u64,
+}
+
+impl ViewAdjust for RaisedLens {
+    fn adjust(&self, view: &mut VoqView) {
+        if view.slot() == self.slot {
+            view.shortest_remaining += self.by;
+            view.backlog += self.by;
+        }
+    }
+
+    fn off_clock_slots(&self, _visit: &mut dyn FnMut(usize)) {}
+
+    fn clock(&self) -> Option<f64> {
+        Some(0.0)
+    }
+}
+
+/// Two matched VOQs on disjoint ports whose carried keys lie within the
+/// margin are a near tie the certified decision reads; a lens that raised
+/// one of them breaks the certificate, and the decision is rebuilt from
+/// an empty matching, equal to a fresh instance's.
+#[test]
+fn a_risen_key_in_a_near_tie_rebuilds_the_decision() {
+    let q = |s, d| Voq::new(HostId::new(s), HostId::new(d));
+    let mut table = FlowTable::new();
+    let (a, b) = (q(0, 1), q(2, 3));
+    for (id, voq, size) in [(1, a, 100), (2, b, 101)] {
+        table
+            .insert(FlowState::new(FlowId::new(id), voq, size))
+            .unwrap();
+    }
+    let slot = table.voq_slot(a).unwrap();
+    let (still, raised) = (RaisedLens { slot, by: 0 }, RaisedLens { slot, by: 5 });
+    let mut srpt = Srpt::new();
+    let mut fast = FastBasrpt::new(2500.0, 144);
+    let first = srpt.schedule_adjusted(&table, &still);
+    assert_eq!(
+        first.flow_ids().map(FlowId::raw).collect::<Vec<_>>(),
+        [1, 2]
+    );
+    fast.schedule_adjusted(&table, &still);
+    let decided = srpt.schedule_adjusted(&table, &raised);
+    assert_eq!(decided, Srpt::new().schedule_adjusted(&table, &raised));
+    assert_eq!(
+        decided.flow_ids().map(FlowId::raw).collect::<Vec<_>>(),
+        [2, 1]
+    );
+    let fresh = FastBasrpt::new(2500.0, 144).schedule_adjusted(&table, &raised);
+    assert_eq!(fast.schedule_adjusted(&table, &raised), fresh);
+    for counts in [srpt.decisions(), fast.decisions()] {
+        assert!(counts.key_rose >= 1, "{counts:?}");
+        assert_eq!(counts.decisions(), 2, "{counts:?}");
+    }
+}
+
 /// A lens over the champions leaving host 0: with `grow == 0` it pretends
 /// each has sent half of its remaining units (keys fall), otherwise that
 /// each grew by `grow` units (keys rise). It has no clock, so it names
@@ -640,7 +701,8 @@ fn arb_tick(ports: u32) -> impl Strategy<Value = Tick> {
 /// Runs `ticks` through a table and a simulated allocator with one
 /// long-lived instance of `make`'s discipline, deciding through the drain
 /// lens after every tick, and asserts each decision equals a fresh
-/// instance's full pass. Returns the warm instance.
+/// instance's, a full pass from an empty matching. Returns the warm
+/// instance.
 fn drained_run<S: Scheduler>(
     make: impl Fn() -> S,
     ticks: &[Tick],

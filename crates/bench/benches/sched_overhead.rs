@@ -6,15 +6,17 @@
 //! exactly this cost: the exact scheduler is exponential, the greedy pass
 //! is `O(N^2 log N^2)` worst case and `O(Q log Q)` per decision here.
 //! The `schedule_decision` rows decide on a fresh discipline each
-//! iteration, so no ranking is carried over: the cold decision. Its
+//! iteration, so no ranking is carried over: the cold decision, for keys
+//! that fall a full pass (the repair from an empty matching), for keys
+//! that can rise the sort-and-admit of `greedy_by_key`. Its
 //! `fast_basrpt_warm` rows re-decide an unchanged table on one long-lived
-//! discipline, the presorted best case.
+//! discipline, a certified decision with nothing dirty.
 //!
 //! The `event_decision` group prices the decision the fabric engine
 //! makes on every arrival and completion at 144 ports: one long-lived
 //! discipline behind the allocator's lazy lens, carrying its matching
-//! across events (fast BASRPT) or running a full pass each time
-//! (MaxWeight).
+//! across events (SRPT, fast BASRPT) or sorting and admitting every
+//! champion each time (MaxWeight).
 //!
 //! The `fastforward_switch` group measures the orthogonal lever: instead
 //! of making each decision cheaper, the switch driver `dcn_switch::run`
@@ -75,8 +77,8 @@ fn bench_disciplines() -> Vec<BenchRow> {
             FastBasrpt::new(2500.0, 144)
         });
         cold_decision(&mut t, "maxweight", flows, &table, MaxWeight::new);
-        // One long-lived discipline re-deciding the unchanged table: the
-        // presorted best case of the carried ranking.
+        // One long-lived discipline re-deciding the unchanged table: a
+        // certified decision with nothing dirty.
         let mut warm = FastBasrpt::new(2500.0, 144);
         t.time(&format!("fast_basrpt_warm/{flows}"), || {
             warm.schedule(black_box(&table))
@@ -114,7 +116,8 @@ fn cold_decision<S: Scheduler>(
 /// schedule's pair list exactly as the fabric's crossbar policy hands it
 /// over, and whose settled drains write back into the table. SRPT and fast
 /// BASRPT carry their matching and certify almost every decision;
-/// MaxWeight's keys rise, so each of its decisions is a full pass.
+/// MaxWeight's keys rise, so it carries nothing and each of its decisions
+/// sorts and admits every champion, its pairs resolved to slots by lookup.
 fn bench_event_decision() -> Vec<BenchRow> {
     let mut t = Timer::new("event_decision", 20, Duration::from_secs(2));
     event_decision(&mut t, "srpt", Srpt::new());

@@ -11,7 +11,10 @@ says whether they were bit-identical in every run instead.
     python3 perf_pairs.py PARENT CHANGE [--workload W] [--seed S]
                           [--pairs N] [--seconds S]
 
-or `make perf-pairs PARENT=<dir> [CHANGE=<dir>] [WORKLOAD=…] [SEED=…]`.
+or `make perf-pairs [PARENT=<dir>] [CHANGE=<dir>] [WORKLOAD=…] [SEED=…]`.
+Without PARENT, make extracts HEAD (the parent of uncommitted work) with
+`git archive` into target/perf-parent/<sha> and pairs against it,
+reusing an earlier extraction of the same commit.
 Runs of one binary vary by 5-10% at 10 s on a 2-vCPU host, hence the
 30-s default. Keep the host otherwise idle while it runs.
 """

@@ -37,9 +37,11 @@ type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
 
 /// Every source of the pair list the allocator adopts: SRPT and fast
 /// BASRPT with `V/N ≥ 1` certify carried matchings (at `V/N = 1` a served
-/// key stays constant); MaxWeight and fast BASRPT with `V/N < 1` decide
-/// by full passes; threshold backlog-aware SRPT builds its schedule pair
-/// by pair, without VOQ slots.
+/// key stays constant), and decide their first matching by a full pass,
+/// the repair from an empty matching; MaxWeight and fast BASRPT with
+/// `V/N < 1` carry nothing and sort and admit every champion through
+/// `greedy_by_key`; both they and threshold backlog-aware SRPT build their
+/// schedules pair by pair, without VOQ slots.
 fn disciplines() -> Vec<(&'static str, MakeScheduler)> {
     vec![
         ("srpt", Box::new(|| Box::new(Srpt::new()))),
